@@ -471,3 +471,74 @@ fn per_dmm_stats_sum_to_the_merge() {
         assert_eq!(rep.shared_per_dmm[d].requests, 8, "dmm {d}");
     }
 }
+
+/// The reported error is the one single-threaded, thread-by-thread
+/// execution meets first: every phase-A (instruction) error of a cycle
+/// before any phase-B (transaction assembly) error, then DMM order, then
+/// thread-id order — whatever program counters the erring lanes sit at.
+#[test]
+fn first_error_follows_phase_dmm_and_thread_order() {
+    // Lanes at different PCs erring in the same cycle: lanes {0, 3} take
+    // one path, lanes {1, 2} the other, and both paths divide at cycle 6.
+    // Lane 3 errs on the first path, lane 2 on the second; thread 2 wins.
+    let (t2, t3, t4) = (Reg(18), Reg(19), Reg(20));
+    let mut a = Asm::new();
+    let x = a.label();
+    a.sub(T0, abi::LTID, 2); // zero on lane 2
+    a.sub(T1, abi::LTID, 3); // zero on lane 3
+    a.seq(t2, abi::LTID, 0);
+    a.seq(t3, abi::LTID, 3);
+    a.or(t2, t2, t3);
+    a.brnz(t2, x);
+    a.div(t4, 1, T0); // pc 6: lanes {1, 2}
+    a.halt();
+    a.bind(x);
+    a.div(t4, 1, T1); // pc 8: lanes {0, 3}
+    a.halt();
+    let mut eng = Engine::new(EngineConfig::dmm(4, 1, 8)).unwrap();
+    let err = eng
+        .run(&LaunchSpec::even(a.finish(), 4, 1, vec![]))
+        .unwrap_err();
+    assert_eq!(err, SimError::DivisionByZero { thread: 2, pc: 6 });
+
+    // DMM 0 stores out of bounds (found when its transaction is
+    // assembled, phase B) in the same cycle as DMM 1 divides by zero
+    // (phase A): the phase-A error wins despite the higher DMM.
+    let mut a = Asm::new();
+    let one = a.label();
+    a.brnz(abi::DMM, one);
+    a.st_global(1000, 0, 1);
+    a.halt();
+    a.bind(one);
+    a.div(T0, 1, 0); // pc 3
+    a.halt();
+    let mut eng = Engine::new(EngineConfig::hmm(2, 4, 2, 16, 16)).unwrap();
+    let err = eng
+        .run(&LaunchSpec::even(a.finish(), 8, 2, vec![]))
+        .unwrap_err();
+    assert_eq!(err, SimError::DivisionByZero { thread: 4, pc: 3 });
+
+    // A negative address is an instruction error (phase A), reported at
+    // `usize::MAX` with size 0: it beats DMM 0's same-cycle phase-B
+    // out-of-bounds store.
+    let mut a = Asm::new();
+    let one = a.label();
+    a.brnz(abi::DMM, one);
+    a.st_global(1000, 0, 1);
+    a.halt();
+    a.bind(one);
+    a.ld_global(T0, -5, abi::LTID);
+    a.halt();
+    let err = eng
+        .run(&LaunchSpec::even(a.finish(), 8, 2, vec![]))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::OutOfBounds {
+            thread: 4,
+            space: Space::Global,
+            addr: usize::MAX,
+            size: 0
+        }
+    );
+}

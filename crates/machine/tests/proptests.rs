@@ -50,22 +50,43 @@ fn schedule_partitions_requests() {
 }
 
 /// The Banked slot count equals the analytic definition: the maximum
-/// over banks of the number of distinct addresses destined for it.
+/// over banks of the number of distinct addresses destined for it. The
+/// full assignment is pinned too: the `i`-th distinct address of a bank,
+/// in first-touch (request) order, is served in slot `i`, and every
+/// request for that address joins it there.
 #[test]
 fn banked_slot_count_matches_definition() {
     let mut rng = Rng::new(0xB0B);
     for _ in 0..200 {
         let reqs = random_requests(&mut rng, 128);
         let w = 1 << rng.usize_below(5);
-        let mut per_bank: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+        let mut per_bank: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut expect_slot = Vec::new();
         for r in &reqs {
-            per_bank
-                .entry(bank_of(r.addr, w))
-                .or_default()
-                .insert(r.addr);
+            let distinct = per_bank.entry(bank_of(r.addr, w)).or_default();
+            let s = distinct
+                .iter()
+                .position(|&a| a == r.addr)
+                .unwrap_or_else(|| {
+                    distinct.push(r.addr);
+                    distinct.len() - 1
+                });
+            expect_slot.push(s);
         }
-        let expect = per_bank.values().map(BTreeSet::len).max().unwrap_or(0);
+        let expect = per_bank.values().map(Vec::len).max().unwrap_or(0);
         assert_eq!(slot_count(&reqs, w, ConflictPolicy::Banked), expect);
+        let schedule = SlotSchedule::build(&reqs, w, ConflictPolicy::Banked);
+        let mut got_slot = vec![usize::MAX; reqs.len()];
+        for (s, slot) in schedule.iter().enumerate() {
+            for &i in slot {
+                got_slot[i] = s;
+            }
+            assert!(
+                slot.windows(2).all(|p| p[0] < p[1]),
+                "slot not in request order"
+            );
+        }
+        assert_eq!(got_slot, expect_slot);
     }
 }
 
@@ -151,53 +172,87 @@ fn engine_affine_kernel_is_deterministic() {
     }
 }
 
-/// A random straight-line SPMD program touching registers, global and
-/// shared memory (addresses masked in-bounds) and both barrier scopes.
-/// No branches, so termination is guaranteed and barriers cannot
-/// deadlock; shared stores from different threads may race, exercising
-/// the dynamic race log.
-fn random_program(rng: &mut Rng, global_size: usize, shared_size: usize) -> hmm_machine::Program {
+/// A random SPMD program touching registers, global and shared memory
+/// (addresses masked in-bounds) and both barrier scopes. Shared stores
+/// from different threads may race, exercising the dynamic race log.
+///
+/// Without `divergent` the program is straight-line. With it, some
+/// steps become a lane-dependent forward branch (`brz` on `LTID & k`)
+/// over a short block of ALU ops, loads and stores, so the lanes of a
+/// warp split across program counters and reconverge after the block.
+/// Blocks hold no barrier and every branch jumps forward, so termination
+/// is guaranteed and barriers cannot deadlock either way.
+fn random_program(
+    rng: &mut Rng,
+    global_size: usize,
+    shared_size: usize,
+    divergent: bool,
+) -> hmm_machine::Program {
     let mut asm = Asm::new();
     let reg = |i: usize| Reg(16 + (i as u8) % 8);
+    let cond = Reg(24);
     // Seed the scratch registers with thread-dependent values.
     asm.mov(reg(0), abi::GID);
     asm.mul(reg(1), abi::LTID, 3);
     asm.add(reg(2), abi::DMM, 1);
+    if divergent {
+        // Lane-dependent values everywhere, so divergent lanes disagree.
+        for i in 3..8 {
+            asm.mul(reg(i), abi::GID, 2 * i as i64 + 1);
+        }
+    }
     let len = 4 + rng.usize_below(24);
     for _ in 0..len {
-        let dst = reg(rng.usize_below(8));
-        let a = reg(rng.usize_below(8));
-        let b = reg(rng.usize_below(8));
-        match rng.usize_below(10) {
-            0 => asm.add(dst, a, b),
-            1 => asm.sub(dst, a, b),
-            2 => asm.mul(dst, a, rng.int_in(-4, 4)),
-            3 => asm.xor(dst, a, b),
-            4 => {
-                // Masked global store: addr = a & (global_size - 1).
-                asm.and(dst, a, (global_size - 1) as i64);
-                asm.st_global(dst, 0, b);
+        if divergent && rng.usize_below(3) == 0 {
+            let skip = asm.label();
+            asm.and(cond, abi::LTID, 1i64 << rng.usize_below(3));
+            asm.brz(cond, skip);
+            for _ in 0..=rng.usize_below(3) {
+                random_op(&mut asm, rng, global_size, shared_size, 8);
             }
-            5 => {
-                asm.and(dst, a, (global_size - 1) as i64);
-                asm.ld_global(dst, dst, 0);
-            }
-            6 => {
-                // Masked shared store — may race between threads.
-                asm.and(dst, a, (shared_size - 1) as i64);
-                asm.st_shared(dst, 0, b);
-            }
-            7 => {
-                asm.and(dst, a, (shared_size - 1) as i64);
-                asm.ld_shared(dst, dst, 0);
-            }
-            8 => asm.bar_dmm(),
-            _ => asm.bar_global(),
+            asm.bind(skip);
+        } else {
+            random_op(&mut asm, rng, global_size, shared_size, 10);
         }
     }
     asm.st_global(abi::GID, 0, reg(rng.usize_below(8)));
     asm.halt();
     asm.finish()
+}
+
+/// Append one random step of [`random_program`]: choices `0..kinds`,
+/// where kinds 8 and 9 are the DMM and global barriers.
+fn random_op(asm: &mut Asm, rng: &mut Rng, global_size: usize, shared_size: usize, kinds: usize) {
+    let reg = |i: usize| Reg(16 + (i as u8) % 8);
+    let dst = reg(rng.usize_below(8));
+    let a = reg(rng.usize_below(8));
+    let b = reg(rng.usize_below(8));
+    match rng.usize_below(kinds) {
+        0 => asm.add(dst, a, b),
+        1 => asm.sub(dst, a, b),
+        2 => asm.mul(dst, a, rng.int_in(-4, 4)),
+        3 => asm.xor(dst, a, b),
+        4 => {
+            // Masked global store: addr = a & (global_size - 1).
+            asm.and(dst, a, (global_size - 1) as i64);
+            asm.st_global(dst, 0, b);
+        }
+        5 => {
+            asm.and(dst, a, (global_size - 1) as i64);
+            asm.ld_global(dst, dst, 0);
+        }
+        6 => {
+            // Masked shared store — may race between threads.
+            asm.and(dst, a, (shared_size - 1) as i64);
+            asm.st_shared(dst, 0, b);
+        }
+        7 => {
+            asm.and(dst, a, (shared_size - 1) as i64);
+            asm.ld_shared(dst, dst, 0);
+        }
+        8 => asm.bar_dmm(),
+        _ => asm.bar_global(),
+    }
 }
 
 /// The full observable machine state after one run.
@@ -223,7 +278,7 @@ fn random_programs_are_thread_count_invariant() {
         let w = [2usize, 4, 8][rng.usize_below(3)];
         let l = 1 + rng.usize_below(31);
         let p = (1 + rng.usize_below(4 * w)) * d;
-        let program = random_program(&mut rng, global_size, shared_size);
+        let program = random_program(&mut rng, global_size, shared_size, false);
         let spec = LaunchSpec::even(program, p, d, vec![]);
 
         let run = |par: Parallelism| {
@@ -295,4 +350,85 @@ fn single_round_contiguous_time_envelope() {
             expect
         );
     }
+}
+
+/// FNV-1a over a value's `Debug` rendering: a stable digest for the
+/// golden file (std's hasher is not guaranteed stable across releases).
+fn digest(value: &impl std::fmt::Debug) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in format!("{value:?}").bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+const DIVERGENT_GOLDEN: &str = "tests/golden/divergent_programs.txt";
+
+/// Random programs whose warps diverge (lane-dependent forward branches
+/// around loads and stores) produce exactly the pinned report, memories,
+/// trace, race log and profile. The golden file was generated by the
+/// per-thread interpreter; regenerate it with `HMM_BLESS=1` only for a
+/// deliberate change to the simulated machine.
+///
+/// The dynamic race checker runs in debug builds only, so the race count
+/// and log are compared there and must be empty in release builds; every
+/// other field is compared in both.
+#[test]
+fn divergent_programs_match_golden() {
+    let mut rng = Rng::new(0xD1FE_46E7);
+    let (global_size, shared_size) = (256usize, 64usize);
+    let mut lines = Vec::new();
+    for case in 0..16 {
+        let d = [1usize, 2, 4][rng.usize_below(3)];
+        let w = [2usize, 4, 8, 16][rng.usize_below(4)];
+        let l = 1 + rng.usize_below(31);
+        let p = (1 + rng.usize_below(3 * w)) * d;
+        let program = random_program(&mut rng, global_size, shared_size, true);
+        let spec = LaunchSpec::even(program, p, d, vec![]);
+        let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
+        cfg.trace = true;
+        cfg.profile = true;
+        let mut engine = Engine::new(cfg).unwrap();
+        let mut report = engine.run(&spec).unwrap();
+        let races = engine.take_races();
+        let shared_races = std::mem::take(&mut report.shared_races);
+        if !cfg!(debug_assertions) {
+            assert_eq!((shared_races, races.len()), (0, 0), "case {case}");
+        }
+        let trace = engine.take_trace().expect("trace enabled");
+        let profile = engine.take_profiles().pop().expect("profile enabled");
+        let shared: Vec<_> = (0..d).map(|i| engine.shared(i).cells().to_vec()).collect();
+        lines.push(format!(
+            "case {case} d={d} w={w} l={l} p={p} time={} instructions={} skipped={} \
+             report={} global={} shared={} trace={} profile={} races={shared_races}:{}",
+            report.time,
+            report.instructions,
+            report.skipped_units,
+            digest(&report),
+            digest(&engine.global().cells()),
+            digest(&shared),
+            digest(&trace.events()),
+            digest(&profile),
+            digest(&races),
+        ));
+    }
+    let actual = lines.join("\n") + "\n";
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(DIVERGENT_GOLDEN);
+    if std::env::var_os("HMM_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("golden file (bless with HMM_BLESS=1)");
+    for (want, got) in expected.lines().zip(actual.lines()) {
+        if cfg!(debug_assertions) {
+            assert_eq!(got, want);
+        } else {
+            // Release builds carry no race log: compare up to it.
+            let cut = |s: &str| s[..s.rfind(" races=").unwrap()].to_string();
+            assert_eq!(cut(got), cut(want));
+        }
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count());
 }
