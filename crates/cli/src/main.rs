@@ -45,7 +45,7 @@ fn main() {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(1);
+            std::process::exit(e.exit_code());
         }
     }
 }

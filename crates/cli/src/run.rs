@@ -52,6 +52,21 @@ pub enum CliError {
     Io(String, std::io::Error),
     /// The autotuner rejected its configuration or failed to run.
     Tune(hmm_tune::TuneError),
+    /// A well-formed parameter outside its valid range (the message
+    /// names the flag).
+    Invalid(String),
+}
+
+impl CliError {
+    /// The process exit status for this error: 2 for a parameter the
+    /// simulator cannot run with, 1 otherwise.
+    #[must_use]
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CliError::Invalid(_) => 2,
+            _ => 1,
+        }
+    }
 }
 
 impl std::fmt::Display for CliError {
@@ -65,6 +80,7 @@ impl std::fmt::Display for CliError {
             ),
             CliError::Io(path, e) => write!(f, "cannot write {path:?}: {e}"),
             CliError::Tune(e) => write!(f, "tune error: {e}"),
+            CliError::Invalid(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }
 }
@@ -104,6 +120,13 @@ pub(crate) struct MachineSpec {
 
 pub(crate) fn machine_spec(a: &Args) -> Result<MachineSpec, CliError> {
     let kind = a.get_choice("machine", "hmm", &["dmm", "umm", "hmm"])?;
+    for (flag, what) in [("d", "DMM count"), ("w", "width"), ("l", "latency")] {
+        if a.get_usize(flag, 1)? == 0 {
+            return Err(CliError::Invalid(format!(
+                "--{flag} 0: the {what} must be at least 1"
+            )));
+        }
+    }
     Ok(MachineSpec {
         kind,
         n: a.get_usize("n", 1 << 14)?,

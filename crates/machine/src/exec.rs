@@ -10,7 +10,8 @@
 //!
 //! * **Phase A** (per shard, independent): deliver barrier releases and
 //!   memory completions due this cycle, then step every runnable thread
-//!   one instruction.
+//!   one instruction — warp by warp, one lane group per distinct PC (see
+//!   below).
 //! * **Decision**: with every shard's phase A complete, the machine-wide
 //!   barrier release is decided from three monotone counters (threads
 //!   alive, barrier arrivals, barrier releases). Every party computes the
@@ -45,6 +46,22 @@
 //! The per-cycle hot path is allocation-free in steady state: warp
 //! transactions, completion batches and slot schedules all live in
 //! per-shard scratch that is cleared and recycled, never reallocated.
+//!
+//! ## The warp-granular interpreter
+//!
+//! A shard keeps its threads' registers, PCs and memory-request slots
+//! structure-of-arrays in one [`LaneState`], so a warp is a contiguous
+//! block of lanes. Phase A steps a warp whose lanes are all runnable at
+//! one PC as a single lane group; otherwise it sorts the runnable lanes
+//! into groups by PC (ordered by lowest lane). Each group fetches and
+//! decodes its instruction once ([`LaneState::step_group`]). A load or
+//! store leaves each lane's request in its slot and sets the lane's bit
+//! in the warp's posted mask; phase B compacts the posted slots in lane
+//! order into the warp's transactions. Lanes never interact within a
+//! step, so this reproduces thread-by-thread execution exactly: the
+//! same request order, the same write winners, the same first error
+//! (the lowest erring thread) and the same per-PC profile (DESIGN.md,
+//! "Warp-granular interpreter").
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,12 +71,12 @@ use crate::abi;
 use crate::bank::BankedMemory;
 use crate::engine::{DynamicRace, EngineConfig, LaunchSpec, MAX_LOGGED_RACES};
 use crate::error::{SimError, SimResult};
-use crate::isa::{Program, Reg, Scope, Space};
+use crate::isa::{Program, Scope, Space};
 use crate::profile::{CategoryCounts, LaunchProfile, PipeAcc, StallCategory};
 use crate::request::{AccessKind, ConflictPolicy, Request, SlotSchedule, SlotScratch};
 use crate::stats::{MemoryStats, SimReport};
 use crate::trace::{MemoryId, Trace, TraceEvent};
-use crate::vm::{step, StepEffect, ThreadState};
+use crate::vm::{GroupEffect, LaneState, PcGroups};
 use crate::word::Word;
 
 /// Everything a run produces besides the engine's persistent memories.
@@ -98,15 +115,46 @@ struct Ev {
     event: TraceEvent,
 }
 
-/// Buffer a trace event under a capacity bound. Each buffer is in
-/// canonical key order, so any event the merged, sorted, truncated
-/// trace would keep sits within the first `cap` entries of its own
-/// buffer — per-buffer capping loses nothing the merge would retain.
-fn buffer_ev(events: &mut Vec<Ev>, cap: usize, dropped: &mut u64, ev: Ev) {
-    if events.len() < cap {
-        events.push(ev);
-    } else {
-        *dropped += 1;
+/// One producer's trace buffer under the run's capacity bound.
+///
+/// Each buffer is in canonical key order, so any event the merged,
+/// sorted, truncated trace would keep sits within the first `cap`
+/// entries of its own buffer — per-buffer capping loses nothing the
+/// merge would retain. Between cycles the driver also marks every buffer
+/// `full` once all buffers together hold `cap` events: every later event
+/// sorts after those and would be truncated. An event is only built when
+/// it will be kept; a dropped one is just counted.
+struct TraceBuf {
+    on: bool,
+    cap: usize,
+    full: bool,
+    events: Vec<Ev>,
+    /// Events not buffered because the capacity bound was hit.
+    dropped: u64,
+}
+
+impl TraceBuf {
+    fn new(cfg: &EngineConfig) -> Self {
+        Self {
+            on: cfg.trace,
+            cap: cfg.trace_capacity.unwrap_or(usize::MAX),
+            full: false,
+            events: Vec::new(),
+            dropped: 0,
+        }
+    }
+
+    /// Whether the next event would be kept (so is worth building).
+    fn room(&self) -> bool {
+        self.on && !self.full && self.events.len() < self.cap
+    }
+
+    fn push(&mut self, ev: impl FnOnce() -> Ev) {
+        if self.room() {
+            self.events.push(ev());
+        } else if self.on {
+            self.dropped += 1;
+        }
     }
 }
 
@@ -115,42 +163,42 @@ fn buffer_ev(events: &mut Vec<Ev>, cap: usize, dropped: &mut u64, ev: Ev) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     Runnable,
-    /// Issued a memory request that has not yet been assembled.
-    Posted,
-    /// Request dispatched or queued; waiting for completion.
+    /// Issued a memory request: posted in its warp's mask until the warp
+    /// is assembled, then in flight until the completion arrives.
     InFlight,
     BarrierWait(Scope),
     Halted,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Posted {
-    space: Space,
-    addr: usize,
-    kind: AccessKind,
-    dst: Option<Reg>,
-    value: Word,
-}
-
-struct ThreadRt {
-    state: ThreadState,
-    status: Status,
-    pending: Option<Posted>,
-}
-
+/// One warp: a contiguous block of the shard's local threads.
 struct WarpRt {
-    /// Local thread indices within the owning shard.
-    threads: Vec<usize>,
+    /// Local thread index of lane 0.
+    first: usize,
+    /// Number of lanes (the last warp of a DMM may be partial).
+    lanes: usize,
     runnable: usize,
-    posted: usize,
+    /// Lanes whose request sits in their slot awaiting assembly, as a
+    /// lane bitmask (64 lanes per word).
+    posted_mask: Vec<u64>,
+}
+
+/// Lane lists for grouping a warp's runnable lanes by PC.
+#[derive(Default)]
+struct Groups {
+    /// Every local thread, `0..pd`: a converged warp's group is a slice.
+    all: Vec<usize>,
+    /// A diverged warp's lane groups.
+    by_pc: PcGroups,
 }
 
 /// One thread released by a completed pipeline slot. `thread` is the
-/// global thread id so completions can cross the shard boundary.
+/// global thread id so completions can cross the shard boundary. A
+/// load's destination register is still in the thread's request slot,
+/// which it cannot overwrite before this completion arrives.
 #[derive(Debug, Clone, Copy)]
 struct Completion {
     thread: usize,
-    dst: Option<Reg>,
+    /// The loaded value (0 for stores).
     value: Word,
     /// Cycles this request's slot dispatched after its transaction's
     /// first slot — the conflict-serialisation share of the thread's
@@ -164,7 +212,6 @@ struct Completion {
 struct Txn {
     warp: usize,
     requests: Vec<Request>,
-    dsts: Vec<Option<Reg>>,
     schedule: SlotSchedule,
     next_slot: usize,
     /// Cycle the first slot dispatched (set when slot 0 goes out).
@@ -176,7 +223,6 @@ impl Txn {
         Self {
             warp: 0,
             requests: Vec::new(),
-            dsts: Vec::new(),
             schedule: SlotSchedule::default(),
             next_slot: 0,
             first_dispatch: 0,
@@ -188,7 +234,6 @@ impl Txn {
     fn reset(&mut self, warp: usize) {
         self.warp = warp;
         self.requests.clear();
-        self.dsts.clear();
         self.next_slot = 0;
         self.first_dispatch = 0;
     }
@@ -314,7 +359,6 @@ impl PipeRt {
                 let v = store.read(req.addr).expect("bounds checked at assembly");
                 completions.push(Completion {
                     thread: req.thread,
-                    dst: txn.dsts[ri],
                     value: v,
                     conflict,
                 });
@@ -328,7 +372,6 @@ impl PipeRt {
                     .expect("bounds checked at assembly");
                 completions.push(Completion {
                     thread: req.thread,
-                    dst: None,
                     value: 0,
                     conflict,
                 });
@@ -432,28 +475,26 @@ impl RaceCk {
 
 // ---- per-shard cycle accounting ------------------------------------------
 
-/// What a thread is currently waiting on (profiler view).
+/// What a thread waits on (profiler view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wait {
-    None,
     Mem(Space),
     Barrier,
 }
 
 /// Profiler state of one thread: accounting is interval-based, so the
-/// record only carries enough to close the current interval at the next
-/// step — nothing is touched while the thread waits.
+/// record only carries enough to charge the current wait when the thread
+/// wakes — nothing is touched while it waits, or while it issues back
+/// to back.
 struct ThreadProf {
     /// Local warp index (for per-warp attribution).
     warp: usize,
-    /// Cycle of the thread's most recent instruction issue.
-    last_step: u64,
+    /// What the current wait is on (meaningful while the thread waits).
     wait: Wait,
+    /// Cycle of the issue that started the current wait.
+    wait_since: u64,
     /// PC of the instruction that caused the current wait.
     wait_pc: usize,
-    /// Conflict-serialisation share of the current memory wait,
-    /// delivered with the completion.
-    conflict: u64,
     /// Cycle the thread issued its `halt`.
     halted_at: u64,
     halt_pc: usize,
@@ -476,10 +517,9 @@ impl ShardProf {
                 .iter()
                 .map(|&w| ThreadProf {
                     warp: w,
-                    last_step: 0,
-                    wait: Wait::None,
+                    wait: Wait::Barrier,
+                    wait_since: 0,
                     wait_pc: 0,
-                    conflict: 0,
                     halted_at: 0,
                     halt_pc: 0,
                 })
@@ -500,56 +540,48 @@ impl ShardProf {
         }
     }
 
-    /// The thread issues an instruction at `now` from `pc`: close the
-    /// wait interval since its previous issue, then charge the issue
-    /// cycle itself. Exactly one category receives every cycle in
-    /// `(last_step, now]`, which is what makes the accounting conserve
-    /// `threads × time`.
-    fn on_step(&mut self, lt: usize, now: u64, pc: usize) {
+    /// The instruction issued at `pc` at `now` left the lanes waiting.
+    fn on_wait(&mut self, lanes: &[usize], wait: Wait, now: u64, pc: usize) {
+        for &lt in lanes {
+            let t = &mut self.threads[lt];
+            t.wait = wait;
+            t.wait_since = now;
+            t.wait_pc = pc;
+        }
+    }
+
+    /// A waiting thread woke and issues next at `issue_at`: charge the
+    /// cycles strictly between the issue that started its wait and
+    /// `issue_at`. A memory wait splits into conflict serialisation (the
+    /// `conflict` cycles its slot dispatched behind its transaction's
+    /// first) and the rest; a barrier wait is all barrier. Issue cycles
+    /// are charged at issue, so exactly one category receives every
+    /// cycle of a thread's life — which is what makes the accounting
+    /// conserve `threads × time`.
+    fn on_wake(&mut self, lt: usize, issue_at: u64, conflict: u64) {
         let t = &self.threads[lt];
-        let (warp, wait_pc, wait, conflict, last_step) =
-            (t.warp, t.wait_pc, t.wait, t.conflict, t.last_step);
-        match wait {
-            // A thread with no pending wait steps every cycle.
-            Wait::None => debug_assert!(now == 0 || now == last_step + 1),
+        let (warp, pc) = (t.warp, t.wait_pc);
+        let waited = issue_at - t.wait_since - 1;
+        match t.wait {
             Wait::Mem(space) => {
-                let waited = now - last_step - 1;
                 let conflict = conflict.min(waited);
                 let (mem, conf) = match space {
                     Space::Global => (StallCategory::MemGlobal, StallCategory::ConflictGlobal),
                     Space::Shared => (StallCategory::MemShared, StallCategory::ConflictShared),
                 };
-                self.charge(warp, wait_pc, mem, waited - conflict);
-                self.charge(warp, wait_pc, conf, conflict);
+                self.charge(warp, pc, mem, waited - conflict);
+                self.charge(warp, pc, conf, conflict);
             }
-            Wait::Barrier => {
-                let waited = now - last_step - 1;
-                self.charge(warp, wait_pc, StallCategory::Barrier, waited);
-            }
+            Wait::Barrier => self.charge(warp, pc, StallCategory::Barrier, waited),
         }
-        let t = &mut self.threads[lt];
-        t.wait = Wait::None;
-        t.conflict = 0;
-        t.last_step = now;
-        self.charge(warp, pc, StallCategory::Issued, 1);
     }
 
-    /// The instruction issued at `pc` left the thread waiting.
-    fn on_wait(&mut self, lt: usize, wait: Wait, pc: usize) {
-        let t = &mut self.threads[lt];
-        t.wait = wait;
-        t.wait_pc = pc;
-    }
-
-    /// A memory completion arrived carrying its conflict share.
-    fn on_complete(&mut self, lt: usize, conflict: u64) {
-        self.threads[lt].conflict = conflict;
-    }
-
-    fn on_halt(&mut self, lt: usize, now: u64, pc: usize) {
-        let t = &mut self.threads[lt];
-        t.halted_at = now;
-        t.halt_pc = pc;
+    fn on_halt(&mut self, lanes: &[usize], now: u64, pc: usize) {
+        for &lt in lanes {
+            let t = &mut self.threads[lt];
+            t.halted_at = now;
+            t.halt_pc = pc;
+        }
     }
 
     /// Charge every thread's retired tail `(halted_at, time)` once the
@@ -580,6 +612,9 @@ struct Ctl {
     grel: AtomicUsize,
     /// A shard hit an error during phase A; phase B is skipped globally.
     err_a: AtomicBool,
+    /// The trace buffers together hold the capacity (set between cycles;
+    /// see [`TraceBuf`]).
+    trace_full: AtomicBool,
 }
 
 impl Ctl {
@@ -589,6 +624,7 @@ impl Ctl {
             garr: AtomicUsize::new(0),
             grel: AtomicUsize::new(0),
             err_a: AtomicBool::new(false),
+            trace_full: AtomicBool::new(false),
         }
     }
 
@@ -614,6 +650,8 @@ struct Pulse {
     next_event: Option<u64>,
     /// Threads waiting at a barrier (for the deadlock report).
     waiting: usize,
+    /// Trace events buffered so far.
+    events: usize,
 }
 
 /// Per-shard warp-assembly scratch: the transaction being built for each
@@ -644,11 +682,18 @@ struct Shard<'m> {
     dmm: usize,
     base_tid: usize,
     base_warp: usize,
-    threads: Vec<ThreadRt>,
+    /// Registers, PCs and request slots of the local threads,
+    /// structure-of-arrays; warp `i` is local threads
+    /// `warps[i].first..warps[i].first + warps[i].lanes`.
+    lanes: LaneState,
+    /// Per local thread.
+    status: Vec<Status>,
     warps: Vec<WarpRt>,
     /// local thread index -> local warp index
     thread_warp: Vec<usize>,
     active: Vec<bool>,
+    /// Lane-grouping scratch for phase A.
+    groups: Groups,
     /// Live threads on this DMM (the DMM-barrier release threshold).
     alive: usize,
     bar_dmm: usize,
@@ -665,18 +710,13 @@ struct Shard<'m> {
     asm: AsmScratch,
     /// Reusable schedule-building scratch.
     slot_scratch: SlotScratch,
-    /// Recycled transaction buffers (requests/dsts/schedule capacity).
+    /// Recycled transaction buffers (request and schedule capacity).
     free_txns: Vec<Txn>,
     instructions: u64,
     barriers: u64,
     stats: MemoryStats,
     finish_time: u64,
-    events: Vec<Ev>,
-    trace_on: bool,
-    /// Per-buffer trace capacity (`usize::MAX` when unbounded).
-    trace_cap: usize,
-    /// Events not buffered because the capacity bound was hit.
-    events_dropped: u64,
+    trace: TraceBuf,
     /// Cycle accounting (present when the config enables profiling).
     prof: Option<ShardProf>,
     /// First error this shard hit, tagged with its phase (0 = A, 1 = B);
@@ -701,53 +741,48 @@ impl<'m> Shard<'m> {
         store: &'m mut BankedMemory,
     ) -> Self {
         let w = cfg.width;
-        let mut threads = Vec::with_capacity(pd);
-        let mut warps = Vec::new();
-        let mut thread_warp = Vec::with_capacity(pd);
-        for chunk_start in (0..pd).step_by(w) {
-            let chunk = chunk_start..(chunk_start + w).min(pd);
-            let warp_id = warps.len();
-            let mut members = Vec::with_capacity(chunk.len());
-            for ltid in chunk {
-                let gid = base_tid + ltid;
-                let mut st = ThreadState::new(gid);
-                st.set_reg(abi::GID, gid as Word);
-                st.set_reg(abi::DMM, dmm as Word);
-                st.set_reg(abi::LTID, ltid as Word);
-                st.set_reg(abi::P, p as Word);
-                st.set_reg(abi::PD, pd as Word);
-                st.set_reg(abi::W, w as Word);
-                st.set_reg(abi::D, cfg.dmms as Word);
-                st.set_reg(abi::L, cfg.global_latency as Word);
-                for (i, &a) in args.iter().enumerate() {
-                    st.set_reg(abi::arg(i), a);
-                }
-                threads.push(ThreadRt {
-                    state: st,
-                    status: Status::Runnable,
-                    pending: None,
-                });
-                members.push(ltid);
-                thread_warp.push(warp_id);
+        let mut lanes = LaneState::new(pd, base_tid);
+        for lt in 0..pd {
+            let gid = base_tid + lt;
+            lanes.set_reg(lt, abi::GID, gid as Word);
+            lanes.set_reg(lt, abi::DMM, dmm as Word);
+            lanes.set_reg(lt, abi::LTID, lt as Word);
+            lanes.set_reg(lt, abi::P, p as Word);
+            lanes.set_reg(lt, abi::PD, pd as Word);
+            lanes.set_reg(lt, abi::W, w as Word);
+            lanes.set_reg(lt, abi::D, cfg.dmms as Word);
+            lanes.set_reg(lt, abi::L, cfg.global_latency as Word);
+            for (i, &a) in args.iter().enumerate() {
+                lanes.set_reg(lt, abi::arg(i), a);
             }
-            let len = members.len();
-            warps.push(WarpRt {
-                threads: members,
-                runnable: len,
-                posted: 0,
-            });
         }
-        let active = warps.iter().map(|wp| wp.runnable > 0).collect();
+        let warps: Vec<WarpRt> = (0..pd)
+            .step_by(w)
+            .map(|first| {
+                let n = w.min(pd - first);
+                WarpRt {
+                    first,
+                    lanes: n,
+                    runnable: n,
+                    posted_mask: vec![0; n.div_ceil(64)],
+                }
+            })
+            .collect();
         let pipe = (cfg.shared_size > 0)
             .then(|| PipeRt::new(cfg.shared_latency as u64, cfg.shared_policy, cfg.pipelined));
         Self {
             dmm,
             base_tid,
             base_warp,
-            threads,
+            lanes,
+            status: vec![Status::Runnable; pd],
+            active: vec![true; warps.len()],
             warps,
-            thread_warp,
-            active,
+            thread_warp: (0..pd).map(|lt| lt / w).collect(),
+            groups: Groups {
+                all: (0..pd).collect(),
+                by_pc: PcGroups::default(),
+            },
             alive: pd,
             bar_dmm: 0,
             bar_global: 0,
@@ -762,10 +797,7 @@ impl<'m> Shard<'m> {
             barriers: 0,
             stats: MemoryStats::default(),
             finish_time: 0,
-            events: Vec::new(),
-            trace_on: cfg.trace,
-            trace_cap: cfg.trace_capacity.unwrap_or(usize::MAX),
-            events_dropped: 0,
+            trace: TraceBuf::new(cfg),
             prof: None,
             err: None,
             width: cfg.width,
@@ -775,24 +807,29 @@ impl<'m> Shard<'m> {
         }
     }
 
-    fn make_runnable(&mut self, lt: usize) {
-        self.threads[lt].status = Status::Runnable;
+    /// Wake local thread `lt`, which issues next at `issue_at` (the
+    /// cycle's phase A for wakes delivered in phase A, the next cycle's
+    /// for barrier releases in phase B); `conflict` is a memory wait's
+    /// conflict share.
+    fn make_runnable(&mut self, lt: usize, issue_at: u64, conflict: u64) {
+        if let Some(prof) = self.prof.as_mut() {
+            prof.on_wake(lt, issue_at, conflict);
+        }
+        self.status[lt] = Status::Runnable;
         let wid = self.thread_warp[lt];
         self.warps[wid].runnable += 1;
         self.active[wid] = true;
     }
 
-    /// Deliver one completion to its thread.
-    fn complete(&mut self, c: Completion) {
+    /// Deliver one completion to its thread, which issues at `now`.
+    fn complete(&mut self, now: u64, c: Completion) {
         let lt = c.thread - self.base_tid;
-        if let Some(dst) = c.dst {
-            self.threads[lt].state.set_reg(dst, c.value);
+        let req = *self.lanes.req(lt);
+        if req.kind == AccessKind::Read {
+            self.lanes.set_reg(lt, req.dst, c.value);
         }
-        if let Some(prof) = self.prof.as_mut() {
-            prof.on_complete(lt, c.conflict);
-        }
-        debug_assert_eq!(self.threads[lt].status, Status::InFlight);
-        self.make_runnable(lt);
+        debug_assert_eq!(self.status[lt], Status::InFlight);
+        self.make_runnable(lt, now, c.conflict);
     }
 
     /// Phase A: deliver everything due this cycle, then step every
@@ -805,13 +842,14 @@ impl<'m> Shard<'m> {
         ctl: &Ctl,
         inbox: &mut Vec<Vec<Completion>>,
     ) {
+        self.trace.full = ctl.trace_full.load(Ordering::SeqCst);
         // Parked barrier releases whose synchronisation cost elapsed.
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].0 <= now {
                 let (_, tids) = self.pending.remove(i);
                 for lt in tids {
-                    self.make_runnable(lt);
+                    self.make_runnable(lt, now, 0);
                 }
             } else {
                 i += 1;
@@ -823,7 +861,7 @@ impl<'m> Shard<'m> {
         // steady-state completion traffic allocation-free here.
         for batch in inbox.drain(..) {
             for &c in &batch {
-                self.complete(c);
+                self.complete(now, c);
             }
             if let Some(pipe) = self.pipe.as_mut() {
                 pipe.recycle(batch);
@@ -831,27 +869,19 @@ impl<'m> Shard<'m> {
         }
         // Own shared-memory completions.
         while let Some(items) = self.pipe.as_mut().and_then(|p| p.pop_due(now)) {
-            if self.trace_on {
-                buffer_ev(
-                    &mut self.events,
-                    self.trace_cap,
-                    &mut self.events_dropped,
-                    Ev {
-                        cycle: now,
-                        rank: RANK_COMPLETE,
-                        mem: mem_shared(self.dmm),
-                        event: TraceEvent::SlotCompleted {
-                            cycle: now,
-                            memory: MemoryId::Shared(self.dmm),
-                            warp: self.base_warp
-                                + self.thread_warp[items[0].thread - self.base_tid],
-                            threads: items.iter().map(|c| c.thread).collect(),
-                        },
-                    },
-                );
-            }
+            self.trace.push(|| Ev {
+                cycle: now,
+                rank: RANK_COMPLETE,
+                mem: mem_shared(self.dmm),
+                event: TraceEvent::SlotCompleted {
+                    cycle: now,
+                    memory: MemoryId::Shared(self.dmm),
+                    warp: self.base_warp + self.thread_warp[items[0].thread - self.base_tid],
+                    threads: items.iter().map(|c| c.thread).collect(),
+                },
+            });
             for &c in &items {
-                self.complete(c);
+                self.complete(now, c);
             }
             self.pipe
                 .as_mut()
@@ -859,91 +889,143 @@ impl<'m> Shard<'m> {
                 .recycle(items);
         }
 
-        // Step every runnable thread one instruction.
+        if !self.active.contains(&true) {
+            return;
+        }
+        let mut groups = std::mem::take(&mut self.groups);
+        let fault = self.step_warps(now, program, ctl, &mut groups);
+        self.groups = groups;
+        if let Some(e) = fault {
+            self.err = Some((0, e));
+            ctl.err_a.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Step every runnable lane one instruction, warp by warp. A warp's
+    /// runnable lanes are grouped by PC (in order of their lowest lane)
+    /// and each group executes its instruction once for all its lanes.
+    /// Returns the error of the lowest-numbered erring thread: lanes
+    /// never interact within a step, so that is the error lane-by-lane
+    /// execution would meet first.
+    fn step_warps(
+        &mut self,
+        now: u64,
+        program: &Program,
+        ctl: &Ctl,
+        g: &mut Groups,
+    ) -> Option<SimError> {
         for wid in 0..self.warps.len() {
             if !self.active[wid] {
                 continue;
             }
-            for ti in 0..self.warps[wid].threads.len() {
-                let lt = self.warps[wid].threads[ti];
-                if self.threads[lt].status != Status::Runnable {
-                    continue;
-                }
-                let pc = self.threads[lt].state.pc;
-                if let Some(prof) = self.prof.as_mut() {
-                    prof.on_step(lt, now, pc);
-                }
-                let effect = match step(&mut self.threads[lt].state, program) {
-                    Ok(e) => e,
-                    Err(e) => {
-                        self.err = Some((0, e));
-                        ctl.err_a.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                };
-                self.instructions += 1;
-                match effect {
-                    StepEffect::Local => {}
-                    StepEffect::Load { dst, space, addr } => {
-                        self.threads[lt].pending = Some(Posted {
-                            space,
-                            addr,
-                            kind: AccessKind::Read,
-                            dst: Some(dst),
-                            value: 0,
-                        });
-                        self.threads[lt].status = Status::Posted;
-                        self.warps[wid].runnable -= 1;
-                        self.warps[wid].posted += 1;
-                        if let Some(prof) = self.prof.as_mut() {
-                            prof.on_wait(lt, Wait::Mem(space), pc);
-                        }
-                    }
-                    StepEffect::Store { space, addr, value } => {
-                        self.threads[lt].pending = Some(Posted {
-                            space,
-                            addr,
-                            kind: AccessKind::Write,
-                            dst: None,
-                            value,
-                        });
-                        self.threads[lt].status = Status::Posted;
-                        self.warps[wid].runnable -= 1;
-                        self.warps[wid].posted += 1;
-                        if let Some(prof) = self.prof.as_mut() {
-                            prof.on_wait(lt, Wait::Mem(space), pc);
-                        }
-                    }
-                    StepEffect::Barrier(scope) => {
-                        self.threads[lt].status = Status::BarrierWait(scope);
-                        self.warps[wid].runnable -= 1;
-                        match scope {
-                            Scope::Global => {
-                                self.bar_global += 1;
-                                ctl.garr.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Scope::Dmm => self.bar_dmm += 1,
-                        }
-                        if let Some(prof) = self.prof.as_mut() {
-                            prof.on_wait(lt, Wait::Barrier, pc);
-                        }
-                    }
-                    StepEffect::Halt => {
-                        self.threads[lt].status = Status::Halted;
-                        self.warps[wid].runnable -= 1;
-                        self.alive -= 1;
-                        ctl.alive.fetch_sub(1, Ordering::SeqCst);
-                        self.finish_time = now + 1;
-                        if let Some(prof) = self.prof.as_mut() {
-                            prof.on_halt(lt, now, pc);
-                        }
-                    }
-                }
+            let (first, n) = (self.warps[wid].first, self.warps[wid].lanes);
+            let pc = self.lanes.pc(first);
+            let converged = self.warps[wid].runnable == n
+                && (first..first + n).all(|lt| self.lanes.pc(lt) == pc);
+            let fault = if converged {
+                // The common case: one group of every lane.
+                let lanes = &g.all[first..first + n];
+                self.issue(now, program, ctl, wid, pc, lanes).err()
+            } else {
+                self.step_diverged(now, program, ctl, wid, g)
+            };
+            if let Some((_, e)) = fault {
+                return Some(e);
             }
             if self.warps[wid].runnable == 0 {
                 self.active[wid] = false;
             }
         }
+        None
+    }
+
+    /// Step the runnable lanes of a warp whose lanes are not all runnable
+    /// at one PC, one lane group per PC in order of lowest lane. Returns
+    /// the lowest erring lane and its error.
+    fn step_diverged(
+        &mut self,
+        now: u64,
+        program: &Program,
+        ctl: &Ctl,
+        wid: usize,
+        g: &mut Groups,
+    ) -> Option<(usize, SimError)> {
+        let (first, n) = (self.warps[wid].first, self.warps[wid].lanes);
+        let status = &self.status;
+        g.by_pc.regroup(
+            &self.lanes,
+            (first..first + n).filter(|&lt| status[lt] == Status::Runnable),
+        );
+        g.by_pc
+            .step_each(|pc, lanes| self.issue(now, program, ctl, wid, pc, lanes))
+    }
+
+    /// Issue the instruction at `pc` for `lanes` of warp `wid`, then apply
+    /// its effect: memory requests are posted in the warp's lane mask
+    /// (their slots already hold them), barrier arrivals and halts are
+    /// counted.
+    fn issue(
+        &mut self,
+        now: u64,
+        program: &Program,
+        ctl: &Ctl,
+        wid: usize,
+        pc: usize,
+        lanes: &[usize],
+    ) -> Result<(), (usize, SimError)> {
+        let n = lanes.len();
+        if let Some(prof) = self.prof.as_mut() {
+            prof.charge(wid, pc, StallCategory::Issued, n as u64);
+        }
+        let effect = self.lanes.step_group(program, pc, lanes)?;
+        self.instructions += n as u64;
+        let wait = match effect {
+            GroupEffect::Local => return Ok(()),
+            GroupEffect::Mem(space) => {
+                let warp = &mut self.warps[wid];
+                for &lt in lanes {
+                    self.lanes
+                        .req(lt)
+                        .resolve(self.base_tid + lt)
+                        .map_err(|e| (lt, e))?;
+                    self.status[lt] = Status::InFlight;
+                    let lane = lt - warp.first;
+                    warp.posted_mask[lane / 64] |= 1 << (lane % 64);
+                }
+                Wait::Mem(space)
+            }
+            GroupEffect::Barrier(scope) => {
+                for &lt in lanes {
+                    self.status[lt] = Status::BarrierWait(scope);
+                }
+                match scope {
+                    Scope::Global => {
+                        self.bar_global += n;
+                        ctl.garr.fetch_add(n, Ordering::SeqCst);
+                    }
+                    Scope::Dmm => self.bar_dmm += n,
+                }
+                Wait::Barrier
+            }
+            GroupEffect::Halt => {
+                for &lt in lanes {
+                    self.status[lt] = Status::Halted;
+                }
+                self.warps[wid].runnable -= n;
+                self.alive -= n;
+                ctl.alive.fetch_sub(n, Ordering::SeqCst);
+                self.finish_time = now + 1;
+                if let Some(prof) = self.prof.as_mut() {
+                    prof.on_halt(lanes, now, pc);
+                }
+                return Ok(());
+            }
+        };
+        self.warps[wid].runnable -= n;
+        if let Some(prof) = self.prof.as_mut() {
+            prof.on_wait(lanes, wait, now, pc);
+        }
+        Ok(())
     }
 
     /// Release every thread of this shard waiting at `scope`, or park
@@ -953,18 +1035,18 @@ impl<'m> Shard<'m> {
     fn release(&mut self, now: u64, scope: Scope) {
         if self.barrier_cost > 0 {
             let mut tids = Vec::new();
-            for (lt, t) in self.threads.iter_mut().enumerate() {
-                if t.status == Status::BarrierWait(scope) {
-                    t.status = Status::InFlight;
+            for (lt, st) in self.status.iter_mut().enumerate() {
+                if *st == Status::BarrierWait(scope) {
+                    *st = Status::InFlight;
                     tids.push(lt);
                 }
             }
             self.pending.push((now + self.barrier_cost + 1, tids));
             return;
         }
-        for lt in 0..self.threads.len() {
-            if self.threads[lt].status == Status::BarrierWait(scope) {
-                self.make_runnable(lt);
+        for lt in 0..self.status.len() {
+            if self.status[lt] == Status::BarrierWait(scope) {
+                self.make_runnable(lt, now + 1, 0);
             }
         }
     }
@@ -983,23 +1065,16 @@ impl<'m> Shard<'m> {
             let n = self.bar_dmm;
             self.release(now, Scope::Dmm);
             self.barriers += 1;
-            if self.trace_on {
-                buffer_ev(
-                    &mut self.events,
-                    self.trace_cap,
-                    &mut self.events_dropped,
-                    Ev {
-                        cycle: now,
-                        rank: RANK_BARRIER,
-                        mem: self.dmm as u32,
-                        event: TraceEvent::BarrierReleased {
-                            cycle: now,
-                            dmm: Some(self.dmm),
-                            threads: n,
-                        },
-                    },
-                );
-            }
+            self.trace.push(|| Ev {
+                cycle: now,
+                rank: RANK_BARRIER,
+                mem: self.dmm as u32,
+                event: TraceEvent::BarrierReleased {
+                    cycle: now,
+                    dmm: Some(self.dmm),
+                    threads: n,
+                },
+            });
             self.bar_dmm = 0;
             self.race_ck.interval += 1;
         }
@@ -1014,59 +1089,25 @@ impl<'m> Shard<'m> {
         // Assemble warp transactions (SIMD lockstep: a warp's requests go
         // to memory once none of its threads can advance without one).
         for wid in 0..self.warps.len() {
-            if self.warps[wid].posted == 0 || self.warps[wid].runnable > 0 {
+            let warp = &self.warps[wid];
+            if warp.runnable > 0 || warp.posted_mask.iter().all(|&m| m == 0) {
                 continue;
             }
-            // Group the posted requests per target memory (first-touch
-            // order, matching arrival order within the warp), building
-            // directly into recycled transaction buffers.
-            for ti in 0..self.warps[wid].threads.len() {
-                let lt = self.warps[wid].threads[ti];
-                if self.threads[lt].status != Status::Posted {
-                    continue;
-                }
-                let posted = self.threads[lt].pending.take().expect("posted thread");
-                let size = match posted.space {
-                    Space::Global => self.global_size,
-                    Space::Shared => {
-                        if self.pipe.is_none() {
-                            self.err = Some((1, SimError::NoSharedMemory));
-                            return;
-                        }
-                        self.store.len()
+            // Compact the posted lane slots in lane order, grouped per
+            // target memory (first-touch order), building directly into
+            // recycled transaction buffers.
+            let first = self.warps[wid].first;
+            for k in 0..self.warps[wid].posted_mask.len() {
+                let mut bits = std::mem::take(&mut self.warps[wid].posted_mask[k]);
+                while bits != 0 {
+                    let lt = first + 64 * k + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if let Err(e) = self.post(wid, lt) {
+                        self.err = Some((1, e));
+                        return;
                     }
-                };
-                if posted.addr >= size {
-                    self.err = Some((
-                        1,
-                        SimError::OutOfBounds {
-                            thread: self.base_tid + lt,
-                            space: posted.space,
-                            addr: posted.addr,
-                            size,
-                        },
-                    ));
-                    return;
                 }
-                let si = space_idx(posted.space);
-                if self.asm.building[si].is_none() {
-                    let mut t = self.free_txns.pop().unwrap_or_else(Txn::empty);
-                    t.reset(self.base_warp + wid);
-                    self.asm.building[si] = Some(t);
-                    self.asm.touched.push(si);
-                }
-                let request = Request {
-                    thread: self.base_tid + lt,
-                    addr: posted.addr,
-                    kind: posted.kind,
-                    value: posted.value,
-                };
-                let txn = self.asm.building[si].as_mut().expect("just ensured");
-                txn.requests.push(request);
-                txn.dsts.push(posted.dst);
-                self.threads[lt].status = Status::InFlight;
             }
-            self.warps[wid].posted = 0;
             for k in 0..self.asm.touched.len() {
                 let si = self.asm.touched[k];
                 let mut txn = self.asm.building[si].take().expect("touched space");
@@ -1075,7 +1116,7 @@ impl<'m> Shard<'m> {
                 } else {
                     (
                         Space::Shared,
-                        self.pipe.as_ref().expect("checked above").policy,
+                        self.pipe.as_ref().expect("checked at posting").policy,
                     )
                 };
                 self.slot_scratch
@@ -1085,7 +1126,7 @@ impl<'m> Shard<'m> {
                     Space::Shared => self
                         .pipe
                         .as_mut()
-                        .expect("checked above")
+                        .expect("checked at posting")
                         .queue
                         .push_back(txn),
                 }
@@ -1097,7 +1138,8 @@ impl<'m> Shard<'m> {
         if let Some(pipe) = self.pipe.as_mut() {
             let rck = &mut self.race_ck;
             let depth = pipe.queue.len() + usize::from(pipe.current.is_some());
-            if let Some(d) = pipe.dispatch_slot(now, self.store, self.trace_on, |txn, slot| {
+            let want_addrs = self.trace.room();
+            if let Some(d) = pipe.dispatch_slot(now, self.store, want_addrs, |txn, slot| {
                 rck.observe(now, txn, slot);
             }) {
                 let finished_slots = d.finished.as_ref().map(|t| t.schedule.num_slots() as u64);
@@ -1107,35 +1149,65 @@ impl<'m> Shard<'m> {
                         acc.on_txn_done(slots);
                     }
                 }
-                if self.trace_on {
-                    buffer_ev(
-                        &mut self.events,
-                        self.trace_cap,
-                        &mut self.events_dropped,
-                        Ev {
-                            cycle: now,
-                            rank: RANK_DISPATCH,
-                            mem: mem_shared(self.dmm),
-                            event: TraceEvent::SlotDispatched {
-                                cycle: now,
-                                memory: MemoryId::Shared(self.dmm),
-                                warp: d.warp,
-                                slot_index: d.slot_index,
-                                total_slots: d.total_slots,
-                                addrs: d.addrs,
-                            },
-                        },
-                    );
-                }
+                self.trace.push(|| Ev {
+                    cycle: now,
+                    rank: RANK_DISPATCH,
+                    mem: mem_shared(self.dmm),
+                    event: TraceEvent::SlotDispatched {
+                        cycle: now,
+                        memory: MemoryId::Shared(self.dmm),
+                        warp: d.warp,
+                        slot_index: d.slot_index,
+                        total_slots: d.total_slots,
+                        addrs: d.addrs,
+                    },
+                });
                 if let Some(mut done) = d.finished {
                     self.stats
                         .record(done.schedule.num_slots() as u64, done.requests.len() as u64);
                     done.requests.clear();
-                    done.dsts.clear();
                     self.free_txns.push(done);
                 }
             }
         }
+    }
+
+    /// Move local thread `lt`'s posted request from its lane slot into
+    /// the transaction its warp is building for the target memory,
+    /// checking the address against that memory.
+    fn post(&mut self, wid: usize, lt: usize) -> SimResult<()> {
+        let req = *self.lanes.req(lt);
+        let thread = self.base_tid + lt;
+        // Non-negative: a negative address already failed at issue.
+        let addr = req.addr as usize;
+        let size = match req.space {
+            Space::Global => self.global_size,
+            Space::Shared if self.pipe.is_none() => return Err(SimError::NoSharedMemory),
+            Space::Shared => self.store.len(),
+        };
+        if addr >= size {
+            let space = req.space;
+            return Err(SimError::OutOfBounds {
+                thread,
+                space,
+                addr,
+                size,
+            });
+        }
+        let si = space_idx(req.space);
+        let txn = self.asm.building[si].get_or_insert_with(|| {
+            let mut t = self.free_txns.pop().unwrap_or_else(Txn::empty);
+            t.reset(self.base_warp + wid);
+            self.asm.touched.push(si);
+            t
+        });
+        txn.requests.push(Request {
+            thread,
+            addr,
+            kind: req.kind,
+            value: req.value,
+        });
+        Ok(())
     }
 
     /// End-of-cycle liveness snapshot.
@@ -1150,6 +1222,7 @@ impl<'m> Shard<'m> {
                 (a, b) => a.or(b),
             },
             waiting: self.bar_dmm + self.bar_global,
+            events: self.trace.events.len(),
         }
     }
 }
@@ -1166,10 +1239,7 @@ struct Coord<'m> {
     thread_dmm: Vec<usize>,
     /// global thread id -> global warp id (for trace events).
     thread_warp: Vec<usize>,
-    events: Vec<Ev>,
-    trace_on: bool,
-    trace_cap: usize,
-    events_dropped: u64,
+    trace: TraceBuf,
     /// Global pipeline occupancy accumulator (profiling only).
     prof: Option<PipeAcc>,
     stats: MemoryStats,
@@ -1181,24 +1251,17 @@ impl Coord<'_> {
     /// Runs strictly between cycles, before the shards' phase A.
     fn route(&mut self, now: u64, mut deliver: impl FnMut(usize, Vec<Completion>)) {
         while let Some(items) = self.pipe.pop_due(now) {
-            if self.trace_on {
-                buffer_ev(
-                    &mut self.events,
-                    self.trace_cap,
-                    &mut self.events_dropped,
-                    Ev {
-                        cycle: now,
-                        rank: RANK_COMPLETE,
-                        mem: MEM_GLOBAL,
-                        event: TraceEvent::SlotCompleted {
-                            cycle: now,
-                            memory: MemoryId::Global,
-                            warp: self.thread_warp[items[0].thread],
-                            threads: items.iter().map(|c| c.thread).collect(),
-                        },
-                    },
-                );
-            }
+            self.trace.push(|| Ev {
+                cycle: now,
+                rank: RANK_COMPLETE,
+                mem: MEM_GLOBAL,
+                event: TraceEvent::SlotCompleted {
+                    cycle: now,
+                    memory: MemoryId::Global,
+                    warp: self.thread_warp[items[0].thread],
+                    threads: items.iter().map(|c| c.thread).collect(),
+                },
+            });
             deliver(self.thread_dmm[items[0].thread], items);
         }
     }
@@ -1206,23 +1269,16 @@ impl Coord<'_> {
     /// Record a machine-wide barrier release (the shards apply it).
     fn note_global_release(&mut self, now: u64, waiting: usize) {
         self.barriers += 1;
-        if self.trace_on {
-            buffer_ev(
-                &mut self.events,
-                self.trace_cap,
-                &mut self.events_dropped,
-                Ev {
-                    cycle: now,
-                    rank: RANK_BARRIER,
-                    mem: MEM_MACHINE_BARRIER,
-                    event: TraceEvent::BarrierReleased {
-                        cycle: now,
-                        dmm: None,
-                        threads: waiting,
-                    },
-                },
-            );
-        }
+        self.trace.push(|| Ev {
+            cycle: now,
+            rank: RANK_BARRIER,
+            mem: MEM_MACHINE_BARRIER,
+            event: TraceEvent::BarrierReleased {
+                cycle: now,
+                dmm: None,
+                threads: waiting,
+            },
+        });
     }
 
     /// Append this cycle's global-bound transactions (already in the
@@ -1233,9 +1289,10 @@ impl Coord<'_> {
             self.pipe.queue.push_back(t);
         }
         let depth = self.pipe.queue.len() + usize::from(self.pipe.current.is_some());
+        let want_addrs = self.trace.room();
         if let Some(d) = self
             .pipe
-            .dispatch_slot(now, self.store, self.trace_on, |_, _| {})
+            .dispatch_slot(now, self.store, want_addrs, |_, _| {})
         {
             let finished_slots = d.finished.as_ref().map(|t| t.schedule.num_slots() as u64);
             if let Some(acc) = self.prof.as_mut() {
@@ -1244,26 +1301,19 @@ impl Coord<'_> {
                     acc.on_txn_done(slots);
                 }
             }
-            if self.trace_on {
-                buffer_ev(
-                    &mut self.events,
-                    self.trace_cap,
-                    &mut self.events_dropped,
-                    Ev {
-                        cycle: now,
-                        rank: RANK_DISPATCH,
-                        mem: MEM_GLOBAL,
-                        event: TraceEvent::SlotDispatched {
-                            cycle: now,
-                            memory: MemoryId::Global,
-                            warp: d.warp,
-                            slot_index: d.slot_index,
-                            total_slots: d.total_slots,
-                            addrs: d.addrs,
-                        },
-                    },
-                );
-            }
+            self.trace.push(|| Ev {
+                cycle: now,
+                rank: RANK_DISPATCH,
+                mem: MEM_GLOBAL,
+                event: TraceEvent::SlotDispatched {
+                    cycle: now,
+                    memory: MemoryId::Global,
+                    warp: d.warp,
+                    slot_index: d.slot_index,
+                    total_slots: d.total_slots,
+                    addrs: d.addrs,
+                },
+            });
             if let Some(done) = d.finished {
                 self.stats
                     .record(done.schedule.num_slots() as u64, done.requests.len() as u64);
@@ -1310,6 +1360,18 @@ fn next_time(
             cycle: now,
             waiting: pulses.iter().map(|p| p.waiting).sum(),
         }),
+    }
+}
+
+/// Mark the trace full once every buffer together holds the capacity:
+/// all later events sort after those and would be truncated.
+fn note_trace_fill(coord: &mut Coord<'_>, pulses: &[Pulse], ctl: &Ctl) {
+    if coord.trace.on && !coord.trace.full {
+        let total = coord.trace.events.len() + pulses.iter().map(|p| p.events).sum::<usize>();
+        if total >= coord.trace.cap {
+            coord.trace.full = true;
+            ctl.trace_full.store(true, Ordering::SeqCst);
+        }
     }
 }
 
@@ -1373,6 +1435,7 @@ fn drive_sequential(
         for (s, p) in shards.iter().zip(pulses.iter_mut()) {
             *p = s.pulse(now);
         }
+        note_trace_fill(coord, &pulses, ctl);
         let target = next_time(
             now,
             coord.pipe.next_dispatch_at(now),
@@ -1499,6 +1562,7 @@ fn drive_parallel(
             if ctl.alive.load(Ordering::SeqCst) == 0 {
                 break Ok(skipped);
             }
+            note_trace_fill(coord, &pulses, ctl);
             match next_time(
                 now,
                 coord.pipe.next_dispatch_at(now),
@@ -1572,10 +1636,7 @@ pub(crate) fn run(
         store: global,
         thread_dmm,
         thread_warp,
-        events: Vec::new(),
-        trace_on: cfg.trace,
-        trace_cap: cfg.trace_capacity.unwrap_or(usize::MAX),
-        events_dropped: 0,
+        trace: TraceBuf::new(cfg),
         prof: cfg.profile.then(|| PipeAcc::new(cfg.profile_buckets)),
         stats: MemoryStats::default(),
         barriers: 0,
@@ -1670,11 +1731,11 @@ pub(crate) fn run(
 
     let trace = if cfg.trace {
         let cap = cfg.trace_capacity.unwrap_or(usize::MAX);
-        let mut produced = coord.events_dropped + coord.events.len() as u64;
-        let mut evs = coord.events;
+        let mut produced = coord.trace.dropped + coord.trace.events.len() as u64;
+        let mut evs = coord.trace.events;
         for s in &mut shards {
-            produced += s.events_dropped + s.events.len() as u64;
-            evs.append(&mut s.events);
+            produced += s.trace.dropped + s.trace.events.len() as u64;
+            evs.append(&mut s.trace.events);
         }
         // Stable sort: each (cycle, rank, mem) key has a single producer,
         // whose events are already in order — this reproduces the exact

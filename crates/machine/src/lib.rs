@@ -16,7 +16,8 @@
 //!    on a UMM the number of distinct address groups touched.
 //! 3. [`isa`] / [`asm`] / [`vm`] — each thread of the model is a Random
 //!    Access Machine. We give it a small concrete instruction set, a
-//!    label-based assembler, and single-step execution semantics.
+//!    label-based assembler, and execution semantics that step a group of
+//!    lanes at one program counter through one instruction at a time.
 //! 4. [`engine`] — the machine proper: SIMD warps of `w` threads,
 //!    round-robin warp dispatch, an `l`-stage pipelined memory management
 //!    unit per memory, barrier synchronisation, and the global time-unit

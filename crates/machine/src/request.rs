@@ -116,11 +116,21 @@ pub struct SlotScratch {
     slot_of: Vec<usize>,
     /// Per-slot request count, reused as the scatter cursor.
     counts: Vec<usize>,
-    /// Distinct `(bank-or-group, addr, slot)` keys in first-touch order.
-    /// A warp contributes at most `w` requests, so linear scans over this
-    /// list beat map allocation.
-    seen: Vec<(usize, usize, usize)>,
+    /// Coalesced: distinct address groups in first-touch order; the
+    /// `i`-th is served in slot `i`. A warp contributes at most `w`
+    /// requests, so a linear scan over this list beats map allocation.
+    groups: Vec<usize>,
+    /// Banked: per bank, the newest entry of its chain of distinct
+    /// addresses in `distinct` ([`NO_ENTRY`] for an untouched bank).
+    bank_head: Vec<usize>,
+    /// Banked: `(addr, slot, next entry of the same bank)`.
+    distinct: Vec<(usize, usize, usize)>,
+    /// Banked: banks with a chain, reset after each build.
+    touched: Vec<usize>,
 }
+
+/// End of a bank's chain in [`SlotScratch`].
+const NO_ENTRY: usize = usize::MAX;
 
 impl SlotScratch {
     /// Build the schedule for `requests` into `out`, reusing both `out`'s
@@ -134,46 +144,64 @@ impl SlotScratch {
         out: &mut SlotSchedule,
     ) {
         self.slot_of.clear();
-        self.seen.clear();
         let mut num_slots = 0usize;
         match policy {
             // DMM rule: within each bank, distinct addresses serialise;
             // the i-th distinct address of every bank is served in slot
             // i. Requests for an address already scheduled join its slot
-            // (merge: broadcast read / arbitrary-winner write).
+            // (merge: broadcast read / arbitrary-winner write). Each
+            // request only walks its own bank's distinct addresses, so a
+            // conflict-free warp schedules in O(w).
             ConflictPolicy::Banked => {
+                if self.bank_head.len() < width {
+                    self.bank_head.resize(width, NO_ENTRY);
+                }
                 for r in requests {
                     let bank = bank_of(r.addr, width);
-                    let mut slot = None;
+                    let mut e = self.bank_head[bank];
                     let mut distinct_in_bank = 0;
-                    for &(b, a, s) in &self.seen {
-                        if b == bank {
-                            if a == r.addr {
-                                slot = Some(s);
-                                break;
-                            }
-                            distinct_in_bank += 1;
+                    let mut slot = None;
+                    while e != NO_ENTRY {
+                        let (a, s, next) = self.distinct[e];
+                        if a == r.addr {
+                            slot = Some(s);
+                            break;
                         }
+                        distinct_in_bank += 1;
+                        e = next;
                     }
                     let s = slot.unwrap_or_else(|| {
-                        self.seen.push((bank, r.addr, distinct_in_bank));
+                        let head = self.bank_head[bank];
+                        if head == NO_ENTRY {
+                            self.touched.push(bank);
+                        }
+                        self.bank_head[bank] = self.distinct.len();
+                        self.distinct.push((r.addr, distinct_in_bank, head));
                         distinct_in_bank
                     });
                     self.slot_of.push(s);
                     num_slots = num_slots.max(s + 1);
                 }
+                for &b in &self.touched {
+                    self.bank_head[b] = NO_ENTRY;
+                }
+                self.touched.clear();
+                self.distinct.clear();
             }
             // UMM rule: one distinct address group per slot, first-touch
             // order.
             ConflictPolicy::Coalesced => {
+                self.groups.clear();
                 for r in requests {
                     let g = group_of(r.addr, width);
-                    let found = self.seen.iter().find(|&&(key, _, _)| key == g).map(|e| e.2);
-                    let s = found.unwrap_or_else(|| {
-                        let s = self.seen.len();
-                        self.seen.push((g, 0, s));
-                        s
-                    });
+                    let s = self
+                        .groups
+                        .iter()
+                        .position(|&key| key == g)
+                        .unwrap_or_else(|| {
+                            self.groups.push(g);
+                            self.groups.len() - 1
+                        });
                     self.slot_of.push(s);
                     num_slots = num_slots.max(s + 1);
                 }
@@ -185,13 +213,20 @@ impl SlotScratch {
             }
         }
 
-        // Scatter the per-request assignments into the CSR layout.
+        // Scatter the per-request assignments into the CSR layout. A
+        // conflict-free transaction is one slot holding every request.
+        out.ends.clear();
+        out.flat.clear();
+        if num_slots == 1 {
+            out.ends.push(requests.len());
+            out.flat.extend(0..requests.len());
+            return;
+        }
         self.counts.clear();
         self.counts.resize(num_slots, 0);
         for &s in &self.slot_of {
             self.counts[s] += 1;
         }
-        out.ends.clear();
         let mut running = 0;
         for &c in &self.counts {
             running += c;
@@ -201,7 +236,6 @@ impl SlotScratch {
         for s in 0..num_slots {
             self.counts[s] = if s == 0 { 0 } else { out.ends[s - 1] };
         }
-        out.flat.clear();
         out.flat.resize(requests.len(), 0);
         for (i, &s) in self.slot_of.iter().enumerate() {
             out.flat[self.counts[s]] = i;

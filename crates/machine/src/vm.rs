@@ -1,212 +1,392 @@
-//! Per-thread execution semantics.
+//! Lane-group execution semantics.
 //!
 //! A thread is a RAM with [`REG_COUNT`] word registers and a program
-//! counter. [`step`] executes exactly one instruction and reports what the
-//! thread wants from the outside world: nothing (pure local work), a memory
-//! request, a barrier, or termination. The DMM/UMM/HMM engine and the PRAM
-//! baseline both drive threads through this function; only the *cost* of
-//! memory effects differs between them.
+//! counter. The threads of one DMM (or the PRAM's processors) live in one
+//! [`LaneState`], laid out structure-of-arrays: register `r` of every
+//! thread sits in one contiguous row, so a warp's lanes are adjacent in
+//! each row.
+//!
+//! [`LaneState::step_group`] executes the instruction at one program
+//! counter for a *group* of lanes that all sit at that counter: the
+//! instruction is fetched and decoded once, then applied lane by lane.
+//! The returned [`GroupEffect`] tells the engine what the group wants from
+//! the outside world: nothing (pure local work), a memory access (each
+//! lane's request is left in its lane-indexed [`LaneReq`] slot), a
+//! barrier, or termination. The DMM/UMM/HMM engine and the PRAM baseline
+//! both drive threads through this function; only the *cost* of memory
+//! effects differs between them.
+//!
+//! Lanes never interact within a step, so applying an instruction to a
+//! group gives each lane exactly the result it would get alone. Errors
+//! are reported for the lowest erring lane of the group.
 
 use crate::error::{SimError, SimResult};
 use crate::isa::{BinOp, Inst, Operand, Program, Reg, Scope, Space};
+use crate::request::AccessKind;
 use crate::word::{wadd, wmul, wsub, Word};
 
 /// Number of registers per thread.
 pub const REG_COUNT: usize = 64;
 
-/// Architectural state of one thread.
-#[derive(Debug, Clone)]
-pub struct ThreadState {
-    /// Register file.
-    pub regs: [Word; REG_COUNT],
-    /// Program counter.
-    pub pc: usize,
-    /// Global thread id (for error reporting).
-    pub id: usize,
-}
-
-impl ThreadState {
-    /// A fresh thread with zeroed registers, about to execute `pc = 0`.
-    #[must_use]
-    pub fn new(id: usize) -> Self {
-        Self {
-            regs: [0; REG_COUNT],
-            pc: 0,
-            id,
-        }
-    }
-
-    /// Read a register.
-    #[inline]
-    #[must_use]
-    pub fn reg(&self, r: Reg) -> Word {
-        self.regs[r.0 as usize]
-    }
-
-    /// Write a register.
-    #[inline]
-    pub fn set_reg(&mut self, r: Reg, v: Word) {
-        self.regs[r.0 as usize] = v;
-    }
-
-    /// Evaluate an operand against this thread's registers.
-    #[inline]
-    #[must_use]
-    pub fn eval(&self, op: Operand) -> Word {
-        match op {
-            Operand::Reg(r) => self.reg(r),
-            Operand::Imm(v) => v,
-        }
-    }
-}
-
-/// What a single instruction step asks of the engine.
+/// What one instruction asks of the engine, for every lane of the group
+/// that executed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepEffect {
-    /// Pure local work; the thread is ready for its next instruction.
+pub enum GroupEffect {
+    /// Pure local work; the lanes are ready for their next instruction.
     Local,
-    /// The thread issued a load: it must receive `mem[addr]` into `dst`
-    /// before it can continue.
-    Load {
-        /// Destination register for the loaded value.
-        dst: Reg,
-        /// Target memory.
-        space: Space,
-        /// Absolute address.
-        addr: usize,
-    },
-    /// The thread issued a store of `value` to `addr` and blocks until the
-    /// access completes (Section II: "a thread cannot send a new memory
-    /// access request until the previous ... is completed").
-    Store {
-        /// Target memory.
-        space: Space,
-        /// Absolute address.
-        addr: usize,
-        /// Value to store.
-        value: Word,
-    },
-    /// The thread arrived at a barrier of the given scope.
+    /// Every lane issued a memory request to `space`, left in its
+    /// [`LaneReq`] slot. A lane blocks until its own access completes
+    /// (Section II: "a thread cannot send a new memory access request
+    /// until the previous ... is completed").
+    Mem(Space),
+    /// The lanes arrived at a barrier of the given scope.
     Barrier(Scope),
-    /// The thread halted.
+    /// The lanes halted.
     Halt,
 }
 
-/// Compute the absolute address of a memory operand pair, rejecting
-/// negative results (reported as an out-of-bounds access at `usize::MAX`).
-fn resolve_addr(t: &ThreadState, space: Space, base: Operand, off: Operand) -> SimResult<usize> {
-    let a = wadd(t.eval(base), t.eval(off));
-    if a < 0 {
-        return Err(SimError::OutOfBounds {
-            thread: t.id,
-            space,
-            addr: usize::MAX,
-            size: 0,
-        });
-    }
-    Ok(a as usize)
+/// A lane's memory request, as the last memory instruction it executed
+/// left it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneReq {
+    /// Target memory.
+    pub space: Space,
+    /// Load or store.
+    pub kind: AccessKind,
+    /// Destination register of a load.
+    pub dst: Reg,
+    /// Absolute address, unchecked: negative when the operands summed
+    /// below zero (see [`LaneReq::resolve`]).
+    pub addr: Word,
+    /// Value of a store (0 for loads).
+    pub value: Word,
 }
 
-/// Execute one instruction of `program` on thread `t`.
-///
-/// On success the thread's `pc` has advanced (or jumped) and the returned
-/// [`StepEffect`] tells the engine what else must happen. For `Load` /
-/// `Store` / `Barrier`, the *thread-local* part of the instruction is done;
-/// the engine decides when the thread may run again.
-pub fn step(t: &mut ThreadState, program: &Program) -> SimResult<StepEffect> {
-    let inst = *program.get(t.pc).ok_or(SimError::PcOutOfRange {
-        thread: t.id,
-        pc: t.pc,
-        len: program.len(),
-    })?;
-    // Default: fall through to the next instruction.
-    t.pc += 1;
-    match inst {
-        Inst::Mov(dst, src) => {
-            let v = t.eval(src);
-            t.set_reg(dst, v);
-            Ok(StepEffect::Local)
+impl LaneReq {
+    fn new(space: Space, kind: AccessKind, dst: Reg) -> Self {
+        Self {
+            space,
+            kind,
+            dst,
+            addr: 0,
+            value: 0,
         }
-        Inst::Bin(op, dst, a, b) => {
-            let av = t.eval(a);
-            let bv = t.eval(b);
-            let v = match op {
-                BinOp::Add => wadd(av, bv),
-                BinOp::Sub => wsub(av, bv),
-                BinOp::Mul => wmul(av, bv),
-                BinOp::Div => {
-                    if bv == 0 {
-                        return Err(SimError::DivisionByZero {
-                            thread: t.id,
-                            pc: t.pc - 1,
-                        });
-                    }
-                    av.wrapping_div(bv)
-                }
-                BinOp::Rem => {
-                    if bv == 0 {
-                        return Err(SimError::DivisionByZero {
-                            thread: t.id,
-                            pc: t.pc - 1,
-                        });
-                    }
-                    av.wrapping_rem(bv)
-                }
-                BinOp::Min => av.min(bv),
-                BinOp::Max => av.max(bv),
-                BinOp::And => av & bv,
-                BinOp::Or => av | bv,
-                BinOp::Xor => av ^ bv,
-                BinOp::Shl => av.wrapping_shl(bv as u32),
-                BinOp::Shr => av.wrapping_shr(bv as u32),
-                BinOp::Slt => Word::from(av < bv),
-                BinOp::Sle => Word::from(av <= bv),
-                BinOp::Seq => Word::from(av == bv),
-                BinOp::Sne => Word::from(av != bv),
-            };
-            t.set_reg(dst, v);
-            Ok(StepEffect::Local)
-        }
-        Inst::Sel(dst, cond, a, b) => {
-            let v = if t.eval(cond) != 0 {
-                t.eval(a)
+    }
+
+    /// The address as an index, or the out-of-bounds error a negative
+    /// address raises (reported at `usize::MAX`, size 0) for `thread`.
+    pub fn resolve(&self, thread: usize) -> SimResult<usize> {
+        usize::try_from(self.addr).map_err(|_| SimError::OutOfBounds {
+            thread,
+            space: self.space,
+            addr: usize::MAX,
+            size: 0,
+        })
+    }
+}
+
+/// Lanes sorted into groups by program counter, each group ascending and
+/// the groups ordered by their lowest lane: the order lane-by-lane
+/// execution would first reach them in. Reused across steps without
+/// reallocating.
+#[derive(Debug, Clone, Default)]
+pub struct PcGroups {
+    pcs: Vec<usize>,
+    members: Vec<Vec<usize>>,
+    len: usize,
+}
+
+impl PcGroups {
+    /// Regroup `lanes` (ascending) of `state` by their program counters.
+    pub fn regroup(&mut self, state: &LaneState, lanes: impl IntoIterator<Item = usize>) {
+        self.len = 0;
+        for t in lanes {
+            let pc = state.pcs[t];
+            let k = if let Some(k) = self.pcs[..self.len].iter().position(|&p| p == pc) {
+                k
             } else {
-                t.eval(b)
+                if self.len == self.pcs.len() {
+                    self.pcs.push(pc);
+                    self.members.push(Vec::new());
+                } else {
+                    self.pcs[self.len] = pc;
+                    self.members[self.len].clear();
+                }
+                self.len += 1;
+                self.len - 1
             };
-            t.set_reg(dst, v);
-            Ok(StepEffect::Local)
+            self.members[k].push(t);
         }
-        Inst::Ld(dst, space, base, off) => {
-            let addr = resolve_addr(t, space, base, off)?;
-            Ok(StepEffect::Load { dst, space, addr })
-        }
-        Inst::St(space, base, off, src) => {
-            let addr = resolve_addr(t, space, base, off)?;
-            let value = t.eval(src);
-            Ok(StepEffect::Store { space, addr, value })
-        }
-        Inst::Jmp(target) => {
-            t.pc = target;
-            Ok(StepEffect::Local)
-        }
-        Inst::Brz(cond, target) => {
-            if t.eval(cond) == 0 {
-                t.pc = target;
+    }
+
+    /// Whether no lane was grouped.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Group `k`: its program counter and its lanes.
+    fn get(&self, k: usize) -> (usize, &[usize]) {
+        (self.pcs[k], &self.members[k])
+    }
+
+    /// Call `step(pc, lanes)` for each group in order and return the
+    /// error of the lowest erring lane — the one lane-by-lane execution
+    /// would meet first. Groups whose lowest lane lies above an error
+    /// already found are skipped.
+    pub fn step_each(
+        &self,
+        mut step: impl FnMut(usize, &[usize]) -> Result<(), (usize, SimError)>,
+    ) -> Option<(usize, SimError)> {
+        let mut fault: Option<(usize, SimError)> = None;
+        for k in 0..self.len {
+            let (pc, lanes) = self.get(k);
+            if fault.as_ref().is_some_and(|&(t, _)| t < lanes[0]) {
+                break;
             }
-            Ok(StepEffect::Local)
-        }
-        Inst::Brnz(cond, target) => {
-            if t.eval(cond) != 0 {
-                t.pc = target;
+            if let Err((t, e)) = step(pc, lanes) {
+                if fault.as_ref().is_none_or(|&(f, _)| t < f) {
+                    fault = Some((t, e));
+                }
             }
-            Ok(StepEffect::Local)
         }
-        Inst::Bar(scope) => Ok(StepEffect::Barrier(scope)),
-        Inst::Nop => Ok(StepEffect::Local),
-        Inst::Halt => {
-            t.pc -= 1; // stay on Halt; the engine never steps us again
-            Ok(StepEffect::Halt)
+        fault
+    }
+}
+
+/// Architectural state of a block of threads, structure-of-arrays:
+/// register `r` of thread `t` is `regs[r * n + t]`, next to the same
+/// register of threads `t - 1` and `t + 1`.
+#[derive(Debug, Clone)]
+pub struct LaneState {
+    n: usize,
+    /// Thread id of lane 0 (for error reporting).
+    base_id: usize,
+    regs: Vec<Word>,
+    pcs: Vec<usize>,
+    reqs: Vec<LaneReq>,
+}
+
+/// Operand of a decoded instruction, resolved to a register row.
+#[derive(Clone, Copy)]
+enum Src {
+    Row(usize),
+    Imm(Word),
+}
+
+impl LaneState {
+    /// `n` threads with ids `base_id..base_id + n`, zeroed registers,
+    /// all about to execute `pc = 0`.
+    #[must_use]
+    pub fn new(n: usize, base_id: usize) -> Self {
+        Self {
+            n,
+            base_id,
+            regs: vec![0; REG_COUNT * n],
+            pcs: vec![0; n],
+            reqs: vec![LaneReq::new(Space::Global, AccessKind::Read, Reg(0)); n],
         }
+    }
+
+    /// Register `r` of thread `t`.
+    #[inline]
+    #[must_use]
+    pub fn reg(&self, t: usize, r: Reg) -> Word {
+        self.regs[r.0 as usize * self.n + t]
+    }
+
+    /// Write register `r` of thread `t`.
+    #[inline]
+    pub fn set_reg(&mut self, t: usize, r: Reg, v: Word) {
+        self.regs[r.0 as usize * self.n + t] = v;
+    }
+
+    /// Program counter of thread `t`.
+    #[inline]
+    #[must_use]
+    pub fn pc(&self, t: usize) -> usize {
+        self.pcs[t]
+    }
+
+    /// The request slot of thread `t`: meaningful after it executed a
+    /// load or store.
+    #[inline]
+    #[must_use]
+    pub fn req(&self, t: usize) -> &LaneReq {
+        &self.reqs[t]
+    }
+
+    fn src(&self, op: Operand) -> Src {
+        match op {
+            Operand::Reg(r) => Src::Row(r.0 as usize * self.n),
+            Operand::Imm(v) => Src::Imm(v),
+        }
+    }
+
+    #[inline]
+    fn val(&self, s: Src, t: usize) -> Word {
+        match s {
+            Src::Row(base) => self.regs[base + t],
+            Src::Imm(v) => v,
+        }
+    }
+
+    /// `dst <- f(a, b)` on every lane.
+    #[inline]
+    fn bin(&mut self, lanes: &[usize], dst: Reg, a: Src, b: Src, f: impl Fn(Word, Word) -> Word) {
+        let row = dst.0 as usize * self.n;
+        for &t in lanes {
+            let v = f(self.val(a, t), self.val(b, t));
+            self.regs[row + t] = v;
+        }
+    }
+
+    /// `dst <- f(a, b)` on every lane, where a zero divisor `b` is the
+    /// lane's [`SimError::DivisionByZero`].
+    fn div(
+        &mut self,
+        lanes: &[usize],
+        pc: usize,
+        dst: Reg,
+        a: Src,
+        b: Src,
+        f: impl Fn(Word, Word) -> Word,
+    ) -> Result<(), (usize, SimError)> {
+        let row = dst.0 as usize * self.n;
+        for &t in lanes {
+            let bv = self.val(b, t);
+            if bv == 0 {
+                let thread = self.base_id + t;
+                return Err((t, SimError::DivisionByZero { thread, pc }));
+            }
+            self.regs[row + t] = f(self.val(a, t), bv);
+        }
+        Ok(())
+    }
+
+    /// Set every lane's next program counter: lanes whose `cond` is
+    /// zero (`on_zero`) or non-zero (otherwise) jump to `target`, the rest
+    /// fall through.
+    fn branch(&mut self, lanes: &[usize], pc: usize, target: usize, cond: Src, on_zero: bool) {
+        for &t in lanes {
+            let taken = (self.val(cond, t) == 0) == on_zero;
+            self.pcs[t] = if taken { target } else { pc + 1 };
+        }
+    }
+
+    /// Fill every lane's request slot for a memory instruction; `value`
+    /// is the stored operand (immediate 0 for loads).
+    fn mem(&mut self, lanes: &[usize], proto: LaneReq, base: Src, off: Src, value: Src) {
+        for &t in lanes {
+            self.reqs[t] = LaneReq {
+                addr: wadd(self.val(base, t), self.val(off, t)),
+                value: self.val(value, t),
+                ..proto
+            };
+        }
+    }
+
+    /// Execute the instruction at `pc` for every lane in `lanes`, which
+    /// must all sit at `pc` (ascending lane order; errors name the
+    /// lowest erring lane, as lane-by-lane execution would).
+    ///
+    /// On success every lane's program counter has advanced (or jumped)
+    /// and the returned [`GroupEffect`] tells the engine what else must
+    /// happen. For `Mem` / `Barrier` the *thread-local* part of the
+    /// instruction is done; the engine decides when the lanes may run
+    /// again. A `Halt` leaves the counters on the `halt`.
+    ///
+    /// # Errors
+    /// `(lane, error)` for the lowest lane that divided by zero, or for
+    /// `lanes[0]` when `pc` lies outside the program. A negative address
+    /// is not an error here: [`LaneReq::resolve`] reports it.
+    pub fn step_group(
+        &mut self,
+        program: &Program,
+        pc: usize,
+        lanes: &[usize],
+    ) -> Result<GroupEffect, (usize, SimError)> {
+        let Some(&inst) = program.get(pc) else {
+            let t = lanes[0];
+            let len = program.len();
+            let thread = self.base_id + t;
+            return Err((t, SimError::PcOutOfRange { thread, pc, len }));
+        };
+        let effect = match inst {
+            Inst::Mov(dst, src) => {
+                let s = self.src(src);
+                self.bin(lanes, dst, s, s, |v, _| v);
+                GroupEffect::Local
+            }
+            Inst::Bin(op, dst, a, b) => {
+                let (a, b) = (self.src(a), self.src(b));
+                match op {
+                    BinOp::Add => self.bin(lanes, dst, a, b, wadd),
+                    BinOp::Sub => self.bin(lanes, dst, a, b, wsub),
+                    BinOp::Mul => self.bin(lanes, dst, a, b, wmul),
+                    BinOp::Div => self.div(lanes, pc, dst, a, b, Word::wrapping_div)?,
+                    BinOp::Rem => self.div(lanes, pc, dst, a, b, Word::wrapping_rem)?,
+                    BinOp::Min => self.bin(lanes, dst, a, b, Word::min),
+                    BinOp::Max => self.bin(lanes, dst, a, b, Word::max),
+                    BinOp::And => self.bin(lanes, dst, a, b, |x, y| x & y),
+                    BinOp::Or => self.bin(lanes, dst, a, b, |x, y| x | y),
+                    BinOp::Xor => self.bin(lanes, dst, a, b, |x, y| x ^ y),
+                    BinOp::Shl => self.bin(lanes, dst, a, b, |x, y| x.wrapping_shl(y as u32)),
+                    BinOp::Shr => self.bin(lanes, dst, a, b, |x, y| x.wrapping_shr(y as u32)),
+                    BinOp::Slt => self.bin(lanes, dst, a, b, |x, y| Word::from(x < y)),
+                    BinOp::Sle => self.bin(lanes, dst, a, b, |x, y| Word::from(x <= y)),
+                    BinOp::Seq => self.bin(lanes, dst, a, b, |x, y| Word::from(x == y)),
+                    BinOp::Sne => self.bin(lanes, dst, a, b, |x, y| Word::from(x != y)),
+                }
+                GroupEffect::Local
+            }
+            Inst::Sel(dst, cond, a, b) => {
+                let (c, a, b) = (self.src(cond), self.src(a), self.src(b));
+                let row = dst.0 as usize * self.n;
+                for &t in lanes {
+                    let v = if self.val(c, t) != 0 {
+                        self.val(a, t)
+                    } else {
+                        self.val(b, t)
+                    };
+                    self.regs[row + t] = v;
+                }
+                GroupEffect::Local
+            }
+            Inst::Ld(dst, space, base, off) => {
+                let proto = LaneReq::new(space, AccessKind::Read, dst);
+                self.mem(lanes, proto, self.src(base), self.src(off), Src::Imm(0));
+                GroupEffect::Mem(space)
+            }
+            Inst::St(space, base, off, src) => {
+                let proto = LaneReq::new(space, AccessKind::Write, Reg(0));
+                let (base, off, src) = (self.src(base), self.src(off), self.src(src));
+                self.mem(lanes, proto, base, off, src);
+                GroupEffect::Mem(space)
+            }
+            Inst::Jmp(target) => {
+                self.branch(lanes, pc, target, Src::Imm(0), true);
+                return Ok(GroupEffect::Local);
+            }
+            Inst::Brz(cond, target) => {
+                let c = self.src(cond);
+                self.branch(lanes, pc, target, c, true);
+                return Ok(GroupEffect::Local);
+            }
+            Inst::Brnz(cond, target) => {
+                let c = self.src(cond);
+                self.branch(lanes, pc, target, c, false);
+                return Ok(GroupEffect::Local);
+            }
+            Inst::Bar(scope) => GroupEffect::Barrier(scope),
+            Inst::Nop => GroupEffect::Local,
+            // Stay on the halt; the engine never steps the lanes again.
+            Inst::Halt => return Ok(GroupEffect::Halt),
+        };
+        for &t in lanes {
+            self.pcs[t] = pc + 1;
+        }
+        Ok(effect)
     }
 }
 
@@ -215,19 +395,73 @@ mod tests {
     use super::*;
     use crate::asm::Asm;
 
-    fn run_local(program: &Program, init: &[(Reg, Word)]) -> ThreadState {
-        let mut t = ThreadState::new(0);
-        for &(r, v) in init {
-            t.set_reg(r, v);
-        }
+    /// Run every lane of `s` to its halt, stepping lane groups by pc the
+    /// way the engine does; memory effects are not expected.
+    fn run_local(program: &Program, s: &mut LaneState) {
+        let mut live = vec![true; s.n];
+        let mut groups = PcGroups::default();
         loop {
-            match step(&mut t, program).unwrap() {
-                StepEffect::Local => {}
-                StepEffect::Halt => break,
-                other => panic!("unexpected effect {other:?}"),
+            groups.regroup(s, (0..s.n).filter(|&t| live[t]));
+            if groups.is_empty() {
+                return;
             }
+            let fault = groups.step_each(|pc, lanes| {
+                match s.step_group(program, pc, lanes)? {
+                    GroupEffect::Local => {}
+                    GroupEffect::Halt => lanes.iter().for_each(|&t| live[t] = false),
+                    other => panic!("unexpected effect {other:?}"),
+                }
+                Ok(())
+            });
+            assert_eq!(fault, None);
         }
-        t
+    }
+
+    #[test]
+    fn groups_follow_lowest_lane_order() {
+        let mut s = LaneState::new(6, 0);
+        s.pcs = vec![4, 2, 4, 7, 2, 4];
+        let mut g = PcGroups::default();
+        g.regroup(&s, [0, 1, 2, 4, 5]);
+        assert_eq!(g.len, 2);
+        assert_eq!(g.get(0), (4, &[0, 2, 5][..]));
+        assert_eq!(g.get(1), (2, &[1, 4][..]));
+        g.regroup(&s, [3, 4]);
+        assert_eq!(
+            (g.len, g.get(0), g.get(1)),
+            (2, (7, &[3][..]), (2, &[4][..]))
+        );
+    }
+
+    /// The lowest erring lane wins, even in a later group; groups that
+    /// start above a found error are not stepped.
+    #[test]
+    fn step_each_reports_the_lowest_erring_lane() {
+        let mut s = LaneState::new(6, 0);
+        s.pcs = vec![0, 1, 0, 1, 2, 2];
+        let mut g = PcGroups::default();
+        g.regroup(&s, 0..6);
+        let mut stepped = Vec::new();
+        let err = |t| SimError::DivisionByZero { thread: t, pc: 0 };
+        let fault = g.step_each(|pc, _| {
+            stepped.push(pc);
+            match pc {
+                0 => Err((2, err(2))),
+                1 => Err((1, err(1))),
+                _ => Ok(()),
+            }
+        });
+        assert_eq!(fault, Some((1, err(1))));
+        assert_eq!(stepped, [0, 1]);
+    }
+
+    fn one_lane(program: &Program, init: &[(Reg, Word)]) -> LaneState {
+        let mut s = LaneState::new(1, 0);
+        for &(r, v) in init {
+            s.set_reg(0, r, v);
+        }
+        run_local(program, &mut s);
+        s
     }
 
     #[test]
@@ -247,19 +481,9 @@ mod tests {
         a.shl(Reg(12), 1, 4);
         a.shr(Reg(13), Reg(12), 2);
         a.halt();
-        let t = run_local(&a.finish(), &[]);
-        assert_eq!(t.reg(Reg(2)), 15);
-        assert_eq!(t.reg(Reg(3)), 5);
-        assert_eq!(t.reg(Reg(4)), 25);
-        assert_eq!(t.reg(Reg(5)), 12);
-        assert_eq!(t.reg(Reg(6)), 4);
-        assert_eq!(t.reg(Reg(7)), 4);
-        assert_eq!(t.reg(Reg(8)), 12);
-        assert_eq!(t.reg(Reg(9)), 1);
-        assert_eq!(t.reg(Reg(10)), 0);
-        assert_eq!(t.reg(Reg(11)), 111);
-        assert_eq!(t.reg(Reg(12)), 16);
-        assert_eq!(t.reg(Reg(13)), 4);
+        let s = one_lane(&a.finish(), &[]);
+        let got: Vec<Word> = (2..14).map(|r| s.reg(0, Reg(r))).collect();
+        assert_eq!(got, [15, 5, 25, 12, 4, 4, 12, 1, 0, 111, 16, 4]);
     }
 
     #[test]
@@ -273,59 +497,104 @@ mod tests {
         a.jmp(top);
         a.bind(done);
         a.halt();
-        let t = run_local(&a.finish(), &[(Reg(0), 9)]);
-        assert_eq!(t.reg(Reg(1)), 9);
+        let s = one_lane(&a.finish(), &[(Reg(0), 9)]);
+        assert_eq!(s.reg(0, Reg(1)), 9);
     }
 
+    /// Lanes with different trip counts diverge at the loop branch and
+    /// each still computes exactly its own result.
     #[test]
-    fn division_by_zero_reported() {
+    fn divergent_lanes_keep_their_own_state() {
         let mut a = Asm::new();
-        a.div(Reg(1), 1, Reg(0)); // r0 = 0
+        let top = a.here();
+        let done = a.label();
+        a.brz(Reg(0), done);
+        a.sub(Reg(0), Reg(0), 1);
+        a.add(Reg(1), Reg(1), 2);
+        a.jmp(top);
+        a.bind(done);
         a.halt();
         let p = a.finish();
-        let mut t = ThreadState::new(7);
-        let err = step(&mut t, &p).unwrap_err();
-        assert_eq!(err, SimError::DivisionByZero { thread: 7, pc: 0 });
+        let mut s = LaneState::new(5, 0);
+        for t in 0..5 {
+            s.set_reg(t, Reg(0), [3, 0, 7, 1, 3][t]);
+        }
+        run_local(&p, &mut s);
+        let got: Vec<Word> = (0..5).map(|t| s.reg(t, Reg(1))).collect();
+        assert_eq!(got, [6, 0, 14, 2, 6]);
     }
 
     #[test]
-    fn negative_address_rejected() {
+    fn division_by_zero_names_the_lowest_lane() {
+        let mut a = Asm::new();
+        a.div(Reg(1), 1, Reg(0));
+        a.halt();
+        let p = a.finish();
+        let mut s = LaneState::new(4, 7);
+        for t in 0..4 {
+            s.set_reg(t, Reg(0), [1, 2, 0, 0][t]);
+        }
+        let err = s.step_group(&p, 0, &[0, 1, 2, 3]).unwrap_err();
+        assert_eq!(err, (2, SimError::DivisionByZero { thread: 9, pc: 0 }));
+    }
+
+    #[test]
+    fn negative_address_resolves_to_an_error() {
         let mut a = Asm::new();
         a.ld_global(Reg(1), -5, 0);
         a.halt();
         let p = a.finish();
-        let mut t = ThreadState::new(0);
-        assert!(matches!(
-            step(&mut t, &p),
-            Err(SimError::OutOfBounds { .. })
-        ));
+        let mut s = LaneState::new(1, 3);
+        assert_eq!(
+            s.step_group(&p, 0, &[0]).unwrap(),
+            GroupEffect::Mem(Space::Global)
+        );
+        assert_eq!(
+            s.req(0).resolve(3),
+            Err(SimError::OutOfBounds {
+                thread: 3,
+                space: Space::Global,
+                addr: usize::MAX,
+                size: 0
+            })
+        );
     }
 
     #[test]
-    fn load_store_effects_surface_addresses() {
+    fn load_store_requests_land_in_lane_slots() {
         let mut a = Asm::new();
         a.ld_shared(Reg(1), Reg(0), 3);
         a.st_global(Reg(0), 1, 42);
         a.halt();
         let p = a.finish();
-        let mut t = ThreadState::new(0);
-        t.set_reg(Reg(0), 10);
+        let mut s = LaneState::new(2, 0);
+        s.set_reg(0, Reg(0), 10);
+        s.set_reg(1, Reg(0), 20);
         assert_eq!(
-            step(&mut t, &p).unwrap(),
-            StepEffect::Load {
-                dst: Reg(1),
+            s.step_group(&p, 0, &[0, 1]).unwrap(),
+            GroupEffect::Mem(Space::Shared)
+        );
+        assert_eq!(
+            *s.req(1),
+            LaneReq {
                 space: Space::Shared,
-                addr: 13
+                kind: AccessKind::Read,
+                dst: Reg(1),
+                addr: 23,
+                value: 0
             }
+        );
+        // Only lane 0 steps on: lane 1's slot keeps its load.
+        assert_eq!(
+            s.step_group(&p, 1, &[0]).unwrap(),
+            GroupEffect::Mem(Space::Global)
         );
         assert_eq!(
-            step(&mut t, &p).unwrap(),
-            StepEffect::Store {
-                space: Space::Global,
-                addr: 11,
-                value: 42
-            }
+            (s.req(0).kind, s.req(0).addr, s.req(0).value),
+            (AccessKind::Write, 11, 42)
         );
+        assert_eq!(s.req(1).addr, 23);
+        assert_eq!((s.pc(0), s.pc(1)), (2, 1));
     }
 
     #[test]
@@ -333,20 +602,20 @@ mod tests {
         let mut a = Asm::new();
         a.halt();
         let p = a.finish();
-        let mut t = ThreadState::new(0);
-        assert_eq!(step(&mut t, &p).unwrap(), StepEffect::Halt);
-        assert_eq!(t.pc, 0);
-        assert_eq!(step(&mut t, &p).unwrap(), StepEffect::Halt);
+        let mut s = LaneState::new(1, 0);
+        assert_eq!(s.step_group(&p, 0, &[0]).unwrap(), GroupEffect::Halt);
+        assert_eq!(s.pc(0), 0);
+        assert_eq!(s.step_group(&p, 0, &[0]).unwrap(), GroupEffect::Halt);
     }
 
     #[test]
     fn pc_escape_is_an_error() {
         let p = Program::from_insts(vec![Inst::Nop]);
-        let mut t = ThreadState::new(0);
-        assert_eq!(step(&mut t, &p).unwrap(), StepEffect::Local);
+        let mut s = LaneState::new(2, 0);
+        assert_eq!(s.step_group(&p, 0, &[0, 1]).unwrap(), GroupEffect::Local);
         assert!(matches!(
-            step(&mut t, &p),
-            Err(SimError::PcOutOfRange { pc: 1, len: 1, .. })
+            s.step_group(&p, 1, &[0, 1]),
+            Err((0, SimError::PcOutOfRange { pc: 1, len: 1, .. }))
         ));
     }
 }

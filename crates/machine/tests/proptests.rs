@@ -432,3 +432,41 @@ fn divergent_programs_match_golden() {
     }
     assert_eq!(expected.lines().count(), actual.lines().count());
 }
+
+/// A bounded trace is exactly the first `cap` events of the unbounded
+/// trace, with every other event counted as dropped, on both drivers.
+#[test]
+fn bounded_trace_is_a_prefix_of_the_full_trace() {
+    let mut rng = Rng::new(0x7ACE);
+    let (global_size, shared_size) = (256usize, 64usize);
+    for case in 0..8 {
+        let d = [1usize, 2, 4][rng.usize_below(3)];
+        let w = [2usize, 4, 8][rng.usize_below(3)];
+        let l = 1 + rng.usize_below(15);
+        let p = (1 + rng.usize_below(2 * w)) * d;
+        let program = random_program(&mut rng, global_size, shared_size, true);
+        let spec = LaunchSpec::even(program, p, d, vec![]);
+        let run = |cap: Option<usize>, par: Parallelism| {
+            let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
+            cfg.trace = true;
+            cfg.trace_capacity = cap;
+            cfg.parallelism = par;
+            let mut engine = Engine::new(cfg).unwrap();
+            let report = engine.run(&spec).unwrap();
+            let trace = engine.take_trace().expect("trace enabled");
+            (report, trace.events().to_vec(), trace.dropped_events())
+        };
+        let (full_report, full, _) = run(None, Parallelism::Sequential);
+        for cap in [0, 1, 7, full.len() / 2, full.len(), full.len() + 3] {
+            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
+                let (report, events, dropped) = run(Some(cap), par);
+                let kept = cap.min(full.len());
+                let ctx = format!("case {case} cap {cap} {par:?}");
+                assert_eq!(events, full[..kept], "{ctx}");
+                assert_eq!(dropped, (full.len() - kept) as u64, "{ctx}");
+                assert_eq!(report.trace_dropped_events, dropped, "{ctx}");
+                assert_eq!(report.time, full_report.time, "{ctx}");
+            }
+        }
+    }
+}

@@ -1,7 +1,8 @@
 //! The synchronous PRAM engine.
 
-use hmm_machine::isa::Program;
-use hmm_machine::vm::{step, StepEffect, ThreadState};
+use hmm_machine::isa::{Program, Space};
+use hmm_machine::request::AccessKind;
+use hmm_machine::vm::{GroupEffect, LaneState, PcGroups};
 use hmm_machine::{abi, SimError, SimResult, Word};
 
 /// Result of one PRAM run.
@@ -78,23 +79,20 @@ impl Pram {
                 abi::NUM_ARGS
             )));
         }
-        let mut threads: Vec<(ThreadState, Status)> = (0..p)
-            .map(|i| {
-                let mut st = ThreadState::new(i);
-                st.set_reg(abi::GID, i as Word);
-                st.set_reg(abi::DMM, 0);
-                st.set_reg(abi::LTID, i as Word);
-                st.set_reg(abi::P, p as Word);
-                st.set_reg(abi::PD, p as Word);
-                st.set_reg(abi::W, p as Word);
-                st.set_reg(abi::D, 1);
-                st.set_reg(abi::L, 1);
-                for (k, &a) in args.iter().enumerate() {
-                    st.set_reg(abi::arg(k), a);
-                }
-                (st, Status::Running)
-            })
-            .collect();
+        let mut lanes = LaneState::new(p, 0);
+        for i in 0..p {
+            lanes.set_reg(i, abi::GID, i as Word);
+            lanes.set_reg(i, abi::LTID, i as Word);
+            lanes.set_reg(i, abi::P, p as Word);
+            lanes.set_reg(i, abi::PD, p as Word);
+            lanes.set_reg(i, abi::W, p as Word);
+            lanes.set_reg(i, abi::D, 1);
+            lanes.set_reg(i, abi::L, 1);
+            for (k, &a) in args.iter().enumerate() {
+                lanes.set_reg(i, abi::arg(k), a);
+            }
+        }
+        let mut status = vec![Status::Running; p];
 
         let mut report = PramReport {
             processors: p,
@@ -102,7 +100,9 @@ impl Pram {
         };
         let mut alive = p;
         let mut waiting = 0usize;
-        let mut writes: Vec<(usize, Word)> = Vec::new();
+        // Processors that stored this step, applied in id order.
+        let mut writers: Vec<usize> = Vec::new();
+        let mut groups = PcGroups::default();
         let mut now: u64 = 0;
         while alive > 0 {
             if now >= self.max_cycles {
@@ -110,59 +110,49 @@ impl Pram {
                     limit: self.max_cycles,
                 });
             }
-            writes.clear();
-            let mut progressed = false;
-            for (st, status) in &mut threads {
-                if *status != Status::Running {
-                    continue;
-                }
-                progressed = true;
-                report.instructions += 1;
-                match step(st, program)? {
-                    StepEffect::Local => {}
-                    StepEffect::Load { dst, addr, .. } => {
-                        let v = *self.memory.get(addr).ok_or(SimError::OutOfBounds {
-                            thread: st.id,
-                            space: hmm_machine::isa::Space::Global,
-                            addr,
-                            size: self.memory.len(),
-                        })?;
-                        st.set_reg(dst, v);
-                    }
-                    StepEffect::Store { addr, value, .. } => {
-                        if addr >= self.memory.len() {
-                            return Err(SimError::OutOfBounds {
-                                thread: st.id,
-                                space: hmm_machine::isa::Space::Global,
-                                addr,
-                                size: self.memory.len(),
-                            });
+            writers.clear();
+            groups.regroup(&lanes, (0..p).filter(|&i| status[i] == Status::Running));
+            // Step the processors one lane group (same PC) at a time; the
+            // error reported is the lowest erring processor's, as in
+            // processor-by-processor execution.
+            let fault = groups.step_each(|pc, group| {
+                report.instructions += group.len() as u64;
+                match lanes.step_group(program, pc, group)? {
+                    GroupEffect::Local => {}
+                    GroupEffect::Mem(_) => self.serve(group, &mut lanes, &mut writers)?,
+                    GroupEffect::Barrier(_) => {
+                        for &i in group {
+                            status[i] = Status::BarrierWait;
                         }
-                        writes.push((addr, value));
+                        waiting += group.len();
                     }
-                    StepEffect::Barrier(_) => {
-                        *status = Status::BarrierWait;
-                        waiting += 1;
-                    }
-                    StepEffect::Halt => {
-                        *status = Status::Halted;
-                        alive -= 1;
+                    GroupEffect::Halt => {
+                        for &i in group {
+                            status[i] = Status::Halted;
+                        }
+                        alive -= group.len();
                     }
                 }
+                Ok(())
+            });
+            if let Some((_, e)) = fault {
+                return Err(e);
             }
             // End of step: apply writes (highest processor id last = wins).
-            for &(addr, value) in &writes {
-                self.memory[addr] = value;
+            writers.sort_unstable();
+            for &i in &writers {
+                let req = lanes.req(i);
+                self.memory[req.addr as usize] = req.value;
             }
             // Release the barrier once every live processor arrived.
             if waiting > 0 && waiting == alive {
-                for (_, status) in &mut threads {
-                    if *status == Status::BarrierWait {
-                        *status = Status::Running;
+                for st in &mut status {
+                    if *st == Status::BarrierWait {
+                        *st = Status::Running;
                     }
                 }
                 waiting = 0;
-            } else if !progressed && alive > 0 {
+            } else if groups.is_empty() && alive > 0 {
                 return Err(SimError::Deadlock {
                     cycle: now,
                     waiting,
@@ -173,6 +163,39 @@ impl Pram {
         report.time = now;
         Ok(report)
     }
+
+    /// Serve a group's memory requests at unit cost: loads read the
+    /// memory as it was at the start of the step, stores are queued in
+    /// `writers`. Checks each lane's address in lane order.
+    fn serve(
+        &self,
+        group: &[usize],
+        lanes: &mut LaneState,
+        writers: &mut Vec<usize>,
+    ) -> Result<(), (usize, SimError)> {
+        for &i in group {
+            let req = *lanes.req(i);
+            let size = self.memory.len();
+            let addr = req.resolve(i).map_err(|e| (i, e))?;
+            if addr >= size {
+                let space = Space::Global;
+                return Err((
+                    i,
+                    SimError::OutOfBounds {
+                        thread: i,
+                        space,
+                        addr,
+                        size,
+                    },
+                ));
+            }
+            match req.kind {
+                AccessKind::Read => lanes.set_reg(i, req.dst, self.memory[addr]),
+                AccessKind::Write => writers.push(i),
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +205,7 @@ mod tests {
     use hmm_machine::{abi, Asm};
 
     const T0: Reg = Reg(16);
+    const T1: Reg = Reg(17);
 
     #[test]
     fn processors_run_synchronously() {
@@ -251,6 +275,39 @@ mod tests {
         a.halt();
         pram.run(&a.finish(), 4, &[]).unwrap();
         assert_eq!(&pram.memory()[1..5], &[42, 42, 42, 42]);
+    }
+
+    /// Processors at different PCs failing in one step: the lowest id
+    /// wins even when it sits in a later lane group — here processor 1's
+    /// out-of-bounds store beats processor 3's division by zero, though
+    /// processor 3 shares its PC with processor 0.
+    #[test]
+    fn lowest_failing_processor_wins_across_pcs() {
+        let mut pram = Pram::new(4);
+        let mut a = Asm::new();
+        let x = a.label();
+        a.seq(T0, abi::GID, 0);
+        a.seq(T1, abi::GID, 3);
+        a.or(T0, T0, T1);
+        a.brnz(T0, x);
+        a.seq(T1, abi::GID, 1); // processors 1 and 2
+        a.mul(T1, T1, 100);
+        a.st_global(T1, 0, 1); // processor 1 stores to 100
+        a.halt();
+        a.bind(x);
+        a.sub(T1, abi::GID, 3); // processors 0 and 3
+        a.nop();
+        a.div(T1, 1, T1); // processor 3 divides by zero
+        a.halt();
+        assert_eq!(
+            pram.run(&a.finish(), 4, &[]),
+            Err(SimError::OutOfBounds {
+                thread: 1,
+                space: hmm_machine::isa::Space::Global,
+                addr: 100,
+                size: 4
+            })
+        );
     }
 
     #[test]
