@@ -587,6 +587,62 @@ mod tests {
     }
 
     #[test]
+    fn renders_pinned_float_and_integer_text() {
+        let cases: [(f64, &str); 9] = [
+            (0.1, "0.1"),
+            (1.0, "1.0"),
+            (1e21, "1000000000000000000000.0"),
+            (1e-7, "0.0000001"),
+            (-0.0, "-0.0"),
+            (-2.5, "-2.5"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ];
+        for (v, want) in cases {
+            assert_eq!(Value::Float(v).to_json(), want, "{v:?}");
+            assert_eq!(Value::Float(v).to_json_pretty(), want, "{v:?}");
+        }
+        let max = format!("17976931348623157{}.0", "0".repeat(292));
+        assert_eq!(Value::Float(f64::MAX).to_json(), max);
+        assert_eq!(Value::Int(i64::MIN).to_json(), "-9223372036854775808");
+        assert_eq!(Value::Int(i64::MAX).to_json(), "9223372036854775807");
+        assert_eq!(Value::Int(0).to_json(), "0");
+    }
+
+    #[test]
+    fn renders_pinned_string_escapes() {
+        let v = Value::Str("q\"b\\n\nc\u{1}é\t\r\u{1f}/".to_string());
+        assert_eq!(v.to_json(), r#""q\"b\\n\nc\u0001é\t\r\u001f/""#);
+        assert_eq!(Value::Str(String::new()).to_json(), r#""""#);
+        let keyed = Value::object(vec![("k\"é", Value::Null)]);
+        assert_eq!(keyed.to_json(), r#"{"k\"é":null}"#);
+    }
+
+    #[test]
+    fn renders_pinned_empty_containers() {
+        let v = Value::object(vec![
+            ("a", Value::Array(vec![])),
+            ("b", Value::Object(vec![])),
+            (
+                "c",
+                Value::Array(vec![
+                    Value::Array(vec![]),
+                    Value::Object(vec![]),
+                    Value::object(vec![("d", Value::Array(vec![Value::Bool(false)]))]),
+                ]),
+            ),
+        ]);
+        assert_eq!(v.to_json(), r#"{"a":[],"b":{},"c":[[],{},{"d":[false]}]}"#);
+        assert_eq!(
+            v.to_json_pretty(),
+            "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    [],\n    {},\n    {\n      \"d\": [\n        false\n      ]\n    }\n  ]\n}"
+        );
+        assert_eq!(Value::Array(vec![]).to_json_pretty(), "[]");
+        assert_eq!(Value::Object(vec![]).to_json_pretty(), "{}");
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "tru", "\"abc", "{\"a\":}", "1 2", "01x"] {
             assert!(parse(bad).is_err(), "{bad:?}");
