@@ -102,121 +102,341 @@ impl Value {
     /// Compact single-line rendering.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        let mut w = Writer::compact();
+        w.value(self);
+        w.finish()
     }
 
     /// Pretty rendering with two-space indentation.
     #[must_use]
     pub fn to_json_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        let mut w = Writer::pretty();
+        w.value(self);
+        w.finish()
+    }
+}
+
+/// One piece of a string written by [`Writer::string_of`].
+#[derive(Debug, Clone, Copy)]
+pub enum Piece<'a> {
+    /// Text, escaped where JSON requires it.
+    Text(&'a str),
+    /// An unsigned integer in decimal.
+    Uint(u64),
+}
+
+/// Spaces copied per chunk when indenting.
+const SPACES: &str = "                                                                ";
+
+/// A streaming JSON writer — the workspace's one serializer.
+///
+/// Callers open and close containers, name object members with
+/// [`Writer::key`] and emit scalars; the writer places commas, newlines
+/// and indentation. The compact form has no whitespace at all; the pretty
+/// form puts every member on its own line, indented two spaces per level,
+/// with `": "` after keys and empty containers kept as `[]` / `{}`.
+/// [`Value::to_json`] and [`Value::to_json_pretty`] are walks over this
+/// writer, so text streamed here is byte-identical to rendering the
+/// equivalent [`Value`].
+///
+/// Nothing is allocated per value: numbers are formatted straight into
+/// the output buffer, indentation is copied from a static run of spaces,
+/// and a string without characters to escape is copied whole.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    pretty: bool,
+    /// Number of containers currently open.
+    depth: usize,
+    /// The innermost open container has no member yet.
+    empty: bool,
+    /// A key was just written; the next value completes its member.
+    keyed: bool,
+}
+
+impl Writer {
+    /// A writer producing [`Value::to_json`]'s single-line form.
+    #[must_use]
+    pub fn compact() -> Self {
+        Self::new(false)
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => out.push_str(&v.to_string()),
-            Value::Float(v) => out.push_str(&format_float(*v)),
-            Value::Str(s) => write_escaped(out, s),
+    /// A writer producing [`Value::to_json_pretty`]'s indented form.
+    #[must_use]
+    pub fn pretty() -> Self {
+        Self::new(true)
+    }
+
+    fn new(pretty: bool) -> Self {
+        Self {
+            out: String::new(),
+            pretty,
+            depth: 0,
+            empty: false,
+            keyed: false,
+        }
+    }
+
+    /// The rendered document.
+    #[must_use]
+    pub fn finish(self) -> String {
+        debug_assert_eq!(self.depth, 0, "unclosed container");
+        self.out
+    }
+
+    /// Separator and line break before a member (an array element or an
+    /// object key); nothing before a keyed value or the top-level value.
+    #[inline]
+    fn member(&mut self) {
+        if self.keyed {
+            self.keyed = false;
+            return;
+        }
+        if self.depth == 0 {
+            return;
+        }
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        if self.pretty {
+            self.newline();
+        }
+    }
+
+    #[inline]
+    fn newline(&mut self) {
+        self.out.push('\n');
+        let mut n = 2 * self.depth;
+        while n > 0 {
+            let k = n.min(SPACES.len());
+            self.out.push_str(&SPACES[..k]);
+            n -= k;
+        }
+    }
+
+    #[inline]
+    fn open(&mut self, c: char) {
+        self.member();
+        self.out.push(c);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    #[inline]
+    fn close(&mut self, c: char) {
+        debug_assert!(self.depth > 0 && !self.keyed, "unbalanced close");
+        self.depth -= 1;
+        if self.pretty && !self.empty {
+            self.newline();
+        }
+        // The enclosing container holds at least the one just closed.
+        self.empty = false;
+        self.out.push(c);
+    }
+
+    /// Open an array.
+    #[inline]
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Close the innermost array.
+    #[inline]
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Open an object.
+    #[inline]
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Close the innermost object.
+    #[inline]
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Name the next member of the innermost object; the next value
+    /// written is its value.
+    #[inline]
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.member();
+        push_escaped(&mut self.out, k);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.keyed = true;
+        self
+    }
+
+    /// `null`.
+    #[inline]
+    pub fn null(&mut self) {
+        self.member();
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    #[inline]
+    pub fn bool(&mut self, b: bool) {
+        self.member();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A signed integer.
+    #[inline]
+    pub fn int(&mut self, v: i64) {
+        self.member();
+        if v < 0 {
+            self.out.push('-');
+        }
+        push_u64(&mut self.out, v.unsigned_abs());
+    }
+
+    /// An unsigned integer.
+    #[inline]
+    pub fn uint(&mut self, v: u64) {
+        self.member();
+        push_u64(&mut self.out, v);
+    }
+
+    /// A float, always with a `.` so it parses back as a float; NaN and
+    /// the infinities, which JSON cannot express, render `null`.
+    pub fn float(&mut self, v: f64) {
+        self.member();
+        if !v.is_finite() {
+            self.out.push_str("null");
+            return;
+        }
+        let start = self.out.len();
+        let _ = write!(self.out, "{v}");
+        if !self.out.as_bytes()[start..]
+            .iter()
+            .any(|&b| matches!(b, b'.' | b'e' | b'E'))
+        {
+            self.out.push_str(".0");
+        }
+    }
+
+    /// A string.
+    #[inline]
+    pub fn string(&mut self, s: &str) {
+        self.member();
+        push_escaped(&mut self.out, s);
+    }
+
+    /// A string assembled from `pieces` in place, e.g. `slot 3/4` from
+    /// `[Text("slot "), Uint(3), Text("/"), Uint(4)]`, without building it
+    /// first.
+    pub fn string_of(&mut self, pieces: &[Piece<'_>]) {
+        self.member();
+        self.out.push('"');
+        for piece in pieces {
+            match *piece {
+                Piece::Text(s) => push_body(&mut self.out, s),
+                Piece::Uint(v) => push_u64(&mut self.out, v),
+            }
+        }
+        self.out.push('"');
+    }
+
+    /// A whole [`Value`].
+    pub fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Int(v) => self.int(*v),
+            Value::Float(v) => self.float(*v),
+            Value::Str(s) => self.string(s),
             Value::Array(items) => {
-                write_seq(
-                    out,
-                    indent,
-                    depth,
-                    '[',
-                    ']',
-                    items.len(),
-                    |out, i, depth| {
-                        items[i].write(out, indent, depth);
-                    },
-                );
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array();
             }
             Value::Object(pairs) => {
-                write_seq(
-                    out,
-                    indent,
-                    depth,
-                    '{',
-                    '}',
-                    pairs.len(),
-                    |out, i, depth| {
-                        write_escaped(out, &pairs[i].0);
-                        out.push(':');
-                        if indent.is_some() {
-                            out.push(' ');
-                        }
-                        pairs[i].1.write(out, indent, depth);
-                    },
-                );
+                self.begin_object();
+                for (k, v) in pairs {
+                    self.key(k).value(v);
+                }
+                self.end_object();
             }
         }
     }
 }
 
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+/// Decimal digits of `v`, formatted on the stack.
+#[inline]
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        if let Some(step) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(step * (depth + 1)));
-        }
-        item(out, i, depth + 1);
     }
-    if let Some(step) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(step * depth));
-    }
-    out.push(close);
+    out.extend(buf[i..].iter().map(|&b| char::from(b)));
 }
 
-/// Render a float so it parses back as a float (never as a bare integer).
-fn format_float(v: f64) -> String {
-    if v.is_nan() || v.is_infinite() {
-        return "null".to_string();
+/// The escape sequence of byte `b`: `Some("")` for a control character
+/// without a short form (written as `\u00XX`), `None` when `b` is copied
+/// as is. Every escaped byte is ASCII, so it never splits a UTF-8
+/// sequence.
+#[inline]
+fn escape(b: u8) -> Option<&'static str> {
+    match b {
+        b'"' => Some("\\\""),
+        b'\\' => Some("\\\\"),
+        b'\n' => Some("\\n"),
+        b'\r' => Some("\\r"),
+        b'\t' => Some("\\t"),
+        0..=0x1f => Some(""),
+        _ => None,
     }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
+}
+
+/// `s` as a quoted JSON string.
+#[inline]
+fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    push_body(out, s);
+    out.push('"');
+}
+
+/// `s` without quotes. A string with nothing to escape — every key and
+/// name the workspace writes — is copied whole.
+#[inline]
+fn push_body(out: &mut String, s: &str) {
+    if s.bytes().any(|b| escape(b).is_some()) {
+        push_escapes(out, s);
     } else {
-        format!("{s}.0")
+        out.push_str(s);
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The body of a string that needs escaping: runs of plain bytes are
+/// copied whole between the escape sequences.
+fn push_escapes(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let Some(esc) = escape(b) else { continue };
+        out.push_str(&s[plain..i]);
+        if esc.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(esc);
         }
+        plain = i + 1;
     }
-    out.push('"');
+    out.push_str(&s[plain..]);
 }
 
 impl std::ops::Index<&str> for Value {
@@ -617,6 +837,60 @@ mod tests {
         assert_eq!(Value::Str(String::new()).to_json(), r#""""#);
         let keyed = Value::object(vec![("k\"é", Value::Null)]);
         assert_eq!(keyed.to_json(), r#"{"k\"é":null}"#);
+    }
+
+    #[test]
+    fn streamed_documents_match_their_value_rendering() {
+        use Piece::{Text, Uint};
+        let stream = |w: &mut Writer| {
+            w.begin_array();
+            w.begin_object();
+            w.key("ph").string("X");
+            w.key("ts").uint(u64::from(u32::MAX) + 7);
+            w.key("neg").int(-12);
+            w.key("name")
+                .string_of(&[Text("slot "), Uint(3), Text("/"), Uint(4)]);
+            w.key("odd").string_of(&[Text("a\""), Uint(0), Text("é\n")]);
+            w.key("args").begin_object();
+            w.key("f").float(0.5);
+            w.end_object();
+            w.key("none").begin_array();
+            w.end_array();
+            w.end_object();
+            w.null();
+            w.bool(true);
+            w.end_array();
+        };
+        let v = Value::Array(vec![
+            Value::object(vec![
+                ("ph", "X".into()),
+                ("ts", (u64::from(u32::MAX) + 7).into()),
+                ("neg", Value::Int(-12)),
+                ("name", "slot 3/4".into()),
+                ("odd", "a\"0é\n".into()),
+                ("args", Value::object(vec![("f", 0.5.into())])),
+                ("none", Value::Array(vec![])),
+            ]),
+            Value::Null,
+            Value::Bool(true),
+        ]);
+        let mut compact = Writer::compact();
+        stream(&mut compact);
+        assert_eq!(compact.finish(), v.to_json());
+        let mut pretty = Writer::pretty();
+        stream(&mut pretty);
+        assert_eq!(pretty.finish(), v.to_json_pretty());
+    }
+
+    #[test]
+    fn deep_nesting_indents_past_one_chunk_of_spaces() {
+        let mut v = Value::Int(1);
+        for _ in 0..40 {
+            v = Value::Array(vec![v]);
+        }
+        let text = v.to_json_pretty();
+        assert!(text.contains(&format!("\n{}1\n", " ".repeat(80))));
+        assert_eq!(parse(&text).unwrap(), v);
     }
 
     #[test]
