@@ -44,8 +44,15 @@
 //! target exact), so every other output is bit-identical either way.
 //!
 //! The per-cycle hot path is allocation-free in steady state: warp
-//! transactions, completion batches and slot schedules all live in
-//! per-shard scratch that is cleared and recycled, never reallocated.
+//! transactions, completion batches and slot schedules are pooled,
+//! cleared and reused, never reallocated. Every buffer returns to the
+//! pool it came from: a finished global transaction goes back to the
+//! shard that assembled it, and a consumed global completion batch goes
+//! back to the global pipeline — in the threaded driver through the
+//! shard's [`Mail`]. Only kept trace events and the parked releases of
+//! the `barrier_cost` ablation allocate. `tests/alloc_free.rs` checks
+//! with a counting allocator that a launch's allocations do not grow
+//! with its length.
 //!
 //! ## The warp-granular interpreter
 //!
@@ -207,8 +214,8 @@ struct Completion {
 }
 
 /// A warp transaction; `warp` is the global warp id. Transactions are
-/// pooled: finished shared-memory transactions return their buffers to
-/// the owning shard for the next warp.
+/// pooled: a finished transaction, shared or global, returns its buffers
+/// to the shard that assembled it, for that shard's next warp.
 struct Txn {
     warp: usize,
     requests: Vec<Request>,
@@ -263,17 +270,13 @@ struct PipeRt {
     completions: VecDeque<(u64, Vec<Completion>)>,
     /// For the non-pipelined ablation: no dispatch before this time.
     busy_until: u64,
-    /// Recycled completion buffers (cleared), refilled by the owner as
-    /// delivered batches are consumed.
+    /// Recycled completion buffers (cleared), refilled as delivered
+    /// batches are consumed. Every batch returns to the pipeline that
+    /// filled it, so the pool never outgrows the peak in-flight count.
     spare_comps: Vec<Vec<Completion>>,
 }
 
 impl PipeRt {
-    /// Cap on retained spare completion buffers. Own-pipe recycling is
-    /// balanced at one buffer per in-flight slot; routed global batches
-    /// land in the same pool, so bound it.
-    const MAX_SPARES: usize = 32;
-
     fn new(latency: u64, policy: ConflictPolicy, pipelined: bool) -> Self {
         Self {
             latency,
@@ -305,10 +308,8 @@ impl PipeRt {
 
     /// Return a consumed completion buffer to the spare pool.
     fn recycle(&mut self, mut buf: Vec<Completion>) {
-        if self.spare_comps.len() < Self::MAX_SPARES {
-            buf.clear();
-            self.spare_comps.push(buf);
-        }
+        buf.clear();
+        self.spare_comps.push(buf);
     }
 
     fn pop_due(&mut self, now: u64) -> Option<Vec<Completion>> {
@@ -834,14 +835,9 @@ impl<'m> Shard<'m> {
 
     /// Phase A: deliver everything due this cycle, then step every
     /// runnable thread one instruction. `inbox` carries global-memory
-    /// completions routed here by the coordinator.
-    fn phase_a(
-        &mut self,
-        now: u64,
-        program: &Program,
-        ctl: &Ctl,
-        inbox: &mut Vec<Vec<Completion>>,
-    ) {
+    /// completions routed here by the coordinator; the consumed batches
+    /// stay in it for the driver to hand back to the global pipeline.
+    fn phase_a(&mut self, now: u64, program: &Program, ctl: &Ctl, inbox: &[Vec<Completion>]) {
         self.trace.full = ctl.trace_full.load(Ordering::SeqCst);
         // Parked barrier releases whose synchronisation cost elapsed.
         let mut i = 0;
@@ -855,16 +851,10 @@ impl<'m> Shard<'m> {
                 i += 1;
             }
         }
-        // Global-memory completions (routed by the coordinator). The
-        // batch buffers came from the global pipeline, which never sees
-        // them again; recycling them into this shard's own pipeline keeps
-        // steady-state completion traffic allocation-free here.
-        for batch in inbox.drain(..) {
-            for &c in &batch {
+        // Global-memory completions (routed by the coordinator).
+        for batch in inbox {
+            for &c in batch {
                 self.complete(now, c);
-            }
-            if let Some(pipe) = self.pipe.as_mut() {
-                pipe.recycle(batch);
             }
         }
         // Own shared-memory completions.
@@ -1283,45 +1273,50 @@ impl Coord<'_> {
 
     /// Append this cycle's global-bound transactions (already in the
     /// canonical DMM order, drained out of the caller's reusable buffer)
-    /// and dispatch one global pipeline slot.
-    fn dispatch(&mut self, now: u64, txns: &mut Vec<Txn>) {
+    /// and dispatch one global pipeline slot. A transaction this slot
+    /// finished is returned, emptied, with the DMM whose shard assembled
+    /// it, for the driver to hand back to that shard's pool.
+    fn dispatch(&mut self, now: u64, txns: &mut Vec<Txn>) -> Option<(usize, Txn)> {
         for t in txns.drain(..) {
             self.pipe.queue.push_back(t);
         }
         let depth = self.pipe.queue.len() + usize::from(self.pipe.current.is_some());
         let want_addrs = self.trace.room();
-        if let Some(d) = self
+        let d = self
             .pipe
-            .dispatch_slot(now, self.store, want_addrs, |_, _| {})
-        {
-            let finished_slots = d.finished.as_ref().map(|t| t.schedule.num_slots() as u64);
-            if let Some(acc) = self.prof.as_mut() {
-                acc.on_dispatch(now, depth);
-                if let Some(slots) = finished_slots {
-                    acc.on_txn_done(slots);
-                }
+            .dispatch_slot(now, self.store, want_addrs, |_, _| {})?;
+        let finished_slots = d.finished.as_ref().map(|t| t.schedule.num_slots() as u64);
+        if let Some(acc) = self.prof.as_mut() {
+            acc.on_dispatch(now, depth);
+            if let Some(slots) = finished_slots {
+                acc.on_txn_done(slots);
             }
-            self.trace.push(|| Ev {
+        }
+        self.trace.push(|| Ev {
+            cycle: now,
+            rank: RANK_DISPATCH,
+            mem: MEM_GLOBAL,
+            event: TraceEvent::SlotDispatched {
                 cycle: now,
-                rank: RANK_DISPATCH,
-                mem: MEM_GLOBAL,
-                event: TraceEvent::SlotDispatched {
-                    cycle: now,
-                    memory: MemoryId::Global,
-                    warp: d.warp,
-                    slot_index: d.slot_index,
-                    total_slots: d.total_slots,
-                    addrs: d.addrs,
-                },
-            });
-            if let Some(done) = d.finished {
-                self.stats
-                    .record(done.schedule.num_slots() as u64, done.requests.len() as u64);
-                // Global-bound transactions originate in the shards, so
-                // their buffers cannot flow back to an assembly pool;
-                // dropping them here is the one per-transaction
-                // allocation the hot loop still pays.
-            }
+                memory: MemoryId::Global,
+                warp: d.warp,
+                slot_index: d.slot_index,
+                total_slots: d.total_slots,
+                addrs: d.addrs,
+            },
+        });
+        let mut done = d.finished?;
+        self.stats
+            .record(done.schedule.num_slots() as u64, done.requests.len() as u64);
+        let dmm = self.thread_dmm[done.requests[0].thread];
+        done.requests.clear();
+        Some((dmm, done))
+    }
+
+    /// Take back the consumed completion batches of a shard's inbox.
+    fn reclaim(&mut self, inbox: &mut Vec<Vec<Completion>>) {
+        for batch in inbox.drain(..) {
+            self.pipe.recycle(batch);
         }
     }
 }
@@ -1412,6 +1407,7 @@ fn drive_sequential(
         coord.route(now, |d, items| inboxes[d].push(items));
         for (s, inbox) in shards.iter_mut().zip(inboxes.iter_mut()) {
             s.phase_a(now, program, ctl, inbox);
+            coord.reclaim(inbox);
         }
         let skip_b = ctl.err_a.load(Ordering::SeqCst);
         let release = if skip_b { None } else { ctl.global_release() };
@@ -1428,7 +1424,9 @@ fn drive_sequential(
         if let Some(e) = first_error(shards) {
             return Err(e);
         }
-        coord.dispatch(now, &mut txns);
+        if let Some((d, txn)) = coord.dispatch(now, &mut txns) {
+            shards[d].free_txns.push(txn);
+        }
         if ctl.alive.load(Ordering::SeqCst) == 0 {
             return Ok(skipped);
         }
@@ -1457,8 +1455,11 @@ fn drive_sequential(
 /// forth wholesale.
 #[derive(Default)]
 struct Mail {
-    /// Coordinator -> shard: global completions due this cycle.
+    /// Coordinator -> shard: global completions due this cycle; the
+    /// consumed batches go back to the coordinator through the same list.
     inbox: Vec<Vec<Completion>>,
+    /// Coordinator -> shard: finished global transactions, for reuse.
+    free_txns: Vec<Txn>,
     /// Shard -> coordinator: this cycle's global-bound transactions.
     txns: Vec<Txn>,
     pulse: Pulse,
@@ -1496,7 +1497,8 @@ fn drive_parallel(
                     let now = clock.load(Ordering::SeqCst);
                     for s in group.iter_mut() {
                         let mut m = mail[s.dmm].lock().expect("mailbox");
-                        s.phase_a(now, program, ctl, &mut m.inbox);
+                        s.free_txns.append(&mut m.free_txns);
+                        s.phase_a(now, program, ctl, &m.inbox);
                     }
                     barrier.wait(); // S1: all phase A done
                     let skip_b = ctl.err_a.load(Ordering::SeqCst);
@@ -1547,6 +1549,7 @@ fn drive_parallel(
             debug_assert!(txns.is_empty(), "txn buffer must be empty at unit start");
             for (d, slot) in mail.iter().enumerate() {
                 let mut m = slot.lock().expect("mailbox");
+                coord.reclaim(&mut m.inbox);
                 txns.append(&mut m.txns);
                 pulses[d] = m.pulse;
                 if let Some((ph, e)) = m.err.clone() {
@@ -1558,7 +1561,9 @@ fn drive_parallel(
             if let Some((_, _, e)) = err {
                 break Err(e);
             }
-            coord.dispatch(now, &mut txns);
+            if let Some((d, txn)) = coord.dispatch(now, &mut txns) {
+                mail[d].lock().expect("mailbox").free_txns.push(txn);
+            }
             if ctl.alive.load(Ordering::SeqCst) == 0 {
                 break Ok(skipped);
             }
