@@ -30,15 +30,11 @@ pub fn group_of(addr: usize, width: usize) -> usize {
 /// A flat word-addressable memory annotated with its bank structure.
 ///
 /// The backing store is a plain `Vec<Word>`; the bank decomposition only
-/// affects *timing* (computed in [`crate::request`]), never values. The
-/// struct additionally tracks per-bank access counters so experiments can
-/// report conflict statistics.
+/// affects *timing* (computed in [`crate::request`]), never values.
 #[derive(Debug, Clone)]
 pub struct BankedMemory {
     width: usize,
     cells: Vec<Word>,
-    reads_per_bank: Vec<u64>,
-    writes_per_bank: Vec<u64>,
 }
 
 impl BankedMemory {
@@ -49,8 +45,6 @@ impl BankedMemory {
         Self {
             width,
             cells: vec![0; size],
-            reads_per_bank: vec![0; width],
-            writes_per_bank: vec![0; width],
         }
     }
 
@@ -72,49 +66,34 @@ impl BankedMemory {
         self.cells.is_empty()
     }
 
-    /// Read the word at `addr`, updating bank statistics.
+    /// Read the word at `addr` as a simulated access.
     ///
     /// Returns `None` when the address is out of bounds (the engine turns
     /// this into a [`crate::SimError::OutOfBounds`]).
-    pub fn read(&mut self, addr: usize) -> Option<Word> {
-        let v = *self.cells.get(addr)?;
-        self.reads_per_bank[bank_of(addr, self.width)] += 1;
-        Some(v)
+    #[must_use]
+    pub fn read(&self, addr: usize) -> Option<Word> {
+        self.cells.get(addr).copied()
     }
 
-    /// Write `value` at `addr`, updating bank statistics.
+    /// Write `value` at `addr` as a simulated access.
     pub fn write(&mut self, addr: usize, value: Word) -> Option<()> {
-        let cell = self.cells.get_mut(addr)?;
-        *cell = value;
-        self.writes_per_bank[bank_of(addr, self.width)] += 1;
+        *self.cells.get_mut(addr)? = value;
         Some(())
     }
 
-    /// Host-side view of the raw cells (no statistics recorded).
+    /// Host-side view of the raw cells.
     #[must_use]
     pub fn cells(&self) -> &[Word] {
         &self.cells
     }
 
-    /// Host-side mutable view of the raw cells (no statistics recorded).
+    /// Host-side mutable view of the raw cells.
     ///
     /// Used to stage kernel inputs before a launch and to read results
     /// afterwards; host accesses are free, exactly as the paper assumes the
     /// input "is stored in the global memory" before the algorithm starts.
     pub fn cells_mut(&mut self) -> &mut [Word] {
         &mut self.cells
-    }
-
-    /// Per-bank read counters accumulated by simulated accesses.
-    #[must_use]
-    pub fn reads_per_bank(&self) -> &[u64] {
-        &self.reads_per_bank
-    }
-
-    /// Per-bank write counters accumulated by simulated accesses.
-    #[must_use]
-    pub fn writes_per_bank(&self) -> &[u64] {
-        &self.writes_per_bank
     }
 }
 
@@ -148,9 +127,6 @@ mod tests {
         assert_eq!(m.read(5), Some(42));
         assert_eq!(m.read(16), None);
         assert_eq!(m.write(16, 1), None);
-        assert_eq!(m.reads_per_bank()[1], 1);
-        assert_eq!(m.writes_per_bank()[1], 1);
-        assert_eq!(m.reads_per_bank()[0], 0);
     }
 
     #[test]
@@ -158,8 +134,6 @@ mod tests {
         let mut m = BankedMemory::new(4, 8);
         m.cells_mut()[3] = 7;
         assert_eq!(m.cells()[3], 7);
-        assert!(m.reads_per_bank().iter().all(|&c| c == 0));
-        assert!(m.writes_per_bank().iter().all(|&c| c == 0));
     }
 
     #[test]
