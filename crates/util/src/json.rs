@@ -2,7 +2,9 @@
 //!
 //! This is intentionally tiny — the workspace only needs to emit reports
 //! and experiment dumps and to read them back in tests. Numbers are kept
-//! as either `i64` or `f64`; objects preserve insertion order.
+//! as either `i64` or `f64`; objects preserve insertion order. All
+//! printing goes through [`Writer`], which large outputs can also drive
+//! directly instead of building a [`Value`] first.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -204,7 +206,6 @@ impl Writer {
         }
     }
 
-    #[inline]
     fn newline(&mut self) {
         self.out.push('\n');
         let mut n = 2 * self.depth;
@@ -329,6 +330,7 @@ impl Writer {
     /// A string assembled from `pieces` in place, e.g. `slot 3/4` from
     /// `[Text("slot "), Uint(3), Text("/"), Uint(4)]`, without building it
     /// first.
+    #[inline]
     pub fn string_of(&mut self, pieces: &[Piece<'_>]) {
         self.member();
         self.out.push('"');
@@ -383,21 +385,11 @@ fn push_u64(out: &mut String, mut v: u64) {
     out.extend(buf[i..].iter().map(|&b| char::from(b)));
 }
 
-/// The escape sequence of byte `b`: `Some("")` for a control character
-/// without a short form (written as `\u00XX`), `None` when `b` is copied
-/// as is. Every escaped byte is ASCII, so it never splits a UTF-8
-/// sequence.
+/// Whether byte `b` must be escaped inside a JSON string. Every such
+/// byte is ASCII, so escaping never splits a UTF-8 sequence.
 #[inline]
-fn escape(b: u8) -> Option<&'static str> {
-    match b {
-        b'"' => Some("\\\""),
-        b'\\' => Some("\\\\"),
-        b'\n' => Some("\\n"),
-        b'\r' => Some("\\r"),
-        b'\t' => Some("\\t"),
-        0..=0x1f => Some(""),
-        _ => None,
-    }
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
 }
 
 /// `s` as a quoted JSON string.
@@ -412,7 +404,7 @@ fn push_escaped(out: &mut String, s: &str) {
 /// name the workspace writes — is copied whole.
 #[inline]
 fn push_body(out: &mut String, s: &str) {
-    if s.bytes().any(|b| escape(b).is_some()) {
+    if s.bytes().any(needs_escape) {
         push_escapes(out, s);
     } else {
         out.push_str(s);
@@ -425,14 +417,21 @@ fn push_escapes(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut plain = 0;
     for (i, b) in s.bytes().enumerate() {
-        let Some(esc) = escape(b) else { continue };
+        if !needs_escape(b) {
+            continue;
+        }
         out.push_str(&s[plain..i]);
-        if esc.is_empty() {
-            out.push_str("\\u00");
-            out.push(char::from(HEX[usize::from(b >> 4)]));
-            out.push(char::from(HEX[usize::from(b & 0xf)]));
-        } else {
-            out.push_str(esc);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
         plain = i + 1;
     }

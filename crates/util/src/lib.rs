@@ -3,8 +3,10 @@
 //! The simulation workspace is built offline, so everything the crates
 //! would normally pull from crates.io lives here instead:
 //!
-//! - [`json`]: a small JSON document model with a printer and a strict
-//!   parser, used by the CLI's `--json` output and the experiment dumps.
+//! - [`json`]: a small JSON document model, the workspace's one
+//!   streaming writer (compact and pretty) and a strict parser, used by
+//!   the CLI's `--json` output, the profiler's exports and the
+//!   experiment dumps.
 //! - [`rng`]: a seeded `SplitMix64` generator for deterministic workload
 //!   inputs and randomised tests.
 //! - [`bench`]: a minimal wall-clock timing harness for the `hmm-bench`
