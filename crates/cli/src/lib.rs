@@ -11,6 +11,7 @@
 //!   sort       bitonic sort
 //!   profile    cycle-accounting profile of a kernel (profile sum-hmm)
 //!   tune       autotune a kernel's config/layout (tune sum --budget 64)
+//!   batch      parallel parameter sweep of a simulation command
 //!   lint       static analysis of the named kernels (exit 2 on errors)
 //!   info       print machine presets
 //!
@@ -19,6 +20,11 @@
 //!   --n N --k K --p P --w W --l L --d D
 //!   --seed S                workload seed
 //!   --json                  machine-readable output
+//!
+//! batch flags:
+//!   --cmd C --sweep KEY     sweep one flag of a simulation command
+//!   --values a,b,c | --from A --to B
+//!   --threads N             batch workers (results identical at any N)
 //!
 //! lint flags:
 //!   --kernel NAME           analyse one kernel (see `lint` for names)
@@ -35,14 +41,16 @@
 //!   --space SPEC            search space (`warps=1,2,4;pad=0,1;swizzle=0,1`)
 //!   --strategy grid|random|hill
 //!   --seed S --budget B     measurement budget (baseline not counted)
-//!   --threads N             measurement workers (results identical at any N)
+//!   --threads N             tuning workers (results identical at any N)
 //!   --out FILE              write the TuneReport JSON document
 //!   --top N                 leaderboard rows in the text report
 //! ```
 //!
 //! The argument grammar is `--key value` pairs after the command; the
 //! parser is in [`args`], the command implementations in [`run`], the
-//! static-analysis front end in [`lint`].
+//! static-analysis front end in [`lint`]. `--threads` exists only on
+//! `batch` and `tune`, the commands that run many simulations: a single
+//! launch always runs on one thread.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@ use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
 use hmm_algorithms::prefix::{prefix_shared_words, run_prefix_dmm_umm, run_prefix_hmm};
 use hmm_algorithms::reduce::{run_reduce_dmm_umm, run_reduce_hmm, ReduceOp};
 use hmm_algorithms::sort::{run_sort_hmm, run_sort_umm};
-use hmm_core::{presets, BatchRunner, Keyed, Machine, Parallelism};
+use hmm_core::{presets, BatchRunner, Keyed, Machine};
 use hmm_machine::SimReport;
 use hmm_workloads::random_words;
 
@@ -58,13 +58,19 @@ pub enum CliError {
 }
 
 impl CliError {
-    /// The process exit status for this error: 2 for a parameter the
-    /// simulator cannot run with, 1 otherwise.
+    /// The process exit status for this error: 2 for bad input (a
+    /// malformed or out-of-range argument, an unknown command, a launch
+    /// or tuning run the simulator rejects), 1 for a failure to write an
+    /// output file.
     #[must_use]
     pub fn exit_code(&self) -> i32 {
         match self {
-            CliError::Invalid(_) => 2,
-            _ => 1,
+            CliError::Parse(_)
+            | CliError::Sim(_)
+            | CliError::UnknownCommand(_)
+            | CliError::Tune(_)
+            | CliError::Invalid(_) => 2,
+            CliError::Io(..) => 1,
         }
     }
 }
@@ -114,8 +120,6 @@ pub(crate) struct MachineSpec {
     pub(crate) l: usize,
     pub(crate) d: usize,
     pub(crate) seed: u64,
-    pub(crate) threads: usize,
-    pub(crate) fast_forward: bool,
 }
 
 pub(crate) fn machine_spec(a: &Args) -> Result<MachineSpec, CliError> {
@@ -136,27 +140,15 @@ pub(crate) fn machine_spec(a: &Args) -> Result<MachineSpec, CliError> {
         l: a.get_usize("l", 256)?,
         d: a.get_usize("d", 16)?,
         seed: a.get_u64("seed", 1)?,
-        threads: a.get_usize("threads", 0)?,
-        fast_forward: !a.has("no-fast-forward"),
     })
 }
 
 impl MachineSpec {
     fn build(&self, global: usize, shared: usize) -> Machine {
-        let m = match self.kind.as_str() {
+        match self.kind.as_str() {
             "dmm" => Machine::dmm(self.w, self.l, global),
             "umm" => Machine::umm(self.w, self.l, global),
             _ => Machine::hmm(self.d, self.w, self.l, global, shared),
-        };
-        // --no-fast-forward pins the unit-stepping reference clock
-        // (results are identical; only wall-clock time changes).
-        let m = m.with_fast_forward(self.fast_forward);
-        // --threads 0 (the default) keeps the engine's automatic policy
-        // (HMM_THREADS env, else hardware threads); any explicit count
-        // pins the worker pool, with 1 selecting the sequential driver.
-        match self.threads {
-            0 => m,
-            n => m.with_parallelism(Parallelism::Threads(n)),
         }
     }
 
@@ -372,8 +364,7 @@ fn sweep_values(a: &Args) -> Result<Vec<usize>, CliError> {
 
 /// The `batch` command: sweep one flag of a simulation command across a
 /// list of values, fanning the independent runs out over a
-/// [`BatchRunner`]. Each job steps its machine sequentially — with many
-/// simulations in flight, one job per core beats nested worker pools.
+/// [`BatchRunner`], one simulation per worker.
 ///
 /// Results come back [`Keyed`] by the sweep value that produced them, so
 /// a failing point cannot shift attribution of its neighbours: the
@@ -395,7 +386,6 @@ fn run_batch(a: &Args) -> Result<Outcome, CliError> {
             let mut sub = a.clone();
             sub.command.clone_from(&cmd);
             sub.set(&key, v.to_string());
-            sub.set("threads", "1");
             (v, sub)
         })
         .collect();
@@ -548,17 +538,21 @@ mod tests {
 
     #[test]
     fn threads_flag_accepted_on_all_commands() {
-        // Simulated results must be identical at every worker count.
-        let base = run_line("sum --machine hmm --n 256 --p 64 --w 8 --l 8 --d 4 --threads 1")
-            .unwrap()
-            .report
-            .unwrap();
-        for threads in [2, 4] {
-            let o = run_line(&format!(
-                "sum --machine hmm --n 256 --p 64 --w 8 --l 8 --d 4 --threads {threads}"
+        // A batch's simulated results must be identical at every worker
+        // count; only the recorded pool size differs.
+        let batch = |threads: usize| {
+            let doc = run_line(&format!(
+                "batch --cmd sum --sweep n --values 128,256,512 --p 64 --w 8 --l 8 --d 4 --threads {threads}"
             ))
-            .unwrap();
-            assert_eq!(o.report.unwrap(), base, "--threads {threads} diverged");
+            .unwrap()
+            .batch
+            .expect("batch JSON");
+            assert_eq!(doc["threads"].as_u64(), Some(threads as u64));
+            doc["points"].to_json()
+        };
+        let base = batch(1);
+        for threads in [2, 4] {
+            assert_eq!(batch(threads), base, "--threads {threads} diverged");
         }
     }
 

@@ -13,7 +13,6 @@ pub(crate) fn execute_tune(a: &Args) -> Result<Outcome, CliError> {
     cfg.seed = a.get_u64("seed", cfg.seed)?;
     cfg.budget = a.get_usize("budget", cfg.budget)?;
     cfg.threads = a.get_usize("threads", 0)?;
-    cfg.fast_forward = !a.has("no-fast-forward");
     let strat = a.get_str("strategy", "grid");
     cfg.strategy = StrategyKind::parse(&strat)
         .ok_or_else(|| ParseError::BadChoice("strategy".into(), strat))?;

@@ -1,5 +1,7 @@
-//! Parameter validation through the library entry point: a machine
-//! dimension of zero is a typed error with exit status 2, never a panic.
+//! Parameter validation through the library entry point: bad input — a
+//! machine dimension of zero, a malformed argument, a launch the
+//! simulator rejects, an unknown command — is a typed error with exit
+//! status 2, never a panic.
 
 use hmm_cli::{execute, Args};
 
@@ -38,4 +40,18 @@ fn zero_machine_dimensions_exit_2_with_a_message() {
         "1",
     ]);
     assert!(ok.is_ok(), "{ok:?}");
+}
+
+#[test]
+fn bad_input_exits_2_with_a_message() {
+    for (tokens, says) in [
+        (&["reduce", "--op", "foo"][..], "argument error"),
+        (&["sum", "--machine", "dmm", "--p", "0"], "simulation error"),
+        (&["frobnicate"], "unknown command"),
+    ] {
+        let err = run(tokens).expect_err("bad input must be rejected");
+        assert_eq!(err.exit_code(), 2, "{tokens:?}: {err}");
+        let msg = err.to_string();
+        assert!(msg.contains(says), "{tokens:?}: {msg}");
+    }
 }
