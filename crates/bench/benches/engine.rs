@@ -1,5 +1,5 @@
 //! Wall-clock comparison of the event-driven clock against pure unit
-//! stepping, on the sequential driver.
+//! stepping.
 //!
 //! Each workload runs with `fast_forward` on and off; the simulated
 //! reports are asserted identical up to the `skipped_units` diagnostic,
@@ -18,7 +18,7 @@ use std::time::Instant;
 use hmm_algorithms::convolution::hmm::shared_words;
 use hmm_algorithms::convolution::run_conv_hmm;
 use hmm_algorithms::sum::run_sum_hmm;
-use hmm_core::{Machine, Parallelism};
+use hmm_core::Machine;
 use hmm_machine::SimReport;
 use hmm_util::Value;
 use hmm_workloads::random_words;
@@ -40,9 +40,8 @@ fn time_min<R>(samples: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 }
 
 fn sum_report(l: usize, n: usize, p: usize, input: &[hmm_machine::Word], ff: bool) -> SimReport {
-    let mut m = Machine::hmm(D, W, l, n + 32, (p / D).next_power_of_two().max(8))
-        .with_parallelism(Parallelism::Sequential)
-        .with_fast_forward(ff);
+    let mut m =
+        Machine::hmm(D, W, l, n + 32, (p / D).next_power_of_two().max(8)).with_fast_forward(ff);
     run_sum_hmm(&mut m, input, p).unwrap().report
 }
 
@@ -56,9 +55,7 @@ fn conv_report(
     ff: bool,
 ) -> SimReport {
     let shared = shared_words(n.div_ceil(D), k) + 8;
-    let mut m = Machine::hmm(D, W, l, 2 * (n + 2 * k), shared)
-        .with_parallelism(Parallelism::Sequential)
-        .with_fast_forward(ff);
+    let mut m = Machine::hmm(D, W, l, 2 * (n + 2 * k), shared).with_fast_forward(ff);
     run_conv_hmm(&mut m, a, b, p).unwrap().report
 }
 
@@ -97,7 +94,7 @@ fn main() {
     let samples = if quick { 2 } else { 5 };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!(
-        "event-driven clock bench ({} mode): d = {D}, w = {W}, sequential driver, host cores = {cores}",
+        "event-driven clock bench ({} mode): d = {D}, w = {W}, host cores = {cores}",
         if quick { "quick" } else { "full" }
     );
     let mut rows = Vec::new();
@@ -155,7 +152,7 @@ fn main() {
         ("samples_per_point", samples.into()),
         (
             "note",
-            "min-of-samples wall-clock, sequential driver; fast-forward vs \
+            "min-of-samples wall-clock; fast-forward vs \
              unit-stepped clock with reports asserted identical up to \
              skipped_units. Latency-bound shapes (p=64) are where the \
              event-driven clock pays; busy shapes guard against regression."

@@ -1,26 +1,21 @@
-//! Wall-clock comparison of the sequential and threaded drivers, at both
-//! parallelism levels:
+//! Wall-clock comparison of a batch of simulations run one after another
+//! and fanned over worker threads: the Table I d = 16 sum sweep (9 grid
+//! points) over a [`BatchRunner`] with 1 vs 4 threads. Each launch runs
+//! on one thread; the batch is the only level the simulator parallelises.
 //!
-//! * **engine-level** — one big d = 16 HMM launch (Table I workloads),
-//!   stepped by 1 vs 4 worker threads;
-//! * **batch-level** — the Table I d = 16 sum sweep (9 grid points),
-//!   fanned over a [`BatchRunner`] with 1 vs 4 threads.
-//!
-//! Simulated results are bit-identical in every configuration (asserted
+//! Simulated results are bit-identical in both configurations (asserted
 //! here); only wall-clock changes. The measured numbers — including the
 //! host's core count, which bounds any possible speedup — are written to
 //! `BENCH_parallel.json` at the repository root.
 //!
 //! Run with `cargo bench -p hmm-bench --bench parallel` (use a
 //! multi-core host for meaningful speedups; on a single hardware thread
-//! the parallel drivers can only add overhead).
+//! the pool can only add overhead).
 
 use std::time::Instant;
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::run_conv_hmm;
 use hmm_algorithms::sum::run_sum_hmm;
-use hmm_core::{BatchRunner, Machine, Parallelism};
+use hmm_core::{BatchRunner, Machine};
 use hmm_util::Value;
 use hmm_workloads::random_words;
 
@@ -54,35 +49,8 @@ fn row(name: &str, seq_ms: f64, par_ms: f64) -> Value {
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let (w, l, d) = (32usize, 256usize, 16usize);
-    println!("parallel engine bench: d = {d}, 4 worker threads, host cores = {cores}");
+    println!("parallel batch bench: d = {d}, 4 worker threads, host cores = {cores}");
     let mut rows = Vec::new();
-
-    // Engine-level: one launch, shards stepped by 1 vs 4 workers.
-    let n = 1 << 14;
-    let p = 2048;
-    let input = random_words(n, 42, 100);
-    let sum_run = |par: Parallelism| {
-        let mut m =
-            Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two()).with_parallelism(par);
-        run_sum_hmm(&mut m, &input, p).unwrap()
-    };
-    let (seq_ms, seq_out) = time_min(|| sum_run(Parallelism::Sequential));
-    let (par_ms, par_out) = time_min(|| sum_run(Parallelism::Threads(4)));
-    assert_eq!(seq_out.report, par_out.report, "engine sum diverged");
-    rows.push(row("engine/sum_theorem7", seq_ms, par_ms));
-
-    let (cn, ck, cp) = (1usize << 12, 32usize, 2048usize);
-    let ca = random_words(ck, 7, 50);
-    let cb = random_words(cn + ck - 1, 8, 50);
-    let conv_run = |par: Parallelism| {
-        let shared = shared_words(cn.div_ceil(d), ck) + 8;
-        let mut m = Machine::hmm(d, w, l, 2 * (cn + 2 * ck), shared).with_parallelism(par);
-        run_conv_hmm(&mut m, &ca, &cb, cp).unwrap()
-    };
-    let (seq_ms, seq_out) = time_min(|| conv_run(Parallelism::Sequential));
-    let (par_ms, par_out) = time_min(|| conv_run(Parallelism::Threads(4)));
-    assert_eq!(seq_out.report, par_out.report, "engine conv diverged");
-    rows.push(row("engine/conv_theorem9", seq_ms, par_ms));
 
     // Batch-level: the Table I sum grid (9 points) over a BatchRunner.
     let mut grid = Vec::new();
@@ -99,8 +67,7 @@ fn main() {
         };
         runner.run(grid.clone(), |(gn, gp)| {
             let input = random_words(gn, gn as u64, 100);
-            let mut m = Machine::hmm(d, w, l, gn + 32, (gp / d).next_power_of_two().max(64))
-                .with_parallelism(Parallelism::Sequential);
+            let mut m = Machine::hmm(d, w, l, gn + 32, (gp / d).next_power_of_two().max(64));
             run_sum_hmm(&mut m, &input, gp).unwrap().report.time
         })
     };
@@ -118,7 +85,7 @@ fn main() {
             "note",
             "min-of-samples wall-clock; simulated results asserted bit-identical. \
              Speedups are bounded by host_cores — on a single-core host the \
-             threaded drivers can only break even or lose."
+             pool can only break even or lose."
                 .into(),
         ),
         ("workloads", Value::Array(rows)),

@@ -21,7 +21,7 @@
 
 use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm};
 use hmm_bench::{dump, header, row, Measurement};
-use hmm_core::{BatchRunner, Keyed, Machine, ModelKind, Parallelism};
+use hmm_core::{BatchRunner, Keyed, Machine, ModelKind};
 use hmm_machine::EngineConfig;
 use hmm_theory::{table1, Params};
 use hmm_workloads::random_words;
@@ -38,20 +38,17 @@ fn main() {
     let (p, d) = (2048usize, 16usize);
     let latency_points = vec![1usize, 8, 32, 128, 512];
     let latency_results = runner.run_keyed(latency_points, |&l| {
-        let mut umm =
-            Machine::umm(w, l, n.next_power_of_two()).with_parallelism(Parallelism::Sequential);
+        let mut umm = Machine::umm(w, l, n.next_power_of_two());
         let t5 = run_sum_dmm_umm(&mut umm, &input, p).unwrap().report.time;
 
         let q = (w * l).min(p);
-        let mut h1 = Machine::hmm(d, w, l, n + 2 * q.next_power_of_two(), 64)
-            .with_parallelism(Parallelism::Sequential);
+        let mut h1 = Machine::hmm(d, w, l, n + 2 * q.next_power_of_two(), 64);
         let t6 = run_sum_hmm_single_dmm(&mut h1, &input, q)
             .unwrap()
             .report
             .time;
 
-        let mut hmm = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two())
-            .with_parallelism(Parallelism::Sequential);
+        let mut hmm = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two());
         let t7 = run_sum_hmm(&mut hmm, &input, p).unwrap().report.time;
         (t5, t6, t7)
     });
@@ -91,8 +88,7 @@ fn main() {
     let dmm_points = vec![1usize, 2, 4, 8, 16, 32];
     let dmm_results = runner.run_keyed(dmm_points, |&d| {
         let p = 128 * d;
-        let mut hmm = Machine::hmm(d, w, l, n + 2 * d.next_power_of_two(), 256)
-            .with_parallelism(Parallelism::Sequential);
+        let mut hmm = Machine::hmm(d, w, l, n + 2 * d.next_power_of_two(), 256);
         let t7 = run_sum_hmm(&mut hmm, &input, p).unwrap().report.time;
         (p, t7)
     });

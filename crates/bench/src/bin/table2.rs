@@ -16,7 +16,7 @@ use hmm_algorithms::convolution::hmm::shared_words;
 use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
 use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm};
 use hmm_bench::{dump, header, row, Measurement};
-use hmm_core::{BatchRunner, Machine, Parallelism};
+use hmm_core::{BatchRunner, Machine};
 use hmm_pram::algorithms as pram_algos;
 use hmm_theory::table2::LowerBound;
 use hmm_theory::{table2, Params};
@@ -67,11 +67,9 @@ fn sum_rows(n: usize, p: usize, w: usize, l: usize, d: usize) -> Vec<Point> {
     let input = random_words(n, 1, 100);
 
     let (_, pram_rep) = pram_algos::run_sum(&input, p).expect("pram");
-    let mut umm =
-        Machine::umm(w, l, n.next_power_of_two()).with_parallelism(Parallelism::Sequential);
+    let mut umm = Machine::umm(w, l, n.next_power_of_two());
     let du = run_sum_dmm_umm(&mut umm, &input, p).expect("umm");
-    let mut hmm = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two().max(64))
-        .with_parallelism(Parallelism::Sequential);
+    let mut hmm = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two().max(64));
     let hm = run_sum_hmm(&mut hmm, &input, p).expect("hmm");
 
     vec![
@@ -102,11 +100,10 @@ fn conv_rows(n: usize, k: usize, p: usize, w: usize, l: usize, d: usize) -> Vec<
     let b = random_words(n + k - 1, 3, 50);
 
     let (_, pram_rep) = pram_algos::run_convolution(&a, &b, p).expect("pram");
-    let mut umm = Machine::umm(w, l, 2 * (n + 2 * k)).with_parallelism(Parallelism::Sequential);
+    let mut umm = Machine::umm(w, l, 2 * (n + 2 * k));
     let du = run_conv_dmm_umm(&mut umm, &a, &b, p).expect("umm");
     let m_slice = n.div_ceil(d);
-    let mut hmm = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8)
-        .with_parallelism(Parallelism::Sequential);
+    let mut hmm = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
     let hm = run_conv_hmm(&mut hmm, &a, &b, p).expect("hmm");
 
     vec![

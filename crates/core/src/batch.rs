@@ -7,14 +7,29 @@
 //! fan-out is embarrassingly parallel; results return in job order, so
 //! every derived artefact is identical at any thread count.
 //!
-//! Engine-level parallelism ([`Parallelism`] on the machine config) and
-//! batch-level parallelism compose but contend for the same cores; batch
-//! jobs therefore default their machines to sequential stepping unless
-//! the caller opts out — one simulation per core beats `d` worker
-//! threads per simulation when there are many simulations.
+//! This is the only place the workspace runs simulations in parallel:
+//! a single launch always runs on the thread that calls it, and a batch
+//! runs one launch per worker.
 
-use hmm_machine::Parallelism;
+use std::sync::OnceLock;
+
 use hmm_util::parallel_map;
+
+/// The default batch pool size: `HMM_THREADS` if set to a positive
+/// integer, else the machine's available parallelism. Read once per
+/// process.
+fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("HMM_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
+    })
+}
 
 /// A batch result that still carries the configuration that produced it.
 ///
@@ -66,7 +81,7 @@ impl BatchRunner {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            threads: Parallelism::Auto.workers(usize::MAX),
+            threads: default_threads(),
         }
     }
 
@@ -132,7 +147,7 @@ mod tests {
     fn batch_results_are_order_stable_across_thread_counts() {
         let kernel = store_gid();
         let job = |p: usize| {
-            let mut m = Machine::hmm(2, 4, 10, 256, 64).with_parallelism(Parallelism::Sequential);
+            let mut m = Machine::hmm(2, 4, 10, 256, 64);
             m.launch(&kernel, LaunchShape::Even(p)).unwrap()
         };
         let ps: Vec<usize> = vec![4, 8, 12, 16, 24, 32];
@@ -148,7 +163,7 @@ mod tests {
         let kernel = store_gid();
         let ps: Vec<usize> = vec![4, 8, 12, 16];
         let keyed = BatchRunner::with_threads(4).run_keyed(ps.clone(), |&p| {
-            let mut m = Machine::hmm(2, 4, 10, 256, 64).with_parallelism(Parallelism::Sequential);
+            let mut m = Machine::hmm(2, 4, 10, 256, 64);
             m.launch(&kernel, LaunchShape::Even(p)).unwrap().threads
         });
         assert_eq!(keyed.len(), ps.len());

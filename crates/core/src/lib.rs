@@ -45,6 +45,8 @@ pub mod machine;
 pub mod presets;
 
 pub use batch::{BatchRunner, Keyed};
-pub use hmm_machine::{abi, Asm, Parallelism, Program, SimError, SimReport, SimResult, Word};
+pub use hmm_machine::{abi, Asm, Program, SimError, SimReport, SimResult, Word};
+#[doc(hidden)]
+pub use machine::Parallelism;
 pub use machine::{Kernel, LaunchShape, Machine, ModelKind};
 pub use presets::MachineParams;

@@ -2,8 +2,7 @@
 
 use hmm_machine::trace::Trace;
 use hmm_machine::{
-    Engine, EngineConfig, LaunchProfile, LaunchSpec, Parallelism, Program, SimError, SimReport,
-    SimResult, Word,
+    Engine, EngineConfig, LaunchProfile, LaunchSpec, Program, SimError, SimReport, SimResult, Word,
 };
 
 /// Which of the paper's three models a [`Machine`] instantiates.
@@ -15,6 +14,26 @@ pub enum ModelKind {
     Umm,
     /// Hierarchical Memory Machine: `d` DMMs plus a global UMM memory.
     Hmm,
+}
+
+/// Compatibility shim: every launch runs on the calling thread, so the
+/// only setting is `Sequential`. Exists only for the `perfbench` harness,
+/// which names it, and goes with the next change to that harness.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parallelism {
+    /// One thread: the only driver there is.
+    Sequential,
+}
+
+impl Parallelism {
+    /// Worker threads stepping a launch on `_dmms` DMMs: always 1.
+    #[must_use]
+    pub fn workers(self, _dmms: usize) -> usize {
+        match self {
+            Parallelism::Sequential => 1,
+        }
+    }
 }
 
 /// A compiled kernel: one program executed by every launched thread
@@ -244,36 +263,26 @@ impl Machine {
         self
     }
 
-    /// Set the worker-thread policy for stepping this machine's DMM
-    /// shards (builder style). Results are bit-identical at every
-    /// setting; only wall-clock time changes. Memory contents are kept.
+    /// Compatibility no-op: every launch runs on the calling thread.
+    /// Exists only for the `perfbench` harness and goes with the next
+    /// change to it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.engine.set_parallelism(parallelism);
+    pub fn with_parallelism(self, _: Parallelism) -> Self {
         self
     }
 
-    /// Set the worker-thread policy in place (see
-    /// [`Machine::with_parallelism`]).
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.engine.set_parallelism(parallelism);
-    }
-
-    /// Enable or disable the engine's event-driven clock (builder style;
-    /// default on). Off means the clock walks every time unit — the
-    /// reference mode the differential tests compare against. Results
-    /// are bit-identical either way (only `SimReport::skipped_units`
-    /// and wall-clock time change). Memory contents are kept.
+    /// Enable or disable the engine's event-driven clock (builder style,
+    /// default on; call before staging inputs, as the engine is rebuilt
+    /// with empty memories). Off walks every time unit: the reference
+    /// clock of the fast-forward differential test and the engine bench.
+    #[doc(hidden)]
     #[must_use]
     pub fn with_fast_forward(mut self, on: bool) -> Self {
-        self.engine.set_fast_forward(on);
+        let mut cfg = self.engine.config().clone();
+        cfg.fast_forward = on;
+        self.engine = Engine::new(cfg).expect("config was already valid");
         self
-    }
-
-    /// Set the event-driven clock in place (see
-    /// [`Machine::with_fast_forward`]).
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.engine.set_fast_forward(on);
     }
 
     /// Launch `kernel` with the given thread distribution and simulate it

@@ -2,10 +2,8 @@
 //! paper uses to justify its parameter ranges (Section III).
 
 use crate::machine::Machine;
-use hmm_machine::Parallelism;
 
-/// The `(d, w, l)` triple that parameterises an HMM, plus memory sizes
-/// and the worker-thread policy of the instantiated engines.
+/// The `(d, w, l)` triple that parameterises an HMM, plus memory sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineParams {
     /// Number of DMMs (streaming multiprocessors).
@@ -18,10 +16,6 @@ pub struct MachineParams {
     pub global_size: usize,
     /// Shared memory capacity per DMM in words.
     pub shared_size: usize,
-    /// Worker-thread policy for machines built from these parameters.
-    /// Purely a wall-clock knob: simulated results are identical at
-    /// every setting.
-    pub parallelism: Parallelism,
 }
 
 impl MachineParams {
@@ -29,26 +23,18 @@ impl MachineParams {
     #[must_use]
     pub fn hmm(&self) -> Machine {
         Machine::hmm(self.d, self.w, self.l, self.global_size, self.shared_size)
-            .with_parallelism(self.parallelism)
     }
 
     /// Instantiate a standalone DMM (one banked memory of `global_size`).
     #[must_use]
     pub fn dmm(&self) -> Machine {
-        Machine::dmm(self.w, self.l, self.global_size).with_parallelism(self.parallelism)
+        Machine::dmm(self.w, self.l, self.global_size)
     }
 
     /// Instantiate a standalone UMM.
     #[must_use]
     pub fn umm(&self) -> Machine {
-        Machine::umm(self.w, self.l, self.global_size).with_parallelism(self.parallelism)
-    }
-
-    /// Override the worker-thread policy (builder style).
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
+        Machine::umm(self.w, self.l, self.global_size)
     }
 
     /// Override the global memory capacity (builder style).
@@ -80,7 +66,6 @@ pub fn gtx580() -> MachineParams {
         l: 400,
         global_size: 1 << 22,
         shared_size: 12 * 1024,
-        parallelism: Parallelism::Auto,
     }
 }
 
@@ -93,7 +78,6 @@ pub fn tiny() -> MachineParams {
         l: 8,
         global_size: 1 << 12,
         shared_size: 1 << 10,
-        parallelism: Parallelism::Auto,
     }
 }
 
@@ -107,7 +91,6 @@ pub fn medium() -> MachineParams {
         l: 64,
         global_size: 1 << 18,
         shared_size: 1 << 14,
-        parallelism: Parallelism::Auto,
     }
 }
 

@@ -34,8 +34,6 @@
 //! `hmm-algorithms::contiguous` for the measured reproduction of Lemma 1
 //! and Theorem 2.
 
-use std::sync::OnceLock;
-
 use crate::abi;
 use crate::bank::BankedMemory;
 use crate::error::{SimError, SimResult};
@@ -46,53 +44,6 @@ use crate::request::ConflictPolicy;
 use crate::stats::SimReport;
 use crate::trace::Trace;
 use crate::word::Word;
-
-/// How many worker threads step the DMM shards of a launch.
-///
-/// Every setting produces **bit-identical** results — reports, traces,
-/// race logs — because cross-DMM traffic merges in a canonical order (see
-/// `DESIGN.md`). The knob only changes wall-clock speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Use the `HMM_THREADS` environment variable if set, else one worker
-    /// per available hardware thread (capped at the DMM count).
-    #[default]
-    Auto,
-    /// Single-threaded stepping — the oracle the differential tests
-    /// compare against.
-    Sequential,
-    /// Exactly this many worker threads (capped at the DMM count; `0`
-    /// behaves like `1`).
-    Threads(usize),
-}
-
-impl Parallelism {
-    /// The effective worker count for a machine with `dmms` DMMs.
-    #[must_use]
-    pub fn workers(self, dmms: usize) -> usize {
-        let n = match self {
-            Parallelism::Sequential => 1,
-            Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => auto_workers(),
-        };
-        n.clamp(1, dmms.max(1))
-    }
-}
-
-/// `HMM_THREADS` if set to a positive integer, else the machine's
-/// available parallelism. Read once per process.
-fn auto_workers() -> usize {
-    static AUTO: OnceLock<usize> = OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("HMM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-    })
-}
 
 /// Static description of a machine.
 #[derive(Debug, Clone)]
@@ -137,14 +88,14 @@ pub struct EngineConfig {
     /// Upper bound on the number of time buckets in profile timelines;
     /// the bucket width doubles as a run outgrows it.
     pub profile_buckets: usize,
-    /// Worker-thread policy for stepping the DMM shards. Results are
-    /// identical at every setting; only wall-clock time changes.
-    pub parallelism: Parallelism,
     /// Event-driven clock: when no thread can step, jump straight to the
     /// next pipeline completion / dispatch opportunity instead of walking
     /// the clock one unit at a time. Semantically invisible — reports
     /// (except `SimReport::skipped_units`), traces, profiles and races
-    /// are bit-identical either way; only wall-clock time changes.
+    /// are bit-identical either way; only wall-clock time changes. On by
+    /// default; off exists only as the reference clock of the
+    /// differential test and the engine bench.
+    #[doc(hidden)]
     pub fast_forward: bool,
 }
 
@@ -173,7 +124,6 @@ impl EngineConfig {
             trace_capacity: None,
             profile: false,
             profile_buckets: DEFAULT_PROFILE_BUCKETS,
-            parallelism: Parallelism::Auto,
             fast_forward: true,
         }
     }
@@ -215,28 +165,7 @@ impl EngineConfig {
             trace_capacity: None,
             profile: false,
             profile_buckets: DEFAULT_PROFILE_BUCKETS,
-            parallelism: Parallelism::Auto,
             fast_forward: true,
-        }
-    }
-
-    /// This configuration with single-threaded stepping — the oracle the
-    /// parallel engine is differentially tested against.
-    #[must_use]
-    pub fn sequential(self) -> Self {
-        Self {
-            parallelism: Parallelism::Sequential,
-            ..self
-        }
-    }
-
-    /// This configuration with exactly `n` worker threads (capped at the
-    /// DMM count at run time).
-    #[must_use]
-    pub fn with_threads(self, n: usize) -> Self {
-        Self {
-            parallelism: Parallelism::Threads(n),
-            ..self
         }
     }
 
@@ -404,18 +333,6 @@ impl Engine {
         std::mem::take(&mut self.races)
     }
 
-    /// Override the worker-thread policy of an existing machine.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.cfg.parallelism = parallelism;
-    }
-
-    /// Enable or disable the event-driven clock (see
-    /// [`EngineConfig::fast_forward`]). Off means the clock walks every
-    /// time unit — the reference the differential tests compare against.
-    pub fn set_fast_forward(&mut self, fast_forward: bool) {
-        self.cfg.fast_forward = fast_forward;
-    }
-
     /// Enable or disable event tracing on an existing machine.
     pub fn set_trace(&mut self, trace: bool) {
         self.cfg.trace = trace;
@@ -455,11 +372,7 @@ impl Engine {
         }
     }
 
-    /// Simulate one kernel launch to completion.
-    ///
-    /// Stepping is sharded per DMM and may run on worker threads
-    /// (see [`Parallelism`]); the result is bit-identical at every
-    /// worker count.
+    /// Simulate one kernel launch to completion on the calling thread.
     ///
     /// # Errors
     /// Propagates any [`SimError`] raised during simulation (bad address,

@@ -1,40 +1,37 @@
-//! Shard-based execution core shared by the sequential and parallel
-//! engine drivers.
+//! Shard-based execution core: one driver loop, on the calling thread.
 //!
 //! The HMM's DMMs interact only through the global (UMM) memory, so the
 //! simulator splits a launch into one [`Shard`] per DMM — threads, warps,
 //! the DMM's shared-memory pipeline, its barrier counters and its slice of
 //! the statistics — plus one [`Coord`] owning the global pipeline and the
 //! global backing store. Each simulated cycle runs in two shard phases
-//! around a global decision point:
+//! around a global decision point (see [`drive`]):
 //!
-//! * **Phase A** (per shard, independent): deliver barrier releases and
+//! * **Phase A** (each shard in DMM order): deliver barrier releases and
 //!   memory completions due this cycle, then step every runnable thread
 //!   one instruction — warp by warp, one lane group per distinct PC (see
 //!   below).
 //! * **Decision**: with every shard's phase A complete, the machine-wide
-//!   barrier release is decided from three monotone counters (threads
-//!   alive, barrier arrivals, barrier releases). Every party computes the
-//!   same decision from the same frozen values.
-//! * **Phase B** (per shard, independent): release the DMM-scope barrier,
+//!   barrier releases when the shards' global-barrier arrivals add up to
+//!   their live threads ([`global_release`]).
+//! * **Phase B** (each shard in DMM order): release the DMM-scope barrier,
 //!   apply the global release, assemble warp transactions (shared-bound
-//!   ones go to the shard's own pipeline, global-bound ones to a per-shard
-//!   output buffer), and dispatch one shared-memory pipeline slot.
+//!   ones go to the shard's own pipeline, global-bound ones to the
+//!   driver's transaction buffer), and dispatch one shared-memory
+//!   pipeline slot.
 //!
-//! After phase B the coordinator concatenates the per-shard transaction
-//! buffers **in DMM order** and appends them to the global queue. Warps
-//! are numbered DMM-major, so this equals the warp-id arrival order the
-//! sequential engine produces — the canonical merge that makes every
-//! run bit-identical at any worker-thread count (see DESIGN.md).
+//! After phase B the coordinator appends the cycle's global-bound
+//! transactions, which arrive **in DMM order**, to the global queue.
+//! Warps are numbered DMM-major, so this is warp-id arrival order.
 //!
 //! Trace events are buffered per shard with a `(cycle, rank, memory)`
-//! sort key and stably merged at the end of the run, reproducing the
-//! exact event order of single-threaded execution. Race logs merge the
-//! same way. Statistics are integer sums and maxima folded in DMM order.
+//! sort key and stably merged at the end of the run into the canonical
+//! event order. Race logs merge the same way. Statistics are integer sums
+//! and maxima folded in DMM order.
 //!
 //! ## The event-driven clock
 //!
-//! Between cycles both drivers compute the **next interesting time** —
+//! Between cycles the driver computes the **next interesting time** —
 //! `now + 1` while any thread is runnable, otherwise the earliest future
 //! pipeline completion, dispatch opportunity or parked barrier release
 //! (see [`next_time`]). With `EngineConfig::fast_forward` on, the clock
@@ -48,11 +45,10 @@
 //! cleared and reused, never reallocated. Every buffer returns to the
 //! pool it came from: a finished global transaction goes back to the
 //! shard that assembled it, and a consumed global completion batch goes
-//! back to the global pipeline — in the threaded driver through the
-//! shard's [`Mail`]. Only kept trace events and the parked releases of
-//! the `barrier_cost` ablation allocate. `tests/alloc_free.rs` checks
-//! with a counting allocator that a launch's allocations do not grow
-//! with its length.
+//! back to the global pipeline. Only kept trace events and the parked
+//! releases of the `barrier_cost` ablation allocate.
+//! `tests/alloc_free.rs` checks with a counting allocator that a
+//! launch's allocations do not grow with its length.
 //!
 //! ## The warp-granular interpreter
 //!
@@ -71,8 +67,6 @@
 //! "Warp-granular interpreter").
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use crate::abi;
 use crate::bank::BankedMemory;
@@ -96,7 +90,7 @@ pub(crate) struct RunOutput {
 
 // ---- trace merging ------------------------------------------------------
 //
-// Within one cycle the sequential engine emits events in a fixed order:
+// Within one cycle the trace lists events in a fixed order:
 // completions (global, then shared by DMM), barrier releases (DMMs
 // ascending, then the machine-wide barrier), dispatches (global, then
 // shared by DMM). Each buffered event carries that order as a sort key;
@@ -596,64 +590,7 @@ impl ShardProf {
     }
 }
 
-// ---- shared control state -----------------------------------------------
-
-/// Machine-wide counters behind the barrier-release decision. All three
-/// are monotone within a run (arrivals and releases only grow, alive only
-/// shrinks), so the decision `arrivals − releases == alive` is computed
-/// identically by every worker from a plain load — no lock on the
-/// per-cycle hot path.
-struct Ctl {
-    /// Threads that have not halted.
-    alive: AtomicUsize,
-    /// Cumulative machine-wide barrier arrivals.
-    garr: AtomicUsize,
-    /// Cumulative machine-wide barrier releases (updated by the
-    /// coordinator strictly between cycles, never inside one).
-    grel: AtomicUsize,
-    /// A shard hit an error during phase A; phase B is skipped globally.
-    err_a: AtomicBool,
-    /// The trace buffers together hold the capacity (set between cycles;
-    /// see [`TraceBuf`]).
-    trace_full: AtomicBool,
-}
-
-impl Ctl {
-    fn new(p: usize) -> Self {
-        Self {
-            alive: AtomicUsize::new(p),
-            garr: AtomicUsize::new(0),
-            grel: AtomicUsize::new(0),
-            err_a: AtomicBool::new(false),
-            trace_full: AtomicBool::new(false),
-        }
-    }
-
-    /// The machine-wide barrier release decision for this cycle:
-    /// `Some(waiting)` when every live thread has arrived.
-    fn global_release(&self) -> Option<usize> {
-        let alive = self.alive.load(Ordering::SeqCst);
-        let waiting = self.garr.load(Ordering::SeqCst) - self.grel.load(Ordering::SeqCst);
-        (waiting > 0 && waiting == alive).then_some(waiting)
-    }
-}
-
-/// Per-shard liveness snapshot published after phase B; the coordinator
-/// folds these into the end-of-cycle time-advance decision.
-#[derive(Debug, Clone, Copy, Default)]
-struct Pulse {
-    /// Some warp of this shard has a runnable thread.
-    any_active: bool,
-    /// Earliest future cycle the shard's shared pipeline could dispatch
-    /// a slot (`None` when it has no queued or in-progress work).
-    next_dispatch: Option<u64>,
-    /// Earliest future completion or parked barrier release.
-    next_event: Option<u64>,
-    /// Threads waiting at a barrier (for the deadlock report).
-    waiting: usize,
-    /// Trace events buffered so far.
-    events: usize,
-}
+// ---- warp assembly -------------------------------------------------------
 
 /// Per-shard warp-assembly scratch: the transaction being built for each
 /// target space, plus the first-touch space order. Emptied every warp by
@@ -720,9 +657,10 @@ struct Shard<'m> {
     trace: TraceBuf,
     /// Cycle accounting (present when the config enables profiling).
     prof: Option<ShardProf>,
-    /// First error this shard hit, tagged with its phase (0 = A, 1 = B);
-    /// the coordinator picks the globally-first one by `(phase, dmm)`.
-    err: Option<(u8, SimError)>,
+    /// The error this shard hit in the current phase; the driver stops
+    /// at the end of that phase with the lowest DMM's (see
+    /// [`first_error`]).
+    err: Option<SimError>,
     width: usize,
     global_policy: ConflictPolicy,
     global_size: usize,
@@ -837,8 +775,7 @@ impl<'m> Shard<'m> {
     /// runnable thread one instruction. `inbox` carries global-memory
     /// completions routed here by the coordinator; the consumed batches
     /// stay in it for the driver to hand back to the global pipeline.
-    fn phase_a(&mut self, now: u64, program: &Program, ctl: &Ctl, inbox: &[Vec<Completion>]) {
-        self.trace.full = ctl.trace_full.load(Ordering::SeqCst);
+    fn phase_a(&mut self, now: u64, program: &Program, inbox: &[Vec<Completion>]) {
         // Parked barrier releases whose synchronisation cost elapsed.
         let mut i = 0;
         while i < self.pending.len() {
@@ -883,11 +820,10 @@ impl<'m> Shard<'m> {
             return;
         }
         let mut groups = std::mem::take(&mut self.groups);
-        let fault = self.step_warps(now, program, ctl, &mut groups);
+        let fault = self.step_warps(now, program, &mut groups);
         self.groups = groups;
         if let Some(e) = fault {
-            self.err = Some((0, e));
-            ctl.err_a.store(true, Ordering::SeqCst);
+            self.err = Some(e);
         }
     }
 
@@ -897,13 +833,7 @@ impl<'m> Shard<'m> {
     /// Returns the error of the lowest-numbered erring thread: lanes
     /// never interact within a step, so that is the error lane-by-lane
     /// execution would meet first.
-    fn step_warps(
-        &mut self,
-        now: u64,
-        program: &Program,
-        ctl: &Ctl,
-        g: &mut Groups,
-    ) -> Option<SimError> {
+    fn step_warps(&mut self, now: u64, program: &Program, g: &mut Groups) -> Option<SimError> {
         for wid in 0..self.warps.len() {
             if !self.active[wid] {
                 continue;
@@ -915,9 +845,9 @@ impl<'m> Shard<'m> {
             let fault = if converged {
                 // The common case: one group of every lane.
                 let lanes = &g.all[first..first + n];
-                self.issue(now, program, ctl, wid, pc, lanes).err()
+                self.issue(now, program, wid, pc, lanes).err()
             } else {
-                self.step_diverged(now, program, ctl, wid, g)
+                self.step_diverged(now, program, wid, g)
             };
             if let Some((_, e)) = fault {
                 return Some(e);
@@ -936,7 +866,6 @@ impl<'m> Shard<'m> {
         &mut self,
         now: u64,
         program: &Program,
-        ctl: &Ctl,
         wid: usize,
         g: &mut Groups,
     ) -> Option<(usize, SimError)> {
@@ -947,7 +876,7 @@ impl<'m> Shard<'m> {
             (first..first + n).filter(|&lt| status[lt] == Status::Runnable),
         );
         g.by_pc
-            .step_each(|pc, lanes| self.issue(now, program, ctl, wid, pc, lanes))
+            .step_each(|pc, lanes| self.issue(now, program, wid, pc, lanes))
     }
 
     /// Issue the instruction at `pc` for `lanes` of warp `wid`, then apply
@@ -958,7 +887,6 @@ impl<'m> Shard<'m> {
         &mut self,
         now: u64,
         program: &Program,
-        ctl: &Ctl,
         wid: usize,
         pc: usize,
         lanes: &[usize],
@@ -989,10 +917,7 @@ impl<'m> Shard<'m> {
                     self.status[lt] = Status::BarrierWait(scope);
                 }
                 match scope {
-                    Scope::Global => {
-                        self.bar_global += n;
-                        ctl.garr.fetch_add(n, Ordering::SeqCst);
-                    }
+                    Scope::Global => self.bar_global += n,
                     Scope::Dmm => self.bar_dmm += n,
                 }
                 Wait::Barrier
@@ -1003,7 +928,6 @@ impl<'m> Shard<'m> {
                 }
                 self.warps[wid].runnable -= n;
                 self.alive -= n;
-                ctl.alive.fetch_sub(n, Ordering::SeqCst);
                 self.finish_time = now + 1;
                 if let Some(prof) = self.prof.as_mut() {
                     prof.on_halt(lanes, now, pc);
@@ -1044,7 +968,8 @@ impl<'m> Shard<'m> {
     /// Phase B: barrier releases, transaction assembly and one shared
     /// pipeline slot. Global-bound transactions are pushed to `out_txns`
     /// for the coordinator's canonical merge. `release_global` is the
-    /// decision computed from [`Ctl`] after every shard finished phase A.
+    /// decision [`global_release`] made after every shard finished
+    /// phase A.
     fn phase_b(&mut self, now: u64, release_global: bool, out_txns: &mut Vec<Txn>) {
         debug_assert!(
             self.asm.touched.is_empty() && self.asm.building.iter().all(Option::is_none),
@@ -1093,7 +1018,7 @@ impl<'m> Shard<'m> {
                     let lt = first + 64 * k + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     if let Err(e) = self.post(wid, lt) {
-                        self.err = Some((1, e));
+                        self.err = Some(e);
                         return;
                     }
                 }
@@ -1200,20 +1125,15 @@ impl<'m> Shard<'m> {
         Ok(())
     }
 
-    /// End-of-cycle liveness snapshot.
-    fn pulse(&self, now: u64) -> Pulse {
-        let pipe_next = self.pipe.as_ref().and_then(PipeRt::next_completion_at);
-        let park_next = self.pending.iter().map(|(t, _)| *t).min();
-        Pulse {
-            any_active: self.active.iter().any(|&a| a),
-            next_dispatch: self.pipe.as_ref().and_then(|p| p.next_dispatch_at(now)),
-            next_event: match (pipe_next, park_next) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            waiting: self.bar_dmm + self.bar_global,
-            events: self.trace.events.len(),
-        }
+    /// Earliest future event of this shard: a shared-pipeline dispatch
+    /// opportunity or completion, or a parked barrier release.
+    fn next_event(&self, now: u64) -> Option<u64> {
+        let pipe = self.pipe.as_ref();
+        pipe.and_then(|p| p.next_dispatch_at(now))
+            .into_iter()
+            .chain(pipe.and_then(PipeRt::next_completion_at))
+            .chain(self.pending.iter().map(|(t, _)| *t))
+            .min()
     }
 }
 
@@ -1321,80 +1241,77 @@ impl Coord<'_> {
     }
 }
 
-/// The next interesting time, computed identically by both drivers at the
-/// end of every cycle: `now + 1` while any thread is runnable, otherwise
-/// the earliest future dispatch opportunity, pipeline completion or
-/// parked barrier release. When no such event exists the machine can
-/// never make progress again and the deadlock is reported.
+/// The machine-wide barrier release decision, made once every shard
+/// finished phase A: `Some(waiting)` when every live thread has arrived.
+fn global_release(shards: &[Shard<'_>]) -> Option<usize> {
+    let alive: usize = shards.iter().map(|s| s.alive).sum();
+    let waiting: usize = shards.iter().map(|s| s.bar_global).sum();
+    (waiting > 0 && waiting == alive).then_some(waiting)
+}
+
+/// The next interesting time, computed at the end of every cycle:
+/// `now + 1` while any thread is runnable, otherwise the earliest future
+/// dispatch opportunity, pipeline completion or parked barrier release.
+/// When no such event exists the machine can never make progress again
+/// and the deadlock is reported.
 ///
 /// The `fast_forward` knob only decides whether the driver jumps to the
 /// returned target or walks to it one unit at a time; the target itself —
 /// and therefore every simulated output — is the same either way
 /// (exactness argument in DESIGN.md).
-fn next_time(
-    now: u64,
-    global_dispatch: Option<u64>,
-    global_completion: Option<u64>,
-    pulses: &[Pulse],
-) -> SimResult<u64> {
-    if pulses.iter().any(|p| p.any_active) {
+fn next_time(now: u64, coord: &Coord<'_>, shards: &[Shard<'_>]) -> SimResult<u64> {
+    if shards.iter().any(|s| s.active.contains(&true)) {
         return Ok(now + 1);
     }
-    let next = global_dispatch
+    let next = coord
+        .pipe
+        .next_dispatch_at(now)
         .into_iter()
-        .chain(global_completion)
-        .chain(
-            pulses
-                .iter()
-                .flat_map(|p| p.next_dispatch.into_iter().chain(p.next_event)),
-        )
+        .chain(coord.pipe.next_completion_at())
+        .chain(shards.iter().filter_map(|s| s.next_event(now)))
         .min();
     match next {
         Some(t) => Ok(t.max(now + 1)),
         None => Err(SimError::Deadlock {
             cycle: now,
-            waiting: pulses.iter().map(|p| p.waiting).sum(),
+            waiting: shards.iter().map(|s| s.bar_dmm + s.bar_global).sum(),
         }),
     }
 }
 
-/// Mark the trace full once every buffer together holds the capacity:
+/// Mark every trace buffer full once they together hold the capacity:
 /// all later events sort after those and would be truncated.
-fn note_trace_fill(coord: &mut Coord<'_>, pulses: &[Pulse], ctl: &Ctl) {
+fn note_trace_fill(coord: &mut Coord<'_>, shards: &mut [Shard<'_>]) {
     if coord.trace.on && !coord.trace.full {
-        let total = coord.trace.events.len() + pulses.iter().map(|p| p.events).sum::<usize>();
+        let total =
+            coord.trace.events.len() + shards.iter().map(|s| s.trace.events.len()).sum::<usize>();
         if total >= coord.trace.cap {
             coord.trace.full = true;
-            ctl.trace_full.store(true, Ordering::SeqCst);
+            for s in shards {
+                s.trace.full = true;
+            }
         }
     }
 }
 
-/// The globally-first error: phase A before phase B, then DMM order —
-/// exactly the order in which single-threaded execution would have hit
-/// them, since warps are numbered DMM-major.
-fn first_error(shards: &[Shard<'_>]) -> Option<SimError> {
-    shards
-        .iter()
-        .filter_map(|s| s.err.as_ref().map(|(ph, e)| (*ph, s.dmm, e)))
-        .min_by_key(|&(ph, dmm, _)| (ph, dmm))
-        .map(|(_, _, e)| e.clone())
+/// The first error of a phase: the lowest DMM's, which is the one
+/// thread-by-thread execution would have hit first, since warps are
+/// numbered DMM-major.
+fn first_error(shards: &mut [Shard<'_>]) -> Option<SimError> {
+    shards.iter_mut().find_map(|s| s.err.take())
 }
 
-// ---- drivers -------------------------------------------------------------
-
-/// Single-threaded driver: the oracle. Runs the exact same phase code as
-/// the parallel driver, in the same order. Returns the number of time
-/// units the event-driven clock skipped.
-fn drive_sequential(
+/// The driver: every cycle runs phase A on each shard in DMM order, the
+/// machine-wide barrier decision, phase B on each shard, then one global
+/// pipeline slot. Returns the number of time units the event-driven
+/// clock skipped.
+fn drive(
     cfg: &EngineConfig,
     program: &Program,
     coord: &mut Coord<'_>,
     shards: &mut [Shard<'_>],
-    ctl: &Ctl,
 ) -> SimResult<u64> {
     let mut inboxes: Vec<Vec<Vec<Completion>>> = vec![Vec::new(); shards.len()];
-    let mut pulses: Vec<Pulse> = vec![Pulse::default(); shards.len()];
     let mut txns: Vec<Txn> = Vec::new();
     let mut now: u64 = 0;
     let mut skipped: u64 = 0;
@@ -1406,20 +1323,19 @@ fn drive_sequential(
         }
         coord.route(now, |d, items| inboxes[d].push(items));
         for (s, inbox) in shards.iter_mut().zip(inboxes.iter_mut()) {
-            s.phase_a(now, program, ctl, inbox);
+            s.phase_a(now, program, inbox);
             coord.reclaim(inbox);
         }
-        let skip_b = ctl.err_a.load(Ordering::SeqCst);
-        let release = if skip_b { None } else { ctl.global_release() };
+        if let Some(e) = first_error(shards) {
+            return Err(e);
+        }
+        let release = global_release(shards);
         if let Some(waiting) = release {
             coord.note_global_release(now, waiting);
-            ctl.grel.fetch_add(waiting, Ordering::SeqCst);
         }
         debug_assert!(txns.is_empty(), "txn buffer must be empty at unit start");
-        if !skip_b {
-            for s in shards.iter_mut() {
-                s.phase_b(now, release.is_some(), &mut txns);
-            }
+        for s in shards.iter_mut() {
+            s.phase_b(now, release.is_some(), &mut txns);
         }
         if let Some(e) = first_error(shards) {
             return Err(e);
@@ -1427,19 +1343,11 @@ fn drive_sequential(
         if let Some((d, txn)) = coord.dispatch(now, &mut txns) {
             shards[d].free_txns.push(txn);
         }
-        if ctl.alive.load(Ordering::SeqCst) == 0 {
+        if shards.iter().all(|s| s.alive == 0) {
             return Ok(skipped);
         }
-        for (s, p) in shards.iter().zip(pulses.iter_mut()) {
-            *p = s.pulse(now);
-        }
-        note_trace_fill(coord, &pulses, ctl);
-        let target = next_time(
-            now,
-            coord.pipe.next_dispatch_at(now),
-            coord.pipe.next_completion_at(),
-            &pulses,
-        )?;
+        note_trace_fill(coord, shards);
+        let target = next_time(now, coord, shards)?;
         if cfg.fast_forward {
             skipped += target - (now + 1);
             now = target;
@@ -1447,148 +1355,6 @@ fn drive_sequential(
             now += 1;
         }
     }
-}
-
-/// Per-shard mailbox between the coordinator and the worker that owns the
-/// shard. Locked at most twice per cycle per side — never contended
-/// within a phase, since the barrier protocol hands ownership back and
-/// forth wholesale.
-#[derive(Default)]
-struct Mail {
-    /// Coordinator -> shard: global completions due this cycle; the
-    /// consumed batches go back to the coordinator through the same list.
-    inbox: Vec<Vec<Completion>>,
-    /// Coordinator -> shard: finished global transactions, for reuse.
-    free_txns: Vec<Txn>,
-    /// Shard -> coordinator: this cycle's global-bound transactions.
-    txns: Vec<Txn>,
-    pulse: Pulse,
-    err: Option<(u8, SimError)>,
-}
-
-/// Multi-threaded driver: shards are partitioned over `workers` scoped
-/// threads; the main thread coordinates. Three barrier waits bound each
-/// cycle (S0 start, S1 after phase A, S2 after phase B).
-fn drive_parallel(
-    cfg: &EngineConfig,
-    program: &Program,
-    coord: &mut Coord<'_>,
-    shards: &mut [Shard<'_>],
-    ctl: &Ctl,
-    workers: usize,
-) -> SimResult<u64> {
-    let dmms = shards.len();
-    let chunk = dmms.div_ceil(workers);
-    let mail: Vec<Mutex<Mail>> = (0..dmms).map(|_| Mutex::new(Mail::default())).collect();
-    let parties = shards.chunks(chunk).count() + 1;
-    let barrier = Barrier::new(parties);
-    let clock = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        for group in shards.chunks_mut(chunk) {
-            let (barrier, clock, stop, mail) = (&barrier, &clock, &stop, &mail);
-            scope.spawn(move || {
-                loop {
-                    barrier.wait(); // S0: cycle published
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let now = clock.load(Ordering::SeqCst);
-                    for s in group.iter_mut() {
-                        let mut m = mail[s.dmm].lock().expect("mailbox");
-                        s.free_txns.append(&mut m.free_txns);
-                        s.phase_a(now, program, ctl, &m.inbox);
-                    }
-                    barrier.wait(); // S1: all phase A done
-                    let skip_b = ctl.err_a.load(Ordering::SeqCst);
-                    let release = if skip_b { None } else { ctl.global_release() };
-                    for s in group.iter_mut() {
-                        let mut m = mail[s.dmm].lock().expect("mailbox");
-                        if !skip_b {
-                            s.phase_b(now, release.is_some(), &mut m.txns);
-                        }
-                        m.pulse = s.pulse(now);
-                        m.err.clone_from(&s.err);
-                    }
-                    barrier.wait(); // S2: all phase B published
-                }
-            });
-        }
-
-        // Coordinator (this thread). Every exit path falls through to the
-        // stop protocol below so the workers always unblock.
-        let mut pulses: Vec<Pulse> = vec![Pulse::default(); dmms];
-        let mut txns: Vec<Txn> = Vec::new();
-        let mut now: u64 = 0;
-        let mut skipped: u64 = 0;
-        let result = loop {
-            if now >= cfg.max_cycles {
-                break Err(SimError::CycleLimit {
-                    limit: cfg.max_cycles,
-                });
-            }
-            coord.route(now, |d, items| {
-                mail[d].lock().expect("mailbox").inbox.push(items);
-            });
-            clock.store(now, Ordering::SeqCst);
-            barrier.wait(); // S0
-            barrier.wait(); // S1
-            let skip_b = ctl.err_a.load(Ordering::SeqCst);
-            let release = if skip_b { None } else { ctl.global_release() };
-            if let Some(waiting) = release {
-                coord.note_global_release(now, waiting);
-            }
-            barrier.wait(); // S2
-                            // The release counter moves only here — strictly between the
-                            // workers' post-S1 reads this cycle and their next ones.
-            if let Some(waiting) = release {
-                ctl.grel.fetch_add(waiting, Ordering::SeqCst);
-            }
-            let mut err: Option<(u8, usize, SimError)> = None;
-            debug_assert!(txns.is_empty(), "txn buffer must be empty at unit start");
-            for (d, slot) in mail.iter().enumerate() {
-                let mut m = slot.lock().expect("mailbox");
-                coord.reclaim(&mut m.inbox);
-                txns.append(&mut m.txns);
-                pulses[d] = m.pulse;
-                if let Some((ph, e)) = m.err.clone() {
-                    if err.as_ref().is_none_or(|(p0, d0, _)| (ph, d) < (*p0, *d0)) {
-                        err = Some((ph, d, e));
-                    }
-                }
-            }
-            if let Some((_, _, e)) = err {
-                break Err(e);
-            }
-            if let Some((d, txn)) = coord.dispatch(now, &mut txns) {
-                mail[d].lock().expect("mailbox").free_txns.push(txn);
-            }
-            if ctl.alive.load(Ordering::SeqCst) == 0 {
-                break Ok(skipped);
-            }
-            note_trace_fill(coord, &pulses, ctl);
-            match next_time(
-                now,
-                coord.pipe.next_dispatch_at(now),
-                coord.pipe.next_completion_at(),
-                &pulses,
-            ) {
-                Ok(target) => {
-                    if cfg.fast_forward {
-                        skipped += target - (now + 1);
-                        now = target;
-                    } else {
-                        now += 1;
-                    }
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        stop.store(true, Ordering::SeqCst);
-        barrier.wait(); // release the workers parked at S0
-        result
-    })
 }
 
 // ---- entry point ---------------------------------------------------------
@@ -1646,14 +1412,7 @@ pub(crate) fn run(
         stats: MemoryStats::default(),
         barriers: 0,
     };
-    let ctl = Ctl::new(p);
-
-    let workers = cfg.parallelism.workers(cfg.dmms);
-    let skipped = if workers <= 1 {
-        drive_sequential(cfg, &spec.program, &mut coord, &mut shards, &ctl)?
-    } else {
-        drive_parallel(cfg, &spec.program, &mut coord, &mut shards, &ctl, workers)?
-    };
+    let skipped = drive(cfg, &spec.program, &mut coord, &mut shards)?;
 
     // ---- merge (always in DMM order) ------------------------------------
     let mut report = SimReport {
@@ -1743,8 +1502,8 @@ pub(crate) fn run(
             evs.append(&mut s.trace.events);
         }
         // Stable sort: each (cycle, rank, mem) key has a single producer,
-        // whose events are already in order — this reproduces the exact
-        // event sequence of single-threaded execution.
+        // whose events are already in order — this yields the canonical
+        // event sequence.
         evs.sort_by_key(|e| (e.cycle, e.rank, e.mem));
         evs.truncate(cap);
         let mut t = Trace::new();
@@ -1760,8 +1519,8 @@ pub(crate) fn run(
 
     // Merge race logs the same way: per-shard logs are in cycle order, so
     // a stable sort by cycle (shard order breaking ties) reproduces the
-    // global dispatch order; the cap then keeps the same first entries a
-    // single-threaded run would have kept.
+    // global dispatch order; the cap then keeps the first entries in
+    // that order.
     let mut stamped: Vec<(u64, DynamicRace)> = Vec::new();
     for s in &mut shards {
         stamped.append(&mut s.race_ck.log);

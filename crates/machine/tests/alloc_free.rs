@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchSpec, Parallelism};
+use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchSpec};
 
 struct Counting;
 
@@ -95,9 +95,7 @@ fn launch_allocations(cfg: &EngineConfig, p: usize, iterations: &[i64]) -> Vec<u
     iterations
         .iter()
         .map(|&n| {
-            let mut cfg = cfg.clone();
-            cfg.parallelism = Parallelism::Sequential;
-            let mut engine = Engine::new(cfg).unwrap();
+            let mut engine = Engine::new(cfg.clone()).unwrap();
             let spec = LaunchSpec::even(global_load_loop(), p, engine.config().dmms, vec![n]);
             let (count, report) = allocations_during(|| engine.run(&spec));
             let report = report.unwrap();

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hmm_machine::isa::Reg;
 use hmm_machine::request::{slot_count, AccessKind, ConflictPolicy, Request, SlotSchedule};
-use hmm_machine::{abi, bank_of, group_of, Asm, Engine, EngineConfig, LaunchSpec, Parallelism};
+use hmm_machine::{abi, bank_of, group_of, Asm, Engine, EngineConfig, LaunchSpec};
 use hmm_util::Rng;
 
 fn random_requests(rng: &mut Rng, max_addr: usize) -> Vec<Request> {
@@ -266,11 +266,10 @@ struct Observed {
 }
 
 /// Random ISA programs on random machine shapes are bit-identical across
-/// worker-thread counts 1/2/4/8 and across repeated runs: the canonical
-/// merge leaks no iteration order into reports, memories, race logs or
-/// traces.
+/// repeated runs: no hidden state or iteration order leaks into reports,
+/// memories, race logs or traces.
 #[test]
-fn random_programs_are_thread_count_invariant() {
+fn random_programs_are_deterministic() {
     let mut rng = Rng::new(0x9A11E7);
     let (global_size, shared_size) = (256usize, 64usize);
     for case in 0..24 {
@@ -281,10 +280,9 @@ fn random_programs_are_thread_count_invariant() {
         let program = random_program(&mut rng, global_size, shared_size, false);
         let spec = LaunchSpec::even(program, p, d, vec![]);
 
-        let run = |par: Parallelism| {
+        let run = || {
             let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
             cfg.trace = true;
-            cfg.parallelism = par;
             let mut engine = Engine::new(cfg).unwrap();
             let report = engine.run(&spec).unwrap();
             Observed {
@@ -300,26 +298,8 @@ fn random_programs_are_thread_count_invariant() {
             }
         };
 
-        let oracle = run(Parallelism::Sequential);
         let ctx = format!("case {case}: d={d} w={w} l={l} p={p}");
-        assert_eq!(
-            run(Parallelism::Sequential),
-            oracle,
-            "{ctx}: not repeatable"
-        );
-        for t in [1usize, 2, 4, 8] {
-            assert_eq!(
-                run(Parallelism::Threads(t)),
-                oracle,
-                "{ctx}: diverged at {t} worker threads"
-            );
-        }
-        // Repeated parallel runs must agree with each other too.
-        assert_eq!(
-            run(Parallelism::Threads(4)),
-            run(Parallelism::Threads(4)),
-            "{ctx}: parallel run not repeatable"
-        );
+        assert_eq!(run(), run(), "{ctx}: not repeatable");
     }
 }
 
@@ -434,7 +414,7 @@ fn divergent_programs_match_golden() {
 }
 
 /// A bounded trace is exactly the first `cap` events of the unbounded
-/// trace, with every other event counted as dropped, on both drivers.
+/// trace, with every other event counted as dropped.
 #[test]
 fn bounded_trace_is_a_prefix_of_the_full_trace() {
     let mut rng = Rng::new(0x7ACE);
@@ -446,27 +426,24 @@ fn bounded_trace_is_a_prefix_of_the_full_trace() {
         let p = (1 + rng.usize_below(2 * w)) * d;
         let program = random_program(&mut rng, global_size, shared_size, true);
         let spec = LaunchSpec::even(program, p, d, vec![]);
-        let run = |cap: Option<usize>, par: Parallelism| {
+        let run = |cap: Option<usize>| {
             let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
             cfg.trace = true;
             cfg.trace_capacity = cap;
-            cfg.parallelism = par;
             let mut engine = Engine::new(cfg).unwrap();
             let report = engine.run(&spec).unwrap();
             let trace = engine.take_trace().expect("trace enabled");
             (report, trace.events().to_vec(), trace.dropped_events())
         };
-        let (full_report, full, _) = run(None, Parallelism::Sequential);
+        let (full_report, full, _) = run(None);
         for cap in [0, 1, 7, full.len() / 2, full.len(), full.len() + 3] {
-            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                let (report, events, dropped) = run(Some(cap), par);
-                let kept = cap.min(full.len());
-                let ctx = format!("case {case} cap {cap} {par:?}");
-                assert_eq!(events, full[..kept], "{ctx}");
-                assert_eq!(dropped, (full.len() - kept) as u64, "{ctx}");
-                assert_eq!(report.trace_dropped_events, dropped, "{ctx}");
-                assert_eq!(report.time, full_report.time, "{ctx}");
-            }
+            let (report, events, dropped) = run(Some(cap));
+            let kept = cap.min(full.len());
+            let ctx = format!("case {case} cap {cap}");
+            assert_eq!(events, full[..kept], "{ctx}");
+            assert_eq!(dropped, (full.len() - kept) as u64, "{ctx}");
+            assert_eq!(report.trace_dropped_events, dropped, "{ctx}");
+            assert_eq!(report.time, full_report.time, "{ctx}");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! output — one byte reordered, one space added — fails here.
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchProfile, LaunchSpec, Parallelism, Trace};
+use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchProfile, LaunchSpec, Trace};
 use hmm_prof::{profile_to_json, trace_to_perfetto};
 
 /// 64-bit FNV-1a.
@@ -23,7 +23,6 @@ fn observe(cfg: EngineConfig, spec: &LaunchSpec) -> (LaunchProfile, Trace) {
     let mut cfg = cfg;
     cfg.profile = true;
     cfg.trace = true;
-    cfg.parallelism = Parallelism::Sequential;
     let mut engine = Engine::new(cfg).unwrap();
     engine.run(spec).unwrap();
     let profile = engine.take_profiles().pop().expect("one profile");

@@ -1,13 +1,13 @@
-//! Rendered-artifact tests: byte-determinism across engine worker
-//! counts, Perfetto schema shape, and disassembled hotspot text.
+//! Rendered-artifact tests: byte-determinism across runs, Perfetto
+//! schema shape, and disassembled hotspot text.
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchProfile, LaunchSpec, Parallelism, Trace};
+use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchProfile, LaunchSpec, Trace};
 use hmm_prof::{profile_to_json, render_report, trace_to_perfetto};
 
 /// A small mixed kernel: global loads/stores, a bank-conflicting shared
 /// store, and a DMM barrier — every profiler category gets exercised.
-fn demo(par: Parallelism) -> (LaunchProfile, Trace) {
+fn demo() -> (LaunchProfile, Trace) {
     let (d, w, l) = (2usize, 4usize, 8usize);
     let mut asm = Asm::new();
     asm.ld_global(Reg(16), abi::GID, 0);
@@ -22,7 +22,6 @@ fn demo(par: Parallelism) -> (LaunchProfile, Trace) {
     let mut cfg = EngineConfig::hmm(d, w, l, 64, (p / d) * w);
     cfg.profile = true;
     cfg.trace = true;
-    cfg.parallelism = par;
     let mut engine = Engine::new(cfg).unwrap();
     engine.run(&spec).unwrap();
     let profile = engine.take_profiles().pop().expect("one profile");
@@ -31,32 +30,30 @@ fn demo(par: Parallelism) -> (LaunchProfile, Trace) {
 }
 
 #[test]
-fn json_and_perfetto_are_byte_identical_across_worker_counts() {
-    let (p1, t1) = demo(Parallelism::Sequential);
-    for workers in [1usize, 2, 4] {
-        let (p2, t2) = demo(Parallelism::Threads(workers));
-        assert_eq!(p2, p1, "profile diverged at {workers} workers");
-        assert_eq!(
-            profile_to_json(&p2).to_json_pretty(),
-            profile_to_json(&p1).to_json_pretty(),
-            "JSON diverged at {workers} workers"
-        );
-        assert_eq!(
-            trace_to_perfetto(&t2, Some(&p2)).to_json(),
-            trace_to_perfetto(&t1, Some(&p1)).to_json(),
-            "Perfetto output diverged at {workers} workers"
-        );
-        assert_eq!(
-            render_report(&p2, 10),
-            render_report(&p1, 10),
-            "text report diverged at {workers} workers"
-        );
-    }
+fn json_and_perfetto_are_byte_identical_across_runs() {
+    let (p1, t1) = demo();
+    let (p2, t2) = demo();
+    assert_eq!(p2, p1, "profile diverged");
+    assert_eq!(
+        profile_to_json(&p2).to_json_pretty(),
+        profile_to_json(&p1).to_json_pretty(),
+        "JSON diverged"
+    );
+    assert_eq!(
+        trace_to_perfetto(&t2, Some(&p2)).to_json(),
+        trace_to_perfetto(&t1, Some(&p1)).to_json(),
+        "Perfetto output diverged"
+    );
+    assert_eq!(
+        render_report(&p2, 10),
+        render_report(&p1, 10),
+        "text report diverged"
+    );
 }
 
 #[test]
 fn profile_json_round_trips_and_conserves() {
-    let (p, _) = demo(Parallelism::Sequential);
+    let (p, _) = demo();
     let text = profile_to_json(&p).to_json_pretty();
     let v = hmm_util::json::parse(&text).unwrap();
     assert_eq!(v["conserved"].as_bool(), Some(true));
@@ -87,7 +84,7 @@ fn profile_json_round_trips_and_conserves() {
 
 #[test]
 fn perfetto_events_are_schema_shaped() {
-    let (p, t) = demo(Parallelism::Sequential);
+    let (p, t) = demo();
     let text = trace_to_perfetto(&t, Some(&p)).to_json_pretty();
     let v = hmm_util::json::parse(&text).unwrap();
     let evs = v.as_array().expect("trace_events is a bare array");
@@ -110,7 +107,7 @@ fn perfetto_events_are_schema_shaped() {
 
 #[test]
 fn text_report_names_disassembled_instructions() {
-    let (p, _) = demo(Parallelism::Sequential);
+    let (p, _) = demo();
     let report = render_report(&p, 5);
     assert!(report.contains("cycle breakdown"));
     assert!(report.contains("issued"));

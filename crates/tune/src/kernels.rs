@@ -500,13 +500,11 @@ mod tests {
     use super::*;
     use crate::space::TuneSpace;
     use hmm_core::{LaunchShape, Machine};
-    use hmm_machine::Parallelism;
 
     fn run(t: &dyn Tunable, c: &Candidate, n: usize, seed: u64) -> (Vec<Word>, u64) {
         let tk = t.build(c, n).unwrap();
         let input = t.input(n, seed);
-        let mut m = Machine::hmm(c.d, c.w, c.l, tk.global_size, tk.shared_size)
-            .with_parallelism(Parallelism::Sequential);
+        let mut m = Machine::hmm(c.d, c.w, c.l, tk.global_size, tk.shared_size);
         m.load_global(tk.input_base, &input);
         let report = m.launch(&tk.kernel, LaunchShape::Even(tk.threads)).unwrap();
         let out = m.global()[tk.out_base..tk.out_base + tk.out_len].to_vec();

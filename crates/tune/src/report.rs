@@ -4,7 +4,7 @@
 //! Reports deliberately contain **no wall-clock times and no worker
 //! thread counts** — only simulated quantities and the run's declared
 //! inputs — so the same `(algo, n, seed, space, strategy, budget)`
-//! produces byte-identical output at any parallelism, which the golden
+//! produces byte-identical output at any batch worker count, which the golden
 //! tests pin.
 
 use hmm_util::json::Value;

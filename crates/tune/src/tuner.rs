@@ -8,9 +8,8 @@
 //!    best prediction are statically dominated and never simulated (the
 //!    baseline is always kept as the calibration anchor).
 //! 3. *Measure*: the strategy proposes waves of survivors; each wave is
-//!    simulated exactly — in parallel via the keyed batch runner, every
-//!    machine stepping sequentially — and validated against the
-//!    sequential reference. The baseline is measured first, outside the
+//!    simulated exactly — in parallel via the keyed batch runner, one
+//!    launch per worker — and validated against the host reference. The baseline is measured first, outside the
 //!    budget, so the winner can never be slower than the untuned
 //!    default. One-point calibration against the baseline turns raw
 //!    scores into predicted time units, and every measured candidate
@@ -20,16 +19,15 @@
 //!    saved thread-cycles came from (bank conflicts, latency, barriers).
 //!
 //! Determinism: all decisions happen between waves, wave results are
-//! order-stable ([`BatchRunner::run_keyed`]), machines inside jobs step
-//! sequentially, and stochastic strategies derive from the run seed —
-//! so reports are bit-identical across runs and worker thread counts.
+//! order-stable ([`BatchRunner::run_keyed`]), and stochastic strategies
+//! derive from the run seed — so reports are bit-identical across runs
+//! and worker thread counts.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use hmm_analysis::{analyze, AnalysisConfig};
 use hmm_core::{BatchRunner, Keyed, LaunchShape, Machine, Word};
 use hmm_machine::profile::{LaunchProfile, StallCategory};
-use hmm_machine::Parallelism;
 
 use crate::kernels::{tunable, tunable_names, Tunable};
 use crate::report::{EntryStatus, ExplainRow, TuneEntry, TuneReport};
@@ -56,9 +54,6 @@ pub struct TuneConfig {
     /// Static-prune threshold: drop candidates predicted worse than
     /// this multiple of the best prediction.
     pub prune_factor: f64,
-    /// Event-driven clock for the measured machines (on by default);
-    /// semantically invisible, so reports are identical either way.
-    pub fast_forward: bool,
 }
 
 impl TuneConfig {
@@ -75,7 +70,6 @@ impl TuneConfig {
             strategy: StrategyKind::Grid,
             space: TuneSpace::default(),
             prune_factor: 8.0,
-            fast_forward: true,
         }
     }
 }
@@ -157,7 +151,6 @@ fn evaluate(
     input: &[Word],
     expect: &[Word],
     profiled: bool,
-    fast_forward: bool,
 ) -> Measurement {
     let tk = match alg.build(c, n) {
         Ok(tk) => tk,
@@ -170,9 +163,7 @@ fn evaluate(
             }
         }
     };
-    let mut m = Machine::hmm(c.d, c.w, c.l, tk.global_size, tk.shared_size)
-        .with_parallelism(Parallelism::Sequential)
-        .with_fast_forward(fast_forward);
+    let mut m = Machine::hmm(c.d, c.w, c.l, tk.global_size, tk.shared_size);
     if profiled {
         m.set_profiling(true);
     }
@@ -276,15 +267,7 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
     let expect = alg.reference(&input);
     let measure = |wave: Vec<usize>, profiled: bool| -> Vec<Keyed<usize, Measurement>> {
         runner.run_keyed(wave, |&i| {
-            evaluate(
-                alg,
-                &candidates[i],
-                n,
-                &input,
-                &expect,
-                profiled,
-                cfg.fast_forward,
-            )
+            evaluate(alg, &candidates[i], n, &input, &expect, profiled)
         })
     };
 

@@ -7,16 +7,14 @@
 //! tuner may only ever trade *time*, never *answers*.
 
 use hmm_core::{LaunchShape, Machine, Word};
-use hmm_machine::Parallelism;
 use hmm_tune::{tunable, Candidate, Tunable};
 use hmm_util::Rng;
 
-/// Run one candidate on a sequential machine and return the output.
+/// Run one candidate and return the output.
 fn run(t: &dyn Tunable, c: &Candidate, n: usize, seed: u64) -> Vec<Word> {
     let tk = t.build(c, n).expect("feasible candidate must build");
     let input = t.input(n, seed);
-    let mut m = Machine::hmm(c.d, c.w, c.l, tk.global_size, tk.shared_size)
-        .with_parallelism(Parallelism::Sequential);
+    let mut m = Machine::hmm(c.d, c.w, c.l, tk.global_size, tk.shared_size);
     m.load_global(tk.input_base, &input);
     m.launch(&tk.kernel, LaunchShape::Even(tk.threads))
         .expect("launch");

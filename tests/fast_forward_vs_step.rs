@@ -3,13 +3,11 @@
 //!
 //! Every paper kernel (sum, convolution, prefix sums, the Figure 1
 //! patterns, transpose, matmul, bitonic sort) runs with fast-forwarding
-//! on and off, under the sequential driver and the threaded driver at 4
-//! workers. The full [`SimReport`], the dynamic race log, the final
+//! on and off. The full [`SimReport`], the dynamic race log, the final
 //! global memory, the (capacity-bounded) event trace and the
 //! cycle-accounting [`LaunchProfile`]s must match exactly — the only
 //! permitted difference is the `skipped_units` diagnostic, which must
-//! be zero whenever fast-forwarding is off and identical across worker
-//! counts whenever it is on.
+//! be zero whenever fast-forwarding is off.
 
 use hmm_algorithms::convolution::hmm::shared_words;
 use hmm_algorithms::convolution::run_conv_hmm;
@@ -18,7 +16,7 @@ use hmm_algorithms::patterns::{run_figure1, run_transpose, Figure1};
 use hmm_algorithms::prefix::{prefix_shared_words, run_prefix_hmm};
 use hmm_algorithms::sort::run_sort_hmm;
 use hmm_algorithms::sum::run_sum_hmm;
-use hmm_core::{Machine, Parallelism};
+use hmm_core::Machine;
 use hmm_machine::profile::LaunchProfile;
 use hmm_machine::{DynamicRace, SimReport, TraceEvent, Word};
 use hmm_workloads::random_words;
@@ -60,31 +58,19 @@ fn observe(mut m: Machine, run: impl FnOnce(&mut Machine) -> SimReport) -> (u64,
     (skipped, obs)
 }
 
-/// Run `launch` at every DMM count with the clock in both modes under
-/// both drivers, and require identical observations throughout.
-fn assert_clock_invisible(
-    name: &str,
-    launch: impl Fn(usize, bool, Parallelism) -> (u64, Observed),
-) {
+/// Run `launch` at every DMM count with the clock in both modes, and
+/// require identical observations.
+fn assert_clock_invisible(name: &str, launch: impl Fn(usize, bool) -> (u64, Observed)) {
     for &d in &DMM_COUNTS {
-        let (skipped_seq, oracle) = launch(d, true, Parallelism::Sequential);
-        let (stepped_seq, walked) = launch(d, false, Parallelism::Sequential);
+        let (_, oracle) = launch(d, true);
+        let (stepped, walked) = launch(d, false);
         assert_eq!(
-            stepped_seq, 0,
+            stepped, 0,
             "{name}: skipped_units must be 0 with fast-forward off (d={d})"
         );
         assert_eq!(
             walked, oracle,
             "{name}: unit-stepped run diverged from fast-forwarded run (d={d})"
-        );
-        let (skipped_par, par_on) = launch(d, true, Parallelism::Threads(4));
-        let (stepped_par, par_off) = launch(d, false, Parallelism::Threads(4));
-        assert_eq!(par_on, oracle, "{name}: parallel ff-on diverged (d={d})");
-        assert_eq!(par_off, oracle, "{name}: parallel ff-off diverged (d={d})");
-        assert_eq!(stepped_par, 0, "{name}: parallel ff-off skipped (d={d})");
-        assert_eq!(
-            skipped_par, skipped_seq,
-            "{name}: skipped_units depends on the worker count (d={d})"
         );
     }
 }
@@ -92,11 +78,10 @@ fn assert_clock_invisible(
 #[test]
 fn sum_is_clock_invariant() {
     let input = random_words(512, 11, 1000);
-    assert_clock_invisible("sum", |d, ff, par| {
+    assert_clock_invisible("sum", |d, ff| {
         let p = 16 * d;
         let shared = (p / d).next_power_of_two().max(8);
         let m = Machine::hmm(d, W, L, 512 + 2 * d.next_power_of_two() + 8, shared)
-            .with_parallelism(par)
             .with_fast_forward(ff);
         observe(m, |m| run_sum_hmm(m, &input, p).unwrap().report)
     });
@@ -107,12 +92,10 @@ fn convolution_is_clock_invariant() {
     let (n, k) = (256usize, 8usize);
     let a = random_words(k, 3, 50);
     let b = random_words(n + k - 1, 4, 50);
-    assert_clock_invisible("conv", |d, ff, par| {
+    assert_clock_invisible("conv", |d, ff| {
         let p = 8 * d;
         let shared = shared_words(n.div_ceil(d), k) + 8;
-        let m = Machine::hmm(d, W, L, 2 * (n + 2 * k), shared)
-            .with_parallelism(par)
-            .with_fast_forward(ff);
+        let m = Machine::hmm(d, W, L, 2 * (n + 2 * k), shared).with_fast_forward(ff);
         observe(m, |m| run_conv_hmm(m, &a, &b, p).unwrap().report)
     });
 }
@@ -121,12 +104,10 @@ fn convolution_is_clock_invariant() {
 fn prefix_is_clock_invariant() {
     let n = 256usize;
     let input = random_words(n, 17, 1000);
-    assert_clock_invisible("prefix", |d, ff, par| {
+    assert_clock_invisible("prefix", |d, ff| {
         let p = 8 * d;
         let shared = prefix_shared_words(n.div_ceil(d), p / d, d) + 8;
-        let m = Machine::hmm(d, W, L, 4 * n, shared)
-            .with_parallelism(par)
-            .with_fast_forward(ff);
+        let m = Machine::hmm(d, W, L, 4 * n, shared).with_fast_forward(ff);
         observe(m, |m| run_prefix_hmm(m, &input, p).unwrap().report)
     });
 }
@@ -135,10 +116,8 @@ fn prefix_is_clock_invariant() {
 fn figure1_patterns_are_clock_invariant() {
     let side = 16usize;
     for pattern in Figure1::ALL {
-        assert_clock_invisible(pattern.name(), |d, ff, par| {
-            let m = Machine::hmm(d, W, L, side * side, 16)
-                .with_parallelism(par)
-                .with_fast_forward(ff);
+        assert_clock_invisible(pattern.name(), |d, ff| {
+            let m = Machine::hmm(d, W, L, side * side, 16).with_fast_forward(ff);
             observe(m, |m| run_figure1(m, pattern, side, side).unwrap())
         });
     }
@@ -148,10 +127,8 @@ fn figure1_patterns_are_clock_invariant() {
 fn transpose_is_clock_invariant() {
     let side = 8usize;
     let a = random_words(side * side, 7, 100);
-    assert_clock_invisible("transpose", |d, ff, par| {
-        let mut m = Machine::hmm(d, W, L, 2 * side * side, 16)
-            .with_parallelism(par)
-            .with_fast_forward(ff);
+    assert_clock_invisible("transpose", |d, ff| {
+        let mut m = Machine::hmm(d, W, L, 2 * side * side, 16).with_fast_forward(ff);
         m.load_global(0, &a);
         observe(m, |m| run_transpose(m, 0, side * side, side).unwrap())
     });
@@ -162,11 +139,9 @@ fn matmul_is_clock_invariant() {
     let (side, tw, p) = (8usize, 4usize, 16usize);
     let a = random_words(side * side, 21, 10);
     let b = random_words(side * side, 22, 10);
-    assert_clock_invisible("matmul", |d, ff, par| {
+    assert_clock_invisible("matmul", |d, ff| {
         let shared = matmul_shared_words(side, d, tw);
-        let m = Machine::hmm(d, W, L, 3 * side * side, shared)
-            .with_parallelism(par)
-            .with_fast_forward(ff);
+        let m = Machine::hmm(d, W, L, 3 * side * side, shared).with_fast_forward(ff);
         observe(m, |m| {
             run_matmul_hmm(m, &a, &b, side, tw, p).unwrap().report
         })
@@ -177,10 +152,8 @@ fn matmul_is_clock_invariant() {
 fn sort_is_clock_invariant() {
     let n = 64usize;
     let input = random_words(n, 33, 1_000_000);
-    assert_clock_invisible("sort", |d, ff, par| {
-        let m = Machine::hmm(d, W, L, n, n / d)
-            .with_parallelism(par)
-            .with_fast_forward(ff);
+    assert_clock_invisible("sort", |d, ff| {
+        let m = Machine::hmm(d, W, L, n, n / d).with_fast_forward(ff);
         observe(m, |m| run_sort_hmm(m, &input, 32).unwrap().report)
     });
 }

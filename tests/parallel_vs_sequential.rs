@@ -1,12 +1,15 @@
-//! Differential test: the parallel engine must be **bit-identical** to
-//! the sequential oracle.
+//! Differential test: a launch fanned out over a [`BatchRunner`] pool
+//! must be **bit-identical** to the same launch on the calling thread.
 //!
-//! Every paper kernel (sum, convolution, the Figure 1 patterns,
-//! transpose, matmul, bitonic sort) runs under the sequential driver and
-//! under the threaded driver at several worker counts, across machines
-//! with d ∈ {1, 2, 4, 16} DMMs. The full [`SimReport`] (cycle counts,
+//! A launch always runs on one thread; the only parallelism left is the
+//! batch level, which runs many independent launches at once. Every
+//! paper kernel (sum, convolution, the Figure 1 patterns, transpose,
+//! matmul, bitonic sort) runs on the calling thread and, twice per
+//! machine, on batch pools of several sizes, across machines with
+//! d ∈ {1, 2, 4, 16} DMMs. The full [`SimReport`] (cycle counts,
 //! per-memory conflict statistics, per-DMM breakdowns, race counters),
-//! the dynamic race log, and the final global memory must match exactly.
+//! the dynamic race log, and the final global memory must match exactly:
+//! concurrent launches share no state.
 
 use hmm_algorithms::convolution::hmm::shared_words;
 use hmm_algorithms::convolution::run_conv_hmm;
@@ -14,14 +17,14 @@ use hmm_algorithms::matmul::{matmul_shared_words, run_matmul_hmm};
 use hmm_algorithms::patterns::{run_figure1, run_transpose, Figure1};
 use hmm_algorithms::sort::run_sort_hmm;
 use hmm_algorithms::sum::run_sum_hmm;
-use hmm_core::{Machine, Parallelism};
+use hmm_core::{BatchRunner, Machine};
 use hmm_machine::{DynamicRace, SimReport, Word};
 use hmm_workloads::random_words;
 
 const W: usize = 4;
 const L: usize = 16;
 const DMM_COUNTS: [usize; 4] = [1, 2, 4, 16];
-const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
+const POOL_SIZES: [usize; 2] = [2, 4];
 
 /// Everything observable about one simulation run.
 #[derive(Debug, PartialEq)]
@@ -40,21 +43,23 @@ fn observe(mut m: Machine, run: impl FnOnce(&mut Machine) -> SimReport) -> Obser
     }
 }
 
-/// Run `launch` at every DMM count, sequentially and at several worker
-/// counts, and require identical observations throughout.
-fn assert_engines_agree(name: &str, launch: impl Fn(usize, Parallelism) -> Observed) {
-    for &d in &DMM_COUNTS {
-        let oracle = launch(d, Parallelism::Sequential);
-        let repeat = launch(d, Parallelism::Sequential);
-        assert_eq!(
-            repeat, oracle,
-            "{name}: sequential run not repeatable (d={d})"
-        );
-        for &t in &WORKER_COUNTS {
-            let par = launch(d, Parallelism::Threads(t));
+/// Run `launch` at every DMM count on the calling thread, then twice per
+/// DMM count on batch pools of each size, and require identical
+/// observations throughout.
+fn assert_engines_agree<T, F>(name: &str, launch: F)
+where
+    T: PartialEq + std::fmt::Debug + Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let oracles: Vec<T> = DMM_COUNTS.iter().map(|&d| launch(d)).collect();
+    let jobs: Vec<usize> = DMM_COUNTS.iter().flat_map(|&d| [d, d]).collect();
+    for &t in &POOL_SIZES {
+        let got = BatchRunner::with_threads(t).run(jobs.clone(), &launch);
+        for (i, (d, obs)) in jobs.iter().zip(&got).enumerate() {
             assert_eq!(
-                par, oracle,
-                "{name}: parallel engine diverged (d={d}, threads={t})"
+                obs,
+                &oracles[i / 2],
+                "{name}: launch on a batch worker diverged (d={d}, pool={t})"
             );
         }
     }
@@ -63,11 +68,10 @@ fn assert_engines_agree(name: &str, launch: impl Fn(usize, Parallelism) -> Obser
 #[test]
 fn sum_is_engine_invariant() {
     let input = random_words(512, 11, 1000);
-    assert_engines_agree("sum", |d, par| {
+    assert_engines_agree("sum", |d| {
         let p = 16 * d;
         let shared = (p / d).next_power_of_two().max(8);
-        let m = Machine::hmm(d, W, L, 512 + 2 * d.next_power_of_two() + 8, shared)
-            .with_parallelism(par);
+        let m = Machine::hmm(d, W, L, 512 + 2 * d.next_power_of_two() + 8, shared);
         observe(m, |m| run_sum_hmm(m, &input, p).unwrap().report)
     });
 }
@@ -77,10 +81,10 @@ fn convolution_is_engine_invariant() {
     let (n, k) = (256usize, 8usize);
     let a = random_words(k, 3, 50);
     let b = random_words(n + k - 1, 4, 50);
-    assert_engines_agree("conv", |d, par| {
+    assert_engines_agree("conv", |d| {
         let p = 8 * d;
         let shared = shared_words(n.div_ceil(d), k) + 8;
-        let m = Machine::hmm(d, W, L, 2 * (n + 2 * k), shared).with_parallelism(par);
+        let m = Machine::hmm(d, W, L, 2 * (n + 2 * k), shared);
         observe(m, |m| run_conv_hmm(m, &a, &b, p).unwrap().report)
     });
 }
@@ -89,8 +93,8 @@ fn convolution_is_engine_invariant() {
 fn figure1_patterns_are_engine_invariant() {
     let side = 16usize;
     for pattern in Figure1::ALL {
-        assert_engines_agree(pattern.name(), |d, par| {
-            let m = Machine::hmm(d, W, L, side * side, 16).with_parallelism(par);
+        assert_engines_agree(pattern.name(), |d| {
+            let m = Machine::hmm(d, W, L, side * side, 16);
             // p = m keeps every pattern in bounds (column reads A[i*m]).
             observe(m, |m| run_figure1(m, pattern, side, side).unwrap())
         });
@@ -101,8 +105,8 @@ fn figure1_patterns_are_engine_invariant() {
 fn transpose_is_engine_invariant() {
     let side = 8usize;
     let a = random_words(side * side, 7, 100);
-    assert_engines_agree("transpose", |d, par| {
-        let mut m = Machine::hmm(d, W, L, 2 * side * side, 16).with_parallelism(par);
+    assert_engines_agree("transpose", |d| {
+        let mut m = Machine::hmm(d, W, L, 2 * side * side, 16);
         m.load_global(0, &a);
         observe(m, |m| run_transpose(m, 0, side * side, side).unwrap())
     });
@@ -113,9 +117,9 @@ fn matmul_is_engine_invariant() {
     let (side, tw, p) = (8usize, 4usize, 16usize);
     let a = random_words(side * side, 21, 10);
     let b = random_words(side * side, 22, 10);
-    assert_engines_agree("matmul", |d, par| {
+    assert_engines_agree("matmul", |d| {
         let shared = matmul_shared_words(side, d, tw);
-        let m = Machine::hmm(d, W, L, 3 * side * side, shared).with_parallelism(par);
+        let m = Machine::hmm(d, W, L, 3 * side * side, shared);
         observe(m, |m| {
             run_matmul_hmm(m, &a, &b, side, tw, p).unwrap().report
         })
@@ -126,13 +130,13 @@ fn matmul_is_engine_invariant() {
 fn sort_is_engine_invariant() {
     let n = 64usize;
     let input = random_words(n, 33, 1_000_000);
-    assert_engines_agree("sort", |d, par| {
-        let m = Machine::hmm(d, W, L, n, n / d).with_parallelism(par);
+    assert_engines_agree("sort", |d| {
+        let m = Machine::hmm(d, W, L, n, n / d);
         observe(m, |m| run_sort_hmm(m, &input, 32).unwrap().report)
     });
 }
 
-/// Traces must merge into the sequential event order too: dispatches,
+/// Traces must come out in the same event order too: dispatches,
 /// completions and barrier releases in identical sequence.
 #[test]
 fn traces_are_identical_across_engines() {
@@ -150,25 +154,13 @@ fn traces_are_identical_across_engines() {
     a.halt();
     let program = a.finish();
 
-    for d in [2usize, 4] {
-        let run = |par: Parallelism| {
-            let mut cfg = EngineConfig::hmm(d, 4, 8, 256, 64);
-            cfg.trace = true;
-            cfg.parallelism = par;
-            let mut engine = Engine::new(cfg).unwrap();
-            let spec = LaunchSpec::even(program.clone(), 8 * d, d, Vec::new());
-            let report = engine.run(&spec).unwrap();
-            (report, engine.take_trace().expect("trace was enabled"))
-        };
-        let (oracle_report, oracle_trace) = run(Parallelism::Sequential);
-        for t in WORKER_COUNTS {
-            let (report, trace) = run(Parallelism::Threads(t));
-            assert_eq!(report, oracle_report, "trace test report (d={d}, t={t})");
-            assert_eq!(
-                trace.events(),
-                oracle_trace.events(),
-                "trace events diverged (d={d}, threads={t})"
-            );
-        }
-    }
+    assert_engines_agree("trace", |d| {
+        let mut cfg = EngineConfig::hmm(d, 4, 8, 256, 64);
+        cfg.trace = true;
+        let mut engine = Engine::new(cfg).unwrap();
+        let spec = LaunchSpec::even(program.clone(), 8 * d, d, Vec::new());
+        let report = engine.run(&spec).unwrap();
+        let trace = engine.take_trace().expect("trace was enabled");
+        (report, trace.events().to_vec())
+    });
 }
