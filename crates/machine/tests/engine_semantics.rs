@@ -541,4 +541,69 @@ fn first_error_follows_phase_dmm_and_thread_order() {
             size: 0
         }
     );
+
+    // An assembly error skips the cycle's global slot, but every other
+    // DMM still dispatches its shared slot first: DMM 0's out-of-bounds
+    // global store is reported while DMM 1's same-cycle shared store has
+    // landed and global memory is untouched.
+    let mut a = Asm::new();
+    let one = a.label();
+    a.brnz(abi::DMM, one);
+    a.st_global(1000, 0, 1);
+    a.halt();
+    a.bind(one);
+    a.st_shared(abi::LTID, 0, abi::GID);
+    a.halt();
+    let mut eng = Engine::new(EngineConfig::hmm(2, 4, 2, 16, 16)).unwrap();
+    let err = eng
+        .run(&LaunchSpec::even(a.finish(), 8, 2, vec![]))
+        .unwrap_err();
+    assert!(
+        matches!(err, SimError::OutOfBounds { thread: 0, .. }),
+        "{err:?}"
+    );
+    assert_eq!(&eng.shared(1).cells()[..4], &[4, 5, 6, 7]);
+    assert!(eng.global().cells().iter().all(|&v| v == 0));
+}
+
+/// The race log keeps the first [`hmm_machine::engine::MAX_LOGGED_RACES`]
+/// entries in dispatch order across every DMM, while `shared_races`
+/// counts them all. Each DMM's warps 1–4 in turn collide with its warp 0
+/// on shared address 0, one slot per DMM per cycle, so the DMMs
+/// interleave in the log long before any one DMM reaches the cap.
+#[test]
+fn race_log_keeps_the_first_entries_across_dmms() {
+    let mut a = Asm::new();
+    a.ld_shared(T0, abi::LTID, 0);
+    a.st_shared(0, 0, abi::GID);
+    a.st_shared(abi::LTID, 0, abi::GID);
+    a.bar_dmm();
+    a.st_shared(1, 0, abi::GID);
+    a.halt();
+    let mut eng = Engine::new(EngineConfig::hmm(4, 4, 3, 64, 256)).unwrap();
+    let rep = eng
+        .run(&LaunchSpec::even(a.finish(), 384, 4, vec![]))
+        .unwrap();
+    let races: Vec<_> = eng
+        .take_races()
+        .iter()
+        .map(|r| (r.dmm, r.addr, r.warp_a, r.warp_b))
+        .collect();
+    if !cfg!(debug_assertions) {
+        // The dynamic race checker runs in debug builds only.
+        assert_eq!((rep.shared_races, races.len()), (0, 0));
+        return;
+    }
+    assert_eq!(rep.shared_races, 736);
+    // 24 warps per DMM: DMM d's warp 0 is global warp 24 d.
+    let mut expected = Vec::new();
+    for k in 1..=4 {
+        for d in 0..4 {
+            for _ in 0..4 {
+                expected.push((d, 0, 24 * d, 24 * d + k));
+            }
+        }
+    }
+    assert_eq!(expected.len(), hmm_machine::engine::MAX_LOGGED_RACES);
+    assert_eq!(races, expected);
 }
