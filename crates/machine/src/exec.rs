@@ -3,31 +3,32 @@
 //! The HMM's DMMs interact only through the global (UMM) memory, so the
 //! simulator splits a launch into one [`Shard`] per DMM — threads, warps,
 //! the DMM's shared-memory pipeline, its barrier counters and its slice of
-//! the statistics — plus one [`Coord`] owning the global pipeline and the
-//! global backing store. Each simulated cycle runs in two shard phases
-//! around a global decision point (see [`drive`]):
+//! the statistics — plus one [`Coord`] owning the global pipeline, the
+//! global backing store, the trace and the race log. Each simulated cycle
+//! runs these steps in order (see [`drive`]):
 //!
-//! * **Phase A** (each shard in DMM order): deliver barrier releases and
-//!   memory completions due this cycle, then step every runnable thread
-//!   one instruction — warp by warp, one lane group per distinct PC (see
-//!   below).
-//! * **Decision**: with every shard's phase A complete, the machine-wide
-//!   barrier releases when the shards' global-barrier arrivals add up to
-//!   their live threads ([`global_release`]).
-//! * **Phase B** (each shard in DMM order): release the DMM-scope barrier,
-//!   apply the global release, assemble warp transactions (shared-bound
-//!   ones go to the shard's own pipeline, global-bound ones to the
-//!   driver's transaction buffer), and dispatch one shared-memory
-//!   pipeline slot.
+//! 1. **Global completions** due this cycle are delivered straight to
+//!    their threads.
+//! 2. **Phase A** (each shard in DMM order): deliver parked barrier
+//!    releases and shared-memory completions due this cycle, then step
+//!    every runnable thread one instruction — warp by warp, one lane
+//!    group per distinct PC (see below).
+//! 3. **Barrier releases**: each DMM's barrier in DMM order, then the
+//!    machine-wide one, which releases when the shards' global-barrier
+//!    arrivals add up to their live threads ([`global_release`]).
+//! 4. **Assembly** (each shard in DMM order): shared-bound warp
+//!    transactions go to the shard's own pipeline, global-bound ones to
+//!    the global queue, which so receives them **in DMM order**. Warps
+//!    are numbered DMM-major, so this is warp-id arrival order.
+//! 5. **Dispatch**: one global pipeline slot, then one shared-memory slot
+//!    on each shard in DMM order.
 //!
-//! After phase B the coordinator appends the cycle's global-bound
-//! transactions, which arrive **in DMM order**, to the global queue.
-//! Warps are numbered DMM-major, so this is warp-id arrival order.
-//!
-//! Trace events are buffered per shard with a `(cycle, rank, memory)`
-//! sort key and stably merged at the end of the run into the canonical
-//! event order. Race logs merge the same way. Statistics are integer sums
-//! and maxima folded in DMM order.
+//! That is the trace's canonical order within a cycle — completions
+//! (global, then shared by DMM), barrier releases (DMMs ascending, then
+//! machine-wide), dispatches (global, then shared by DMM) — so every
+//! trace event and race-log entry is appended as it is produced, and the
+//! capacity bounds keep the first ones. Statistics and profiles are kept
+//! per shard and folded in DMM order at the end of the run.
 //!
 //! ## The event-driven clock
 //!
@@ -59,7 +60,7 @@
 //! into groups by PC (ordered by lowest lane). Each group fetches and
 //! decodes its instruction once ([`LaneState::step_group`]). A load or
 //! store leaves each lane's request in its slot and sets the lane's bit
-//! in the warp's posted mask; phase B compacts the posted slots in lane
+//! in the warp's posted mask; assembly compacts the posted slots in lane
 //! order into the warp's transactions. Lanes never interact within a
 //! step, so this reproduces thread-by-thread execution exactly: the
 //! same request order, the same write winners, the same first error
@@ -88,50 +89,15 @@ pub(crate) struct RunOutput {
     pub profile: Option<LaunchProfile>,
 }
 
-// ---- trace merging ------------------------------------------------------
-//
-// Within one cycle the trace lists events in a fixed order:
-// completions (global, then shared by DMM), barrier releases (DMMs
-// ascending, then the machine-wide barrier), dispatches (global, then
-// shared by DMM). Each buffered event carries that order as a sort key;
-// a stable sort over the concatenated per-shard buffers reproduces it.
+// ---- trace and race log ----------------------------------------------------
 
-const RANK_COMPLETE: u8 = 0;
-const RANK_BARRIER: u8 = 1;
-const RANK_DISPATCH: u8 = 2;
-
-/// Memory component of the sort key: global first, then shared by DMM.
-const MEM_GLOBAL: u32 = 0;
-/// The machine-wide barrier sorts after every DMM-scope barrier.
-const MEM_MACHINE_BARRIER: u32 = u32::MAX;
-
-fn mem_shared(dmm: usize) -> u32 {
-    1 + dmm as u32
-}
-
-struct Ev {
-    cycle: u64,
-    rank: u8,
-    mem: u32,
-    event: TraceEvent,
-}
-
-/// One producer's trace buffer under the run's capacity bound.
-///
-/// Each buffer is in canonical key order, so any event the merged,
-/// sorted, truncated trace would keep sits within the first `cap`
-/// entries of its own buffer — per-buffer capping loses nothing the
-/// merge would retain. Between cycles the driver also marks every buffer
-/// `full` once all buffers together hold `cap` events: every later event
-/// sorts after those and would be truncated. An event is only built when
-/// it will be kept; a dropped one is just counted.
+/// The run's trace under its capacity bound. Events arrive in canonical
+/// order, so the first `cap` pushed are the ones kept. An event is only
+/// built when it will be kept; a dropped one is just counted.
 struct TraceBuf {
     on: bool,
     cap: usize,
-    full: bool,
-    events: Vec<Ev>,
-    /// Events not buffered because the capacity bound was hit.
-    dropped: u64,
+    trace: Trace,
 }
 
 impl TraceBuf {
@@ -139,24 +105,30 @@ impl TraceBuf {
         Self {
             on: cfg.trace,
             cap: cfg.trace_capacity.unwrap_or(usize::MAX),
-            full: false,
-            events: Vec::new(),
-            dropped: 0,
+            trace: Trace::new(),
         }
     }
 
     /// Whether the next event would be kept (so is worth building).
     fn room(&self) -> bool {
-        self.on && !self.full && self.events.len() < self.cap
+        self.on && self.trace.events().len() < self.cap
     }
 
-    fn push(&mut self, ev: impl FnOnce() -> Ev) {
+    fn push(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if self.room() {
-            self.events.push(ev());
+            self.trace.push(ev());
         } else if self.on {
-            self.dropped += 1;
+            self.trace.note_dropped(1);
         }
     }
+}
+
+/// The run's race log: the first [`MAX_LOGGED_RACES`] entries in
+/// dispatch order, plus the uncapped count.
+#[derive(Default)]
+struct RaceLog {
+    entries: Vec<DynamicRace>,
+    count: u64,
 }
 
 // ---- runtime bookkeeping ------------------------------------------------
@@ -414,10 +386,6 @@ struct RaceCk {
     /// Dense per-address table: addr -> (interval, warp, `saw_a_write`).
     /// Sized to the shared memory when enabled, empty otherwise.
     last: Vec<(u64, usize, bool)>,
-    /// Cycle-stamped log, capped at [`MAX_LOGGED_RACES`] per shard (the
-    /// global cap is re-applied after the merge).
-    log: Vec<(u64, DynamicRace)>,
-    count: u64,
 }
 
 impl RaceCk {
@@ -432,12 +400,10 @@ impl RaceCk {
             } else {
                 Vec::new()
             },
-            log: Vec::new(),
-            count: 0,
         }
     }
 
-    fn observe(&mut self, cycle: u64, txn: &Txn, slot: &[usize]) {
+    fn observe(&mut self, txn: &Txn, slot: &[usize], log: &mut RaceLog) {
         if !self.enabled {
             return;
         }
@@ -447,17 +413,14 @@ impl RaceCk {
             let e = self.last[req.addr];
             if e.0 == self.interval {
                 if e.1 != txn.warp && (e.2 || is_write) {
-                    self.count += 1;
-                    if self.log.len() < MAX_LOGGED_RACES {
-                        self.log.push((
-                            cycle,
-                            DynamicRace {
-                                dmm: self.dmm,
-                                addr: req.addr,
-                                warp_a: e.1,
-                                warp_b: txn.warp,
-                            },
-                        ));
+                    log.count += 1;
+                    if log.entries.len() < MAX_LOGGED_RACES {
+                        log.entries.push(DynamicRace {
+                            dmm: self.dmm,
+                            addr: req.addr,
+                            warp_a: e.1,
+                            warp_b: txn.warp,
+                        });
                     }
                 }
                 self.last[req.addr].2 |= is_write;
@@ -614,8 +577,8 @@ fn space_idx(space: Space) -> usize {
 // ---- the shard -----------------------------------------------------------
 
 /// One DMM's slice of the simulation: its threads and warps, its shared
-/// memory and pipeline, barrier counters, race checker, statistics and
-/// trace buffer. Shards share no mutable state with each other.
+/// memory and pipeline, barrier counters, race checker and statistics.
+/// Shards share no mutable state with each other.
 struct Shard<'m> {
     dmm: usize,
     base_tid: usize,
@@ -654,11 +617,10 @@ struct Shard<'m> {
     barriers: u64,
     stats: MemoryStats,
     finish_time: u64,
-    trace: TraceBuf,
     /// Cycle accounting (present when the config enables profiling).
     prof: Option<ShardProf>,
-    /// The error this shard hit in the current phase; the driver stops
-    /// at the end of that phase with the lowest DMM's (see
+    /// The error this shard hit assembling its warps' transactions; the
+    /// driver stops at the end of the cycle with the lowest DMM's (see
     /// [`first_error`]).
     err: Option<SimError>,
     width: usize,
@@ -736,7 +698,6 @@ impl<'m> Shard<'m> {
             barriers: 0,
             stats: MemoryStats::default(),
             finish_time: 0,
-            trace: TraceBuf::new(cfg),
             prof: None,
             err: None,
             width: cfg.width,
@@ -746,9 +707,9 @@ impl<'m> Shard<'m> {
         }
     }
 
-    /// Wake local thread `lt`, which issues next at `issue_at` (the
-    /// cycle's phase A for wakes delivered in phase A, the next cycle's
-    /// for barrier releases in phase B); `conflict` is a memory wait's
+    /// Wake local thread `lt`, which issues next at `issue_at` (this
+    /// cycle's phase A for completions and parked releases, the next
+    /// cycle's for barrier releases); `conflict` is a memory wait's
     /// conflict share.
     fn make_runnable(&mut self, lt: usize, issue_at: u64, conflict: u64) {
         if let Some(prof) = self.prof.as_mut() {
@@ -771,11 +732,10 @@ impl<'m> Shard<'m> {
         self.make_runnable(lt, now, c.conflict);
     }
 
-    /// Phase A: deliver everything due this cycle, then step every
-    /// runnable thread one instruction. `inbox` carries global-memory
-    /// completions routed here by the coordinator; the consumed batches
-    /// stay in it for the driver to hand back to the global pipeline.
-    fn phase_a(&mut self, now: u64, program: &Program, inbox: &[Vec<Completion>]) {
+    /// Phase A: deliver the parked barrier releases and shared-memory
+    /// completions due this cycle, then step every runnable thread one
+    /// instruction. Global completions were delivered before it.
+    fn phase_a(&mut self, now: u64, program: &Program, trace: &mut TraceBuf) -> SimResult<()> {
         // Parked barrier releases whose synchronisation cost elapsed.
         let mut i = 0;
         while i < self.pending.len() {
@@ -788,24 +748,12 @@ impl<'m> Shard<'m> {
                 i += 1;
             }
         }
-        // Global-memory completions (routed by the coordinator).
-        for batch in inbox {
-            for &c in batch {
-                self.complete(now, c);
-            }
-        }
-        // Own shared-memory completions.
         while let Some(items) = self.pipe.as_mut().and_then(|p| p.pop_due(now)) {
-            self.trace.push(|| Ev {
+            trace.push(|| TraceEvent::SlotCompleted {
                 cycle: now,
-                rank: RANK_COMPLETE,
-                mem: mem_shared(self.dmm),
-                event: TraceEvent::SlotCompleted {
-                    cycle: now,
-                    memory: MemoryId::Shared(self.dmm),
-                    warp: self.base_warp + self.thread_warp[items[0].thread - self.base_tid],
-                    threads: items.iter().map(|c| c.thread).collect(),
-                },
+                memory: MemoryId::Shared(self.dmm),
+                warp: self.base_warp + self.thread_warp[items[0].thread - self.base_tid],
+                threads: items.iter().map(|c| c.thread).collect(),
             });
             for &c in &items {
                 self.complete(now, c);
@@ -817,23 +765,21 @@ impl<'m> Shard<'m> {
         }
 
         if !self.active.contains(&true) {
-            return;
+            return Ok(());
         }
         let mut groups = std::mem::take(&mut self.groups);
-        let fault = self.step_warps(now, program, &mut groups);
+        let stepped = self.step_warps(now, program, &mut groups);
         self.groups = groups;
-        if let Some(e) = fault {
-            self.err = Some(e);
-        }
+        stepped
     }
 
     /// Step every runnable lane one instruction, warp by warp. A warp's
     /// runnable lanes are grouped by PC (in order of their lowest lane)
     /// and each group executes its instruction once for all its lanes.
-    /// Returns the error of the lowest-numbered erring thread: lanes
+    /// Fails with the error of the lowest-numbered erring thread: lanes
     /// never interact within a step, so that is the error lane-by-lane
     /// execution would meet first.
-    fn step_warps(&mut self, now: u64, program: &Program, g: &mut Groups) -> Option<SimError> {
+    fn step_warps(&mut self, now: u64, program: &Program, g: &mut Groups) -> SimResult<()> {
         for wid in 0..self.warps.len() {
             if !self.active[wid] {
                 continue;
@@ -850,13 +796,13 @@ impl<'m> Shard<'m> {
                 self.step_diverged(now, program, wid, g)
             };
             if let Some((_, e)) = fault {
-                return Some(e);
+                return Err(e);
             }
             if self.warps[wid].runnable == 0 {
                 self.active[wid] = false;
             }
         }
-        None
+        Ok(())
     }
 
     /// Step the runnable lanes of a warp whose lanes are not all runnable
@@ -965,44 +911,40 @@ impl<'m> Shard<'m> {
         }
     }
 
-    /// Phase B: barrier releases, transaction assembly and one shared
-    /// pipeline slot. Global-bound transactions are pushed to `out_txns`
-    /// for the coordinator's canonical merge. `release_global` is the
-    /// decision [`global_release`] made after every shard finished
-    /// phase A.
-    fn phase_b(&mut self, now: u64, release_global: bool, out_txns: &mut Vec<Txn>) {
-        debug_assert!(
-            self.asm.touched.is_empty() && self.asm.building.iter().all(Option::is_none),
-            "warp-assembly scratch must be empty at unit start"
-        );
-        // DMM-scope barrier: release once every live thread arrived.
+    /// Release the DMM-scope barrier once every live thread arrived.
+    fn release_dmm(&mut self, now: u64, trace: &mut TraceBuf) {
         if self.bar_dmm > 0 && self.bar_dmm == self.alive {
             let n = self.bar_dmm;
             self.release(now, Scope::Dmm);
             self.barriers += 1;
-            self.trace.push(|| Ev {
+            trace.push(|| TraceEvent::BarrierReleased {
                 cycle: now,
-                rank: RANK_BARRIER,
-                mem: self.dmm as u32,
-                event: TraceEvent::BarrierReleased {
-                    cycle: now,
-                    dmm: Some(self.dmm),
-                    threads: n,
-                },
+                dmm: Some(self.dmm),
+                threads: n,
             });
             self.bar_dmm = 0;
             self.race_ck.interval += 1;
         }
-        // Machine-wide barrier (decided globally; trace event and the
-        // `barriers` count are the coordinator's).
-        if release_global {
-            self.release(now, Scope::Global);
-            self.bar_global = 0;
-            self.race_ck.interval += 1;
-        }
+    }
 
-        // Assemble warp transactions (SIMD lockstep: a warp's requests go
-        // to memory once none of its threads can advance without one).
+    /// Apply the machine-wide barrier release the driver decided (its
+    /// trace event and `barriers` count are the coordinator's).
+    fn release_global(&mut self, now: u64) {
+        self.release(now, Scope::Global);
+        self.bar_global = 0;
+        self.race_ck.interval += 1;
+    }
+
+    /// Assemble warp transactions (SIMD lockstep: a warp's requests go to
+    /// memory once none of its threads can advance without one).
+    /// Shared-bound transactions join the shard's own pipeline queue,
+    /// global-bound ones are pushed to `out_txns`. An address error stops
+    /// assembly and is kept in `err`.
+    fn assemble(&mut self, out_txns: &mut Vec<Txn>) {
+        debug_assert!(
+            self.asm.touched.is_empty() && self.asm.building.iter().all(Option::is_none),
+            "warp-assembly scratch must be empty at unit start"
+        );
         for wid in 0..self.warps.len() {
             let warp = &self.warps[wid];
             if warp.runnable > 0 || warp.posted_mask.iter().all(|&m| m == 0) {
@@ -1048,42 +990,40 @@ impl<'m> Shard<'m> {
             }
             self.asm.touched.clear();
         }
+    }
 
-        // Dispatch one shared-memory pipeline slot.
-        if let Some(pipe) = self.pipe.as_mut() {
-            let rck = &mut self.race_ck;
-            let depth = pipe.queue.len() + usize::from(pipe.current.is_some());
-            let want_addrs = self.trace.room();
-            if let Some(d) = pipe.dispatch_slot(now, self.store, want_addrs, |txn, slot| {
-                rck.observe(now, txn, slot);
-            }) {
-                let finished_slots = d.finished.as_ref().map(|t| t.schedule.num_slots() as u64);
-                if let Some(acc) = self.prof.as_mut().and_then(|p| p.pipe.as_mut()) {
-                    acc.on_dispatch(now, depth);
-                    if let Some(slots) = finished_slots {
-                        acc.on_txn_done(slots);
-                    }
-                }
-                self.trace.push(|| Ev {
-                    cycle: now,
-                    rank: RANK_DISPATCH,
-                    mem: mem_shared(self.dmm),
-                    event: TraceEvent::SlotDispatched {
-                        cycle: now,
-                        memory: MemoryId::Shared(self.dmm),
-                        warp: d.warp,
-                        slot_index: d.slot_index,
-                        total_slots: d.total_slots,
-                        addrs: d.addrs,
-                    },
-                });
-                if let Some(mut done) = d.finished {
-                    self.stats
-                        .record(done.schedule.num_slots() as u64, done.requests.len() as u64);
-                    done.requests.clear();
-                    self.free_txns.push(done);
-                }
+    /// Dispatch one shared-memory pipeline slot.
+    fn dispatch_shared(&mut self, now: u64, trace: &mut TraceBuf, races: &mut RaceLog) {
+        let Some(pipe) = self.pipe.as_mut() else {
+            return;
+        };
+        let rck = &mut self.race_ck;
+        let depth = pipe.queue.len() + usize::from(pipe.current.is_some());
+        let Some(d) = pipe.dispatch_slot(now, self.store, trace.room(), |txn, slot| {
+            rck.observe(txn, slot, races);
+        }) else {
+            return;
+        };
+        let finished_slots = d.finished.as_ref().map(|t| t.schedule.num_slots() as u64);
+        if let Some(acc) = self.prof.as_mut().and_then(|p| p.pipe.as_mut()) {
+            acc.on_dispatch(now, depth);
+            if let Some(slots) = finished_slots {
+                acc.on_txn_done(slots);
             }
+        }
+        trace.push(|| TraceEvent::SlotDispatched {
+            cycle: now,
+            memory: MemoryId::Shared(self.dmm),
+            warp: d.warp,
+            slot_index: d.slot_index,
+            total_slots: d.total_slots,
+            addrs: d.addrs,
+        });
+        if let Some(mut done) = d.finished {
+            self.stats
+                .record(done.schedule.num_slots() as u64, done.requests.len() as u64);
+            done.requests.clear();
+            self.free_txns.push(done);
         }
     }
 
@@ -1139,9 +1079,10 @@ impl<'m> Shard<'m> {
 
 // ---- the coordinator -----------------------------------------------------
 
-/// The global-memory side of the machine: the single UMM pipeline shared
-/// by every DMM's warps, plus the routing tables that send completions
-/// back to the owning shard.
+/// The machine-wide side of the launch: the single UMM pipeline shared
+/// by every DMM's warps, the routing tables that send its completions
+/// back to the owning shard, and the run's trace and race log, which
+/// every step appends to as it happens.
 struct Coord<'m> {
     pipe: PipeRt,
     store: &'m mut BankedMemory,
@@ -1150,6 +1091,7 @@ struct Coord<'m> {
     /// global thread id -> global warp id (for trace events).
     thread_warp: Vec<usize>,
     trace: TraceBuf,
+    races: RaceLog,
     /// Global pipeline occupancy accumulator (profiling only).
     prof: Option<PipeAcc>,
     stats: MemoryStats,
@@ -1157,37 +1099,31 @@ struct Coord<'m> {
 }
 
 impl Coord<'_> {
-    /// Deliver global completions due at `now` to their shards' inboxes.
-    /// Runs strictly between cycles, before the shards' phase A.
-    fn route(&mut self, now: u64, mut deliver: impl FnMut(usize, Vec<Completion>)) {
+    /// Deliver the global completions due at `now` straight to their
+    /// threads; a batch is one warp's, so all on one shard.
+    fn deliver(&mut self, now: u64, shards: &mut [Shard<'_>]) {
         while let Some(items) = self.pipe.pop_due(now) {
-            self.trace.push(|| Ev {
+            self.trace.push(|| TraceEvent::SlotCompleted {
                 cycle: now,
-                rank: RANK_COMPLETE,
-                mem: MEM_GLOBAL,
-                event: TraceEvent::SlotCompleted {
-                    cycle: now,
-                    memory: MemoryId::Global,
-                    warp: self.thread_warp[items[0].thread],
-                    threads: items.iter().map(|c| c.thread).collect(),
-                },
+                memory: MemoryId::Global,
+                warp: self.thread_warp[items[0].thread],
+                threads: items.iter().map(|c| c.thread).collect(),
             });
-            deliver(self.thread_dmm[items[0].thread], items);
+            let shard = &mut shards[self.thread_dmm[items[0].thread]];
+            for &c in &items {
+                shard.complete(now, c);
+            }
+            self.pipe.recycle(items);
         }
     }
 
     /// Record a machine-wide barrier release (the shards apply it).
     fn note_global_release(&mut self, now: u64, waiting: usize) {
         self.barriers += 1;
-        self.trace.push(|| Ev {
+        self.trace.push(|| TraceEvent::BarrierReleased {
             cycle: now,
-            rank: RANK_BARRIER,
-            mem: MEM_MACHINE_BARRIER,
-            event: TraceEvent::BarrierReleased {
-                cycle: now,
-                dmm: None,
-                threads: waiting,
-            },
+            dmm: None,
+            threads: waiting,
         });
     }
 
@@ -1212,18 +1148,13 @@ impl Coord<'_> {
                 acc.on_txn_done(slots);
             }
         }
-        self.trace.push(|| Ev {
+        self.trace.push(|| TraceEvent::SlotDispatched {
             cycle: now,
-            rank: RANK_DISPATCH,
-            mem: MEM_GLOBAL,
-            event: TraceEvent::SlotDispatched {
-                cycle: now,
-                memory: MemoryId::Global,
-                warp: d.warp,
-                slot_index: d.slot_index,
-                total_slots: d.total_slots,
-                addrs: d.addrs,
-            },
+            memory: MemoryId::Global,
+            warp: d.warp,
+            slot_index: d.slot_index,
+            total_slots: d.total_slots,
+            addrs: d.addrs,
         });
         let mut done = d.finished?;
         self.stats
@@ -1231,13 +1162,6 @@ impl Coord<'_> {
         let dmm = self.thread_dmm[done.requests[0].thread];
         done.requests.clear();
         Some((dmm, done))
-    }
-
-    /// Take back the consumed completion batches of a shard's inbox.
-    fn reclaim(&mut self, inbox: &mut Vec<Vec<Completion>>) {
-        for batch in inbox.drain(..) {
-            self.pipe.recycle(batch);
-        }
     }
 }
 
@@ -1279,39 +1203,31 @@ fn next_time(now: u64, coord: &Coord<'_>, shards: &[Shard<'_>]) -> SimResult<u64
     }
 }
 
-/// Mark every trace buffer full once they together hold the capacity:
-/// all later events sort after those and would be truncated.
-fn note_trace_fill(coord: &mut Coord<'_>, shards: &mut [Shard<'_>]) {
-    if coord.trace.on && !coord.trace.full {
-        let total =
-            coord.trace.events.len() + shards.iter().map(|s| s.trace.events.len()).sum::<usize>();
-        if total >= coord.trace.cap {
-            coord.trace.full = true;
-            for s in shards {
-                s.trace.full = true;
-            }
-        }
-    }
-}
-
-/// The first error of a phase: the lowest DMM's, which is the one
-/// thread-by-thread execution would have hit first, since warps are
+/// The first assembly error of a cycle: the lowest DMM's, which is the
+/// one thread-by-thread execution would have hit first, since warps are
 /// numbered DMM-major.
 fn first_error(shards: &mut [Shard<'_>]) -> Option<SimError> {
     shards.iter_mut().find_map(|s| s.err.take())
 }
 
-/// The driver: every cycle runs phase A on each shard in DMM order, the
-/// machine-wide barrier decision, phase B on each shard, then one global
-/// pipeline slot. Returns the number of time units the event-driven
-/// clock skipped.
+/// The driver. Every cycle runs, in order: global completions, delivered
+/// straight to their threads; phase A on each shard in DMM order; each
+/// DMM's barrier release, then the machine-wide one; transaction assembly
+/// on each shard; one global pipeline slot; one shared slot on each
+/// shard. That is the trace's canonical order, so events and race-log
+/// entries are appended as they are produced.
+///
+/// Phase A writes no memory, so its first error (the lowest DMM's)
+/// returns at once. An assembly error skips the cycle's global slot,
+/// every other shard still dispatches its shared slot, and then the
+/// lowest DMM's error is returned. Returns the number of time units the
+/// event-driven clock skipped.
 fn drive(
     cfg: &EngineConfig,
     program: &Program,
     coord: &mut Coord<'_>,
     shards: &mut [Shard<'_>],
 ) -> SimResult<u64> {
-    let mut inboxes: Vec<Vec<Vec<Completion>>> = vec![Vec::new(); shards.len()];
     let mut txns: Vec<Txn> = Vec::new();
     let mut now: u64 = 0;
     let mut skipped: u64 = 0;
@@ -1321,32 +1237,37 @@ fn drive(
                 limit: cfg.max_cycles,
             });
         }
-        coord.route(now, |d, items| inboxes[d].push(items));
-        for (s, inbox) in shards.iter_mut().zip(inboxes.iter_mut()) {
-            s.phase_a(now, program, inbox);
-            coord.reclaim(inbox);
+        coord.deliver(now, shards);
+        for s in shards.iter_mut() {
+            s.phase_a(now, program, &mut coord.trace)?;
         }
-        if let Some(e) = first_error(shards) {
-            return Err(e);
+        for s in shards.iter_mut() {
+            s.release_dmm(now, &mut coord.trace);
         }
-        let release = global_release(shards);
-        if let Some(waiting) = release {
+        if let Some(waiting) = global_release(shards) {
             coord.note_global_release(now, waiting);
+            for s in shards.iter_mut() {
+                s.release_global(now);
+            }
         }
         debug_assert!(txns.is_empty(), "txn buffer must be empty at unit start");
         for s in shards.iter_mut() {
-            s.phase_b(now, release.is_some(), &mut txns);
+            s.assemble(&mut txns);
+        }
+        if shards.iter().all(|s| s.err.is_none()) {
+            if let Some((d, txn)) = coord.dispatch(now, &mut txns) {
+                shards[d].free_txns.push(txn);
+            }
+        }
+        for s in shards.iter_mut().filter(|s| s.err.is_none()) {
+            s.dispatch_shared(now, &mut coord.trace, &mut coord.races);
         }
         if let Some(e) = first_error(shards) {
             return Err(e);
-        }
-        if let Some((d, txn)) = coord.dispatch(now, &mut txns) {
-            shards[d].free_txns.push(txn);
         }
         if shards.iter().all(|s| s.alive == 0) {
             return Ok(skipped);
         }
-        note_trace_fill(coord, shards);
         let target = next_time(now, coord, shards)?;
         if cfg.fast_forward {
             skipped += target - (now + 1);
@@ -1408,6 +1329,7 @@ pub(crate) fn run(
         thread_dmm,
         thread_warp,
         trace: TraceBuf::new(cfg),
+        races: RaceLog::default(),
         prof: cfg.profile.then(|| PipeAcc::new(cfg.profile_buckets)),
         stats: MemoryStats::default(),
         barriers: 0,
@@ -1419,6 +1341,7 @@ pub(crate) fn run(
         threads: p,
         global: coord.stats,
         barriers: coord.barriers,
+        shared_races: coord.races.count,
         skipped_units: skipped,
         ..SimReport::default()
     };
@@ -1426,7 +1349,6 @@ pub(crate) fn run(
     for s in &shards {
         report.instructions += s.instructions;
         report.barriers += s.barriers;
-        report.shared_races += s.race_ck.count;
         report.time = report.time.max(s.finish_time);
         if has_shared {
             report.shared.merge(&s.stats);
@@ -1493,46 +1415,15 @@ pub(crate) fn run(
         None
     };
 
-    let trace = if cfg.trace {
-        let cap = cfg.trace_capacity.unwrap_or(usize::MAX);
-        let mut produced = coord.trace.dropped + coord.trace.events.len() as u64;
-        let mut evs = coord.trace.events;
-        for s in &mut shards {
-            produced += s.trace.dropped + s.trace.events.len() as u64;
-            evs.append(&mut s.trace.events);
-        }
-        // Stable sort: each (cycle, rank, mem) key has a single producer,
-        // whose events are already in order — this yields the canonical
-        // event sequence.
-        evs.sort_by_key(|e| (e.cycle, e.rank, e.mem));
-        evs.truncate(cap);
-        let mut t = Trace::new();
-        for e in evs {
-            t.push(e.event);
-        }
-        t.note_dropped(produced - t.events().len() as u64);
-        report.trace_dropped_events = t.dropped_events();
-        Some(t)
-    } else {
-        None
-    };
-
-    // Merge race logs the same way: per-shard logs are in cycle order, so
-    // a stable sort by cycle (shard order breaking ties) reproduces the
-    // global dispatch order; the cap then keeps the first entries in
-    // that order.
-    let mut stamped: Vec<(u64, DynamicRace)> = Vec::new();
-    for s in &mut shards {
-        stamped.append(&mut s.race_ck.log);
-    }
-    stamped.sort_by_key(|(c, _)| *c);
-    stamped.truncate(MAX_LOGGED_RACES);
-    let races = stamped.into_iter().map(|(_, r)| r).collect();
+    let trace = cfg.trace.then(|| {
+        report.trace_dropped_events = coord.trace.trace.dropped_events();
+        coord.trace.trace
+    });
 
     Ok(RunOutput {
         report,
         trace,
-        races,
+        races: coord.races.entries,
         profile,
     })
 }
