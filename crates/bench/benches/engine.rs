@@ -13,31 +13,17 @@
 //! the host core count and per-workload skipped-unit counts — go to
 //! `BENCH_engine.json` at the repository root.
 
-use std::time::Instant;
-
 use hmm_algorithms::convolution::hmm::shared_words;
 use hmm_algorithms::convolution::run_conv_hmm;
 use hmm_algorithms::sum::run_sum_hmm;
 use hmm_core::Machine;
 use hmm_machine::SimReport;
+use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
 use hmm_workloads::random_words;
 
 const D: usize = 4;
 const W: usize = 32;
-
-/// Time `f` (after one warm-up call) and return the minimum of
-/// `samples` runs in milliseconds, plus the last result.
-fn time_min<R>(samples: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut last = f();
-    for _ in 0..samples {
-        let start = Instant::now();
-        last = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, last)
-}
 
 fn sum_report(l: usize, n: usize, p: usize, input: &[hmm_machine::Word], ff: bool) -> SimReport {
     let mut m =
@@ -60,9 +46,9 @@ fn conv_report(
 }
 
 /// Benchmark one workload in both clock modes and emit the JSON row.
-fn measure(name: &str, samples: usize, run: impl Fn(bool) -> SimReport) -> Value {
-    let (ff_ms, ff_report) = time_min(samples, || run(true));
-    let (step_ms, step_report) = time_min(samples, || run(false));
+fn measure(g: &mut BenchGroup, name: &str, run: impl Fn(bool) -> SimReport) -> Value {
+    let (ff_ms, ff_report) = g.bench(&format!("{name}/fast_forward"), || run(true));
+    let (step_ms, step_report) = g.bench(&format!("{name}/stepped"), || run(false));
     assert_eq!(step_report.skipped_units, 0, "{name}: ff-off skipped");
     let mut normalised = ff_report.clone();
     normalised.skipped_units = 0;
@@ -97,6 +83,8 @@ fn main() {
         "event-driven clock bench ({} mode): d = {D}, w = {W}, host cores = {cores}",
         if quick { "quick" } else { "full" }
     );
+    let mut g = BenchGroup::new("engine");
+    g.sample_size(samples);
     let mut rows = Vec::new();
 
     // Latency-bound sum: few warps, growing l — long idle stretches.
@@ -108,7 +96,7 @@ fn main() {
         &[64, 1024, 8192]
     };
     for &l in lat_ls {
-        rows.push(measure(&format!("sum/l{l}_p64"), samples, |ff| {
+        rows.push(measure(&mut g, &format!("sum/l{l}_p64"), |ff| {
             sum_report(l, lat_n, 64, &lat_input, ff)
         }));
     }
@@ -122,7 +110,7 @@ fn main() {
     let ca = random_words(ck, 7, 50);
     let cb = random_words(cn + ck - 1, 8, 50);
     let conv_l = if quick { 1024 } else { 8192 };
-    rows.push(measure(&format!("conv/l{conv_l}_p64"), samples, |ff| {
+    rows.push(measure(&mut g, &format!("conv/l{conv_l}_p64"), |ff| {
         conv_report(conv_l, cn, ck, 64, &ca, &cb, ff)
     }));
 
@@ -131,7 +119,7 @@ fn main() {
     let busy_n = if quick { 1 << 11 } else { 1 << 13 };
     let busy_p = if quick { 512 } else { 1024 };
     let busy_input = random_words(busy_n, 43, 100);
-    rows.push(measure(&format!("sum/l64_p{busy_p}"), samples, |ff| {
+    rows.push(measure(&mut g, &format!("sum/l64_p{busy_p}"), |ff| {
         sum_report(64, busy_n, busy_p, &busy_input, ff)
     }));
     let (bn, bk, bp) = if quick {
@@ -141,7 +129,7 @@ fn main() {
     };
     let ba = random_words(bk, 9, 50);
     let bb = random_words(bn + bk - 1, 10, 50);
-    rows.push(measure(&format!("conv/l64_p{bp}"), samples, |ff| {
+    rows.push(measure(&mut g, &format!("conv/l64_p{bp}"), |ff| {
         conv_report(64, bn, bk, bp, &ba, &bb, ff)
     }));
 

@@ -12,28 +12,13 @@
 //! multi-core host for meaningful speedups; on a single hardware thread
 //! the pool can only add overhead).
 
-use std::time::Instant;
-
 use hmm_algorithms::sum::run_sum_hmm;
 use hmm_core::{BatchRunner, Machine};
+use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
 use hmm_workloads::random_words;
 
 const SAMPLES: usize = 5;
-
-/// Time `f` (after one warm-up call) and return the minimum of
-/// [`SAMPLES`] runs in milliseconds, plus the last result for
-/// equivalence checks.
-fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut last = f();
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        last = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, last)
-}
 
 fn row(name: &str, seq_ms: f64, par_ms: f64) -> Value {
     let speedup = seq_ms / par_ms;
@@ -71,8 +56,10 @@ fn main() {
             run_sum_hmm(&mut m, &input, gp).unwrap().report.time
         })
     };
-    let (seq_ms, seq_times) = time_min(|| sweep(1));
-    let (par_ms, par_times) = time_min(|| sweep(4));
+    let mut g = BenchGroup::new("parallel");
+    g.sample_size(SAMPLES);
+    let (seq_ms, seq_times) = g.bench("batch/table1_sum_sweep/1_thread", || sweep(1));
+    let (par_ms, par_times) = g.bench("batch/table1_sum_sweep/4_threads", || sweep(4));
     assert_eq!(seq_times, par_times, "batch sweep diverged");
     rows.push(row("batch/table1_sum_sweep", seq_ms, par_ms));
 

@@ -31,13 +31,14 @@ impl BenchGroup {
     }
 
     /// Time `f`: one warm-up call, then the configured number of samples.
-    /// Prints `group/id  min  mean  max` in milliseconds.
-    pub fn bench<R>(&mut self, id: &str, mut f: impl FnMut() -> R) {
-        black_box(f());
+    /// Prints `group/id  min  mean  max` in milliseconds and returns the
+    /// minimum with the last call's result.
+    pub fn bench<R>(&mut self, id: &str, mut f: impl FnMut() -> R) -> (f64, R) {
+        let mut last = black_box(f());
         let mut times = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
             let start = Instant::now();
-            black_box(f());
+            last = black_box(f());
             times.push(start.elapsed().as_secs_f64() * 1e3);
         }
         let min = times.iter().copied().fold(f64::INFINITY, f64::min);
@@ -47,6 +48,7 @@ impl BenchGroup {
             "  {}/{id:<28} min {min:>9.3} ms  mean {mean:>9.3} ms  max {max:>9.3} ms",
             self.name
         );
+        (min, last)
     }
 }
 
@@ -59,8 +61,13 @@ mod tests {
         let mut calls = 0u32;
         let mut g = BenchGroup::new("test");
         g.sample_size(3);
-        g.bench("count", || calls += 1);
-        // one warm-up + three samples
+        let (min, last) = g.bench("count", || {
+            calls += 1;
+            calls
+        });
+        // one warm-up + three samples; the result is the last call's
         assert_eq!(calls, 4);
+        assert_eq!(last, 4);
+        assert!(min >= 0.0 && min.is_finite());
     }
 }
