@@ -1356,7 +1356,7 @@ pub(crate) fn run(
         }
     }
 
-    // Cycle-accounting profile, merged in DMM order like everything else:
+    // Cycle-accounting profile, merged in DMM order like the statistics:
     // warps are numbered DMM-major, so concatenating per-shard warp rows
     // reproduces the global warp table; pipeline timelines rescale to the
     // widest bucket before folding.

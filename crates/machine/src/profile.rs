@@ -21,7 +21,7 @@
 //! waits, so the fast-forward path of the clock stays cheap; each
 //! category interval is closed at the step (or halt) that ends it.
 //! Accumulation is per-shard and merged in canonical DMM order, like the
-//! engine's reports and traces.
+//! engine's statistics.
 
 use crate::isa::Program;
 
