@@ -278,6 +278,25 @@ mod tests {
         ));
     }
 
+    /// `(length, 64-bit FNV-1a)` of a rendering.
+    fn digest(text: &str) -> (usize, u64) {
+        let h = text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        (text.len(), h)
+    }
+
+    /// Every shipped kernel's analysis, pinned byte for byte: a change to
+    /// the analyzer that is not meant to move a finding fails here.
+    #[test]
+    fn all_kernels_json_is_pinned() {
+        let o = run_line("lint --all --json").unwrap();
+        assert_eq!(
+            digest(&o.json.to_json_pretty()),
+            (135_560, 0xe4ad_ae7c_6cd6_0971)
+        );
+    }
+
     #[test]
     fn json_rendering_has_per_kernel_entries() {
         let o = run_line("lint --kernel figure1-column --json").unwrap();

@@ -1,6 +1,8 @@
 //! Golden test: the tuner's winner and full leaderboard are pinned for
 //! `sum` and `convolution` at a fixed seed and space, and must be
-//! bit-identical at 1 and 4 measurement threads.
+//! bit-identical at 1 and 4 measurement threads. The predict stage's
+//! analyses and cost estimates are pinned by digest for every candidate
+//! of the stock spaces.
 //!
 //! These numbers are simulated time units, so they are exact: any
 //! change to the engine's cost model, the kernels, the transforms, or
@@ -148,4 +150,63 @@ fn golden_runs_satisfy_the_tuner_contract() {
             );
         }
     }
+}
+
+/// 64-bit FNV-1a, continued from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The predict stage's outputs for every candidate of a family's stock
+/// space at its default `n`: `(candidates, analysis JSON bytes, FNV-1a
+/// of the analysis JSON, FNV-1a of the prediction bits)`. The digests
+/// run over the candidates in enumeration order; a candidate that does
+/// not build contributes its error text to both.
+fn predict_stage_digest(algo: &str) -> (usize, usize, u64, u64) {
+    use hmm_analysis::{analyze, predict, AnalysisConfig};
+    let alg = hmm_tune::tunable(algo).unwrap();
+    let n = alg.default_n();
+    let candidates = TuneSpace::default().enumerate().unwrap();
+    let (mut bytes, mut json_h, mut bits_h) = (0, FNV_OFFSET, FNV_OFFSET);
+    for c in &candidates {
+        let tk = match alg.build(c, n) {
+            Ok(tk) => tk,
+            Err(e) => {
+                json_h = fnv1a(json_h, e.to_string().as_bytes());
+                bits_h = fnv1a(bits_h, e.to_string().as_bytes());
+                continue;
+            }
+        };
+        let cfg = AnalysisConfig::hmm(c.w, c.d).with_launch(tk.threads as i64, c.d);
+        let analysis = analyze(&tk.kernel.program, &cfg);
+        let json = analysis.to_json().to_json();
+        bytes += json.len();
+        json_h = fnv1a(json_h, json.as_bytes());
+        let est = predict(&analysis, &tk.theta);
+        for x in [est.time_units, est.global_inflation, est.shared_inflation] {
+            bits_h = fnv1a(bits_h, &x.to_bits().to_le_bytes());
+        }
+    }
+    (candidates.len(), bytes, json_h, bits_h)
+}
+
+/// The analyzer and cost model are pure functions of the program, so
+/// these pins hold across any refactor of the predict stage that is
+/// meant to leave its results alone.
+#[test]
+fn predict_stage_outputs_are_pinned() {
+    assert_eq!(
+        predict_stage_digest("sum"),
+        (48, 142_583, 0xeb8a_8fd7_7fc7_a8fe, 0xb108_34ec_a712_363c),
+        "sum"
+    );
+    assert_eq!(
+        predict_stage_digest("conv"),
+        (48, 79_704, 0xec98_388a_14ac_e310, 0x3d73_9c55_adc4_c305),
+        "conv"
+    );
 }
