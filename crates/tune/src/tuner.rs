@@ -1,19 +1,22 @@
 //! The tuning pipeline: **predict → prune → measure → explain**.
 //!
-//! 1. *Predict*: every enumerated candidate is built and scored by the
-//!    static cost model ([`hmm_analysis::predict`]) — compile + abstract
-//!    interpretation, no simulation, so thousands of candidates cost
-//!    milliseconds each.
+//! 1. *Predict*: every enumerated candidate is built once and scored by
+//!    the static cost model ([`hmm_analysis::predict`]) — compile +
+//!    abstract interpretation, no simulation, so thousands of candidates
+//!    cost milliseconds each. The built kernel stays with its prediction.
 //! 2. *Prune*: candidates predicted worse than `prune_factor ×` the
 //!    best prediction are statically dominated and never simulated (the
-//!    baseline is always kept as the calibration anchor).
+//!    baseline is always kept as the calibration anchor); their kernels
+//!    are dropped.
 //! 3. *Measure*: the strategy proposes waves of survivors; each wave is
 //!    simulated exactly — in parallel via the keyed batch runner, one
-//!    launch per worker — and validated against the host reference. The baseline is measured first, outside the
-//!    budget, so the winner can never be slower than the untuned
-//!    default. One-point calibration against the baseline turns raw
-//!    scores into predicted time units, and every measured candidate
-//!    gets a predicted-vs-measured error — the model audits itself.
+//!    launch per worker, each launching the kernel stage 1 built — and
+//!    validated against the host reference. The baseline is measured
+//!    first, outside the budget, so the winner can never be slower than
+//!    the untuned default. One-point calibration against the baseline
+//!    turns raw scores into predicted time units, and every measured
+//!    candidate gets a predicted-vs-measured error — the model audits
+//!    itself.
 //! 4. *Explain*: the winner and the baseline are re-run with the
 //!    cycle-accounting profiler on, and the report shows where the
 //!    saved thread-cycles came from (bank conflicts, latency, barriers).
@@ -29,7 +32,7 @@ use hmm_analysis::{analyze, AnalysisConfig};
 use hmm_core::{BatchRunner, Keyed, LaunchShape, Machine, Word};
 use hmm_machine::profile::{LaunchProfile, StallCategory};
 
-use crate::kernels::{tunable, tunable_names, Tunable};
+use crate::kernels::{tunable, tunable_names, Tunable, TunedKernel};
 use crate::report::{EntryStatus, ExplainRow, TuneEntry, TuneReport};
 use crate::space::{Candidate, SpaceError, TuneSpace};
 use crate::strategy::{SearchCtx, StrategyKind};
@@ -121,6 +124,9 @@ struct Prediction {
     raw: f64,
     global_inflation: f64,
     shared_inflation: f64,
+    /// The built kernel, which stages 3–4 launch; `None` once stage 2
+    /// prunes the candidate.
+    kernel: Option<TunedKernel>,
 }
 
 /// Stage-3 output for one candidate.
@@ -141,28 +147,17 @@ fn predict_one(alg: &dyn Tunable, c: &Candidate, n: usize) -> Result<Prediction,
         raw: est.time_units,
         global_inflation: est.global_inflation,
         shared_inflation: est.shared_inflation,
+        kernel: Some(tk),
     })
 }
 
 fn evaluate(
-    alg: &dyn Tunable,
+    tk: &TunedKernel,
     c: &Candidate,
-    n: usize,
     input: &[Word],
     expect: &[Word],
     profiled: bool,
 ) -> Measurement {
-    let tk = match alg.build(c, n) {
-        Ok(tk) => tk,
-        Err(e) => {
-            return Measurement {
-                time: 0,
-                valid: false,
-                error: Some(e.to_string()),
-                profile: None,
-            }
-        }
-    };
     let mut m = Machine::hmm(c.d, c.w, c.l, tk.global_size, tk.shared_size);
     if profiled {
         m.set_profiling(true);
@@ -232,8 +227,8 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
         BatchRunner::with_threads(cfg.threads)
     };
 
-    // Stage 1: predict every candidate statically.
-    let predictions: Vec<Result<Prediction, String>> = runner
+    // Stage 1: build and predict every candidate statically.
+    let mut predictions: Vec<Result<Prediction, String>> = runner
         .run_keyed((0..candidates.len()).collect(), |&i| {
             predict_one(alg, &candidates[i], n)
         })
@@ -244,8 +239,13 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
         return Err(TuneError::Baseline(format!("does not build: {e}")));
     }
 
-    // Stage 2: prune statically dominated candidates.
-    let raw = |i: usize| predictions[i].as_ref().ok().map(|p| p.raw);
+    // Stage 2: prune statically dominated candidates and drop their
+    // kernels.
+    let predicted_scores: Vec<Option<f64>> = predictions
+        .iter()
+        .map(|p| p.as_ref().ok().map(|p| p.raw))
+        .collect();
+    let raw = |i: usize| predicted_scores[i];
     let best_raw = (0..candidates.len())
         .filter_map(raw)
         .min_by(f64::total_cmp)
@@ -253,6 +253,13 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
     let live: BTreeSet<usize> = (0..candidates.len())
         .filter(|&i| raw(i).is_some_and(|r| r <= cfg.prune_factor * best_raw) || i == baseline_idx)
         .collect();
+    for (i, p) in predictions.iter_mut().enumerate() {
+        if let Ok(p) = p {
+            if !live.contains(&i) {
+                p.kernel = None;
+            }
+        }
+    }
     let mut ranked: Vec<usize> = live.iter().copied().collect();
     ranked.sort_by(|&a, &b| {
         raw(a)
@@ -260,14 +267,21 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
             .total_cmp(&raw(b).unwrap_or(f64::INFINITY))
             .then(a.cmp(&b))
     });
-    let predicted_scores: Vec<Option<f64>> = (0..candidates.len()).map(raw).collect();
 
     // Stage 3: measure. Baseline first, outside the budget.
     let input = alg.input(n, cfg.seed);
     let expect = alg.reference(&input);
+    // Only live candidates are measured, and they all built in stage 1.
+    let kernel = |i: usize| {
+        predictions[i]
+            .as_ref()
+            .ok()
+            .and_then(|p| p.kernel.as_ref())
+            .expect("a live candidate keeps its kernel")
+    };
     let measure = |wave: Vec<usize>, profiled: bool| -> Vec<Keyed<usize, Measurement>> {
         runner.run_keyed(wave, |&i| {
-            evaluate(alg, &candidates[i], n, &input, &expect, profiled)
+            evaluate(kernel(i), &candidates[i], &input, &expect, profiled)
         })
     };
 
