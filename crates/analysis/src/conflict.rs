@@ -117,7 +117,7 @@ pub fn analyze(
 
 /// Abstract `base + off` at `pc`; `None` when unreachable or `Top`.
 fn address_at(interp: &Interp, pc: usize, base: Operand, off: Operand, w: i64) -> Option<AbsVal> {
-    let st = interp.state.get(pc)?.as_deref()?;
+    let st = interp.state.get(pc)?;
     let get = |op: Operand| match op {
         Operand::Reg(r) => st[r.0 as usize],
         Operand::Imm(v) => AbsVal::known(v),

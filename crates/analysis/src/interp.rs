@@ -1,11 +1,18 @@
 //! Fixpoint abstract interpretation of a program over the affine domain.
 //!
-//! Produces, for every reachable pc, the abstract register file *before*
-//! that instruction executes, plus per-pc *thread bounds* extracted from
-//! dominating guards of the form `if x < k` with `x = ltid`-affine —
-//! the paper's canonical `if (j < h)` tail guards. The bounds let the
-//! conflict predictor model partially-populated warps and the race
-//! solver exclude threads a guard filters out.
+//! Produces, for every reachable pc that a later pass queries, the
+//! abstract register file *before* that instruction executes, plus
+//! per-pc *thread bounds* extracted from dominating guards of the form
+//! `if x < k` with `x = ltid`-affine — the paper's canonical
+//! `if (j < h)` tail guards. The bounds let the conflict predictor model
+//! partially-populated warps and the race solver exclude threads a guard
+//! filters out.
+//!
+//! The queried pcs are the memory accesses (conflict prediction, race
+//! detection), the conditional branches (barrier divergence, sibling
+//! regions, guards) and the comparisons a guard may be defined by. Only
+//! their register files are kept: a file is 2 KiB, and keeping one per
+//! pc would dominate the analyzer's allocations on long kernels.
 
 use hmm_machine::abi;
 use hmm_machine::isa::{BinOp, Inst, Operand, Program};
@@ -18,11 +25,68 @@ use crate::AnalysisConfig;
 /// Abstract register file.
 pub type State = [AbsVal; REG_COUNT];
 
+/// The register files kept at queried pcs, in one flat table.
+pub struct States {
+    /// `slot[pc]` — index of `pc`'s entry in `files`, or [`States::NONE`]
+    /// for a pc no pass queries.
+    slot: Vec<u32>,
+    /// One entry per queried pc; `None` while the pc is unreached.
+    files: Vec<Option<State>>,
+}
+
+impl States {
+    const NONE: u32 = u32::MAX;
+
+    fn new(program: &Program) -> Self {
+        let mut kept = 0;
+        let slot = program
+            .insts()
+            .iter()
+            .map(|inst| {
+                if !queried(inst) {
+                    return Self::NONE;
+                }
+                kept += 1;
+                kept - 1
+            })
+            .collect();
+        Self {
+            slot,
+            files: vec![None; kept as usize],
+        }
+    }
+
+    fn entry(&mut self, pc: usize) -> Option<&mut Option<State>> {
+        let i = *self.slot.get(pc)?;
+        self.files.get_mut(i as usize)
+    }
+
+    /// Abstract registers before executing `pc`; `None` when `pc` is
+    /// unreachable or not a queried pc.
+    #[must_use]
+    pub fn get(&self, pc: usize) -> Option<&State> {
+        let i = *self.slot.get(pc)?;
+        self.files.get(i as usize)?.as_ref()
+    }
+}
+
+/// Whether a later pass reads the register file before `inst`: loads and
+/// stores, conditional branches, and the comparisons that define guards.
+fn queried(inst: &Inst) -> bool {
+    matches!(
+        inst,
+        Inst::Ld(..)
+            | Inst::St(..)
+            | Inst::Brz(..)
+            | Inst::Brnz(..)
+            | Inst::Bin(BinOp::Slt | BinOp::Sle | BinOp::Seq | BinOp::Sne, ..)
+    )
+}
+
 /// Interpretation result.
 pub struct Interp {
-    /// `state[pc]` — abstract registers before executing `pc` (None for
-    /// unreachable pcs).
-    pub state: Vec<Option<Box<State>>>,
+    /// Abstract registers before each reachable queried pc.
+    pub state: States,
     /// `thread_limit[pc]` — if `Some(k)`, only threads with `ltid < k`
     /// can execute `pc` (derived from dominating guards).
     pub thread_limit: Vec<Option<i64>>,
@@ -30,9 +94,9 @@ pub struct Interp {
 
 /// Initial register file from the launch ABI and the analysis config.
 #[must_use]
-pub fn entry_state(cfg: &AnalysisConfig) -> Box<State> {
+pub fn entry_state(cfg: &AnalysisConfig) -> State {
     let w = cfg.width as i64;
-    let mut st: Box<State> = Box::new([AbsVal::known(0); REG_COUNT]);
+    let mut st: State = [AbsVal::known(0); REG_COUNT];
     let launch_or = |v: Option<i64>| v.map_or(AbsVal::unknown(Level::Launch), AbsVal::known);
 
     st[abi::W.0 as usize] = AbsVal::known(w);
@@ -110,14 +174,37 @@ fn transfer(st: &mut State, inst: &Inst, w: i64) {
     }
 }
 
+/// Join `src` into `dst` in place; whether `dst` changed.
+fn join_into(dst: &mut State, src: &State, w: i64) -> bool {
+    let mut changed = false;
+    for (d, s) in dst.iter_mut().zip(src) {
+        let j = join(*d, *s, w);
+        if j != *d {
+            *d = j;
+            changed = true;
+        }
+    }
+    changed
+}
+
+/// Join `src` into a possibly unreached entry; whether the entry changed.
+fn merge(entry: &mut Option<State>, src: &State, w: i64) -> bool {
+    match entry {
+        None => {
+            *entry = Some(*src);
+            true
+        }
+        Some(old) => join_into(old, src, w),
+    }
+}
+
 /// Run the interpretation to fixpoint.
 #[must_use]
 pub fn run(program: &Program, cfg_graph: &Cfg, config: &AnalysisConfig) -> Interp {
     let w = config.width as i64;
-    let n = program.len();
     let nb = cfg_graph.blocks.len();
-    let mut in_states: Vec<Option<Box<State>>> = vec![None; nb];
-    let mut state: Vec<Option<Box<State>>> = vec![None; n];
+    let mut in_states: Vec<Option<State>> = vec![None; nb];
+    let mut state = States::new(program);
 
     if nb > 0 {
         in_states[0] = Some(entry_state(config));
@@ -126,58 +213,20 @@ pub fn run(program: &Program, cfg_graph: &Cfg, config: &AnalysisConfig) -> Inter
         on_work[0] = true;
         while let Some(b) = work.pop() {
             on_work[b] = false;
-            let Some(mut st) = in_states[b].clone() else {
+            // The register file flowing through the block: a stack copy,
+            // joined in place into the kept files and successor inputs.
+            let Some(mut st) = in_states[b] else {
                 continue;
             };
             let block = &cfg_graph.blocks[b];
-            for (pc, slot) in state
-                .iter_mut()
-                .enumerate()
-                .take(block.end)
-                .skip(block.start)
-            {
-                let updated = match slot {
-                    None => Some(st.clone()),
-                    Some(old) => {
-                        let mut merged = old.clone();
-                        let mut changed = false;
-                        for (m, s) in merged.iter_mut().zip(st.iter()) {
-                            let j = join(*m, *s, w);
-                            if j != *m {
-                                *m = j;
-                                changed = true;
-                            }
-                        }
-                        changed.then_some(merged)
-                    }
-                };
-                if let Some(new) = updated {
-                    *slot = Some(new);
+            for pc in block.start..block.end {
+                if let Some(entry) = state.entry(pc) {
+                    merge(entry, &st, w);
                 }
                 transfer(&mut st, program.get(pc).expect("pc in block"), w);
             }
-            for &s in &cfg_graph.blocks[b].succs {
-                if s >= nb {
-                    continue;
-                }
-                let changed = match &mut in_states[s] {
-                    slot @ None => {
-                        *slot = Some(st.clone());
-                        true
-                    }
-                    Some(old) => {
-                        let mut changed = false;
-                        for (o, v) in old.iter_mut().zip(st.iter()) {
-                            let j = join(*o, *v, w);
-                            if j != *o {
-                                *o = j;
-                                changed = true;
-                            }
-                        }
-                        changed
-                    }
-                };
-                if changed && !on_work[s] {
+            for &s in &block.succs {
+                if s < nb && merge(&mut in_states[s], &st, w) && !on_work[s] {
                     on_work[s] = true;
                     work.push(s);
                 }
@@ -185,7 +234,7 @@ pub fn run(program: &Program, cfg_graph: &Cfg, config: &AnalysisConfig) -> Inter
         }
     }
 
-    let thread_limit = guard_limits(program, cfg_graph, &state, config);
+    let thread_limit = guard_limits(program, cfg_graph, &state);
     Interp {
         state,
         thread_limit,
@@ -200,12 +249,7 @@ pub fn run(program: &Program, cfg_graph: &Cfg, config: &AnalysisConfig) -> Inter
 /// restricts its true-side region to threads with `ltid < k` (resp.
 /// `≤ k`): since `base ≥ 0`, `x < k` implies `ltid < k`. Limits from
 /// nested guards combine by minimum.
-fn guard_limits(
-    program: &Program,
-    cfg_graph: &Cfg,
-    state: &[Option<Box<State>>],
-    config: &AnalysisConfig,
-) -> Vec<Option<i64>> {
+fn guard_limits(program: &Program, cfg_graph: &Cfg, state: &States) -> Vec<Option<i64>> {
     let mut limit: Vec<Option<i64>> = vec![None; program.len()];
     let ltid_like = |v: AbsVal| {
         matches!(
@@ -227,7 +271,7 @@ fn guard_limits(
             Some(Inst::Brnz(c, t)) => (*c, *t, false),
             _ => continue,
         };
-        let Some(term_st) = state[term].as_deref() else {
+        let Some(term_st) = state.get(term) else {
             continue;
         };
         // (bound applies to the side where cond != 0, bound)
@@ -252,7 +296,7 @@ fn guard_limits(
                         k,
                     )),
                     Some(st),
-                ) = (program.get(def_pc), state[def_pc].as_deref())
+                ) = (program.get(def_pc), state.get(def_pc))
                 {
                     if ltid_like(operand(st, *x)) {
                         if let Some(kv) = operand(st, *k).as_known() {
@@ -294,7 +338,6 @@ fn guard_limits(
             }
         }
     }
-    let _ = config;
     limit
 }
 
@@ -302,7 +345,7 @@ fn guard_limits(
 /// the downstream analyses).
 #[must_use]
 pub fn operand_at(interp: &Interp, pc: usize, op: Operand) -> Option<AbsVal> {
-    let st = interp.state.get(pc)?.as_deref()?;
+    let st = interp.state.get(pc)?;
     Some(operand(st, op))
 }
 
@@ -388,6 +431,78 @@ mod tests {
         assert_eq!(interp.thread_limit[2], Some(4));
         assert_eq!(interp.thread_limit[0], None);
         assert_eq!(interp.thread_limit[3], None);
+    }
+
+    /// The kernels `hmm-cli lint` ships, under its default parameters
+    /// (`n = 1024, k = 16, p = 256, w = 32, d = 4`), plus the examples.
+    fn lint_kernels() -> Vec<(Program, AnalysisConfig)> {
+        use crate::examples;
+        use hmm_algorithms as alg;
+        let (n, k, p, w, d) = (1024, 16, 256, 32, 4);
+        let umm = AnalysisConfig::umm(w).with_launch(p as i64, 1);
+        let dmm = AnalysisConfig::dmm(w).with_launch(p as i64, 1);
+        let hmm = AnalysisConfig::hmm(w, d).with_launch(p as i64, d);
+        let m = w * 4;
+        let mut out: Vec<(Program, AnalysisConfig)> = alg::patterns::Figure1::ALL
+            .into_iter()
+            .map(|pat| {
+                let diagonal = matches!(pat, alg::patterns::Figure1::Diagonal);
+                let config = if diagonal { dmm.clone() } else { umm.clone() };
+                (alg::patterns::figure1_kernel(pat, m), config)
+            })
+            .collect();
+        let layout = alg::convolution::dmm_umm::Layout::new(n, k);
+        for program in [
+            alg::patterns::transpose_kernel(0, m * m, m),
+            alg::contiguous::access_kernel(0, n, alg::contiguous::AccessMode::Read),
+            alg::contiguous::copy_kernel(0, n, n),
+            alg::sum::dmm_umm::sum_kernel(0, n),
+            alg::convolution::dmm_umm::conv_kernel_strided(layout),
+            alg::prefix::prefix_kernel_dmm_umm(n),
+            alg::sort::sort_kernel_umm(n),
+            examples::uninit_kernel(),
+            examples::clean_kernel(),
+        ] {
+            out.push((program, umm.clone()));
+        }
+        for program in [
+            alg::sum::hmm_all::sum_kernel(n, p, d, n),
+            alg::convolution::hmm::conv_kernel_hmm(n, k, d),
+            alg::prefix::prefix_kernel_hmm(n, p, d),
+            alg::sort::sort_kernel_hmm(n, d),
+            examples::racy_kernel(),
+            examples::racy_kernel_fixed(),
+            examples::divergent_barrier_kernel(),
+            examples::divergent_barrier_kernel_fixed(),
+        ] {
+            out.push((program, hmm.clone()));
+        }
+        out
+    }
+
+    /// The query contract: a register file is available at exactly the
+    /// reachable pcs the later passes read.
+    #[test]
+    fn states_are_kept_at_exactly_the_queried_pcs() {
+        for (p, cfg) in lint_kernels() {
+            let (g, interp) = analyze(&p, &cfg);
+            for (pc, inst) in p.insts().iter().enumerate() {
+                let reachable = g.reachable[g.block_of[pc]];
+                let queried = matches!(
+                    inst,
+                    Inst::Ld(..)
+                        | Inst::St(..)
+                        | Inst::Brz(..)
+                        | Inst::Brnz(..)
+                        | Inst::Bin(BinOp::Slt | BinOp::Sle | BinOp::Seq | BinOp::Sne, ..)
+                );
+                assert_eq!(
+                    operand_at(&interp, pc, Operand::Reg(abi::GID)).is_some(),
+                    reachable && queried,
+                    "pc {pc}: {inst:?}"
+                );
+            }
+        }
     }
 
     #[test]
