@@ -180,8 +180,8 @@ pub struct LintOutcome {
 /// Execute `lint` from parsed arguments.
 ///
 /// # Errors
-/// [`CliError::Parse`] on bad flags, [`CliError::UnknownCommand`] when
-/// `--kernel` names an unknown kernel.
+/// [`CliError::Parse`] on bad flags, [`CliError::Invalid`] when neither
+/// `--all` nor a known `--kernel` is given.
 pub fn execute(a: &Args) -> Result<LintOutcome, CliError> {
     let params = LintParams {
         n: a.get_usize("n", 1 << 10)?,
@@ -195,17 +195,15 @@ pub fn execute(a: &Args) -> Result<LintOutcome, CliError> {
         all.iter().filter(|t| t.shipped).collect()
     } else {
         let name = a.get_str("kernel", "");
-        if name.is_empty() {
-            let names: Vec<&str> = all.iter().map(|t| t.name).collect();
-            return Err(CliError::UnknownCommand(format!(
-                "lint needs --kernel <name> or --all; kernels: {}",
-                names.join(", ")
-            )));
-        }
         let Some(t) = all.iter().find(|t| t.name == name) else {
             let names: Vec<&str> = all.iter().map(|t| t.name).collect();
-            return Err(CliError::UnknownCommand(format!(
-                "unknown kernel {name:?}; kernels: {}",
+            let what = if name.is_empty() {
+                "lint needs --kernel <name> or --all".to_string()
+            } else {
+                format!("--kernel {name:?} is not a kernel")
+            };
+            return Err(CliError::Invalid(format!(
+                "{what}; kernels: {}",
                 names.join(", ")
             )));
         };
@@ -272,10 +270,15 @@ mod tests {
 
     #[test]
     fn unknown_kernel_is_an_error() {
-        assert!(matches!(
-            run_line("lint --kernel nope"),
-            Err(CliError::UnknownCommand(_))
-        ));
+        for line in ["lint --kernel nope", "lint"] {
+            let Err(CliError::Invalid(msg)) = run_line(line) else {
+                panic!("{line}: expected an invalid-parameter error");
+            };
+            assert!(
+                msg.contains("--kernel") && msg.contains("figure1-row"),
+                "{msg}"
+            );
+        }
     }
 
     /// `(length, 64-bit FNV-1a)` of a rendering.
