@@ -1,20 +1,27 @@
 //! Autotuner payoff benchmark: untuned default vs tuned winner for the
-//! stock algorithm families.
+//! stock algorithm families, plus the host cost of a tuning run.
 //!
 //! For each family the tuner runs its golden configuration (fixed seed,
-//! fixed space, grid strategy) and the baseline/winner simulated time
-//! units are recorded — plus the cost model's mean absolute
-//! predicted-vs-measured error, so drift in the predictor shows up in
-//! the dump and not just in the golden tests. Everything recorded here
-//! is simulated time, so the file is deterministic and diffable; it is
-//! written to `BENCH_tune.json` at the repository root.
+//! fixed space, grid strategy, one worker thread) and the
+//! baseline/winner simulated time units are recorded — plus the cost
+//! model's mean absolute predicted-vs-measured error, so drift in the
+//! predictor shows up in the dump and not just in the golden tests.
+//! Those simulated fields are deterministic and diffable.
+//!
+//! Next to them go two wall-clock minima: `tune_ms`, the whole `tune`
+//! call, and `predict_ms`, a replay of its predict stage that calls
+//! `Tunable::build`, `analyze` and `predict` for every candidate. The
+//! file is written to `BENCH_tune.json` at the repository root.
 //!
 //! Run with `cargo bench -p hmm-bench --bench tune`.
 
-use hmm_tune::{tune, StrategyKind, TuneConfig, TuneSpace};
+use hmm_analysis::{analyze, predict, AnalysisConfig};
+use hmm_tune::{tunable, tune, StrategyKind, TuneConfig, TuneSpace};
+use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
 
 fn main() {
+    let mut g = BenchGroup::new("tune");
     let mut rows = Vec::new();
     for (algo, n, space) in [
         (
@@ -28,13 +35,35 @@ fn main() {
         cfg.n = n;
         cfg.seed = 42;
         cfg.budget = 64;
+        cfg.threads = 1;
         cfg.strategy = StrategyKind::Grid;
         cfg.space = TuneSpace::parse(space).expect("bench space parses");
-        let report = tune(&cfg).expect("bench tune run");
+        let (tune_ms, report) = g.bench(&format!("{algo}/tune"), || tune(&cfg));
+        let report = report.expect("bench tune run");
         assert!(
             report.winner_time <= report.baseline_time,
             "{algo}: tuned winner slower than the untuned default"
         );
+
+        let alg = tunable(algo).expect("tunable family");
+        let candidates = cfg.space.enumerate().expect("bench space enumerates");
+        let (predict_ms, predicted) = g.bench(&format!("{algo}/predict"), || {
+            candidates
+                .iter()
+                .filter_map(|c| {
+                    let tk = alg.build(c, n).ok()?;
+                    let acfg = AnalysisConfig::hmm(c.w, c.d).with_launch(tk.threads as i64, c.d);
+                    Some(predict(&analyze(&tk.kernel.program, &acfg), &tk.theta).time_units)
+                })
+                .count()
+        });
+        let feasible = report.entries.iter().filter(|e| e.predicted_raw.is_some());
+        assert_eq!(
+            predicted,
+            feasible.count(),
+            "{algo}: replay predicts what tune did"
+        );
+
         println!(
             "  {algo}: baseline {} ({}) -> tuned {} ({}), {:.2}x, mean |err| {:.1}%",
             report.baseline_time,
@@ -57,6 +86,8 @@ fn main() {
             ("speedup", report.speedup.into()),
             ("evaluated", report.evaluated.into()),
             ("mean_abs_error_pct", report.mean_abs_error_pct.into()),
+            ("tune_ms", tune_ms.into()),
+            ("predict_ms", predict_ms.into()),
         ]));
     }
 
@@ -69,7 +100,10 @@ fn main() {
             "simulated time units (deterministic): the autotuner's winner vs the \
              untuned default per algorithm family, with the static cost model's \
              mean absolute prediction error over all measured candidates. \
-             host_cores only affects wall-clock, never the recorded numbers."
+             tune_ms (the tune call, one worker thread) and predict_ms (its \
+             predict stage replayed: build + analyze + predict per candidate) \
+             are host wall-clock minima in milliseconds; only they and \
+             host_cores vary between hosts."
                 .into(),
         ),
         ("workloads", Value::Array(rows)),
