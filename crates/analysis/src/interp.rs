@@ -27,27 +27,24 @@ pub type State = [AbsVal; REG_COUNT];
 
 /// The register files kept at queried pcs, in one flat table.
 pub struct States {
-    /// `slot[pc]` — index of `pc`'s entry in `files`, or [`States::NONE`]
-    /// for a pc no pass queries.
-    slot: Vec<u32>,
+    /// `slot[pc]` — index of `pc`'s entry in `files`; `None` for a pc no
+    /// pass queries.
+    slot: Vec<Option<u32>>,
     /// One entry per queried pc; `None` while the pc is unreached.
     files: Vec<Option<State>>,
 }
 
 impl States {
-    const NONE: u32 = u32::MAX;
-
     fn new(program: &Program) -> Self {
         let mut kept = 0;
         let slot = program
             .insts()
             .iter()
             .map(|inst| {
-                if !queried(inst) {
-                    return Self::NONE;
-                }
-                kept += 1;
-                kept - 1
+                queried(inst).then(|| {
+                    kept += 1;
+                    kept - 1
+                })
             })
             .collect();
         Self {
@@ -57,7 +54,7 @@ impl States {
     }
 
     fn entry(&mut self, pc: usize) -> Option<&mut Option<State>> {
-        let i = *self.slot.get(pc)?;
+        let i = (*self.slot.get(pc)?)?;
         self.files.get_mut(i as usize)
     }
 
@@ -65,7 +62,7 @@ impl States {
     /// unreachable or not a queried pc.
     #[must_use]
     pub fn get(&self, pc: usize) -> Option<&State> {
-        let i = *self.slot.get(pc)?;
+        let i = (*self.slot.get(pc)?)?;
         self.files.get(i as usize)?.as_ref()
     }
 }
@@ -174,28 +171,22 @@ fn transfer(st: &mut State, inst: &Inst, w: i64) {
     }
 }
 
-/// Join `src` into `dst` in place; whether `dst` changed.
-fn join_into(dst: &mut State, src: &State, w: i64) -> bool {
+/// Join `src` into `entry` in place (an unreached entry takes `src`);
+/// whether the entry changed.
+fn merge(entry: &mut Option<State>, src: &State, w: i64) -> bool {
+    let Some(old) = entry else {
+        *entry = Some(*src);
+        return true;
+    };
     let mut changed = false;
-    for (d, s) in dst.iter_mut().zip(src) {
-        let j = join(*d, *s, w);
-        if j != *d {
-            *d = j;
+    for (o, s) in old.iter_mut().zip(src) {
+        let j = join(*o, *s, w);
+        if j != *o {
+            *o = j;
             changed = true;
         }
     }
     changed
-}
-
-/// Join `src` into a possibly unreached entry; whether the entry changed.
-fn merge(entry: &mut Option<State>, src: &State, w: i64) -> bool {
-    match entry {
-        None => {
-            *entry = Some(*src);
-            true
-        }
-        Some(old) => join_into(old, src, w),
-    }
 }
 
 /// Run the interpretation to fixpoint.
