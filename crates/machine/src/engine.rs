@@ -244,7 +244,7 @@ pub struct Engine {
     profiles: Vec<LaunchProfile>,
 }
 
-/// One shared-memory race observed by the debug-build dynamic checker:
+/// One shared-memory race observed by the engine's dynamic checker:
 /// two warps of one DMM touched the same address within one barrier
 /// interval, at least one of them writing. Such programs have
 /// schedule-dependent results under the paper's model; the engine logs
@@ -325,8 +325,7 @@ impl Engine {
     }
 
     /// Take the shared-memory races logged by the most recent
-    /// [`Engine::run`]. The dynamic checker only runs in debug builds
-    /// (it is compiled out under `--release`), and it caps the log at
+    /// [`Engine::run`]. The dynamic checker caps the log at
     /// [`MAX_LOGGED_RACES`] entries; `SimReport::shared_races` counts
     /// all of them regardless.
     pub fn take_races(&mut self) -> Vec<DynamicRace> {

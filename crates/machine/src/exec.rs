@@ -373,40 +373,30 @@ impl PipeRt {
 
 // ---- dynamic race checker -----------------------------------------------
 
-/// Debug-build dynamic race checker for one DMM's shared memory: tracks,
-/// per address, the last access within the current barrier interval.
+/// Dynamic race checker for one DMM's shared memory: tracks, per
+/// address, the last access within the current barrier interval.
 /// Intervals advance on every barrier release, which is sound because a
 /// thread blocks on its in-flight access before it can reach a barrier.
 struct RaceCk {
-    enabled: bool,
     dmm: usize,
     /// Current barrier interval. Starts at 1 so the zero-initialised
     /// dense table reads "never touched".
     interval: u64,
-    /// Dense per-address table: addr -> (interval, warp, `saw_a_write`).
-    /// Sized to the shared memory when enabled, empty otherwise.
+    /// Dense per-address table, sized to the shared memory:
+    /// addr -> (interval, warp, `saw_a_write`).
     last: Vec<(u64, usize, bool)>,
 }
 
 impl RaceCk {
     fn new(dmm: usize, shared_size: usize) -> Self {
-        let enabled = cfg!(debug_assertions) && shared_size > 0;
         Self {
-            enabled,
             dmm,
             interval: 1,
-            last: if enabled {
-                vec![(0, 0, false); shared_size]
-            } else {
-                Vec::new()
-            },
+            last: vec![(0, 0, false); shared_size],
         }
     }
 
     fn observe(&mut self, txn: &Txn, slot: &[usize], log: &mut RaceLog) {
-        if !self.enabled {
-            return;
-        }
         for &ri in slot {
             let req = txn.requests[ri];
             let is_write = req.kind == AccessKind::Write;

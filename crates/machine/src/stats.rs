@@ -95,8 +95,8 @@ pub struct SimReport {
     pub barriers: u64,
     /// Number of threads that ran.
     pub threads: usize,
-    /// Shared-memory race pairs observed by the debug-build dynamic race
-    /// checker (always 0 in release builds — the checker is compiled out).
+    /// Shared-memory race pairs observed by the engine's dynamic race
+    /// checker.
     pub shared_races: u64,
     /// Trace events produced but not retained under the engine's
     /// `trace_capacity` bound (0 when tracing is off or unbounded).

@@ -1,7 +1,7 @@
 //! Validates the static analyzer against the simulator: the conflict
 //! degrees `hmm-analysis` predicts from the program text must match (or
 //! soundly bound) what the engine actually measures, and the static race
-//! detector must agree with the engine's debug-build dynamic checker.
+//! detector must agree with the engine's dynamic checker.
 
 use hmm_algorithms::patterns::{figure1_kernel, run_figure1, transpose_kernel, Figure1};
 use hmm_analysis::{analyze, AnalysisConfig, Degree};
@@ -204,10 +204,9 @@ fn check_bound(name: &str, space: &str, predicted: Option<Degree>, measured: u64
     }
 }
 
-/// The engine's debug-build dynamic race checker must corroborate the
+/// The engine's dynamic race checker must corroborate the
 /// static verdicts: the racy example really races at runtime, and its
 /// fixed form really does not.
-#[cfg(debug_assertions)]
 #[test]
 fn dynamic_race_checker_corroborates_static_verdicts() {
     let (d, w, l, p) = (2usize, 4usize, 4usize, 16usize);
