@@ -343,19 +343,22 @@ fn digest(value: &impl std::fmt::Debug) -> String {
     format!("{h:016x}")
 }
 
-const DIVERGENT_GOLDEN: &str = "tests/golden/divergent_programs.txt";
-
-/// Random programs whose warps diverge (lane-dependent forward branches
-/// around loads and stores) produce exactly the pinned report, memories,
-/// trace, race log and profile. The golden file was generated by the
-/// per-thread interpreter; regenerate it with `HMM_BLESS=1` only for a
-/// deliberate change to the simulated machine.
-#[test]
-fn divergent_programs_match_golden() {
-    let mut rng = Rng::new(0xD1FE_46E7);
+/// Run `cases` random divergent programs drawn from `seed`, each with
+/// its config adjusted by `tweak(case, &mut cfg)`, and compare one line
+/// per case — report, memories, trace, race log and profile digests —
+/// against the golden file at `golden` (relative to the crate root).
+/// `HMM_BLESS=1` rewrites the file instead; use it only for a deliberate
+/// change to the simulated machine.
+fn programs_match_golden(
+    seed: u64,
+    cases: usize,
+    tweak: impl Fn(usize, &mut EngineConfig),
+    golden: &str,
+) {
+    let mut rng = Rng::new(seed);
     let (global_size, shared_size) = (256usize, 64usize);
     let mut lines = Vec::new();
-    for case in 0..16 {
+    for case in 0..cases {
         let d = [1usize, 2, 4][rng.usize_below(3)];
         let w = [2usize, 4, 8, 16][rng.usize_below(4)];
         let l = 1 + rng.usize_below(31);
@@ -365,6 +368,7 @@ fn divergent_programs_match_golden() {
         let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
         cfg.trace = true;
         cfg.profile = true;
+        tweak(case, &mut cfg);
         let mut engine = Engine::new(cfg).unwrap();
         let mut report = engine.run(&spec).unwrap();
         let races = engine.take_races();
@@ -387,7 +391,7 @@ fn divergent_programs_match_golden() {
         ));
     }
     let actual = lines.join("\n") + "\n";
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(DIVERGENT_GOLDEN);
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
     if std::env::var_os("HMM_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &actual).unwrap();
@@ -398,6 +402,36 @@ fn divergent_programs_match_golden() {
         assert_eq!(got, want);
     }
     assert_eq!(expected.lines().count(), actual.lines().count());
+}
+
+/// Random programs whose warps diverge (lane-dependent forward branches
+/// around loads and stores) produce exactly the pinned report, memories,
+/// trace, race log and profile. The golden file was generated by the
+/// per-thread interpreter.
+#[test]
+fn divergent_programs_match_golden() {
+    programs_match_golden(
+        0xD1FE_46E7,
+        16,
+        |_, _| {},
+        "tests/golden/divergent_programs.txt",
+    );
+}
+
+/// The paper's ablations pinned the same way: the non-pipelined memory
+/// (every other case) and a barrier synchronisation cost of 0, 3 or 17
+/// units, crossed so that every pairing occurs.
+#[test]
+fn ablation_programs_match_golden() {
+    programs_match_golden(
+        0xAB1A_7105,
+        24,
+        |case, cfg| {
+            cfg.pipelined = case % 2 == 0;
+            cfg.barrier_cost = [0, 3, 17][case % 3];
+        },
+        "tests/golden/ablation_programs.txt",
+    );
 }
 
 /// A bounded trace is exactly the first `cap` events of the unbounded
