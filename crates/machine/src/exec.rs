@@ -16,10 +16,11 @@
 //! 3. **Barrier releases**: each DMM's barrier in DMM order, then the
 //!    machine-wide one, which releases when the shards' global-barrier
 //!    arrivals add up to their live threads ([`global_release`]).
-//! 4. **Assembly** (each shard in DMM order): shared-bound warp
-//!    transactions go to the shard's own pipeline, global-bound ones to
-//!    the global queue, which so receives them **in DMM order**. Warps
-//!    are numbered DMM-major, so this is warp-id arrival order.
+//! 4. **Assembly** (each shard in DMM order): each warp transaction is
+//!    opened in the pipeline that will serve it — the shard's own for
+//!    shared memory, the global one otherwise — so the global queue
+//!    receives its transactions **in DMM order**. Warps are numbered
+//!    DMM-major, so this is warp-id arrival order.
 //! 5. **Dispatch**: one global pipeline slot, then one shared-memory slot
 //!    on each shard in DMM order.
 //!
@@ -41,15 +42,19 @@
 //! unit at a time. Nothing can happen in between (DESIGN.md proves the
 //! target exact), so every other output is bit-identical either way.
 //!
-//! The per-cycle hot path is allocation-free in steady state: warp
-//! transactions, completion batches and slot schedules are pooled,
-//! cleared and reused, never reallocated. Every buffer returns to the
-//! pool it came from: a finished global transaction goes back to the
-//! shard that assembled it, and a consumed global completion batch goes
-//! back to the global pipeline. Only kept trace events and the parked
-//! releases of the `barrier_cost` ablation allocate.
-//! `tests/alloc_free.rs` checks with a counting allocator that a
-//! launch's allocations do not grow with its length.
+//! ## Memory transactions
+//!
+//! Each pipeline owns its warp transactions in a table and reuses their
+//! buffers: a transaction's id returns to the pipeline's free list when
+//! its last slot is delivered. A dispatched slot leaves one
+//! `(due, txn, slot)` completion record, and all of the slot's requests
+//! complete together, as in the paper's pipelined MMU. A read keeps its
+//! loaded value in its request until delivery writes it to the lane's
+//! destination register, so delivery is the only step that touches
+//! lanes. The per-cycle hot path is therefore allocation-free in steady
+//! state; only kept trace events allocate. `tests/alloc_free.rs` checks
+//! with a counting allocator that a launch's allocations do not grow
+//! with its length.
 //!
 //! ## The warp-granular interpreter
 //!
@@ -139,7 +144,8 @@ enum Status {
     /// Issued a memory request: posted in its warp's mask until the warp
     /// is assembled, then in flight until the completion arrives.
     InFlight,
-    BarrierWait(Scope),
+    /// Arrived at a barrier; stays so through a parked release.
+    BarrierWait,
     Halted,
 }
 
@@ -164,24 +170,9 @@ struct Groups {
     by_pc: PcGroups,
 }
 
-/// One thread released by a completed pipeline slot. `thread` is the
-/// global thread id so completions can cross the shard boundary. A
-/// load's destination register is still in the thread's request slot,
-/// which it cannot overwrite before this completion arrives.
-#[derive(Debug, Clone, Copy)]
-struct Completion {
-    thread: usize,
-    /// The loaded value (0 for stores).
-    value: Word,
-    /// Cycles this request's slot dispatched after its transaction's
-    /// first slot — the conflict-serialisation share of the thread's
-    /// wait, carried across the shard boundary for the profiler.
-    conflict: u64,
-}
-
-/// A warp transaction; `warp` is the global warp id. Transactions are
-/// pooled: a finished transaction, shared or global, returns its buffers
-/// to the shard that assembled it, for that shard's next warp.
+/// A warp transaction; `warp` is the global warp id. A read's request
+/// holds its loaded value from dispatch to delivery.
+#[derive(Default)]
 struct Txn {
     warp: usize,
     requests: Vec<Request>,
@@ -191,183 +182,193 @@ struct Txn {
     first_dispatch: u64,
 }
 
-impl Txn {
-    fn empty() -> Self {
-        Self {
-            warp: 0,
-            requests: Vec::new(),
-            schedule: SlotSchedule::default(),
-            next_slot: 0,
-            first_dispatch: 0,
-        }
-    }
-
-    /// Ready a (possibly recycled) transaction for a new warp. The
-    /// schedule is rebuilt in place by [`SlotScratch::build_into`].
-    fn reset(&mut self, warp: usize) {
-        self.warp = warp;
-        self.requests.clear();
-        self.next_slot = 0;
-        self.first_dispatch = 0;
-    }
-}
-
-/// Result of dispatching one pipeline slot.
-struct Dispatched {
-    warp: usize,
-    slot_index: usize,
-    total_slots: usize,
-    /// Addresses served this slot (materialised only when tracing).
-    addrs: Vec<usize>,
-    /// The transaction this slot completed, handed back to the caller
-    /// for stats recording and buffer recycling.
-    finished: Option<Txn>,
-}
-
-/// One memory's pipeline: the queue of warp transactions, the transaction
-/// currently occupying the pipeline, and the in-flight completions.
+/// One memory's pipeline: its transactions, the queue of those waiting,
+/// the one occupying the pipeline, and one completion record per
+/// dispatched slot. Transactions live in `txns` and are named by index;
+/// a finished one's index returns to `free` for the next warp.
 struct PipeRt {
+    memory: MemoryId,
     latency: u64,
     policy: ConflictPolicy,
     pipelined: bool,
-    queue: VecDeque<Txn>,
-    current: Option<Txn>,
-    /// (`resume_time`, completions); resume times are non-decreasing.
-    completions: VecDeque<(u64, Vec<Completion>)>,
+    txns: Vec<Txn>,
+    free: Vec<usize>,
+    queue: VecDeque<usize>,
+    current: Option<usize>,
+    /// (`due`, txn, slot) per dispatched slot; due times are
+    /// non-decreasing.
+    completions: VecDeque<(u64, usize, usize)>,
     /// For the non-pipelined ablation: no dispatch before this time.
     busy_until: u64,
-    /// Recycled completion buffers (cleared), refilled as delivered
-    /// batches are consumed. Every batch returns to the pipeline that
-    /// filled it, so the pool never outgrows the peak in-flight count.
-    spare_comps: Vec<Vec<Completion>>,
+    stats: MemoryStats,
+    /// Occupancy accumulator (profiling only).
+    acc: Option<PipeAcc>,
 }
 
 impl PipeRt {
-    fn new(latency: u64, policy: ConflictPolicy, pipelined: bool) -> Self {
+    fn new(memory: MemoryId, latency: usize, policy: ConflictPolicy, cfg: &EngineConfig) -> Self {
         Self {
-            latency,
+            memory,
+            latency: latency as u64,
             policy,
-            pipelined,
+            pipelined: cfg.pipelined,
+            txns: Vec::new(),
+            free: Vec::new(),
             queue: VecDeque::new(),
             current: None,
             completions: VecDeque::new(),
             busy_until: 0,
-            spare_comps: Vec::new(),
+            stats: MemoryStats::default(),
+            acc: cfg.profile.then(|| PipeAcc::new(cfg.profile_buckets)),
         }
     }
 
-    fn has_work(&self) -> bool {
-        self.current.is_some() || !self.queue.is_empty()
-    }
-
-    fn next_completion_at(&self) -> Option<u64> {
-        self.completions.front().map(|(t, _)| *t)
-    }
-
-    /// Earliest future cycle this pipeline could dispatch a slot, `None`
-    /// when nothing is queued or in progress. A pipelined memory can
-    /// dispatch every cycle; the non-pipelined ablation waits out
+    /// Earliest future event: a completion, or a dispatch opportunity
+    /// while a transaction is queued or in progress. A pipelined memory
+    /// can dispatch every cycle; the non-pipelined ablation waits out
     /// `busy_until` first.
-    fn next_dispatch_at(&self, now: u64) -> Option<u64> {
-        self.has_work().then(|| self.busy_until.max(now + 1))
+    fn next_event(&self, now: u64) -> Option<u64> {
+        let dispatch = (self.current.is_some() || !self.queue.is_empty())
+            .then(|| self.busy_until.max(now + 1));
+        dispatch.into_iter().chain(self.next_due()).min()
     }
 
-    /// Return a consumed completion buffer to the spare pool.
-    fn recycle(&mut self, mut buf: Vec<Completion>) {
-        buf.clear();
-        self.spare_comps.push(buf);
+    fn next_due(&self) -> Option<u64> {
+        self.completions.front().map(|c| c.0)
     }
 
-    fn pop_due(&mut self, now: u64) -> Option<Vec<Completion>> {
-        if self.completions.front().is_some_and(|(t, _)| *t <= now) {
-            Some(self.completions.pop_front().expect("front checked").1)
-        } else {
-            None
-        }
+    /// Open an empty transaction for global warp `warp`, reusing a
+    /// finished one's buffers when there is one.
+    fn open(&mut self, warp: usize) -> usize {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.txns.push(Txn::default());
+            self.txns.len() - 1
+        });
+        let txn = &mut self.txns[id];
+        txn.warp = warp;
+        txn.requests.clear();
+        txn.next_slot = 0;
+        id
     }
 
-    /// Dispatch one pipeline slot: reads observe memory before this slot's
-    /// writes; write-write collisions resolve to the last (highest thread
-    /// id) writer — "arbitrary" per the paper, made deterministic here.
-    /// `pre` observes the slot before it is served (the race checker).
-    /// `want_addrs` materialises the served addresses for tracing; with
-    /// it off and a primed spare pool the dispatch allocates nothing.
-    fn dispatch_slot(
+    /// Schedule transaction `id` (rebuilding its schedule in place) and
+    /// queue it for dispatch.
+    fn submit(&mut self, id: usize, scratch: &mut SlotScratch, width: usize) {
+        let txn = &mut self.txns[id];
+        scratch.build_into(&txn.requests, width, self.policy, &mut txn.schedule);
+        self.queue.push_back(id);
+    }
+
+    /// Dispatch one pipeline slot, if one can go out at `now`: reads
+    /// observe memory before this slot's writes; write-write collisions
+    /// resolve to the last (highest thread id) writer — "arbitrary" per
+    /// the paper, made deterministic here. `pre` observes the slot before
+    /// it is served (the race checker). The slot is profiled and traced;
+    /// its transaction's statistics are recorded with its last slot.
+    fn dispatch(
         &mut self,
         now: u64,
         store: &mut BankedMemory,
-        want_addrs: bool,
+        trace: &mut TraceBuf,
         pre: impl FnOnce(&Txn, &[usize]),
-    ) -> Option<Dispatched> {
+    ) {
         if now < self.busy_until {
-            return None;
+            return;
         }
+        let depth = self.queue.len() + usize::from(self.current.is_some());
         if self.current.is_none() {
             self.current = self.queue.pop_front();
         }
-        {
-            // Bookkeeping writes up front so the slot can then be served
-            // through a shared borrow of the schedule, copy-free.
-            let txn = self.current.as_mut()?;
-            if txn.next_slot == 0 {
-                txn.first_dispatch = now;
-            }
-            txn.next_slot += 1;
+        let Some(id) = self.current else {
+            return;
+        };
+        let txn = &mut self.txns[id];
+        if txn.next_slot == 0 {
+            txn.first_dispatch = now;
         }
-        let txn = self.current.as_ref().expect("checked above");
-        let slot_idx = txn.next_slot - 1;
-        let conflict = now - txn.first_dispatch;
-        let slot = txn.schedule.slot(slot_idx);
-        pre(txn, slot);
-        let mut completions = self.spare_comps.pop().unwrap_or_default();
-        for &ri in slot {
-            let req = txn.requests[ri];
+        let slot_index = txn.next_slot;
+        txn.next_slot += 1;
+        let total_slots = txn.schedule.num_slots();
+        let served = txn.schedule.slot(slot_index);
+        pre(txn, served);
+        for &ri in served {
+            let req = &mut txn.requests[ri];
             if req.kind == AccessKind::Read {
-                let v = store.read(req.addr).expect("bounds checked at assembly");
-                completions.push(Completion {
-                    thread: req.thread,
-                    value: v,
-                    conflict,
-                });
+                req.value = store.read(req.addr).expect("bounds checked at assembly");
             }
         }
-        for &ri in slot {
-            let req = txn.requests[ri];
+        for &ri in served {
+            let req = &txn.requests[ri];
             if req.kind == AccessKind::Write {
                 store
                     .write(req.addr, req.value)
                     .expect("bounds checked at assembly");
-                completions.push(Completion {
-                    thread: req.thread,
-                    value: 0,
-                    conflict,
-                });
             }
         }
-        let warp = txn.warp;
-        let total_slots = txn.schedule.num_slots();
-        let addrs = if want_addrs {
-            slot.iter().map(|&ri| txn.requests[ri].addr).collect()
-        } else {
-            Vec::new()
-        };
         self.completions
-            .push_back((now + self.latency, completions));
+            .push_back((now + self.latency, id, slot_index));
         if !self.pipelined {
             self.busy_until = now + self.latency;
         }
-        let finished = if slot_idx + 1 == total_slots {
-            self.current.take()
-        } else {
-            None
-        };
-        Some(Dispatched {
-            warp,
-            slot_index: slot_idx,
+        let done = slot_index + 1 == total_slots;
+        if done {
+            self.current = None;
+            self.stats
+                .record(total_slots as u64, txn.requests.len() as u64);
+        }
+        if let Some(acc) = self.acc.as_mut() {
+            acc.on_dispatch(now, depth);
+            if done {
+                acc.on_txn_done(total_slots as u64);
+            }
+        }
+        trace.push(|| TraceEvent::SlotDispatched {
+            cycle: now,
+            memory: self.memory,
+            warp: txn.warp,
+            slot_index,
             total_slots,
-            addrs,
-            finished,
-        })
+            addrs: served.iter().map(|&ri| txn.requests[ri].addr).collect(),
+        });
+    }
+
+    /// Deliver every slot due by `now`: trace its completion and hand
+    /// each served request to `wake` — loads, then stores, each in
+    /// request order — with the slot's conflict share, the cycles it
+    /// dispatched after its transaction's first slot. A transaction's id
+    /// returns to `free` with its last slot.
+    fn deliver(&mut self, now: u64, trace: &mut TraceBuf, mut wake: impl FnMut(&Request, u64)) {
+        while let Some(&(due, id, slot)) = self.completions.front() {
+            if due > now {
+                break;
+            }
+            self.completions.pop_front();
+            let txn = &self.txns[id];
+            let served = txn.schedule.slot(slot);
+            let in_order = || {
+                [AccessKind::Read, AccessKind::Write]
+                    .into_iter()
+                    .flat_map(move |kind| {
+                        served
+                            .iter()
+                            .map(|&ri| &txn.requests[ri])
+                            .filter(move |r| r.kind == kind)
+                    })
+            };
+            trace.push(|| TraceEvent::SlotCompleted {
+                cycle: now,
+                memory: self.memory,
+                warp: txn.warp,
+                threads: in_order().map(|r| r.thread).collect(),
+            });
+            let conflict = due - self.latency - txn.first_dispatch;
+            for req in in_order() {
+                wake(req, conflict);
+            }
+            if slot + 1 == txn.schedule.num_slots() {
+                self.free.push(id);
+            }
+        }
     }
 }
 
@@ -448,18 +449,17 @@ struct ThreadProf {
     halt_pc: usize,
 }
 
-/// One shard's slice of the launch profile: per-warp and per-pc counts
-/// plus the shared pipeline's occupancy accumulator. Merged in DMM
-/// order at the end of the run, like every other shard product.
+/// One shard's slice of the launch profile: per-warp and per-pc counts.
+/// Merged in DMM order at the end of the run, like every other shard
+/// product.
 struct ShardProf {
     threads: Vec<ThreadProf>,
     warps: Vec<CategoryCounts>,
     per_pc: Vec<CategoryCounts>,
-    pipe: Option<PipeAcc>,
 }
 
 impl ShardProf {
-    fn new(thread_warp: &[usize], warps: usize, program_len: usize, acc: Option<PipeAcc>) -> Self {
+    fn new(thread_warp: &[usize], warps: usize, program_len: usize) -> Self {
         Self {
             threads: thread_warp
                 .iter()
@@ -474,7 +474,6 @@ impl ShardProf {
                 .collect(),
             warps: vec![CategoryCounts::default(); warps],
             per_pc: vec![CategoryCounts::default(); program_len],
-            pipe: acc,
         }
     }
 
@@ -543,20 +542,7 @@ impl ShardProf {
     }
 }
 
-// ---- warp assembly -------------------------------------------------------
-
-/// Per-shard warp-assembly scratch: the transaction being built for each
-/// target space, plus the first-touch space order. Emptied every warp by
-/// moving the built transactions out.
-#[derive(Default)]
-struct AsmScratch {
-    /// Indexed by [`space_idx`]; `None` when the warp being assembled has
-    /// no request for that space.
-    building: [Option<Txn>; 2],
-    /// [`space_idx`] values in first-touch order.
-    touched: Vec<usize>,
-}
-
+/// Index of a memory space in [`Shard::building`].
 fn space_idx(space: Space) -> usize {
     match space {
         Space::Global => 0,
@@ -589,23 +575,22 @@ struct Shard<'m> {
     alive: usize,
     bar_dmm: usize,
     bar_global: usize,
-    /// Barrier releases parked by the synchronisation-cost ablation:
-    /// (`resume_time`, local thread indices).
-    pending: Vec<(u64, Vec<usize>)>,
+    /// The cycle a barrier release parked by the synchronisation-cost
+    /// ablation resumes its threads. A release takes every live thread
+    /// of the shard, so at most one is parked at a time.
+    parked_until: Option<u64>,
     /// The DMM's shared-memory pipeline; `None` on machines without
     /// shared memory (standalone DMM/UMM).
     pipe: Option<PipeRt>,
     store: &'m mut BankedMemory,
     race_ck: RaceCk,
-    /// Warp-assembly scratch, empty at every unit start.
-    asm: AsmScratch,
+    /// The transactions the warp being assembled has opened, by
+    /// [`space_idx`], each in the pipeline that will serve it.
+    building: [Option<usize>; 2],
     /// Reusable schedule-building scratch.
     slot_scratch: SlotScratch,
-    /// Recycled transaction buffers (request and schedule capacity).
-    free_txns: Vec<Txn>,
     instructions: u64,
     barriers: u64,
-    stats: MemoryStats,
     finish_time: u64,
     /// Cycle accounting (present when the config enables profiling).
     prof: Option<ShardProf>,
@@ -614,7 +599,6 @@ struct Shard<'m> {
     /// [`first_error`]).
     err: Option<SimError>,
     width: usize,
-    global_policy: ConflictPolicy,
     global_size: usize,
     barrier_cost: u64,
 }
@@ -659,8 +643,14 @@ impl<'m> Shard<'m> {
                 }
             })
             .collect();
-        let pipe = (cfg.shared_size > 0)
-            .then(|| PipeRt::new(cfg.shared_latency as u64, cfg.shared_policy, cfg.pipelined));
+        let pipe = (cfg.shared_size > 0).then(|| {
+            PipeRt::new(
+                MemoryId::Shared(dmm),
+                cfg.shared_latency,
+                cfg.shared_policy,
+                cfg,
+            )
+        });
         Self {
             dmm,
             base_tid,
@@ -677,21 +667,18 @@ impl<'m> Shard<'m> {
             alive: pd,
             bar_dmm: 0,
             bar_global: 0,
-            pending: Vec::new(),
+            parked_until: None,
             pipe,
             store,
             race_ck: RaceCk::new(dmm, cfg.shared_size),
-            asm: AsmScratch::default(),
+            building: [None; 2],
             slot_scratch: SlotScratch::default(),
-            free_txns: Vec::new(),
             instructions: 0,
             barriers: 0,
-            stats: MemoryStats::default(),
             finish_time: 0,
             prof: None,
             err: None,
             width: cfg.width,
-            global_policy: cfg.global_policy,
             global_size: cfg.global_size,
             barrier_cost: cfg.barrier_cost,
         }
@@ -711,47 +698,32 @@ impl<'m> Shard<'m> {
         self.active[wid] = true;
     }
 
-    /// Deliver one completion to its thread, which issues at `now`.
-    fn complete(&mut self, now: u64, c: Completion) {
-        let lt = c.thread - self.base_tid;
-        let req = *self.lanes.req(lt);
+    /// Deliver a served request to its thread, which issues at `now`: a
+    /// load's value goes to its destination register.
+    fn complete(&mut self, now: u64, req: &Request, conflict: u64) {
+        let lt = req.thread - self.base_tid;
         if req.kind == AccessKind::Read {
-            self.lanes.set_reg(lt, req.dst, c.value);
+            let dst = self.lanes.req(lt).dst;
+            self.lanes.set_reg(lt, dst, req.value);
         }
         debug_assert_eq!(self.status[lt], Status::InFlight);
-        self.make_runnable(lt, now, c.conflict);
+        self.make_runnable(lt, now, conflict);
     }
 
-    /// Phase A: deliver the parked barrier releases and shared-memory
+    /// Phase A: deliver the parked barrier release and shared-memory
     /// completions due this cycle, then step every runnable thread one
     /// instruction. Global completions were delivered before it.
     fn phase_a(&mut self, now: u64, program: &Program, trace: &mut TraceBuf) -> SimResult<()> {
-        // Parked barrier releases whose synchronisation cost elapsed.
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                let (_, tids) = self.pending.remove(i);
-                for lt in tids {
-                    self.make_runnable(lt, now, 0);
-                }
-            } else {
-                i += 1;
-            }
+        if self.parked_until.is_some_and(|t| t <= now) {
+            self.parked_until = None;
+            self.wake_barrier(now);
         }
-        while let Some(items) = self.pipe.as_mut().and_then(|p| p.pop_due(now)) {
-            trace.push(|| TraceEvent::SlotCompleted {
-                cycle: now,
-                memory: MemoryId::Shared(self.dmm),
-                warp: self.base_warp + self.thread_warp[items[0].thread - self.base_tid],
-                threads: items.iter().map(|c| c.thread).collect(),
+        let due = |p: &mut PipeRt| p.next_due().is_some_and(|t| t <= now);
+        if let Some(mut pipe) = self.pipe.take_if(due) {
+            pipe.deliver(now, trace, |req, conflict| {
+                self.complete(now, req, conflict);
             });
-            for &c in &items {
-                self.complete(now, c);
-            }
-            self.pipe
-                .as_mut()
-                .expect("just popped from it")
-                .recycle(items);
+            self.pipe = Some(pipe);
         }
 
         if !self.active.contains(&true) {
@@ -850,7 +822,7 @@ impl<'m> Shard<'m> {
             }
             GroupEffect::Barrier(scope) => {
                 for &lt in lanes {
-                    self.status[lt] = Status::BarrierWait(scope);
+                    self.status[lt] = Status::BarrierWait;
                 }
                 match scope {
                     Scope::Global => self.bar_global += n,
@@ -878,25 +850,23 @@ impl<'m> Shard<'m> {
         Ok(())
     }
 
-    /// Release every thread of this shard waiting at `scope`, or park
-    /// them when the synchronisation-cost ablation is active. A free
-    /// release lets the threads run at `now + 1`, so resuming at
-    /// `now + cost + 1` charges exactly `cost` extra units.
-    fn release(&mut self, now: u64, scope: Scope) {
+    /// Release the threads waiting at a barrier — every live thread of
+    /// this shard — or park them when the synchronisation-cost ablation
+    /// is active. A free release lets the threads run at `now + 1`, so
+    /// resuming at `now + cost + 1` charges exactly `cost` extra units.
+    fn release(&mut self, now: u64) {
         if self.barrier_cost > 0 {
-            let mut tids = Vec::new();
-            for (lt, st) in self.status.iter_mut().enumerate() {
-                if *st == Status::BarrierWait(scope) {
-                    *st = Status::InFlight;
-                    tids.push(lt);
-                }
-            }
-            self.pending.push((now + self.barrier_cost + 1, tids));
-            return;
+            self.parked_until = Some(now + self.barrier_cost + 1);
+        } else {
+            self.wake_barrier(now + 1);
         }
+    }
+
+    /// Wake every thread waiting at a barrier; it issues at `issue_at`.
+    fn wake_barrier(&mut self, issue_at: u64) {
         for lt in 0..self.status.len() {
-            if self.status[lt] == Status::BarrierWait(scope) {
-                self.make_runnable(lt, now + 1, 0);
+            if self.status[lt] == Status::BarrierWait {
+                self.make_runnable(lt, issue_at, 0);
             }
         }
     }
@@ -905,7 +875,7 @@ impl<'m> Shard<'m> {
     fn release_dmm(&mut self, now: u64, trace: &mut TraceBuf) {
         if self.bar_dmm > 0 && self.bar_dmm == self.alive {
             let n = self.bar_dmm;
-            self.release(now, Scope::Dmm);
+            self.release(now);
             self.barriers += 1;
             trace.push(|| TraceEvent::BarrierReleased {
                 cycle: now,
@@ -920,115 +890,69 @@ impl<'m> Shard<'m> {
     /// Apply the machine-wide barrier release the driver decided (its
     /// trace event and `barriers` count are the coordinator's).
     fn release_global(&mut self, now: u64) {
-        self.release(now, Scope::Global);
+        self.release(now);
         self.bar_global = 0;
         self.race_ck.interval += 1;
     }
 
     /// Assemble warp transactions (SIMD lockstep: a warp's requests go to
-    /// memory once none of its threads can advance without one).
-    /// Shared-bound transactions join the shard's own pipeline queue,
-    /// global-bound ones are pushed to `out_txns`. An address error stops
-    /// assembly and is kept in `err`.
-    fn assemble(&mut self, out_txns: &mut Vec<Txn>) {
-        debug_assert!(
-            self.asm.touched.is_empty() && self.asm.building.iter().all(Option::is_none),
-            "warp-assembly scratch must be empty at unit start"
-        );
+    /// memory once none of its threads can advance without one). Each
+    /// transaction is built in, and queued on, the pipeline that will
+    /// serve it: the shard's own for shared memory, `global` otherwise.
+    /// An address error stops assembly and is kept in `err`.
+    fn assemble(&mut self, global: &mut PipeRt) {
         for wid in 0..self.warps.len() {
             let warp = &self.warps[wid];
             if warp.runnable > 0 || warp.posted_mask.iter().all(|&m| m == 0) {
                 continue;
             }
-            // Compact the posted lane slots in lane order, grouped per
-            // target memory (first-touch order), building directly into
-            // recycled transaction buffers.
-            let first = self.warps[wid].first;
+            // Compact the posted lane slots in lane order, one
+            // transaction per target memory.
+            let first = warp.first;
             for k in 0..self.warps[wid].posted_mask.len() {
                 let mut bits = std::mem::take(&mut self.warps[wid].posted_mask[k]);
                 while bits != 0 {
                     let lt = first + 64 * k + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if let Err(e) = self.post(wid, lt) {
+                    if let Err(e) = self.post(wid, lt, global) {
                         self.err = Some(e);
                         return;
                     }
                 }
             }
-            for k in 0..self.asm.touched.len() {
-                let si = self.asm.touched[k];
-                let mut txn = self.asm.building[si].take().expect("touched space");
-                let (space, policy) = if si == space_idx(Space::Global) {
-                    (Space::Global, self.global_policy)
-                } else {
-                    (
-                        Space::Shared,
-                        self.pipe.as_ref().expect("checked at posting").policy,
-                    )
-                };
-                self.slot_scratch
-                    .build_into(&txn.requests, self.width, policy, &mut txn.schedule);
-                match space {
-                    Space::Global => out_txns.push(txn),
-                    Space::Shared => self
-                        .pipe
-                        .as_mut()
-                        .expect("checked at posting")
-                        .queue
-                        .push_back(txn),
+            let pipes = [Some(&mut *global), self.pipe.as_mut()];
+            for (building, pipe) in self.building.iter_mut().zip(pipes) {
+                if let (Some(id), Some(pipe)) = (building.take(), pipe) {
+                    pipe.submit(id, &mut self.slot_scratch, self.width);
                 }
             }
-            self.asm.touched.clear();
         }
     }
 
     /// Dispatch one shared-memory pipeline slot.
     fn dispatch_shared(&mut self, now: u64, trace: &mut TraceBuf, races: &mut RaceLog) {
-        let Some(pipe) = self.pipe.as_mut() else {
-            return;
-        };
-        let rck = &mut self.race_ck;
-        let depth = pipe.queue.len() + usize::from(pipe.current.is_some());
-        let Some(d) = pipe.dispatch_slot(now, self.store, trace.room(), |txn, slot| {
-            rck.observe(txn, slot, races);
-        }) else {
-            return;
-        };
-        let finished_slots = d.finished.as_ref().map(|t| t.schedule.num_slots() as u64);
-        if let Some(acc) = self.prof.as_mut().and_then(|p| p.pipe.as_mut()) {
-            acc.on_dispatch(now, depth);
-            if let Some(slots) = finished_slots {
-                acc.on_txn_done(slots);
-            }
-        }
-        trace.push(|| TraceEvent::SlotDispatched {
-            cycle: now,
-            memory: MemoryId::Shared(self.dmm),
-            warp: d.warp,
-            slot_index: d.slot_index,
-            total_slots: d.total_slots,
-            addrs: d.addrs,
-        });
-        if let Some(mut done) = d.finished {
-            self.stats
-                .record(done.schedule.num_slots() as u64, done.requests.len() as u64);
-            done.requests.clear();
-            self.free_txns.push(done);
+        if let Some(pipe) = self.pipe.as_mut() {
+            let rck = &mut self.race_ck;
+            pipe.dispatch(now, self.store, trace, |txn, slot| {
+                rck.observe(txn, slot, races);
+            });
         }
     }
 
     /// Move local thread `lt`'s posted request from its lane slot into
-    /// the transaction its warp is building for the target memory,
-    /// checking the address against that memory.
-    fn post(&mut self, wid: usize, lt: usize) -> SimResult<()> {
+    /// the transaction its warp is building in the target memory's
+    /// pipeline, checking the address against that memory.
+    fn post(&mut self, wid: usize, lt: usize, global: &mut PipeRt) -> SimResult<()> {
         let req = *self.lanes.req(lt);
         let thread = self.base_tid + lt;
         // Non-negative: a negative address already failed at issue.
         let addr = req.addr as usize;
-        let size = match req.space {
-            Space::Global => self.global_size,
-            Space::Shared if self.pipe.is_none() => return Err(SimError::NoSharedMemory),
-            Space::Shared => self.store.len(),
+        let (pipe, size) = match req.space {
+            Space::Global => (global, self.global_size),
+            Space::Shared => match self.pipe.as_mut() {
+                Some(pipe) => (pipe, self.store.len()),
+                None => return Err(SimError::NoSharedMemory),
+            },
         };
         if addr >= size {
             let space = req.space;
@@ -1039,14 +963,9 @@ impl<'m> Shard<'m> {
                 size,
             });
         }
-        let si = space_idx(req.space);
-        let txn = self.asm.building[si].get_or_insert_with(|| {
-            let mut t = self.free_txns.pop().unwrap_or_else(Txn::empty);
-            t.reset(self.base_warp + wid);
-            self.asm.touched.push(si);
-            t
-        });
-        txn.requests.push(Request {
+        let warp = self.base_warp + wid;
+        let id = *self.building[space_idx(req.space)].get_or_insert_with(|| pipe.open(warp));
+        pipe.txns[id].requests.push(Request {
             thread,
             addr,
             kind: req.kind,
@@ -1056,21 +975,17 @@ impl<'m> Shard<'m> {
     }
 
     /// Earliest future event of this shard: a shared-pipeline dispatch
-    /// opportunity or completion, or a parked barrier release.
+    /// opportunity or completion, or the parked barrier release.
     fn next_event(&self, now: u64) -> Option<u64> {
-        let pipe = self.pipe.as_ref();
-        pipe.and_then(|p| p.next_dispatch_at(now))
-            .into_iter()
-            .chain(pipe.and_then(PipeRt::next_completion_at))
-            .chain(self.pending.iter().map(|(t, _)| *t))
-            .min()
+        let pipe = self.pipe.as_ref().and_then(|p| p.next_event(now));
+        pipe.into_iter().chain(self.parked_until).min()
     }
 }
 
 // ---- the coordinator -----------------------------------------------------
 
 /// The machine-wide side of the launch: the single UMM pipeline shared
-/// by every DMM's warps, the routing tables that send its completions
+/// by every DMM's warps, the routing table that sends its completions
 /// back to the owning shard, and the run's trace and race log, which
 /// every step appends to as it happens.
 struct Coord<'m> {
@@ -1078,33 +993,19 @@ struct Coord<'m> {
     store: &'m mut BankedMemory,
     /// global thread id -> DMM (for completion routing).
     thread_dmm: Vec<usize>,
-    /// global thread id -> global warp id (for trace events).
-    thread_warp: Vec<usize>,
     trace: TraceBuf,
     races: RaceLog,
-    /// Global pipeline occupancy accumulator (profiling only).
-    prof: Option<PipeAcc>,
-    stats: MemoryStats,
     barriers: u64,
 }
 
 impl Coord<'_> {
     /// Deliver the global completions due at `now` straight to their
-    /// threads; a batch is one warp's, so all on one shard.
+    /// threads; a slot is one warp's, so all on one shard.
     fn deliver(&mut self, now: u64, shards: &mut [Shard<'_>]) {
-        while let Some(items) = self.pipe.pop_due(now) {
-            self.trace.push(|| TraceEvent::SlotCompleted {
-                cycle: now,
-                memory: MemoryId::Global,
-                warp: self.thread_warp[items[0].thread],
-                threads: items.iter().map(|c| c.thread).collect(),
-            });
-            let shard = &mut shards[self.thread_dmm[items[0].thread]];
-            for &c in &items {
-                shard.complete(now, c);
-            }
-            self.pipe.recycle(items);
-        }
+        let thread_dmm = &self.thread_dmm;
+        self.pipe.deliver(now, &mut self.trace, |req, conflict| {
+            shards[thread_dmm[req.thread]].complete(now, req, conflict);
+        });
     }
 
     /// Record a machine-wide barrier release (the shards apply it).
@@ -1115,43 +1016,6 @@ impl Coord<'_> {
             dmm: None,
             threads: waiting,
         });
-    }
-
-    /// Append this cycle's global-bound transactions (already in the
-    /// canonical DMM order, drained out of the caller's reusable buffer)
-    /// and dispatch one global pipeline slot. A transaction this slot
-    /// finished is returned, emptied, with the DMM whose shard assembled
-    /// it, for the driver to hand back to that shard's pool.
-    fn dispatch(&mut self, now: u64, txns: &mut Vec<Txn>) -> Option<(usize, Txn)> {
-        for t in txns.drain(..) {
-            self.pipe.queue.push_back(t);
-        }
-        let depth = self.pipe.queue.len() + usize::from(self.pipe.current.is_some());
-        let want_addrs = self.trace.room();
-        let d = self
-            .pipe
-            .dispatch_slot(now, self.store, want_addrs, |_, _| {})?;
-        let finished_slots = d.finished.as_ref().map(|t| t.schedule.num_slots() as u64);
-        if let Some(acc) = self.prof.as_mut() {
-            acc.on_dispatch(now, depth);
-            if let Some(slots) = finished_slots {
-                acc.on_txn_done(slots);
-            }
-        }
-        self.trace.push(|| TraceEvent::SlotDispatched {
-            cycle: now,
-            memory: MemoryId::Global,
-            warp: d.warp,
-            slot_index: d.slot_index,
-            total_slots: d.total_slots,
-            addrs: d.addrs,
-        });
-        let mut done = d.finished?;
-        self.stats
-            .record(done.schedule.num_slots() as u64, done.requests.len() as u64);
-        let dmm = self.thread_dmm[done.requests[0].thread];
-        done.requests.clear();
-        Some((dmm, done))
     }
 }
 
@@ -1179,9 +1043,8 @@ fn next_time(now: u64, coord: &Coord<'_>, shards: &[Shard<'_>]) -> SimResult<u64
     }
     let next = coord
         .pipe
-        .next_dispatch_at(now)
+        .next_event(now)
         .into_iter()
-        .chain(coord.pipe.next_completion_at())
         .chain(shards.iter().filter_map(|s| s.next_event(now)))
         .min();
     match next {
@@ -1218,7 +1081,6 @@ fn drive(
     coord: &mut Coord<'_>,
     shards: &mut [Shard<'_>],
 ) -> SimResult<u64> {
-    let mut txns: Vec<Txn> = Vec::new();
     let mut now: u64 = 0;
     let mut skipped: u64 = 0;
     loop {
@@ -1240,14 +1102,13 @@ fn drive(
                 s.release_global(now);
             }
         }
-        debug_assert!(txns.is_empty(), "txn buffer must be empty at unit start");
         for s in shards.iter_mut() {
-            s.assemble(&mut txns);
+            s.assemble(&mut coord.pipe);
         }
         if shards.iter().all(|s| s.err.is_none()) {
-            if let Some((d, txn)) = coord.dispatch(now, &mut txns) {
-                shards[d].free_txns.push(txn);
-            }
+            coord
+                .pipe
+                .dispatch(now, coord.store, &mut coord.trace, |_, _| {});
         }
         for s in shards.iter_mut().filter(|s| s.err.is_none()) {
             s.dispatch_shared(now, &mut coord.trace, &mut coord.races);
@@ -1283,7 +1144,6 @@ pub(crate) fn run(
 
     let mut shards: Vec<Shard<'_>> = Vec::with_capacity(cfg.dmms);
     let mut thread_dmm: Vec<usize> = Vec::with_capacity(p);
-    let mut thread_warp: Vec<usize> = Vec::with_capacity(p);
     let mut base_tid = 0usize;
     let mut base_warp = 0usize;
     for ((d, &pd), store) in spec
@@ -1292,21 +1152,16 @@ pub(crate) fn run(
         .enumerate()
         .zip(shared.iter_mut())
     {
-        for lt in 0..pd {
-            thread_dmm.push(d);
-            thread_warp.push(base_warp + lt / w);
-        }
+        thread_dmm.extend(std::iter::repeat_n(d, pd));
         shards.push(Shard::new(
             d, base_tid, base_warp, pd, p, cfg, &spec.args, store,
         ));
         if cfg.profile {
             let s = shards.last_mut().expect("just pushed");
-            let acc = s.pipe.is_some().then(|| PipeAcc::new(cfg.profile_buckets));
             s.prof = Some(ShardProf::new(
                 &s.thread_warp,
                 s.warps.len(),
                 spec.program.len(),
-                acc,
             ));
         }
         base_tid += pd;
@@ -1314,14 +1169,11 @@ pub(crate) fn run(
     }
 
     let mut coord = Coord {
-        pipe: PipeRt::new(cfg.global_latency as u64, cfg.global_policy, cfg.pipelined),
+        pipe: PipeRt::new(MemoryId::Global, cfg.global_latency, cfg.global_policy, cfg),
         store: global,
         thread_dmm,
-        thread_warp,
         trace: TraceBuf::new(cfg),
         races: RaceLog::default(),
-        prof: cfg.profile.then(|| PipeAcc::new(cfg.profile_buckets)),
-        stats: MemoryStats::default(),
         barriers: 0,
     };
     let skipped = drive(cfg, &spec.program, &mut coord, &mut shards)?;
@@ -1329,20 +1181,19 @@ pub(crate) fn run(
     // ---- merge (always in DMM order) ------------------------------------
     let mut report = SimReport {
         threads: p,
-        global: coord.stats,
+        global: coord.pipe.stats,
         barriers: coord.barriers,
         shared_races: coord.races.count,
         skipped_units: skipped,
         ..SimReport::default()
     };
-    let has_shared = cfg.shared_size > 0;
     for s in &shards {
         report.instructions += s.instructions;
         report.barriers += s.barriers;
         report.time = report.time.max(s.finish_time);
-        if has_shared {
-            report.shared.merge(&s.stats);
-            report.shared_per_dmm.push(s.stats.clone());
+        if let Some(pipe) = &s.pipe {
+            report.shared.merge(&pipe.stats);
+            report.shared_per_dmm.push(pipe.stats.clone());
         }
     }
 
@@ -1370,11 +1221,11 @@ pub(crate) fn run(
             for (acc, c) in per_pc.iter_mut().zip(prof.per_pc.iter()) {
                 acc.merge(c);
             }
-            if let Some(acc) = prof.pipe {
+            if let Some(acc) = s.pipe.as_mut().and_then(|p| p.acc.take()) {
                 shared_accs.push(acc);
             }
         }
-        let mut gacc = coord.prof.take().expect("profiling enabled");
+        let mut gacc = coord.pipe.acc.take().expect("profiling enabled");
         let bw = shared_accs
             .iter()
             .map(PipeAcc::width)

@@ -55,7 +55,8 @@ pub struct Request {
     pub addr: usize,
     /// Read or write.
     pub kind: AccessKind,
-    /// The value to store (writes only; ignored for reads).
+    /// The value to store; for a read, the engine keeps the loaded value
+    /// here from dispatch to delivery.
     pub value: Word,
 }
 
