@@ -190,14 +190,14 @@ impl PipeAcc {
         self.width
     }
 
+    /// Double the bucket width, merging bucket pairs in place.
     fn halve(&mut self) {
         self.width = self.width.saturating_mul(2);
-        let merged: Vec<u64> = self
-            .buckets
-            .chunks(2)
-            .map(|pair| pair.iter().sum())
-            .collect();
-        self.buckets = merged;
+        let n = self.buckets.len().div_ceil(2);
+        for i in 0..n {
+            self.buckets[i] = self.buckets[2 * i] + self.buckets.get(2 * i + 1).unwrap_or(&0);
+        }
+        self.buckets.truncate(n);
     }
 
     /// One slot dispatched at `cycle` with `depth` transactions resident.

@@ -1,6 +1,9 @@
-//! The global-memory path allocates nothing per transaction: a launch's
-//! heap allocation count is the same whether its kernel loops over
-//! global loads 50, 100 or 200 times.
+//! The memory path allocates nothing per transaction: a launch's heap
+//! allocation count is the same whether its kernel loops 50, 100 or 200
+//! times. One kernel loops over global loads; another also crosses
+//! shared memory and both barriers, with a barrier cost, profiling and a
+//! bounded trace on, so the parked releases, the profiler's timelines
+//! and the trace's dropped events are covered too.
 //!
 //! A counting global allocator tallies allocations made on the test's
 //! own thread while a flag is set, so the harness's other threads and
@@ -14,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchSpec};
+use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchSpec, Program};
 
 struct Counting;
 
@@ -74,7 +77,7 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Every thread loads its own global word `arg0` times and stores the
 /// sum back.
-fn global_load_loop() -> hmm_machine::Program {
+fn global_load_loop() -> Program {
     let (acc, v, i, more) = (Reg(16), Reg(17), Reg(18), Reg(19));
     let mut a = Asm::new();
     a.mov(acc, 0);
@@ -90,16 +93,43 @@ fn global_load_loop() -> hmm_machine::Program {
     a.finish()
 }
 
-/// Allocations of one launch of the loop at each iteration count.
-fn launch_allocations(cfg: &EngineConfig, p: usize, iterations: &[i64]) -> Vec<u64> {
+/// Every thread, `arg0` times: store to its shared word, DMM barrier,
+/// load the word back, load its global word, machine-wide barrier.
+fn observed_loop() -> Program {
+    let (v, i, more) = (Reg(16), Reg(17), Reg(18));
+    let mut a = Asm::new();
+    a.mov(i, 0);
+    let top = a.here();
+    a.st_shared(abi::LTID, 0, i);
+    a.bar_dmm();
+    a.ld_shared(v, abi::LTID, 0);
+    a.ld_global(v, abi::GID, 0);
+    a.bar_global();
+    a.add(i, i, 1);
+    a.slt(more, i, abi::arg(0));
+    a.brnz(more, top);
+    a.halt();
+    a.finish()
+}
+
+/// Allocations of one launch of `kernel` at each iteration count. A
+/// launch of `n` iterations must make `global_requests(n)` global
+/// requests per thread.
+fn launch_allocations(
+    cfg: &EngineConfig,
+    p: usize,
+    kernel: fn() -> Program,
+    global_requests: fn(u64) -> u64,
+    iterations: &[i64],
+) -> Vec<u64> {
     iterations
         .iter()
         .map(|&n| {
             let mut engine = Engine::new(cfg.clone()).unwrap();
-            let spec = LaunchSpec::even(global_load_loop(), p, engine.config().dmms, vec![n]);
+            let spec = LaunchSpec::even(kernel(), p, engine.config().dmms, vec![n]);
             let (count, report) = allocations_during(|| engine.run(&spec));
             let report = report.unwrap();
-            assert_eq!(report.global.requests, p as u64 * n as u64 + p as u64);
+            assert_eq!(report.global.requests, p as u64 * global_requests(n as u64));
             count
         })
         .collect()
@@ -119,12 +149,26 @@ fn assert_flat(counts: &[u64]) {
 fn hmm_global_loads_allocate_nothing_per_iteration() {
     let (d, w, p) = (4, 32, 4 * 64);
     let cfg = EngineConfig::hmm(d, w, 16, p, 64);
-    assert_flat(&launch_allocations(&cfg, p, &[50, 100, 200]));
+    let counts = launch_allocations(&cfg, p, global_load_loop, |n| n + 1, &[50, 100, 200]);
+    assert_flat(&counts);
 }
 
 #[test]
 fn umm_global_loads_allocate_nothing_per_iteration() {
     let p = 64;
     let cfg = EngineConfig::umm(32, 16, p);
-    assert_flat(&launch_allocations(&cfg, p, &[50, 100, 200]));
+    let counts = launch_allocations(&cfg, p, global_load_loop, |n| n + 1, &[50, 100, 200]);
+    assert_flat(&counts);
+}
+
+#[test]
+fn observed_barrier_loop_allocates_nothing_per_iteration() {
+    let (d, w, p) = (4, 32, 4 * 64);
+    let mut cfg = EngineConfig::hmm(d, w, 16, p, 64);
+    cfg.barrier_cost = 3;
+    cfg.profile = true;
+    cfg.trace = true;
+    cfg.trace_capacity = Some(64);
+    let counts = launch_allocations(&cfg, p, observed_loop, |n| n, &[50, 100, 200]);
+    assert_flat(&counts);
 }
