@@ -8,10 +8,9 @@
 //! (many warps, small `l`) keep a pipeline occupied almost every unit
 //! and serve as the no-regression guard.
 //!
-//! Run with `cargo bench -p hmm-bench --bench engine`; pass `--quick`
-//! (after `--`) for the scaled-down CI smoke variant. Results — with
-//! the host core count and per-workload skipped-unit counts — go to
-//! `BENCH_engine.json` at the repository root.
+//! Run with `cargo bench -p hmm-bench --bench engine`. Results — with
+//! the host core count and per-workload simulated and skipped units —
+//! go to `BENCH_engine.json` at the repository root.
 
 use hmm_algorithms::convolution::hmm::shared_words;
 use hmm_algorithms::convolution::run_conv_hmm;
@@ -76,66 +75,46 @@ fn measure(g: &mut BenchGroup, name: &str, run: impl Fn(bool) -> SimReport) -> V
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let samples = if quick { 2 } else { 5 };
+    let samples = 5;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "event-driven clock bench ({} mode): d = {D}, w = {W}, host cores = {cores}",
-        if quick { "quick" } else { "full" }
-    );
+    println!("event-driven clock bench: d = {D}, w = {W}, host cores = {cores}");
     let mut g = BenchGroup::new("engine");
     g.sample_size(samples);
     let mut rows = Vec::new();
 
     // Latency-bound sum: few warps, growing l — long idle stretches.
-    let lat_n = if quick { 1 << 10 } else { 1 << 12 };
+    let lat_n = 1 << 12;
     let lat_input = random_words(lat_n, 42, 100);
-    let lat_ls: &[usize] = if quick {
-        &[64, 1024]
-    } else {
-        &[64, 1024, 8192]
-    };
-    for &l in lat_ls {
+    for l in [64, 1024, 8192] {
         rows.push(measure(&mut g, &format!("sum/l{l}_p64"), |ff| {
             sum_report(l, lat_n, 64, &lat_input, ff)
         }));
     }
 
     // Latency-bound convolution at the largest l.
-    let (cn, ck) = if quick {
-        (256usize, 8usize)
-    } else {
-        (1024, 16)
-    };
+    let (cn, ck) = (1024, 16);
     let ca = random_words(ck, 7, 50);
     let cb = random_words(cn + ck - 1, 8, 50);
-    let conv_l = if quick { 1024 } else { 8192 };
-    rows.push(measure(&mut g, &format!("conv/l{conv_l}_p64"), |ff| {
-        conv_report(conv_l, cn, ck, 64, &ca, &cb, ff)
+    rows.push(measure(&mut g, "conv/l8192_p64", |ff| {
+        conv_report(8192, cn, ck, 64, &ca, &cb, ff)
     }));
 
     // Busy shapes: enough warps to keep the pipes occupied nearly every
     // unit — the fast-forward path must not regress here.
-    let busy_n = if quick { 1 << 11 } else { 1 << 13 };
-    let busy_p = if quick { 512 } else { 1024 };
+    let busy_n = 1 << 13;
     let busy_input = random_words(busy_n, 43, 100);
-    rows.push(measure(&mut g, &format!("sum/l64_p{busy_p}"), |ff| {
-        sum_report(64, busy_n, busy_p, &busy_input, ff)
+    rows.push(measure(&mut g, "sum/l64_p1024", |ff| {
+        sum_report(64, busy_n, 1024, &busy_input, ff)
     }));
-    let (bn, bk, bp) = if quick {
-        (1024usize, 16usize, 512usize)
-    } else {
-        (4096, 32, 2048)
-    };
+    let (bn, bk, bp) = (4096, 32, 2048);
     let ba = random_words(bk, 9, 50);
     let bb = random_words(bn + bk - 1, 10, 50);
-    rows.push(measure(&mut g, &format!("conv/l64_p{bp}"), |ff| {
+    rows.push(measure(&mut g, "conv/l64_p2048", |ff| {
         conv_report(64, bn, bk, bp, &ba, &bb, ff)
     }));
 
     let doc = Value::object(vec![
         ("bench", "engine".into()),
-        ("mode", if quick { "quick" } else { "full" }.into()),
         ("host_cores", cores.into()),
         ("samples_per_point", samples.into()),
         (
