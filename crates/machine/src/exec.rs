@@ -50,11 +50,11 @@
 //! `(due, txn, slot)` completion record, and all of the slot's requests
 //! complete together, as in the paper's pipelined MMU. A read keeps its
 //! loaded value in its request until delivery writes it to the lane's
-//! destination register, so delivery is the only step that touches
-//! lanes. The per-cycle hot path is therefore allocation-free in steady
-//! state; only kept trace events allocate. `tests/alloc_free.rs` checks
-//! with a counting allocator that a launch's allocations do not grow
-//! with its length.
+//! destination register, so delivery is the only step of the memory
+//! path that touches lanes. The per-cycle hot path is allocation-free
+//! in steady state; only kept trace events allocate.
+//! `tests/alloc_free.rs` checks with a counting allocator that a
+//! launch's allocations do not grow with its length.
 //!
 //! ## The warp-granular interpreter
 //!
@@ -332,11 +332,12 @@ impl PipeRt {
         });
     }
 
-    /// Deliver every slot due by `now`: trace its completion and hand
-    /// each served request to `wake` — loads, then stores, each in
-    /// request order — with the slot's conflict share, the cycles it
-    /// dispatched after its transaction's first slot. A transaction's id
-    /// returns to `free` with its last slot.
+    /// Deliver every slot due by `now`: trace its completion (loads,
+    /// then stores, each in request order) and hand each served request
+    /// to `wake` with the slot's conflict share, the cycles it
+    /// dispatched after its transaction's first slot. Lanes wake
+    /// independently, so `wake` sees the slot's own order. A
+    /// transaction's id returns to `free` with its last slot.
     fn deliver(&mut self, now: u64, trace: &mut TraceBuf, mut wake: impl FnMut(&Request, u64)) {
         while let Some(&(due, id, slot)) = self.completions.front() {
             if due > now {
@@ -345,25 +346,26 @@ impl PipeRt {
             self.completions.pop_front();
             let txn = &self.txns[id];
             let served = txn.schedule.slot(slot);
-            let in_order = || {
-                [AccessKind::Read, AccessKind::Write]
-                    .into_iter()
-                    .flat_map(move |kind| {
-                        served
-                            .iter()
-                            .map(|&ri| &txn.requests[ri])
-                            .filter(move |r| r.kind == kind)
-                    })
-            };
-            trace.push(|| TraceEvent::SlotCompleted {
-                cycle: now,
-                memory: self.memory,
-                warp: txn.warp,
-                threads: in_order().map(|r| r.thread).collect(),
+            trace.push(|| {
+                let thread = |kind| {
+                    served
+                        .iter()
+                        .map(|&ri| txn.requests[ri])
+                        .filter(move |r| r.kind == kind)
+                        .map(|r| r.thread)
+                };
+                TraceEvent::SlotCompleted {
+                    cycle: now,
+                    memory: self.memory,
+                    warp: txn.warp,
+                    threads: thread(AccessKind::Read)
+                        .chain(thread(AccessKind::Write))
+                        .collect(),
+                }
             });
             let conflict = due - self.latency - txn.first_dispatch;
-            for req in in_order() {
-                wake(req, conflict);
+            for &ri in served {
+                wake(&txn.requests[ri], conflict);
             }
             if slot + 1 == txn.schedule.num_slots() {
                 self.free.push(id);
