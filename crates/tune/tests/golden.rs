@@ -210,3 +210,28 @@ fn predict_stage_outputs_are_pinned() {
         "conv"
     );
 }
+
+/// The report document of a golden run: `(bytes, FNV-1a)` of its
+/// pretty-printed JSON.
+fn report_digest(algo: &str, n: usize, space: &str) -> (usize, u64) {
+    let json = tune_at(algo, n, space, 1).to_json().to_json_pretty();
+    (json.len(), fnv1a(FNV_OFFSET, json.as_bytes()))
+}
+
+/// The report bytes — every key, including the constant ones such as
+/// `prune_factor`, and every number's formatting — are pinned, so a
+/// refactor of the tuner or its report cannot change what `hmm-cli
+/// tune --out` writes without showing up here.
+#[test]
+fn report_bytes_are_pinned() {
+    assert_eq!(
+        report_digest("sum", 512, SUM_SPACE),
+        (9038, 0x9a91_7eea_30b1_947f),
+        "sum"
+    );
+    assert_eq!(
+        report_digest("conv", 256, CONV_SPACE),
+        (6491, 0x9dc8_26ac_17be_e0c5),
+        "conv"
+    );
+}
