@@ -4,7 +4,8 @@
 //! For every reachable `Ld`/`St` the abstract address `base + ltid·c` is
 //! materialised for one representative warp (lanes `0..w`, clipped by
 //! guard-derived thread limits and the per-DMM thread count) and fed
-//! through the *simulator's own* [`SlotSchedule`] — the prediction and
+//! through the *simulator's own*
+//! [`SlotSchedule`](hmm_machine::request::SlotSchedule) — the prediction and
 //! the dynamic measurement share one conflict model by construction,
 //! which is exactly what `tests/static_vs_dynamic.rs` validates.
 //!
@@ -192,7 +193,7 @@ fn predict(
         (Base::Any, ConflictPolicy::Banked) => count_for(0).map(|k| Degree { min: k, max: k }),
         (Base::ModW(r), _) => count_for(r).map(|k| Degree { min: k, max: k }),
         // Unknown base on a coalesced memory: try every residue class.
-        (Base::Any, ConflictPolicy::Coalesced | ConflictPolicy::Ideal) => {
+        (Base::Any, ConflictPolicy::Coalesced) => {
             let mut min = usize::MAX;
             let mut max = 0;
             for rep in 0..w as i64 {
@@ -225,7 +226,6 @@ fn emit_info(policy: ConflictPolicy, d: Degree, pc: usize, w: usize, out: &mut V
             pc,
             format!("uncoalesced access: a {w}-thread warp touches {shape} address groups"),
         )),
-        ConflictPolicy::Ideal => {}
     }
 }
 

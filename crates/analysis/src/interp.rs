@@ -98,7 +98,7 @@ pub fn entry_state(cfg: &AnalysisConfig) -> State {
 
     st[abi::W.0 as usize] = AbsVal::known(w);
     st[abi::P.0 as usize] = launch_or(cfg.p);
-    st[abi::L.0 as usize] = launch_or(cfg.l);
+    st[abi::L.0 as usize] = AbsVal::unknown(Level::Launch);
     st[abi::D.0 as usize] = AbsVal::known(cfg.dmms as i64);
     st[abi::LTID.0 as usize] = AbsVal::Affine {
         base: Base::Known(0),
@@ -125,7 +125,7 @@ pub fn entry_state(cfg: &AnalysisConfig) -> State {
         };
     }
     for i in 0..abi::NUM_ARGS {
-        st[abi::arg(i).0 as usize] = launch_or(cfg.args.get(i).copied().flatten());
+        st[abi::arg(i).0 as usize] = AbsVal::unknown(Level::Launch);
     }
     st
 }

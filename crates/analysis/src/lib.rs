@@ -5,7 +5,7 @@
 //! catching the defect classes the paper's machine model makes precise:
 //!
 //! * a control-flow graph with basic blocks, reachability, and immediate
-//!   post-dominators ([`cfg`]);
+//!   post-dominators ([`cfg`](mod@cfg));
 //! * classic register dataflow — may-uninitialized reads, dead stores,
 //!   unreachable code, missing `Halt` ([`dataflow`]);
 //! * abstract interpretation over ltid-affine addresses (`base +
@@ -16,8 +16,8 @@
 //! * barrier-divergence checking and shared-memory race detection
 //!   ([`barrier`], [`race`]).
 //!
-//! The entry point is [`analyze`]; `hmm-cli lint` and
-//! `hmm_lang::KernelBuilder::compile_checked` are thin wrappers over it.
+//! The entry point is [`analyze`]; `hmm-cli lint` and the tuner's
+//! predict stage call it.
 //! `tests/static_vs_dynamic.rs` (repository root) validates the
 //! predictions against measured [`hmm_machine::stats::SimReport`]s.
 
@@ -42,9 +42,10 @@ pub use cost::{inflation, predict, CostEstimate, ThetaTerms};
 pub use diag::{Code, Diagnostic, Severity};
 
 /// The machine shape the analysis assumes. Mirrors
-/// `hmm_machine::engine::EngineConfig`, but every launch parameter is
-/// optional: unknown parameters make predictions ranges instead of
-/// exact values.
+/// `hmm_machine::engine::EngineConfig`, but the thread count `p` is
+/// optional, and the latency `l` and the argument registers are always
+/// unknown: unknown parameters make predictions ranges instead of exact
+/// values.
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
     /// Warp width / bank count / address-group width `w`.
@@ -57,10 +58,6 @@ pub struct AnalysisConfig {
     pub has_shared: bool,
     /// Total thread count `p`, when known.
     pub p: Option<i64>,
-    /// Global-memory latency `l`, when known.
-    pub l: Option<i64>,
-    /// Known kernel argument values (index = ABI argument slot).
-    pub args: Vec<Option<i64>>,
 }
 
 impl AnalysisConfig {
@@ -73,8 +70,6 @@ impl AnalysisConfig {
             global_policy: ConflictPolicy::Banked,
             has_shared: false,
             p: None,
-            l: None,
-            args: Vec::new(),
         }
     }
 
@@ -103,13 +98,6 @@ impl AnalysisConfig {
     pub fn with_launch(mut self, p: i64, dmms: usize) -> Self {
         self.p = Some(p);
         self.dmms = dmms.max(1);
-        self
-    }
-
-    /// Pin argument register values (`None` entries stay unknown).
-    #[must_use]
-    pub fn with_args(mut self, args: Vec<Option<i64>>) -> Self {
-        self.args = args;
         self
     }
 

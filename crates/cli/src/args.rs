@@ -134,11 +134,6 @@ impl Args {
         self.values.insert(key.to_string(), value.into());
     }
 
-    /// Remove a `--key value` pair, returning whether it was present.
-    pub fn unset(&mut self, key: &str) -> bool {
-        self.values.remove(key).is_some()
-    }
-
     /// Validate a choice flag against allowed words.
     ///
     /// # Errors

@@ -37,35 +37,22 @@ impl Parallelism {
 }
 
 /// A compiled kernel: one program executed by every launched thread
-/// (CUDA-style SPMD), plus the argument words handed to each thread.
+/// (CUDA-style SPMD).
 #[derive(Debug, Clone)]
 pub struct Kernel {
     /// Human-readable name, used in reports and benchmark labels.
     pub name: String,
     /// The program.
     pub program: Program,
-    /// Words preset into the `abi::ARG0..` registers of every thread.
-    pub args: Vec<Word>,
 }
 
 impl Kernel {
-    /// A kernel with no arguments.
+    /// A named kernel.
     #[must_use]
     pub fn new(name: impl Into<String>, program: Program) -> Self {
         Self {
             name: name.into(),
             program,
-            args: Vec::new(),
-        }
-    }
-
-    /// A kernel with argument words.
-    #[must_use]
-    pub fn with_args(name: impl Into<String>, program: Program, args: Vec<Word>) -> Self {
-        Self {
-            name: name.into(),
-            program,
-            args,
         }
     }
 }
@@ -84,11 +71,9 @@ pub enum LaunchShape {
 impl LaunchShape {
     fn to_spec(&self, kernel: &Kernel, dmms: usize) -> SimResult<LaunchSpec> {
         let spec = match self {
-            LaunchShape::Even(p) => {
-                LaunchSpec::even(kernel.program.clone(), *p, dmms, kernel.args.clone())
-            }
+            LaunchShape::Even(p) => LaunchSpec::even(kernel.program.clone(), *p, dmms, Vec::new()),
             LaunchShape::OnDmm0(p) => {
-                LaunchSpec::on_dmm0(kernel.program.clone(), *p, dmms, kernel.args.clone())
+                LaunchSpec::on_dmm0(kernel.program.clone(), *p, dmms, Vec::new())
             }
             LaunchShape::PerDmm(counts) => {
                 if counts.len() != dmms {
@@ -100,7 +85,7 @@ impl LaunchShape {
                 LaunchSpec {
                     program: kernel.program.clone(),
                     threads_per_dmm: counts.clone(),
-                    args: kernel.args.clone(),
+                    args: Vec::new(),
                 }
             }
         };
@@ -237,12 +222,6 @@ impl Machine {
     #[must_use]
     pub fn shared_capacity(&self) -> usize {
         self.engine.config().shared_size
-    }
-
-    /// Capacity of the global memory in words.
-    #[must_use]
-    pub fn global_capacity(&self) -> usize {
-        self.engine.config().global_size
     }
 
     /// Escape hatch to the underlying engine.

@@ -57,41 +57,6 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Failures of [`KernelBuilder::compile_checked`]: either the kernel did
-/// not compile at all, or the static analyzer found error-severity
-/// defects in the compiled program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckError {
-    /// Compilation itself failed.
-    Compile(CompileError),
-    /// The program compiled but carries error-severity diagnostics
-    /// (races, divergent barriers, uninitialized reads, ...).
-    Lint(Vec<hmm_analysis::Diagnostic>),
-}
-
-impl std::fmt::Display for CheckError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckError::Compile(e) => write!(f, "compile error: {e}"),
-            CheckError::Lint(diags) => {
-                writeln!(f, "kernel failed static checks:")?;
-                for d in diags {
-                    writeln!(f, "  {}", d.render())?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckError {}
-
-impl From<CompileError> for CheckError {
-    fn from(e: CompileError) -> Self {
-        CheckError::Compile(e)
-    }
-}
-
 /// Builds a kernel as a statement list, then compiles it.
 ///
 /// See the crate-level example. Statements appended via the builder
@@ -197,8 +162,7 @@ impl KernelBuilder {
         self.body.push(s);
     }
 
-    /// The statement list built so far (for pretty-printing and
-    /// inspection).
+    /// The statement list built so far (the input to [`crate::transform`]).
     #[must_use]
     pub fn body(&self) -> &[Stmt] {
         &self.body
@@ -230,34 +194,6 @@ impl KernelBuilder {
         cg.stmts(&self.body)?;
         cg.asm.halt();
         Ok(cg.asm.finish())
-    }
-
-    /// Compile, then run the static analyzer over the result.
-    ///
-    /// Returns the program together with every non-error diagnostic
-    /// (warnings and performance notes the caller may want to surface).
-    ///
-    /// # Errors
-    /// [`CheckError::Compile`] if compilation fails,
-    /// [`CheckError::Lint`] if the analyzer reports any error-severity
-    /// finding (shared-memory race, divergent barrier, uninitialized
-    /// read, shared access on a shared-less machine).
-    pub fn compile_checked(
-        &self,
-        config: &hmm_analysis::AnalysisConfig,
-    ) -> Result<(Program, Vec<hmm_analysis::Diagnostic>), CheckError> {
-        let program = self.compile()?;
-        let analysis = hmm_analysis::analyze(&program, config);
-        if analysis.has_errors() {
-            return Err(CheckError::Lint(
-                analysis
-                    .diagnostics
-                    .into_iter()
-                    .filter(|d| d.severity() == hmm_analysis::Severity::Error)
-                    .collect(),
-            ));
-        }
-        Ok((program, analysis.diagnostics))
     }
 }
 
@@ -407,31 +343,6 @@ mod tests {
         machine
             .launch(&Kernel::new("test", program), LaunchShape::Even(p))
             .unwrap()
-    }
-
-    #[test]
-    fn compile_checked_accepts_clean_kernels() {
-        let mut k = KernelBuilder::new();
-        k.store(Space::Global, gid(), add(ld_global(gid()), imm(1)));
-        let cfg = hmm_analysis::AnalysisConfig::umm(32);
-        let (program, diags) = k.compile_checked(&cfg).unwrap();
-        assert!(!program.is_empty());
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn compile_checked_rejects_racy_kernels() {
-        // Every thread writes shared[0] and reads it straight back.
-        let mut k = KernelBuilder::new();
-        k.store(Space::Shared, imm(0), gid());
-        k.store(Space::Global, gid(), ld_shared(imm(0)));
-        let cfg = hmm_analysis::AnalysisConfig::hmm(32, 1).with_launch(64, 1);
-        match k.compile_checked(&cfg) {
-            Err(CheckError::Lint(diags)) => {
-                assert!(diags.iter().any(|d| d.code.as_str() == "E003"), "{diags:?}");
-            }
-            other => panic!("expected a lint failure, got {other:?}"),
-        }
     }
 
     #[test]

@@ -33,13 +33,10 @@
 
 pub mod ast;
 pub mod compile;
-pub mod patterns;
-pub mod pretty;
 pub mod transform;
 
 pub use ast::{Expr, Special, Stmt, Var};
-pub use compile::{CheckError, CompileError, KernelBuilder};
-pub use pretty::pretty;
+pub use compile::{CompileError, KernelBuilder};
 pub use transform::{apply_all, required_shared_all, Transform, TransformError};
 
 /// Everything needed to write kernels, in one import.

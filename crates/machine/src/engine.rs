@@ -55,12 +55,8 @@ pub struct EngineConfig {
     pub width: usize,
     /// Latency `l` of the global memory.
     pub global_latency: usize,
-    /// Latency of each shared memory (1 in the paper's HMM).
-    pub shared_latency: usize,
     /// Conflict policy of the global memory.
     pub global_policy: ConflictPolicy,
-    /// Conflict policy of the shared memories.
-    pub shared_policy: ConflictPolicy,
     /// Capacity of the global memory in words.
     pub global_size: usize,
     /// Capacity of each shared memory in words (0 disables shared memory,
@@ -105,16 +101,15 @@ pub const DEFAULT_PROFILE_BUCKETS: usize = 64;
 
 impl EngineConfig {
     /// A standalone Discrete Memory Machine of width `w` and latency `l`.
-    /// Its single banked memory is addressed through [`Space::Global`].
+    /// Its single banked memory is addressed through
+    /// [`Space::Global`](crate::isa::Space::Global).
     #[must_use]
     pub fn dmm(width: usize, latency: usize, size: usize) -> Self {
         Self {
             dmms: 1,
             width,
             global_latency: latency,
-            shared_latency: 1,
             global_policy: ConflictPolicy::Banked,
-            shared_policy: ConflictPolicy::Banked,
             global_size: size,
             shared_size: 0,
             pipelined: true,
@@ -129,7 +124,8 @@ impl EngineConfig {
     }
 
     /// A standalone Unified Memory Machine of width `w` and latency `l`.
-    /// Its single coalescing memory is addressed through [`Space::Global`].
+    /// Its single coalescing memory is addressed through
+    /// [`Space::Global`](crate::isa::Space::Global).
     #[must_use]
     pub fn umm(width: usize, latency: usize, size: usize) -> Self {
         Self {
@@ -153,9 +149,7 @@ impl EngineConfig {
             dmms,
             width,
             global_latency: latency,
-            shared_latency: 1,
             global_policy: ConflictPolicy::Coalesced,
-            shared_policy: ConflictPolicy::Banked,
             global_size,
             shared_size,
             pipelined: true,
@@ -176,7 +170,7 @@ impl EngineConfig {
         if self.width == 0 {
             return Err(SimError::BadLaunch("width must be positive".into()));
         }
-        if self.global_latency == 0 || self.shared_latency == 0 {
+        if self.global_latency == 0 {
             return Err(SimError::BadLaunch("latency must be at least 1".into()));
         }
         Ok(())
@@ -262,9 +256,6 @@ pub struct DynamicRace {
     pub warp_b: usize,
 }
 
-/// Re-export of the memory identifier used in traces.
-pub use crate::trace::MemoryId as MemoryKind;
-
 /// Cap on the number of [`DynamicRace`] entries retained per run (the
 /// `shared_races` counter in [`SimReport`] is not capped).
 pub const MAX_LOGGED_RACES: usize = 64;
@@ -311,11 +302,6 @@ impl Engine {
     #[must_use]
     pub fn shared(&self, d: usize) -> &BankedMemory {
         &self.shared[d]
-    }
-
-    /// Host-mutable view of DMM `d`'s shared memory.
-    pub fn shared_mut(&mut self, d: usize) -> &mut BankedMemory {
-        &mut self.shared[d]
     }
 
     /// Take the trace recorded by the most recent [`Engine::run`] (if the

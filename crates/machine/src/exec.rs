@@ -646,12 +646,8 @@ impl<'m> Shard<'m> {
             })
             .collect();
         let pipe = (cfg.shared_size > 0).then(|| {
-            PipeRt::new(
-                MemoryId::Shared(dmm),
-                cfg.shared_latency,
-                cfg.shared_policy,
-                cfg,
-            )
+            // Every shared memory of the paper is latency-1 and banked.
+            PipeRt::new(MemoryId::Shared(dmm), 1, ConflictPolicy::Banked, cfg)
         });
         Self {
             dmm,

@@ -41,14 +41,6 @@ pub fn if_nonzero(a: &mut Asm, cond: impl Into<Operand>, body: impl FnOnce(&mut 
     a.bind(skip);
 }
 
-/// Emit `if cond == 0 { body }`.
-pub fn if_zero(a: &mut Asm, cond: impl Into<Operand>, body: impl FnOnce(&mut Asm)) {
-    let skip = a.label();
-    a.brnz(cond.into(), skip);
-    body(a);
-    a.bind(skip);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,13 +74,10 @@ mod tests {
         if_nonzero(&mut a, T, |a| {
             a.st_global(abi::GID, 0, 1); // odd threads
         });
-        if_zero(&mut a, T, |a| {
-            a.st_global(abi::GID, 0, 2); // even threads
-        });
         a.halt();
         let mut eng = Engine::new(EngineConfig::umm(4, 1, 16)).unwrap();
         eng.run(&LaunchSpec::even(a.finish(), 8, 1, vec![]))
             .unwrap();
-        assert_eq!(&eng.global().cells()[..8], &[2, 1, 2, 1, 2, 1, 2, 1]);
+        assert_eq!(&eng.global().cells()[..8], &[0, 1, 0, 1, 0, 1, 0, 1]);
     }
 }

@@ -49,7 +49,7 @@ pub mod word;
 pub use asm::{Asm, Label};
 pub use bank::{bank_of, group_of, BankedMemory};
 pub use disasm::disassemble;
-pub use engine::{DynamicRace, Engine, EngineConfig, LaunchSpec, MemoryKind};
+pub use engine::{DynamicRace, Engine, EngineConfig, LaunchSpec};
 pub use error::{SimError, SimResult};
 pub use isa::{Inst, Operand, Program, Reg, Scope, Space};
 pub use profile::{CategoryCounts, LaunchProfile, PipelineProfile, StallCategory};

@@ -41,9 +41,6 @@ pub enum ConflictPolicy {
     Banked,
     /// UMM-style: one address group per slot.
     Coalesced,
-    /// PRAM-style ideal memory: every transaction takes one slot. Used by
-    /// baselines and by ablation studies, not by the paper's machines.
-    Ideal,
 }
 
 /// One thread's memory request within a warp transaction.
@@ -207,11 +204,6 @@ impl SlotScratch {
                     num_slots = num_slots.max(s + 1);
                 }
             }
-            // PRAM-style ideal memory: everything in one slot.
-            ConflictPolicy::Ideal => {
-                self.slot_of.extend(requests.iter().map(|_| 0));
-                num_slots = usize::from(!requests.is_empty());
-            }
         }
 
         // Scatter the per-request assignments into the CSR layout. A
@@ -324,11 +316,7 @@ mod tests {
     fn schedule_is_a_partition() {
         let w = 8;
         let reqs: Vec<_> = (0..w).map(|t| read(t, (t * 3) % 16)).collect();
-        for policy in [
-            ConflictPolicy::Banked,
-            ConflictPolicy::Coalesced,
-            ConflictPolicy::Ideal,
-        ] {
+        for policy in [ConflictPolicy::Banked, ConflictPolicy::Coalesced] {
             let s = SlotSchedule::build(&reqs, w, policy);
             let mut seen = vec![false; reqs.len()];
             for slot in s.iter() {
@@ -353,13 +341,6 @@ mod tests {
         // W(1): addresses {8, 9, 10, 11} -> one group.
         let w1: Vec<_> = (0..4).map(|t| read(4 + t, 8 + t)).collect();
         assert_eq!(slot_count(&w1, w, ConflictPolicy::Coalesced), 1);
-    }
-
-    #[test]
-    fn ideal_policy_always_one_slot() {
-        let reqs: Vec<_> = (0..16).map(|t| read(t, t * 7)).collect();
-        assert_eq!(slot_count(&reqs, 4, ConflictPolicy::Ideal), 1);
-        assert_eq!(slot_count(&[], 4, ConflictPolicy::Ideal), 0);
     }
 
     #[test]

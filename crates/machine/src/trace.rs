@@ -107,12 +107,6 @@ impl Trace {
         self.dropped
     }
 
-    /// Whether any event was dropped by a capacity bound.
-    #[must_use]
-    pub fn is_truncated(&self) -> bool {
-        self.dropped > 0
-    }
-
     /// All recorded events in order.
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
@@ -159,11 +153,9 @@ mod tests {
     #[test]
     fn dropped_events_mark_truncation() {
         let mut t = Trace::new();
-        assert!(!t.is_truncated());
         assert_eq!(t.dropped_events(), 0);
         t.note_dropped(3);
         t.note_dropped(2);
-        assert!(t.is_truncated());
         assert_eq!(t.dropped_events(), 5);
     }
 }

@@ -31,11 +31,7 @@ fn schedule_partitions_requests() {
     for _ in 0..200 {
         let reqs = random_requests(&mut rng, 256);
         let w = 1 << rng.usize_below(6);
-        for policy in [
-            ConflictPolicy::Banked,
-            ConflictPolicy::Coalesced,
-            ConflictPolicy::Ideal,
-        ] {
+        for policy in [ConflictPolicy::Banked, ConflictPolicy::Coalesced] {
             let s = SlotSchedule::build(&reqs, w, policy);
             let mut seen = vec![false; reqs.len()];
             for slot in s.iter() {

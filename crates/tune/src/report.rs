@@ -7,6 +7,7 @@
 //! produces byte-identical output at any batch worker count, which the golden
 //! tests pin.
 
+use crate::tuner::PRUNE_FACTOR;
 use hmm_util::json::Value;
 use std::fmt::Write as _;
 
@@ -15,7 +16,7 @@ use std::fmt::Write as _;
 pub enum EntryStatus {
     /// Could not be built for this kernel (reason in `detail`).
     Infeasible,
-    /// Statically dominated: predicted more than `prune_factor ×` the
+    /// Statically dominated: predicted more than `PRUNE_FACTOR` (8) × the
     /// best prediction, never simulated.
     Pruned,
     /// Survived pruning but the budget/strategy never reached it.
@@ -96,8 +97,6 @@ pub struct TuneReport {
     pub strategy: String,
     /// Canonical space spec ([`crate::TuneSpace::render`]).
     pub space: String,
-    /// Static-prune threshold (× best prediction).
-    pub prune_factor: f64,
     /// Candidates enumerated (incl. an appended baseline if the space
     /// itself does not contain it).
     pub candidates: usize,
@@ -203,7 +202,7 @@ impl TuneReport {
             ("budget", self.budget.into()),
             ("strategy", self.strategy.clone().into()),
             ("space", self.space.clone().into()),
-            ("prune_factor", r4(self.prune_factor).into()),
+            ("prune_factor", r4(PRUNE_FACTOR).into()),
             ("candidates", self.candidates.into()),
             ("infeasible", self.count(EntryStatus::Infeasible).into()),
             ("pruned", self.count(EntryStatus::Pruned).into()),
@@ -338,7 +337,6 @@ mod tests {
             budget: 8,
             strategy: "grid".into(),
             space: "d=4".into(),
-            prune_factor: 8.0,
             candidates: 3,
             evaluated: 2,
             baseline_id: "base".into(),

@@ -17,8 +17,6 @@
 
 use std::fmt::Write as _;
 
-use hmm_util::Rng;
-
 /// Hard ceiling on enumerated candidates — a declared space larger than
 /// this is almost certainly a typo (the measure stage would take hours).
 pub const MAX_CANDIDATES: usize = 4096;
@@ -392,12 +390,6 @@ impl TuneSpace {
             }
         }
         out
-    }
-
-    /// A uniformly random candidate index under `rng`.
-    #[must_use]
-    pub fn random_index(&self, rng: &mut Rng) -> usize {
-        rng.usize_below(self.len().max(1))
     }
 }
 

@@ -4,7 +4,7 @@
 //!    the static cost model ([`hmm_analysis::predict`]) — compile +
 //!    abstract interpretation, no simulation, so thousands of candidates
 //!    cost milliseconds each. The built kernel stays with its prediction.
-//! 2. *Prune*: candidates predicted worse than `prune_factor ×` the
+//! 2. *Prune*: candidates predicted worse than `PRUNE_FACTOR` (8) × the
 //!    best prediction are statically dominated and never simulated (the
 //!    baseline is always kept as the calibration anchor); their kernels
 //!    are dropped.
@@ -54,14 +54,15 @@ pub struct TuneConfig {
     pub strategy: StrategyKind,
     /// The declared space.
     pub space: TuneSpace,
-    /// Static-prune threshold: drop candidates predicted worse than
-    /// this multiple of the best prediction.
-    pub prune_factor: f64,
 }
+
+/// Static-prune threshold: candidates predicted worse than this multiple
+/// of the best prediction are never simulated.
+pub(crate) const PRUNE_FACTOR: f64 = 8.0;
 
 impl TuneConfig {
     /// Defaults for `algo`: family-default `n`, seed 42, budget 64,
-    /// automatic threads, grid strategy over the stock space, prune 8×.
+    /// automatic threads, grid strategy over the stock space.
     #[must_use]
     pub fn new(algo: &str) -> Self {
         Self {
@@ -72,7 +73,6 @@ impl TuneConfig {
             threads: 0,
             strategy: StrategyKind::Grid,
             space: TuneSpace::default(),
-            prune_factor: 8.0,
         }
     }
 }
@@ -251,7 +251,7 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
         .min_by(f64::total_cmp)
         .expect("baseline predicted");
     let live: BTreeSet<usize> = (0..candidates.len())
-        .filter(|&i| raw(i).is_some_and(|r| r <= cfg.prune_factor * best_raw) || i == baseline_idx)
+        .filter(|&i| raw(i).is_some_and(|r| r <= PRUNE_FACTOR * best_raw) || i == baseline_idx)
         .collect();
     for (i, p) in predictions.iter_mut().enumerate() {
         if let Ok(p) = p {
@@ -287,25 +287,17 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
 
     let mut results: BTreeMap<usize, Measurement> = BTreeMap::new();
     let mut times: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut attempted: BTreeSet<usize> = BTreeSet::new();
     let record = |wave: Vec<Keyed<usize, Measurement>>,
                   results: &mut BTreeMap<usize, Measurement>,
-                  times: &mut BTreeMap<usize, u64>,
-                  attempted: &mut BTreeSet<usize>| {
+                  times: &mut BTreeMap<usize, u64>| {
         for k in wave {
-            attempted.insert(k.config);
             if k.result.error.is_none() {
                 times.insert(k.config, k.result.time);
             }
             results.insert(k.config, k.result);
         }
     };
-    record(
-        measure(vec![baseline_idx], false),
-        &mut results,
-        &mut times,
-        &mut attempted,
-    );
+    record(measure(vec![baseline_idx], false), &mut results, &mut times);
     {
         let b = &results[&baseline_idx];
         if let Some(e) = &b.error {
@@ -334,19 +326,14 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
         let mut seen = BTreeSet::new();
         let wave: Vec<usize> = proposed
             .into_iter()
-            .filter(|i| live.contains(i) && !attempted.contains(i) && seen.insert(*i))
+            .filter(|i| live.contains(i) && !results.contains_key(i) && seen.insert(*i))
             .take(remaining)
             .collect();
         if wave.is_empty() {
             break;
         }
         remaining -= wave.len();
-        record(
-            measure(wave, false),
-            &mut results,
-            &mut times,
-            &mut attempted,
-        );
+        record(measure(wave, false), &mut results, &mut times);
     }
 
     // Calibrate: one point, the baseline.
@@ -423,7 +410,6 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
         budget: cfg.budget,
         strategy: strat.name().into(),
         space: cfg.space.render(),
-        prune_factor: cfg.prune_factor,
         candidates: candidates.len(),
         evaluated: times.len(),
         baseline_id: baseline.id(),

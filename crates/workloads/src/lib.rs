@@ -1,16 +1,13 @@
-//! # hmm-workloads — inputs and sweeps for the reproduction experiments
+//! # hmm-workloads — inputs for the reproduction experiments
 //!
 //! The paper's algorithms are data-oblivious (their running time depends
-//! only on `n`, `k`, `p`, `w`, `l`, `d`), so workloads exist to (a) verify
-//! *correctness* against sequential references on non-trivial data, and
-//! (b) define the parameter grids the tables and figures sweep.
+//! only on `n`, `k`, `p`, `w`, `l`, `d`), so workloads exist to verify
+//! *correctness* against sequential references on non-trivial data.
 //!
 //! All generators are deterministic given a seed.
 
 #![warn(missing_docs)]
 
 pub mod inputs;
-pub mod sweeps;
 
 pub use inputs::{impulse, moving_average_taps, ramp, random_words, sine_wave};
-pub use sweeps::{pow2_range, SweepPoint};
