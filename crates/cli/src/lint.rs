@@ -181,7 +181,8 @@ pub struct LintOutcome {
 ///
 /// # Errors
 /// [`CliError::Parse`] on bad flags, [`CliError::Invalid`] when neither
-/// `--all` nor a known `--kernel` is given.
+/// `--all` nor a known `--kernel` is given, or when a parameter is one
+/// the registry's kernels cannot be built for.
 pub fn execute(a: &Args) -> Result<LintOutcome, CliError> {
     let params = LintParams {
         n: a.get_usize("n", 1 << 10)?,
@@ -190,6 +191,23 @@ pub fn execute(a: &Args) -> Result<LintOutcome, CliError> {
         w: a.get_usize("w", 32)?,
         d: a.get_usize("d", 4)?,
     };
+    let LintParams { n, p, w, d, .. } = params;
+    let problem = if w == 0 {
+        Some("--w 0: the width must be at least 1".to_string())
+    } else if !d.is_power_of_two() {
+        Some(format!("--d {d}: the DMM count must be a power of two"))
+    } else if !p.is_multiple_of(d) {
+        Some(format!(
+            "--p {p}: the thread count must be a multiple of --d {d}"
+        ))
+    } else if n < 2 {
+        Some(format!("--n {n}: the problem size must be at least 2"))
+    } else {
+        None
+    };
+    if let Some(msg) = problem {
+        return Err(CliError::Invalid(msg));
+    }
     let all = registry(&params);
     let selected: Vec<&LintTarget> = if a.has("all") {
         all.iter().filter(|t| t.shipped).collect()

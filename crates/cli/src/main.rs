@@ -39,7 +39,7 @@ fn main() {
     {
         Ok((json, outcome)) => {
             emit(&hmm_cli::run::render(&outcome, json));
-            if outcome.lint_failed || outcome.batch_failed {
+            if outcome.failed {
                 std::process::exit(2);
             }
         }

@@ -112,7 +112,7 @@ pub(crate) fn execute_profile(a: &Args) -> Result<Outcome, CliError> {
     Ok(Outcome {
         summary,
         report: Some(report),
-        profile: Some(doc),
+        json: Some(doc),
         ..Outcome::default()
     })
 }
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn profile_accounts_every_thread_cycle() {
         let o = run_line("profile sum-hmm --n 256 --p 64 --w 8 --l 8 --d 4").unwrap();
-        let doc = o.profile.expect("profile JSON");
+        let doc = o.json.expect("profile JSON");
         let launches = doc["launches"].as_array().unwrap();
         assert!(!launches.is_empty());
         for launch in launches {
@@ -192,7 +192,7 @@ mod tests {
                 "profile {subject} --n 128 --k 8 --p 32 --w 8 --l 8 --d 4"
             ))
             .unwrap_or_else(|e| panic!("{subject}: {e}"));
-            let doc = o.profile.expect("profile JSON");
+            let doc = o.json.expect("profile JSON");
             for launch in doc["launches"].as_array().unwrap() {
                 assert_eq!(launch["conserved"].as_bool(), Some(true), "{subject}");
             }

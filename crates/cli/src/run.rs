@@ -12,30 +12,26 @@ use hmm_workloads::random_words;
 use crate::args::{Args, ParseError};
 use std::fmt::Write as _;
 
-/// What a command produced: a one-line human summary, the simulation
-/// report, and a value digest for verification.
+/// What a command produced: a human summary, the simulation report,
+/// and the command's own JSON document.
 #[derive(Debug, Default)]
 pub struct Outcome {
     /// Human-readable summary (the full findings text for `lint`).
     pub summary: String,
-    /// The simulation report (None for `info` and `lint`).
+    /// The simulation report (None for `info`, `lint`, `batch` and
+    /// `tune`).
     pub report: Option<SimReport>,
-    /// JSON payload for `lint` runs (None for simulation commands).
-    pub lint: Option<hmm_util::Value>,
-    /// JSON payload for `batch` runs: one entry per sweep point.
-    pub batch: Option<hmm_util::Value>,
-    /// JSON payload for `profile` runs: the cycle-accounting profile
-    /// document (None for other commands).
-    pub profile: Option<hmm_util::Value>,
-    /// JSON payload for `tune` runs: the full [`hmm_tune::TuneReport`]
-    /// document (None for other commands).
-    pub tune: Option<hmm_util::Value>,
-    /// Whether lint found error-severity diagnostics; the binary exits
-    /// with status 2 when set.
-    pub lint_failed: bool,
-    /// Whether any batched simulation errored; the remaining points
-    /// still report, but the binary exits with status 2 when set.
-    pub batch_failed: bool,
+    /// The command's own JSON document, which `--json` prints in place
+    /// of the summary-and-report object: the findings for `lint`, one
+    /// entry per sweep point for `batch`, the cycle-accounting profile
+    /// for `profile`, the [`hmm_tune::TuneReport`] for `tune`. None for
+    /// the simulation commands and `info`.
+    pub json: Option<hmm_util::Value>,
+    /// Whether the command completed but found a failure: lint's
+    /// error-severity diagnostics, or a batch point whose simulation
+    /// errored (the other points still report). The binary exits with
+    /// status 2 when set.
+    pub failed: bool,
 }
 
 /// Errors surfaced to the user.
@@ -124,7 +120,12 @@ pub(crate) struct MachineSpec {
 
 pub(crate) fn machine_spec(a: &Args) -> Result<MachineSpec, CliError> {
     let kind = a.get_choice("machine", "hmm", &["dmm", "umm", "hmm"])?;
-    for (flag, what) in [("d", "DMM count"), ("w", "width"), ("l", "latency")] {
+    for (flag, what) in [
+        ("d", "DMM count"),
+        ("w", "width"),
+        ("l", "latency"),
+        ("p", "thread count"),
+    ] {
         if a.get_usize(flag, 1)? == 0 {
             return Err(CliError::Invalid(format!(
                 "--{flag} 0: the {what} must be at least 1"
@@ -196,8 +197,8 @@ pub fn execute(a: &Args) -> Result<Outcome, CliError> {
             let lint = crate::lint::execute(a)?;
             Ok(Outcome {
                 summary: lint.text.trim_end().to_string(),
-                lint: Some(lint.json),
-                lint_failed: lint.failed,
+                json: Some(lint.json),
+                failed: lint.failed,
                 ..Outcome::default()
             })
         }
@@ -397,7 +398,7 @@ fn run_batch(a: &Args) -> Result<Outcome, CliError> {
         runner.threads()
     );
     let mut rows = Vec::new();
-    let mut batch_failed = false;
+    let mut failed = false;
     for Keyed {
         config: (v, _),
         result,
@@ -418,7 +419,7 @@ fn run_batch(a: &Args) -> Result<Outcome, CliError> {
                 ]));
             }
             Err(e) => {
-                batch_failed = true;
+                failed = true;
                 let _ = write!(summary, "\n  --{key} {v}: error: {e}");
                 rows.push(hmm_util::Value::object(vec![
                     (key.as_str(), v.into()),
@@ -430,14 +431,14 @@ fn run_batch(a: &Args) -> Result<Outcome, CliError> {
     }
     Ok(Outcome {
         summary,
-        batch: Some(hmm_util::Value::object(vec![
+        json: Some(hmm_util::Value::object(vec![
             ("command", cmd.as_str().into()),
             ("sweep", key.as_str().into()),
             ("threads", runner.threads().into()),
-            ("failed", batch_failed.into()),
+            ("failed", failed.into()),
             ("points", hmm_util::Value::Array(rows)),
         ])),
-        batch_failed,
+        failed,
         ..Outcome::default()
     })
 }
@@ -446,17 +447,8 @@ fn run_batch(a: &Args) -> Result<Outcome, CliError> {
 #[must_use]
 pub fn render(outcome: &Outcome, json: bool) -> String {
     if json {
-        if let Some(lint) = &outcome.lint {
-            return lint.to_json_pretty();
-        }
-        if let Some(batch) = &outcome.batch {
-            return batch.to_json_pretty();
-        }
-        if let Some(profile) = &outcome.profile {
-            return profile.to_json_pretty();
-        }
-        if let Some(tune) = &outcome.tune {
-            return tune.to_json_pretty();
+        if let Some(doc) = &outcome.json {
+            return doc.to_json_pretty();
         }
         let report = outcome
             .report
@@ -545,7 +537,7 @@ mod tests {
                 "batch --cmd sum --sweep n --values 128,256,512 --p 64 --w 8 --l 8 --d 4 --threads {threads}"
             ))
             .unwrap()
-            .batch
+            .json
             .expect("batch JSON");
             assert_eq!(doc["threads"].as_u64(), Some(threads as u64));
             doc["points"].to_json()
@@ -564,7 +556,7 @@ mod tests {
         .unwrap();
         assert!(o.summary.contains("--n 128"));
         assert!(o.summary.contains("--n 256"));
-        let batch = o.batch.expect("batch JSON");
+        let batch = o.json.expect("batch JSON");
         let points = match &batch["points"] {
             hmm_util::Value::Array(rows) => rows,
             other => panic!("points not an array: {other:?}"),
@@ -584,10 +576,10 @@ mod tests {
             "batch --cmd sum --machine umm --sweep p --values 8,0 --n 64 --w 4 --l 4 --threads 1",
         )
         .unwrap();
-        assert!(o.batch_failed, "zero-thread point must flag the batch");
+        assert!(o.failed, "zero-thread point must flag the batch");
         assert!(o.summary.contains("--p 0: error:"));
         assert!(o.summary.contains("--p 8:"));
-        let batch = o.batch.expect("batch JSON");
+        let batch = o.json.expect("batch JSON");
         assert_eq!(batch["failed"].as_bool(), Some(true));
         let points = match &batch["points"] {
             hmm_util::Value::Array(rows) => rows,
@@ -601,8 +593,8 @@ mod tests {
         // A clean batch must not set the flag.
         let ok =
             run_line("batch --cmd sum --sweep n --values 64 --p 16 --w 4 --l 4 --d 2").unwrap();
-        assert!(!ok.batch_failed);
-        assert_eq!(ok.batch.unwrap()["failed"].as_bool(), Some(false));
+        assert!(!ok.failed);
+        assert_eq!(ok.json.unwrap()["failed"].as_bool(), Some(false));
     }
 
     #[test]

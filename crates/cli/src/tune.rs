@@ -31,7 +31,7 @@ pub(crate) fn execute_tune(a: &Args) -> Result<Outcome, CliError> {
     let top = a.get_usize("top", 10)?;
     Ok(Outcome {
         summary: report.render_text(top).trim_end().to_string(),
-        tune: Some(json),
+        json: Some(json),
         ..Outcome::default()
     })
 }
@@ -51,7 +51,7 @@ mod tests {
         let o =
             run_line("tune sum --n 256 --budget 8 --space pad=0,1;warps=1,2 --threads 1").unwrap();
         assert!(o.summary.contains("winner"));
-        let json = o.tune.expect("tune JSON");
+        let json = o.json.expect("tune JSON");
         assert!(json["winner"]["time"].as_u64().unwrap() > 0);
         assert!(
             json["winner"]["time"].as_u64() <= json["baseline"]["time"].as_u64(),

@@ -3,9 +3,10 @@
 //! simulator rejects, an unknown command — is a typed error with exit
 //! status 2, never a panic.
 
+use hmm_cli::run::CliError;
 use hmm_cli::{execute, Args};
 
-fn run(tokens: &[&str]) -> Result<hmm_cli::Outcome, hmm_cli::run::CliError> {
+fn run(tokens: &[&str]) -> Result<hmm_cli::Outcome, CliError> {
     execute(&Args::parse(tokens.iter().map(|t| (*t).to_string())).unwrap())
 }
 
@@ -46,12 +47,38 @@ fn zero_machine_dimensions_exit_2_with_a_message() {
 fn bad_input_exits_2_with_a_message() {
     for (tokens, says) in [
         (&["reduce", "--op", "foo"][..], "argument error"),
-        (&["sum", "--machine", "dmm", "--p", "0"], "simulation error"),
+        (&["conv", "--n", "0"], "simulation error"),
         (&["frobnicate"], "unknown command"),
     ] {
         let err = run(tokens).expect_err("bad input must be rejected");
         assert_eq!(err.exit_code(), 2, "{tokens:?}: {err}");
         let msg = err.to_string();
         assert!(msg.contains(says), "{tokens:?}: {msg}");
+    }
+}
+
+/// Parameters no kernel can be built or launched for are rejected up
+/// front with an error naming the flag, instead of panicking in a kernel
+/// builder (`lint`) or running with a silently raised thread count
+/// (`sum` on the HMM).
+#[test]
+fn out_of_range_parameters_are_invalid() {
+    for (line, flag) in [
+        ("sum --p 0", "--p"),
+        ("sum --machine umm --p 0", "--p"),
+        ("lint --all --w 0", "--w"),
+        ("lint --all --d 0", "--d"),
+        ("lint --all --d 3", "--d"),
+        ("lint --all --d 6 --p 12", "--d"),
+        ("lint --all --p 1", "--p"),
+        ("lint --all --p 100 --d 3", "--d"),
+        ("lint --all --n 0", "--n"),
+        ("lint --all --n 1", "--n"),
+    ] {
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        match run(&tokens) {
+            Err(CliError::Invalid(msg)) => assert!(msg.starts_with(flag), "{line}: {msg}"),
+            other => panic!("{line}: expected an invalid-parameter error, got {other:?}"),
+        }
     }
 }
