@@ -9,7 +9,7 @@
 //!   experiment dumps.
 //! - [`rng`]: a seeded `SplitMix64` generator for deterministic workload
 //!   inputs and randomised tests.
-//! - [`bench`]: a minimal wall-clock timing harness for the `hmm-bench`
+//! - [`bench`](mod@bench): a minimal wall-clock timing harness for the `hmm-bench`
 //!   bench targets.
 //! - [`par`]: a deterministic order-preserving parallel map over scoped
 //!   threads, the substrate of the workspace's batch runners.
