@@ -17,6 +17,8 @@ use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::{abi, Asm, SimReport, SimResult, Word};
 
+use crate::{check_fit, run_staged, Footprint};
+
 const IDX: Reg = Reg(16);
 const T0: Reg = Reg(17);
 const T1: Reg = Reg(18);
@@ -70,11 +72,24 @@ pub fn copy_kernel(src: usize, dst: usize, n: usize) -> hmm_machine::Program {
     a.finish()
 }
 
+/// The contiguous-access footprint: `arrays` arrays of `n` words laid
+/// end to end in global memory (1 for [`run_access`], 2 for
+/// [`run_copy`]).
+#[must_use]
+pub fn footprint(n: usize, arrays: usize) -> Footprint {
+    Footprint {
+        global: n * arrays,
+        shared: 0,
+    }
+}
+
 /// Run the contiguous access of `n` cells with `p` threads on `machine`
-/// and return the report (Lemma 1 measurement).
+/// (sized by [`footprint`]`(n, 1)`) and return the report (Lemma 1
+/// measurement). The cells keep whatever the machine holds.
 ///
 /// # Errors
-/// Propagates simulation errors.
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
 pub fn run_access(
     machine: &mut Machine,
     n: usize,
@@ -82,19 +97,29 @@ pub fn run_access(
     mode: AccessMode,
 ) -> SimResult<SimReport> {
     let kernel = Kernel::new("contiguous-access", access_kernel(0, n, mode));
+    check_fit(machine, footprint(n, 1), &kernel)?;
     machine.launch(&kernel, LaunchShape::Even(p))
 }
 
-/// Run the two-array contiguous copy (Theorem 2 measurement) of the first
-/// `n` cells into `[n, 2n)` and return the report.
+/// Run the two-array contiguous copy (Theorem 2 measurement) of `input`
+/// into `[n, 2n)` on a machine sized by [`footprint`]`(n, 2)` and return
+/// the report.
 ///
 /// # Errors
-/// Propagates simulation errors.
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
 pub fn run_copy(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<SimReport> {
     let n = input.len();
-    machine.load_global(0, input);
     let kernel = Kernel::new("contiguous-copy", copy_kernel(0, n, n));
-    machine.launch(&kernel, LaunchShape::Even(p))
+    let run = run_staged(
+        machine,
+        footprint(n, 2),
+        &kernel,
+        LaunchShape::Even(p),
+        |g| g[..n].copy_from_slice(input),
+        |_| (),
+    )?;
+    Ok(run.report)
 }
 
 #[cfg(test)]

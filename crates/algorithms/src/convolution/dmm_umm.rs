@@ -17,8 +17,8 @@ use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
-use super::{shapes, ConvRun};
-use crate::{div_ceil, next_pow2};
+use super::{footprint, shapes};
+use crate::{div_ceil, next_pow2, run_staged, Run};
 
 const IDX: Reg = Reg(16);
 const ACC: Reg = Reg(17);
@@ -52,12 +52,6 @@ impl Layout {
             b_base: k,
             c_base: k + n + k - 1,
         }
-    }
-
-    /// Words of global memory the strided kernel needs.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        self.c_base + self.n
     }
 }
 
@@ -168,42 +162,63 @@ pub fn conv_kernel_blocked(layout: Layout, q: usize, p_base: usize) -> Program {
     a.finish()
 }
 
-/// Run the strided Theorem 8 convolution on `machine` with `p ≤ n`
-/// threads (`p` is clamped into `[1, n]`).
+/// Stage `a` and `b` in `layout`, launch `kernel` and read `c` back.
+fn run_layout(
+    machine: &mut Machine,
+    a: &[Word],
+    b: &[Word],
+    q: usize,
+    kernel: &Kernel,
+    shape: LaunchShape,
+) -> SimResult<Run<Vec<Word>>> {
+    let (k, n) = (a.len(), b.len() + 1 - a.len());
+    let layout = Layout::new(n, k);
+    run_staged(
+        machine,
+        footprint(n, k, None, q),
+        kernel,
+        shape,
+        |g| {
+            g[..k].copy_from_slice(a);
+            g[layout.b_base..layout.c_base].copy_from_slice(b);
+        },
+        |g| g[layout.c_base..layout.c_base + n].to_vec(),
+    )
+}
+
+/// Run the strided Theorem 8 convolution on `machine` (sized by
+/// [`footprint`]`(n, k, None, 0)`) with `p ≤ n` threads (`p` is clamped
+/// into `[1, n]`).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects bad shapes.
+/// Propagates simulation errors; rejects bad shapes and a machine
+/// smaller than the footprint.
 pub fn run_conv_dmm_umm(
     machine: &mut Machine,
     a: &[Word],
     b: &[Word],
     p: usize,
-) -> SimResult<ConvRun> {
+) -> SimResult<Run<Vec<Word>>> {
     let (k, n) = shapes(a, b)?;
-    let layout = Layout::new(n, k);
-    let p = p.clamp(1, n);
-    machine.clear_global();
-    machine.load_global(0, a);
-    machine.load_global(layout.b_base, b);
-    let kernel = Kernel::new("conv-theorem8-strided", conv_kernel_strided(layout));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(ConvRun {
-        value: machine.global()[layout.c_base..layout.c_base + n].to_vec(),
-        report,
-    })
+    let kernel = Kernel::new(
+        "conv-theorem8-strided",
+        conv_kernel_strided(Layout::new(n, k)),
+    );
+    run_layout(machine, a, b, 0, &kernel, LaunchShape::Even(p.clamp(1, n)))
 }
 
-/// Run the blocked Theorem 8 convolution with `p = n·q` threads.
+/// Run the blocked Theorem 8 convolution with `p = n·q` threads on a
+/// machine sized by [`footprint`]`(n, k, None, q)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects bad shapes or `q` outside
-/// `[1, k]`.
+/// Propagates simulation errors; rejects bad shapes, `q` outside
+/// `[1, k]` and a machine smaller than the footprint.
 pub fn run_conv_blocked(
     machine: &mut Machine,
     a: &[Word],
     b: &[Word],
     q: usize,
-) -> SimResult<ConvRun> {
+) -> SimResult<Run<Vec<Word>>> {
     let (k, n) = shapes(a, b)?;
     if q == 0 || q > k {
         return Err(hmm_machine::SimError::BadLaunch(format!(
@@ -211,19 +226,12 @@ pub fn run_conv_blocked(
         )));
     }
     let layout = Layout::new(n, k);
-    let p_base = layout.size();
-    machine.clear_global();
-    machine.load_global(0, a);
-    machine.load_global(layout.b_base, b);
+    let p_base = layout.c_base + n;
     let kernel = Kernel::new(
         "conv-theorem8-blocked",
         conv_kernel_blocked(layout, q, p_base),
     );
-    let report = machine.launch(&kernel, LaunchShape::Even(n * q))?;
-    Ok(ConvRun {
-        value: machine.global()[layout.c_base..layout.c_base + n].to_vec(),
-        report,
-    })
+    run_layout(machine, a, b, q, &kernel, LaunchShape::Even(n * q))
 }
 
 #[cfg(test)]
@@ -233,20 +241,16 @@ mod tests {
     use hmm_core::Machine;
     use hmm_workloads::{impulse, random_words};
 
-    fn machine_for(layout: Layout, q: usize) -> Machine {
-        Machine::umm(4, 8, layout.size() + layout.n * q.next_power_of_two())
-    }
-
     #[test]
     fn strided_matches_reference_on_both_models() {
         let a = random_words(5, 1, 20);
         let b = random_words(64 + 4, 2, 20);
         let expect = reference::convolution(&a, &b).value;
+        let need = footprint(64, 5, None, 0);
         for p in [1, 8, 32, 64] {
-            let layout = Layout::new(64, 5);
-            let mut umm = Machine::umm(4, 8, layout.size());
+            let mut umm = need.umm(4, 8);
             assert_eq!(run_conv_dmm_umm(&mut umm, &a, &b, p).unwrap().value, expect);
-            let mut dmm = Machine::dmm(4, 8, layout.size());
+            let mut dmm = need.dmm(4, 8);
             assert_eq!(run_conv_dmm_umm(&mut dmm, &a, &b, p).unwrap().value, expect);
         }
     }
@@ -257,8 +261,7 @@ mod tests {
         let b = random_words(32 + 7, 6, 10);
         let expect = reference::convolution(&a, &b).value;
         for q in [1, 2, 3, 8] {
-            let layout = Layout::new(32, 8);
-            let mut m = machine_for(layout, q);
+            let mut m = footprint(32, 8, None, q).umm(4, 8);
             assert_eq!(
                 run_conv_blocked(&mut m, &a, &b, q).unwrap().value,
                 expect,
@@ -271,8 +274,7 @@ mod tests {
     fn impulse_recovers_the_signal() {
         let a = impulse(4);
         let b = random_words(16 + 3, 9, 100);
-        let layout = Layout::new(16, 4);
-        let mut m = Machine::umm(4, 2, layout.size());
+        let mut m = footprint(16, 4, None, 0).umm(4, 2);
         let run = run_conv_dmm_umm(&mut m, &a, &b, 8).unwrap();
         assert_eq!(run.value, b[..16].to_vec());
     }
@@ -292,9 +294,8 @@ mod tests {
     fn strided_time_improves_with_threads() {
         let a = random_words(4, 2, 10);
         let b = random_words(256 + 3, 3, 10);
-        let layout = Layout::new(256, 4);
         let t = |p: usize| {
-            let mut m = Machine::umm(4, 16, layout.size());
+            let mut m = footprint(256, 4, None, 0).umm(4, 16);
             run_conv_dmm_umm(&mut m, &a, &b, p).unwrap().report.time
         };
         let (t4, t64, t256) = (t(4), t(64), t(256));

@@ -25,8 +25,8 @@ use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::{Reg, Space};
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
-use super::{shapes, ConvRun};
-use crate::div_ceil;
+use super::{footprint, shapes};
+use crate::{div_ceil, run_staged, Run};
 
 const IDX: Reg = Reg(16);
 const ACC: Reg = Reg(17);
@@ -39,17 +39,12 @@ const BASE: Reg = Reg(22);
 /// Global loop bound for guarded copies.
 const LIM: Reg = Reg(23);
 
-/// Shared-memory words DMM needs for slice length `m` and kernel `k`:
-/// `a'` at `[0, k)`, `b'` at `[k, k + m + k - 1)`, `c'` after that.
-#[must_use]
-pub fn shared_words(m: usize, k: usize) -> usize {
-    k + (m + k - 1) + m
-}
-
 /// Build the Theorem 9 kernel.
 ///
 /// Global layout as in [`super::dmm_umm::Layout`]: `a` at `[0, k)`, `b`
-/// at `[k, ...)`, `c` at `c_base`. `m = ⌈n/d⌉` is the slice per DMM.
+/// at `[k, ...)`, `c` at `c_base`. `m = ⌈n/d⌉` is the slice per DMM;
+/// shared memory holds `a'` at `[0, k)`, `b'` at `[k, k + m + k − 1)`
+/// and `c'` after that.
 #[must_use]
 #[allow(clippy::similar_names)]
 pub fn conv_kernel_hmm(n: usize, k: usize, d: usize) -> Program {
@@ -134,13 +129,19 @@ pub fn conv_kernel_hmm(n: usize, k: usize, d: usize) -> Program {
     a.finish()
 }
 
-/// Run the Theorem 9 convolution on the HMM with `p` threads spread
-/// evenly over the `d` DMMs (`d | p` required). The machine's shared
-/// memories must hold [`shared_words`]`(⌈n/d⌉, k)` words.
+/// Run the Theorem 9 convolution with `p` threads spread evenly over the
+/// `d` DMMs (`d | p` required) of an HMM sized by
+/// [`footprint`]`(n, k, Some(d), 0)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects bad shapes or `p % d != 0`.
-pub fn run_conv_hmm(machine: &mut Machine, a: &[Word], b: &[Word], p: usize) -> SimResult<ConvRun> {
+/// Propagates simulation errors; rejects bad shapes, `p % d != 0` and a
+/// machine smaller than the footprint.
+pub fn run_conv_hmm(
+    machine: &mut Machine,
+    a: &[Word],
+    b: &[Word],
+    p: usize,
+) -> SimResult<Run<Vec<Word>>> {
     let (k, n) = shapes(a, b)?;
     let d = machine.dmms();
     if p == 0 || !p.is_multiple_of(d) {
@@ -149,15 +150,18 @@ pub fn run_conv_hmm(machine: &mut Machine, a: &[Word], b: &[Word], p: usize) -> 
         )));
     }
     let c_base = k + n + k - 1;
-    machine.clear_global();
-    machine.load_global(0, a);
-    machine.load_global(k, b);
     let kernel = Kernel::new("conv-theorem9", conv_kernel_hmm(n, k, d));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(ConvRun {
-        value: machine.global()[c_base..c_base + n].to_vec(),
-        report,
-    })
+    run_staged(
+        machine,
+        footprint(n, k, Some(d), 0),
+        &kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[..k].copy_from_slice(a);
+            g[k..c_base].copy_from_slice(b);
+        },
+        |g| g[c_base..c_base + n].to_vec(),
+    )
 }
 
 #[cfg(test)]
@@ -169,14 +173,7 @@ mod tests {
     use hmm_workloads::random_words;
 
     fn hmm_for(n: usize, k: usize, d: usize) -> Machine {
-        let m = div_ceil(n, d);
-        Machine::hmm(
-            d,
-            4,
-            8,
-            2 * (n + 2 * k),
-            shared_words(m, k).next_power_of_two(),
-        )
+        footprint(n, k, Some(d), 0).hmm(d, 4, 8)
     }
 
     #[test]
@@ -213,10 +210,9 @@ mod tests {
         let (d, w, l, p) = (8, 8, 64, 256);
         let a = random_words(k, 4, 10);
         let b = random_words(n + k - 1, 5, 10);
-        let m_slice = div_ceil(n, d);
-        let mut hmm = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+        let mut hmm = footprint(n, k, Some(d), 0).hmm(d, w, l);
         let t_hmm = run_conv_hmm(&mut hmm, &a, &b, p).unwrap();
-        let mut umm = Machine::umm(w, l, 2 * (n + 2 * k));
+        let mut umm = footprint(n, k, None, 0).umm(w, l);
         let t_umm = run_conv_dmm_umm(&mut umm, &a, &b, p.min(n)).unwrap();
         assert_eq!(t_hmm.value, t_umm.value);
         assert!(

@@ -19,15 +19,24 @@
 pub mod dmm_umm;
 pub mod hmm;
 
-use hmm_machine::{SimReport, Word};
+use hmm_machine::Word;
 
-/// Result of a parallel convolution run.
-#[derive(Debug, Clone)]
-pub struct ConvRun {
-    /// The computed output `c` of length `n`.
-    pub value: Vec<Word>,
-    /// Timing and memory statistics.
-    pub report: SimReport,
+use crate::{div_ceil, next_pow2, Footprint};
+
+/// The convolution footprint for output length `n` and kernel length
+/// `k`. Every kernel keeps `a`, `b` and `c` in `2n + 2k − 1` global
+/// words. With `d = Some(d)` (Theorem 9 on `d` DMMs) each DMM stages
+/// `a'`, its `m + k − 1` words of `b'` and its `m` words of `c'` in
+/// shared memory, `m = ⌈n/d⌉`; `None` is a single-memory kernel. The
+/// blocked Theorem 8 kernel keeps `n·next_pow2(q)` partial sums after
+/// `c` for its `q` blocks per output; pass `q = 0` for the other two.
+#[must_use]
+pub fn footprint(n: usize, k: usize, d: Option<usize>, q: usize) -> Footprint {
+    let partials = if q == 0 { 0 } else { n * next_pow2(q) };
+    Footprint {
+        global: (2 * (n + k)).saturating_sub(1) + partials,
+        shared: d.map_or(0, |d| (2 * (div_ceil(n, d) + k)).saturating_sub(1)),
+    }
 }
 
 /// Validate convolution input shapes; returns `(k, n)`.

@@ -13,9 +13,9 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Program, SimReport, SimResult, Word};
+use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
-use crate::div_ceil;
+use crate::{div_ceil, run_staged, Footprint, Run};
 
 const IDX: Reg = Reg(16);
 const ACC: Reg = Reg(17);
@@ -30,15 +30,6 @@ const NROWS: Reg = Reg(23);
 /// Element coordinates within the current block.
 const II: Reg = Reg(24);
 const JJ: Reg = Reg(25);
-
-/// Result of a matrix-multiplication run.
-#[derive(Debug, Clone)]
-pub struct MatmulRun {
-    /// Row-major `m × m` product.
-    pub value: Vec<Word>,
-    /// Timing and memory statistics.
-    pub report: SimReport,
-}
 
 /// Sequential reference: row-major `C = A · B` for `m × m` inputs.
 ///
@@ -66,12 +57,20 @@ fn bases(m: usize) -> (usize, usize, usize) {
     (0, m * m, 2 * m * m)
 }
 
-/// Shared words each DMM needs: its `rm × m` block of `A`, one `m × tw`
-/// tile of `B`, and the `rm × tw` output tile.
+/// The matmul footprint for `m × m` matrices: `A`, `B` and `C` in `3m²`
+/// global words. With `d = Some(d)` (the tiled HMM kernel with tile
+/// width `tw`) each DMM stages its `rm × m` block of `A`, one `m × tw`
+/// tile of `B` and the `rm × tw` output tile in shared memory,
+/// `rm = ⌈m/d⌉`; `None` is the single-memory kernel, which ignores `tw`.
 #[must_use]
-pub fn matmul_shared_words(m: usize, d: usize, tw: usize) -> usize {
-    let rm = div_ceil(m, d);
-    rm * m + m * tw + rm * tw
+pub fn footprint(m: usize, d: Option<usize>, tw: usize) -> Footprint {
+    Footprint {
+        global: 3 * m * m,
+        shared: d.map_or(0, |d| {
+            let rm = div_ceil(m, d);
+            rm * m + m * tw + rm * tw
+        }),
+    }
 }
 
 /// Emit a guarded strided loop `for IDX in ltid..len step pd { body }`.
@@ -216,19 +215,38 @@ pub fn matmul_kernel_umm(m: usize) -> Program {
     a.finish()
 }
 
-fn load_inputs(machine: &mut Machine, a: &[Word], b: &[Word], m: usize) {
-    let (a_base, b_base, _) = bases(m);
-    machine.clear_global();
-    machine.load_global(a_base, a);
-    machine.load_global(b_base, b);
+/// Stage the `m × m` matrices `A` and `B`, launch `kernel` and read `C`
+/// back.
+fn run_matmul(
+    machine: &mut Machine,
+    a: &[Word],
+    b: &[Word],
+    m: usize,
+    need: Footprint,
+    kernel: &Kernel,
+    p: usize,
+) -> SimResult<Run<Vec<Word>>> {
+    let (a_base, b_base, c_base) = bases(m);
+    run_staged(
+        machine,
+        need,
+        kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[a_base..b_base].copy_from_slice(a);
+            g[b_base..c_base].copy_from_slice(b);
+        },
+        |g| g[c_base..c_base + m * m].to_vec(),
+    )
 }
 
 /// Run the tiled HMM matmul of row-major `m × m` matrices with `p`
-/// threads (`d | p`) and tile width `tw` (`tw | m`). The machine needs
-/// `3m²` global words and [`matmul_shared_words`] shared words.
+/// threads (`d | p`) and tile width `tw` (`tw | m`) on an HMM sized by
+/// [`footprint`]`(m, Some(d), tw)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects inconsistent shapes.
+/// Propagates simulation errors; rejects inconsistent shapes and a
+/// machine smaller than the footprint.
 pub fn run_matmul_hmm(
     machine: &mut Machine,
     a: &[Word],
@@ -236,7 +254,7 @@ pub fn run_matmul_hmm(
     m: usize,
     tw: usize,
     p: usize,
-) -> SimResult<MatmulRun> {
+) -> SimResult<Run<Vec<Word>>> {
     let d = machine.dmms();
     if a.len() != m * m || b.len() != m * m {
         return Err(hmm_machine::SimError::BadLaunch(
@@ -248,40 +266,30 @@ pub fn run_matmul_hmm(
             "matmul needs d | p and tw | m (p = {p}, d = {d}, tw = {tw}, m = {m})"
         )));
     }
-    load_inputs(machine, a, b, m);
     let kernel = Kernel::new("matmul-hmm", matmul_kernel_hmm(m, d, tw));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    let (_, _, c_base) = bases(m);
-    Ok(MatmulRun {
-        value: machine.global()[c_base..c_base + m * m].to_vec(),
-        report,
-    })
+    run_matmul(machine, a, b, m, footprint(m, Some(d), tw), &kernel, p)
 }
 
-/// Run the single-memory baseline matmul with `p` threads.
+/// Run the single-memory baseline matmul with `p` threads on a machine
+/// sized by [`footprint`]`(m, None, _)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects inconsistent shapes.
+/// Propagates simulation errors; rejects inconsistent shapes and a
+/// machine smaller than the footprint.
 pub fn run_matmul_umm(
     machine: &mut Machine,
     a: &[Word],
     b: &[Word],
     m: usize,
     p: usize,
-) -> SimResult<MatmulRun> {
+) -> SimResult<Run<Vec<Word>>> {
     if a.len() != m * m || b.len() != m * m {
         return Err(hmm_machine::SimError::BadLaunch(
             "matmul inputs must be m*m".into(),
         ));
     }
-    load_inputs(machine, a, b, m);
     let kernel = Kernel::new("matmul-umm", matmul_kernel_umm(m));
-    let report = machine.launch(&kernel, LaunchShape::Even(p.max(1)))?;
-    let (_, _, c_base) = bases(m);
-    Ok(MatmulRun {
-        value: machine.global()[c_base..c_base + m * m].to_vec(),
-        report,
-    })
+    run_matmul(machine, a, b, m, footprint(m, None, 0), &kernel, p.max(1))
 }
 
 #[cfg(test)]
@@ -312,8 +320,7 @@ mod tests {
             let a = random_words(m * m, m as u64, 20);
             let b = random_words(m * m, (m + 1) as u64, 20);
             let expect = matmul_reference(&a, &b, m);
-            let shared = matmul_shared_words(m, d, tw);
-            let mut machine = Machine::hmm(d, 4, 8, 3 * m * m + 8, shared);
+            let mut machine = footprint(m, Some(d), tw).hmm(d, 4, 8);
             let run = run_matmul_hmm(&mut machine, &a, &b, m, tw, p).unwrap();
             assert_eq!(run.value, expect, "m={m} d={d} tw={tw} p={p}");
         }
@@ -325,7 +332,7 @@ mod tests {
         let a = random_words(m * m, 5, 20);
         let b = random_words(m * m, 6, 20);
         let expect = matmul_reference(&a, &b, m);
-        let mut machine = Machine::umm(4, 8, 3 * m * m + 8);
+        let mut machine = footprint(m, None, 0).umm(4, 8);
         let run = run_matmul_umm(&mut machine, &a, &b, m, 16).unwrap();
         assert_eq!(run.value, expect);
     }
@@ -349,10 +356,9 @@ mod tests {
         let (w, l, p) = (8, 64, 256);
         let a = random_words(m * m, 9, 10);
         let b = random_words(m * m, 10, 10);
-        let shared = matmul_shared_words(m, d, tw);
-        let mut hmm = Machine::hmm(d, w, l, 3 * m * m + 8, shared);
+        let mut hmm = footprint(m, Some(d), tw).hmm(d, w, l);
         let th = run_matmul_hmm(&mut hmm, &a, &b, m, tw, p).unwrap();
-        let mut umm = Machine::umm(w, l, 3 * m * m + 8);
+        let mut umm = footprint(m, None, 0).umm(w, l);
         let tu = run_matmul_umm(&mut umm, &a, &b, m, p).unwrap();
         assert_eq!(th.value, tu.value);
         assert!(

@@ -22,6 +22,8 @@ use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::{abi, Asm, Program, SimReport, SimResult};
 
+use crate::{check_fit, Footprint};
+
 const ADDR: Reg = Reg(16);
 const T0: Reg = Reg(17);
 
@@ -101,12 +103,23 @@ pub fn transpose_kernel(a_base: usize, b_base: usize, m: usize) -> Program {
     a.finish()
 }
 
-/// Run one Figure 1 pattern with `p` threads on `machine` (the matrix is
-/// `m × m` at address 0; the machine's global memory must hold `m²`
-/// words).
+/// The footprint of `matrices` row-major `m × m` matrices laid end to
+/// end in global memory: 1 for [`run_figure1`], 2 for [`run_transpose`].
+#[must_use]
+pub fn footprint(m: usize, matrices: usize) -> Footprint {
+    Footprint {
+        global: matrices * m * m,
+        shared: 0,
+    }
+}
+
+/// Run one Figure 1 pattern with `p ≤ m` threads on `machine` (the
+/// matrix is `m × m` at address 0; the machine is sized by
+/// [`footprint`]`(m, 1)`).
 ///
 /// # Errors
-/// Propagates simulation errors.
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
 pub fn run_figure1(
     machine: &mut Machine,
     pattern: Figure1,
@@ -114,21 +127,20 @@ pub fn run_figure1(
     p: usize,
 ) -> SimResult<SimReport> {
     let kernel = Kernel::new(pattern.name(), figure1_kernel(pattern, m));
+    check_fit(machine, footprint(m, 1), &kernel)?;
     machine.launch(&kernel, LaunchShape::Even(p))
 }
 
-/// Transpose the `m × m` matrix at `a_base` into `b_base` using `m²`
-/// threads and return the report.
+/// Transpose the `m × m` matrix the machine holds at address 0 into
+/// `[m², 2m²)` using `m²` threads and return the report. The machine is
+/// sized by [`footprint`]`(m, 2)`.
 ///
 /// # Errors
-/// Propagates simulation errors.
-pub fn run_transpose(
-    machine: &mut Machine,
-    a_base: usize,
-    b_base: usize,
-    m: usize,
-) -> SimResult<SimReport> {
-    let kernel = Kernel::new("transpose", transpose_kernel(a_base, b_base, m));
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
+pub fn run_transpose(machine: &mut Machine, m: usize) -> SimResult<SimReport> {
+    let kernel = Kernel::new("transpose", transpose_kernel(0, m * m, m));
+    check_fit(machine, footprint(m, 2), &kernel)?;
     machine.launch(&kernel, LaunchShape::Even(m * m))
 }
 
@@ -167,11 +179,11 @@ mod tests {
     #[test]
     fn transpose_transposes() {
         let (w, l, m) = (4, 4, 4);
-        let mut umm = Machine::umm(w, l, 2 * m * m);
+        let mut umm = footprint(m, 2).umm(w, l);
         for i in 0..m * m {
             umm.global_mut()[i] = i as i64;
         }
-        let r = run_transpose(&mut umm, 0, m * m, m).unwrap();
+        let r = run_transpose(&mut umm, m).unwrap();
         for row in 0..m {
             for col in 0..m {
                 assert_eq!(umm.global()[m * m + col * m + row], (row * m + col) as i64);

@@ -20,7 +20,9 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Program, SimReport, SimResult, Word};
+use hmm_machine::{abi, Asm, Program, SimResult, Word};
+
+use crate::{run_staged, Footprint, Run};
 
 const LANE: Reg = Reg(16);
 const RND: Reg = Reg(17);
@@ -186,21 +188,24 @@ pub fn schedule_permutation(perm: &[usize], w: usize) -> Schedule {
     schedule
 }
 
-/// Result of a permutation run.
-#[derive(Debug, Clone)]
-pub struct PermRun {
-    /// The permuted output.
-    pub value: Vec<Word>,
-    /// Timing and memory statistics.
-    pub report: SimReport,
+/// The permutation footprint for `n` elements, all in global memory:
+/// data `[0, n)`, output `[n, 2n)`, then the move tables. The scheduled
+/// kernel (`schedule = Some(s)`) keeps a source and a destination table
+/// of `s.rounds.len() · s.width` words each; the naive kernel (`None`)
+/// keeps the `n`-word permutation.
+#[must_use]
+pub fn footprint(n: usize, schedule: Option<&Schedule>) -> Footprint {
+    let tables = schedule.map_or(n, |s| 2 * s.rounds.len() * s.width);
+    Footprint {
+        global: 2 * n + tables,
+        shared: 0,
+    }
 }
 
-/// Global layout used by both kernels: data `[0, n)`, output `[n, 2n)`,
-/// then the tables. Returns (src table base, dst table base, total size).
-fn table_layout(n: usize, rounds: usize, w: usize) -> (usize, usize, usize) {
-    let s_base = 2 * n;
-    let d_base = s_base + rounds * w;
-    (s_base, d_base, d_base + rounds * w)
+/// The scheduled kernel's table bases: sources at `2n`, destinations
+/// after them.
+fn table_bases(n: usize, rounds: usize, w: usize) -> (usize, usize) {
+    (2 * n, 2 * n + rounds * w)
 }
 
 /// Build the scheduled-permutation kernel: lane `ltid mod w` of warp
@@ -209,7 +214,7 @@ fn table_layout(n: usize, rounds: usize, w: usize) -> (usize, usize, usize) {
 #[must_use]
 pub fn perm_kernel_scheduled(n: usize, rounds: usize, w: usize, p: usize) -> Program {
     assert!(p.is_multiple_of(w), "scheduled permutation needs w | p");
-    let (s_base, d_base, _) = table_layout(n, rounds, w);
+    let (s_base, d_base) = table_bases(n, rounds, w);
     let warps = p / w;
     let mut a = Asm::new();
     a.rem(LANE, abi::LTID, w);
@@ -257,16 +262,18 @@ pub fn perm_kernel_naive(n: usize, table: usize) -> Program {
 }
 
 /// Run the scheduled (conflict-free) permutation of `input` under `perm`
-/// on `machine` (a DMM) with `p` threads (`w | p`).
+/// on `machine` (a DMM sized by [`footprint`]`(n, Some(&s))` for
+/// `s = schedule_permutation(perm, w)`) with `p` threads (`w | p`).
 ///
 /// # Errors
-/// Propagates simulation errors.
+/// Propagates simulation errors; rejects `p` not divisible by `w` and a
+/// machine smaller than the footprint.
 pub fn run_permutation_scheduled(
     machine: &mut Machine,
     input: &[Word],
     perm: &[usize],
     p: usize,
-) -> SimResult<PermRun> {
+) -> SimResult<Run<Vec<Word>>> {
     let n = input.len();
     let w = machine.width();
     if !p.is_multiple_of(w) || p == 0 {
@@ -276,55 +283,58 @@ pub fn run_permutation_scheduled(
     }
     let schedule = schedule_permutation(perm, w);
     let rounds = schedule.rounds.len();
-    let (s_base, d_base, total) = table_layout(n, rounds, w);
-    if machine.global().len() < total {
-        return Err(hmm_machine::SimError::BadLaunch(format!(
-            "machine needs {total} global words for the schedule tables"
-        )));
-    }
-    machine.clear_global();
-    machine.load_global(0, input);
-    for (r, round) in schedule.rounds.iter().enumerate() {
-        for (lane, mv) in round.iter().enumerate() {
-            let (s, dst) = mv.map_or((-1, -1), |(s, dst)| (s as Word, dst as Word));
-            machine.global_mut()[s_base + r * w + lane] = s;
-            machine.global_mut()[d_base + r * w + lane] = dst;
-        }
-    }
+    let (s_base, d_base) = table_bases(n, rounds, w);
     let kernel = Kernel::new(
         "permutation-scheduled",
         perm_kernel_scheduled(n, rounds, w, p),
     );
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(PermRun {
-        value: machine.global()[n..2 * n].to_vec(),
-        report,
-    })
+    run_staged(
+        machine,
+        footprint(n, Some(&schedule)),
+        &kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[..n].copy_from_slice(input);
+            for (r, round) in schedule.rounds.iter().enumerate() {
+                for (lane, mv) in round.iter().enumerate() {
+                    let (s, dst) = mv.map_or((-1, -1), |(s, dst)| (s as Word, dst as Word));
+                    g[s_base + r * w + lane] = s;
+                    g[d_base + r * w + lane] = dst;
+                }
+            }
+        },
+        |g| g[n..2 * n].to_vec(),
+    )
 }
 
-/// Run the naive permutation baseline with `p` threads.
+/// Run the naive permutation baseline with `p` threads on a machine
+/// sized by [`footprint`]`(n, None)`.
 ///
 /// # Errors
-/// Propagates simulation errors.
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
 pub fn run_permutation_naive(
     machine: &mut Machine,
     input: &[Word],
     perm: &[usize],
     p: usize,
-) -> SimResult<PermRun> {
+) -> SimResult<Run<Vec<Word>>> {
     let n = input.len();
     let table = 2 * n;
-    machine.clear_global();
-    machine.load_global(0, input);
-    for (i, &d) in perm.iter().enumerate() {
-        machine.global_mut()[table + i] = d as Word;
-    }
     let kernel = Kernel::new("permutation-naive", perm_kernel_naive(n, table));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(PermRun {
-        value: machine.global()[n..2 * n].to_vec(),
-        report,
-    })
+    run_staged(
+        machine,
+        footprint(n, None),
+        &kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[..n].copy_from_slice(input);
+            for (cell, &d) in g[table..].iter_mut().zip(perm) {
+                *cell = d as Word;
+            }
+        },
+        |g| g[n..2 * n].to_vec(),
+    )
 }
 
 /// The row-major → column-major transpose permutation of an `m × m`
@@ -345,7 +355,6 @@ pub fn transpose_perm(m: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::reference;
-    use hmm_core::Machine;
     use hmm_workloads::random_words;
 
     fn random_perm(n: usize, seed: u64) -> Vec<usize> {
@@ -398,8 +407,7 @@ mod tests {
         let perm = random_perm(n, 9);
         let expect = reference::permute(&input, &perm).value;
         let w = 8;
-        let rounds = n.div_ceil(w) + 1;
-        let mut m = Machine::dmm(w, 8, 2 * n + 2 * rounds * w + 64);
+        let mut m = footprint(n, Some(&schedule_permutation(&perm, w))).dmm(w, 8);
         let run = run_permutation_scheduled(&mut m, &input, &perm, 32).unwrap();
         assert_eq!(run.value, expect);
     }
@@ -410,7 +418,7 @@ mod tests {
         let input = random_words(n, 5, 100);
         let perm = random_perm(n, 6);
         let expect = reference::permute(&input, &perm).value;
-        let mut m = Machine::dmm(4, 4, 3 * n + 16);
+        let mut m = footprint(n, None).dmm(4, 4);
         let run = run_permutation_naive(&mut m, &input, &perm, 16).unwrap();
         assert_eq!(run.value, expect);
     }
@@ -429,12 +437,11 @@ mod tests {
         let p = 128;
         let l = 16;
 
-        let rounds = n.div_ceil(w) + 1;
-        let mut dmm = Machine::dmm(w, l, 2 * n + 2 * rounds * w + 64);
+        let mut dmm = footprint(n, Some(&schedule_permutation(&perm, w))).dmm(w, l);
         let sched = run_permutation_scheduled(&mut dmm, &input, &perm, p).unwrap();
         assert_eq!(sched.value, expect);
 
-        let mut dmm2 = Machine::dmm(w, l, 3 * n + 16);
+        let mut dmm2 = footprint(n, None).dmm(w, l);
         let naive = run_permutation_naive(&mut dmm2, &input, &perm, p).unwrap();
         assert_eq!(naive.value, expect);
 

@@ -21,9 +21,9 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Program, SimReport, SimResult, Word};
+use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
-use crate::{div_ceil, next_pow2};
+use crate::{div_ceil, next_pow2, run_staged, Footprint, Run};
 
 const IDX: Reg = Reg(16);
 const ACC: Reg = Reg(17);
@@ -38,13 +38,30 @@ const LIM: Reg = Reg(23);
 /// Per-thread sub-block base in shared memory.
 const SBASE: Reg = Reg(24);
 
-/// Result of a prefix-sums run.
-#[derive(Debug, Clone)]
-pub struct PrefixRun {
-    /// The inclusive prefix sums.
-    pub value: Vec<Word>,
-    /// Timing and memory statistics.
-    pub report: SimReport,
+/// The prefix-sums footprint for `n` inputs and `p` threads.
+///
+/// * `d = None` — the single-memory scan: the input padded to
+///   `n2 = next_pow2(n)` words plus its level arrays, `3·n2 − 1` global
+///   words in all.
+/// * `d = Some(d)` — the HMM scan on `d` DMMs: input, output and the `d`
+///   chunk totals in `2n + d` global words. Each DMM's shared memory holds
+///   its skew-padded chunk, the `next_pow2(p/d)` block totals, the `d`
+///   staged chunk totals and the cross-DMM offset cell.
+#[must_use]
+pub fn footprint(n: usize, p: usize, d: Option<usize>) -> Footprint {
+    match d {
+        None => Footprint {
+            global: 3 * next_pow2(n) - 1,
+            shared: 0,
+        },
+        Some(d) => {
+            let pd = p / d;
+            Footprint {
+                global: 2 * n + d,
+                shared: pd * (sub_block(div_ceil(n, d), pd) + 1) + next_pow2(pd) + d + 1,
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -159,22 +176,28 @@ pub fn prefix_kernel_dmm_umm(n2: usize) -> Program {
     a.finish()
 }
 
-/// Run the single-memory prefix sums of `input` with `p` threads. The
-/// machine needs `3 · next_pow2(n)` words of global memory.
+/// Run the single-memory prefix sums of `input` with `p` threads on a
+/// machine sized by [`footprint`]`(n, p, None)`.
 ///
 /// # Errors
-/// Propagates simulation errors.
-pub fn run_prefix_dmm_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<PrefixRun> {
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
+pub fn run_prefix_dmm_umm(
+    machine: &mut Machine,
+    input: &[Word],
+    p: usize,
+) -> SimResult<Run<Vec<Word>>> {
     let n = input.len();
     let n2 = next_pow2(n);
-    machine.clear_global();
-    machine.load_global(0, input);
     let kernel = Kernel::new("prefix-dmm-umm", prefix_kernel_dmm_umm(n2));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(PrefixRun {
-        value: machine.global()[n2..n2 + n].to_vec(),
-        report,
-    })
+    run_staged(
+        machine,
+        footprint(n, p, None),
+        &kernel,
+        LaunchShape::Even(p),
+        |g| g[..n].copy_from_slice(input),
+        |g| g[n2..n2 + n].to_vec(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -187,15 +210,6 @@ pub fn run_prefix_dmm_umm(machine: &mut Machine, input: &[Word], p: usize) -> Si
 fn sub_block(chunk: usize, pd: usize) -> usize {
     let b = div_ceil(chunk.max(1), pd.max(1));
     b + (b & 1)
-}
-
-/// Shared words needed per DMM for a chunk of `chunk` elements scanned by
-/// `pd` threads on a `d`-DMM machine: the skew-padded data region plus
-/// the block-total region plus scratch for the cross-DMM offset.
-#[must_use]
-pub fn prefix_shared_words(chunk: usize, pd: usize, d: usize) -> usize {
-    let b = sub_block(chunk, pd);
-    pd * (b + 1) + next_pow2(pd) + d + 4
 }
 
 /// Build the HMM prefix-sums kernel.
@@ -367,12 +381,16 @@ pub fn prefix_kernel_hmm(n: usize, p: usize, d: usize) -> Program {
 }
 
 /// Run the HMM prefix sums of `input` with `p` threads evenly over the
-/// `d` DMMs (`d | p`). Needs `2n + d` global words and
-/// [`prefix_shared_words`] shared words per DMM.
+/// `d` DMMs (`d | p`) of an HMM sized by [`footprint`]`(n, p, Some(d))`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p % d != 0`.
-pub fn run_prefix_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<PrefixRun> {
+/// Propagates simulation errors; rejects `p % d != 0` and a machine
+/// smaller than the footprint.
+pub fn run_prefix_hmm(
+    machine: &mut Machine,
+    input: &[Word],
+    p: usize,
+) -> SimResult<Run<Vec<Word>>> {
     let d = machine.dmms();
     if p == 0 || !p.is_multiple_of(d) {
         return Err(hmm_machine::SimError::BadLaunch(format!(
@@ -380,14 +398,15 @@ pub fn run_prefix_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimRes
         )));
     }
     let n = input.len();
-    machine.clear_global();
-    machine.load_global(0, input);
     let kernel = Kernel::new("prefix-hmm", prefix_kernel_hmm(n, p, d));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(PrefixRun {
-        value: machine.global()[n..2 * n].to_vec(),
-        report,
-    })
+    run_staged(
+        machine,
+        footprint(n, p, Some(d)),
+        &kernel,
+        LaunchShape::Even(p),
+        |g| g[..n].copy_from_slice(input),
+        |g| g[n..2 * n].to_vec(),
+    )
 }
 
 #[cfg(test)]
@@ -421,9 +440,7 @@ mod tests {
         ] {
             let input = random_words(n, n as u64, 100);
             let expect = reference::prefix_sums(&input).value;
-            let chunk = n.div_ceil(d);
-            let shared = prefix_shared_words(chunk, p / d, d);
-            let mut m = Machine::hmm(d, 4, 8, 2 * n + d + 8, shared);
+            let mut m = footprint(n, p, Some(d)).hmm(d, 4, 8);
             let run = run_prefix_hmm(&mut m, &input, p).unwrap();
             assert_eq!(run.value, expect, "n={n} d={d} p={p}");
         }
@@ -448,11 +465,9 @@ mod tests {
         let input = random_words(n, 3, 50);
         let (d, w, p) = (8usize, 8usize, 512usize);
         let l = 256;
-        let mut umm = Machine::umm(w, l, 3 * n.next_power_of_two());
+        let mut umm = footprint(n, p, None).umm(w, l);
         let tu = run_prefix_dmm_umm(&mut umm, &input, p).unwrap();
-        let chunk = n.div_ceil(d);
-        let shared = prefix_shared_words(chunk, p / d, d);
-        let mut hmm = Machine::hmm(d, w, l, 2 * n + d + 8, shared);
+        let mut hmm = footprint(n, p, Some(d)).hmm(d, w, l);
         let th = run_prefix_hmm(&mut hmm, &input, p).unwrap();
         assert_eq!(tu.value, th.value);
         assert!(

@@ -21,7 +21,9 @@
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::{Reg, Space};
 use hmm_machine::kbuild::{if_nonzero, strided_loop};
-use hmm_machine::{abi, Asm, Program, SimReport, SimResult, Word};
+use hmm_machine::{abi, Asm, Program, SimError, SimResult, Word};
+
+use crate::{next_pow2, run_staged, Footprint, Run};
 
 const IDX: Reg = Reg(16);
 const C: Reg = Reg(17);
@@ -36,13 +38,18 @@ const T0: Reg = Reg(25);
 /// `dmm * chunk` for the HMM kernel.
 const BASE: Reg = Reg(26);
 
-/// Result of a sorting run.
-#[derive(Debug, Clone)]
-pub struct SortRun {
-    /// The sorted (ascending) output.
-    pub value: Vec<Word>,
-    /// Timing and memory statistics.
-    pub report: SimReport,
+/// The bitonic-sort footprint for `n` inputs: the input padded to `n2`
+/// global words, `n2` a power of two of at least 2. With `d = Some(d)`
+/// (the HMM sort on `d` DMMs) `n2` is also at least `2d`, and each DMM
+/// stages its `n2/d`-word chunk in shared memory; `None` is the
+/// single-memory sort.
+#[must_use]
+pub fn footprint(n: usize, d: Option<usize>) -> Footprint {
+    let n2 = next_pow2(n.max(2)).max(2 * d.unwrap_or(1));
+    Footprint {
+        global: n2,
+        shared: d.map_or(0, |d| n2 / d),
+    }
 }
 
 /// Emit one compare–exchange: indices `GI` (already set) and
@@ -193,45 +200,57 @@ fn run_sort(
     input: &[Word],
     p: usize,
     kernel: &Kernel,
-    n2: usize,
-) -> SimResult<SortRun> {
-    machine.clear_global();
-    machine.load_global(0, input);
-    machine.global_mut()[input.len()..n2].fill(Word::MAX);
-    let report = machine.launch(kernel, LaunchShape::Even(p))?;
-    Ok(SortRun {
-        value: machine.global()[..input.len()].to_vec(),
-        report,
-    })
+    need: Footprint,
+) -> SimResult<Run<Vec<Word>>> {
+    let n = input.len();
+    run_staged(
+        machine,
+        need,
+        kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[..n].copy_from_slice(input);
+            g[n..need.global].fill(Word::MAX);
+        },
+        |g| g[..n].to_vec(),
+    )
 }
 
-/// Sort `input` ascending on a single-memory machine with `p` threads.
-/// The machine needs `next_pow2(n)` global words.
+/// Sort `input` ascending with `p` threads on a single-memory machine
+/// sized by [`footprint`]`(n, None)`.
 ///
 /// # Errors
-/// Propagates simulation errors.
-pub fn run_sort_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<SortRun> {
-    let n2 = crate::next_pow2(input.len().max(2));
-    let kernel = Kernel::new("sort-bitonic-umm", sort_kernel_umm(n2));
-    run_sort(machine, input, p, &kernel, n2)
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
+pub fn run_sort_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Vec<Word>>> {
+    let need = footprint(input.len(), None);
+    let kernel = Kernel::new("sort-bitonic-umm", sort_kernel_umm(need.global));
+    run_sort(machine, input, p, &kernel, need)
 }
 
-/// Sort `input` ascending on the HMM with `p` threads (`d | p`). The
-/// machine needs `next_pow2(n)` global words and `next_pow2(n)/d` shared
-/// words per DMM.
+/// Sort `input` ascending with `p` threads (`d | p`) on an HMM sized by
+/// [`footprint`]`(n, Some(d))`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p % d != 0`.
-pub fn run_sort_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<SortRun> {
+/// Propagates simulation errors; rejects `p % d != 0`, a DMM count that
+/// does not divide the padded length (any `d` that is not a power of
+/// two) and a machine smaller than the footprint.
+pub fn run_sort_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Vec<Word>>> {
     let d = machine.dmms();
     if p == 0 || !p.is_multiple_of(d) {
-        return Err(hmm_machine::SimError::BadLaunch(format!(
+        return Err(SimError::BadLaunch(format!(
             "HMM sort needs d | p (got p = {p}, d = {d})"
         )));
     }
-    let n2 = crate::next_pow2(input.len().max(2)).max(2 * d);
-    let kernel = Kernel::new("sort-bitonic-hmm", sort_kernel_hmm(n2, d));
-    run_sort(machine, input, p, &kernel, n2)
+    let need = footprint(input.len(), Some(d));
+    if !need.global.is_multiple_of(d) {
+        return Err(SimError::BadLaunch(format!(
+            "HMM sort needs d to divide the padded length {} (got d = {d})",
+            need.global
+        )));
+    }
+    let kernel = Kernel::new("sort-bitonic-hmm", sort_kernel_hmm(need.global, d));
+    run_sort(machine, input, p, &kernel, need)
 }
 
 #[cfg(test)]
@@ -250,7 +269,7 @@ mod tests {
         for (n, p) in [(16usize, 8usize), (100, 32), (256, 256), (1, 4)] {
             let input = random_words(n, n as u64, 1000);
             let expect = sorted(input.clone());
-            let mut m = Machine::umm(4, 4, n.next_power_of_two().max(2));
+            let mut m = footprint(n, None).umm(4, 4);
             let run = run_sort_umm(&mut m, &input, p).unwrap();
             assert_eq!(run.value, expect, "n={n} p={p}");
         }
@@ -274,11 +293,20 @@ mod tests {
         ] {
             let input = random_words(n, (n + d) as u64, 1000);
             let expect = sorted(input.clone());
-            let n2 = n.next_power_of_two().max(2 * d);
-            let mut m = Machine::hmm(d, 4, 8, n2, n2 / d);
+            let mut m = footprint(n, Some(d)).hmm(d, 4, 8);
             let run = run_sort_hmm(&mut m, &input, p).unwrap();
             assert_eq!(run.value, expect, "n={n} d={d} p={p}");
         }
+    }
+
+    /// A DMM count that is not a power of two cannot split the padded
+    /// input into equal power-of-two chunks; the runner says so instead
+    /// of tripping the kernel builder's assertion.
+    #[test]
+    fn rejects_dmm_counts_that_do_not_divide_the_padded_length() {
+        let mut m = Machine::hmm(3, 4, 4, 256, 256);
+        let err = run_sort_hmm(&mut m, &random_words(100, 1, 10), 6).unwrap_err();
+        assert!(matches!(err, SimError::BadLaunch(_)), "{err}");
     }
 
     #[test]
@@ -300,11 +328,11 @@ mod tests {
         let input = random_words(n, 17, 10_000);
         let expect = sorted(input.clone());
 
-        let mut umm = Machine::umm(w, l, n);
+        let mut umm = footprint(n, None).umm(w, l);
         let tu = run_sort_umm(&mut umm, &input, p).unwrap();
         assert_eq!(tu.value, expect);
 
-        let mut hmm = Machine::hmm(d, w, l, n, n / d);
+        let mut hmm = footprint(n, Some(d)).hmm(d, w, l);
         let th = run_sort_hmm(&mut hmm, &input, p).unwrap();
         assert_eq!(th.value, expect);
 

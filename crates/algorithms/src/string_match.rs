@@ -24,7 +24,9 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Program, SimReport, SimResult, Word};
+use hmm_machine::{abi, Asm, Program, SimResult, Word};
+
+use crate::{run_staged, Footprint, Run};
 
 const TT: Reg = Reg(16); // current diagonal t
 const I0: Reg = Reg(17); // low end of the i-range of diagonal t
@@ -38,16 +40,6 @@ const VAL: Reg = Reg(24);
 const T0: Reg = Reg(25);
 const T1: Reg = Reg(26);
 const T2: Reg = Reg(27);
-
-/// Result of a matching run.
-#[derive(Debug, Clone)]
-pub struct MatchRun {
-    /// `scores[j]` = min edit distance of the pattern against any text
-    /// substring ending at position `j` (1-based; index 0 is `m`).
-    pub scores: Vec<Word>,
-    /// Timing and memory statistics.
-    pub report: SimReport,
-}
 
 /// Sequential Sellers reference.
 #[must_use]
@@ -70,19 +62,29 @@ pub fn match_reference(pattern: &[Word], text: &[Word]) -> Vec<Word> {
 
 /// Global layout: pattern `[0, m)`, text `[m, m+n)`, three diagonal
 /// buffers of `min(m,n)+1+1` words each, then the score vector of
-/// `n + 1` words. Returns (diag base, buffer stride, score base, total).
-fn layout(m: usize, n: usize) -> (usize, usize, usize, usize) {
+/// `n + 1` words. Returns (diag base, buffer stride, score base).
+fn layout(m: usize, n: usize) -> (usize, usize, usize) {
     let stride = m.min(n) + 2;
     let diag = m + n;
-    let scores = diag + 3 * stride;
-    (diag, stride, scores, scores + n + 1)
+    (diag, stride, diag + 3 * stride)
+}
+
+/// The matching footprint for a pattern of length `m` and a text of
+/// length `n`: the layout above, all in global memory.
+#[must_use]
+pub fn footprint(m: usize, n: usize) -> Footprint {
+    let (_, _, scores) = layout(m, n);
+    Footprint {
+        global: scores + n + 1,
+        shared: 0,
+    }
 }
 
 /// Build the wavefront matching kernel.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn match_kernel(m: usize, n: usize) -> Program {
-    let (diag, stride, scores, _) = layout(m, n);
+    let (diag, stride, scores) = layout(m, n);
     let mut a = Asm::new();
     // scores[0] = m (no text consumed).
     {
@@ -194,37 +196,39 @@ pub fn match_kernel(m: usize, n: usize) -> Program {
 }
 
 /// Run approximate matching of `pattern` against `text` with `p` threads
-/// on `machine` (a DMM or UMM). Returns `scores[0..=n]`.
+/// on `machine` (a DMM or UMM sized by [`footprint`]). The value is
+/// `scores[0..=n]`: `scores[j]` is the minimum edit distance of the
+/// pattern against any text substring ending at position `j` (1-based;
+/// index 0 is `m`).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects empty inputs.
+/// Propagates simulation errors; rejects empty inputs and a machine
+/// smaller than the footprint.
 pub fn run_match_dmm_umm(
     machine: &mut Machine,
     pattern: &[Word],
     text: &[Word],
     p: usize,
-) -> SimResult<MatchRun> {
+) -> SimResult<Run<Vec<Word>>> {
     let (m, n) = (pattern.len(), text.len());
     if m == 0 || n == 0 {
         return Err(hmm_machine::SimError::BadLaunch(
             "pattern and text must be non-empty".into(),
         ));
     }
-    let (_, _, scores, total) = layout(m, n);
-    if machine.global().len() < total {
-        return Err(hmm_machine::SimError::BadLaunch(format!(
-            "machine needs {total} global words"
-        )));
-    }
-    machine.clear_global();
-    machine.load_global(0, pattern);
-    machine.load_global(m, text);
+    let (_, _, scores) = layout(m, n);
     let kernel = Kernel::new("approx-match", match_kernel(m, n));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(MatchRun {
-        scores: machine.global()[scores..=(scores + n)].to_vec(),
-        report,
-    })
+    run_staged(
+        machine,
+        footprint(m, n),
+        &kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[..m].copy_from_slice(pattern);
+            g[m..m + n].copy_from_slice(text);
+        },
+        |g| g[scores..=(scores + n)].to_vec(),
+    )
 }
 
 #[cfg(test)]
@@ -259,13 +263,12 @@ mod tests {
             let pattern = random_words(m, m as u64, 3); // tiny alphabet
             let text = random_words(n, n as u64, 3);
             let expect = match_reference(&pattern, &text);
-            let (_, _, _, total) = layout(m, n);
-            let mut machine = Machine::umm(4, 8, total + 8);
+            let mut machine = footprint(m, n).umm(4, 8);
             let run = run_match_dmm_umm(&mut machine, &pattern, &text, p).unwrap();
-            assert_eq!(run.scores, expect, "m={m} n={n} p={p}");
-            let mut machine = Machine::dmm(4, 8, total + 8);
+            assert_eq!(run.value, expect, "m={m} n={n} p={p}");
+            let mut machine = footprint(m, n).dmm(4, 8);
             let run = run_match_dmm_umm(&mut machine, &pattern, &text, p).unwrap();
-            assert_eq!(run.scores, expect, "m={m} n={n} p={p} (dmm)");
+            assert_eq!(run.value, expect, "m={m} n={n} p={p} (dmm)");
         }
     }
 
@@ -273,11 +276,10 @@ mod tests {
     fn kernel_finds_exact_match() {
         let pattern = str_to_words("hmm");
         let text = str_to_words("the hmm model");
-        let (_, _, _, total) = layout(pattern.len(), text.len());
-        let mut machine = Machine::umm(4, 4, total + 8);
+        let mut machine = footprint(pattern.len(), text.len()).umm(4, 4);
         let run = run_match_dmm_umm(&mut machine, &pattern, &text, 8).unwrap();
-        assert_eq!(run.scores, match_reference(&pattern, &text));
-        assert_eq!(*run.scores.iter().skip(1).min().unwrap(), 0);
+        assert_eq!(run.value, match_reference(&pattern, &text));
+        assert_eq!(*run.value.iter().skip(1).min().unwrap(), 0);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 use hmm_core::Machine;
 use hmm_machine::{SimResult, Word};
 
-use super::{run_sum_hmm, run_sum_hmm_single_dmm, SumRun};
-use crate::next_pow2;
+use super::{run_sum_hmm, run_sum_hmm_single_dmm};
+use crate::{next_pow2, Run};
 
 /// The thread count [`run_sum_hmm_auto`] will actually launch for a
 /// requested budget `p_max` on `machine` with input size `n`.
@@ -52,7 +52,11 @@ pub fn auto_threads(machine: &Machine, n: usize, p_max: usize) -> usize {
 ///
 /// # Errors
 /// Propagates simulation errors.
-pub fn run_sum_hmm_auto(machine: &mut Machine, input: &[Word], p_max: usize) -> SimResult<SumRun> {
+pub fn run_sum_hmm_auto(
+    machine: &mut Machine,
+    input: &[Word],
+    p_max: usize,
+) -> SimResult<Run<Word>> {
     let n = input.len();
     if machine.dmms() == 1 {
         // A one-DMM HMM is Lemma 6's machine; use the single-DMM path

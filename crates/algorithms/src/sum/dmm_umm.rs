@@ -19,9 +19,7 @@ use hmm_machine::isa::Reg;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
 use crate::reduce::ReduceOp;
-
-use super::SumRun;
-use crate::next_pow2;
+use crate::{next_pow2, run_staged, Footprint, Run};
 
 const IDX: Reg = Reg(16);
 const T0: Reg = Reg(17);
@@ -66,14 +64,24 @@ pub fn reduce_kernel(base: usize, n2: usize, op: ReduceOp) -> Program {
     a.finish()
 }
 
+/// The Lemma 5 footprint for `n` inputs: the input padded to
+/// `next_pow2(n)` global words, no shared memory.
+#[must_use]
+pub fn footprint(n: usize) -> Footprint {
+    Footprint {
+        global: next_pow2(n),
+        shared: 0,
+    }
+}
+
 /// Run the Lemma 5 sum of `input` with `p` threads on `machine` (a DMM or
-/// UMM; the kernel also runs unchanged on an HMM's global memory).
-///
-/// The machine's global memory must hold `next_pow2(input.len())` words.
+/// UMM; the kernel also runs unchanged on an HMM's global memory) sized
+/// by [`footprint`].
 ///
 /// # Errors
-/// Propagates simulation errors.
-pub fn run_sum_dmm_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<SumRun> {
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
+pub fn run_sum_dmm_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Word>> {
     run_reduce_dmm_umm(machine, input, p, ReduceOp::Sum)
 }
 
@@ -81,24 +89,28 @@ pub fn run_sum_dmm_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimRe
 /// (padding with the operator's identity).
 ///
 /// # Errors
-/// Propagates simulation errors.
+/// Propagates simulation errors; rejects a machine smaller than the
+/// [`footprint`].
 pub fn run_reduce_dmm_umm(
     machine: &mut Machine,
     input: &[Word],
     p: usize,
     op: ReduceOp,
-) -> SimResult<SumRun> {
+) -> SimResult<Run<Word>> {
     let n = input.len();
-    let n2 = next_pow2(n);
-    machine.clear_global();
-    machine.load_global(0, input);
-    machine.global_mut()[n..n2].fill(op.identity());
-    let kernel = Kernel::new("reduce-lemma5", reduce_kernel(0, n2, op));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(SumRun {
-        value: machine.global()[0],
-        report,
-    })
+    let need = footprint(n);
+    let kernel = Kernel::new("reduce-lemma5", reduce_kernel(0, need.global, op));
+    run_staged(
+        machine,
+        need,
+        &kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[..n].copy_from_slice(input);
+            g[n..need.global].fill(op.identity());
+        },
+        |g| g[0],
+    )
 }
 
 #[cfg(test)]

@@ -27,9 +27,8 @@ use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
-use super::SumRun;
-use crate::next_pow2;
 use crate::reduce::ReduceOp;
+use crate::{next_pow2, run_staged, Footprint, Run};
 
 const IDX: Reg = Reg(16);
 const ACC: Reg = Reg(17);
@@ -160,27 +159,38 @@ pub fn reduce_kernel(n: usize, p: usize, d: usize, aux: usize, op: ReduceOp) -> 
     a.finish()
 }
 
+/// The Theorem 7 footprint for `n` inputs and `p` threads on `d` DMMs:
+/// the input plus `next_pow2(d)` per-DMM sums in global memory, and the
+/// `next_pow2(p/d)` partial sums of each DMM's tree in shared memory.
+#[must_use]
+pub fn footprint(n: usize, p: usize, d: usize) -> Footprint {
+    Footprint {
+        global: n + next_pow2(d),
+        shared: next_pow2(p / d),
+    }
+}
+
 /// Run the Theorem 7 sum of `input` with `p` threads spread evenly over
-/// the HMM's `d` DMMs (`d` must divide `p`). The machine needs
-/// `n + next_pow2(d)` words of global memory and `next_pow2(p/d)` words
-/// of shared memory per DMM.
+/// the `d` DMMs of an HMM sized by [`footprint`] (`d` must divide `p`).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p` not divisible by `d`.
-pub fn run_sum_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<SumRun> {
+/// Propagates simulation errors; rejects `p` not divisible by `d` and a
+/// machine smaller than the footprint.
+pub fn run_sum_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Word>> {
     run_reduce_hmm(machine, input, p, ReduceOp::Sum)
 }
 
 /// Run any [`ReduceOp`] over `input` with the Theorem 7 structure.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p` not divisible by `d`.
+/// Propagates simulation errors; rejects `p` not divisible by `d` and a
+/// machine smaller than the [`footprint`].
 pub fn run_reduce_hmm(
     machine: &mut Machine,
     input: &[Word],
     p: usize,
     op: ReduceOp,
-) -> SimResult<SumRun> {
+) -> SimResult<Run<Word>> {
     let d = machine.dmms();
     if !p.is_multiple_of(d) || p == 0 {
         return Err(hmm_machine::SimError::BadLaunch(format!(
@@ -189,16 +199,19 @@ pub fn run_reduce_hmm(
     }
     let n = input.len();
     let aux = n;
-    machine.clear_global();
-    machine.load_global(0, input);
-    let d2 = next_pow2(d);
-    machine.global_mut()[aux..aux + d2].fill(op.identity());
+    let need = footprint(n, p, d);
     let kernel = Kernel::new("reduce-theorem7", reduce_kernel(n, p, d, aux, op));
-    let report = machine.launch(&kernel, LaunchShape::Even(p))?;
-    Ok(SumRun {
-        value: machine.global()[aux],
-        report,
-    })
+    run_staged(
+        machine,
+        need,
+        &kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[..n].copy_from_slice(input);
+            g[aux..need.global].fill(op.identity());
+        },
+        |g| g[aux],
+    )
 }
 
 #[cfg(test)]

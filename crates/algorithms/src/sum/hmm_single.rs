@@ -18,8 +18,7 @@ use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
-use super::SumRun;
-use crate::next_pow2;
+use crate::{next_pow2, run_staged, Footprint, Run};
 
 const IDX: Reg = Reg(16);
 const ACC: Reg = Reg(17);
@@ -71,26 +70,39 @@ pub fn sum_kernel(n: usize, q: usize, aux: usize) -> Program {
     a.finish()
 }
 
-/// Run the Lemma 6 sum of `input` on `machine` (an HMM) using `q` threads,
-/// all placed on DMM 0. The paper's choice is `q = w·l`.
+/// The Lemma 6 footprint for `n` inputs and `q` threads: the input plus
+/// `next_pow2(q)` column sums in global memory, no shared memory.
+#[must_use]
+pub fn footprint(n: usize, q: usize) -> Footprint {
+    Footprint {
+        global: n + next_pow2(q),
+        shared: 0,
+    }
+}
+
+/// Run the Lemma 6 sum of `input` on `machine` (an HMM sized by
+/// [`footprint`]) using `q` threads, all placed on DMM 0. The paper's
+/// choice is `q = w·l`.
 ///
 /// # Errors
-/// Propagates simulation errors.
+/// Propagates simulation errors; rejects a machine smaller than the
+/// footprint.
 pub fn run_sum_hmm_single_dmm(
     machine: &mut Machine,
     input: &[Word],
     q: usize,
-) -> SimResult<SumRun> {
+) -> SimResult<Run<Word>> {
     let n = input.len();
     let aux = n;
-    machine.clear_global();
-    machine.load_global(0, input);
     let kernel = Kernel::new("sum-lemma6", sum_kernel(n, q, aux));
-    let report = machine.launch(&kernel, LaunchShape::OnDmm0(q))?;
-    Ok(SumRun {
-        value: machine.global()[aux],
-        report,
-    })
+    run_staged(
+        machine,
+        footprint(n, q),
+        &kernel,
+        LaunchShape::OnDmm0(q),
+        |g| g[..n].copy_from_slice(input),
+        |g| g[aux],
+    )
 }
 
 #[cfg(test)]

@@ -16,17 +16,6 @@ pub mod dmm_umm;
 pub mod hmm_all;
 pub mod hmm_single;
 
-use hmm_machine::{SimReport, Word};
-
-/// Result of a parallel sum run: the value plus the simulation report.
-#[derive(Debug, Clone)]
-pub struct SumRun {
-    /// The computed sum.
-    pub value: Word,
-    /// Timing and memory statistics.
-    pub report: SimReport,
-}
-
 pub use auto::run_sum_hmm_auto;
 pub use dmm_umm::run_sum_dmm_umm;
 pub use hmm_all::run_sum_hmm;

@@ -2,7 +2,7 @@
 //! (Lemma 1 / Theorem 2 kernels) across thread counts, plus the
 //! non-pipelined ablation.
 
-use hmm_algorithms::contiguous::{run_access, AccessMode};
+use hmm_algorithms::contiguous::{footprint, run_access, AccessMode};
 use hmm_core::{Machine, ModelKind};
 use hmm_machine::EngineConfig;
 use hmm_util::bench::BenchGroup;
@@ -15,13 +15,13 @@ fn main() {
 
     for &p in &[32usize, 512, 8192] {
         group.bench(&format!("umm_read/{p}"), || {
-            let mut m = Machine::umm(w, l, n);
+            let mut m = footprint(n, 1).umm(w, l);
             run_access(&mut m, n, p, AccessMode::Read).unwrap().time
         });
     }
 
     group.bench("umm_read_nopipeline/512", || {
-        let mut cfg = EngineConfig::umm(w, l, n);
+        let mut cfg = EngineConfig::umm(w, l, footprint(n, 1).global);
         cfg.pipelined = false;
         let mut m = Machine::from_config(ModelKind::Umm, cfg).unwrap();
         run_access(&mut m, n, 512, AccessMode::Read).unwrap().time

@@ -1,9 +1,7 @@
 //! Wall-clock benches for the direct-convolution algorithms
 //! (Table I, convolution row).
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
-use hmm_core::Machine;
+use hmm_algorithms::convolution::{footprint, run_conv_dmm_umm, run_conv_hmm};
 use hmm_pram::algorithms as pram_algos;
 use hmm_util::bench::BenchGroup;
 use hmm_workloads::random_words;
@@ -22,13 +20,12 @@ fn main() {
     });
 
     group.bench(&format!("umm_theorem8/n{n}k{k}"), || {
-        let mut m = Machine::umm(w, l, 2 * (n + 2 * k));
+        let mut m = footprint(n, k, None, 0).umm(w, l);
         run_conv_dmm_umm(&mut m, &a, &b, p).unwrap().value
     });
 
     group.bench(&format!("hmm_theorem9/n{n}k{k}"), || {
-        let m_slice = n.div_ceil(d);
-        let mut m = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+        let mut m = footprint(n, k, Some(d), 0).hmm(d, w, l);
         run_conv_hmm(&mut m, &a, &b, p).unwrap().value
     });
 }

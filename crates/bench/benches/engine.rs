@@ -12,10 +12,8 @@
 //! the host core count and per-workload simulated and skipped units —
 //! go to `BENCH_engine.json` at the repository root.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::run_conv_hmm;
-use hmm_algorithms::sum::run_sum_hmm;
-use hmm_core::Machine;
+use hmm_algorithms::convolution::{self, run_conv_hmm};
+use hmm_algorithms::sum::{hmm_all, run_sum_hmm};
 use hmm_machine::SimReport;
 use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
@@ -25,8 +23,9 @@ const D: usize = 4;
 const W: usize = 32;
 
 fn sum_report(l: usize, n: usize, p: usize, input: &[hmm_machine::Word], ff: bool) -> SimReport {
-    let mut m =
-        Machine::hmm(D, W, l, n + 32, (p / D).next_power_of_two().max(8)).with_fast_forward(ff);
+    let mut m = hmm_all::footprint(n, p, D)
+        .hmm(D, W, l)
+        .with_fast_forward(ff);
     run_sum_hmm(&mut m, input, p).unwrap().report
 }
 
@@ -39,8 +38,9 @@ fn conv_report(
     b: &[hmm_machine::Word],
     ff: bool,
 ) -> SimReport {
-    let shared = shared_words(n.div_ceil(D), k) + 8;
-    let mut m = Machine::hmm(D, W, l, 2 * (n + 2 * k), shared).with_fast_forward(ff);
+    let mut m = convolution::footprint(n, k, Some(D), 0)
+        .hmm(D, W, l)
+        .with_fast_forward(ff);
     run_conv_hmm(&mut m, a, b, p).unwrap().report
 }
 

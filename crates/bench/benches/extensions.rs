@@ -1,13 +1,12 @@
 //! Wall-clock benches for the extension algorithms: prefix-sums,
 //! offline permutation, bitonic sort, and tiled matrix multiply.
 
-use hmm_algorithms::matmul::{matmul_shared_words, run_matmul_hmm, run_matmul_umm};
+use hmm_algorithms::matmul::{self, run_matmul_hmm, run_matmul_umm};
 use hmm_algorithms::permutation::{
-    run_permutation_naive, run_permutation_scheduled, schedule_permutation, transpose_perm,
+    self, run_permutation_naive, run_permutation_scheduled, schedule_permutation, transpose_perm,
 };
-use hmm_algorithms::prefix::{prefix_shared_words, run_prefix_dmm_umm, run_prefix_hmm};
-use hmm_algorithms::sort::{run_sort_hmm, run_sort_umm};
-use hmm_core::Machine;
+use hmm_algorithms::prefix::{self, run_prefix_dmm_umm, run_prefix_hmm};
+use hmm_algorithms::sort::{self, run_sort_hmm, run_sort_umm};
 use hmm_util::bench::BenchGroup;
 use hmm_workloads::random_words;
 
@@ -20,14 +19,12 @@ fn bench_prefix() {
     group.sample_size(10);
 
     group.bench(&format!("umm_blelloch/{n}"), || {
-        let mut m = Machine::umm(w, l, 3 * n);
+        let mut m = prefix::footprint(n, p, None).umm(w, l);
         run_prefix_dmm_umm(&mut m, &input, p).unwrap().value
     });
 
     group.bench(&format!("hmm_staged/{n}"), || {
-        let chunk = n.div_ceil(d);
-        let shared = prefix_shared_words(chunk, p / d, d);
-        let mut m = Machine::hmm(d, w, l, 2 * n + d + 8, shared);
+        let mut m = prefix::footprint(n, p, Some(d)).hmm(d, w, l);
         run_prefix_hmm(&mut m, &input, p).unwrap().value
     });
 }
@@ -40,6 +37,7 @@ fn bench_permutation() {
     let perm = transpose_perm(m_side);
     let input = random_words(n, 8, 100);
 
+    let scheduled = permutation::footprint(n, Some(&schedule_permutation(&perm, w)));
     let mut group = BenchGroup::new("permutation");
     group.sample_size(10);
 
@@ -48,8 +46,7 @@ fn bench_permutation() {
     });
 
     group.bench(&format!("scheduled_transpose/{n}"), || {
-        let rounds = n.div_ceil(w) + 1;
-        let mut m = Machine::dmm(w, l, 2 * n + 2 * rounds * w + 64);
+        let mut m = scheduled.dmm(w, l);
         run_permutation_scheduled(&mut m, &input, &perm, p)
             .unwrap()
             .report
@@ -57,7 +54,7 @@ fn bench_permutation() {
     });
 
     group.bench(&format!("naive_transpose/{n}"), || {
-        let mut m = Machine::dmm(w, l, 3 * n + 16);
+        let mut m = permutation::footprint(n, None).dmm(w, l);
         run_permutation_naive(&mut m, &input, &perm, p)
             .unwrap()
             .report
@@ -74,12 +71,12 @@ fn bench_sort() {
     group.sample_size(10);
 
     group.bench(&format!("umm_bitonic/{n}"), || {
-        let mut m = Machine::umm(w, l, n);
+        let mut m = sort::footprint(n, None).umm(w, l);
         run_sort_umm(&mut m, &input, p).unwrap().report.time
     });
 
     group.bench(&format!("hmm_staged_bitonic/{n}"), || {
-        let mut m = Machine::hmm(d, w, l, n, n / d);
+        let mut m = sort::footprint(n, Some(d)).hmm(d, w, l);
         run_sort_hmm(&mut m, &input, p).unwrap().report.time
     });
 }
@@ -94,7 +91,7 @@ fn bench_matmul() {
     group.sample_size(10);
 
     group.bench(&format!("umm/{m_side}"), || {
-        let mut m = Machine::umm(w, l, 3 * m_side * m_side + 8);
+        let mut m = matmul::footprint(m_side, None, 0).umm(w, l);
         run_matmul_umm(&mut m, &a, &b, m_side, p)
             .unwrap()
             .report
@@ -102,8 +99,7 @@ fn bench_matmul() {
     });
 
     group.bench(&format!("hmm_tiled/{m_side}"), || {
-        let shared = matmul_shared_words(m_side, d, tw);
-        let mut m = Machine::hmm(d, w, l, 3 * m_side * m_side + 8, shared);
+        let mut m = matmul::footprint(m_side, Some(d), tw).hmm(d, w, l);
         run_matmul_hmm(&mut m, &a, &b, m_side, tw, p)
             .unwrap()
             .report

@@ -12,8 +12,8 @@
 //! multi-core host for meaningful speedups; on a single hardware thread
 //! the pool can only add overhead).
 
-use hmm_algorithms::sum::run_sum_hmm;
-use hmm_core::{BatchRunner, Machine};
+use hmm_algorithms::sum::{hmm_all, run_sum_hmm};
+use hmm_core::BatchRunner;
 use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
 use hmm_workloads::random_words;
@@ -52,7 +52,7 @@ fn main() {
         };
         runner.run(grid.clone(), |(gn, gp)| {
             let input = random_words(gn, gn as u64, 100);
-            let mut m = Machine::hmm(d, w, l, gn + 32, (gp / d).next_power_of_two().max(64));
+            let mut m = hmm_all::footprint(gn, gp, d).hmm(d, w, l);
             run_sum_hmm(&mut m, &input, gp).unwrap().report.time
         })
     };

@@ -4,8 +4,9 @@
 //! in the `table1` binary (simulated time units) — these benches track the
 //! *simulator's* wall-clock cost so regressions in the engine show up.
 
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm};
-use hmm_core::Machine;
+use hmm_algorithms::sum::{
+    dmm_umm, hmm_all, hmm_single, run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm,
+};
 use hmm_pram::algorithms as pram_algos;
 use hmm_util::bench::BenchGroup;
 use hmm_workloads::random_words;
@@ -23,22 +24,22 @@ fn main() {
     });
 
     group.bench(&format!("umm_lemma5/{n}"), || {
-        let mut m = Machine::umm(w, l, n.next_power_of_two());
+        let mut m = dmm_umm::footprint(n).umm(w, l);
         run_sum_dmm_umm(&mut m, &input, p).unwrap().value
     });
 
     group.bench(&format!("dmm_lemma5/{n}"), || {
-        let mut m = Machine::dmm(w, l, n.next_power_of_two());
+        let mut m = dmm_umm::footprint(n).dmm(w, l);
         run_sum_dmm_umm(&mut m, &input, p).unwrap().value
     });
 
     group.bench(&format!("hmm_lemma6_single_dmm/{n}"), || {
-        let mut m = Machine::hmm(d, w, l, n + 2 * w * l + 16, 64);
+        let mut m = hmm_single::footprint(n, w * l).hmm(d, w, l);
         run_sum_hmm_single_dmm(&mut m, &input, w * l).unwrap().value
     });
 
     group.bench(&format!("hmm_theorem7/{n}"), || {
-        let mut m = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two());
+        let mut m = hmm_all::footprint(n, p, d).hmm(d, w, l);
         run_sum_hmm(&mut m, &input, p).unwrap().value
     });
 }

@@ -4,14 +4,13 @@
 //!
 //! Run with `cargo run --release -p hmm-bench --bin ext_tables`.
 
-use hmm_algorithms::matmul::{matmul_shared_words, run_matmul_hmm, run_matmul_umm};
+use hmm_algorithms::matmul::{self, run_matmul_hmm, run_matmul_umm};
 use hmm_algorithms::permutation::{
-    run_permutation_naive, run_permutation_scheduled, transpose_perm,
+    self, run_permutation_naive, run_permutation_scheduled, schedule_permutation, transpose_perm,
 };
-use hmm_algorithms::prefix::{prefix_shared_words, run_prefix_dmm_umm, run_prefix_hmm};
-use hmm_algorithms::sort::{run_sort_hmm, run_sort_umm};
+use hmm_algorithms::prefix::{self, run_prefix_dmm_umm, run_prefix_hmm};
+use hmm_algorithms::sort::{self, run_sort_hmm, run_sort_umm};
 use hmm_bench::{dump, header, row, Measurement};
-use hmm_core::Machine;
 use hmm_theory::{lg, Params};
 use hmm_workloads::random_words;
 
@@ -27,11 +26,9 @@ fn main() {
         (1 << 16, 8192, 256, 16),
     ] {
         let input = random_words(n, n as u64, 100);
-        let mut umm = Machine::umm(w, l, 3 * n);
+        let mut umm = prefix::footprint(n, p, None).umm(w, l);
         let tu = run_prefix_dmm_umm(&mut umm, &input, p).unwrap();
-        let chunk = n.div_ceil(d);
-        let shared = prefix_shared_words(chunk, p / d, d);
-        let mut hmm = Machine::hmm(d, w, l, 2 * n + d + 8, shared);
+        let mut hmm = prefix::footprint(n, p, Some(d)).hmm(d, w, l);
         let th = run_prefix_hmm(&mut hmm, &input, p).unwrap();
         assert_eq!(tu.value, th.value);
         row(&[
@@ -76,10 +73,10 @@ fn main() {
         let n = m_side * m_side;
         let perm = transpose_perm(m_side);
         let input = random_words(n, m_side as u64, 100);
-        let rounds = n.div_ceil(w) + 1;
-        let mut dmm = Machine::dmm(w, l, 2 * n + 2 * rounds * w + 64);
+        let schedule = schedule_permutation(&perm, w);
+        let mut dmm = permutation::footprint(n, Some(&schedule)).dmm(w, l);
         let sched = run_permutation_scheduled(&mut dmm, &input, &perm, p).unwrap();
-        let mut dmm2 = Machine::dmm(w, l, 3 * n + 16);
+        let mut dmm2 = permutation::footprint(n, None).dmm(w, l);
         let naive = run_permutation_naive(&mut dmm2, &input, &perm, p).unwrap();
         assert_eq!(sched.value, naive.value);
         row(&[
@@ -126,9 +123,9 @@ fn main() {
         (1 << 14, 4096, 256, 16),
     ] {
         let input = random_words(n, n as u64, 1_000_000);
-        let mut umm = Machine::umm(w, l, n);
+        let mut umm = sort::footprint(n, None).umm(w, l);
         let tu = run_sort_umm(&mut umm, &input, p).unwrap();
-        let mut hmm = Machine::hmm(d, w, l, n, n / d);
+        let mut hmm = sort::footprint(n, Some(d)).hmm(d, w, l);
         let th = run_sort_hmm(&mut hmm, &input, p).unwrap();
         assert_eq!(tu.value, th.value);
         row(&[
@@ -172,10 +169,9 @@ fn main() {
     ] {
         let a = random_words(m_side * m_side, 1, 20);
         let b = random_words(m_side * m_side, 2, 20);
-        let mut umm = Machine::umm(w, l, 3 * m_side * m_side + 8);
+        let mut umm = matmul::footprint(m_side, None, 0).umm(w, l);
         let tu = run_matmul_umm(&mut umm, &a, &b, m_side, p).unwrap();
-        let shared = matmul_shared_words(m_side, d, tw);
-        let mut hmm = Machine::hmm(d, w, l, 3 * m_side * m_side + 8, shared);
+        let mut hmm = matmul::footprint(m_side, Some(d), tw).hmm(d, w, l);
         let th = run_matmul_hmm(&mut hmm, &a, &b, m_side, tw, p).unwrap();
         assert_eq!(tu.value, th.value);
         row(&[

@@ -7,8 +7,7 @@
 //!
 //! Run with `cargo run --release -p hmm-bench --bin regimes`.
 
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm};
-use hmm_core::Machine;
+use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
 use hmm_theory::regimes::dominant;
 use hmm_theory::{table2, Params};
 
@@ -55,7 +54,7 @@ fn main() {
     // latency-bound, so the sensitivities flip.
     println!("== sensitivity check (measured) ==\n");
     let time_umm = |p: usize, wid: usize, l: usize| {
-        let mut m = Machine::umm(wid, l, n);
+        let mut m = dmm_umm::footprint(n).umm(wid, l);
         run_sum_dmm_umm(&mut m, &vec![1; n], p).unwrap().report.time as f64
     };
     let bw = (
@@ -97,7 +96,7 @@ fn main() {
     assert!(lat.1 / lat.0 < 1.3, "halving w should not");
 
     // HMM utilization at the two extremes, showing where the pipeline sits.
-    let mut m = Machine::hmm(d, w, 256, n + 32, 1024);
+    let mut m = hmm_all::footprint(n, 8192, d).hmm(d, w, 256);
     let r = run_sum_hmm(&mut m, &vec![1; n], 8192).unwrap();
     println!(
         "\nHMM (p = 8192, l = 256): global utilization {:.2}, requests/slot {:.1}",

@@ -16,10 +16,9 @@
 //!
 //! Run with `cargo run --release -p hmm-bench --bin sweep_conv`.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::convolution::{footprint, run_conv_dmm_umm, run_conv_hmm};
 use hmm_bench::{dump, header, row, Measurement};
-use hmm_core::{BatchRunner, Keyed, Machine};
+use hmm_core::{BatchRunner, Keyed};
 use hmm_theory::{table1, Params};
 use hmm_workloads::random_words;
 
@@ -37,11 +36,10 @@ fn conv_pair(
     let a = random_words(k, seeds.0, 50);
     let b = random_words(n + k - 1, seeds.1, 50);
 
-    let mut umm = Machine::umm(w, l, 2 * (n + 2 * k));
+    let mut umm = footprint(n, k, None, 0).umm(w, l);
     let t8 = run_conv_dmm_umm(&mut umm, &a, &b, p).unwrap().report.time;
 
-    let m_slice = n.div_ceil(d);
-    let mut hmm = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+    let mut hmm = footprint(n, k, Some(d), 0).hmm(d, w, l);
     let t9 = run_conv_hmm(&mut hmm, &a, &b, p).unwrap().report.time;
     (t8, t9)
 }

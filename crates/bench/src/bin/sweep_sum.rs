@@ -19,7 +19,9 @@
 //!
 //! Run with `cargo run --release -p hmm-bench --bin sweep_sum`.
 
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm};
+use hmm_algorithms::sum::{
+    dmm_umm, hmm_all, hmm_single, run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm,
+};
 use hmm_bench::{dump, header, row, Measurement};
 use hmm_core::{BatchRunner, Keyed, Machine, ModelKind};
 use hmm_machine::EngineConfig;
@@ -38,17 +40,17 @@ fn main() {
     let (p, d) = (2048usize, 16usize);
     let latency_points = vec![1usize, 8, 32, 128, 512];
     let latency_results = runner.run_keyed(latency_points, |&l| {
-        let mut umm = Machine::umm(w, l, n.next_power_of_two());
+        let mut umm = dmm_umm::footprint(n).umm(w, l);
         let t5 = run_sum_dmm_umm(&mut umm, &input, p).unwrap().report.time;
 
         let q = (w * l).min(p);
-        let mut h1 = Machine::hmm(d, w, l, n + 2 * q.next_power_of_two(), 64);
+        let mut h1 = hmm_single::footprint(n, q).hmm(d, w, l);
         let t6 = run_sum_hmm_single_dmm(&mut h1, &input, q)
             .unwrap()
             .report
             .time;
 
-        let mut hmm = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two());
+        let mut hmm = hmm_all::footprint(n, p, d).hmm(d, w, l);
         let t7 = run_sum_hmm(&mut hmm, &input, p).unwrap().report.time;
         (t5, t6, t7)
     });
@@ -88,7 +90,7 @@ fn main() {
     let dmm_points = vec![1usize, 2, 4, 8, 16, 32];
     let dmm_results = runner.run_keyed(dmm_points, |&d| {
         let p = 128 * d;
-        let mut hmm = Machine::hmm(d, w, l, n + 2 * d.next_power_of_two(), 256);
+        let mut hmm = hmm_all::footprint(n, p, d).hmm(d, w, l);
         let t7 = run_sum_hmm(&mut hmm, &input, p).unwrap().report.time;
         (p, t7)
     });
@@ -118,7 +120,8 @@ fn main() {
     println!("\n== Sweep 3: pipelining ablation (Theorem 7, d = 16, p = 2048, l = 256) ==\n");
     header(&["pipelined", "time"]);
     for &pipelined in &[true, false] {
-        let mut cfg = EngineConfig::hmm(16, w, 256, n + 32, 128);
+        let need = hmm_all::footprint(n, 2048, 16);
+        let mut cfg = EngineConfig::hmm(16, w, 256, need.global, need.shared);
         cfg.pipelined = pipelined;
         let mut m = Machine::from_config(ModelKind::Hmm, cfg).unwrap();
         let t = run_sum_hmm(&mut m, &input, 2048).unwrap().report.time;

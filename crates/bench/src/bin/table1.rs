@@ -15,12 +15,11 @@
 //! regime term — the measured counterpart of the paper's optimality
 //! argument.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
 use hmm_algorithms::reference;
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm};
+use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
 use hmm_bench::{dump, header, row, summarise, Measurement};
-use hmm_core::{BatchRunner, Machine};
+use hmm_core::BatchRunner;
 use hmm_machine::{LaunchProfile, StallCategory};
 use hmm_pram::algorithms as pram_algos;
 use hmm_theory::{regimes, table1, table2, Params};
@@ -38,12 +37,12 @@ fn sum_point(n: usize, p: usize, w: usize, l: usize, d: usize) -> (Vec<String>, 
     let (_, pram_rep) = pram_algos::run_sum(&input, p).expect("pram sum");
     let pram_pred = table1::sum_pram(n, p);
 
-    let mut umm = Machine::umm(w, l, n.next_power_of_two());
+    let mut umm = dmm_umm::footprint(n).umm(w, l);
     let du = run_sum_dmm_umm(&mut umm, &input, p).expect("umm sum");
     assert_eq!(du.value, seq.value);
     let du_pred = table1::sum_dmm_umm(params(n, 1, p, w, l, 1));
 
-    let mut hmm = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two().max(64));
+    let mut hmm = hmm_all::footprint(n, p, d).hmm(d, w, l);
     let hm = run_sum_hmm(&mut hmm, &input, p).expect("hmm sum");
     assert_eq!(hm.value, seq.value);
     let hm_pred = table1::sum_hmm(params(n, 1, p, w, l, d));
@@ -99,13 +98,12 @@ fn conv_point(
     assert_eq!(pram_c, seq.value);
     let pram_pred = table1::conv_pram(n, k, p.min(n));
 
-    let mut umm = Machine::umm(w, l, 2 * (n + 2 * k));
+    let mut umm = convolution::footprint(n, k, None, 0).umm(w, l);
     let du = run_conv_dmm_umm(&mut umm, &a, &b, p).expect("umm conv");
     assert_eq!(du.value, seq.value);
     let du_pred = table1::conv_dmm_umm(params(n, k, p.min(n), w, l, 1));
 
-    let m_slice = n.div_ceil(d);
-    let mut hmm = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+    let mut hmm = convolution::footprint(n, k, Some(d), 0).hmm(d, w, l);
     let hm = run_conv_hmm(&mut hmm, &a, &b, p).expect("hmm conv");
     assert_eq!(hm.value, seq.value);
     let hm_pred = table1::conv_hmm(params(n, k, p, w, l, d));
@@ -174,7 +172,7 @@ fn profile_mode(w: usize, l: usize, d: usize) {
 
     let (n, p) = (1usize << 14, 2048usize);
     let input = random_words(n, n as u64 ^ p as u64, 100);
-    let mut hmm = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two().max(64));
+    let mut hmm = hmm_all::footprint(n, p, d).hmm(d, w, l);
     hmm.set_profiling(true);
     let run = run_sum_hmm(&mut hmm, &input, p).expect("hmm sum");
     print_profiles(
@@ -187,8 +185,7 @@ fn profile_mode(w: usize, l: usize, d: usize) {
     let (n, k, p) = (1usize << 12, 32usize, 2048usize);
     let a = random_words(k, k as u64, 50);
     let b = random_words(n + k - 1, n as u64, 50);
-    let m_slice = n.div_ceil(d);
-    let mut hmm = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+    let mut hmm = convolution::footprint(n, k, Some(d), 0).hmm(d, w, l);
     hmm.set_profiling(true);
     let run = run_conv_hmm(&mut hmm, &a, &b, p).expect("hmm conv");
     print_profiles(

@@ -4,7 +4,9 @@
 //!
 //! For every sweep point the binary prints the individual limitation
 //! terms, their sum, the measured time, and `measured / LB-total` — the
-//! empirical optimality constant the paper's theorems say is O(1).
+//! empirical optimality constant the paper's theorems say is O(1). It
+//! exits with status 1 if any measured time falls below its largest
+//! limitation term.
 //!
 //! The sweep points are independent simulations and fan out over a
 //! [`BatchRunner`]; rows print in sweep order afterwards, so output is
@@ -12,11 +14,10 @@
 //!
 //! Run with `cargo run --release -p hmm-bench --bin table2`.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm};
+use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
 use hmm_bench::{dump, header, row, Measurement};
-use hmm_core::{BatchRunner, Machine};
+use hmm_core::BatchRunner;
 use hmm_pram::algorithms as pram_algos;
 use hmm_theory::table2::LowerBound;
 use hmm_theory::{table2, Params};
@@ -67,9 +68,9 @@ fn sum_rows(n: usize, p: usize, w: usize, l: usize, d: usize) -> Vec<Point> {
     let input = random_words(n, 1, 100);
 
     let (_, pram_rep) = pram_algos::run_sum(&input, p).expect("pram");
-    let mut umm = Machine::umm(w, l, n.next_power_of_two());
+    let mut umm = dmm_umm::footprint(n).umm(w, l);
     let du = run_sum_dmm_umm(&mut umm, &input, p).expect("umm");
-    let mut hmm = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two().max(64));
+    let mut hmm = hmm_all::footprint(n, p, d).hmm(d, w, l);
     let hm = run_sum_hmm(&mut hmm, &input, p).expect("hmm");
 
     vec![
@@ -100,10 +101,9 @@ fn conv_rows(n: usize, k: usize, p: usize, w: usize, l: usize, d: usize) -> Vec<
     let b = random_words(n + k - 1, 3, 50);
 
     let (_, pram_rep) = pram_algos::run_convolution(&a, &b, p).expect("pram");
-    let mut umm = Machine::umm(w, l, 2 * (n + 2 * k));
+    let mut umm = convolution::footprint(n, k, None, 0).umm(w, l);
     let du = run_conv_dmm_umm(&mut umm, &a, &b, p).expect("umm");
-    let m_slice = n.div_ceil(d);
-    let mut hmm = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+    let mut hmm = convolution::footprint(n, k, Some(d), 0).hmm(d, w, l);
     let hm = run_conv_hmm(&mut hmm, &a, &b, p).expect("hmm");
 
     vec![
@@ -173,4 +173,7 @@ fn main() {
     println!("  worst measured / LB-total (empirical optimality constant): {worst:.2}");
 
     dump("table2", &ms);
+    if !valid {
+        std::process::exit(1);
+    }
 }

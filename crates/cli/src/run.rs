@@ -1,10 +1,11 @@
 //! Command implementations.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
-use hmm_algorithms::prefix::{prefix_shared_words, run_prefix_dmm_umm, run_prefix_hmm};
+use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::prefix::{self, run_prefix_dmm_umm, run_prefix_hmm};
 use hmm_algorithms::reduce::{run_reduce_dmm_umm, run_reduce_hmm, ReduceOp};
-use hmm_algorithms::sort::{run_sort_hmm, run_sort_umm};
+use hmm_algorithms::sort::{self, run_sort_hmm, run_sort_umm};
+use hmm_algorithms::sum::{dmm_umm, hmm_all};
+use hmm_algorithms::Footprint;
 use hmm_core::{presets, BatchRunner, Keyed, Machine};
 use hmm_machine::SimReport;
 use hmm_workloads::random_words;
@@ -145,12 +146,17 @@ pub(crate) fn machine_spec(a: &Args) -> Result<MachineSpec, CliError> {
 }
 
 impl MachineSpec {
-    fn build(&self, global: usize, shared: usize) -> Machine {
+    fn build(&self, need: Footprint) -> Machine {
         match self.kind.as_str() {
-            "dmm" => Machine::dmm(self.w, self.l, global),
-            "umm" => Machine::umm(self.w, self.l, global),
-            _ => Machine::hmm(self.d, self.w, self.l, global, shared),
+            "dmm" => need.dmm(self.w, self.l),
+            "umm" => need.umm(self.w, self.l),
+            _ => need.hmm(self.d, self.w, self.l),
         }
+    }
+
+    /// The DMM count the HMM algorithms run on; `None` on the DMM and UMM.
+    fn hmm_dmms(&self) -> Option<usize> {
+        (self.kind == "hmm").then_some(self.d)
     }
 
     /// Clamp p to a multiple of d for the HMM algorithms.
@@ -206,47 +212,18 @@ pub fn execute(a: &Args) -> Result<Outcome, CliError> {
     }
 }
 
-/// Build the machine an algorithm command needs, sized exactly as the
-/// command arms always sized them (shared with the `profile` command).
+/// Build the machine an algorithm command needs, sized by the
+/// algorithm's footprint (shared with the `profile` command).
 pub(crate) fn algo_machine(algo: &str, spec: &MachineSpec) -> Machine {
-    match algo {
-        "conv" => {
-            if spec.kind == "hmm" {
-                let m_slice = spec.n.div_ceil(spec.d);
-                spec.build(2 * (spec.n + 2 * spec.k), shared_words(m_slice, spec.k) + 8)
-            } else {
-                spec.build(2 * (spec.n + 2 * spec.k), 0)
-            }
-        }
-        "prefix" => {
-            if spec.kind == "hmm" {
-                let p = spec.p_multiple_of_d();
-                let chunk = spec.n.div_ceil(spec.d);
-                let shared = prefix_shared_words(chunk, p / spec.d, spec.d);
-                spec.build(2 * spec.n + spec.d + 8, shared)
-            } else {
-                spec.build(3 * spec.n.next_power_of_two(), 0)
-            }
-        }
-        "sort" => {
-            if spec.kind == "hmm" {
-                let n2 = spec.n.next_power_of_two().max(2 * spec.d);
-                spec.build(n2, n2 / spec.d)
-            } else {
-                spec.build(spec.n.next_power_of_two().max(2), 0)
-            }
-        }
+    let (n, p, hmm) = (spec.n, spec.p_multiple_of_d(), spec.hmm_dmms());
+    spec.build(match (algo, hmm) {
+        ("conv", _) => convolution::footprint(n, spec.k, hmm, 0),
+        ("prefix", _) => prefix::footprint(n, p, hmm),
+        ("sort", _) => sort::footprint(n, hmm),
         // sum | reduce
-        _ => {
-            if spec.kind == "hmm" {
-                let p = spec.p_multiple_of_d();
-                let shared = (p / spec.d).next_power_of_two().max(8);
-                spec.build(spec.n + 2 * spec.d.next_power_of_two() + 8, shared)
-            } else {
-                spec.build(spec.n.next_power_of_two(), 0)
-            }
-        }
-    }
+        (_, Some(d)) => hmm_all::footprint(n, p, d),
+        (_, None) => dmm_umm::footprint(n),
+    })
 }
 
 /// Run `algo` on an already-built machine `m` and return the one-line
@@ -260,7 +237,7 @@ pub(crate) fn run_algo(
     match algo {
         "conv" => {
             let av = random_words(spec.k, spec.seed, 50);
-            let bv = random_words(spec.n + spec.k - 1, spec.seed + 1, 50);
+            let bv = random_words((spec.n + spec.k).saturating_sub(1), spec.seed + 1, 50);
             let run = if spec.kind == "hmm" {
                 run_conv_hmm(m, &av, &bv, spec.p_multiple_of_d())?
             } else {

@@ -48,6 +48,12 @@ fn bad_input_exits_2_with_a_message() {
     for (tokens, says) in [
         (&["reduce", "--op", "foo"][..], "argument error"),
         (&["conv", "--n", "0"], "simulation error"),
+        (&["conv", "--n", "0", "--k", "0"], "simulation error"),
+        (
+            &["sort", "--machine", "hmm", "--d", "3", "--n", "100"],
+            "simulation error",
+        ),
+        (&["profile", "sort-hmm", "--d", "3"], "simulation error"),
         (&["frobnicate"], "unknown command"),
     ] {
         let err = run(tokens).expect_err("bad input must be rejected");
@@ -55,6 +61,44 @@ fn bad_input_exits_2_with_a_message() {
         let msg = err.to_string();
         assert!(msg.contains(says), "{tokens:?}: {msg}");
     }
+}
+
+/// A sweep point the simulator rejects fails in its own row; the other
+/// points still report, and the outcome carries the failure flag that
+/// drives the non-zero exit status.
+#[test]
+fn batch_keeps_reporting_past_a_rejected_point() {
+    let o = run(&[
+        "batch",
+        "--cmd",
+        "sort",
+        "--sweep",
+        "d",
+        "--values",
+        "2,3",
+        "--n",
+        "100",
+        "--p",
+        "12",
+        "--w",
+        "4",
+        "--l",
+        "4",
+        "--threads",
+        "1",
+    ])
+    .unwrap();
+    assert!(o.failed, "the d = 3 point must flag the batch");
+    let doc = o.json.expect("batch JSON");
+    assert_eq!(doc["failed"].as_bool(), Some(true));
+    let hmm_util::Value::Array(points) = &doc["points"] else {
+        panic!("points not an array: {doc:?}");
+    };
+    assert_eq!(points[0]["d"].as_u64(), Some(2));
+    assert!(points[0]["report"]["time"].as_u64().unwrap() > 0);
+    assert_eq!(points[1]["d"].as_u64(), Some(3));
+    let err = points[1]["error"].as_str().expect("d = 3 carries an error");
+    assert!(err.starts_with("simulation error"), "{err}");
 }
 
 /// Parameters no kernel can be built or launched for are rejected up

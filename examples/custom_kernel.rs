@@ -6,7 +6,7 @@
 //! cargo run --release --example custom_kernel
 //! ```
 
-use hmm_algorithms::sum::run_sum_dmm_umm;
+use hmm_algorithms::sum::{dmm_umm, run_sum_dmm_umm};
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_lang::prelude::*;
 use hmm_machine::disassemble;
@@ -62,7 +62,7 @@ fn main() {
     assert_eq!(lang_sum, expect);
 
     // The hand-written ISA version from hmm-algorithms.
-    let mut m2 = Machine::umm(w, l, n);
+    let mut m2 = dmm_umm::footprint(n).umm(w, l);
     let hand = run_sum_dmm_umm(&mut m2, &input, p_threads).unwrap();
     assert_eq!(hand.value, expect);
 

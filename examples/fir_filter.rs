@@ -11,10 +11,8 @@
 //! cargo run --release --example fir_filter
 //! ```
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::convolution::{footprint, run_conv_dmm_umm, run_conv_hmm};
 use hmm_algorithms::reference;
-use hmm_core::Machine;
 use hmm_machine::Word;
 use hmm_workloads::{moving_average_taps, random_words, sine_wave};
 
@@ -37,12 +35,11 @@ fn main() {
     // Machine parameters in the GTX580 ballpark (scaled down for a demo).
     let (d, w, l, p) = (8, 16, 128, 1024);
 
-    let mut umm = Machine::umm(w, l, 2 * (n + 2 * k));
+    let mut umm = footprint(n, k, None, 0).umm(w, l);
     let t8 = run_conv_dmm_umm(&mut umm, &taps, &signal, p).unwrap();
     assert_eq!(t8.value, expect.value);
 
-    let m_slice = n.div_ceil(d);
-    let mut hmm = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+    let mut hmm = footprint(n, k, Some(d), 0).hmm(d, w, l);
     let t9 = run_conv_hmm(&mut hmm, &taps, &signal, p).unwrap();
     assert_eq!(t9.value, expect.value);
 

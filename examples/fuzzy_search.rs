@@ -8,8 +8,7 @@
 //! cargo run --release --example fuzzy_search
 //! ```
 
-use hmm_algorithms::string_match::{match_reference, run_match_dmm_umm};
-use hmm_core::Machine;
+use hmm_algorithms::string_match::{footprint, match_reference, run_match_dmm_umm};
 use hmm_machine::Word;
 
 fn words(s: &str) -> Vec<Word> {
@@ -27,13 +26,12 @@ fn main() {
     for q in queries {
         let p = words(q);
         let (w, l, threads) = (16, 64, 128);
-        let total = p.len() + t.len() + 3 * (p.len().min(t.len()) + 2) + t.len() + 16;
-        let mut machine = Machine::umm(w, l, total);
+        let mut machine = footprint(p.len(), t.len()).umm(w, l);
         let run = run_match_dmm_umm(&mut machine, &p, &t, threads).unwrap();
-        assert_eq!(run.scores, match_reference(&p, &t));
+        assert_eq!(run.value, match_reference(&p, &t));
 
         let (best_end, best) = run
-            .scores
+            .value
             .iter()
             .enumerate()
             .skip(1)

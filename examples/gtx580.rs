@@ -7,9 +7,10 @@
 //! cargo run --release --example gtx580
 //! ```
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm};
+use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::sum::{
+    dmm_umm, hmm_all, hmm_single, run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm,
+};
 use hmm_core::presets;
 use hmm_workloads::random_words;
 
@@ -24,14 +25,18 @@ fn main() {
     let p = 8192; // 256 resident warps
     let input = random_words(n, 580, 1000);
 
-    let mut umm = gtx.with_global_size(n.next_power_of_two()).umm();
+    let mut umm = gtx.with_global_size(dmm_umm::footprint(n).global).umm();
     let lemma5 = run_sum_dmm_umm(&mut umm, &input, p).unwrap();
 
-    let q = w * l; // the paper's choice for the single-DMM algorithm
-    let mut hmm1 = gtx.with_global_size(n + 2 * q.next_power_of_two()).hmm();
-    let lemma6 = run_sum_hmm_single_dmm(&mut hmm1, &input, q.min(p)).unwrap();
+    let q = (w * l).min(p); // the paper's choice for the single-DMM algorithm
+    let mut hmm1 = gtx
+        .with_global_size(hmm_single::footprint(n, q).global)
+        .hmm();
+    let lemma6 = run_sum_hmm_single_dmm(&mut hmm1, &input, q).unwrap();
 
-    let mut hmm = gtx.with_global_size(n + 32).hmm();
+    let mut hmm = gtx
+        .with_global_size(hmm_all::footprint(n, p, d).global)
+        .hmm();
     let theorem7 = run_sum_hmm(&mut hmm, &input, p).unwrap();
 
     assert_eq!(lemma5.value, theorem7.value);
@@ -59,13 +64,13 @@ fn main() {
     let a = random_words(k, 1, 100);
     let b = random_words(n + k - 1, 2, 100);
 
-    let mut umm = gtx.with_global_size(2 * (n + 2 * k)).umm();
+    let need = convolution::footprint(n, k, Some(d), 0);
+    let mut umm = gtx.with_global_size(need.global).umm();
     let theorem8 = run_conv_dmm_umm(&mut umm, &a, &b, p).unwrap();
 
-    let m_slice = n.div_ceil(d);
     let mut hmm = gtx
-        .with_global_size(2 * (n + 2 * k))
-        .with_shared_size(shared_words(m_slice, k) + 8)
+        .with_global_size(need.global)
+        .with_shared_size(need.shared)
         .hmm();
     let theorem9 = run_conv_hmm(&mut hmm, &a, &b, p).unwrap();
 

@@ -3,11 +3,11 @@
 //! machine shapes — random inputs, random problem/machine parameters,
 //! seeded so every run checks the same cases.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_blocked, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::convolution::{self, run_conv_blocked, run_conv_dmm_umm, run_conv_hmm};
 use hmm_algorithms::reference;
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm};
-use hmm_core::Machine;
+use hmm_algorithms::sum::{
+    dmm_umm, hmm_all, hmm_single, run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm,
+};
 use hmm_machine::Word;
 use hmm_pram::algorithms as pram_algos;
 use hmm_util::Rng;
@@ -27,19 +27,18 @@ fn sum_agrees_everywhere() {
         let p = ((1 << rng.usize_below(8)) * d).min(512);
         let l = 1 + rng.usize_below(23);
         let expect = reference::sum(&input).value;
-        let cap = n.next_power_of_two().max(16) + 64;
 
-        let mut dmm = Machine::dmm(w, l, cap);
+        let mut dmm = dmm_umm::footprint(n).dmm(w, l);
         assert_eq!(run_sum_dmm_umm(&mut dmm, &input, p).unwrap().value, expect);
 
-        let mut umm = Machine::umm(w, l, cap);
+        let mut umm = dmm_umm::footprint(n).umm(w, l);
         assert_eq!(run_sum_dmm_umm(&mut umm, &input, p).unwrap().value, expect);
 
-        let mut hmm = Machine::hmm(d, w, l, cap, (p / d).next_power_of_two().max(8));
+        let mut hmm = hmm_all::footprint(n, p, d).hmm(d, w, l);
         assert_eq!(run_sum_hmm(&mut hmm, &input, p).unwrap().value, expect);
 
         let q = (w * l).min(128);
-        let mut hmm1 = Machine::hmm(d, w, l, n + q.next_power_of_two() + 8, 8);
+        let mut hmm1 = hmm_single::footprint(n, q).hmm(d, w, l);
         assert_eq!(
             run_sum_hmm_single_dmm(&mut hmm1, &input, q).unwrap().value,
             expect
@@ -64,20 +63,19 @@ fn convolution_agrees_everywhere() {
         let p = ((1 << rng.usize_below(7)) * d).min(256);
         let l = 1 + rng.usize_below(15);
         let expect = reference::convolution(&a, &b).value;
-        let cap = 2 * (n + 2 * k) + 64;
+        let single = convolution::footprint(n, k, None, 0);
 
-        let mut umm = Machine::umm(w, l, cap);
+        let mut umm = single.umm(w, l);
         assert_eq!(run_conv_dmm_umm(&mut umm, &a, &b, p).unwrap().value, expect);
 
-        let mut dmm = Machine::dmm(w, l, cap);
+        let mut dmm = single.dmm(w, l);
         assert_eq!(run_conv_dmm_umm(&mut dmm, &a, &b, p).unwrap().value, expect);
 
-        let m_slice = n.div_ceil(d);
-        let mut hmm = Machine::hmm(d, w, l, cap, shared_words(m_slice, k) + 8);
+        let mut hmm = convolution::footprint(n, k, Some(d), 0).hmm(d, w, l);
         assert_eq!(run_conv_hmm(&mut hmm, &a, &b, p).unwrap().value, expect);
 
         let q = k.min(3);
-        let mut blocked = Machine::umm(w, l, cap + n * q.next_power_of_two());
+        let mut blocked = convolution::footprint(n, k, None, q).umm(w, l);
         assert_eq!(
             run_conv_blocked(&mut blocked, &a, &b, q).unwrap().value,
             expect

@@ -3,10 +3,9 @@
 //! envelope-fit style as the Table I tests.
 
 use hmm_algorithms::permutation::{
-    run_permutation_naive, run_permutation_scheduled, transpose_perm,
+    self, run_permutation_naive, run_permutation_scheduled, schedule_permutation, transpose_perm,
 };
-use hmm_algorithms::prefix::{prefix_shared_words, run_prefix_dmm_umm, run_prefix_hmm};
-use hmm_core::Machine;
+use hmm_algorithms::prefix::{self, run_prefix_dmm_umm, run_prefix_hmm};
 use hmm_theory::{envelope, lg};
 use hmm_workloads::random_words;
 
@@ -31,7 +30,7 @@ fn prefix_dmm_umm_matches_its_bound() {
             for &l in &[4usize, 32, 128] {
                 let w = 16;
                 let input = random_words(n, 1, 50);
-                let mut m = Machine::umm(w, l, 3 * n);
+                let mut m = prefix::footprint(n, p, None).umm(w, l);
                 let run = run_prefix_dmm_umm(&mut m, &input, p).unwrap();
                 pairs.push((run.report.time as f64, prefix_dmm_umm_shape(n, p, w, l)));
             }
@@ -55,9 +54,7 @@ fn prefix_hmm_matches_its_bound() {
             for &l in &[4usize, 32, 128] {
                 let w = 16;
                 let input = random_words(n, 2, 50);
-                let chunk = n.div_ceil(d);
-                let shared = prefix_shared_words(chunk, p / d, d);
-                let mut m = Machine::hmm(d, w, l, 2 * n + d + 8, shared);
+                let mut m = prefix::footprint(n, p, Some(d)).hmm(d, w, l);
                 let run = run_prefix_hmm(&mut m, &input, p).unwrap();
                 pairs.push((run.report.time as f64, prefix_hmm_shape(n, p, w, l, d)));
             }
@@ -86,8 +83,8 @@ fn scheduled_permutation_is_contiguous_shaped() {
                 let n = m_side * m_side;
                 let perm = transpose_perm(m_side);
                 let input = random_words(n, 3, 50);
-                let rounds = n.div_ceil(w) + 1;
-                let mut m = Machine::dmm(w, l, 2 * n + 2 * rounds * w + 64);
+                let schedule = schedule_permutation(&perm, w);
+                let mut m = permutation::footprint(n, Some(&schedule)).dmm(w, l);
                 let run = run_permutation_scheduled(&mut m, &input, &perm, p).unwrap();
                 // Shape: moves cost ~4n/w slots (two table reads, a data
                 // read and a write per element) + latency terms.
@@ -119,10 +116,10 @@ fn naive_transpose_pays_w_way_conflicts() {
     let p = 128;
     let l = 8;
 
-    let rounds = n.div_ceil(w) + 1;
-    let mut dmm = Machine::dmm(w, l, 2 * n + 2 * rounds * w + 64);
+    let schedule = schedule_permutation(&perm, w);
+    let mut dmm = permutation::footprint(n, Some(&schedule)).dmm(w, l);
     let sched = run_permutation_scheduled(&mut dmm, &input, &perm, p).unwrap();
-    let mut dmm2 = Machine::dmm(w, l, 3 * n + 16);
+    let mut dmm2 = permutation::footprint(n, None).dmm(w, l);
     let naive = run_permutation_naive(&mut dmm2, &input, &perm, p).unwrap();
 
     assert_eq!(sched.value, naive.value);

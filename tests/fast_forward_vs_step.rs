@@ -9,13 +9,12 @@
 //! permitted difference is the `skipped_units` diagnostic, which must
 //! be zero whenever fast-forwarding is off.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::run_conv_hmm;
-use hmm_algorithms::matmul::{matmul_shared_words, run_matmul_hmm};
-use hmm_algorithms::patterns::{run_figure1, run_transpose, Figure1};
-use hmm_algorithms::prefix::{prefix_shared_words, run_prefix_hmm};
-use hmm_algorithms::sort::run_sort_hmm;
-use hmm_algorithms::sum::run_sum_hmm;
+use hmm_algorithms::convolution::{self, run_conv_hmm};
+use hmm_algorithms::matmul::{self, run_matmul_hmm};
+use hmm_algorithms::patterns::{self, run_figure1, run_transpose, Figure1};
+use hmm_algorithms::prefix::{self, run_prefix_hmm};
+use hmm_algorithms::sort::{self, run_sort_hmm};
+use hmm_algorithms::sum::{hmm_all, run_sum_hmm};
 use hmm_core::Machine;
 use hmm_machine::profile::LaunchProfile;
 use hmm_machine::{DynamicRace, SimReport, TraceEvent, Word};
@@ -80,8 +79,8 @@ fn sum_is_clock_invariant() {
     let input = random_words(512, 11, 1000);
     assert_clock_invisible("sum", |d, ff| {
         let p = 16 * d;
-        let shared = (p / d).next_power_of_two().max(8);
-        let m = Machine::hmm(d, W, L, 512 + 2 * d.next_power_of_two() + 8, shared)
+        let m = hmm_all::footprint(512, p, d)
+            .hmm(d, W, L)
             .with_fast_forward(ff);
         observe(m, |m| run_sum_hmm(m, &input, p).unwrap().report)
     });
@@ -94,8 +93,9 @@ fn convolution_is_clock_invariant() {
     let b = random_words(n + k - 1, 4, 50);
     assert_clock_invisible("conv", |d, ff| {
         let p = 8 * d;
-        let shared = shared_words(n.div_ceil(d), k) + 8;
-        let m = Machine::hmm(d, W, L, 2 * (n + 2 * k), shared).with_fast_forward(ff);
+        let m = convolution::footprint(n, k, Some(d), 0)
+            .hmm(d, W, L)
+            .with_fast_forward(ff);
         observe(m, |m| run_conv_hmm(m, &a, &b, p).unwrap().report)
     });
 }
@@ -106,8 +106,9 @@ fn prefix_is_clock_invariant() {
     let input = random_words(n, 17, 1000);
     assert_clock_invisible("prefix", |d, ff| {
         let p = 8 * d;
-        let shared = prefix_shared_words(n.div_ceil(d), p / d, d) + 8;
-        let m = Machine::hmm(d, W, L, 4 * n, shared).with_fast_forward(ff);
+        let m = prefix::footprint(n, p, Some(d))
+            .hmm(d, W, L)
+            .with_fast_forward(ff);
         observe(m, |m| run_prefix_hmm(m, &input, p).unwrap().report)
     });
 }
@@ -117,7 +118,9 @@ fn figure1_patterns_are_clock_invariant() {
     let side = 16usize;
     for pattern in Figure1::ALL {
         assert_clock_invisible(pattern.name(), |d, ff| {
-            let m = Machine::hmm(d, W, L, side * side, 16).with_fast_forward(ff);
+            let m = patterns::footprint(side, 1)
+                .hmm(d, W, L)
+                .with_fast_forward(ff);
             observe(m, |m| run_figure1(m, pattern, side, side).unwrap())
         });
     }
@@ -128,9 +131,11 @@ fn transpose_is_clock_invariant() {
     let side = 8usize;
     let a = random_words(side * side, 7, 100);
     assert_clock_invisible("transpose", |d, ff| {
-        let mut m = Machine::hmm(d, W, L, 2 * side * side, 16).with_fast_forward(ff);
+        let mut m = patterns::footprint(side, 2)
+            .hmm(d, W, L)
+            .with_fast_forward(ff);
         m.load_global(0, &a);
-        observe(m, |m| run_transpose(m, 0, side * side, side).unwrap())
+        observe(m, |m| run_transpose(m, side).unwrap())
     });
 }
 
@@ -140,8 +145,9 @@ fn matmul_is_clock_invariant() {
     let a = random_words(side * side, 21, 10);
     let b = random_words(side * side, 22, 10);
     assert_clock_invisible("matmul", |d, ff| {
-        let shared = matmul_shared_words(side, d, tw);
-        let m = Machine::hmm(d, W, L, 3 * side * side, shared).with_fast_forward(ff);
+        let m = matmul::footprint(side, Some(d), tw)
+            .hmm(d, W, L)
+            .with_fast_forward(ff);
         observe(m, |m| {
             run_matmul_hmm(m, &a, &b, side, tw, p).unwrap().report
         })
@@ -153,7 +159,9 @@ fn sort_is_clock_invariant() {
     let n = 64usize;
     let input = random_words(n, 33, 1_000_000);
     assert_clock_invisible("sort", |d, ff| {
-        let m = Machine::hmm(d, W, L, n, n / d).with_fast_forward(ff);
+        let m = sort::footprint(n, Some(d))
+            .hmm(d, W, L)
+            .with_fast_forward(ff);
         observe(m, |m| run_sort_hmm(m, &input, 32).unwrap().report)
     });
 }

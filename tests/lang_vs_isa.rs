@@ -2,8 +2,8 @@
 //! produce the same values and the same Θ-shaped times as the
 //! hand-written ISA kernels in `hmm-algorithms`.
 
-use hmm_algorithms::contiguous::run_copy;
-use hmm_algorithms::sum::run_sum_hmm;
+use hmm_algorithms::contiguous::{self, run_copy};
+use hmm_algorithms::sum::{hmm_all, run_sum_hmm};
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_lang::prelude::*;
 use hmm_workloads::random_words;
@@ -90,7 +90,7 @@ fn lang_theorem7_matches_isa_theorem7() {
     assert_eq!(m.global()[n], expect);
 
     // Hand-written ISA version.
-    let mut m2 = Machine::hmm(d, w, l, n + 16, (p / d).next_power_of_two());
+    let mut m2 = hmm_all::footprint(n, p, d).hmm(d, w, l);
     let isa = run_sum_hmm(&mut m2, &input, p).unwrap();
     assert_eq!(isa.value, expect);
 
@@ -126,7 +126,7 @@ fn lang_copy_matches_isa_copy() {
     assert_eq!(&m.global()[n..2 * n], &input[..]);
 
     // ISA version.
-    let mut m2 = Machine::umm(w, lat, 2 * n);
+    let mut m2 = contiguous::footprint(n, 2).umm(w, lat);
     let isa_rep = run_copy(&mut m2, &input, threads).unwrap();
     assert_eq!(&m2.global()[n..2 * n], &input[..]);
 

@@ -11,12 +11,11 @@
 //! the dynamic race log, and the final global memory must match exactly:
 //! concurrent launches share no state.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::run_conv_hmm;
-use hmm_algorithms::matmul::{matmul_shared_words, run_matmul_hmm};
-use hmm_algorithms::patterns::{run_figure1, run_transpose, Figure1};
-use hmm_algorithms::sort::run_sort_hmm;
-use hmm_algorithms::sum::run_sum_hmm;
+use hmm_algorithms::convolution::{self, run_conv_hmm};
+use hmm_algorithms::matmul::{self, run_matmul_hmm};
+use hmm_algorithms::patterns::{self, run_figure1, run_transpose, Figure1};
+use hmm_algorithms::sort::{self, run_sort_hmm};
+use hmm_algorithms::sum::{hmm_all, run_sum_hmm};
 use hmm_core::{BatchRunner, Machine};
 use hmm_machine::{DynamicRace, SimReport, Word};
 use hmm_workloads::random_words;
@@ -70,8 +69,7 @@ fn sum_is_engine_invariant() {
     let input = random_words(512, 11, 1000);
     assert_engines_agree("sum", |d| {
         let p = 16 * d;
-        let shared = (p / d).next_power_of_two().max(8);
-        let m = Machine::hmm(d, W, L, 512 + 2 * d.next_power_of_two() + 8, shared);
+        let m = hmm_all::footprint(512, p, d).hmm(d, W, L);
         observe(m, |m| run_sum_hmm(m, &input, p).unwrap().report)
     });
 }
@@ -83,8 +81,7 @@ fn convolution_is_engine_invariant() {
     let b = random_words(n + k - 1, 4, 50);
     assert_engines_agree("conv", |d| {
         let p = 8 * d;
-        let shared = shared_words(n.div_ceil(d), k) + 8;
-        let m = Machine::hmm(d, W, L, 2 * (n + 2 * k), shared);
+        let m = convolution::footprint(n, k, Some(d), 0).hmm(d, W, L);
         observe(m, |m| run_conv_hmm(m, &a, &b, p).unwrap().report)
     });
 }
@@ -94,7 +91,7 @@ fn figure1_patterns_are_engine_invariant() {
     let side = 16usize;
     for pattern in Figure1::ALL {
         assert_engines_agree(pattern.name(), |d| {
-            let m = Machine::hmm(d, W, L, side * side, 16);
+            let m = patterns::footprint(side, 1).hmm(d, W, L);
             // p = m keeps every pattern in bounds (column reads A[i*m]).
             observe(m, |m| run_figure1(m, pattern, side, side).unwrap())
         });
@@ -106,9 +103,9 @@ fn transpose_is_engine_invariant() {
     let side = 8usize;
     let a = random_words(side * side, 7, 100);
     assert_engines_agree("transpose", |d| {
-        let mut m = Machine::hmm(d, W, L, 2 * side * side, 16);
+        let mut m = patterns::footprint(side, 2).hmm(d, W, L);
         m.load_global(0, &a);
-        observe(m, |m| run_transpose(m, 0, side * side, side).unwrap())
+        observe(m, |m| run_transpose(m, side).unwrap())
     });
 }
 
@@ -118,8 +115,7 @@ fn matmul_is_engine_invariant() {
     let a = random_words(side * side, 21, 10);
     let b = random_words(side * side, 22, 10);
     assert_engines_agree("matmul", |d| {
-        let shared = matmul_shared_words(side, d, tw);
-        let m = Machine::hmm(d, W, L, 3 * side * side, shared);
+        let m = matmul::footprint(side, Some(d), tw).hmm(d, W, L);
         observe(m, |m| {
             run_matmul_hmm(m, &a, &b, side, tw, p).unwrap().report
         })
@@ -131,7 +127,7 @@ fn sort_is_engine_invariant() {
     let n = 64usize;
     let input = random_words(n, 33, 1_000_000);
     assert_engines_agree("sort", |d| {
-        let m = Machine::hmm(d, W, L, n, n / d);
+        let m = sort::footprint(n, Some(d)).hmm(d, W, L);
         observe(m, |m| run_sort_hmm(m, &input, 32).unwrap().report)
     });
 }

@@ -3,7 +3,8 @@
 //! soundly bound) what the engine actually measures, and the static race
 //! detector must agree with the engine's dynamic checker.
 
-use hmm_algorithms::patterns::{figure1_kernel, run_figure1, transpose_kernel, Figure1};
+use hmm_algorithms::patterns::{self, figure1_kernel, run_figure1, transpose_kernel, Figure1};
+use hmm_algorithms::{contiguous, convolution, prefix, sum};
 use hmm_analysis::{analyze, AnalysisConfig, Degree};
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Space;
@@ -24,7 +25,7 @@ fn figure1_predictions_are_exact_and_match_measurement() {
     for pattern in Figure1::ALL {
         let program = figure1_kernel(pattern, m);
 
-        let mut dmm = Machine::dmm(w, l, m * m + m);
+        let mut dmm = patterns::footprint(m, 1).dmm(w, l);
         let measured = run_figure1(&mut dmm, pattern, m, p)
             .unwrap()
             .global
@@ -35,7 +36,7 @@ fn figure1_predictions_are_exact_and_match_measurement() {
         assert!(predicted.is_exact(), "{} on DMM", pattern.name());
         assert_eq!(predicted.max as u64, measured, "{} on DMM", pattern.name());
 
-        let mut umm = Machine::umm(w, l, m * m + m);
+        let mut umm = patterns::footprint(m, 1).umm(w, l);
         let measured = run_figure1(&mut umm, pattern, m, p)
             .unwrap()
             .global
@@ -63,7 +64,7 @@ fn transpose_is_clean_but_unpredictable_and_measures_w_groups() {
     assert!(!a.has_errors(), "{}", a.render());
     assert_eq!(a.predicted_max_slots(Space::Global), None);
 
-    let mut umm = Machine::umm(w, l, 2 * m * m);
+    let mut umm = patterns::footprint(m, 2).umm(w, l);
     let r = measure(&mut umm, program, m * m);
     assert_eq!(r.global.max_slots_per_transaction, w as u64);
 }
@@ -79,7 +80,7 @@ fn contiguous_access_prediction_is_exact() {
         hmm_algorithms::contiguous::AccessMode::Write,
     ] {
         let program = hmm_algorithms::contiguous::access_kernel(0, n, mode);
-        let mut umm = Machine::umm(w, l, n);
+        let mut umm = contiguous::footprint(n, 1).umm(w, l);
         let measured = measure(&mut umm, program.clone(), p)
             .global
             .max_slots_per_transaction;
@@ -110,7 +111,7 @@ fn paper_kernel_predictions_bound_measurement() {
     let mut cases: Vec<(&str, Program, AnalysisConfig, hmm_machine::SimReport)> = Vec::new();
 
     {
-        let mut m = Machine::umm(w, l, n2);
+        let mut m = sum::dmm_umm::footprint(n).umm(w, l);
         let run = hmm_algorithms::sum::run_sum_dmm_umm(&mut m, &input, p).unwrap();
         cases.push((
             "sum-umm",
@@ -120,7 +121,7 @@ fn paper_kernel_predictions_bound_measurement() {
         ));
     }
     {
-        let mut m = Machine::hmm(d, w, l, n + 2 * d.next_power_of_two() + 8, 64);
+        let mut m = sum::hmm_all::footprint(n, p, d).hmm(d, w, l);
         let run = hmm_algorithms::sum::run_sum_hmm(&mut m, &input, p).unwrap();
         cases.push((
             "sum-hmm",
@@ -130,7 +131,7 @@ fn paper_kernel_predictions_bound_measurement() {
         ));
     }
     {
-        let mut m = Machine::umm(w, l, 2 * (n + 2 * k));
+        let mut m = convolution::footprint(n, k, None, 0).umm(w, l);
         let run = hmm_algorithms::convolution::run_conv_dmm_umm(&mut m, &av, &bv, p).unwrap();
         let layout = hmm_algorithms::convolution::dmm_umm::Layout::new(n, k);
         cases.push((
@@ -141,9 +142,7 @@ fn paper_kernel_predictions_bound_measurement() {
         ));
     }
     {
-        let m_slice = n.div_ceil(d);
-        let shared = hmm_algorithms::convolution::hmm::shared_words(m_slice, k) + 8;
-        let mut m = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared);
+        let mut m = convolution::footprint(n, k, Some(d), 0).hmm(d, w, l);
         let run = hmm_algorithms::convolution::run_conv_hmm(&mut m, &av, &bv, p).unwrap();
         cases.push((
             "conv-hmm",
@@ -153,7 +152,7 @@ fn paper_kernel_predictions_bound_measurement() {
         ));
     }
     {
-        let mut m = Machine::umm(w, l, 3 * n2);
+        let mut m = prefix::footprint(n, p, None).umm(w, l);
         let run = hmm_algorithms::prefix::run_prefix_dmm_umm(&mut m, &input, p).unwrap();
         cases.push((
             "prefix-umm",
@@ -163,9 +162,7 @@ fn paper_kernel_predictions_bound_measurement() {
         ));
     }
     {
-        let chunk = n.div_ceil(d);
-        let shared = hmm_algorithms::prefix::prefix_shared_words(chunk, p / d, d);
-        let mut m = Machine::hmm(d, w, l, 2 * n + d + 8, shared);
+        let mut m = prefix::footprint(n, p, Some(d)).hmm(d, w, l);
         let run = hmm_algorithms::prefix::run_prefix_hmm(&mut m, &input, p).unwrap();
         cases.push((
             "prefix-hmm",

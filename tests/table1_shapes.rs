@@ -6,10 +6,8 @@
 //! the formula captures the measured asymptotics — the reproduction
 //! criterion for Table I.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm};
-use hmm_core::Machine;
+use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
 use hmm_pram::algorithms as pram_algos;
 use hmm_theory::{envelope, table1, Params};
 use hmm_workloads::random_words;
@@ -45,7 +43,7 @@ fn dmm_umm_sum_matches_lemma5_shape() {
             for &l in &[4usize, 32, 128] {
                 let w = 16;
                 let input = vec![1; n];
-                let mut m = Machine::umm(w, l, n);
+                let mut m = dmm_umm::footprint(n).umm(w, l);
                 let run = run_sum_dmm_umm(&mut m, &input, p).unwrap();
                 pairs.push((
                     run.report.time as f64,
@@ -73,7 +71,7 @@ fn hmm_sum_matches_theorem7_shape() {
             for &l in &[4usize, 32, 128] {
                 let w = 16;
                 let input = vec![1; n];
-                let mut m = Machine::hmm(d, w, l, n + 16, (p / d).next_power_of_two().max(64));
+                let mut m = hmm_all::footprint(n, p, d).hmm(d, w, l);
                 let run = run_sum_hmm(&mut m, &input, p).unwrap();
                 pairs.push((
                     run.report.time as f64,
@@ -102,7 +100,7 @@ fn dmm_umm_convolution_matches_theorem8_shape() {
                 let w = 16;
                 let a = random_words(k, 1, 10);
                 let b = random_words(n + k - 1, 2, 10);
-                let mut m = Machine::umm(w, l, 2 * (n + 2 * k));
+                let mut m = convolution::footprint(n, k, None, 0).umm(w, l);
                 let run = run_conv_dmm_umm(&mut m, &a, &b, p).unwrap();
                 pairs.push((
                     run.report.time as f64,
@@ -131,8 +129,7 @@ fn hmm_convolution_matches_theorem9_shape() {
                 let w = 16;
                 let a = random_words(k, 3, 10);
                 let b = random_words(n + k - 1, 4, 10);
-                let m_slice = n.div_ceil(d);
-                let mut m = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+                let mut m = convolution::footprint(n, k, Some(d), 0).hmm(d, w, l);
                 let run = run_conv_hmm(&mut m, &a, &b, p).unwrap();
                 pairs.push((
                     run.report.time as f64,
@@ -154,13 +151,13 @@ fn hmm_convolution_matches_theorem9_shape() {
 
 #[test]
 fn contiguous_access_matches_lemma1_shape() {
-    use hmm_algorithms::contiguous::{run_access, AccessMode};
+    use hmm_algorithms::contiguous::{footprint, run_access, AccessMode};
     let mut pairs = Vec::new();
     for &n in &[1usize << 10, 1 << 13] {
         for &p in &[16usize, 128, 1024] {
             for &l in &[2usize, 32, 256] {
                 let w = 16;
-                let mut m = Machine::umm(w, l, n);
+                let mut m = footprint(n, 1).umm(w, l);
                 let rep = run_access(&mut m, n, p, AccessMode::Read).unwrap();
                 pairs.push((rep.time as f64, table1::contiguous(n, p, w, l)));
             }

@@ -6,10 +6,8 @@
 //! validates the bound derivations against the executable model, the
 //! right one is the paper's optimality theorem made empirical.
 
-use hmm_algorithms::convolution::hmm::shared_words;
-use hmm_algorithms::convolution::{run_conv_dmm_umm, run_conv_hmm};
-use hmm_algorithms::sum::{run_sum_dmm_umm, run_sum_hmm};
-use hmm_core::Machine;
+use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
 use hmm_pram::algorithms as pram_algos;
 use hmm_theory::{table2, Params};
 use hmm_workloads::random_words;
@@ -43,7 +41,7 @@ fn dmm_umm_sum_within_lower_bound_envelope() {
     ] {
         let w = 16;
         let input = vec![1; n];
-        let mut m = Machine::umm(w, l, n);
+        let mut m = dmm_umm::footprint(n).umm(w, l);
         let t = run_sum_dmm_umm(&mut m, &input, p).unwrap().report.time as f64;
         let lb = table2::sum_dmm_umm(params(n, 1, p, w, l, 1));
         assert!(t >= lb.max_term(), "{t} < LB {}", lb.max_term());
@@ -60,7 +58,7 @@ fn hmm_sum_within_lower_bound_envelope() {
     ] {
         let w = 16;
         let input = vec![1; n];
-        let mut m = Machine::hmm(d, w, l, n + 32, (p / d).next_power_of_two().max(64));
+        let mut m = hmm_all::footprint(n, p, d).hmm(d, w, l);
         let t = run_sum_hmm(&mut m, &input, p).unwrap().report.time as f64;
         let lb = table2::sum_hmm(params(n, 1, p, w, l, d));
         assert!(t >= lb.max_term(), "{t} < LB {}", lb.max_term());
@@ -77,7 +75,7 @@ fn dmm_umm_convolution_within_lower_bound_envelope() {
         let w = 16;
         let a = random_words(k, 5, 10);
         let b = random_words(n + k - 1, 6, 10);
-        let mut m = Machine::umm(w, l, 2 * (n + 2 * k));
+        let mut m = convolution::footprint(n, k, None, 0).umm(w, l);
         let t = run_conv_dmm_umm(&mut m, &a, &b, p).unwrap().report.time as f64;
         let lb = table2::conv_dmm_umm(params(n, k, p.min(n), w, l, 1));
         assert!(t >= lb.max_term(), "{t} < LB {}", lb.max_term());
@@ -95,8 +93,7 @@ fn hmm_convolution_within_lower_bound_envelope() {
         let w = 16;
         let a = random_words(k, 7, 10);
         let b = random_words(n + k - 1, 8, 10);
-        let m_slice = n.div_ceil(d);
-        let mut m = Machine::hmm(d, w, l, 2 * (n + 2 * k), shared_words(m_slice, k) + 8);
+        let mut m = convolution::footprint(n, k, Some(d), 0).hmm(d, w, l);
         let t = run_conv_hmm(&mut m, &a, &b, p).unwrap().report.time as f64;
         let lb = table2::conv_hmm(params(n, k, p, w, l, d));
         assert!(t >= lb.max_term(), "{t} < LB {}", lb.max_term());
