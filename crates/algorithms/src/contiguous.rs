@@ -15,6 +15,7 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, SimReport, SimResult, Word};
 
 use crate::{check_fit, run_staged, Footprint};
@@ -37,18 +38,10 @@ pub enum AccessMode {
 #[must_use]
 pub fn access_kernel(base: usize, n: usize, mode: AccessMode) -> hmm_machine::Program {
     let mut a = Asm::new();
-    a.mov(IDX, abi::GID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n);
-    a.brz(T0, done);
-    match mode {
+    strided_loop(&mut a, IDX, T0, abi::GID, n, abi::P, |a| match mode {
         AccessMode::Read => a.ld_global(T1, IDX, base),
         AccessMode::Write => a.st_global(IDX, base, 1),
-    }
-    a.add(IDX, IDX, abi::P);
-    a.jmp(top);
-    a.bind(done);
+    });
     a.halt();
     a.finish()
 }
@@ -58,16 +51,10 @@ pub fn access_kernel(base: usize, n: usize, mode: AccessMode) -> hmm_machine::Pr
 #[must_use]
 pub fn copy_kernel(src: usize, dst: usize, n: usize) -> hmm_machine::Program {
     let mut a = Asm::new();
-    a.mov(IDX, abi::GID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, src);
-    a.st_global(IDX, dst, T1);
-    a.add(IDX, IDX, abi::P);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::GID, n, abi::P, |a| {
+        a.ld_global(T1, IDX, src);
+        a.st_global(IDX, dst, T1);
+    });
     a.halt();
     a.finish()
 }
@@ -77,10 +64,7 @@ pub fn copy_kernel(src: usize, dst: usize, n: usize) -> hmm_machine::Program {
 /// [`run_copy`]).
 #[must_use]
 pub fn footprint(n: usize, arrays: usize) -> Footprint {
-    Footprint {
-        global: n * arrays,
-        shared: 0,
-    }
+    Footprint::new(n * arrays, 0)
 }
 
 /// Run the contiguous access of `n` cells with `p` threads on `machine`
@@ -88,8 +72,7 @@ pub fn footprint(n: usize, arrays: usize) -> Footprint {
 /// measurement). The cells keep whatever the machine holds.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_access(
     machine: &mut Machine,
     n: usize,
@@ -106,8 +89,7 @@ pub fn run_access(
 /// the report.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_copy(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<SimReport> {
     let n = input.len();
     let kernel = Kernel::new("contiguous-copy", copy_kernel(0, n, n));

@@ -13,12 +13,13 @@
 //!   partials are combined by `log q` contiguous tree rounds costing
 //!   `O(l)` each: the paper's `l·log k` term.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
+use hmm_core::{Kernel, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
-use super::{footprint, shapes};
-use crate::{div_ceil, next_pow2, run_staged, Run};
+use super::{footprint, run_conv, shapes};
+use crate::{div_ceil, next_pow2, Run};
 
 const IDX: Reg = Reg(16);
 const ACC: Reg = Reg(17);
@@ -65,29 +66,17 @@ pub fn conv_kernel_strided(layout: Layout) -> Program {
         c_base,
     } = layout;
     let mut a = Asm::new();
-    a.mov(IDX, abi::GID);
-    let outer = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n);
-    a.brz(T0, done);
-    a.mov(ACC, 0);
-    a.mov(JJ, 0);
-    let inner = a.here();
-    let inner_done = a.label();
-    a.slt(T0, JJ, k);
-    a.brz(T0, inner_done);
-    a.ld_global(T1, JJ, 0); // a[j]: broadcast
-    a.add(T2, IDX, JJ);
-    a.ld_global(T2, T2, b_base); // b[i + j]: contiguous
-    a.mul(T1, T1, T2);
-    a.add(ACC, ACC, T1);
-    a.add(JJ, JJ, 1);
-    a.jmp(inner);
-    a.bind(inner_done);
-    a.st_global(IDX, c_base, ACC);
-    a.add(IDX, IDX, abi::P);
-    a.jmp(outer);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::GID, n, abi::P, |a| {
+        a.mov(ACC, 0);
+        strided_loop(a, JJ, T0, 0, k, 1, |a| {
+            a.ld_global(T1, JJ, 0); // a[j]: broadcast
+            a.add(T2, IDX, JJ);
+            a.ld_global(T2, T2, b_base); // b[i + j]: contiguous
+            a.mul(T1, T1, T2);
+            a.add(ACC, ACC, T1);
+        });
+        a.st_global(IDX, c_base, ACC);
+    });
     a.halt();
     a.finish()
 }
@@ -162,37 +151,12 @@ pub fn conv_kernel_blocked(layout: Layout, q: usize, p_base: usize) -> Program {
     a.finish()
 }
 
-/// Stage `a` and `b` in `layout`, launch `kernel` and read `c` back.
-fn run_layout(
-    machine: &mut Machine,
-    a: &[Word],
-    b: &[Word],
-    q: usize,
-    kernel: &Kernel,
-    shape: LaunchShape,
-) -> SimResult<Run<Vec<Word>>> {
-    let (k, n) = (a.len(), b.len() + 1 - a.len());
-    let layout = Layout::new(n, k);
-    run_staged(
-        machine,
-        footprint(n, k, None, q),
-        kernel,
-        shape,
-        |g| {
-            g[..k].copy_from_slice(a);
-            g[layout.b_base..layout.c_base].copy_from_slice(b);
-        },
-        |g| g[layout.c_base..layout.c_base + n].to_vec(),
-    )
-}
-
 /// Run the strided Theorem 8 convolution on `machine` (sized by
 /// [`footprint`]`(n, k, None, 0)`) with `p ≤ n` threads (`p` is clamped
 /// into `[1, n]`).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects bad shapes and a machine
-/// smaller than the footprint.
+/// Propagates simulation errors; rejects bad shapes.
 pub fn run_conv_dmm_umm(
     machine: &mut Machine,
     a: &[Word],
@@ -204,15 +168,16 @@ pub fn run_conv_dmm_umm(
         "conv-theorem8-strided",
         conv_kernel_strided(Layout::new(n, k)),
     );
-    run_layout(machine, a, b, 0, &kernel, LaunchShape::Even(p.clamp(1, n)))
+    let need = footprint(n, k, None, 0);
+    run_conv(machine, a, b, need, &kernel, p.clamp(1, n))
 }
 
 /// Run the blocked Theorem 8 convolution with `p = n·q` threads on a
 /// machine sized by [`footprint`]`(n, k, None, q)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects bad shapes, `q` outside
-/// `[1, k]` and a machine smaller than the footprint.
+/// Propagates simulation errors; rejects bad shapes or `q` outside
+/// `[1, k]`.
 pub fn run_conv_blocked(
     machine: &mut Machine,
     a: &[Word],
@@ -231,7 +196,8 @@ pub fn run_conv_blocked(
         "conv-theorem8-blocked",
         conv_kernel_blocked(layout, q, p_base),
     );
-    run_layout(machine, a, b, q, &kernel, LaunchShape::Even(n * q))
+    let need = footprint(n, k, None, q);
+    run_conv(machine, a, b, need, &kernel, n * q)
 }
 
 #[cfg(test)]

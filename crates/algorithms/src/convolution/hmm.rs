@@ -21,12 +21,13 @@
 //! memories concurrently, which is where the `d`-fold speed-up over
 //! Theorem 8 comes from.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
+use hmm_core::{Kernel, Machine};
 use hmm_machine::isa::{Reg, Space};
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
-use super::{footprint, shapes};
-use crate::{div_ceil, run_staged, Run};
+use super::{footprint, run_conv, shapes};
+use crate::{div_ceil, Run};
 
 const IDX: Reg = Reg(16);
 const ACC: Reg = Reg(17);
@@ -57,16 +58,10 @@ pub fn conv_kernel_hmm(n: usize, k: usize, d: usize) -> Program {
     a.mul(BASE, abi::DMM, m);
 
     // Step 1a: stage a' (k words, strided copy).
-    a.mov(IDX, abi::LTID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, k);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, 0);
-    a.st_shared(IDX, 0, T1);
-    a.add(IDX, IDX, abi::PD);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::LTID, k, abi::PD, |a| {
+        a.ld_global(T1, IDX, 0);
+        a.st_shared(IDX, 0, T1);
+    });
 
     // Step 1b: stage b' (up to m + k - 1 words, guarded against the end
     // of the global array).
@@ -88,43 +83,25 @@ pub fn conv_kernel_hmm(n: usize, k: usize, d: usize) -> Program {
     // Step 2: compute c'[i] for i < min(m, n - base) in shared memory.
     a.sub(LIM, n, BASE);
     a.min(LIM, LIM, m);
-    a.mov(IDX, abi::LTID);
-    let outer = a.here();
-    let outer_done = a.label();
-    a.slt(T0, IDX, LIM);
-    a.brz(T0, outer_done);
-    a.mov(ACC, 0);
-    a.mov(JJ, 0);
-    let inner = a.here();
-    let inner_done = a.label();
-    a.slt(T0, JJ, k);
-    a.brz(T0, inner_done);
-    a.ld_shared(T1, JJ, 0); // a'[j]: broadcast
-    a.add(T2, IDX, JJ);
-    a.ld_shared(T2, T2, sb); // b'[i+j]: conflict-free
-    a.mul(T1, T1, T2);
-    a.add(ACC, ACC, T1);
-    a.add(JJ, JJ, 1);
-    a.jmp(inner);
-    a.bind(inner_done);
-    a.st_shared(IDX, sc, ACC);
-    a.add(IDX, IDX, abi::PD);
-    a.jmp(outer);
-    a.bind(outer_done);
+    strided_loop(&mut a, IDX, T0, abi::LTID, LIM, abi::PD, |a| {
+        a.mov(ACC, 0);
+        strided_loop(a, JJ, T0, 0, k, 1, |a| {
+            a.ld_shared(T1, JJ, 0); // a'[j]: broadcast
+            a.add(T2, IDX, JJ);
+            a.ld_shared(T2, T2, sb); // b'[i+j]: conflict-free
+            a.mul(T1, T1, T2);
+            a.add(ACC, ACC, T1);
+        });
+        a.st_shared(IDX, sc, ACC);
+    });
     a.bar_dmm();
 
     // Step 3: unstage c' to global.
-    a.mov(IDX, abi::LTID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, LIM);
-    a.brz(T0, done);
-    a.ld(T1, Space::Shared, IDX, sc);
-    a.add(T2, BASE, IDX);
-    a.st_global(T2, c_base, T1);
-    a.add(IDX, IDX, abi::PD);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::LTID, LIM, abi::PD, |a| {
+        a.ld(T1, Space::Shared, IDX, sc);
+        a.add(T2, BASE, IDX);
+        a.st_global(T2, c_base, T1);
+    });
     a.halt();
     a.finish()
 }
@@ -134,8 +111,7 @@ pub fn conv_kernel_hmm(n: usize, k: usize, d: usize) -> Program {
 /// [`footprint`]`(n, k, Some(d), 0)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects bad shapes, `p % d != 0` and a
-/// machine smaller than the footprint.
+/// Propagates simulation errors; rejects bad shapes or `p % d != 0`.
 pub fn run_conv_hmm(
     machine: &mut Machine,
     a: &[Word],
@@ -149,19 +125,9 @@ pub fn run_conv_hmm(
             "Theorem 9 convolution needs d | p (got p = {p}, d = {d})"
         )));
     }
-    let c_base = k + n + k - 1;
     let kernel = Kernel::new("conv-theorem9", conv_kernel_hmm(n, k, d));
-    run_staged(
-        machine,
-        footprint(n, k, Some(d), 0),
-        &kernel,
-        LaunchShape::Even(p),
-        |g| {
-            g[..k].copy_from_slice(a);
-            g[k..c_base].copy_from_slice(b);
-        },
-        |g| g[c_base..c_base + n].to_vec(),
-    )
+    let need = footprint(n, k, Some(d), 0);
+    run_conv(machine, a, b, need, &kernel, p)
 }
 
 #[cfg(test)]

@@ -19,9 +19,10 @@
 pub mod dmm_umm;
 pub mod hmm;
 
-use hmm_machine::Word;
+use hmm_core::{Kernel, LaunchShape, Machine};
+use hmm_machine::{SimResult, Word};
 
-use crate::{div_ceil, next_pow2, Footprint};
+use crate::{div_ceil, next_pow2, run_staged, Footprint, Run};
 
 /// The convolution footprint for output length `n` and kernel length
 /// `k`. Every kernel keeps `a`, `b` and `c` in `2n + 2k − 1` global
@@ -33,10 +34,10 @@ use crate::{div_ceil, next_pow2, Footprint};
 #[must_use]
 pub fn footprint(n: usize, k: usize, d: Option<usize>, q: usize) -> Footprint {
     let partials = if q == 0 { 0 } else { n * next_pow2(q) };
-    Footprint {
-        global: (2 * (n + k)).saturating_sub(1) + partials,
-        shared: d.map_or(0, |d| (2 * (div_ceil(n, d) + k)).saturating_sub(1)),
-    }
+    Footprint::new(
+        (2 * (n + k)).saturating_sub(1) + partials,
+        d.map_or(0, |d| (2 * (div_ceil(n, d) + k)).saturating_sub(1)),
+    )
 }
 
 /// Validate convolution input shapes; returns `(k, n)`.
@@ -48,6 +49,32 @@ pub(crate) fn shapes(a: &[Word], b: &[Word]) -> Result<(usize, usize), hmm_machi
         ));
     }
     Ok((k, b.len() + 1 - k))
+}
+
+/// Stage `a` at `[0, k)` and `b` right after it, the layout every
+/// convolution kernel shares, launch `kernel` with `p` threads and read
+/// `c` back from behind `b`.
+fn run_conv(
+    machine: &mut Machine,
+    a: &[Word],
+    b: &[Word],
+    need: Footprint,
+    kernel: &Kernel,
+    p: usize,
+) -> SimResult<Run<Vec<Word>>> {
+    let (k, c_base) = (a.len(), a.len() + b.len());
+    let n = b.len() + 1 - k;
+    run_staged(
+        machine,
+        need,
+        kernel,
+        LaunchShape::Even(p),
+        |g| {
+            g[..k].copy_from_slice(a);
+            g[k..c_base].copy_from_slice(b);
+        },
+        |g| g[c_base..c_base + n].to_vec(),
+    )
 }
 
 pub use dmm_umm::{run_conv_blocked, run_conv_dmm_umm};

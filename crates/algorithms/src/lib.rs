@@ -63,6 +63,12 @@ pub struct Footprint {
 }
 
 impl Footprint {
+    /// `global` words of global memory and `shared` words per DMM.
+    #[must_use]
+    pub fn new(global: usize, shared: usize) -> Self {
+        Self { global, shared }
+    }
+
     /// A standalone DMM of width `w` and latency `l` holding this footprint.
     #[must_use]
     pub fn dmm(self, w: usize, l: usize) -> Machine {

@@ -13,6 +13,7 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
 use crate::{div_ceil, run_staged, Footprint, Run};
@@ -64,31 +65,13 @@ fn bases(m: usize) -> (usize, usize, usize) {
 /// `rm = ⌈m/d⌉`; `None` is the single-memory kernel, which ignores `tw`.
 #[must_use]
 pub fn footprint(m: usize, d: Option<usize>, tw: usize) -> Footprint {
-    Footprint {
-        global: 3 * m * m,
-        shared: d.map_or(0, |d| {
+    Footprint::new(
+        3 * m * m,
+        d.map_or(0, |d| {
             let rm = div_ceil(m, d);
             rm * m + m * tw + rm * tw
         }),
-    }
-}
-
-/// Emit a guarded strided loop `for IDX in ltid..len step pd { body }`.
-fn emit_pd_loop(
-    a: &mut Asm,
-    len: impl Into<hmm_machine::isa::Operand>,
-    body: impl FnOnce(&mut Asm),
-) {
-    let len = len.into();
-    a.mov(IDX, abi::LTID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, len);
-    a.brz(T0, done);
-    body(a);
-    a.add(IDX, IDX, abi::PD);
-    a.jmp(top);
-    a.bind(done);
+    )
 }
 
 /// Build the HMM tiled matmul kernel for `m × m` matrices on `d` DMMs
@@ -113,7 +96,7 @@ pub fn matmul_kernel_hmm(m: usize, d: usize, tw: usize) -> Program {
     // Stage this DMM's rows of A: shared[sa + i] = A[row0*m + i] for
     // i < NROWS*m (contiguous global reads).
     a.mul(Reg(26), NROWS, m); // loop bound survives in r26
-    emit_pd_loop(&mut a, Reg(26), |a| {
+    strided_loop(&mut a, IDX, T0, abi::LTID, Reg(26), abi::PD, |a| {
         a.mul(T1, ROW0, m);
         a.add(T1, T1, IDX);
         a.ld_global(T1, T1, a_base);
@@ -124,7 +107,7 @@ pub fn matmul_kernel_hmm(m: usize, d: usize, tw: usize) -> Program {
     for t in 0..m / tw {
         let col0 = t * tw;
         // Stage B tile: shared[sb + r*tw + c] = B[r*m + col0 + c].
-        emit_pd_loop(&mut a, m * tw, |a| {
+        strided_loop(&mut a, IDX, T0, abi::LTID, m * tw, abi::PD, |a| {
             a.div(T1, IDX, tw); // r
             a.rem(T2, IDX, tw); // c
             a.mul(T1, T1, m);
@@ -136,33 +119,27 @@ pub fn matmul_kernel_hmm(m: usize, d: usize, tw: usize) -> Program {
 
         // Compute the rm x tw output tile: element e = i*tw + j.
         a.mul(Reg(26), NROWS, tw);
-        emit_pd_loop(&mut a, Reg(26), |a| {
+        strided_loop(&mut a, IDX, T0, abi::LTID, Reg(26), abi::PD, |a| {
             a.div(II, IDX, tw);
             a.rem(JJ, IDX, tw);
             a.mov(ACC, 0);
-            a.mov(KK, 0);
-            let inner = a.here();
-            let inner_done = a.label();
-            a.slt(T0, KK, m);
-            a.brz(T0, inner_done);
-            a.mul(T1, II, m);
-            a.add(T1, T1, KK);
-            a.ld_shared(T1, T1, sa); // A'[i*m + k]
-            a.mul(T2, KK, tw);
-            a.add(T2, T2, JJ);
-            a.ld_shared(T2, T2, sb); // B'[k*tw + j]
-            a.mul(T1, T1, T2);
-            a.add(ACC, ACC, T1);
-            a.add(KK, KK, 1);
-            a.jmp(inner);
-            a.bind(inner_done);
+            strided_loop(a, KK, T0, 0, m, 1, |a| {
+                a.mul(T1, II, m);
+                a.add(T1, T1, KK);
+                a.ld_shared(T1, T1, sa); // A'[i*m + k]
+                a.mul(T2, KK, tw);
+                a.add(T2, T2, JJ);
+                a.ld_shared(T2, T2, sb); // B'[k*tw + j]
+                a.mul(T1, T1, T2);
+                a.add(ACC, ACC, T1);
+            });
             a.st_shared(IDX, sc, ACC);
         });
         a.bar_dmm();
 
         // Unstage the C tile: C[(row0+i)*m + col0 + j] = shared[sc + e].
         a.mul(Reg(26), NROWS, tw);
-        emit_pd_loop(&mut a, Reg(26), |a| {
+        strided_loop(&mut a, IDX, T0, abi::LTID, Reg(26), abi::PD, |a| {
             a.ld_shared(T1, IDX, sc);
             a.div(II, IDX, tw);
             a.rem(JJ, IDX, tw);
@@ -183,34 +160,22 @@ pub fn matmul_kernel_hmm(m: usize, d: usize, tw: usize) -> Program {
 pub fn matmul_kernel_umm(m: usize) -> Program {
     let (a_base, b_base, c_base) = bases(m);
     let mut a = Asm::new();
-    a.mov(IDX, abi::GID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, m * m);
-    a.brz(T0, done);
-    a.div(II, IDX, m);
-    a.rem(JJ, IDX, m);
-    a.mov(ACC, 0);
-    a.mov(KK, 0);
-    let inner = a.here();
-    let inner_done = a.label();
-    a.slt(T0, KK, m);
-    a.brz(T0, inner_done);
-    a.mul(T1, II, m);
-    a.add(T1, T1, KK);
-    a.ld_global(T1, T1, a_base); // A[i*m + k]: broadcast within a warp row
-    a.mul(T2, KK, m);
-    a.add(T2, T2, JJ);
-    a.ld_global(T2, T2, b_base); // B[k*m + j]: contiguous within a warp row
-    a.mul(T1, T1, T2);
-    a.add(ACC, ACC, T1);
-    a.add(KK, KK, 1);
-    a.jmp(inner);
-    a.bind(inner_done);
-    a.st_global(IDX, c_base, ACC);
-    a.add(IDX, IDX, abi::P);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::GID, m * m, abi::P, |a| {
+        a.div(II, IDX, m);
+        a.rem(JJ, IDX, m);
+        a.mov(ACC, 0);
+        strided_loop(a, KK, T0, 0, m, 1, |a| {
+            a.mul(T1, II, m);
+            a.add(T1, T1, KK);
+            a.ld_global(T1, T1, a_base); // A[i*m + k]: broadcast within a warp row
+            a.mul(T2, KK, m);
+            a.add(T2, T2, JJ);
+            a.ld_global(T2, T2, b_base); // B[k*m + j]: contiguous within a warp row
+            a.mul(T1, T1, T2);
+            a.add(ACC, ACC, T1);
+        });
+        a.st_global(IDX, c_base, ACC);
+    });
     a.halt();
     a.finish()
 }
@@ -245,8 +210,7 @@ fn run_matmul(
 /// [`footprint`]`(m, Some(d), tw)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects inconsistent shapes and a
-/// machine smaller than the footprint.
+/// Propagates simulation errors; rejects inconsistent shapes.
 pub fn run_matmul_hmm(
     machine: &mut Machine,
     a: &[Word],
@@ -274,8 +238,7 @@ pub fn run_matmul_hmm(
 /// sized by [`footprint`]`(m, None, _)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects inconsistent shapes and a
-/// machine smaller than the footprint.
+/// Propagates simulation errors; rejects inconsistent shapes.
 pub fn run_matmul_umm(
     machine: &mut Machine,
     a: &[Word],

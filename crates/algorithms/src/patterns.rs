@@ -107,10 +107,7 @@ pub fn transpose_kernel(a_base: usize, b_base: usize, m: usize) -> Program {
 /// end in global memory: 1 for [`run_figure1`], 2 for [`run_transpose`].
 #[must_use]
 pub fn footprint(m: usize, matrices: usize) -> Footprint {
-    Footprint {
-        global: matrices * m * m,
-        shared: 0,
-    }
+    Footprint::new(matrices * m * m, 0)
 }
 
 /// Run one Figure 1 pattern with `p ≤ m` threads on `machine` (the
@@ -118,8 +115,7 @@ pub fn footprint(m: usize, matrices: usize) -> Footprint {
 /// [`footprint`]`(m, 1)`).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_figure1(
     machine: &mut Machine,
     pattern: Figure1,
@@ -136,8 +132,7 @@ pub fn run_figure1(
 /// sized by [`footprint`]`(m, 2)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_transpose(machine: &mut Machine, m: usize) -> SimResult<SimReport> {
     let kernel = Kernel::new("transpose", transpose_kernel(0, m * m, m));
     check_fit(machine, footprint(m, 2), &kernel)?;

@@ -20,6 +20,7 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
 use crate::{run_staged, Footprint, Run};
@@ -196,10 +197,7 @@ pub fn schedule_permutation(perm: &[usize], w: usize) -> Schedule {
 #[must_use]
 pub fn footprint(n: usize, schedule: Option<&Schedule>) -> Footprint {
     let tables = schedule.map_or(n, |s| 2 * s.rounds.len() * s.width);
-    Footprint {
-        global: 2 * n + tables,
-        shared: 0,
-    }
+    Footprint::new(2 * n + tables, 0)
 }
 
 /// The scheduled kernel's table bases: sources at `2n`, destinations
@@ -246,17 +244,11 @@ pub fn perm_kernel_scheduled(n: usize, rounds: usize, w: usize, p: usize) -> Pro
 #[must_use]
 pub fn perm_kernel_naive(n: usize, table: usize) -> Program {
     let mut a = Asm::new();
-    a.mov(IDX, abi::GID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, table);
-    a.ld_global(VAL, IDX, 0);
-    a.st_global(T1, n, VAL);
-    a.add(IDX, IDX, abi::P);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::GID, n, abi::P, |a| {
+        a.ld_global(T1, IDX, table);
+        a.ld_global(VAL, IDX, 0);
+        a.st_global(T1, n, VAL);
+    });
     a.halt();
     a.finish()
 }
@@ -266,8 +258,7 @@ pub fn perm_kernel_naive(n: usize, table: usize) -> Program {
 /// `s = schedule_permutation(perm, w)`) with `p` threads (`w | p`).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p` not divisible by `w` and a
-/// machine smaller than the footprint.
+/// Propagates simulation errors; rejects `p` not divisible by `w`.
 pub fn run_permutation_scheduled(
     machine: &mut Machine,
     input: &[Word],
@@ -311,8 +302,7 @@ pub fn run_permutation_scheduled(
 /// sized by [`footprint`]`(n, None)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_permutation_naive(
     machine: &mut Machine,
     input: &[Word],

@@ -21,6 +21,7 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
 use crate::{div_ceil, next_pow2, run_staged, Footprint, Run};
@@ -50,16 +51,13 @@ const SBASE: Reg = Reg(24);
 #[must_use]
 pub fn footprint(n: usize, p: usize, d: Option<usize>) -> Footprint {
     match d {
-        None => Footprint {
-            global: 3 * next_pow2(n) - 1,
-            shared: 0,
-        },
+        None => Footprint::new(3 * next_pow2(n) - 1, 0),
         Some(d) => {
             let pd = p / d;
-            Footprint {
-                global: 2 * n + d,
-                shared: pd * (sub_block(div_ceil(n, d), pd) + 1) + next_pow2(pd) + d + 1,
-            }
+            Footprint::new(
+                2 * n + d,
+                pd * (sub_block(div_ceil(n, d), pd) + 1) + next_pow2(pd) + d + 1,
+            )
         }
     }
 }
@@ -83,20 +81,6 @@ fn level_bases(n2: usize) -> Vec<usize> {
     bases
 }
 
-/// Emit `G[dst + i] = G[src + i]` for `i < len`, strided by `P`.
-fn emit_strided_copy_global(a: &mut Asm, src: usize, dst: usize, len: usize) {
-    a.mov(IDX, abi::GID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, len);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, src);
-    a.st_global(IDX, dst, T1);
-    a.add(IDX, IDX, abi::P);
-    a.jmp(top);
-    a.bind(done);
-}
-
 /// Build the `O(n/w + nl/p + l·log n)` scan kernel for `n2 = next_pow2(n)`
 /// padded inputs. The inclusive prefix sums end up in the level-0 buffer
 /// at `[n2, 2·n2)`.
@@ -108,25 +92,22 @@ pub fn prefix_kernel_dmm_umm(n2: usize) -> Program {
     let mut a = Asm::new();
 
     // Copy input into the level-0 buffer (contiguous).
-    emit_strided_copy_global(&mut a, 0, bases[0], n2);
+    strided_loop(&mut a, IDX, T0, abi::GID, n2, abi::P, |a| {
+        a.ld_global(T1, IDX, 0);
+        a.st_global(IDX, bases[0], T1);
+    });
     a.bar_global();
 
     // Upsweep: L_{m+1}[j] = L_m[2j] + L_m[2j+1].
     for m in 0..levels {
         let len = n2 >> (m + 1);
-        a.mov(IDX, abi::GID);
-        let top = a.here();
-        let done = a.label();
-        a.slt(T0, IDX, len);
-        a.brz(T0, done);
-        a.add(T1, IDX, IDX); // 2j
-        a.ld_global(T2, T1, bases[m]);
-        a.ld_global(T3, T1, bases[m] + 1);
-        a.add(T2, T2, T3);
-        a.st_global(IDX, bases[m + 1], T2);
-        a.add(IDX, IDX, abi::P);
-        a.jmp(top);
-        a.bind(done);
+        strided_loop(&mut a, IDX, T0, abi::GID, len, abi::P, |a| {
+            a.add(T1, IDX, IDX); // 2j
+            a.ld_global(T2, T1, bases[m]);
+            a.ld_global(T3, T1, bases[m] + 1);
+            a.add(T2, T2, T3);
+            a.st_global(IDX, bases[m + 1], T2);
+        });
         a.bar_global();
     }
 
@@ -142,36 +123,24 @@ pub fn prefix_kernel_dmm_umm(n2: usize) -> Program {
     }
     for m in (0..levels).rev() {
         let len = n2 >> (m + 1);
-        a.mov(IDX, abi::GID);
-        let top = a.here();
-        let done = a.label();
-        a.slt(T0, IDX, len);
-        a.brz(T0, done);
-        a.ld_global(T2, IDX, bases[m + 1]); // E_{m+1}[j]
-        a.add(T1, IDX, IDX); // 2j
-        a.ld_global(T3, T1, bases[m]); // L_m[2j]
-        a.st_global(T1, bases[m], T2); // E_m[2j]
-        a.add(T2, T2, T3);
-        a.st_global(T1, bases[m] + 1, T2); // E_m[2j+1]
-        a.add(IDX, IDX, abi::P);
-        a.jmp(top);
-        a.bind(done);
+        strided_loop(&mut a, IDX, T0, abi::GID, len, abi::P, |a| {
+            a.ld_global(T2, IDX, bases[m + 1]); // E_{m+1}[j]
+            a.add(T1, IDX, IDX); // 2j
+            a.ld_global(T3, T1, bases[m]); // L_m[2j]
+            a.st_global(T1, bases[m], T2); // E_m[2j]
+            a.add(T2, T2, T3);
+            a.st_global(T1, bases[m] + 1, T2); // E_m[2j+1]
+        });
         a.bar_global();
     }
 
     // Inclusive = exclusive + input (both streams contiguous).
-    a.mov(IDX, abi::GID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n2);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, bases[0]);
-    a.ld_global(T2, IDX, 0);
-    a.add(T1, T1, T2);
-    a.st_global(IDX, bases[0], T1);
-    a.add(IDX, IDX, abi::P);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::GID, n2, abi::P, |a| {
+        a.ld_global(T1, IDX, bases[0]);
+        a.ld_global(T2, IDX, 0);
+        a.add(T1, T1, T2);
+        a.st_global(IDX, bases[0], T1);
+    });
     a.halt();
     a.finish()
 }
@@ -180,8 +149,7 @@ pub fn prefix_kernel_dmm_umm(n2: usize) -> Program {
 /// machine sized by [`footprint`]`(n, p, None)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_prefix_dmm_umm(
     machine: &mut Machine,
     input: &[Word],
@@ -239,19 +207,13 @@ pub fn prefix_kernel_hmm(n: usize, p: usize, d: usize) -> Program {
     // Stage: shared[data + i + i/b] = G[base + i] for i < LIM (contiguous
     // global reads; the skewed shared writes cost at most O(1) extra
     // slots per warp).
-    a.mov(IDX, abi::LTID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, LIM);
-    a.brz(T0, done);
-    a.add(T1, BASE, IDX);
-    a.ld_global(T1, T1, 0);
-    a.div(T2, IDX, b);
-    a.add(T2, T2, IDX); // i + i/b
-    a.st_shared(T2, data, T1);
-    a.add(IDX, IDX, abi::PD);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::LTID, LIM, abi::PD, |a| {
+        a.add(T1, BASE, IDX);
+        a.ld_global(T1, T1, 0);
+        a.div(T2, IDX, b);
+        a.add(T2, T2, IDX); // i + i/b
+        a.st_shared(T2, data, T1);
+    });
     a.bar_dmm();
 
     // Per-thread sequential scan of sub-block [ltid*b, ltid*b + b) in the
@@ -320,31 +282,19 @@ pub fn prefix_kernel_hmm(n: usize, p: usize, d: usize) -> Program {
     // Cross-DMM offset: threads ltid < d stage the d totals into shared;
     // thread 0 then serially sums those with index < dmm (d is small) and
     // parks the offset at dscratch + d.
-    a.mov(IDX, abi::LTID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, d);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, taux);
-    a.st_shared(IDX, dscratch, T1);
-    a.add(IDX, IDX, abi::PD);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::LTID, d, abi::PD, |a| {
+        a.ld_global(T1, IDX, taux);
+        a.st_shared(IDX, dscratch, T1);
+    });
     a.bar_dmm();
     {
         let skip = a.label();
         a.brnz(abi::LTID, skip);
         a.mov(ACC, 0);
-        a.mov(IDX, 0);
-        let top = a.here();
-        let done = a.label();
-        a.slt(T0, IDX, abi::DMM);
-        a.brz(T0, done);
-        a.ld_shared(T1, IDX, dscratch);
-        a.add(ACC, ACC, T1);
-        a.add(IDX, IDX, 1);
-        a.jmp(top);
-        a.bind(done);
+        strided_loop(&mut a, IDX, T0, 0, abi::DMM, 1, |a| {
+            a.ld_shared(T1, IDX, dscratch);
+            a.add(ACC, ACC, T1);
+        });
         a.st_shared(dscratch + d, 0, ACC);
         a.bind(skip);
         a.bar_dmm();
@@ -352,30 +302,24 @@ pub fn prefix_kernel_hmm(n: usize, p: usize, d: usize) -> Program {
 
     // Unstage: out[base + i] = scanned[i] + block_offset(i/b) + dmm_offset,
     // striding i over the whole chunk (contiguous global writes).
-    a.mov(IDX, abi::LTID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, LIM);
-    a.brz(T0, done);
-    a.div(T2, IDX, b);
-    a.add(T1, T2, IDX); // skewed address i + i/b
-    a.ld_shared(T1, T1, data);
-    a.mov(T3, 0);
-    {
-        let skip = a.label();
-        a.brz(T2, skip); // block 0 has no intra-chunk offset
-        a.sub(T2, T2, 1);
-        a.ld_shared(T3, T2, totals);
-        a.bind(skip);
-    }
-    a.add(T1, T1, T3);
-    a.ld_shared(T3, dscratch + d, 0);
-    a.add(T1, T1, T3);
-    a.add(T2, BASE, IDX);
-    a.st_global(T2, out_base, T1);
-    a.add(IDX, IDX, abi::PD);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::LTID, LIM, abi::PD, |a| {
+        a.div(T2, IDX, b);
+        a.add(T1, T2, IDX); // skewed address i + i/b
+        a.ld_shared(T1, T1, data);
+        a.mov(T3, 0);
+        {
+            let skip = a.label();
+            a.brz(T2, skip); // block 0 has no intra-chunk offset
+            a.sub(T2, T2, 1);
+            a.ld_shared(T3, T2, totals);
+            a.bind(skip);
+        }
+        a.add(T1, T1, T3);
+        a.ld_shared(T3, dscratch + d, 0);
+        a.add(T1, T1, T3);
+        a.add(T2, BASE, IDX);
+        a.st_global(T2, out_base, T1);
+    });
     a.halt();
     a.finish()
 }
@@ -384,8 +328,7 @@ pub fn prefix_kernel_hmm(n: usize, p: usize, d: usize) -> Program {
 /// `d` DMMs (`d | p`) of an HMM sized by [`footprint`]`(n, p, Some(d))`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p % d != 0` and a machine
-/// smaller than the footprint.
+/// Propagates simulation errors; rejects `p % d != 0`.
 pub fn run_prefix_hmm(
     machine: &mut Machine,
     input: &[Word],

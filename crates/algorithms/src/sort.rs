@@ -46,10 +46,7 @@ const BASE: Reg = Reg(26);
 #[must_use]
 pub fn footprint(n: usize, d: Option<usize>) -> Footprint {
     let n2 = next_pow2(n.max(2)).max(2 * d.unwrap_or(1));
-    Footprint {
-        global: n2,
-        shared: d.map_or(0, |d| n2 / d),
-    }
+    Footprint::new(n2, d.map_or(0, |d| n2 / d))
 }
 
 /// Emit one compare–exchange: indices `GI` (already set) and
@@ -220,8 +217,7 @@ fn run_sort(
 /// sized by [`footprint`]`(n, None)`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_sort_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Vec<Word>>> {
     let need = footprint(input.len(), None);
     let kernel = Kernel::new("sort-bitonic-umm", sort_kernel_umm(need.global));
@@ -232,9 +228,8 @@ pub fn run_sort_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimResul
 /// [`footprint`]`(n, Some(d))`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p % d != 0`, a DMM count that
-/// does not divide the padded length (any `d` that is not a power of
-/// two) and a machine smaller than the footprint.
+/// Propagates simulation errors; rejects `p % d != 0` and a `d` that
+/// does not divide the padded length (any `d` not a power of two).
 pub fn run_sort_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Vec<Word>>> {
     let d = machine.dmms();
     if p == 0 || !p.is_multiple_of(d) {

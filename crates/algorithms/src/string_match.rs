@@ -74,10 +74,7 @@ fn layout(m: usize, n: usize) -> (usize, usize, usize) {
 #[must_use]
 pub fn footprint(m: usize, n: usize) -> Footprint {
     let (_, _, scores) = layout(m, n);
-    Footprint {
-        global: scores + n + 1,
-        shared: 0,
-    }
+    Footprint::new(scores + n + 1, 0)
 }
 
 /// Build the wavefront matching kernel.
@@ -202,8 +199,7 @@ pub fn match_kernel(m: usize, n: usize) -> Program {
 /// index 0 is `m`).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects empty inputs and a machine
-/// smaller than the footprint.
+/// Propagates simulation errors; rejects empty inputs.
 pub fn run_match_dmm_umm(
     machine: &mut Machine,
     pattern: &[Word],

@@ -16,6 +16,7 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
 use crate::reduce::ReduceOp;
@@ -44,19 +45,13 @@ pub fn reduce_kernel(base: usize, n2: usize, op: ReduceOp) -> Program {
     let mut h = n2 / 2;
     while h >= 1 {
         // for j = gid; j < h; j += p: A[j] += A[j + h]
-        a.mov(IDX, abi::GID);
-        let top = a.here();
-        let done = a.label();
-        a.slt(T0, IDX, h);
-        a.brz(T0, done);
-        a.ld_global(T1, IDX, base);
-        a.add(T2, IDX, h);
-        a.ld_global(T2, T2, base);
-        a.push(op.combine(T1, T1, T2));
-        a.st_global(IDX, base, T1);
-        a.add(IDX, IDX, abi::P);
-        a.jmp(top);
-        a.bind(done);
+        strided_loop(&mut a, IDX, T0, abi::GID, h, abi::P, |a| {
+            a.ld_global(T1, IDX, base);
+            a.add(T2, IDX, h);
+            a.ld_global(T2, T2, base);
+            a.push(op.combine(T1, T1, T2));
+            a.st_global(IDX, base, T1);
+        });
         a.bar_global();
         h /= 2;
     }
@@ -68,10 +63,7 @@ pub fn reduce_kernel(base: usize, n2: usize, op: ReduceOp) -> Program {
 /// `next_pow2(n)` global words, no shared memory.
 #[must_use]
 pub fn footprint(n: usize) -> Footprint {
-    Footprint {
-        global: next_pow2(n),
-        shared: 0,
-    }
+    Footprint::new(next_pow2(n), 0)
 }
 
 /// Run the Lemma 5 sum of `input` with `p` threads on `machine` (a DMM or
@@ -79,8 +71,7 @@ pub fn footprint(n: usize) -> Footprint {
 /// by [`footprint`].
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_sum_dmm_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Word>> {
     run_reduce_dmm_umm(machine, input, p, ReduceOp::Sum)
 }
@@ -89,8 +80,7 @@ pub fn run_sum_dmm_umm(machine: &mut Machine, input: &[Word], p: usize) -> SimRe
 /// (padding with the operator's identity).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// [`footprint`].
+/// Propagates simulation errors.
 pub fn run_reduce_dmm_umm(
     machine: &mut Machine,
     input: &[Word],

@@ -25,6 +25,7 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
 use crate::reduce::ReduceOp;
@@ -78,16 +79,10 @@ pub fn reduce_kernel(n: usize, p: usize, d: usize, aux: usize, op: ReduceOp) -> 
 
     // Phase 1: register column reductions over the global input.
     a.mov(ACC, op.identity());
-    a.mov(IDX, abi::GID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, 0);
-    a.push(op.combine(ACC, ACC, T1));
-    a.add(IDX, IDX, abi::P);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::GID, n, abi::P, |a| {
+        a.ld_global(T1, IDX, 0);
+        a.push(op.combine(ACC, ACC, T1));
+    });
 
     // Phase 2: publish into shared memory; pad to a power of two with
     // the operator's identity.
@@ -121,16 +116,10 @@ pub fn reduce_kernel(n: usize, p: usize, d: usize, aux: usize, op: ReduceOp) -> 
     let m2 = next_pow2(m);
     // Strided accumulation of the d2 partials (contiguous, stride m).
     a.mov(ACC, op.identity());
-    a.mov(IDX, abi::LTID);
-    let top5 = a.here();
-    let done5 = a.label();
-    a.slt(T0, IDX, d2);
-    a.brz(T0, done5);
-    a.ld_global(T1, IDX, aux);
-    a.push(op.combine(ACC, ACC, T1));
-    a.add(IDX, IDX, m);
-    a.jmp(top5);
-    a.bind(done5);
+    strided_loop(&mut a, IDX, T0, abi::LTID, d2, m, |a| {
+        a.ld_global(T1, IDX, aux);
+        a.push(op.combine(ACC, ACC, T1));
+    });
     {
         let skip = a.label();
         a.slt(T0, abi::LTID, m);
@@ -164,18 +153,14 @@ pub fn reduce_kernel(n: usize, p: usize, d: usize, aux: usize, op: ReduceOp) -> 
 /// `next_pow2(p/d)` partial sums of each DMM's tree in shared memory.
 #[must_use]
 pub fn footprint(n: usize, p: usize, d: usize) -> Footprint {
-    Footprint {
-        global: n + next_pow2(d),
-        shared: next_pow2(p / d),
-    }
+    Footprint::new(n + next_pow2(d), next_pow2(p / d))
 }
 
 /// Run the Theorem 7 sum of `input` with `p` threads spread evenly over
 /// the `d` DMMs of an HMM sized by [`footprint`] (`d` must divide `p`).
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p` not divisible by `d` and a
-/// machine smaller than the footprint.
+/// Propagates simulation errors; rejects `p` not divisible by `d`.
 pub fn run_sum_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Word>> {
     run_reduce_hmm(machine, input, p, ReduceOp::Sum)
 }
@@ -183,8 +168,7 @@ pub fn run_sum_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResult
 /// Run any [`ReduceOp`] over `input` with the Theorem 7 structure.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects `p` not divisible by `d` and a
-/// machine smaller than the [`footprint`].
+/// Propagates simulation errors; rejects `p` not divisible by `d`.
 pub fn run_reduce_hmm(
     machine: &mut Machine,
     input: &[Word],

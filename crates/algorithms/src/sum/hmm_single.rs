@@ -16,6 +16,7 @@
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::strided_loop;
 use hmm_machine::{abi, Asm, Program, SimResult, Word};
 
 use crate::{next_pow2, run_staged, Footprint, Run};
@@ -35,34 +36,22 @@ pub fn sum_kernel(n: usize, q: usize, aux: usize) -> Program {
     let mut a = Asm::new();
     // Column sums: acc = sum of A[ltid + j*q].
     a.mov(ACC, 0);
-    a.mov(IDX, abi::LTID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, 0);
-    a.add(ACC, ACC, T1);
-    a.add(IDX, IDX, q);
-    a.jmp(top);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::LTID, n, q, |a| {
+        a.ld_global(T1, IDX, 0);
+        a.add(ACC, ACC, T1);
+    });
     a.st_global(abi::LTID, aux, ACC);
     a.bar_global();
     // Lemma 5 pairwise tree over the q2 column sums, in global memory.
     let mut h = q2 / 2;
     while h >= 1 {
-        a.mov(IDX, abi::LTID);
-        let top = a.here();
-        let done = a.label();
-        a.slt(T0, IDX, h);
-        a.brz(T0, done);
-        a.ld_global(T1, IDX, aux);
-        a.add(T2, IDX, h);
-        a.ld_global(T2, T2, aux);
-        a.add(T1, T1, T2);
-        a.st_global(IDX, aux, T1);
-        a.add(IDX, IDX, abi::PD);
-        a.jmp(top);
-        a.bind(done);
+        strided_loop(&mut a, IDX, T0, abi::LTID, h, abi::PD, |a| {
+            a.ld_global(T1, IDX, aux);
+            a.add(T2, IDX, h);
+            a.ld_global(T2, T2, aux);
+            a.add(T1, T1, T2);
+            a.st_global(IDX, aux, T1);
+        });
         a.bar_global();
         h /= 2;
     }
@@ -74,10 +63,7 @@ pub fn sum_kernel(n: usize, q: usize, aux: usize) -> Program {
 /// `next_pow2(q)` column sums in global memory, no shared memory.
 #[must_use]
 pub fn footprint(n: usize, q: usize) -> Footprint {
-    Footprint {
-        global: n + next_pow2(q),
-        shared: 0,
-    }
+    Footprint::new(n + next_pow2(q), 0)
 }
 
 /// Run the Lemma 6 sum of `input` on `machine` (an HMM sized by
@@ -85,8 +71,7 @@ pub fn footprint(n: usize, q: usize) -> Footprint {
 /// choice is `q = w·l`.
 ///
 /// # Errors
-/// Propagates simulation errors; rejects a machine smaller than the
-/// footprint.
+/// Propagates simulation errors.
 pub fn run_sum_hmm_single_dmm(
     machine: &mut Machine,
     input: &[Word],
