@@ -2,8 +2,8 @@
 //! stock algorithm families, plus the host cost of a tuning run.
 //!
 //! For each family the tuner runs its golden configuration (fixed seed,
-//! fixed space, grid strategy, one worker thread) and the
-//! baseline/winner simulated time units are recorded — plus the cost
+//! fixed space, one worker thread) and the baseline/winner simulated
+//! time units are recorded — plus the cost
 //! model's mean absolute predicted-vs-measured error, so drift in the
 //! predictor shows up in the dump and not just in the golden tests.
 //! Those simulated fields are deterministic and diffable.
@@ -16,7 +16,7 @@
 //! Run with `cargo bench -p hmm-bench --bench tune`.
 
 use hmm_analysis::{analyze, predict, AnalysisConfig};
-use hmm_tune::{tunable, tune, StrategyKind, TuneConfig, TuneSpace};
+use hmm_tune::{tunable, tune, EntryStatus, TuneConfig, TuneSpace};
 use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
 
@@ -36,7 +36,6 @@ fn main() {
         cfg.seed = 42;
         cfg.budget = 64;
         cfg.threads = 1;
-        cfg.strategy = StrategyKind::Grid;
         cfg.space = TuneSpace::parse(space).expect("bench space parses");
         let (tune_ms, report) = g.bench(&format!("{algo}/tune"), || tune(&cfg));
         let report = report.expect("bench tune run");
@@ -84,7 +83,7 @@ fn main() {
             ("winner_id", report.winner_id.as_str().into()),
             ("winner_time", report.winner_time.into()),
             ("speedup", report.speedup.into()),
-            ("evaluated", report.evaluated.into()),
+            ("evaluated", report.count(EntryStatus::Measured).into()),
             ("mean_abs_error_pct", report.mean_abs_error_pct.into()),
             ("tune_ms", tune_ms.into()),
             ("predict_ms", predict_ms.into()),

@@ -15,6 +15,9 @@ pub enum ParseError {
     BadNumber(String, String),
     /// An enum-ish value was not one of the allowed words.
     BadChoice(String, String),
+    /// A flag the command does not read: the flag, the command word and
+    /// the flags the command reads, joined by ` --`.
+    UnknownFlag(String, String, String),
 }
 
 impl std::fmt::Display for ParseError {
@@ -25,6 +28,9 @@ impl std::fmt::Display for ParseError {
             ParseError::NotAFlag(t) => write!(f, "expected a --flag, got {t:?}"),
             ParseError::BadNumber(k, v) => write!(f, "--{k}: {v:?} is not a number"),
             ParseError::BadChoice(k, v) => write!(f, "--{k}: unknown choice {v:?}"),
+            ParseError::UnknownFlag(flag, cmd, accepted) => {
+                write!(f, "{cmd} has no flag --{flag} (flags: --{accepted})")
+            }
         }
     }
 }
@@ -85,20 +91,7 @@ impl Args {
     ///
     /// # Errors
     /// Returns [`ParseError::BadNumber`] when present but malformed.
-    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, ParseError> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseError::BadNumber(key.into(), v.clone())),
-        }
-    }
-
-    /// A u64 flag with a default.
-    ///
-    /// # Errors
-    /// Returns [`ParseError::BadNumber`] when present but malformed.
-    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, ParseError> {
+    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ParseError> {
         match self.values.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -120,6 +113,29 @@ impl Args {
     #[must_use]
     pub fn subject(&self) -> Option<&str> {
         self.subject.as_deref()
+    }
+
+    /// Check every given flag against `table`, the flags the command
+    /// reads, of which `switches` take no value.
+    ///
+    /// # Errors
+    /// [`ParseError::UnknownFlag`] for a flag outside `table`,
+    /// [`ParseError::NotAFlag`] for the value given to a switch, and
+    /// [`ParseError::MissingValue`] for any other flag given without one.
+    pub(crate) fn check_flags(&self, table: &[&str], switches: &[&str]) -> Result<(), ParseError> {
+        let unknown = |f: &&String| !table.contains(&f.as_str());
+        if let Some(flag) = self.values.keys().chain(&self.switches).find(unknown) {
+            let (cmd, accepted) = (self.command.clone(), table.join(" --"));
+            return Err(ParseError::UnknownFlag(flag.clone(), cmd, accepted));
+        }
+        if let Some(value) = switches.iter().find_map(|s| self.values.get(*s)) {
+            return Err(ParseError::NotAFlag(value.clone()));
+        }
+        let takes_value = |f: &&String| !switches.contains(&f.as_str());
+        match self.switches.iter().find(takes_value) {
+            Some(flag) => Err(ParseError::MissingValue(flag.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Whether a boolean switch was given.
@@ -165,12 +181,12 @@ mod tests {
     fn parses_values_and_switches() {
         let a = Args::parse(toks("sum --n 1024 --machine hmm --json --p 64")).unwrap();
         assert_eq!(a.command, "sum");
-        assert_eq!(a.get_usize("n", 0).unwrap(), 1024);
+        assert_eq!(a.get_num::<usize>("n", 0).unwrap(), 1024);
         assert_eq!(a.get_str("machine", "dmm"), "hmm");
         assert!(a.has("json"));
         assert!(!a.has("trace"));
-        assert_eq!(a.get_usize("p", 0).unwrap(), 64);
-        assert_eq!(a.get_usize("missing", 7).unwrap(), 7);
+        assert_eq!(a.get_num::<usize>("p", 0).unwrap(), 64);
+        assert_eq!(a.get_num::<usize>("missing", 7).unwrap(), 7);
     }
 
     #[test]
@@ -185,7 +201,7 @@ mod tests {
         ));
         let a = Args::parse(toks("sum --n five")).unwrap();
         assert!(matches!(
-            a.get_usize("n", 0),
+            a.get_num::<usize>("n", 0),
             Err(ParseError::BadNumber(..))
         ));
         assert!(matches!(
@@ -199,7 +215,7 @@ mod tests {
         let a = Args::parse(toks("profile sum-hmm --top 5 --json")).unwrap();
         assert_eq!(a.command, "profile");
         assert_eq!(a.subject(), Some("sum-hmm"));
-        assert_eq!(a.get_usize("top", 0).unwrap(), 5);
+        assert_eq!(a.get_num::<usize>("top", 0).unwrap(), 5);
         assert!(a.has("json"));
         // Only the first post-command token can be a subject.
         assert!(matches!(
@@ -213,7 +229,7 @@ mod tests {
     fn trailing_switch_is_a_switch() {
         let a = Args::parse(toks("sort --n 16 --json")).unwrap();
         assert!(a.has("json"));
-        assert_eq!(a.get_usize("n", 0).unwrap(), 16);
+        assert_eq!(a.get_num::<usize>("n", 0).unwrap(), 16);
     }
 
     #[test]

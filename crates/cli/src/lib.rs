@@ -15,10 +15,13 @@
 //!   lint       static analysis of the named kernels (exit 2 on errors)
 //!   info       print machine presets
 //!
-//! common flags:
+//! machine flags (sum, reduce, conv, prefix, sort, profile, batch):
 //!   --machine dmm|umm|hmm   (default hmm)
 //!   --n N --k K --p P --w W --l L --d D
 //!   --seed S                workload seed
+//!   --op sum|min|max        (sum and reduce)
+//!
+//! every command:
 //!   --json                  machine-readable output
 //!
 //! batch flags:
@@ -39,8 +42,10 @@
 //! tune flags:
 //!   tune <sum|conv>         algorithm family to tune
 //!   --space SPEC            search space (`warps=1,2,4;pad=0,1;swizzle=0,1`)
-//!   --strategy grid|random|hill
-//!   --seed S --budget B     measurement budget (baseline not counted)
+//!   --n N                   problem size (default: the family's)
+//!   --seed S --budget B     measurement budget (baseline not counted);
+//!                           live candidates are measured in enumeration
+//!                           order and those past the budget are skipped
 //!   --threads N             tuning workers (results identical at any N)
 //!   --out FILE              write the TuneReport JSON document
 //!   --top N                 leaderboard rows in the text report
@@ -48,9 +53,11 @@
 //!
 //! The argument grammar is `--key value` pairs after the command; the
 //! parser is in [`args`], the command implementations in [`run`], the
-//! static-analysis front end in [`lint`]. `--threads` exists only on
-//! `batch` and `tune`, the commands that run many simulations: a single
-//! launch always runs on one thread.
+//! static-analysis front end in [`lint`]. Each command accepts only the
+//! flags it reads (`batch` and `profile` also take those of the
+//! algorithm they run); any other flag is an argument error, exit 2.
+//! `--threads` exists only on `batch` and `tune`, the commands that run
+//! many simulations: a single launch always runs on one thread.
 
 #![warn(missing_docs)]
 

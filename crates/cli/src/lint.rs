@@ -185,11 +185,11 @@ pub struct LintOutcome {
 /// the registry's kernels cannot be built for.
 pub fn execute(a: &Args) -> Result<LintOutcome, CliError> {
     let params = LintParams {
-        n: a.get_usize("n", 1 << 10)?,
-        k: a.get_usize("k", 16)?,
-        p: a.get_usize("p", 256)?,
-        w: a.get_usize("w", 32)?,
-        d: a.get_usize("d", 4)?,
+        n: a.get_num("n", 1 << 10)?,
+        k: a.get_num("k", 16)?,
+        p: a.get_num("p", 256)?,
+        w: a.get_num("w", 32)?,
+        d: a.get_num("d", 4)?,
     };
     let LintParams { n, p, w, d, .. } = params;
     let problem = if w == 0 {

@@ -20,15 +20,17 @@ fn main() {
              flags: --machine dmm|umm|hmm  --n --k --p --w --l --d --seed --op sum|min|max\n\
              profile: hmm-cli profile <algo>[-<machine>] [--buckets B] [--top N]\n\
                     [--profile-out FILE] [--perfetto-out FILE]   (cycle-accounting stall breakdown)\n\
-             tune:  hmm-cli tune <sum|conv> [--space SPEC] [--strategy grid|random|hill]\n\
-                    [--seed S] [--budget B] [--threads N] [--out FILE] [--top N]\n\
-                    (deterministic autotune: predict, prune, measure, explain;\n\
+             tune:  hmm-cli tune <sum|conv> [--space SPEC] [--n N] [--seed S]\n\
+                    [--budget B] [--threads N] [--out FILE] [--top N]\n\
+                    (deterministic autotune: predict, prune, measure the first B\n\
+                    survivors in enumeration order, explain;\n\
                     --threads N tuning workers, default HMM_THREADS env, else all cores)\n\
              batch: hmm-cli batch --cmd <sum|reduce|conv|prefix|sort> --sweep <n|k|p|w|l|d>\n\
                     [--values a,b,c | --from A --to B] [--threads N]\n\
                     (parallel parameter sweep; --threads N batch workers, default\n\
                     HMM_THREADS env, else all cores; exit 2 if any point errors)\n\
-             lint:  hmm-cli lint --all | --kernel <name>   (exit 2 on error findings)\n\n\
+             lint:  hmm-cli lint --all | --kernel <name>   (exit 2 on error findings)\n\
+             a flag the command does not read is an argument error (exit 2)\n\n\
              example: hmm-cli conv --machine hmm --n 4096 --k 64 --p 2048 --d 16 --json",
         );
         return;

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 const ALGOS: [&str; 5] = ["sum", "reduce", "conv", "prefix", "sort"];
 
 /// Split `sum-hmm` into the algorithm and the optional machine suffix.
-fn split_subject(subject: &str) -> Result<(String, Option<&'static str>), CliError> {
+pub(crate) fn split_subject(subject: &str) -> Result<(String, Option<&'static str>), CliError> {
     let (algo, kind) = ["dmm", "umm", "hmm"]
         .iter()
         .find_map(|&k| {
@@ -58,8 +58,8 @@ pub(crate) fn execute_profile(a: &Args) -> Result<Outcome, CliError> {
         a.set("machine", kind);
     }
     let spec = machine_spec(&a)?;
-    let buckets = a.get_usize("buckets", hmm_machine::engine::DEFAULT_PROFILE_BUCKETS)?;
-    let top = a.get_usize("top", 10)?;
+    let buckets = a.get_num("buckets", hmm_machine::engine::DEFAULT_PROFILE_BUCKETS)?;
+    let top = a.get_num("top", 10)?;
     let profile_out = a.get_str("profile-out", "");
     let perfetto_out = a.get_str("perfetto-out", "");
 

@@ -104,7 +104,12 @@ impl From<hmm_machine::SimError> for CliError {
 
 impl From<hmm_tune::TuneError> for CliError {
     fn from(e: hmm_tune::TuneError) -> Self {
-        CliError::Tune(e)
+        match e {
+            hmm_tune::TuneError::EmptyProblem => {
+                CliError::Invalid("--n 0: the problem size must be at least 1".into())
+            }
+            e => CliError::Tune(e),
+        }
     }
 }
 
@@ -127,7 +132,7 @@ pub(crate) fn machine_spec(a: &Args) -> Result<MachineSpec, CliError> {
         ("l", "latency"),
         ("p", "thread count"),
     ] {
-        if a.get_usize(flag, 1)? == 0 {
+        if a.get_num::<usize>(flag, 1)? == 0 {
             return Err(CliError::Invalid(format!(
                 "--{flag} 0: the {what} must be at least 1"
             )));
@@ -135,13 +140,13 @@ pub(crate) fn machine_spec(a: &Args) -> Result<MachineSpec, CliError> {
     }
     Ok(MachineSpec {
         kind,
-        n: a.get_usize("n", 1 << 14)?,
-        k: a.get_usize("k", 32)?,
-        p: a.get_usize("p", 2048)?,
-        w: a.get_usize("w", 32)?,
-        l: a.get_usize("l", 256)?,
-        d: a.get_usize("d", 16)?,
-        seed: a.get_u64("seed", 1)?,
+        n: a.get_num("n", 1 << 14)?,
+        k: a.get_num("k", 32)?,
+        p: a.get_num("p", 2048)?,
+        w: a.get_num("w", 32)?,
+        l: a.get_num("l", 256)?,
+        d: a.get_num("d", 16)?,
+        seed: a.get_num("seed", 1)?,
     })
 }
 
@@ -169,12 +174,51 @@ impl MachineSpec {
     }
 }
 
-/// Execute a parsed command line.
+/// The simulation commands `batch` can sweep.
+const BATCH_COMMANDS: [&str; 5] = ["sum", "reduce", "conv", "prefix", "sort"];
+
+/// The flags each command reads; `None` for an unknown command.
+/// `profile` and `batch` also read the flags of the algorithm they run.
+#[rustfmt::skip]
+fn flag_table(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "sum" | "reduce" => &["json", "machine", "n", "k", "p", "w", "l", "d", "seed", "op"],
+        "conv" | "prefix" | "sort" => &["json", "machine", "n", "k", "p", "w", "l", "d", "seed"],
+        "profile" => &["buckets", "top", "profile-out", "perfetto-out"],
+        "tune" => &["json", "n", "seed", "budget", "threads", "space", "out", "top"],
+        "batch" => &["cmd", "sweep", "values", "from", "to", "threads"],
+        "lint" => &["json", "n", "k", "p", "w", "d", "all", "kernel"],
+        "info" => &["json"],
+        _ => return None,
+    })
+}
+
+/// Check the command line against its flag table (see
+/// [`Args::check_flags`]). Only `profile` and `tune` take a subject.
+fn check_flags(a: &Args) -> Result<(), CliError> {
+    let own = flag_table(&a.command).ok_or_else(|| CliError::UnknownCommand(a.command.clone()))?;
+    let algo = match (a.command.as_str(), a.subject()) {
+        ("profile", subject) => crate::profile::split_subject(subject.unwrap_or("sum-hmm"))?.0,
+        ("batch", _) => a.get_choice("cmd", "sum", &BATCH_COMMANDS)?,
+        ("tune", _) | (_, None) => String::new(),
+        (_, Some(subject)) => return Err(ParseError::NotAFlag(subject.into()).into()),
+    };
+    let accepted = [own, flag_table(&algo).unwrap_or_default()].concat();
+    Ok(a.check_flags(&accepted, &["json", "all"])?)
+}
+
+/// Execute a parsed command line. Every flag is checked against the
+/// command's flag table before anything runs or writes.
 ///
 /// # Errors
 /// Returns a [`CliError`] for bad arguments or simulation failures.
-#[allow(clippy::too_many_lines)]
 pub fn execute(a: &Args) -> Result<Outcome, CliError> {
+    check_flags(a)?;
+    run_command(a)
+}
+
+/// Execute a command line whose flags are already checked.
+fn run_command(a: &Args) -> Result<Outcome, CliError> {
     match a.command.as_str() {
         "info" => {
             let g = presets::gtx580();
@@ -326,8 +370,8 @@ fn sweep_values(a: &Args) -> Result<Vec<usize>, CliError> {
             })
             .collect();
     }
-    let from = a.get_usize("from", 256)?.max(1);
-    let to = a.get_usize("to", 4096)?;
+    let from = a.get_num::<usize>("from", 256)?.max(1);
+    let to = a.get_num("to", 4096)?;
     let mut values = Vec::new();
     let mut v = from;
     while v <= to {
@@ -349,10 +393,10 @@ fn sweep_values(a: &Args) -> Result<Vec<usize>, CliError> {
 /// failure is reported in its own row and the binary exits with status 2
 /// after the surviving points have printed.
 fn run_batch(a: &Args) -> Result<Outcome, CliError> {
-    let cmd = a.get_choice("cmd", "sum", &["sum", "reduce", "conv", "prefix", "sort"])?;
+    let cmd = a.get_choice("cmd", "sum", &BATCH_COMMANDS)?;
     let key = a.get_choice("sweep", "n", &["n", "k", "p", "w", "l", "d"])?;
     let values = sweep_values(a)?;
-    let threads = a.get_usize("threads", 0)?;
+    let threads = a.get_num("threads", 0)?;
     let runner = if threads == 0 {
         BatchRunner::new()
     } else {
@@ -367,7 +411,7 @@ fn run_batch(a: &Args) -> Result<Outcome, CliError> {
             (v, sub)
         })
         .collect();
-    let results = runner.run_keyed(jobs, |(_, sub)| execute(sub));
+    let results = runner.run_keyed(jobs, |(_, sub)| run_command(sub));
 
     let mut summary = format!(
         "batch {cmd}: sweep --{key} over {} points, {} batch threads",
@@ -582,6 +626,49 @@ mod tests {
         assert!(matches!(
             run_line("batch --values 1,two"),
             Err(CliError::Parse(ParseError::BadNumber(..)))
+        ));
+    }
+
+    /// Every command line the README, the CI workflow and the help text
+    /// show passes the flag check.
+    #[test]
+    fn documented_command_lines_pass_the_flag_check() {
+        for line in [
+            "conv --machine hmm --n 4096 --k 64 --p 2048 --d 16 --json",
+            "sort --machine umm --n 1024 --p 256 --json",
+            "batch --cmd sum --sweep n --from 1024 --to 16384 --threads 4",
+            "profile sum-hmm --n 16384 --p 2048 --d 16",
+            "profile conv-hmm --top 5 --json",
+            "profile sort-umm --perfetto-out sort.perfetto.json",
+            "profile sum-hmm --n 4096 --p 512 --d 8 --w 16 --l 64 \
+             --profile-out a.json --perfetto-out b.json",
+            "tune sum --seed 42 --budget 64",
+            "tune conv --space warps=1,2,4;pad=0,1;unroll=1,2 --budget 6 --out tune-conv.json",
+            "tune sum --n 512 --space warps=1,2;pad=0,1;swizzle=0,1 --budget 16 --seed 42 \
+             --threads 1 --out tune-sum.json",
+            "reduce --op min --machine hmm --n 256 --p 32 --w 4 --l 4 --d 4",
+            "lint --all",
+            "lint --kernel figure1-column --json",
+            "info",
+        ] {
+            let args = Args::parse(line.split_whitespace().map(String::from)).unwrap();
+            check_flags(&args).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+    }
+
+    #[test]
+    fn switches_take_no_value_and_other_flags_need_one() {
+        assert!(matches!(
+            run_line("sum --json 1"),
+            Err(CliError::Parse(ParseError::NotAFlag(v))) if v == "1"
+        ));
+        assert!(matches!(
+            run_line("sum --n"),
+            Err(CliError::Parse(ParseError::MissingValue(k))) if k == "n"
+        ));
+        assert!(matches!(
+            run_line("sum extra --n 4"),
+            Err(CliError::Parse(ParseError::NotAFlag(v))) if v == "extra"
         ));
     }
 

@@ -1,24 +1,21 @@
 //! The `tune` command: front end for the `hmm-tune` autotuner.
 
-use hmm_tune::{tune, StrategyKind, TuneConfig, TuneSpace};
+use hmm_tune::{tune, TuneConfig, TuneError, TuneSpace};
 
-use crate::args::{Args, ParseError};
+use crate::args::Args;
 use crate::run::{CliError, Outcome};
 
 /// Run the autotuner over one algorithm family.
 pub(crate) fn execute_tune(a: &Args) -> Result<Outcome, CliError> {
     let algo = a.subject().unwrap_or("sum");
     let mut cfg = TuneConfig::new(algo);
-    cfg.n = a.get_usize("n", 0)?;
-    cfg.seed = a.get_u64("seed", cfg.seed)?;
-    cfg.budget = a.get_usize("budget", cfg.budget)?;
-    cfg.threads = a.get_usize("threads", 0)?;
-    let strat = a.get_str("strategy", "grid");
-    cfg.strategy = StrategyKind::parse(&strat)
-        .ok_or_else(|| ParseError::BadChoice("strategy".into(), strat))?;
+    cfg.n = a.get_num("n", cfg.n)?;
+    cfg.seed = a.get_num("seed", cfg.seed)?;
+    cfg.budget = a.get_num("budget", cfg.budget)?;
+    cfg.threads = a.get_num("threads", 0)?;
     let spec = a.get_str("space", "");
     if !spec.is_empty() {
-        cfg.space = TuneSpace::parse(&spec).map_err(hmm_tune::TuneError::from)?;
+        cfg.space = TuneSpace::parse(&spec).map_err(TuneError::from)?;
     }
 
     let report = tune(&cfg)?;
@@ -28,7 +25,7 @@ pub(crate) fn execute_tune(a: &Args) -> Result<Outcome, CliError> {
         std::fs::write(&out_path, json.to_json_pretty())
             .map_err(|e| CliError::Io(out_path.clone(), e))?;
     }
-    let top = a.get_usize("top", 10)?;
+    let top = a.get_num("top", 10)?;
     Ok(Outcome {
         summary: report.render_text(top).trim_end().to_string(),
         json: Some(json),
@@ -60,9 +57,9 @@ mod tests {
     }
 
     #[test]
-    fn tune_rejects_bad_strategy_and_space() {
+    fn tune_rejects_bad_flags_and_space() {
         assert!(matches!(
-            run_line("tune sum --strategy simulated-annealing"),
+            run_line("tune sum --strategy hill"),
             Err(CliError::Parse(_))
         ));
         assert!(matches!(

@@ -101,6 +101,39 @@ fn batch_keeps_reporting_past_a_rejected_point() {
     assert!(err.starts_with("simulation error"), "{err}");
 }
 
+/// A flag the command does not read is an argument error naming the
+/// flag, raised before anything runs or writes: `tune --out` leaves no
+/// file behind.
+#[test]
+fn unknown_flags_exit_2_before_anything_runs() {
+    let out =
+        std::env::temp_dir().join(format!("hmm-cli-unknown-flag-{}.json", std::process::id()));
+    let out = out.to_str().unwrap();
+    for (line, flag) in [
+        (
+            format!("tune sum --strategy hill --out {out}"),
+            "--strategy",
+        ),
+        ("sum --budget 3".to_string(), "--budget"),
+        ("sum --bogus 1".to_string(), "--bogus"),
+        ("conv --op min".to_string(), "--op"),
+        ("profile conv-hmm --op min".to_string(), "--op"),
+        ("batch --cmd sort --threads 1 --op max".to_string(), "--op"),
+        ("lint --all --l 4".to_string(), "--l"),
+        ("info --n 4".to_string(), "--n"),
+    ] {
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        let err = run(&tokens).expect_err("an unknown flag must be rejected");
+        assert!(
+            matches!(err, CliError::Parse(_)) && err.exit_code() == 2,
+            "{line}: {err}"
+        );
+        let says = format!("no flag {flag} ");
+        assert!(err.to_string().contains(&says), "{line}: {err}");
+    }
+    assert!(!std::path::Path::new(out).exists(), "{out} was written");
+}
+
 /// Parameters no kernel can be built or launched for are rejected up
 /// front with an error naming the flag, instead of panicking in a kernel
 /// builder (`lint`) or running with a silently raised thread count
@@ -118,6 +151,8 @@ fn out_of_range_parameters_are_invalid() {
         ("lint --all --p 100 --d 3", "--d"),
         ("lint --all --n 0", "--n"),
         ("lint --all --n 1", "--n"),
+        ("tune sum --n 0", "--n"),
+        ("tune conv --n 0", "--n"),
     ] {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         match run(&tokens) {

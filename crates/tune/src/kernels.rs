@@ -85,8 +85,6 @@ pub struct TunedKernel {
     pub out_len: usize,
     /// The candidate's Θ-shape for the static cost model.
     pub theta: ThetaTerms,
-    /// The transforms that were applied, by stable name.
-    pub transforms: Vec<String>,
 }
 
 /// An algorithm family the tuner can search over.
@@ -348,7 +346,6 @@ impl Tunable for SumTunable {
             out_base: n,
             out_len: 1,
             theta,
-            transforms: transforms.iter().map(Transform::name).collect(),
         })
     }
 }
@@ -490,7 +487,6 @@ impl Tunable for ConvTunable {
             out_base,
             out_len: n,
             theta,
-            transforms: transforms.iter().map(Transform::name).collect(),
         })
     }
 }

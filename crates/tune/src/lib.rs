@@ -9,16 +9,18 @@
 //!
 //! 1. the `hmm-analysis` conflict/coalescing predictor scores every
 //!    candidate statically and prunes the dominated ones;
-//! 2. survivors are simulated exactly, in parallel, with results
-//!    validated against the sequential references;
+//! 2. the first `budget` survivors in enumeration order are simulated
+//!    exactly, in parallel, with results validated against the
+//!    sequential references;
 //! 3. the winner is explained by diffing its cycle-accounting profile
 //!    against the baseline's.
 //!
-//! Reports are bit-identical across runs and worker thread counts: all
-//! randomness comes from the run seed, all decisions are taken between
-//! order-stable measurement waves, and no wall-clock values are
-//! recorded. See `DESIGN.md` ("The autotuner") for the architecture and
-//! how the paper's Θ-terms bound the space worth declaring.
+//! Reports are bit-identical across runs and worker thread counts: the
+//! input data comes from the run seed, the measured set depends only on
+//! the space and the budget, results come back order-stable, and no
+//! wall-clock values are recorded. See `DESIGN.md` ("The autotuner")
+//! for the architecture and how the paper's Θ-terms bound the space
+//! worth declaring.
 //!
 //! ```
 //! use hmm_tune::{tune, TuneConfig, TuneSpace};
@@ -37,13 +39,9 @@
 pub mod kernels;
 pub mod report;
 pub mod space;
-pub mod strategy;
 pub mod tuner;
 
 pub use kernels::{tunable, tunable_names, BuildError, Tunable, TunedKernel};
 pub use report::{EntryStatus, ExplainRow, TuneEntry, TuneReport};
 pub use space::{Candidate, SpaceError, TuneSpace, MAX_CANDIDATES};
-pub use strategy::{
-    GridStrategy, HillClimbStrategy, RandomStrategy, SearchCtx, Strategy, StrategyKind,
-};
 pub use tuner::{tune, TuneConfig, TuneError};

@@ -3,8 +3,8 @@
 //!
 //! Reports deliberately contain **no wall-clock times and no worker
 //! thread counts** — only simulated quantities and the run's declared
-//! inputs — so the same `(algo, n, seed, space, strategy, budget)`
-//! produces byte-identical output at any batch worker count, which the golden
+//! inputs — so the same `(algo, n, seed, space, budget)` produces
+//! byte-identical output at any batch worker count, which the golden
 //! tests pin.
 
 use crate::tuner::PRUNE_FACTOR;
@@ -19,7 +19,9 @@ pub enum EntryStatus {
     /// Statically dominated: predicted more than `PRUNE_FACTOR` (8) × the
     /// best prediction, never simulated.
     Pruned,
-    /// Survived pruning but the budget/strategy never reached it.
+    /// Survived pruning but lies past the measurement budget: the
+    /// tuner measures live candidates in enumeration order and stops
+    /// after `budget` of them.
     Skipped,
     /// Simulated successfully.
     Measured,
@@ -89,19 +91,15 @@ pub struct TuneReport {
     pub algo: String,
     /// Problem size.
     pub n: usize,
-    /// Seed for inputs and stochastic strategies.
+    /// Seed for the input data.
     pub seed: u64,
     /// Measurement budget (baseline measurement is not counted).
     pub budget: usize,
-    /// Strategy name.
-    pub strategy: String,
     /// Canonical space spec ([`crate::TuneSpace::render`]).
     pub space: String,
     /// Candidates enumerated (incl. an appended baseline if the space
     /// itself does not contain it).
     pub candidates: usize,
-    /// Candidates simulated (baseline included).
-    pub evaluated: usize,
     /// Baseline candidate id.
     pub baseline_id: String,
     /// Baseline simulated time units.
@@ -200,13 +198,12 @@ impl TuneReport {
             ("n", self.n.into()),
             ("seed", self.seed.into()),
             ("budget", self.budget.into()),
-            ("strategy", self.strategy.clone().into()),
             ("space", self.space.clone().into()),
             ("prune_factor", r4(PRUNE_FACTOR).into()),
             ("candidates", self.candidates.into()),
             ("infeasible", self.count(EntryStatus::Infeasible).into()),
             ("pruned", self.count(EntryStatus::Pruned).into()),
-            ("evaluated", self.evaluated.into()),
+            ("evaluated", self.count(EntryStatus::Measured).into()),
             (
                 "baseline",
                 Value::object(vec![
@@ -237,8 +234,8 @@ impl TuneReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "tune {}: n={} seed={} strategy={} budget={}",
-            self.algo, self.n, self.seed, self.strategy, self.budget
+            "tune {}: n={} seed={} budget={}",
+            self.algo, self.n, self.seed, self.budget
         );
         let _ = writeln!(out, "space: {}", self.space);
         let _ = writeln!(
@@ -247,7 +244,7 @@ impl TuneReport {
             self.candidates,
             self.count(EntryStatus::Infeasible),
             self.count(EntryStatus::Pruned),
-            self.evaluated,
+            self.count(EntryStatus::Measured),
             self.count(EntryStatus::Skipped),
         );
         out.push('\n');
@@ -289,7 +286,8 @@ impl TuneReport {
         let _ = writeln!(
             out,
             "cost model: mean |err| {:.1}% over {} measured candidates",
-            self.mean_abs_error_pct, self.evaluated
+            self.mean_abs_error_pct,
+            self.count(EntryStatus::Measured)
         );
         if !self.explain.is_empty() {
             out.push('\n');
@@ -335,10 +333,8 @@ mod tests {
             n: 64,
             seed: 42,
             budget: 8,
-            strategy: "grid".into(),
             space: "d=4".into(),
             candidates: 3,
-            evaluated: 2,
             baseline_id: "base".into(),
             baseline_time: 200,
             winner_id: "win".into(),

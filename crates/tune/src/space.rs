@@ -6,8 +6,8 @@
 //! [`hmm_lang::Transform`] rewrites. The cross product of the axes is
 //! the candidate set; enumeration order is a **mixed-radix counter**
 //! (first axis slowest, last fastest), which gives every candidate a
-//! stable index, makes `--strategy grid` deterministic, and gives hill
-//! climbing a natural neighbourhood (±1 step along one axis).
+//! stable index and is the order the tuner measures in, so a budget
+//! smaller than the space always measures the same candidates.
 //!
 //! The paper's Table I/II Θ-terms bound what is worth declaring here:
 //! time only ever enters through `n/w`, `nl/p`, `l`, `log n` and the
@@ -276,9 +276,13 @@ impl TuneSpace {
         )
     }
 
-    /// Axis lengths in enumeration order (first slowest).
-    fn radices(&self) -> [usize; 8] {
-        [
+    /// Every candidate, in mixed-radix order (see module docs).
+    ///
+    /// # Errors
+    /// [`SpaceError::TooLarge`] past [`MAX_CANDIDATES`],
+    /// [`SpaceError::BadClause`] when an axis is empty.
+    pub fn enumerate(&self) -> Result<Vec<Candidate>, SpaceError> {
+        let radices = [
             self.d.len(),
             self.w.len(),
             self.l.len(),
@@ -287,57 +291,32 @@ impl TuneSpace {
             self.swizzle.len(),
             self.transpose.len(),
             self.unroll.len(),
-        ]
-    }
-
-    /// Number of candidates the space enumerates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.radices().iter().product()
-    }
-
-    /// Whether the space is empty (an axis with no values).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The candidate at mixed-radix index `idx` (see module docs).
-    #[must_use]
-    pub fn candidate(&self, idx: usize) -> Candidate {
-        let r = self.radices();
-        let mut rem = idx;
-        let mut digit = [0usize; 8];
-        for (i, radix) in r.iter().enumerate().rev() {
-            digit[i] = rem % radix;
-            rem /= radix;
-        }
-        Candidate {
-            d: self.d[digit[0]],
-            w: self.w[digit[1]],
-            l: self.l[digit[2]],
-            warps: self.warps[digit[3]],
-            pad: self.pad[digit[4]],
-            swizzle: self.swizzle[digit[5]],
-            transpose: self.transpose[digit[6]],
-            unroll: self.unroll[digit[7]],
-        }
-    }
-
-    /// Every candidate, in mixed-radix order.
-    ///
-    /// # Errors
-    /// [`SpaceError::TooLarge`] past [`MAX_CANDIDATES`],
-    /// [`SpaceError::BadClause`] when an axis is empty.
-    pub fn enumerate(&self) -> Result<Vec<Candidate>, SpaceError> {
-        if self.is_empty() {
+        ];
+        let n: usize = radices.iter().product();
+        if n == 0 {
             return Err(SpaceError::BadClause("empty axis".into()));
         }
-        let n = self.len();
         if n > MAX_CANDIDATES {
             return Err(SpaceError::TooLarge { candidates: n });
         }
-        Ok((0..n).map(|i| self.candidate(i)).collect())
+        let candidate = |mut rem: usize| {
+            let mut digit = [0usize; 8];
+            for (i, radix) in radices.iter().enumerate().rev() {
+                digit[i] = rem % radix;
+                rem /= radix;
+            }
+            Candidate {
+                d: self.d[digit[0]],
+                w: self.w[digit[1]],
+                l: self.l[digit[2]],
+                warps: self.warps[digit[3]],
+                pad: self.pad[digit[4]],
+                swizzle: self.swizzle[digit[5]],
+                transpose: self.transpose[digit[6]],
+                unroll: self.unroll[digit[7]],
+            }
+        };
+        Ok((0..n).map(candidate).collect())
     }
 
     /// The untuned default: the first value of every machine axis with
@@ -357,40 +336,6 @@ impl TuneSpace {
             unroll: 1,
         }
     }
-
-    /// Indices one ±1 axis-step away from `idx` — the hill-climbing
-    /// neighbourhood. At most 16 entries, in (axis, −, +) order.
-    #[must_use]
-    pub fn neighbors(&self, idx: usize) -> Vec<usize> {
-        let r = self.radices();
-        let mut rem = idx;
-        let mut digit = [0usize; 8];
-        for (i, radix) in r.iter().enumerate().rev() {
-            digit[i] = rem % radix;
-            rem /= radix;
-        }
-        let index_of = |digit: &[usize; 8]| {
-            let mut acc = 0usize;
-            for i in 0..8 {
-                acc = acc * r[i] + digit[i];
-            }
-            acc
-        };
-        let mut out = Vec::new();
-        for axis in 0..8 {
-            if digit[axis] > 0 {
-                let mut d2 = digit;
-                d2[axis] -= 1;
-                out.push(index_of(&d2));
-            }
-            if digit[axis] + 1 < r[axis] {
-                let mut d2 = digit;
-                d2[axis] += 1;
-                out.push(index_of(&d2));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -402,16 +347,15 @@ mod tests {
         let s = TuneSpace::default();
         let all = s.enumerate().unwrap();
         assert_eq!(all.len(), 48);
-        assert_eq!(all.len(), s.len());
         // Index 0 is the all-first-values candidate == the baseline.
         assert_eq!(all[0], s.baseline());
-        // The last axis (unroll) is the fastest-varying digit.
+        // The last axis (unroll) is the fastest-varying digit, the
+        // first (d) the slowest.
         assert_eq!(all[0].unroll, 1);
         assert_eq!(all[1].unroll, 2);
         assert!(!all[1].transpose);
-        for (i, c) in all.iter().enumerate() {
-            assert_eq!(s.candidate(i), *c);
-        }
+        assert!(all[2].transpose);
+        assert_eq!((all[15].warps, all[16].warps), (1, 2));
     }
 
     #[test]
@@ -424,7 +368,7 @@ mod tests {
         // Unnamed axes collapse to their baseline value.
         assert_eq!(s.warps, vec![1]);
         assert_eq!(s.swizzle, vec![false]);
-        assert_eq!(s.len(), 2 * 2 * 3);
+        assert_eq!(s.enumerate().unwrap().len(), 2 * 2 * 3);
         // Round-trips through render.
         assert_eq!(TuneSpace::parse(&s.render()).unwrap(), s);
     }
@@ -472,33 +416,5 @@ mod tests {
         assert_eq!(c.pd(), 16);
         let b = TuneSpace::default().baseline();
         assert_eq!(b.id(), "d4w8l32x1");
-    }
-
-    #[test]
-    fn neighbors_step_one_axis() {
-        let s = TuneSpace::default();
-        let all = s.enumerate().unwrap();
-        for idx in [0, 7, 47] {
-            for &n in &s.neighbors(idx) {
-                assert_ne!(n, idx);
-                let (a, b) = (all[idx], all[n]);
-                let diffs = [
-                    a.d != b.d,
-                    a.w != b.w,
-                    a.l != b.l,
-                    a.warps != b.warps,
-                    a.pad != b.pad,
-                    a.swizzle != b.swizzle,
-                    a.transpose != b.transpose,
-                    a.unroll != b.unroll,
-                ]
-                .iter()
-                .filter(|&&x| x)
-                .count();
-                assert_eq!(diffs, 1, "{idx} -> {n}");
-            }
-        }
-        // Corner candidate 0 has one neighbour per axis with >1 values.
-        assert_eq!(s.neighbors(0).len(), 5);
     }
 }

@@ -8,50 +8,48 @@
 //!    best prediction are statically dominated and never simulated (the
 //!    baseline is always kept as the calibration anchor); their kernels
 //!    are dropped.
-//! 3. *Measure*: the strategy proposes waves of survivors; each wave is
-//!    simulated exactly — in parallel via the keyed batch runner, one
-//!    launch per worker, each launching the kernel stage 1 built — and
-//!    validated against the host reference. The baseline is measured
-//!    first, outside the budget, so the winner can never be slower than
-//!    the untuned default. One-point calibration against the baseline
-//!    turns raw scores into predicted time units, and every measured
-//!    candidate gets a predicted-vs-measured error — the model audits
-//!    itself.
+//! 3. *Measure*: the baseline is measured first, outside the budget, so
+//!    the winner can never be slower than the untuned default. Then one
+//!    wave — the first `budget` survivors other than the baseline, in
+//!    enumeration order — is simulated exactly, in parallel via the
+//!    keyed batch runner, one launch per worker, each launching the
+//!    kernel stage 1 built, and validated against the host reference.
+//!    Survivors past the budget are reported `skipped`. One-point
+//!    calibration against the baseline turns raw scores into predicted
+//!    time units, and every measured candidate gets a
+//!    predicted-vs-measured error — the model audits itself.
 //! 4. *Explain*: the winner and the baseline are re-run with the
 //!    cycle-accounting profiler on, and the report shows where the
 //!    saved thread-cycles came from (bank conflicts, latency, barriers).
 //!
-//! Determinism: all decisions happen between waves, wave results are
-//! order-stable ([`BatchRunner::run_keyed`]), and stochastic strategies
-//! derive from the run seed — so reports are bit-identical across runs
-//! and worker thread counts.
+//! Determinism: which candidates are measured depends only on the space
+//! and the budget, and wave results are order-stable
+//! ([`BatchRunner::run_keyed`]) — so reports are bit-identical across
+//! runs and worker thread counts.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use hmm_analysis::{analyze, AnalysisConfig};
-use hmm_core::{BatchRunner, Keyed, LaunchShape, Machine, Word};
+use hmm_core::{BatchRunner, LaunchShape, Machine, Word};
 use hmm_machine::profile::{LaunchProfile, StallCategory};
 
 use crate::kernels::{tunable, tunable_names, Tunable, TunedKernel};
 use crate::report::{EntryStatus, ExplainRow, TuneEntry, TuneReport};
 use crate::space::{Candidate, SpaceError, TuneSpace};
-use crate::strategy::{SearchCtx, StrategyKind};
 
 /// Everything a tuning run needs.
 #[derive(Debug, Clone)]
 pub struct TuneConfig {
     /// Algorithm family (`sum`, `conv`).
     pub algo: String,
-    /// Problem size; `0` uses the family default.
+    /// Problem size; at least 1.
     pub n: usize,
-    /// Seed for input data and stochastic strategies.
+    /// Seed for the input data.
     pub seed: u64,
     /// Maximum candidates to simulate (baseline not counted).
     pub budget: usize,
     /// Batch worker threads; `0` = automatic (`HMM_THREADS` / cores).
     pub threads: usize,
-    /// Search strategy.
-    pub strategy: StrategyKind,
     /// The declared space.
     pub space: TuneSpace,
 }
@@ -61,17 +59,17 @@ pub struct TuneConfig {
 pub(crate) const PRUNE_FACTOR: f64 = 8.0;
 
 impl TuneConfig {
-    /// Defaults for `algo`: family-default `n`, seed 42, budget 64,
-    /// automatic threads, grid strategy over the stock space.
+    /// Defaults for `algo`: the family's default `n` (0 for an unknown
+    /// family, which [`tune`] rejects by name), seed 42, budget 64,
+    /// automatic threads, the stock space.
     #[must_use]
     pub fn new(algo: &str) -> Self {
         Self {
             algo: algo.into(),
-            n: 0,
+            n: tunable(algo).map_or(0, |alg| alg.default_n()),
             seed: 42,
             budget: 64,
             threads: 0,
-            strategy: StrategyKind::Grid,
             space: TuneSpace::default(),
         }
     }
@@ -82,6 +80,8 @@ impl TuneConfig {
 pub enum TuneError {
     /// No tunable family with that name.
     UnknownAlgo(String),
+    /// The problem size `n` is 0.
+    EmptyProblem,
     /// The space failed to enumerate.
     Space(SpaceError),
     /// The baseline candidate could not be built, simulated or
@@ -101,6 +101,7 @@ impl std::fmt::Display for TuneError {
                     tunable_names().join(", ")
                 )
             }
+            TuneError::EmptyProblem => write!(f, "the problem size n must be at least 1"),
             TuneError::Space(e) => write!(f, "bad space: {e}"),
             TuneError::Baseline(m) => write!(f, "baseline failed: {m}"),
             TuneError::NoValidCandidate => {
@@ -206,7 +207,10 @@ fn explain_rows(baseline: &LaunchProfile, winner: &LaunchProfile) -> Vec<Explain
 pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
     let alg = tunable(&cfg.algo).ok_or_else(|| TuneError::UnknownAlgo(cfg.algo.clone()))?;
     let alg = alg.as_ref();
-    let n = if cfg.n == 0 { alg.default_n() } else { cfg.n };
+    let n = cfg.n;
+    if n == 0 {
+        return Err(TuneError::EmptyProblem);
+    }
 
     // The candidate set: the enumerated space, plus the baseline
     // appended when the declared space does not contain it (it is the
@@ -241,32 +245,23 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
 
     // Stage 2: prune statically dominated candidates and drop their
     // kernels.
-    let predicted_scores: Vec<Option<f64>> = predictions
+    let raw = |p: &Result<Prediction, String>| p.as_ref().ok().map(|p| p.raw);
+    let best_raw = predictions
         .iter()
-        .map(|p| p.as_ref().ok().map(|p| p.raw))
-        .collect();
-    let raw = |i: usize| predicted_scores[i];
-    let best_raw = (0..candidates.len())
         .filter_map(raw)
         .min_by(f64::total_cmp)
         .expect("baseline predicted");
-    let live: BTreeSet<usize> = (0..candidates.len())
-        .filter(|&i| raw(i).is_some_and(|r| r <= PRUNE_FACTOR * best_raw) || i == baseline_idx)
-        .collect();
+    let baseline_raw = raw(&predictions[baseline_idx]).expect("baseline predicted");
+    let mut live = BTreeSet::new();
     for (i, p) in predictions.iter_mut().enumerate() {
         if let Ok(p) = p {
-            if !live.contains(&i) {
+            if p.raw <= PRUNE_FACTOR * best_raw || i == baseline_idx {
+                live.insert(i);
+            } else {
                 p.kernel = None;
             }
         }
     }
-    let mut ranked: Vec<usize> = live.iter().copied().collect();
-    ranked.sort_by(|&a, &b| {
-        raw(a)
-            .unwrap_or(f64::INFINITY)
-            .total_cmp(&raw(b).unwrap_or(f64::INFINITY))
-            .then(a.cmp(&b))
-    });
 
     // Stage 3: measure. Baseline first, outside the budget.
     let input = alg.input(n, cfg.seed);
@@ -279,65 +274,38 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
             .and_then(|p| p.kernel.as_ref())
             .expect("a live candidate keeps its kernel")
     };
-    let measure = |wave: Vec<usize>, profiled: bool| -> Vec<Keyed<usize, Measurement>> {
-        runner.run_keyed(wave, |&i| {
-            evaluate(kernel(i), &candidates[i], &input, &expect, profiled)
-        })
-    };
-
-    let mut results: BTreeMap<usize, Measurement> = BTreeMap::new();
-    let mut times: BTreeMap<usize, u64> = BTreeMap::new();
-    let record = |wave: Vec<Keyed<usize, Measurement>>,
-                  results: &mut BTreeMap<usize, Measurement>,
-                  times: &mut BTreeMap<usize, u64>| {
-        for k in wave {
-            if k.result.error.is_none() {
-                times.insert(k.config, k.result.time);
-            }
-            results.insert(k.config, k.result);
-        }
-    };
-    record(measure(vec![baseline_idx], false), &mut results, &mut times);
-    {
-        let b = &results[&baseline_idx];
-        if let Some(e) = &b.error {
-            return Err(TuneError::Baseline(format!("simulation error: {e}")));
-        }
-        if !b.valid {
-            return Err(TuneError::Baseline(
-                "output does not match the sequential reference".into(),
-            ));
-        }
-    }
-    let baseline_time = results[&baseline_idx].time;
-
-    let mut strat = cfg.strategy.build(cfg.seed);
-    let mut remaining = cfg.budget;
-    while remaining > 0 {
-        let ctx = SearchCtx {
-            space: &cfg.space,
-            candidates: &candidates,
-            ranked: &ranked,
-            predicted: &predicted_scores,
-            measured: &times,
-            remaining,
-        };
-        let proposed = strat.next_wave(&ctx);
-        let mut seen = BTreeSet::new();
-        let wave: Vec<usize> = proposed
+    let measure = |wave: Vec<usize>, profiled: bool| {
+        runner
+            .run_keyed(wave, |&i| {
+                evaluate(kernel(i), &candidates[i], &input, &expect, profiled)
+            })
             .into_iter()
-            .filter(|i| live.contains(i) && !results.contains_key(i) && seen.insert(*i))
-            .take(remaining)
-            .collect();
-        if wave.is_empty() {
-            break;
-        }
-        remaining -= wave.len();
-        record(measure(wave, false), &mut results, &mut times);
+            .map(|k| (k.config, k.result))
+    };
+
+    let mut results: BTreeMap<usize, Measurement> = measure(vec![baseline_idx], false).collect();
+    let b = &results[&baseline_idx];
+    if let Some(e) = &b.error {
+        return Err(TuneError::Baseline(format!("simulation error: {e}")));
     }
+    if !b.valid {
+        return Err(TuneError::Baseline(
+            "output does not match the sequential reference".into(),
+        ));
+    }
+    let baseline_time = b.time;
+
+    // The one search wave: the live candidates in enumeration order,
+    // capped by the budget.
+    let wave: Vec<usize> = live
+        .iter()
+        .copied()
+        .filter(|&i| i != baseline_idx)
+        .take(cfg.budget)
+        .collect();
+    results.extend(measure(wave, false));
 
     // Calibrate: one point, the baseline.
-    let baseline_raw = raw(baseline_idx).expect("baseline predicted");
     let scale = baseline_time as f64 / baseline_raw;
 
     // The winner: fastest valid measurement (ties to the earlier
@@ -351,8 +319,8 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
     let winner_time = results[&winner_idx].time;
 
     // Stage 4: explain the winner against the baseline.
-    let profiled = measure(vec![baseline_idx, winner_idx], true);
-    let explain = match (&profiled[0].result.profile, &profiled[1].result.profile) {
+    let profiled: Vec<_> = measure(vec![baseline_idx, winner_idx], true).collect();
+    let explain = match (&profiled[0].1.profile, &profiled[1].1.profile) {
         (Some(b), Some(w)) => explain_rows(b, w),
         _ => Vec::new(),
     };
@@ -408,10 +376,8 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
         n,
         seed: cfg.seed,
         budget: cfg.budget,
-        strategy: strat.name().into(),
         space: cfg.space.render(),
         candidates: candidates.len(),
-        evaluated: times.len(),
         baseline_id: baseline.id(),
         baseline_time,
         winner_id: candidates[winner_idx].id(),
@@ -469,16 +435,59 @@ mod tests {
     }
 
     #[test]
-    fn conv_run_succeeds_with_each_strategy() {
-        for kind in [StrategyKind::Grid, StrategyKind::Random, StrategyKind::Hill] {
-            let mut cfg = small_cfg("conv");
-            cfg.n = 96;
-            cfg.budget = 6;
-            cfg.strategy = kind;
-            let r = tune(&cfg).unwrap();
-            assert!(r.winner_time <= r.baseline_time, "{}", kind.name());
-            assert!(r.evaluated <= 6 + 1, "budget respected plus baseline");
+    fn conv_run_respects_the_budget() {
+        let mut cfg = small_cfg("conv");
+        cfg.n = 96;
+        cfg.budget = 6;
+        let r = tune(&cfg).unwrap();
+        assert!(r.winner_time <= r.baseline_time);
+        let measured = r.count(EntryStatus::Measured);
+        assert!(measured <= 6 + 1, "budget respected plus baseline");
+    }
+
+    #[test]
+    fn budget_measures_the_first_live_candidates_in_enumeration_order() {
+        let mut cfg = small_cfg("sum");
+        cfg.budget = 3;
+        cfg.threads = 1;
+        let r = tune(&cfg).unwrap();
+        let live: Vec<&TuneEntry> = r
+            .entries
+            .iter()
+            .filter(|e| e.id != r.baseline_id)
+            .filter(|e| !matches!(e.status, EntryStatus::Infeasible | EntryStatus::Pruned))
+            .collect();
+        assert!(live.len() > cfg.budget, "the space must outgrow the budget");
+        for (k, e) in live.iter().enumerate() {
+            let want = if k < cfg.budget {
+                EntryStatus::Measured
+            } else {
+                EntryStatus::Skipped
+            };
+            assert_eq!(e.status, want, "live candidate {k} ({})", e.id);
         }
+        assert_eq!(
+            r.count(EntryStatus::Measured),
+            cfg.budget + 1,
+            "the budget plus the baseline"
+        );
+        cfg.threads = 4;
+        assert_eq!(
+            r.to_json().to_json_pretty(),
+            tune(&cfg).unwrap().to_json().to_json_pretty(),
+            "a truncated search must be bit-identical at any worker count"
+        );
+    }
+
+    #[test]
+    fn zero_n_is_rejected_and_new_fills_the_family_default() {
+        for name in tunable_names() {
+            let default_n = tunable(name).unwrap().default_n();
+            assert_eq!(TuneConfig::new(name).n, default_n, "{name}");
+        }
+        let mut cfg = small_cfg("conv");
+        cfg.n = 0;
+        assert_eq!(tune(&cfg).unwrap_err(), TuneError::EmptyProblem);
     }
 
     #[test]
