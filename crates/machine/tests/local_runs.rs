@@ -1,0 +1,204 @@
+//! Pins on runs of thread-local instructions that lanes reach out of
+//! step. A bank-conflicted shared load wakes the lanes of a warp on
+//! consecutive cycles; each lane then runs a loop whose trip count
+//! depends on its loaded value and its DMM, so the lanes reach the end
+//! of the loop in an order that is neither lane order nor DMM order.
+//! The first error, the cycle limit and the report must follow
+//! simulated time exactly.
+
+use hmm_machine::abi;
+use hmm_machine::isa::Reg;
+use hmm_machine::{Asm, Engine, EngineConfig, LaunchSpec, SimError, SimReport};
+
+/// Warp width, also the stride of the conflicted access.
+const W: usize = 8;
+const ADDR: Reg = Reg(16);
+const V: Reg = Reg(17);
+const COUNT: Reg = Reg(18);
+const ACC: Reg = Reg(19);
+const T0: Reg = Reg(20);
+const T1: Reg = Reg(21);
+
+/// Two DMMs of one warp each: lane `t` of DMM `d` is thread `8d + t`.
+fn engine(max_cycles: u64, fast_forward: bool) -> Engine {
+    let mut cfg = EngineConfig::hmm(2, W, 4, 64, 64);
+    cfg.max_cycles = max_cycles;
+    cfg.fast_forward = fast_forward;
+    Engine::new(cfg).unwrap()
+}
+
+fn launch(program: hmm_machine::Program) -> LaunchSpec {
+    LaunchSpec::even(program, 2 * W, 2, vec![])
+}
+
+/// Every lane stores its `LTID` to `S[8·LTID]` and loads it back into
+/// `V`. All eight addresses sit in bank 0, so each access takes eight
+/// slots and lane `t` wakes from the load `t` cycles after lane 0. Then
+/// lane `t` of DMM `d` counts `COUNT = 2(8 − t − d)` down to zero in a
+/// four-instruction loop that adds `V` into `ACC` (`ACC = V·COUNT`), so
+/// it leaves the loop `8(8 − t − d) + 1` instructions after it woke:
+/// the highest lane of the last DMM leaves first.
+fn conflicted_countdown(a: &mut Asm) {
+    a.mul(ADDR, abi::LTID, W as i64);
+    a.st_shared(ADDR, 0, abi::LTID);
+    a.ld_shared(V, ADDR, 0);
+    a.sub(COUNT, W as i64, V);
+    a.sub(COUNT, COUNT, abi::DMM);
+    a.add(COUNT, COUNT, COUNT);
+    let top = a.here();
+    let done = a.label();
+    a.brz(COUNT, done);
+    a.sub(COUNT, COUNT, 1);
+    a.add(ACC, ACC, V);
+    a.jmp(top);
+    a.bind(done);
+}
+
+/// After the countdown, divide by `(V − 3)(V − 6)`: zero on lanes 3 and
+/// 6 of both DMMs. Lane 6 of DMM 1 (thread 14) leaves the loop first,
+/// so it is the one that divides by zero, although threads 3, 6 and 11
+/// are lower.
+#[test]
+fn division_by_a_lane_dependent_zero_follows_time_order() {
+    let mut a = Asm::new();
+    conflicted_countdown(&mut a);
+    a.sub(T0, V, 3);
+    a.sub(T1, V, 6);
+    a.mul(T0, T0, T1);
+    let div_pc = a.pc();
+    a.div(T1, ACC, T0);
+    a.halt();
+    let spec = launch(a.finish());
+    for fast_forward in [true, false] {
+        let err = engine(u64::MAX, fast_forward).run(&spec).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::DivisionByZero {
+                thread: 14,
+                pc: div_pc
+            },
+            "fast_forward {fast_forward}"
+        );
+    }
+    assert_eq!(div_pc, 13);
+}
+
+/// After the countdown, odd lanes branch to one past the last
+/// instruction. Lane 7 of DMM 1 (thread 15) leaves the loop first, so
+/// it is the one whose program counter escapes.
+#[test]
+fn a_branch_past_the_end_follows_time_order() {
+    let mut a = Asm::new();
+    let end = a.label();
+    conflicted_countdown(&mut a);
+    a.and(T0, V, 1);
+    a.brnz(T0, end);
+    a.halt();
+    a.bind(end);
+    let program = a.finish();
+    let len = program.len();
+    let spec = launch(program);
+    for fast_forward in [true, false] {
+        let err = engine(u64::MAX, fast_forward).run(&spec).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::PcOutOfRange {
+                thread: 15,
+                pc: len,
+                len
+            },
+            "fast_forward {fast_forward}"
+        );
+    }
+    assert_eq!(len, 13);
+}
+
+/// The countdown followed by a 300-iteration, five-instruction ALU loop
+/// on every lane, then `tail` and a halt.
+fn long_alu_loop(tail: impl FnOnce(&mut Asm)) -> LaunchSpec {
+    let mut a = Asm::new();
+    conflicted_countdown(&mut a);
+    a.mov(COUNT, 300);
+    let top = a.here();
+    let done = a.label();
+    a.brz(COUNT, done);
+    a.mul(T0, ACC, 3);
+    a.xor(ACC, T0, COUNT);
+    a.sub(COUNT, COUNT, 1);
+    a.jmp(top);
+    a.bind(done);
+    tail(&mut a);
+    a.halt();
+    launch(a.finish())
+}
+
+/// The launch's exact report, with both clock modes, when each lane
+/// loads one global word before it halts. Lane `t` of DMM `d` wakes from
+/// the shared load at cycle `10 + t` and leaves the countdown at
+/// `78 − 7t − 8d`; thread 0 leaves last and issues its global load 1502
+/// cycles later, at cycle 1580. Its warp's one slot dispatches then and
+/// completes 4 units later, so the clock skips units 1581–1583 and the
+/// halt issues at 1584. Each lane executes `1511 + 8(8 − t − d)`
+/// instructions.
+#[test]
+fn staggered_wakes_report_is_pinned() {
+    let spec = long_alu_loop(|a| a.ld_global(T0, abi::GID, 0));
+    let run = |fast_forward| engine(u64::MAX, fast_forward).run(&spec).unwrap();
+    let on = run(true);
+    let off = run(false);
+    assert_eq!(
+        (on.time, on.instructions, on.skipped_units),
+        (1585, 24_688, 3)
+    );
+    assert_eq!(off.skipped_units, 0);
+    assert_eq!(
+        SimReport {
+            skipped_units: 3,
+            ..off
+        },
+        on
+    );
+}
+
+/// A cycle limit inside a long ALU loop: the launch that ends at cycle
+/// `time` (its halt issues at `time − 1`) succeeds with a limit of
+/// `time` and fails with `time − 1`, with the clock jumping or walking.
+#[test]
+fn cycle_limit_inside_a_long_alu_loop() {
+    let spec = long_alu_loop(|_| {});
+    for fast_forward in [true, false] {
+        let time = engine(u64::MAX, fast_forward).run(&spec).unwrap().time;
+        assert_eq!(time, 1581);
+        assert!(engine(time, fast_forward).run(&spec).is_ok());
+        for limit in [time - 1, time / 2, 40] {
+            assert_eq!(
+                engine(limit, fast_forward).run(&spec).unwrap_err(),
+                SimError::CycleLimit { limit },
+                "limit {limit} fast_forward {fast_forward}"
+            );
+        }
+    }
+}
+
+/// A division by zero after the long loop. Thread 15 leaves the
+/// countdown first, at cycle 21, so it divides at cycle 21 + 1 + 1501 =
+/// 1523: a limit of exactly that cycle stops the run first, one more
+/// lets the division fail.
+#[test]
+fn cycle_limit_comes_before_a_later_division_by_zero() {
+    let spec = long_alu_loop(|a| a.div(T0, 1, 0));
+    let div_pc = spec.program.len() - 2;
+    for fast_forward in [true, false] {
+        assert_eq!(
+            engine(1523, fast_forward).run(&spec).unwrap_err(),
+            SimError::CycleLimit { limit: 1523 }
+        );
+        assert_eq!(
+            engine(1524, fast_forward).run(&spec).unwrap_err(),
+            SimError::DivisionByZero {
+                thread: 15,
+                pc: div_pc
+            }
+        );
+    }
+}

@@ -168,21 +168,34 @@ fn engine_affine_kernel_is_deterministic() {
     }
 }
 
+/// The control flow [`random_program`] draws from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Straight-line code.
+    Straight,
+    /// Lane-dependent forward branches.
+    Forward,
+    /// Forward branches plus loops with backward, data-dependent trip
+    /// counts entered after bank-conflicted loads.
+    Looping,
+}
+
 /// A random SPMD program touching registers, global and shared memory
 /// (addresses masked in-bounds) and both barrier scopes. Shared stores
 /// from different threads may race, exercising the dynamic race log.
 ///
-/// Without `divergent` the program is straight-line. With it, some
+/// A `Straight` program is straight-line. In the other shapes some
 /// steps become a lane-dependent forward branch (`brz` on `LTID & k`)
 /// over a short block of ALU ops, loads and stores, so the lanes of a
 /// warp split across program counters and reconverge after the block.
-/// Blocks hold no barrier and every branch jumps forward, so termination
-/// is guaranteed and barriers cannot deadlock either way.
+/// `Looping` also draws [`loop_block`]s. Blocks hold no barrier, every
+/// forward branch jumps forward and every loop counts down to zero, so
+/// termination is guaranteed and barriers cannot deadlock either way.
 fn random_program(
     rng: &mut Rng,
     global_size: usize,
     shared_size: usize,
-    divergent: bool,
+    shape: Shape,
 ) -> hmm_machine::Program {
     let mut asm = Asm::new();
     let reg = |i: usize| Reg(16 + (i as u8) % 8);
@@ -191,7 +204,7 @@ fn random_program(
     asm.mov(reg(0), abi::GID);
     asm.mul(reg(1), abi::LTID, 3);
     asm.add(reg(2), abi::DMM, 1);
-    if divergent {
+    if shape != Shape::Straight {
         // Lane-dependent values everywhere, so divergent lanes disagree.
         for i in 3..8 {
             asm.mul(reg(i), abi::GID, 2 * i as i64 + 1);
@@ -199,7 +212,7 @@ fn random_program(
     }
     let len = 4 + rng.usize_below(24);
     for _ in 0..len {
-        if divergent && rng.usize_below(3) == 0 {
+        if shape != Shape::Straight && rng.usize_below(3) == 0 {
             let skip = asm.label();
             asm.and(cond, abi::LTID, 1i64 << rng.usize_below(3));
             asm.brz(cond, skip);
@@ -207,6 +220,8 @@ fn random_program(
                 random_op(&mut asm, rng, global_size, shared_size, 8);
             }
             asm.bind(skip);
+        } else if shape == Shape::Looping && rng.usize_below(3) == 0 {
+            loop_block(&mut asm, rng, global_size, shared_size);
         } else {
             random_op(&mut asm, rng, global_size, shared_size, 10);
         }
@@ -251,6 +266,49 @@ fn random_op(asm: &mut Asm, rng: &mut Rng, global_size: usize, shared_size: usiz
     }
 }
 
+/// Append a loop entered after a bank-conflicted shared load. Lane `t`
+/// loads `S[(t·w) mod size]` — every lane in bank 0, so the lanes wake
+/// on consecutive cycles — and then runs the loop body `(v & 7) +
+/// (LTID & 3)` times, `v` being the loaded value: a backward branch
+/// whose trip count depends on the data and the lane. The body mixes ALU
+/// ops, divisions by a non-zero divisor, loads and stores, but no
+/// barrier.
+fn loop_block(asm: &mut Asm, rng: &mut Rng, global_size: usize, shared_size: usize) {
+    let reg = |i: usize| Reg(16 + (i as u8) % 8);
+    let (cond, count) = (Reg(24), Reg(25));
+    let v = reg(rng.usize_below(8));
+    asm.mul(count, abi::LTID, abi::W);
+    asm.and(count, count, (shared_size - 1) as i64);
+    asm.ld_shared(v, count, 0);
+    asm.and(count, v, 7);
+    asm.and(cond, abi::LTID, 3);
+    asm.add(count, count, cond);
+    let top = asm.here();
+    let done = asm.label();
+    asm.brz(count, done);
+    for _ in 0..=rng.usize_below(4) {
+        let (dst, a, b) = (
+            reg(rng.usize_below(8)),
+            reg(rng.usize_below(8)),
+            reg(rng.usize_below(8)),
+        );
+        match rng.usize_below(4) {
+            0 => {
+                asm.or(cond, b, 1);
+                asm.div(dst, a, cond);
+            }
+            1 => {
+                asm.or(cond, b, 1);
+                asm.rem(dst, a, cond);
+            }
+            _ => random_op(asm, rng, global_size, shared_size, 8),
+        }
+    }
+    asm.sub(count, count, 1);
+    asm.jmp(top);
+    asm.bind(done);
+}
+
 /// The full observable machine state after one run.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -273,7 +331,7 @@ fn random_programs_are_deterministic() {
         let w = [2usize, 4, 8][rng.usize_below(3)];
         let l = 1 + rng.usize_below(31);
         let p = (1 + rng.usize_below(4 * w)) * d;
-        let program = random_program(&mut rng, global_size, shared_size, false);
+        let program = random_program(&mut rng, global_size, shared_size, Shape::Straight);
         let spec = LaunchSpec::even(program, p, d, vec![]);
 
         let run = || {
@@ -339,7 +397,7 @@ fn digest(value: &impl std::fmt::Debug) -> String {
     format!("{h:016x}")
 }
 
-/// Run `cases` random divergent programs drawn from `seed`, each with
+/// Run `cases` random programs of `shape` drawn from `seed`, each with
 /// its config adjusted by `tweak(case, &mut cfg)`, and compare one line
 /// per case — report, memories, trace, race log and profile digests —
 /// against the golden file at `golden` (relative to the crate root).
@@ -347,6 +405,7 @@ fn digest(value: &impl std::fmt::Debug) -> String {
 /// change to the simulated machine.
 fn programs_match_golden(
     seed: u64,
+    shape: Shape,
     cases: usize,
     tweak: impl Fn(usize, &mut EngineConfig),
     golden: &str,
@@ -359,7 +418,7 @@ fn programs_match_golden(
         let w = [2usize, 4, 8, 16][rng.usize_below(4)];
         let l = 1 + rng.usize_below(31);
         let p = (1 + rng.usize_below(3 * w)) * d;
-        let program = random_program(&mut rng, global_size, shared_size, true);
+        let program = random_program(&mut rng, global_size, shared_size, shape);
         let spec = LaunchSpec::even(program, p, d, vec![]);
         let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
         cfg.trace = true;
@@ -408,6 +467,7 @@ fn programs_match_golden(
 fn divergent_programs_match_golden() {
     programs_match_golden(
         0xD1FE_46E7,
+        Shape::Forward,
         16,
         |_, _| {},
         "tests/golden/divergent_programs.txt",
@@ -421,12 +481,32 @@ fn divergent_programs_match_golden() {
 fn ablation_programs_match_golden() {
     programs_match_golden(
         0xAB1A_7105,
+        Shape::Forward,
         24,
         |case, cfg| {
             cfg.pipelined = case % 2 == 0;
             cfg.barrier_cost = [0, 3, 17][case % 3];
         },
         "tests/golden/ablation_programs.txt",
+    );
+}
+
+/// Random programs with loops whose trip counts depend on the lane and
+/// on a value loaded through a bank-conflicted shared access, so lanes
+/// enter and leave each loop out of step, produce exactly the pinned
+/// outputs. Every third case pays a barrier cost of 3 units and every
+/// fourth runs the non-pipelined memory.
+#[test]
+fn looping_programs_match_golden() {
+    programs_match_golden(
+        0x100B_5EED,
+        Shape::Looping,
+        16,
+        |case, cfg| {
+            cfg.pipelined = case % 4 != 3;
+            cfg.barrier_cost = if case % 3 == 2 { 3 } else { 0 };
+        },
+        "tests/golden/looping_programs.txt",
     );
 }
 
@@ -441,7 +521,7 @@ fn bounded_trace_is_a_prefix_of_the_full_trace() {
         let w = [2usize, 4, 8][rng.usize_below(3)];
         let l = 1 + rng.usize_below(15);
         let p = (1 + rng.usize_below(2 * w)) * d;
-        let program = random_program(&mut rng, global_size, shared_size, true);
+        let program = random_program(&mut rng, global_size, shared_size, Shape::Forward);
         let spec = LaunchSpec::even(program, p, d, vec![]);
         let run = |cap: Option<usize>| {
             let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
