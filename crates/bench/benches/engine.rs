@@ -6,7 +6,10 @@
 //! so only wall-clock changes. Latency-bound shapes (few warps, large
 //! `l`) leave long idle stretches for the clock to jump; busy shapes
 //! (many warps, small `l`) keep a pipeline occupied almost every unit
-//! and serve as the no-regression guard.
+//! and serve as the no-regression guard. Two shapes load lane-group
+//! stepping: the tuner's stock sum kernel, whose bank-conflicted shared
+//! fold wakes a warp's lanes on consecutive cycles, and a loop of ALU
+//! instructions between two memory accesses.
 //!
 //! Run with `cargo bench -p hmm-bench --bench engine`. Results — with
 //! the host core count and per-workload simulated and skipped units —
@@ -14,7 +17,10 @@
 
 use hmm_algorithms::convolution::{self, run_conv_hmm};
 use hmm_algorithms::sum::{hmm_all, run_sum_hmm};
-use hmm_machine::SimReport;
+use hmm_core::{LaunchShape, Machine};
+use hmm_machine::isa::Reg;
+use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchSpec, SimReport};
+use hmm_tune::{tunable, TuneSpace};
 use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
 use hmm_workloads::random_words;
@@ -42,6 +48,46 @@ fn conv_report(
         .hmm(D, W, l)
         .with_fast_forward(ff);
     run_conv_hmm(&mut m, a, b, p).unwrap().report
+}
+
+/// The stock tune space's baseline candidate (`d = 4`, `w = 8`, `l = 32`)
+/// at 4 warps per DMM: every thread folds 8 consecutive shared cells, a
+/// stride-8 read that serialises into 8 slots per warp, so the lanes
+/// wake one per cycle and step out of step.
+fn conflicted_fold_report(n: usize, warps: usize, ff: bool) -> SimReport {
+    let sum = tunable("sum").expect("sum is tunable");
+    let mut c = TuneSpace::default().baseline();
+    c.warps = warps;
+    let tk = sum.build(&c, n).expect("baseline builds");
+    let mut m = Machine::hmm(c.d, c.w, c.l, tk.global_size, tk.shared_size).with_fast_forward(ff);
+    m.load_global(tk.input_base, &sum.input(n, 1));
+    m.launch(&tk.kernel, LaunchShape::Even(tk.threads)).unwrap()
+}
+
+/// `iters` rounds of a five-instruction ALU loop body between a global
+/// load and a global store on every thread.
+fn alu_loop_report(iters: i64, p: usize, ff: bool) -> SimReport {
+    let (acc, count, t) = (Reg(16), Reg(17), Reg(18));
+    let mut a = Asm::new();
+    a.ld_global(acc, abi::GID, 0);
+    a.mov(count, iters);
+    let top = a.here();
+    let done = a.label();
+    a.brz(count, done);
+    a.mul(t, acc, 3);
+    a.xor(acc, t, count);
+    a.add(acc, acc, abi::GID);
+    a.sub(count, count, 1);
+    a.jmp(top);
+    a.bind(done);
+    a.st_global(abi::GID, 0, acc);
+    a.halt();
+    let mut cfg = EngineConfig::hmm(D, W, 64, p, 0);
+    cfg.fast_forward = ff;
+    let mut engine = Engine::new(cfg).unwrap();
+    engine
+        .run(&LaunchSpec::even(a.finish(), p, D, vec![]))
+        .unwrap()
 }
 
 /// Benchmark one workload in both clock modes and emit the JSON row.
@@ -111,6 +157,16 @@ fn main() {
     let bb = random_words(bn + bk - 1, 10, 50);
     rows.push(measure(&mut g, "conv/l64_p2048", |ff| {
         conv_report(64, bn, bk, bp, &ba, &bb, ff)
+    }));
+
+    // Lane-group stepping: staggered wakes after conflicted shared
+    // reads, and long runs of ALU instructions.
+    let fold_n = 1 << 13;
+    rows.push(measure(&mut g, "fold/d4_w8_x4", |ff| {
+        conflicted_fold_report(fold_n, 4, ff)
+    }));
+    rows.push(measure(&mut g, "alu/i256_p1024", |ff| {
+        alu_loop_report(256, 1024, ff)
     }));
 
     let doc = Value::object(vec![

@@ -19,7 +19,7 @@
 //!   --machine dmm|umm|hmm   (default hmm)
 //!   --n N --k K --p P --w W --l L --d D
 //!   --seed S                workload seed
-//!   --op sum|min|max        (sum and reduce)
+//!   --op sum|min|max        (reduce only)
 //!
 //! every command:
 //!   --json                  machine-readable output

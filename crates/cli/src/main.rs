@@ -17,7 +17,7 @@ fn main() {
         emit(
             "hmm-cli — run the HMM paper's algorithms on simulated machines\n\n\
              usage: hmm-cli <sum|reduce|conv|prefix|sort|profile|tune|batch|lint|info> [--key value]... [--json]\n\
-             flags: --machine dmm|umm|hmm  --n --k --p --w --l --d --seed --op sum|min|max\n\
+             flags: --machine dmm|umm|hmm  --n --k --p --w --l --d --seed  (reduce: --op sum|min|max)\n\
              profile: hmm-cli profile <algo>[-<machine>] [--buckets B] [--top N]\n\
                     [--profile-out FILE] [--perfetto-out FILE]   (cycle-accounting stall breakdown)\n\
              tune:  hmm-cli tune <sum|conv> [--space SPEC] [--n N] [--seed S]\n\

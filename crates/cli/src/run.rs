@@ -182,8 +182,8 @@ const BATCH_COMMANDS: [&str; 5] = ["sum", "reduce", "conv", "prefix", "sort"];
 #[rustfmt::skip]
 fn flag_table(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
-        "sum" | "reduce" => &["json", "machine", "n", "k", "p", "w", "l", "d", "seed", "op"],
-        "conv" | "prefix" | "sort" => &["json", "machine", "n", "k", "p", "w", "l", "d", "seed"],
+        "sum" | "conv" | "prefix" | "sort" => &["json", "machine", "n", "k", "p", "w", "l", "d", "seed"],
+        "reduce" => &["json", "machine", "n", "k", "p", "w", "l", "d", "seed", "op"],
         "profile" => &["buckets", "top", "profile-out", "perfetto-out"],
         "tune" => &["json", "n", "seed", "budget", "threads", "space", "out", "top"],
         "batch" => &["cmd", "sweep", "values", "from", "to", "threads"],
@@ -330,11 +330,14 @@ pub(crate) fn run_algo(
                 run.report,
             ))
         }
-        // sum | reduce
+        // sum | reduce; only `reduce` takes `--op`.
         _ => {
-            let op = match a.get_choice("op", "sum", &["sum", "min", "max"])?.as_str() {
-                "min" => ReduceOp::Min,
-                "max" => ReduceOp::Max,
+            let op = match algo {
+                "reduce" => match a.get_choice("op", "sum", &["sum", "min", "max"])?.as_str() {
+                    "min" => ReduceOp::Min,
+                    "max" => ReduceOp::Max,
+                    _ => ReduceOp::Sum,
+                },
                 _ => ReduceOp::Sum,
             };
             let input = random_words(spec.n, spec.seed, 1000);

@@ -116,6 +116,7 @@ fn unknown_flags_exit_2_before_anything_runs() {
         ),
         ("sum --budget 3".to_string(), "--budget"),
         ("sum --bogus 1".to_string(), "--bogus"),
+        ("sum --op max".to_string(), "--op"),
         ("conv --op min".to_string(), "--op"),
         ("profile conv-hmm --op min".to_string(), "--op"),
         ("batch --cmd sort --threads 1 --op max".to_string(), "--op"),

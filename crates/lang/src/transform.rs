@@ -98,7 +98,7 @@ impl std::fmt::Display for TransformError {
 impl std::error::Error for TransformError {}
 
 impl Transform {
-    /// Stable short name used in candidate ids, reports and goldens.
+    /// Short human-readable name, e.g. `pad(4,1)` or `unroll(2)`.
     #[must_use]
     pub fn name(&self) -> String {
         match self {
@@ -106,17 +106,6 @@ impl Transform {
             Transform::SwizzleShared { width } => format!("swizzle({width})"),
             Transform::TransposeShared { rows, cols } => format!("transpose({rows}x{cols})"),
             Transform::UnrollStrided { factor } => format!("unroll({factor})"),
-        }
-    }
-
-    /// Whether the pass can change anything at all (identity transforms
-    /// are legal but skipped by the tuner's candidate enumeration).
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        match *self {
-            Transform::PadShared { pad, .. } => pad == 0,
-            Transform::SwizzleShared { .. } | Transform::TransposeShared { .. } => false,
-            Transform::UnrollStrided { factor } => factor <= 1,
         }
     }
 
@@ -520,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn names_and_identity() {
+    fn names() {
         assert_eq!(
             Transform::PadShared { period: 4, pad: 1 }.name(),
             "pad(4,1)"
@@ -531,8 +520,5 @@ mod tests {
             "transpose(2x8)"
         );
         assert_eq!(Transform::UnrollStrided { factor: 2 }.name(), "unroll(2)");
-        assert!(Transform::PadShared { period: 4, pad: 0 }.is_identity());
-        assert!(Transform::UnrollStrided { factor: 1 }.is_identity());
-        assert!(!Transform::SwizzleShared { width: 4 }.is_identity());
     }
 }

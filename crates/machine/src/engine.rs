@@ -84,9 +84,9 @@ pub struct EngineConfig {
     /// Upper bound on the number of time buckets in profile timelines;
     /// the bucket width doubles as a run outgrows it.
     pub profile_buckets: usize,
-    /// Event-driven clock: when no thread can step, jump straight to the
-    /// next pipeline completion / dispatch opportunity instead of walking
-    /// the clock one unit at a time. Semantically invisible — reports
+    /// Event-driven clock: when no thread issues next unit, jump straight
+    /// to the next issue, pipeline completion or dispatch opportunity
+    /// instead of walking the clock one unit at a time. Semantically invisible — reports
     /// (except `SimReport::skipped_units`), traces, profiles and races
     /// are bit-identical either way; only wall-clock time changes. On by
     /// default; off exists only as the reference clock of the

@@ -11,8 +11,9 @@
 //!    their threads.
 //! 2. **Phase A** (each shard in DMM order): deliver parked barrier
 //!    releases and shared-memory completions due this cycle, then step
-//!    every runnable thread one instruction — warp by warp, one lane
-//!    group per distinct PC (see below).
+//!    every warp with a lane due this cycle: its lanes at local
+//!    instructions run ahead, then the lanes whose next instruction is
+//!    at this cycle issue it, one lane group per distinct PC (see below).
 //! 3. **Barrier releases**: each DMM's barrier in DMM order, then the
 //!    machine-wide one, which releases when the shards' global-barrier
 //!    arrivals add up to their live threads ([`global_release`]).
@@ -34,13 +35,15 @@
 //! ## The event-driven clock
 //!
 //! Between cycles the driver computes the **next interesting time** —
-//! `now + 1` while any thread is runnable, otherwise the earliest future
-//! pipeline completion, dispatch opportunity or parked barrier release
-//! (see [`next_time`]). With `EngineConfig::fast_forward` on, the clock
-//! jumps straight to that target and the skipped units are counted in
-//! `SimReport::skipped_units`; with it off, the clock walks there one
-//! unit at a time. Nothing can happen in between (DESIGN.md proves the
-//! target exact), so every other output is bit-identical either way.
+//! the earliest cycle at which a warp is due, future pipeline
+//! completion, dispatch opportunity or parked barrier release (see
+//! [`next_time`]). With `EngineConfig::fast_forward` on, the clock jumps
+//! straight to that target; with it off, the clock walks there one unit
+//! at a time. Nothing can happen in between (DESIGN.md proves the target
+//! exact), so every other output is bit-identical either way. A jump
+//! counts in `SimReport::skipped_units` only when no thread was
+//! runnable: units in which only run-ahead threads are busy are not
+//! counted.
 //!
 //! ## Memory transactions
 //!
@@ -60,17 +63,22 @@
 //!
 //! A shard keeps its threads' registers, PCs and memory-request slots
 //! structure-of-arrays in one [`LaneState`], so a warp is a contiguous
-//! block of lanes. Phase A steps a warp whose lanes are all runnable at
-//! one PC as a single lane group; otherwise it sorts the runnable lanes
-//! into groups by PC (ordered by lowest lane). Each group fetches and
-//! decodes its instruction once ([`LaneState::step_group`]). A load or
-//! store leaves each lane's request in its slot and sets the lane's bit
-//! in the warp's posted mask; assembly compacts the posted slots in lane
-//! order into the warp's transactions. Lanes never interact within a
-//! step, so this reproduces thread-by-thread execution exactly: the
-//! same request order, the same write winners, the same first error
-//! (the lowest erring thread) and the same per-PC profile (DESIGN.md,
-//! "Warp-granular interpreter").
+//! block of lanes. Phase A steps a warp whose lanes all issue at one PC
+//! as a single lane group; otherwise it sorts the lanes that issue this
+//! cycle into groups by PC (ordered by lowest lane). Each group fetches
+//! and decodes its instruction once ([`LaneState::step_group`]). A load
+//! or store leaves each lane's request in its slot and sets the lane's
+//! bit in the warp's posted mask; assembly compacts the posted slots in
+//! lane order into the warp's transactions. Local instructions do not
+//! wait for their cycle: each lane keeps the cycle of its next
+//! instruction in `ready`, and a warp is stepped only when one of its
+//! lanes may reach an instruction that must issue at its own cycle
+//! ([`local_runs`]). Its lanes at local instructions then run ahead in
+//! groups by PC, even when their cycles differ ([`Shard::run_ahead`]).
+//! Lanes never interact within a step, so this reproduces
+//! thread-by-thread execution exactly: the same request order, the same
+//! write winners, the same first error (the lowest erring thread) and
+//! the same per-PC profile (DESIGN.md, "Warp-granular interpreter").
 
 use std::collections::VecDeque;
 
@@ -83,7 +91,7 @@ use crate::profile::{CategoryCounts, LaunchProfile, PipeAcc, StallCategory};
 use crate::request::{AccessKind, ConflictPolicy, Request, SlotSchedule, SlotScratch};
 use crate::stats::{MemoryStats, SimReport};
 use crate::trace::{MemoryId, Trace, TraceEvent};
-use crate::vm::{GroupEffect, LaneState, PcGroups};
+use crate::vm::{local_runs, GroupEffect, LaneState, PcGroups};
 use crate::word::Word;
 
 /// Everything a run produces besides the engine's persistent memories.
@@ -161,13 +169,62 @@ struct WarpRt {
     posted_mask: Vec<u64>,
 }
 
-/// Lane lists for grouping a warp's runnable lanes by PC.
+/// Lane lists for grouping a warp's runnable lanes by PC, shared by the
+/// shards' phase A.
 #[derive(Default)]
 struct Groups {
-    /// Every local thread, `0..pd`: a converged warp's group is a slice.
+    /// Every local thread index of the largest shard: a converged warp's
+    /// group is a slice.
     all: Vec<usize>,
     /// A diverged warp's lane groups.
     by_pc: PcGroups,
+    ahead: RunAhead,
+}
+
+/// Run-ahead scratch ([`Shard::run_ahead`]): the lanes that run ahead,
+/// split into subgroups by pc, each subgroup a contiguous range.
+#[derive(Default)]
+struct RunAhead {
+    lanes: Vec<usize>,
+    /// Partition scratch: the lanes a split moves behind the others.
+    moved: Vec<usize>,
+    /// Subgroups still to run.
+    pending: Vec<Run>,
+}
+
+/// A subgroup of [`RunAhead::lanes`] that runs ahead together.
+#[derive(Clone, Copy)]
+struct Run {
+    /// Its lanes are `lanes[start..end]`.
+    start: usize,
+    end: usize,
+    /// Instructions its lanes have run ahead so far.
+    ran: u64,
+    /// The latest `ready` cycle among its lanes when they started.
+    latest: u64,
+    /// Whether its lanes may sit at different pcs.
+    may_diverge: bool,
+}
+
+impl RunAhead {
+    /// Reorder the lanes of `start..end` so that those satisfying `keep`
+    /// come first, each part in lane order, and return where the others
+    /// begin.
+    fn split(&mut self, start: usize, end: usize, keep: impl Fn(usize) -> bool) -> usize {
+        self.moved.clear();
+        let mut mid = start;
+        for i in start..end {
+            let lt = self.lanes[i];
+            if keep(lt) {
+                self.lanes[mid] = lt;
+                mid += 1;
+            } else {
+                self.moved.push(lt);
+            }
+        }
+        self.lanes[mid..end].copy_from_slice(&self.moved);
+        mid
+    }
 }
 
 /// A warp transaction; `warp` is the global warp id. A read's request
@@ -567,12 +624,19 @@ struct Shard<'m> {
     lanes: LaneState,
     /// Per local thread.
     status: Vec<Status>,
+    /// Per local thread: the cycle at which a runnable lane executes its
+    /// next instruction. A lane at a local instruction may fall behind
+    /// the clock until [`Shard::run_ahead`] catches it up.
+    ready: Vec<u64>,
+    /// Per pc, from [`local_runs`].
+    runs: Vec<u64>,
     warps: Vec<WarpRt>,
     /// local thread index -> local warp index
     thread_warp: Vec<usize>,
-    active: Vec<bool>,
-    /// Lane-grouping scratch for phase A.
-    groups: Groups,
+    /// Per warp: the earliest cycle by which one of its runnable lanes
+    /// must be stepped — the least `ready + runs[pc]` — or `u64::MAX`
+    /// when it has none.
+    warp_due: Vec<u64>,
     /// Live threads on this DMM (the DMM-barrier release threshold).
     alive: usize,
     bar_dmm: usize,
@@ -603,6 +667,7 @@ struct Shard<'m> {
     width: usize,
     global_size: usize,
     barrier_cost: u64,
+    max_cycles: u64,
 }
 
 impl<'m> Shard<'m> {
@@ -615,6 +680,7 @@ impl<'m> Shard<'m> {
         p: usize,
         cfg: &EngineConfig,
         args: &[Word],
+        runs: &[u64],
         store: &'m mut BankedMemory,
     ) -> Self {
         let w = cfg.width;
@@ -655,13 +721,11 @@ impl<'m> Shard<'m> {
             base_warp,
             lanes,
             status: vec![Status::Runnable; pd],
-            active: vec![true; warps.len()],
+            ready: vec![0; pd],
+            runs: runs.to_vec(),
+            warp_due: vec![runs.first().copied().unwrap_or(0); warps.len()],
             warps,
             thread_warp: (0..pd).map(|lt| lt / w).collect(),
-            groups: Groups {
-                all: (0..pd).collect(),
-                by_pc: PcGroups::default(),
-            },
             alive: pd,
             bar_dmm: 0,
             bar_global: 0,
@@ -679,6 +743,7 @@ impl<'m> Shard<'m> {
             width: cfg.width,
             global_size: cfg.global_size,
             barrier_cost: cfg.barrier_cost,
+            max_cycles: cfg.max_cycles,
         }
     }
 
@@ -691,9 +756,16 @@ impl<'m> Shard<'m> {
             prof.on_wake(lt, issue_at, conflict);
         }
         self.status[lt] = Status::Runnable;
+        self.ready[lt] = issue_at;
         let wid = self.thread_warp[lt];
         self.warps[wid].runnable += 1;
-        self.active[wid] = true;
+        let due = issue_at.saturating_add(self.run_at(self.lanes.pc(lt)));
+        self.warp_due[wid] = self.warp_due[wid].min(due);
+    }
+
+    /// `runs[pc]`; 0 outside the program.
+    fn run_at(&self, pc: usize) -> u64 {
+        self.runs.get(pc).copied().unwrap_or(0)
     }
 
     /// Deliver a served request to its thread, which issues at `now`: a
@@ -709,9 +781,15 @@ impl<'m> Shard<'m> {
     }
 
     /// Phase A: deliver the parked barrier release and shared-memory
-    /// completions due this cycle, then step every runnable thread one
-    /// instruction. Global completions were delivered before it.
-    fn phase_a(&mut self, now: u64, program: &Program, trace: &mut TraceBuf) -> SimResult<()> {
+    /// completions due this cycle, then step every lane that issues this
+    /// cycle. Global completions were delivered before it.
+    fn phase_a(
+        &mut self,
+        now: u64,
+        program: &Program,
+        trace: &mut TraceBuf,
+        g: &mut Groups,
+    ) -> SimResult<()> {
         if self.parked_until.is_some_and(|t| t <= now) {
             self.parked_until = None;
             self.wake_barrier(now);
@@ -724,51 +802,31 @@ impl<'m> Shard<'m> {
             self.pipe = Some(pipe);
         }
 
-        if !self.active.contains(&true) {
-            return Ok(());
-        }
-        let mut groups = std::mem::take(&mut self.groups);
-        let stepped = self.step_warps(now, program, &mut groups);
-        self.groups = groups;
-        stepped
+        self.step_warps(now, program, g)
     }
 
-    /// Step every runnable lane one instruction, warp by warp. A warp's
-    /// runnable lanes are grouped by PC (in order of their lowest lane)
-    /// and each group executes its instruction once for all its lanes.
-    /// Fails with the error of the lowest-numbered erring thread: lanes
-    /// never interact within a step, so that is the error lane-by-lane
-    /// execution would meet first.
+    /// Step every warp with a lane due at `now` ([`Shard::step_warp`]),
+    /// in warp order. Fails with the error of the lowest-numbered erring
+    /// thread: lanes never interact within a step, so that is the error
+    /// lane-by-lane execution would meet first.
     fn step_warps(&mut self, now: u64, program: &Program, g: &mut Groups) -> SimResult<()> {
         for wid in 0..self.warps.len() {
-            if !self.active[wid] {
-                continue;
-            }
-            let (first, n) = (self.warps[wid].first, self.warps[wid].lanes);
-            let pc = self.lanes.pc(first);
-            let converged = self.warps[wid].runnable == n
-                && (first..first + n).all(|lt| self.lanes.pc(lt) == pc);
-            let fault = if converged {
-                // The common case: one group of every lane.
-                let lanes = &g.all[first..first + n];
-                self.issue(now, program, wid, pc, lanes).err()
-            } else {
-                self.step_diverged(now, program, wid, g)
-            };
-            if let Some((_, e)) = fault {
-                return Err(e);
-            }
-            if self.warps[wid].runnable == 0 {
-                self.active[wid] = false;
+            if self.warp_due[wid] <= now {
+                if let Some((_, e)) = self.step_warp(now, program, wid, g) {
+                    return Err(e);
+                }
             }
         }
         Ok(())
     }
 
-    /// Step the runnable lanes of a warp whose lanes are not all runnable
-    /// at one PC, one lane group per PC in order of lowest lane. Returns
-    /// the lowest erring lane and its error.
-    fn step_diverged(
+    /// Step warp `wid` at `now`. First its runnable lanes at local
+    /// instructions run ahead ([`Shard::run_ahead`]). Then the lanes
+    /// whose next instruction is at `now` issue it: the whole warp as one
+    /// lane group when all its lanes sit at one PC, otherwise one group
+    /// per PC in order of lowest lane. Returns the lowest erring lane and
+    /// its error.
+    fn step_warp(
         &mut self,
         now: u64,
         program: &Program,
@@ -776,19 +834,76 @@ impl<'m> Shard<'m> {
         g: &mut Groups,
     ) -> Option<(usize, SimError)> {
         let (first, n) = (self.warps[wid].first, self.warps[wid].lanes);
-        let status = &self.status;
-        g.by_pc.regroup(
-            &self.lanes,
-            (first..first + n).filter(|&lt| status[lt] == Status::Runnable),
-        );
-        g.by_pc
-            .step_each(|pc, lanes| self.issue(now, program, wid, pc, lanes))
+        let lanes = first..first + n;
+        let (pc, at) = (self.lanes.pc(first), self.ready[first]);
+        let converged = self.warps[wid].runnable == n
+            && lanes
+                .clone()
+                .all(|lt| self.lanes.pc(lt) == pc && self.ready[lt] == at);
+        // A converged warp at an instruction that may stop it issues that
+        // instruction now (it is due, so `at == now`); any other warp
+        // first runs its lanes at local instructions ahead.
+        let converged = if converged && self.run_at(pc) == 0 {
+            debug_assert_eq!(at, now, "a lane at a stop fell behind the clock");
+            true
+        } else if converged {
+            let Groups { all, ahead, .. } = g;
+            self.run_converged(program, wid, &all[lanes.clone()], at, ahead) == Some(now)
+        } else {
+            let ra = &mut g.ahead;
+            ra.lanes.clear();
+            ra.lanes.extend(lanes.clone().filter(|&lt| {
+                self.status[lt] == Status::Runnable && self.run_at(self.lanes.pc(lt)) > 0
+            }));
+            if let Some(latest) = ra.lanes.iter().map(|&lt| self.ready[lt]).max() {
+                ra.pending.push(Run {
+                    start: 0,
+                    end: ra.lanes.len(),
+                    ran: 0,
+                    latest,
+                    may_diverge: true,
+                });
+                self.run_ahead(program, wid, ra);
+            }
+            let pc = self.lanes.pc(first);
+            self.warps[wid].runnable == n
+                && lanes
+                    .clone()
+                    .all(|lt| self.lanes.pc(lt) == pc && self.ready[lt] == now)
+        };
+        let pc = self.lanes.pc(first);
+        let fault = if converged {
+            // The common case: one group of every lane.
+            self.issue(now, program, wid, pc, &g.all[lanes.clone()])
+                .err()
+        } else {
+            let (status, ready) = (&self.status, &self.ready);
+            g.by_pc.regroup(
+                &self.lanes,
+                lanes
+                    .clone()
+                    .filter(|&lt| status[lt] == Status::Runnable && ready[lt] == now),
+            );
+            g.by_pc
+                .step_each(|pc, group| self.issue(now, program, wid, pc, group))
+        };
+        self.warp_due[wid] = if self.warps[wid].runnable == 0 {
+            u64::MAX
+        } else {
+            lanes
+                .filter(|&lt| self.status[lt] == Status::Runnable)
+                .map(|lt| self.ready[lt].saturating_add(self.run_at(self.lanes.pc(lt))))
+                .min()
+                .unwrap_or(u64::MAX)
+        };
+        fault
     }
 
-    /// Issue the instruction at `pc` for `lanes` of warp `wid`, then apply
-    /// its effect: memory requests are posted in the warp's lane mask
-    /// (their slots already hold them), barrier arrivals and halts are
-    /// counted.
+    /// Issue the instruction at `pc` for `lanes` of warp `wid` at `now`,
+    /// then apply its effect: after local work (a division that did not
+    /// fault) the lanes execute their next instruction at `now + 1`,
+    /// memory requests are posted in the warp's lane mask (their slots
+    /// already hold them), barrier arrivals and halts are counted.
     fn issue(
         &mut self,
         now: u64,
@@ -804,7 +919,12 @@ impl<'m> Shard<'m> {
         let effect = self.lanes.step_group(program, pc, lanes)?;
         self.instructions += n as u64;
         let wait = match effect {
-            GroupEffect::Local => return Ok(()),
+            GroupEffect::Local => {
+                for &lt in lanes {
+                    self.ready[lt] = now + 1;
+                }
+                return Ok(());
+            }
             GroupEffect::Mem(space) => {
                 let warp = &mut self.warps[wid];
                 for &lt in lanes {
@@ -846,6 +966,133 @@ impl<'m> Shard<'m> {
             prof.on_wait(lanes, wait, now, pc);
         }
         Ok(())
+    }
+
+    /// Run-ahead: the lanes queued in `ra.pending` (runnable lanes of warp
+    /// `wid` at local instructions) execute the instructions that follow,
+    /// each lane one per cycle of its own time from its `ready` cycle, in
+    /// groups by pc however far apart those cycles are. A lane stops
+    /// before an instruction [`LaneState::step_local`] refuses — a memory
+    /// access, barrier or halt, a division by zero, a pc outside the
+    /// program — or at `max_cycles`, and `ready` holds the cycle of that
+    /// instruction, which then issues through [`Shard::issue`]. A branch
+    /// that diverges a group splits it by pc.
+    ///
+    /// Local instructions touch only their own lane's registers and pc,
+    /// and the lanes stay runnable throughout, so executing them early or
+    /// late changes no output. A lane is never caught up after its due
+    /// cycle `ready + runs[pc]`, before which it cannot reach an
+    /// instruction that stops it, so every stop lies at or after the
+    /// cycle being stepped (DESIGN.md, "Warp-granular interpreter").
+    fn run_ahead(&mut self, program: &Program, wid: usize, ra: &mut RunAhead) {
+        while let Some(Run {
+            start,
+            mut end,
+            mut ran,
+            mut latest,
+            mut may_diverge,
+        }) = ra.pending.pop()
+        {
+            loop {
+                if may_diverge {
+                    let pc = self.lanes.pc(ra.lanes[start]);
+                    let mid = ra.split(start, end, |lt| self.lanes.pc(lt) == pc);
+                    if mid < end {
+                        ra.pending.push(Run {
+                            start: mid,
+                            end,
+                            ran,
+                            latest,
+                            may_diverge: true,
+                        });
+                        end = mid;
+                    }
+                }
+                let limit = self.max_cycles;
+                if latest.saturating_add(ran) >= limit {
+                    // Lanes that reached the cycle limit stop there.
+                    let ready = &mut self.ready;
+                    let mid = ra.split(start, end, |lt| ready[lt] + ran < limit);
+                    for &lt in &ra.lanes[mid..end] {
+                        ready[lt] += ran;
+                    }
+                    end = mid;
+                    if start == end {
+                        break;
+                    }
+                    latest = ra.lanes[start..end]
+                        .iter()
+                        .map(|&lt| ready[lt])
+                        .max()
+                        .unwrap_or(0);
+                }
+                let group = &ra.lanes[start..end];
+                let pc = self.lanes.pc(group[0]);
+                let Some(branch) = self.lanes.step_local(program, pc, group) else {
+                    for &lt in group {
+                        self.ready[lt] += ran;
+                    }
+                    break;
+                };
+                self.ran_ahead(wid, pc, group.len());
+                may_diverge = branch;
+                ran += 1;
+            }
+        }
+    }
+
+    /// [`Shard::run_ahead`] for a converged group: `lanes`, every lane of
+    /// warp `wid`, sit at one pc with `ready == at`. They step in place
+    /// until they stop together, and then all wait for the returned
+    /// cycle; a branch that diverges them hands them to `run_ahead`
+    /// (returning `None`).
+    fn run_converged(
+        &mut self,
+        program: &Program,
+        wid: usize,
+        lanes: &[usize],
+        at: u64,
+        ra: &mut RunAhead,
+    ) -> Option<u64> {
+        let mut ran = 0;
+        loop {
+            let pc = self.lanes.pc(lanes[0]);
+            let stepped = if at + ran < self.max_cycles {
+                self.lanes.step_local(program, pc, lanes)
+            } else {
+                None
+            };
+            let Some(branch) = stepped else { break };
+            self.ran_ahead(wid, pc, lanes.len());
+            ran += 1;
+            let pc = self.lanes.pc(lanes[0]);
+            if branch && lanes.iter().any(|&lt| self.lanes.pc(lt) != pc) {
+                ra.lanes.clear();
+                ra.lanes.extend_from_slice(lanes);
+                ra.pending.push(Run {
+                    start: 0,
+                    end: lanes.len(),
+                    ran,
+                    latest: at,
+                    may_diverge: true,
+                });
+                self.run_ahead(program, wid, ra);
+                return None;
+            }
+        }
+        for &lt in lanes {
+            self.ready[lt] = at + ran;
+        }
+        Some(at + ran)
+    }
+
+    /// Count `n` lanes of warp `wid` that ran the instruction at `pc`
+    /// ahead of its cycle.
+    fn ran_ahead(&mut self, wid: usize, pc: usize, n: usize) {
+        if let Some(prof) = self.prof.as_mut() {
+            prof.charge(wid, pc, StallCategory::Issued, n as u64);
+        }
+        self.instructions += n as u64;
     }
 
     /// Release the threads waiting at a barrier — every live thread of
@@ -1025,28 +1272,36 @@ fn global_release(shards: &[Shard<'_>]) -> Option<usize> {
     (waiting > 0 && waiting == alive).then_some(waiting)
 }
 
-/// The next interesting time, computed at the end of every cycle:
-/// `now + 1` while any thread is runnable, otherwise the earliest future
-/// dispatch opportunity, pipeline completion or parked barrier release.
-/// When no such event exists the machine can never make progress again
-/// and the deadlock is reported.
+/// The next interesting time, computed at the end of every cycle: the
+/// earliest cycle at which a warp is due, pipeline completion, dispatch
+/// opportunity or parked barrier release. When no such event exists the
+/// machine can never make progress again and the deadlock is reported.
+/// Also returns whether any lane is runnable: the units the clock jumps
+/// over then are busy with run-ahead work, so they are not skipped.
 ///
 /// The `fast_forward` knob only decides whether the driver jumps to the
 /// returned target or walks to it one unit at a time; the target itself —
 /// and therefore every simulated output — is the same either way
 /// (exactness argument in DESIGN.md).
-fn next_time(now: u64, coord: &Coord<'_>, shards: &[Shard<'_>]) -> SimResult<u64> {
-    if shards.iter().any(|s| s.active.contains(&true)) {
-        return Ok(now + 1);
+fn next_time(now: u64, coord: &Coord<'_>, shards: &[Shard<'_>]) -> SimResult<(u64, bool)> {
+    let due = shards
+        .iter()
+        .flat_map(|s| s.warp_due.iter().copied())
+        .min()
+        .unwrap_or(u64::MAX);
+    let runnable = due != u64::MAX;
+    if due <= now + 1 {
+        return Ok((now + 1, true));
     }
     let next = coord
         .pipe
         .next_event(now)
         .into_iter()
         .chain(shards.iter().filter_map(|s| s.next_event(now)))
+        .chain(runnable.then_some(due))
         .min();
     match next {
-        Some(t) => Ok(t.max(now + 1)),
+        Some(t) => Ok((t.max(now + 1), runnable)),
         None => Err(SimError::Deadlock {
             cycle: now,
             waiting: shards.iter().map(|s| s.bar_dmm + s.bar_global).sum(),
@@ -1072,7 +1327,7 @@ fn first_error(shards: &mut [Shard<'_>]) -> Option<SimError> {
 /// returns at once. An assembly error skips the cycle's global slot,
 /// every other shard still dispatches its shared slot, and then the
 /// lowest DMM's error is returned. Returns the number of time units the
-/// event-driven clock skipped.
+/// event-driven clock skipped with no lane runnable.
 fn drive(
     cfg: &EngineConfig,
     program: &Program,
@@ -1081,6 +1336,11 @@ fn drive(
 ) -> SimResult<u64> {
     let mut now: u64 = 0;
     let mut skipped: u64 = 0;
+    let largest = shards.iter().map(|s| s.status.len()).max().unwrap_or(0);
+    let mut groups = Groups {
+        all: (0..largest).collect(),
+        ..Groups::default()
+    };
     loop {
         if now >= cfg.max_cycles {
             return Err(SimError::CycleLimit {
@@ -1089,7 +1349,7 @@ fn drive(
         }
         coord.deliver(now, shards);
         for s in shards.iter_mut() {
-            s.phase_a(now, program, &mut coord.trace)?;
+            s.phase_a(now, program, &mut coord.trace, &mut groups)?;
         }
         for s in shards.iter_mut() {
             s.release_dmm(now, &mut coord.trace);
@@ -1117,9 +1377,11 @@ fn drive(
         if shards.iter().all(|s| s.alive == 0) {
             return Ok(skipped);
         }
-        let target = next_time(now, coord, shards)?;
+        let (target, runnable) = next_time(now, coord, shards)?;
         if cfg.fast_forward {
-            skipped += target - (now + 1);
+            if !runnable {
+                skipped += target - (now + 1);
+            }
             now = target;
         } else {
             now += 1;
@@ -1144,6 +1406,7 @@ pub(crate) fn run(
     let mut thread_dmm: Vec<usize> = Vec::with_capacity(p);
     let mut base_tid = 0usize;
     let mut base_warp = 0usize;
+    let runs = local_runs(&spec.program);
     for ((d, &pd), store) in spec
         .threads_per_dmm
         .iter()
@@ -1152,7 +1415,7 @@ pub(crate) fn run(
     {
         thread_dmm.extend(std::iter::repeat_n(d, pd));
         shards.push(Shard::new(
-            d, base_tid, base_warp, pd, p, cfg, &spec.args, store,
+            d, base_tid, base_warp, pd, p, cfg, &spec.args, &runs, store,
         ));
         if cfg.profile {
             let s = shards.last_mut().expect("just pushed");

@@ -89,11 +89,14 @@ pub struct SimReport {
     /// Trace events produced but not retained under the engine's
     /// `trace_capacity` bound (0 when tracing is off or unbounded).
     pub trace_dropped_events: u64,
-    /// Time units the event-driven clock jumped over instead of stepping
-    /// (all warps parked behind a memory pipeline, a barrier release or
-    /// a busy non-pipelined memory). Always 0 when fast-forwarding is
-    /// disabled; every other field is independent of the setting, so
-    /// this is the only report field the `fast_forward` knob may change.
+    /// Time units the event-driven clock jumped over with no thread
+    /// runnable (all warps parked behind a memory pipeline, a barrier
+    /// release or a busy non-pipelined memory). The clock may also jump
+    /// over units in which only threads running ahead through local
+    /// instructions are busy; those units are not counted. Always 0 when
+    /// fast-forwarding is disabled; every other field is independent of
+    /// the setting, so this is the only report field the `fast_forward`
+    /// knob may change.
     pub skipped_units: u64,
 }
 

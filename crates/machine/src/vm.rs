@@ -154,6 +154,57 @@ impl PcGroups {
     }
 }
 
+/// Whether [`LaneState::step_local`] may refuse `inst`: a load, store,
+/// barrier or halt, or a division or remainder, whose divisor may be 0.
+fn may_stop(inst: &Inst) -> bool {
+    matches!(
+        inst,
+        Inst::Ld(..)
+            | Inst::St(..)
+            | Inst::Bar(_)
+            | Inst::Halt
+            | Inst::Bin(BinOp::Div | BinOp::Rem, ..)
+    )
+}
+
+/// Cap of [`local_runs`]: a run that never reaches an instruction that
+/// may stop it (an endless loop of local work) still runs ahead within
+/// this many cycles of its lane.
+const RUN_CAP: u64 = 1 << 20;
+
+/// For each pc of `program`, the fewest instructions a thread executes
+/// from it, on any path, before one that [`LaneState::step_local`] may
+/// refuse: one that [`may_stop`], or a pc outside the program (capped
+/// at [`RUN_CAP`]). A lane at `pc` whose next instruction is at cycle
+/// `t` cannot fault, touch memory or synchronise before cycle
+/// `t + runs[pc]`.
+pub(crate) fn local_runs(program: &Program) -> Vec<u64> {
+    let insts = program.insts();
+    let mut runs: Vec<u64> = insts
+        .iter()
+        .map(|inst| if may_stop(inst) { 0 } else { RUN_CAP })
+        .collect();
+    let at = |runs: &[u64], pc: usize| runs.get(pc).copied().unwrap_or(0);
+    // Shortest distance to a stop, relaxed backwards until it settles.
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for pc in (0..insts.len()).rev() {
+            let next = match insts[pc] {
+                _ if runs[pc] == 0 => continue,
+                Inst::Jmp(t) => at(&runs, t),
+                Inst::Brz(_, t) | Inst::Brnz(_, t) => at(&runs, t).min(at(&runs, pc + 1)),
+                _ => at(&runs, pc + 1),
+            };
+            if next + 1 < runs[pc] {
+                runs[pc] = next + 1;
+                changed = true;
+            }
+        }
+    }
+    runs
+}
+
 /// Architectural state of a block of threads, structure-of-arrays:
 /// register `r` of thread `t` is `regs[r * n + t]`, next to the same
 /// register of threads `t - 1` and `t + 1`.
@@ -286,6 +337,38 @@ impl LaneState {
         }
     }
 
+    /// Execute the instruction at `pc` for `lanes`, all sitting at `pc`,
+    /// if it is local work that cannot fault on any of them: inside the
+    /// program, not a load, store, barrier or halt, and not a division or
+    /// remainder by zero in any lane. Such an instruction touches only the
+    /// lanes' own registers and program counters, so the engine may
+    /// execute it before or after its cycle comes (run-ahead).
+    ///
+    /// Returns `None`, having executed nothing, for any other
+    /// instruction; otherwise whether it was a conditional branch, which
+    /// may leave the lanes at different program counters.
+    pub(crate) fn step_local(
+        &mut self,
+        program: &Program,
+        pc: usize,
+        lanes: &[usize],
+    ) -> Option<bool> {
+        let inst = *program.get(pc)?;
+        match inst {
+            Inst::Ld(..) | Inst::St(..) | Inst::Bar(_) | Inst::Halt => return None,
+            Inst::Bin(BinOp::Div | BinOp::Rem, _, _, divisor) => {
+                let b = self.src(divisor);
+                if lanes.iter().any(|&t| self.val(b, t) == 0) {
+                    return None;
+                }
+            }
+            _ => {}
+        }
+        let effect = self.exec(inst, pc, lanes);
+        debug_assert_eq!(effect, Ok(GroupEffect::Local));
+        Some(matches!(inst, Inst::Brz(..) | Inst::Brnz(..)))
+    }
+
     /// Execute the instruction at `pc` for every lane in `lanes`, which
     /// must all sit at `pc` (ascending lane order; errors name the
     /// lowest erring lane, as lane-by-lane execution would).
@@ -312,6 +395,18 @@ impl LaneState {
             let thread = self.base_id + t;
             return Err((t, SimError::PcOutOfRange { thread, pc, len }));
         };
+        self.exec(inst, pc, lanes)
+    }
+
+    /// [`LaneState::step_group`] for the decoded instruction `inst` at
+    /// `pc`.
+    #[inline]
+    fn exec(
+        &mut self,
+        inst: Inst,
+        pc: usize,
+        lanes: &[usize],
+    ) -> Result<GroupEffect, (usize, SimError)> {
         let effect = match inst {
             Inst::Mov(dst, src) => {
                 let s = self.src(src);
@@ -595,6 +690,39 @@ mod tests {
         );
         assert_eq!(s.req(1).addr, 23);
         assert_eq!((s.pc(0), s.pc(1)), (2, 1));
+    }
+
+    /// `local_runs` counts the shortest path to an instruction that may
+    /// stop a run, through loops and off the end of the program.
+    #[test]
+    fn local_runs_measure_the_shortest_path_to_a_stop() {
+        let mut a = Asm::new();
+        let top = a.label();
+        let done = a.label();
+        a.mov(Reg(1), 3); // 0
+        a.bind(top);
+        a.brz(Reg(1), done); // 1
+        a.sub(Reg(1), Reg(1), 1); // 2
+        a.jmp(top); // 3
+        a.bind(done);
+        a.div(Reg(2), 1, Reg(1)); // 4
+        a.ld_global(Reg(2), 0, 0); // 5
+        a.halt(); // 6
+        assert_eq!(local_runs(&a.finish()), [2, 1, 3, 2, 0, 0, 0]);
+
+        let mut a = Asm::new();
+        let top = a.here();
+        let end = a.label();
+        a.brnz(Reg(1), end); // 0
+        a.jmp(top); // 1
+        a.bind(end);
+        assert_eq!(local_runs(&a.finish()), [1, 2]);
+
+        let mut a = Asm::new();
+        let top = a.here();
+        a.add(Reg(1), Reg(1), 1);
+        a.jmp(top);
+        assert_eq!(local_runs(&a.finish()), [RUN_CAP, RUN_CAP]);
     }
 
     #[test]
