@@ -202,3 +202,82 @@ fn cycle_limit_comes_before_a_later_division_by_zero() {
         );
     }
 }
+
+/// Every lane computes a flag that is 1 on lanes 1 and 5, then leaves
+/// it in `T0` and passes a data-dependent branch that splits the warp
+/// into lanes {0, 5, 6, 7} and {1, 2, 3, 4}; a second branch splits
+/// the first part into {0} and {5, 6, 7}. All three paths are four
+/// instructions long, so every lane reaches `tail` at the same cycle,
+/// in three runs: run-ahead stops {5, 6, 7} there before {1, 2, 3, 4},
+/// although the latter hold the lower lanes. Returns `tail`'s pc.
+fn split_runs_meet(a: &mut Asm, tail: impl FnOnce(&mut Asm)) -> usize {
+    let (high, zero, meet) = (a.label(), a.label(), a.label());
+    a.shr(T0, 0x22, abi::LTID);
+    a.and(T0, T0, 1);
+    a.shr(T1, 0xE1, abi::LTID);
+    a.and(T1, T1, 1);
+    a.seq(ACC, abi::LTID, 0);
+    a.brnz(T1, high);
+    a.nop();
+    a.nop();
+    a.jmp(meet);
+    a.bind(high);
+    a.brnz(ACC, zero);
+    a.nop();
+    a.jmp(meet);
+    a.bind(zero);
+    a.nop();
+    a.jmp(meet);
+    a.bind(meet);
+    let pc = a.pc();
+    tail(a);
+    a.halt();
+    pc
+}
+
+/// Lanes 1 and 5 divide by zero in different runs, and the run of lane
+/// 5 stops first: the error still names thread 1, the lowest erring
+/// lane of the lowest DMM.
+#[test]
+fn division_by_zero_in_split_runs_names_the_lowest_lane() {
+    let mut a = Asm::new();
+    let div_pc = split_runs_meet(&mut a, |a| {
+        a.sub(T1, 1, T0);
+        a.div(T1, 1, T1);
+    }) + 1;
+    let spec = launch(a.finish());
+    for fast_forward in [true, false] {
+        assert_eq!(
+            engine(u64::MAX, fast_forward).run(&spec).unwrap_err(),
+            SimError::DivisionByZero {
+                thread: 1,
+                pc: div_pc
+            },
+            "fast_forward {fast_forward}"
+        );
+    }
+}
+
+/// The same split runs meeting at a load whose address is negative on
+/// lanes 1 and 5: the error names thread 1.
+#[test]
+fn negative_address_in_split_runs_names_the_lowest_lane() {
+    let mut a = Asm::new();
+    split_runs_meet(&mut a, |a| {
+        a.sub(T1, 0, T0);
+        a.ld_global(T1, T1, 0);
+    });
+    let spec = launch(a.finish());
+    for fast_forward in [true, false] {
+        assert_eq!(
+            engine(u64::MAX, fast_forward).run(&spec).unwrap_err(),
+            SimError::OutOfBounds {
+                thread: 1,
+                space: hmm_machine::isa::Space::Global,
+                addr: usize::MAX,
+                size: 0
+            },
+            "fast_forward {fast_forward}"
+        );
+    }
+}
