@@ -54,6 +54,43 @@ fn bad_input_exits_2_with_a_message() {
             "simulation error",
         ),
         (&["profile", "sort-hmm", "--d", "3"], "simulation error"),
+        // A simulated time past `u64::MAX` ends in the cycle limit.
+        (
+            &[
+                "sum",
+                "--machine",
+                "hmm",
+                "--n",
+                "4",
+                "--l",
+                "18446744073709551615",
+            ],
+            "cycle limit",
+        ),
+        (
+            &[
+                "sum",
+                "--machine",
+                "dmm",
+                "--n",
+                "4",
+                "--l",
+                "18446744073709551615",
+            ],
+            "cycle limit",
+        ),
+        (
+            &[
+                "sum",
+                "--machine",
+                "hmm",
+                "--n",
+                "4",
+                "--l",
+                "9223372036854775808",
+            ],
+            "cycle limit",
+        ),
         (&["frobnicate"], "unknown command"),
     ] {
         let err = run(tokens).expect_err("bad input must be rejected");

@@ -90,7 +90,9 @@ pub struct EngineConfig {
     /// (except `SimReport::skipped_units`), traces, profiles and races
     /// are bit-identical either way; only wall-clock time changes. On by
     /// default; off exists only as the reference clock of the
-    /// differential test and the engine bench.
+    /// differential test (`tests/fast_forward_vs_step.rs`), the pins of
+    /// out-of-step lanes (`crates/machine/tests/local_runs.rs`) and the
+    /// engine bench.
     #[doc(hidden)]
     pub fast_forward: bool,
 }

@@ -11,9 +11,9 @@
 //!    their threads.
 //! 2. **Phase A** (each shard in DMM order): deliver parked barrier
 //!    releases and shared-memory completions due this cycle, then step
-//!    every warp with a lane due this cycle: its lanes at local
-//!    instructions run ahead, then the lanes whose next instruction is
-//!    at this cycle issue it, one lane group per distinct PC (see below).
+//!    every warp with a lane due this cycle: its runnable lanes run ahead
+//!    in groups by PC, and the lanes of each group whose next instruction
+//!    is at this cycle issue it (see below).
 //! 3. **Barrier releases**: each DMM's barrier in DMM order, then the
 //!    machine-wide one, which releases when the shards' global-barrier
 //!    arrivals add up to their live threads ([`global_release`]).
@@ -63,22 +63,24 @@
 //!
 //! A shard keeps its threads' registers, PCs and memory-request slots
 //! structure-of-arrays in one [`LaneState`], so a warp is a contiguous
-//! block of lanes. Phase A steps a warp whose lanes all issue at one PC
-//! as a single lane group; otherwise it sorts the lanes that issue this
-//! cycle into groups by PC (ordered by lowest lane). Each group fetches
-//! and decodes its instruction once ([`LaneState::step_group`]). A load
-//! or store leaves each lane's request in its slot and sets the lane's
-//! bit in the warp's posted mask; assembly compacts the posted slots in
-//! lane order into the warp's transactions. Local instructions do not
-//! wait for their cycle: each lane keeps the cycle of its next
-//! instruction in `ready`, and a warp is stepped only when one of its
-//! lanes may reach an instruction that must issue at its own cycle
-//! ([`local_runs`]). Its lanes at local instructions then run ahead in
-//! groups by PC, even when their cycles differ ([`Shard::run_ahead`]).
-//! Lanes never interact within a step, so this reproduces
-//! thread-by-thread execution exactly: the same request order, the same
-//! write winners, the same first error (the lowest erring thread) and
-//! the same per-PC profile (DESIGN.md, "Warp-granular interpreter").
+//! block of lanes. Local instructions do not wait for their cycle: each
+//! lane keeps the cycle of its next instruction in `ready`, and a warp is
+//! stepped only when one of its lanes may reach an instruction that must
+//! issue at its own cycle ([`local_runs`]). Every warp step takes one
+//! path ([`Shard::step_warp`]). The warp's runnable lanes run ahead
+//! through local instructions in groups by PC, even when their cycles
+//! differ; a branch that diverges a group splits it in place with
+//! [`partition`] ([`Shard::run_ahead`]). Each group stops before an
+//! instruction that must issue at its own cycle, and the lanes of the
+//! group whose cycle has come issue it as one lane group, which fetches
+//! and decodes it once ([`LaneState::step_group`]). A load or store
+//! leaves each lane's request in its slot and sets the lane's bit in the
+//! warp's posted mask; assembly compacts the posted slots in lane order
+//! into the warp's transactions. Lanes never interact within a step, so
+//! this reproduces thread-by-thread execution exactly: the same request
+//! order, the same write winners, the same first error (the lowest
+//! erring thread over all groups) and the same per-PC profile
+//! (DESIGN.md, "Warp-granular interpreter").
 
 use std::collections::VecDeque;
 
@@ -91,7 +93,7 @@ use crate::profile::{CategoryCounts, LaunchProfile, PipeAcc, StallCategory};
 use crate::request::{AccessKind, ConflictPolicy, Request, SlotSchedule, SlotScratch};
 use crate::stats::{MemoryStats, SimReport};
 use crate::trace::{MemoryId, Trace, TraceEvent};
-use crate::vm::{local_runs, GroupEffect, LaneState, PcGroups};
+use crate::vm::{local_runs, lowest_fault, partition, GroupEffect, LaneState};
 use crate::word::Word;
 
 /// Everything a run produces besides the engine's persistent memories.
@@ -169,26 +171,14 @@ struct WarpRt {
     posted_mask: Vec<u64>,
 }
 
-/// Lane lists for grouping a warp's runnable lanes by PC, shared by the
-/// shards' phase A.
-#[derive(Default)]
-struct Groups {
-    /// Every local thread index of the largest shard: a converged warp's
-    /// group is a slice.
-    all: Vec<usize>,
-    /// A diverged warp's lane groups.
-    by_pc: PcGroups,
-    ahead: RunAhead,
-}
-
-/// Run-ahead scratch ([`Shard::run_ahead`]): the lanes that run ahead,
-/// split into subgroups by pc, each subgroup a contiguous range.
+/// [`Shard::step_warp`]'s scratch, shared by the shards' phase A: a
+/// warp's runnable lanes, split into runs, each a contiguous range.
 #[derive(Default)]
 struct RunAhead {
     lanes: Vec<usize>,
-    /// Partition scratch: the lanes a split moves behind the others.
+    /// Partition scratch.
     moved: Vec<usize>,
-    /// Subgroups still to run.
+    /// Runs still to step.
     pending: Vec<Run>,
 }
 
@@ -200,31 +190,9 @@ struct Run {
     end: usize,
     /// Instructions its lanes have run ahead so far.
     ran: u64,
-    /// The latest `ready` cycle among its lanes when they started.
+    /// At least the latest `ready` cycle among its lanes when they
+    /// started.
     latest: u64,
-    /// Whether its lanes may sit at different pcs.
-    may_diverge: bool,
-}
-
-impl RunAhead {
-    /// Reorder the lanes of `start..end` so that those satisfying `keep`
-    /// come first, each part in lane order, and return where the others
-    /// begin.
-    fn split(&mut self, start: usize, end: usize, keep: impl Fn(usize) -> bool) -> usize {
-        self.moved.clear();
-        let mut mid = start;
-        for i in start..end {
-            let lt = self.lanes[i];
-            if keep(lt) {
-                self.lanes[mid] = lt;
-                mid += 1;
-            } else {
-                self.moved.push(lt);
-            }
-        }
-        self.lanes[mid..end].copy_from_slice(&self.moved);
-        mid
-    }
 }
 
 /// A warp transaction; `warp` is the global warp id. A read's request
@@ -362,10 +330,12 @@ impl PipeRt {
                     .expect("bounds checked at assembly");
             }
         }
-        self.completions
-            .push_back((now + self.latency, id, slot_index));
+        // A due time past `u64::MAX` saturates: the clock then reaches
+        // the cycle limit first.
+        let due = now.saturating_add(self.latency);
+        self.completions.push_back((due, id, slot_index));
         if !self.pipelined {
-            self.busy_until = now + self.latency;
+            self.busy_until = due;
         }
         let done = slot_index + 1 == total_slots;
         if done {
@@ -788,7 +758,7 @@ impl<'m> Shard<'m> {
         now: u64,
         program: &Program,
         trace: &mut TraceBuf,
-        g: &mut Groups,
+        ra: &mut RunAhead,
     ) -> SimResult<()> {
         if self.parked_until.is_some_and(|t| t <= now) {
             self.parked_until = None;
@@ -802,17 +772,17 @@ impl<'m> Shard<'m> {
             self.pipe = Some(pipe);
         }
 
-        self.step_warps(now, program, g)
+        self.step_warps(now, program, ra)
     }
 
     /// Step every warp with a lane due at `now` ([`Shard::step_warp`]),
     /// in warp order. Fails with the error of the lowest-numbered erring
     /// thread: lanes never interact within a step, so that is the error
     /// lane-by-lane execution would meet first.
-    fn step_warps(&mut self, now: u64, program: &Program, g: &mut Groups) -> SimResult<()> {
+    fn step_warps(&mut self, now: u64, program: &Program, ra: &mut RunAhead) -> SimResult<()> {
         for wid in 0..self.warps.len() {
             if self.warp_due[wid] <= now {
-                if let Some((_, e)) = self.step_warp(now, program, wid, g) {
+                if let Some((_, e)) = self.step_warp(now, program, wid, ra) {
                     return Err(e);
                 }
             }
@@ -820,73 +790,32 @@ impl<'m> Shard<'m> {
         Ok(())
     }
 
-    /// Step warp `wid` at `now`. First its runnable lanes at local
-    /// instructions run ahead ([`Shard::run_ahead`]). Then the lanes
-    /// whose next instruction is at `now` issue it: the whole warp as one
-    /// lane group when all its lanes sit at one PC, otherwise one group
-    /// per PC in order of lowest lane. Returns the lowest erring lane and
-    /// its error.
+    /// Step warp `wid` at `now`: its runnable lanes run ahead through
+    /// local instructions, and in each group that stops, the lanes whose
+    /// next instruction is at `now` issue it ([`Shard::run_ahead`]).
+    /// Returns the lowest erring lane over all groups and its error.
     fn step_warp(
         &mut self,
         now: u64,
         program: &Program,
         wid: usize,
-        g: &mut Groups,
+        ra: &mut RunAhead,
     ) -> Option<(usize, SimError)> {
         let (first, n) = (self.warps[wid].first, self.warps[wid].lanes);
         let lanes = first..first + n;
-        let (pc, at) = (self.lanes.pc(first), self.ready[first]);
-        let converged = self.warps[wid].runnable == n
-            && lanes
-                .clone()
-                .all(|lt| self.lanes.pc(lt) == pc && self.ready[lt] == at);
-        // A converged warp at an instruction that may stop it issues that
-        // instruction now (it is due, so `at == now`); any other warp
-        // first runs its lanes at local instructions ahead.
-        let converged = if converged && self.run_at(pc) == 0 {
-            debug_assert_eq!(at, now, "a lane at a stop fell behind the clock");
-            true
-        } else if converged {
-            let Groups { all, ahead, .. } = g;
-            self.run_converged(program, wid, &all[lanes.clone()], at, ahead) == Some(now)
-        } else {
-            let ra = &mut g.ahead;
-            ra.lanes.clear();
-            ra.lanes.extend(lanes.clone().filter(|&lt| {
-                self.status[lt] == Status::Runnable && self.run_at(self.lanes.pc(lt)) > 0
-            }));
-            if let Some(latest) = ra.lanes.iter().map(|&lt| self.ready[lt]).max() {
-                ra.pending.push(Run {
-                    start: 0,
-                    end: ra.lanes.len(),
-                    ran: 0,
-                    latest,
-                    may_diverge: true,
-                });
-                self.run_ahead(program, wid, ra);
+        // One pass: the runnable lanes, their latest `ready` cycle and
+        // whether they sit at different pcs.
+        ra.lanes.clear();
+        let (mut latest, mut first_pc, mut diverged) = (0, None, false);
+        for lt in lanes.clone() {
+            if self.status[lt] == Status::Runnable {
+                ra.lanes.push(lt);
+                latest = latest.max(self.ready[lt]);
+                let pc = self.lanes.pc(lt);
+                diverged |= *first_pc.get_or_insert(pc) != pc;
             }
-            let pc = self.lanes.pc(first);
-            self.warps[wid].runnable == n
-                && lanes
-                    .clone()
-                    .all(|lt| self.lanes.pc(lt) == pc && self.ready[lt] == now)
-        };
-        let pc = self.lanes.pc(first);
-        let fault = if converged {
-            // The common case: one group of every lane.
-            self.issue(now, program, wid, pc, &g.all[lanes.clone()])
-                .err()
-        } else {
-            let (status, ready) = (&self.status, &self.ready);
-            g.by_pc.regroup(
-                &self.lanes,
-                lanes
-                    .clone()
-                    .filter(|&lt| status[lt] == Status::Runnable && ready[lt] == now),
-            );
-            g.by_pc
-                .step_each(|pc, group| self.issue(now, program, wid, pc, group))
-        };
+        }
+        let fault = self.run_ahead(now, program, wid, ra, latest, diverged);
         self.warp_due[wid] = if self.warps[wid].runnable == 0 {
             u64::MAX
         } else {
@@ -968,42 +897,63 @@ impl<'m> Shard<'m> {
         Ok(())
     }
 
-    /// Run-ahead: the lanes queued in `ra.pending` (runnable lanes of warp
-    /// `wid` at local instructions) execute the instructions that follow,
-    /// each lane one per cycle of its own time from its `ready` cycle, in
-    /// groups by pc however far apart those cycles are. A lane stops
-    /// before an instruction [`LaneState::step_local`] refuses — a memory
-    /// access, barrier or halt, a division by zero, a pc outside the
-    /// program — or at `max_cycles`, and `ready` holds the cycle of that
-    /// instruction, which then issues through [`Shard::issue`]. A branch
-    /// that diverges a group splits it by pc.
+    /// Run-ahead, then issue: `ra.lanes` (runnable lanes of warp `wid`,
+    /// whose latest `ready` cycle is `latest`, at different pcs if
+    /// `diverged`) execute local instructions, each lane one per cycle of
+    /// its own time from its `ready` cycle, in groups by pc however far
+    /// apart those cycles are; a branch that diverges a group splits it
+    /// by pc. A group stops before an instruction
+    /// [`LaneState::step_local`] refuses — a memory access, barrier or
+    /// halt, a division by zero, a pc outside the program — and `ready`
+    /// holds the cycle of that instruction. The group's lanes whose cycle
+    /// is `now` then issue it as one lane group ([`Shard::issue`]); the
+    /// others wait at it. A lane that reaches `max_cycles` stops there.
+    /// Returns the lowest erring lane over all groups and its error.
     ///
     /// Local instructions touch only their own lane's registers and pc,
     /// and the lanes stay runnable throughout, so executing them early or
     /// late changes no output. A lane is never caught up after its due
     /// cycle `ready + runs[pc]`, before which it cannot reach an
-    /// instruction that stops it, so every stop lies at or after the
-    /// cycle being stepped (DESIGN.md, "Warp-granular interpreter").
-    fn run_ahead(&mut self, program: &Program, wid: usize, ra: &mut RunAhead) {
+    /// instruction that stops it, so every stop lies at or after `now`
+    /// (DESIGN.md, "Warp-granular interpreter").
+    fn run_ahead(
+        &mut self,
+        now: u64,
+        program: &Program,
+        wid: usize,
+        ra: &mut RunAhead,
+        latest: u64,
+        diverged: bool,
+    ) -> Option<(usize, SimError)> {
+        let mut next = Some(Run {
+            start: 0,
+            end: ra.lanes.len(),
+            ran: 0,
+            latest,
+        });
+        let mut may_diverge = diverged;
+        let mut fault = None;
         while let Some(Run {
             start,
             mut end,
             mut ran,
             mut latest,
-            mut may_diverge,
-        }) = ra.pending.pop()
+        }) = next
         {
             loop {
                 if may_diverge {
-                    let pc = self.lanes.pc(ra.lanes[start]);
-                    let mid = ra.split(start, end, |lt| self.lanes.pc(lt) == pc);
+                    let pcs = &self.lanes;
+                    let pc = pcs.pc(ra.lanes[start]);
+                    let mid = start
+                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |lt| {
+                            pcs.pc(lt) == pc
+                        });
                     if mid < end {
                         ra.pending.push(Run {
                             start: mid,
                             end,
                             ran,
                             latest,
-                            may_diverge: true,
                         });
                         end = mid;
                     }
@@ -1012,7 +962,10 @@ impl<'m> Shard<'m> {
                 if latest.saturating_add(ran) >= limit {
                     // Lanes that reached the cycle limit stop there.
                     let ready = &mut self.ready;
-                    let mid = ra.split(start, end, |lt| ready[lt] + ran < limit);
+                    let mid = start
+                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |lt| {
+                            ready[lt] + ran < limit
+                        });
                     for &lt in &ra.lanes[mid..end] {
                         ready[lt] += ran;
                     }
@@ -1028,62 +981,43 @@ impl<'m> Shard<'m> {
                 }
                 let group = &ra.lanes[start..end];
                 let pc = self.lanes.pc(group[0]);
-                let Some(branch) = self.lanes.step_local(program, pc, group) else {
+                if let Some(branch) = self.lanes.step_local(program, pc, group) {
+                    self.ran_ahead(wid, pc, group.len());
+                    may_diverge = branch;
+                    ran += 1;
+                    continue;
+                }
+                let ready = &mut self.ready;
+                if ran > 0 {
                     for &lt in group {
-                        self.ready[lt] += ran;
+                        ready[lt] += ran;
                     }
-                    break;
+                }
+                debug_assert!(
+                    group.iter().all(|&lt| ready[lt] >= now),
+                    "a lane at a stop fell behind the clock"
+                );
+                // Every lane's `ready` lies in `now..=latest + ran`.
+                let due = if latest + ran == now {
+                    end
+                } else {
+                    start
+                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |lt| {
+                            ready[lt] == now
+                        })
                 };
-                self.ran_ahead(wid, pc, group.len());
-                may_diverge = branch;
-                ran += 1;
+                if start < due {
+                    let group = &ra.lanes[start..due];
+                    if let Err(e) = self.issue(now, program, wid, pc, group) {
+                        fault = lowest_fault(fault, Some(e));
+                    }
+                }
+                break;
             }
+            next = ra.pending.pop();
+            may_diverge = true;
         }
-    }
-
-    /// [`Shard::run_ahead`] for a converged group: `lanes`, every lane of
-    /// warp `wid`, sit at one pc with `ready == at`. They step in place
-    /// until they stop together, and then all wait for the returned
-    /// cycle; a branch that diverges them hands them to `run_ahead`
-    /// (returning `None`).
-    fn run_converged(
-        &mut self,
-        program: &Program,
-        wid: usize,
-        lanes: &[usize],
-        at: u64,
-        ra: &mut RunAhead,
-    ) -> Option<u64> {
-        let mut ran = 0;
-        loop {
-            let pc = self.lanes.pc(lanes[0]);
-            let stepped = if at + ran < self.max_cycles {
-                self.lanes.step_local(program, pc, lanes)
-            } else {
-                None
-            };
-            let Some(branch) = stepped else { break };
-            self.ran_ahead(wid, pc, lanes.len());
-            ran += 1;
-            let pc = self.lanes.pc(lanes[0]);
-            if branch && lanes.iter().any(|&lt| self.lanes.pc(lt) != pc) {
-                ra.lanes.clear();
-                ra.lanes.extend_from_slice(lanes);
-                ra.pending.push(Run {
-                    start: 0,
-                    end: lanes.len(),
-                    ran,
-                    latest: at,
-                    may_diverge: true,
-                });
-                self.run_ahead(program, wid, ra);
-                return None;
-            }
-        }
-        for &lt in lanes {
-            self.ready[lt] = at + ran;
-        }
-        Some(at + ran)
+        fault
     }
 
     /// Count `n` lanes of warp `wid` that ran the instruction at `pc`
@@ -1101,7 +1035,7 @@ impl<'m> Shard<'m> {
     /// resuming at `now + cost + 1` charges exactly `cost` extra units.
     fn release(&mut self, now: u64) {
         if self.barrier_cost > 0 {
-            self.parked_until = Some(now + self.barrier_cost + 1);
+            self.parked_until = Some(now.saturating_add(self.barrier_cost).saturating_add(1));
         } else {
             self.wake_barrier(now + 1);
         }
@@ -1336,11 +1270,7 @@ fn drive(
 ) -> SimResult<u64> {
     let mut now: u64 = 0;
     let mut skipped: u64 = 0;
-    let largest = shards.iter().map(|s| s.status.len()).max().unwrap_or(0);
-    let mut groups = Groups {
-        all: (0..largest).collect(),
-        ..Groups::default()
-    };
+    let mut ahead = RunAhead::default();
     loop {
         if now >= cfg.max_cycles {
             return Err(SimError::CycleLimit {
@@ -1349,7 +1279,7 @@ fn drive(
         }
         coord.deliver(now, shards);
         for s in shards.iter_mut() {
-            s.phase_a(now, program, &mut coord.trace, &mut groups)?;
+            s.phase_a(now, program, &mut coord.trace, &mut ahead)?;
         }
         for s in shards.iter_mut() {
             s.release_dmm(now, &mut coord.trace);

@@ -18,7 +18,9 @@
 //!
 //! Lanes never interact within a step, so applying an instruction to a
 //! group gives each lane exactly the result it would get alone. Errors
-//! are reported for the lowest erring lane of the group.
+//! are reported for the lowest erring lane of the group. Both engines
+//! group lanes by program counter with [`partition`], and of several
+//! groups' errors keep the lowest lane's ([`lowest_fault`]).
 
 use crate::error::{SimError, SimResult};
 use crate::isa::{BinOp, Inst, Operand, Program, Reg, Scope, Space};
@@ -85,72 +87,50 @@ impl LaneReq {
     }
 }
 
-/// Lanes sorted into groups by program counter, each group ascending and
-/// the groups ordered by their lowest lane: the order lane-by-lane
-/// execution would first reach them in. Reused across steps without
-/// reallocating.
-#[derive(Debug, Clone, Default)]
-pub struct PcGroups {
-    pcs: Vec<usize>,
-    members: Vec<Vec<usize>>,
-    len: usize,
+/// Reorder `lanes` so that those satisfying `keep` come first, each part
+/// in its original order, and return where the others begin. `keep` sees
+/// each lane once; `moved` is scratch. Lanes that all satisfy `keep` are
+/// only read.
+///
+/// Grouping lanes by program counter is a loop of partitions: split off
+/// the lanes at the pc of the first remaining lane, then repeat on the
+/// rest. Ascending lanes give each group in lane order, and the groups in
+/// order of their lowest lane.
+pub fn partition(
+    lanes: &mut [usize],
+    moved: &mut Vec<usize>,
+    mut keep: impl FnMut(usize) -> bool,
+) -> usize {
+    let Some(first) = lanes.iter().position(|&t| !keep(t)) else {
+        return lanes.len();
+    };
+    moved.clear();
+    moved.push(lanes[first]);
+    let mut mid = first;
+    for i in first + 1..lanes.len() {
+        let t = lanes[i];
+        if keep(t) {
+            lanes[mid] = t;
+            mid += 1;
+        } else {
+            moved.push(t);
+        }
+    }
+    lanes[mid..].copy_from_slice(moved);
+    mid
 }
 
-impl PcGroups {
-    /// Regroup `lanes` (ascending) of `state` by their program counters.
-    pub fn regroup(&mut self, state: &LaneState, lanes: impl IntoIterator<Item = usize>) {
-        self.len = 0;
-        for t in lanes {
-            let pc = state.pcs[t];
-            let k = if let Some(k) = self.pcs[..self.len].iter().position(|&p| p == pc) {
-                k
-            } else {
-                if self.len == self.pcs.len() {
-                    self.pcs.push(pc);
-                    self.members.push(Vec::new());
-                } else {
-                    self.pcs[self.len] = pc;
-                    self.members[self.len].clear();
-                }
-                self.len += 1;
-                self.len - 1
-            };
-            self.members[k].push(t);
-        }
-    }
-
-    /// Whether no lane was grouped.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Group `k`: its program counter and its lanes.
-    fn get(&self, k: usize) -> (usize, &[usize]) {
-        (self.pcs[k], &self.members[k])
-    }
-
-    /// Call `step(pc, lanes)` for each group in order and return the
-    /// error of the lowest erring lane — the one lane-by-lane execution
-    /// would meet first. Groups whose lowest lane lies above an error
-    /// already found are skipped.
-    pub fn step_each(
-        &self,
-        mut step: impl FnMut(usize, &[usize]) -> Result<(), (usize, SimError)>,
-    ) -> Option<(usize, SimError)> {
-        let mut fault: Option<(usize, SimError)> = None;
-        for k in 0..self.len {
-            let (pc, lanes) = self.get(k);
-            if fault.as_ref().is_some_and(|&(t, _)| t < lanes[0]) {
-                break;
-            }
-            if let Err((t, e)) = step(pc, lanes) {
-                if fault.as_ref().is_none_or(|&(f, _)| t < f) {
-                    fault = Some((t, e));
-                }
-            }
-        }
-        fault
+/// The error of the lower lane of `a` and `b`: lanes never interact
+/// within a step, so of the errors of several lane groups, lane-by-lane
+/// execution meets the lowest lane's first.
+#[must_use]
+pub fn lowest_fault(
+    a: Option<(usize, SimError)>,
+    b: Option<(usize, SimError)>,
+) -> Option<(usize, SimError)> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(if b.0 < a.0 { b } else { a }),
+        (a, b) => a.or(b),
     }
 }
 
@@ -490,20 +470,43 @@ mod tests {
     use super::*;
     use crate::asm::Asm;
 
+    /// A lane group: its pc and its lanes.
+    type PcGroup = (usize, Vec<usize>);
+
+    /// Step the lanes of `lanes` (ascending) one group per pc, in order
+    /// of lowest lane, as the engines do: `step(pc, group)` for each, and
+    /// return the groups stepped and the lowest erring lane's error.
+    fn step_by_pc(
+        s: &mut LaneState,
+        lanes: &mut [usize],
+        mut step: impl FnMut(&mut LaneState, usize, &[usize]) -> Result<(), (usize, SimError)>,
+    ) -> (Vec<PcGroup>, Option<(usize, SimError)>) {
+        let (mut moved, mut groups, mut fault) = (Vec::new(), Vec::new(), None);
+        let mut start = 0;
+        while start < lanes.len() {
+            let pc = s.pc(lanes[start]);
+            let end = start + partition(&mut lanes[start..], &mut moved, |t| s.pc(t) == pc);
+            let group = &lanes[start..end];
+            groups.push((pc, group.to_vec()));
+            fault = lowest_fault(fault, step(s, pc, group).err());
+            start = end;
+        }
+        (groups, fault)
+    }
+
     /// Run every lane of `s` to its halt, stepping lane groups by pc the
     /// way the engine does; memory effects are not expected.
     fn run_local(program: &Program, s: &mut LaneState) {
         let mut live = vec![true; s.n];
-        let mut groups = PcGroups::default();
         loop {
-            groups.regroup(s, (0..s.n).filter(|&t| live[t]));
-            if groups.is_empty() {
+            let mut lanes: Vec<usize> = (0..s.n).filter(|&t| live[t]).collect();
+            if lanes.is_empty() {
                 return;
             }
-            let fault = groups.step_each(|pc, lanes| {
-                match s.step_group(program, pc, lanes)? {
+            let (_, fault) = step_by_pc(s, &mut lanes, |s, pc, group| {
+                match s.step_group(program, pc, group)? {
                     GroupEffect::Local => {}
-                    GroupEffect::Halt => lanes.iter().for_each(|&t| live[t] = false),
+                    GroupEffect::Halt => group.iter().for_each(|&t| live[t] = false),
                     other => panic!("unexpected effect {other:?}"),
                 }
                 Ok(())
@@ -513,41 +516,52 @@ mod tests {
     }
 
     #[test]
+    fn partition_keeps_lane_order_in_both_parts() {
+        let mut moved = Vec::new();
+        let mut lanes = [0, 1, 2, 3, 4, 5];
+        let mid = partition(&mut lanes, &mut moved, |t| t % 3 != 1);
+        assert_eq!((mid, lanes), (4, [0, 2, 3, 5, 1, 4]));
+        assert_eq!(partition(&mut lanes[..4], &mut moved, |_| true), 4);
+        assert_eq!(partition(&mut lanes[4..], &mut moved, |_| false), 0);
+        assert_eq!(lanes, [0, 2, 3, 5, 1, 4]);
+    }
+
+    /// Grouping by pc is a loop of partitions: each group in lane order,
+    /// the groups in order of their lowest lane.
+    #[test]
     fn groups_follow_lowest_lane_order() {
         let mut s = LaneState::new(6, 0);
         s.pcs = vec![4, 2, 4, 7, 2, 4];
-        let mut g = PcGroups::default();
-        g.regroup(&s, [0, 1, 2, 4, 5]);
-        assert_eq!(g.len, 2);
-        assert_eq!(g.get(0), (4, &[0, 2, 5][..]));
-        assert_eq!(g.get(1), (2, &[1, 4][..]));
-        g.regroup(&s, [3, 4]);
-        assert_eq!(
-            (g.len, g.get(0), g.get(1)),
-            (2, (7, &[3][..]), (2, &[4][..]))
-        );
+        let (groups, _) = step_by_pc(&mut s, &mut [0, 1, 2, 4, 5], |_, _, _| Ok(()));
+        assert_eq!(groups, [(4, vec![0, 2, 5]), (2, vec![1, 4])]);
+        let (groups, _) = step_by_pc(&mut s, &mut [3, 4], |_, _, _| Ok(()));
+        assert_eq!(groups, [(7, vec![3]), (2, vec![4])]);
     }
 
-    /// The lowest erring lane wins, even in a later group; groups that
-    /// start above a found error are not stepped.
+    /// Every group steps, and the lowest erring lane wins, even when a
+    /// later group holds it.
     #[test]
-    fn step_each_reports_the_lowest_erring_lane() {
-        let mut s = LaneState::new(6, 0);
+    fn the_lowest_erring_lane_wins_over_groups() {
+        let mut a = Asm::new();
+        a.div(Reg(1), 1, Reg(0));
+        a.div(Reg(1), 1, Reg(0));
+        a.halt();
+        let p = a.finish();
+        let mut s = LaneState::new(6, 10);
         s.pcs = vec![0, 1, 0, 1, 2, 2];
-        let mut g = PcGroups::default();
-        g.regroup(&s, 0..6);
-        let mut stepped = Vec::new();
-        let err = |t| SimError::DivisionByZero { thread: t, pc: 0 };
-        let fault = g.step_each(|pc, _| {
-            stepped.push(pc);
-            match pc {
-                0 => Err((2, err(2))),
-                1 => Err((1, err(1))),
-                _ => Ok(()),
-            }
+        for t in 0..6 {
+            s.set_reg(t, Reg(0), [1, 0, 0, 1, 1, 1][t]);
+        }
+        let (groups, fault) = step_by_pc(&mut s, &mut [0, 1, 2, 3, 4, 5], |s, pc, group| {
+            s.step_group(&p, pc, group).map(|_| ())
         });
-        assert_eq!(fault, Some((1, err(1))));
-        assert_eq!(stepped, [0, 1]);
+        assert_eq!(groups.len(), 3);
+        let err = |thread, pc| SimError::DivisionByZero { thread, pc };
+        assert_eq!(fault, Some((1, err(11, 1))));
+        let (a, b) = (Some((2, err(12, 0))), Some((1, err(11, 1))));
+        assert_eq!(lowest_fault(a.clone(), b.clone()), b);
+        assert_eq!(lowest_fault(b.clone(), a), b);
+        assert_eq!(lowest_fault(None, b.clone()), b);
     }
 
     fn one_lane(program: &Program, init: &[(Reg, Word)]) -> LaneState {

@@ -449,6 +449,59 @@ fn barrier_cost_charges_per_release() {
     assert_eq!(t5 - t0, phases * 5, "each of the {phases} barriers pays 5");
 }
 
+/// A time that does not fit in a `u64` ends in the cycle limit instead
+/// of wrapping, in debug and release builds alike: a completion due
+/// past `u64::MAX`, a non-pipelined memory busy past it, and a barrier
+/// release parked past it. A single access at latency `2^63` still fits.
+#[test]
+fn times_past_the_clock_end_in_the_cycle_limit() {
+    let program = |store: bool| {
+        let mut a = Asm::new();
+        a.ld_global(T0, abi::GID, 0);
+        if store {
+            a.st_global(abi::GID, 0, T0);
+        }
+        a.halt();
+        a.finish()
+    };
+    let run = |cfg: EngineConfig, program, p| {
+        let d = cfg.dmms;
+        Engine::new(cfg)
+            .unwrap()
+            .run(&LaunchSpec::even(program, p, d, vec![]))
+    };
+    let limit = Err(SimError::CycleLimit { limit: u64::MAX });
+    for latency in [1usize << 63, usize::MAX] {
+        for cfg in [
+            EngineConfig::dmm(4, latency, 16),
+            EngineConfig::hmm(2, 4, latency, 16, 16),
+        ] {
+            assert_eq!(run(cfg.clone(), program(true), 8), limit, "l {latency}");
+            let one_load = run(cfg.clone(), program(false), 4);
+            if latency == usize::MAX {
+                assert_eq!(one_load, limit);
+            } else {
+                // One warp per DMM; the last slot dispatches at cycle
+                // `d - 1`, and its lanes halt when it completes.
+                assert_eq!(one_load.unwrap().time, (1 << 63) + cfg.dmms as u64);
+            }
+            let serial = EngineConfig {
+                pipelined: false,
+                ..cfg
+            };
+            assert_eq!(run(serial, program(false), 8), limit, "l {latency}");
+        }
+    }
+    let mut a = Asm::new();
+    a.bar_dmm();
+    a.halt();
+    let cfg = EngineConfig {
+        barrier_cost: u64::MAX,
+        ..EngineConfig::hmm(2, 4, 1, 16, 16)
+    };
+    assert_eq!(run(cfg, a.finish(), 8), limit);
+}
+
 /// Per-DMM statistics decompose the merged shared counters.
 #[test]
 fn per_dmm_stats_sum_to_the_merge() {

@@ -2,7 +2,7 @@
 
 use hmm_machine::isa::{Program, Space};
 use hmm_machine::request::AccessKind;
-use hmm_machine::vm::{GroupEffect, LaneState, PcGroups};
+use hmm_machine::vm::{lowest_fault, partition, GroupEffect, LaneState};
 use hmm_machine::{abi, SimError, SimResult, Word};
 
 /// Result of one PRAM run.
@@ -102,7 +102,9 @@ impl Pram {
         let mut waiting = 0usize;
         // Processors that stored this step, applied in id order.
         let mut writers: Vec<usize> = Vec::new();
-        let mut groups = PcGroups::default();
+        // The running processors, grouped by pc in place.
+        let mut running: Vec<usize> = Vec::with_capacity(p);
+        let mut moved: Vec<usize> = Vec::new();
         let mut now: u64 = 0;
         while alive > 0 {
             if now >= self.max_cycles {
@@ -111,30 +113,41 @@ impl Pram {
                 });
             }
             writers.clear();
-            groups.regroup(&lanes, (0..p).filter(|&i| status[i] == Status::Running));
-            // Step the processors one lane group (same PC) at a time; the
-            // error reported is the lowest erring processor's, as in
-            // processor-by-processor execution.
-            let fault = groups.step_each(|pc, group| {
+            running.clear();
+            running.extend((0..p).filter(|&i| status[i] == Status::Running));
+            // Step the processors one lane group (same PC) at a time, in
+            // order of lowest processor; the error reported is the lowest
+            // erring processor's, as in processor-by-processor execution.
+            let mut fault = None;
+            let mut start = 0;
+            while start < running.len() {
+                let pc = lanes.pc(running[start]);
+                let end =
+                    start + partition(&mut running[start..], &mut moved, |i| lanes.pc(i) == pc);
+                let group = &running[start..end];
+                start = end;
                 report.instructions += group.len() as u64;
-                match lanes.step_group(program, pc, group)? {
-                    GroupEffect::Local => {}
-                    GroupEffect::Mem(_) => self.serve(group, &mut lanes, &mut writers)?,
-                    GroupEffect::Barrier(_) => {
-                        for &i in group {
-                            status[i] = Status::BarrierWait;
+                let step = lanes.step_group(program, pc, group).and_then(|effect| {
+                    match effect {
+                        GroupEffect::Local => {}
+                        GroupEffect::Mem(_) => self.serve(group, &mut lanes, &mut writers)?,
+                        GroupEffect::Barrier(_) => {
+                            for &i in group {
+                                status[i] = Status::BarrierWait;
+                            }
+                            waiting += group.len();
                         }
-                        waiting += group.len();
-                    }
-                    GroupEffect::Halt => {
-                        for &i in group {
-                            status[i] = Status::Halted;
+                        GroupEffect::Halt => {
+                            for &i in group {
+                                status[i] = Status::Halted;
+                            }
+                            alive -= group.len();
                         }
-                        alive -= group.len();
                     }
-                }
-                Ok(())
-            });
+                    Ok(())
+                });
+                fault = lowest_fault(fault, step.err());
+            }
             if let Some((_, e)) = fault {
                 return Err(e);
             }
@@ -152,7 +165,7 @@ impl Pram {
                     }
                 }
                 waiting = 0;
-            } else if groups.is_empty() && alive > 0 {
+            } else if running.is_empty() && alive > 0 {
                 return Err(SimError::Deadlock {
                     cycle: now,
                     waiting,
