@@ -911,10 +911,10 @@ impl<'m> Shard<'m> {
 
     /// Run-ahead, then issue: `ra.lanes` (runnable lanes of warp `wid`,
     /// whose latest `ready` cycle is `latest`, and which may sit at
-    /// different pcs if `diverged`) execute local instructions, each lane one per cycle of
-    /// its own time from its `ready` cycle, in groups by pc however far
-    /// apart those cycles are; a branch that diverges a group splits it
-    /// by pc. A group stops before an instruction
+    /// different pcs if `diverged`) execute local instructions, each lane
+    /// one per cycle of its own time from its `ready` cycle, in groups by
+    /// pc however far apart those cycles are; a branch that diverges a
+    /// group splits it by pc. A group stops before an instruction
     /// [`LaneState::step_local`] refuses — a memory access, barrier or
     /// halt, a division by zero, a pc outside the program — and `ready`
     /// holds the cycle of that instruction. The group's lanes whose cycle
