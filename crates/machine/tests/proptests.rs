@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hmm_machine::isa::Reg;
 use hmm_machine::request::{slot_count, AccessKind, ConflictPolicy, Request, SlotSchedule};
-use hmm_machine::{abi, bank_of, group_of, Asm, Engine, EngineConfig, LaunchSpec};
+use hmm_machine::{abi, bank_of, group_of, Asm, Engine, EngineConfig, LaunchSpec, Program, Space};
 use hmm_util::Rng;
 
 fn random_requests(rng: &mut Rng, max_addr: usize) -> Vec<Request> {
@@ -421,30 +421,48 @@ fn programs_match_golden(
         let program = random_program(&mut rng, global_size, shared_size, shape);
         let spec = LaunchSpec::even(program, p, d, vec![]);
         let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
-        cfg.trace = true;
-        cfg.profile = true;
         tweak(case, &mut cfg);
-        let mut engine = Engine::new(cfg).unwrap();
-        let mut report = engine.run(&spec).unwrap();
-        let races = engine.take_races();
-        let shared_races = std::mem::take(&mut report.shared_races);
-        let trace = engine.take_trace().expect("trace enabled");
-        let profile = engine.take_profiles().pop().expect("profile enabled");
-        let shared: Vec<_> = (0..d).map(|i| engine.shared(i).cells().to_vec()).collect();
         lines.push(format!(
-            "case {case} d={d} w={w} l={l} p={p} time={} instructions={} skipped={} \
-             report={} global={} shared={} trace={} profile={} races={shared_races}:{}",
-            report.time,
-            report.instructions,
-            report.skipped_units,
-            digest(&report),
-            digest(&engine.global().cells()),
-            digest(&shared),
-            digest(&trace.events()),
-            digest(&profile),
-            digest(&races),
+            "case {case} d={d} w={w} l={l} p={p} {}",
+            observe_digests(cfg, &spec)
         ));
     }
+    assert_golden(&lines, golden);
+}
+
+/// Run `spec` on a fresh engine of `cfg` with trace and profile on and
+/// render its outputs as one golden-file field list: time, instruction
+/// and skipped-unit counts, then digests of the report, the memories,
+/// the trace, the profile and the race log.
+fn observe_digests(mut cfg: EngineConfig, spec: &LaunchSpec) -> String {
+    cfg.trace = true;
+    cfg.profile = true;
+    let d = cfg.dmms;
+    let mut engine = Engine::new(cfg).unwrap();
+    let mut report = engine.run(spec).unwrap();
+    let races = engine.take_races();
+    let shared_races = std::mem::take(&mut report.shared_races);
+    let trace = engine.take_trace().expect("trace enabled");
+    let profile = engine.take_profiles().pop().expect("profile enabled");
+    let shared: Vec<_> = (0..d).map(|i| engine.shared(i).cells().to_vec()).collect();
+    format!(
+        "time={} instructions={} skipped={} \
+         report={} global={} shared={} trace={} profile={} races={shared_races}:{}",
+        report.time,
+        report.instructions,
+        report.skipped_units,
+        digest(&report),
+        digest(&engine.global().cells()),
+        digest(&shared),
+        digest(&trace.events()),
+        digest(&profile),
+        digest(&races),
+    )
+}
+
+/// Compare `lines` with the golden file at `golden` (relative to the
+/// crate root), or rewrite the file when `HMM_BLESS` is set.
+fn assert_golden(lines: &[String], golden: &str) {
     let actual = lines.join("\n") + "\n";
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
     if std::env::var_os("HMM_BLESS").is_some() {
@@ -508,6 +526,120 @@ fn looping_programs_match_golden() {
         },
         "tests/golden/looping_programs.txt",
     );
+}
+
+/// A kernel of affine accesses `M[base + s·i]` in `space`, where `i` is
+/// the thread's index in that memory (`LTID` for shared, `GID` for
+/// global) and lane subsets are picked by bit `bit` of `i`, like
+/// bitonic sort's `GI < PARTNER` guard. In order:
+///
+/// 1. every thread stores `7·gid + 1` (`s = 0`: the highest thread wins);
+/// 2. every thread loads the word back;
+/// 3. the threads whose bit is clear load it again (a lane subset);
+/// 4. the threads whose bit is set load it while the others store to it,
+///    one transaction mixing reads and writes;
+/// 5. odd threads load `M[x]` while even ones store to it: a read and a
+///    write of one address in one slot;
+/// 6. every thread stores a mix of its loaded values to global
+///    `out + gid`, so every load reaches the memory digest.
+fn affine_program(space: Space, s: i64, base: i64, bit: u32, x: i64, out: i64) -> Program {
+    let idx = if space == Space::Shared {
+        abi::LTID
+    } else {
+        abi::GID
+    };
+    let (addr, sel, v1, v2, v3, v4, t) = (
+        Reg(16),
+        Reg(17),
+        Reg(18),
+        Reg(19),
+        Reg(20),
+        Reg(21),
+        Reg(22),
+    );
+    let mut a = Asm::new();
+    a.mul(addr, idx, s);
+    a.add(addr, addr, base);
+    a.and(sel, idx, 1i64 << bit);
+    a.mul(t, abi::GID, 7);
+    a.add(t, t, 1);
+    a.st(space, addr, 0, t);
+    a.ld(v1, space, addr, 0);
+    let subset = a.label();
+    a.brnz(sel, subset);
+    a.ld(v2, space, addr, 0);
+    a.bind(subset);
+    let (store, mixed) = (a.label(), a.label());
+    a.brz(sel, store);
+    a.ld(v3, space, addr, 0);
+    a.jmp(mixed);
+    a.bind(store);
+    a.add(t, v1, abi::GID);
+    a.st(space, addr, 0, t);
+    a.bind(mixed);
+    let (writer, merged) = (a.label(), a.label());
+    a.and(sel, abi::GID, 1);
+    a.brz(sel, writer);
+    a.ld(v4, space, x, 0);
+    a.jmp(merged);
+    a.bind(writer);
+    a.st(space, x, 0, abi::GID);
+    a.bind(merged);
+    a.mul(v2, v2, 3);
+    a.mul(v3, v3, 5);
+    a.mul(v4, v4, 7);
+    a.add(t, v1, v2);
+    a.add(t, t, v3);
+    a.add(t, t, v4);
+    a.st_global(abi::GID, out, t);
+    a.halt();
+    a.finish()
+}
+
+/// Affine loads and stores at strides 0, 1, −1, 2, w/2, w−1, w and w+1,
+/// over full, partial and lane-subset warps, on machines of width 4, 32,
+/// 64 and 128: the HMM's banked shared and coalesced global memories and
+/// the standalone DMM and UMM. Each launch produces exactly the pinned
+/// report, memories, trace, race log and profile.
+#[test]
+fn affine_programs_match_golden() {
+    let mut lines = Vec::new();
+    for w in [4usize, 32, 64, 128] {
+        // Two full warps and a partial one per DMM.
+        let pd = 2 * w + w / 2 + 1;
+        let bits = w.trailing_zeros() + 1;
+        let w64 = w as i64;
+        for (k, s) in [0, 1, -1, 2, w64 / 2, w64 - 1, w64, w64 + 1]
+            .into_iter()
+            .enumerate()
+        {
+            let bit = k as u32 % bits;
+            for machine in ["hmm-shared", "hmm-global", "dmm", "umm"] {
+                let d = if machine.starts_with("hmm") { 2 } else { 1 };
+                let p = d * pd;
+                // Room for `base + s·i` at any |s| <= w + 1, then `x`,
+                // then the per-thread output words.
+                let span = (w as i64 + 1) * p as i64;
+                let base = span + 3 * (k as i64 % 2);
+                let x = 2 * span + 3;
+                let out = x + 1;
+                let size = (out as usize) + p;
+                let (cfg, space) = match machine {
+                    "hmm-shared" => (EngineConfig::hmm(d, w, 5, size, size), Space::Shared),
+                    "hmm-global" => (EngineConfig::hmm(d, w, 5, size, 0), Space::Global),
+                    "dmm" => (EngineConfig::dmm(w, 3, size), Space::Global),
+                    _ => (EngineConfig::umm(w, 3, size), Space::Global),
+                };
+                let program = affine_program(space, s, base, bit, x, out);
+                let spec = LaunchSpec::even(program, p, d, vec![]);
+                lines.push(format!(
+                    "w={w} {machine} s={s} bit={bit} p={p} {}",
+                    observe_digests(cfg, &spec)
+                ));
+            }
+        }
+    }
+    assert_golden(&lines, "tests/golden/affine_programs.txt");
 }
 
 /// A bounded trace is exactly the first `cap` events of the unbounded
