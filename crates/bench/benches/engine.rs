@@ -9,13 +9,22 @@
 //! and serve as the no-regression guard. Two shapes load lane-group
 //! stepping: the tuner's stock sum kernel, whose bank-conflicted shared
 //! fold wakes a warp's lanes on consecutive cycles, and a loop of ALU
-//! instructions between two memory accesses.
+//! instructions between two memory accesses. Three shapes load the
+//! memory path: the bitonic sort of perfbench's `sort_profiled` (without
+//! its profile and trace), and a shared-memory loop at stride 1
+//! (one-slot transactions) and at stride `w` (every lane in one bank,
+//! `w` slots per transaction).
+//!
+//! Each time is the minimum of [`SAMPLES`] runs after a warm-up run;
+//! on a shared host a minimum of a handful of runs moves by a third
+//! between batches, which hides a change of a few percent.
 //!
 //! Run with `cargo bench -p hmm-bench --bench engine`. Results — with
 //! the host core count and per-workload simulated and skipped units —
 //! go to `BENCH_engine.json` at the repository root.
 
 use hmm_algorithms::convolution::{self, run_conv_hmm};
+use hmm_algorithms::sort::{self, run_sort_hmm};
 use hmm_algorithms::sum::{hmm_all, run_sum_hmm};
 use hmm_core::{LaunchShape, Machine};
 use hmm_machine::isa::Reg;
@@ -27,6 +36,8 @@ use hmm_workloads::random_words;
 
 const D: usize = 4;
 const W: usize = 32;
+/// Timed runs per shape and clock mode.
+const SAMPLES: usize = 30;
 
 fn sum_report(l: usize, n: usize, p: usize, input: &[hmm_machine::Word], ff: bool) -> SimReport {
     let mut m = hmm_all::footprint(n, p, D)
@@ -90,6 +101,38 @@ fn alu_loop_report(iters: i64, p: usize, ff: bool) -> SimReport {
         .unwrap()
 }
 
+/// Bitonic sort of `input` on an HMM of `d` DMMs with `w = 32`,
+/// `l = 64` and `p` threads: perfbench's `sort_profiled` launch.
+fn sort_report(d: usize, p: usize, input: &[hmm_machine::Word], ff: bool) -> SimReport {
+    let mut m = sort::footprint(input.len(), Some(d))
+        .hmm(d, W, 64)
+        .with_fast_forward(ff);
+    run_sort_hmm(&mut m, input, p).unwrap().report
+}
+
+/// `iters` rounds of a shared-memory increment on every thread: load
+/// `S[stride·LTID]`, add one, store it back.
+fn shared_loop_report(stride: usize, iters: i64, p: usize, ff: bool) -> SimReport {
+    let (addr, v, i, more) = (Reg(16), Reg(17), Reg(18), Reg(19));
+    let mut a = Asm::new();
+    a.mul(addr, abi::LTID, stride);
+    a.mov(i, 0);
+    let top = a.here();
+    a.ld_shared(v, addr, 0);
+    a.add(v, v, 1);
+    a.st_shared(addr, 0, v);
+    a.add(i, i, 1);
+    a.slt(more, i, iters);
+    a.brnz(more, top);
+    a.halt();
+    let mut cfg = EngineConfig::hmm(D, W, 64, p, stride * p / D);
+    cfg.fast_forward = ff;
+    let mut engine = Engine::new(cfg).unwrap();
+    engine
+        .run(&LaunchSpec::even(a.finish(), p, D, vec![]))
+        .unwrap()
+}
+
 /// Benchmark one workload in both clock modes and emit the JSON row.
 fn measure(g: &mut BenchGroup, name: &str, run: impl Fn(bool) -> SimReport) -> Value {
     let (ff_ms, ff_report) = g.bench(&format!("{name}/fast_forward"), || run(true));
@@ -121,7 +164,7 @@ fn measure(g: &mut BenchGroup, name: &str, run: impl Fn(bool) -> SimReport) -> V
 }
 
 fn main() {
-    let samples = 5;
+    let samples = SAMPLES;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!("event-driven clock bench: d = {D}, w = {W}, host cores = {cores}");
     let mut g = BenchGroup::new("engine");
@@ -167,6 +210,19 @@ fn main() {
     }));
     rows.push(measure(&mut g, "alu/i256_p1024", |ff| {
         alu_loop_report(256, 1024, ff)
+    }));
+
+    // The memory path: the bitonic sort, and shared loops whose
+    // transactions take one slot (stride 1) or `w` slots (stride `w`).
+    let sort_input = random_words(2048, 1, 1 << 20);
+    rows.push(measure(&mut g, "sort/d8_p512", |ff| {
+        sort_report(8, 512, &sort_input, ff)
+    }));
+    rows.push(measure(&mut g, "shared/s1_i64_p1024", |ff| {
+        shared_loop_report(1, 64, 1024, ff)
+    }));
+    rows.push(measure(&mut g, "shared/sw_i64_p1024", |ff| {
+        shared_loop_report(W, 64, 1024, ff)
     }));
 
     let doc = Value::object(vec![
