@@ -200,6 +200,8 @@ struct Run {
 #[derive(Default)]
 struct Txn {
     warp: usize,
+    /// Posted in lane order; once submitted, slot-major: slot `i` is
+    /// `requests[schedule.range(i)]`, still in lane order.
     requests: Vec<Request>,
     schedule: SlotSchedule,
     next_slot: usize,
@@ -276,26 +278,29 @@ impl PipeRt {
         id
     }
 
-    /// Schedule transaction `id` (rebuilding its schedule in place) and
-    /// queue it for dispatch.
+    /// Schedule transaction `id` — its requests reordered so that each
+    /// slot is a range, its schedule rebuilt in place — and queue it for
+    /// dispatch.
     fn submit(&mut self, id: usize, scratch: &mut SlotScratch, width: usize) {
         let txn = &mut self.txns[id];
-        scratch.build_into(&txn.requests, width, self.policy, &mut txn.schedule);
+        scratch.build_into(&mut txn.requests, width, self.policy, &mut txn.schedule);
         self.queue.push_back(id);
     }
 
-    /// Dispatch one pipeline slot, if one can go out at `now`: reads
-    /// observe memory before this slot's writes; write-write collisions
-    /// resolve to the last (highest thread id) writer — "arbitrary" per
-    /// the paper, made deterministic here. `pre` observes the slot before
-    /// it is served (the race checker). The slot is profiled and traced;
-    /// its transaction's statistics are recorded with its last slot.
+    /// Dispatch one pipeline slot, if one can go out at `now`: its
+    /// requests are a range in lane order, whose reads observe memory
+    /// before its writes; write-write collisions resolve to the last
+    /// (highest thread id) writer — "arbitrary" per the paper, made
+    /// deterministic here. `pre` observes each request, with its warp,
+    /// in slot order before any write is served (the race checker). The
+    /// slot is profiled and traced; its transaction's statistics are
+    /// recorded with its last slot.
     fn dispatch(
         &mut self,
         now: u64,
         store: &mut BankedMemory,
         trace: &mut TraceBuf,
-        pre: impl FnOnce(&Txn, &[usize]),
+        mut pre: impl FnMut(usize, &Request),
     ) {
         if now < self.busy_until {
             return;
@@ -313,21 +318,19 @@ impl PipeRt {
         }
         let slot_index = txn.next_slot;
         txn.next_slot += 1;
-        let total_slots = txn.schedule.num_slots();
-        let served = txn.schedule.slot(slot_index);
-        pre(txn, served);
-        for &ri in served {
-            let req = &mut txn.requests[ri];
+        let (total_slots, requests) = (txn.schedule.num_slots(), txn.requests.len());
+        let served = &mut txn.requests[txn.schedule.range(slot_index)];
+        // Addresses were bounds-checked at assembly.
+        let cells = store.cells_mut();
+        for req in served.iter_mut() {
+            pre(txn.warp, req);
             if req.kind == AccessKind::Read {
-                req.value = store.read(req.addr).expect("bounds checked at assembly");
+                req.value = cells[req.addr];
             }
         }
-        for &ri in served {
-            let req = &txn.requests[ri];
+        for req in served.iter() {
             if req.kind == AccessKind::Write {
-                store
-                    .write(req.addr, req.value)
-                    .expect("bounds checked at assembly");
+                cells[req.addr] = req.value;
             }
         }
         // A due time past `u64::MAX` saturates: the clock then reaches
@@ -340,8 +343,7 @@ impl PipeRt {
         let done = slot_index + 1 == total_slots;
         if done {
             self.current = None;
-            self.stats
-                .record(total_slots as u64, txn.requests.len() as u64);
+            self.stats.record(total_slots as u64, requests as u64);
         }
         if let Some(acc) = self.acc.as_mut() {
             acc.on_dispatch(now, depth);
@@ -355,29 +357,27 @@ impl PipeRt {
             warp: txn.warp,
             slot_index,
             total_slots,
-            addrs: served.iter().map(|&ri| txn.requests[ri].addr).collect(),
+            addrs: served.iter().map(|r| r.addr).collect(),
         });
     }
 
     /// Deliver every slot due by `now`: trace its completion (loads,
-    /// then stores, each in request order) and hand each served request
-    /// to `wake` with the slot's conflict share, the cycles it
-    /// dispatched after its transaction's first slot. Lanes wake
-    /// independently, so `wake` sees the slot's own order. A
+    /// then stores, each in request order) and hand the slot's requests,
+    /// all of one warp, to `wake` with the slot's conflict share, the
+    /// cycles it dispatched after its transaction's first slot. A
     /// transaction's id returns to `free` with its last slot.
-    fn deliver(&mut self, now: u64, trace: &mut TraceBuf, mut wake: impl FnMut(&Request, u64)) {
+    fn deliver(&mut self, now: u64, trace: &mut TraceBuf, mut wake: impl FnMut(&[Request], u64)) {
         while let Some(&(due, id, slot)) = self.completions.front() {
             if due > now {
                 break;
             }
             self.completions.pop_front();
             let txn = &self.txns[id];
-            let served = txn.schedule.slot(slot);
+            let served = &txn.requests[txn.schedule.range(slot)];
             trace.push(|| {
                 let thread = |kind| {
                     served
                         .iter()
-                        .map(|&ri| txn.requests[ri])
                         .filter(move |r| r.kind == kind)
                         .map(|r| r.thread)
                 };
@@ -390,10 +390,7 @@ impl PipeRt {
                         .collect(),
                 }
             });
-            let conflict = due - self.latency - txn.first_dispatch;
-            for &ri in served {
-                wake(&txn.requests[ri], conflict);
-            }
+            wake(served, due - self.latency - txn.first_dispatch);
             if slot + 1 == txn.schedule.num_slots() {
                 self.free.push(id);
             }
@@ -426,27 +423,25 @@ impl RaceCk {
         }
     }
 
-    fn observe(&mut self, txn: &Txn, slot: &[usize], log: &mut RaceLog) {
-        for &ri in slot {
-            let req = txn.requests[ri];
-            let is_write = req.kind == AccessKind::Write;
-            let e = self.last[req.addr];
-            if e.0 == self.interval {
-                if e.1 != txn.warp && (e.2 || is_write) {
-                    log.count += 1;
-                    if log.entries.len() < MAX_LOGGED_RACES {
-                        log.entries.push(DynamicRace {
-                            dmm: self.dmm,
-                            addr: req.addr,
-                            warp_a: e.1,
-                            warp_b: txn.warp,
-                        });
-                    }
+    /// Observe a dispatched request of warp `warp`.
+    fn observe(&mut self, warp: usize, req: &Request, log: &mut RaceLog) {
+        let is_write = req.kind == AccessKind::Write;
+        let e = self.last[req.addr];
+        if e.0 == self.interval {
+            if e.1 != warp && (e.2 || is_write) {
+                log.count += 1;
+                if log.entries.len() < MAX_LOGGED_RACES {
+                    log.entries.push(DynamicRace {
+                        dmm: self.dmm,
+                        addr: req.addr,
+                        warp_a: e.1,
+                        warp_b: warp,
+                    });
                 }
-                self.last[req.addr].2 |= is_write;
-            } else {
-                self.last[req.addr] = (self.interval, txn.warp, is_write);
             }
+            self.last[req.addr].2 |= is_write;
+        } else {
+            self.last[req.addr] = (self.interval, warp, is_write);
         }
     }
 }
@@ -526,15 +521,38 @@ impl ShardProf {
         }
     }
 
-    /// A waiting thread woke and issues next at `issue_at`: charge the
-    /// cycles strictly between the issue that started its wait and
-    /// `issue_at`. A memory wait splits into conflict serialisation (the
-    /// `conflict` cycles its slot dispatched behind its transaction's
-    /// first) and the rest; a barrier wait is all barrier. Issue cycles
-    /// are charged at issue, so exactly one category receives every
-    /// cycle of a thread's life — which is what makes the accounting
-    /// conserve `threads × time`.
-    fn on_wake(&mut self, lt: usize, issue_at: u64, conflict: u64) {
+    /// Waiting threads `lts` woke and issue next at `issue_at`: charge
+    /// each the cycles strictly between the issue that started its wait
+    /// and `issue_at`. A memory wait splits into conflict serialisation
+    /// (the `conflict` cycles its slot dispatched behind its
+    /// transaction's first) and the rest; a barrier wait is all barrier.
+    /// Issue cycles are charged at issue, so exactly one category
+    /// receives every cycle of a thread's life — which is what makes the
+    /// accounting conserve `threads × time`. Charges add, so consecutive
+    /// threads whose waits match are charged once for all of them.
+    fn on_wake(&mut self, lts: impl IntoIterator<Item = usize>, issue_at: u64, conflict: u64) {
+        let mut lts = lts.into_iter();
+        let Some(mut head) = lts.next() else {
+            return;
+        };
+        let mut n = 1;
+        for lt in lts {
+            let (a, b) = (&self.threads[head], &self.threads[lt]);
+            if (a.warp, a.wait, a.wait_since, a.wait_pc)
+                == (b.warp, b.wait, b.wait_since, b.wait_pc)
+            {
+                n += 1;
+            } else {
+                self.charge_wait(head, issue_at, conflict, n);
+                (head, n) = (lt, 1);
+            }
+        }
+        self.charge_wait(head, issue_at, conflict, n);
+    }
+
+    /// Charge `n` threads whose wait matches thread `lt`'s (see
+    /// [`ShardProf::on_wake`]).
+    fn charge_wait(&mut self, lt: usize, issue_at: u64, conflict: u64, n: u64) {
         let t = &self.threads[lt];
         let (warp, pc) = (t.warp, t.wait_pc);
         let waited = issue_at - t.wait_since - 1;
@@ -545,10 +563,10 @@ impl ShardProf {
                     Space::Global => (StallCategory::MemGlobal, StallCategory::ConflictGlobal),
                     Space::Shared => (StallCategory::MemShared, StallCategory::ConflictShared),
                 };
-                self.charge(warp, pc, mem, waited - conflict);
-                self.charge(warp, pc, conf, conflict);
+                self.charge(warp, pc, mem, (waited - conflict) * n);
+                self.charge(warp, pc, conf, conflict * n);
             }
-            Wait::Barrier => self.charge(warp, pc, StallCategory::Barrier, waited),
+            Wait::Barrier => self.charge(warp, pc, StallCategory::Barrier, waited * n),
         }
     }
 
@@ -568,14 +586,6 @@ impl ShardProf {
             let (warp, pc, halted_at) = (t.warp, t.halt_pc, t.halted_at);
             self.charge(warp, pc, StallCategory::Retired, time - halted_at - 1);
         }
-    }
-}
-
-/// Index of a memory space in [`Shard::building`].
-fn space_idx(space: Space) -> usize {
-    match space {
-        Space::Global => 0,
-        Space::Shared => 1,
     }
 }
 
@@ -616,13 +626,12 @@ struct Shard<'m> {
     /// of the shard, so at most one is parked at a time.
     parked_until: Option<u64>,
     /// The DMM's shared-memory pipeline; `None` on machines without
-    /// shared memory (standalone DMM/UMM).
-    pipe: Option<PipeRt>,
+    /// shared memory (standalone DMM/UMM). Boxed so that delivery, which
+    /// takes it out of the shard to wake the shard's lanes, moves a
+    /// pointer rather than the whole pipeline.
+    pipe: Option<Box<PipeRt>>,
     store: &'m mut BankedMemory,
     race_ck: RaceCk,
-    /// The transactions the warp being assembled has opened, by
-    /// [`space_idx`], each in the pipeline that will serve it.
-    building: [Option<usize>; 2],
     /// Reusable schedule-building scratch.
     slot_scratch: SlotScratch,
     instructions: u64,
@@ -683,7 +692,12 @@ impl<'m> Shard<'m> {
             .collect();
         let pipe = (cfg.shared_size > 0).then(|| {
             // Every shared memory of the paper is latency-1 and banked.
-            PipeRt::new(MemoryId::Shared(dmm), 1, ConflictPolicy::Banked, cfg)
+            Box::new(PipeRt::new(
+                MemoryId::Shared(dmm),
+                1,
+                ConflictPolicy::Banked,
+                cfg,
+            ))
         });
         Self {
             dmm,
@@ -703,7 +717,6 @@ impl<'m> Shard<'m> {
             pipe,
             store,
             race_ck: RaceCk::new(dmm, cfg.shared_size),
-            building: [None; 2],
             slot_scratch: SlotScratch::default(),
             instructions: 0,
             barriers: 0,
@@ -723,7 +736,7 @@ impl<'m> Shard<'m> {
     /// conflict share.
     fn make_runnable(&mut self, lt: usize, issue_at: u64, conflict: u64) {
         if let Some(prof) = self.prof.as_mut() {
-            prof.on_wake(lt, issue_at, conflict);
+            prof.on_wake([lt], issue_at, conflict);
         }
         self.status[lt] = Status::Runnable;
         self.ready[lt] = issue_at;
@@ -738,16 +751,33 @@ impl<'m> Shard<'m> {
         self.runs.get(pc).copied().unwrap_or(0)
     }
 
-    /// Deliver a served request to its thread, which issues at `now`: a
-    /// load's value goes to its destination register.
-    fn complete(&mut self, now: u64, req: &Request, conflict: u64) {
-        let lt = req.thread - self.base_tid;
-        if req.kind == AccessKind::Read {
-            let dst = self.lanes.req(lt).dst;
-            self.lanes.set_reg(lt, dst, req.value);
+    /// Deliver a served slot — requests of one warp — to their threads,
+    /// which issue at `now`: a load's value goes to its destination
+    /// register. The warp's runnable count and due cycle are updated
+    /// once for the slot.
+    fn complete(&mut self, now: u64, slot: &[Request], conflict: u64) {
+        let Some(first) = slot.first() else {
+            return;
+        };
+        let wid = self.thread_warp[first.thread - self.base_tid];
+        if let Some(prof) = self.prof.as_mut() {
+            let base = self.base_tid;
+            prof.on_wake(slot.iter().map(|r| r.thread - base), now, conflict);
         }
-        debug_assert_eq!(self.status[lt], Status::InFlight);
-        self.make_runnable(lt, now, conflict);
+        let mut run = u64::MAX;
+        for req in slot {
+            let lt = req.thread - self.base_tid;
+            if req.kind == AccessKind::Read {
+                let dst = self.lanes.req(lt).dst;
+                self.lanes.set_reg(lt, dst, req.value);
+            }
+            debug_assert_eq!(self.status[lt], Status::InFlight);
+            self.status[lt] = Status::Runnable;
+            self.ready[lt] = now;
+            run = run.min(self.run_at(self.lanes.pc(lt)));
+        }
+        self.warps[wid].runnable += slot.len();
+        self.warp_due[wid] = self.warp_due[wid].min(now.saturating_add(run));
     }
 
     /// Phase A: deliver the parked barrier release and shared-memory
@@ -764,10 +794,10 @@ impl<'m> Shard<'m> {
             self.parked_until = None;
             self.wake_barrier(now);
         }
-        let due = |p: &mut PipeRt| p.next_due().is_some_and(|t| t <= now);
+        let due = |p: &mut Box<PipeRt>| p.next_due().is_some_and(|t| t <= now);
         if let Some(mut pipe) = self.pipe.take_if(due) {
-            pipe.deliver(now, trace, |req, conflict| {
-                self.complete(now, req, conflict);
+            pipe.deliver(now, trace, |slot, conflict| {
+                self.complete(now, slot, conflict);
             });
             self.pipe = Some(pipe);
         }
@@ -1087,82 +1117,115 @@ impl<'m> Shard<'m> {
     }
 
     /// Assemble warp transactions (SIMD lockstep: a warp's requests go to
-    /// memory once none of its threads can advance without one). Each
-    /// transaction is built in, and queued on, the pipeline that will
-    /// serve it: the shard's own for shared memory, `global` otherwise.
-    /// An address error stops assembly and is kept in `err`.
+    /// memory once none of its threads can advance without one): the
+    /// posted requests of each memory, first that of the warp's lowest
+    /// posted lane, become one transaction ([`Shard::post`]). An address
+    /// error stops assembly and is kept in `err`.
     fn assemble(&mut self, global: &mut PipeRt) {
         for wid in 0..self.warps.len() {
             let warp = &self.warps[wid];
-            if warp.runnable > 0 || warp.posted_mask.iter().all(|&m| m == 0) {
+            if warp.runnable > 0 {
                 continue;
             }
-            // Compact the posted lane slots in lane order, one
-            // transaction per target memory.
-            let first = warp.first;
-            for k in 0..self.warps[wid].posted_mask.len() {
-                let mut bits = std::mem::take(&mut self.warps[wid].posted_mask[k]);
-                while bits != 0 {
-                    let lt = first + 64 * k + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if let Err(e) = self.post(wid, lt, global) {
-                        self.err = Some(e);
-                        return;
-                    }
-                }
+            let Some(k) = warp.posted_mask.iter().position(|&m| m != 0) else {
+                continue;
+            };
+            let lowest = warp.first + 64 * k + warp.posted_mask[k].trailing_zeros() as usize;
+            let space = self.lanes.req(lowest).space;
+            let other = match space {
+                Space::Global => Space::Shared,
+                Space::Shared => Space::Global,
+            };
+            let posted = match self.post(wid, space, global) {
+                Some(true) => self.post(wid, other, global),
+                done => done,
+            };
+            if posted.is_none() {
+                self.err = Some(self.first_fault(wid));
+                return;
             }
-            let pipes = [Some(&mut *global), self.pipe.as_mut()];
-            for (building, pipe) in self.building.iter_mut().zip(pipes) {
-                if let (Some(id), Some(pipe)) = (building.take(), pipe) {
-                    pipe.submit(id, &mut self.slot_scratch, self.width);
+            self.warps[wid].posted_mask.fill(0);
+        }
+    }
+
+    /// Compact warp `wid`'s posted requests to `space`, in lane order,
+    /// straight into a transaction opened in the pipeline that serves
+    /// it — the shard's own for shared memory, `global` otherwise — and
+    /// submit it. Returns whether a posted request targets the other
+    /// memory, or `None` when a request fails its address check.
+    fn post(&mut self, wid: usize, space: Space, global: &mut PipeRt) -> Option<bool> {
+        let (pipe, size) = match space {
+            Space::Global => (global, self.global_size),
+            Space::Shared => (self.pipe.as_deref_mut()?, self.store.len()),
+        };
+        let warp = &self.warps[wid];
+        let id = pipe.open(self.base_warp + wid);
+        let mut requests = std::mem::take(&mut pipe.txns[id].requests);
+        let (mut fits, mut other) = (true, false);
+        for (k, &word) in warp.posted_mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let lt = warp.first + 64 * k + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let req = self.lanes.req(lt);
+                if req.space != space {
+                    other = true;
+                    continue;
                 }
+                // Non-negative: a negative address already failed at issue.
+                let addr = req.addr as usize;
+                fits &= addr < size;
+                requests.push(Request {
+                    thread: self.base_tid + lt,
+                    addr,
+                    kind: req.kind,
+                    value: req.value,
+                });
             }
         }
+        pipe.txns[id].requests = requests;
+        if !fits {
+            return None;
+        }
+        pipe.submit(id, &mut self.slot_scratch, self.width);
+        Some(other)
+    }
+
+    /// The error of warp `wid`'s lowest posted lane whose address fails
+    /// its memory's check: the error lane-by-lane posting meets first.
+    fn first_fault(&self, wid: usize) -> SimError {
+        let warp = &self.warps[wid];
+        (warp.first..warp.first + warp.lanes)
+            .filter(|&lt| {
+                let lane = lt - warp.first;
+                warp.posted_mask[lane / 64] >> (lane % 64) & 1 == 1
+            })
+            .find_map(|lt| {
+                let req = self.lanes.req(lt);
+                let size = match req.space {
+                    Space::Global => self.global_size,
+                    Space::Shared if self.pipe.is_some() => self.store.len(),
+                    Space::Shared => return Some(SimError::NoSharedMemory),
+                };
+                let addr = req.addr as usize;
+                (addr >= size).then_some(SimError::OutOfBounds {
+                    thread: self.base_tid + lt,
+                    space: req.space,
+                    addr,
+                    size,
+                })
+            })
+            .expect("a posted request failed its address check")
     }
 
     /// Dispatch one shared-memory pipeline slot.
     fn dispatch_shared(&mut self, now: u64, trace: &mut TraceBuf, races: &mut RaceLog) {
         if let Some(pipe) = self.pipe.as_mut() {
             let rck = &mut self.race_ck;
-            pipe.dispatch(now, self.store, trace, |txn, slot| {
-                rck.observe(txn, slot, races);
+            pipe.dispatch(now, self.store, trace, |warp, req| {
+                rck.observe(warp, req, races);
             });
         }
-    }
-
-    /// Move local thread `lt`'s posted request from its lane slot into
-    /// the transaction its warp is building in the target memory's
-    /// pipeline, checking the address against that memory.
-    fn post(&mut self, wid: usize, lt: usize, global: &mut PipeRt) -> SimResult<()> {
-        let req = *self.lanes.req(lt);
-        let thread = self.base_tid + lt;
-        // Non-negative: a negative address already failed at issue.
-        let addr = req.addr as usize;
-        let (pipe, size) = match req.space {
-            Space::Global => (global, self.global_size),
-            Space::Shared => match self.pipe.as_mut() {
-                Some(pipe) => (pipe, self.store.len()),
-                None => return Err(SimError::NoSharedMemory),
-            },
-        };
-        if addr >= size {
-            let space = req.space;
-            return Err(SimError::OutOfBounds {
-                thread,
-                space,
-                addr,
-                size,
-            });
-        }
-        let warp = self.base_warp + wid;
-        let id = *self.building[space_idx(req.space)].get_or_insert_with(|| pipe.open(warp));
-        pipe.txns[id].requests.push(Request {
-            thread,
-            addr,
-            kind: req.kind,
-            value: req.value,
-        });
-        Ok(())
     }
 
     /// Earliest future event of this shard: a shared-pipeline dispatch
@@ -1194,8 +1257,8 @@ impl Coord<'_> {
     /// threads; a slot is one warp's, so all on one shard.
     fn deliver(&mut self, now: u64, shards: &mut [Shard<'_>]) {
         let thread_dmm = &self.thread_dmm;
-        self.pipe.deliver(now, &mut self.trace, |req, conflict| {
-            shards[thread_dmm[req.thread]].complete(now, req, conflict);
+        self.pipe.deliver(now, &mut self.trace, |slot, conflict| {
+            shards[thread_dmm[slot[0].thread]].complete(now, slot, conflict);
         });
     }
 

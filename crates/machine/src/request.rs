@@ -17,9 +17,19 @@
 //! engine feeds through the pipelined MMU and the trace module replays to
 //! reproduce the paper's Figure 4.
 //!
-//! Schedules are stored in a flat CSR-style layout and can be rebuilt in
-//! place through a [`SlotScratch`], so the engine's per-warp assembly hot
-//! path performs no heap allocation in steady state.
+//! Scheduling reorders a transaction's requests in place, stably, so
+//! that every slot is a contiguous range of requests in their original
+//! (lane) order; a schedule is then just the end of each range. One
+//! pass over the requests recognises the common shapes and writes their
+//! ranges directly: a conflict-free set is one slot, a strided set on a
+//! banked memory is slots of `w / gcd(|s|, w)` requests, and a set whose
+//! address groups are monotone on a coalesced memory is one slot per run
+//! of equal groups. Only other sets take the general assignment and a
+//! reorder. [`SlotScratch`] holds the working memory, so the engine's
+//! per-warp assembly hot path performs no heap allocation in steady
+//! state.
+
+use std::ops::Range;
 
 use crate::bank::{bank_of, group_of};
 use crate::word::Word;
@@ -59,26 +69,25 @@ pub struct Request {
 
 /// A transaction broken into pipeline slots.
 ///
-/// Slot `i` lists the indices (into the original request vector) served
-/// in the `i`-th slot. Every request appears in exactly one slot. The
-/// slots are stored slot-major in one flat vector (CSR layout) so a
-/// schedule can be rebuilt in place without reallocating.
+/// Built over a request vector that [`SlotScratch::build_into`] has put
+/// in slot-major order: slot `i` is the contiguous range
+/// [`range(i)`](SlotSchedule::range) of that vector, its requests in
+/// their original order. Every request lies in exactly one slot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotSchedule {
-    /// Request indices, slot-major: slot `i` is `flat[start(i)..ends[i]]`.
-    flat: Vec<usize>,
-    /// Exclusive end offset of each slot within `flat`.
+    /// Exclusive end of each slot's request range.
     ends: Vec<usize>,
 }
 
 impl SlotSchedule {
-    /// Schedule `requests` under `policy` on a memory of `width` banks.
+    /// Schedule `requests` under `policy` on a memory of `width` banks,
+    /// reordering them slot-major (see [`SlotScratch::build_into`]).
     ///
     /// Returns an empty schedule for an empty request set. Convenience
-    /// wrapper over [`SlotScratch::build_into`] that allocates fresh
-    /// scratch; hot paths should hold a [`SlotScratch`] instead.
+    /// wrapper that allocates fresh scratch; hot paths should hold a
+    /// [`SlotScratch`] instead.
     #[must_use]
-    pub fn build(requests: &[Request], width: usize, policy: ConflictPolicy) -> Self {
+    pub fn build(requests: &mut [Request], width: usize, policy: ConflictPolicy) -> Self {
         let mut out = SlotSchedule::default();
         SlotScratch::default().build_into(requests, width, policy, &mut out);
         out
@@ -90,16 +99,16 @@ impl SlotSchedule {
         self.ends.len()
     }
 
-    /// Request indices served in slot `i`.
+    /// The range of the scheduled request vector served in slot `i`.
     #[must_use]
-    pub fn slot(&self, i: usize) -> &[usize] {
+    pub fn range(&self, i: usize) -> Range<usize> {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.flat[start..self.ends[i]]
+        start..self.ends[i]
     }
 
-    /// Iterate over the slots.
-    pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
-        (0..self.num_slots()).map(|i| self.slot(i))
+    /// The slots of `requests`, the vector this schedule was built over.
+    pub fn slots<'a>(&'a self, requests: &'a [Request]) -> impl Iterator<Item = &'a [Request]> {
+        (0..self.num_slots()).map(|i| &requests[self.range(i)])
     }
 }
 
@@ -110,10 +119,14 @@ impl SlotSchedule {
 /// allocation once the buffers have grown to the warp width.
 #[derive(Debug, Default)]
 pub struct SlotScratch {
-    /// Per-request slot assignment.
+    /// Banked: one bit per bank touched so far (the one-slot check).
+    banks: Vec<u64>,
+    /// Per-request slot assignment of the general rule.
     slot_of: Vec<usize>,
-    /// Per-slot request count, reused as the scatter cursor.
-    counts: Vec<usize>,
+    /// Per-slot next write position of the reorder.
+    cursor: Vec<usize>,
+    /// The requests in their original order, during the reorder.
+    moved: Vec<Request>,
     /// Coalesced: distinct address groups in first-touch order; the
     /// `i`-th is served in slot `i`. A warp contributes at most `w`
     /// requests, so a linear scan over this list beats map allocation.
@@ -131,25 +144,94 @@ pub struct SlotScratch {
 const NO_ENTRY: usize = usize::MAX;
 
 impl SlotScratch {
-    /// Build the schedule for `requests` into `out`, reusing both `out`'s
-    /// buffers and this scratch. Produces exactly the same schedule as
-    /// [`SlotSchedule::build`].
+    /// Schedule `requests` into `out`, reusing both `out`'s buffer and
+    /// this scratch, and reorder `requests` stably so that each slot is a
+    /// contiguous range. The slots are exactly those of the general rule
+    /// ([`SlotScratch::assign`]): slot `i` holds the requests assigned to
+    /// it, in their original order.
+    ///
+    /// One pass classifies the requests. On a banked memory, requests in
+    /// distinct banks are one slot, and requests at `a + s·i` (`s ≠ 0`)
+    /// fill slots of `w / gcd(|s|, w)` consecutive requests; on a
+    /// coalesced memory, requests whose address groups never return to
+    /// an earlier group take one slot per run of equal groups. The order
+    /// is then already slot-major. Any other set is assigned by the
+    /// general rule and reordered (DESIGN.md, "Warp-vector memory path").
     pub fn build_into(
         &mut self,
-        requests: &[Request],
+        requests: &mut [Request],
         width: usize,
         policy: ConflictPolicy,
         out: &mut SlotSchedule,
     ) {
+        out.ends.clear();
+        let classified = match policy {
+            ConflictPolicy::Banked => self.banked_ranges(requests, width, out),
+            ConflictPolicy::Coalesced => coalesced_runs(requests, width, out),
+        };
+        if !classified {
+            out.ends.clear();
+            self.reorder(requests, width, policy, out);
+        }
+    }
+
+    /// The banked shapes: a constant stride `s`, whose request `i` is
+    /// served in slot `i / m`, `m = w / gcd(|s|, w)` (`s = 0` is one
+    /// address, so one slot), or distinct banks (one slot). Writes the
+    /// slot ends and returns whether the requests had either shape.
+    fn banked_ranges(
+        &mut self,
+        requests: &[Request],
+        width: usize,
+        out: &mut SlotSchedule,
+    ) -> bool {
+        let k = requests.len();
+        if k == 0 {
+            return true;
+        }
+        let m = match stride(requests) {
+            Some(0) => k,
+            Some(s) => width / gcd(s.unsigned_abs(), width),
+            None if self.distinct_banks(requests, width) => k,
+            None => return false,
+        };
+        out.ends.extend((1..=k.div_ceil(m)).map(|j| (j * m).min(k)));
+        true
+    }
+
+    /// Whether no two of `requests` share a bank.
+    fn distinct_banks(&mut self, requests: &[Request], width: usize) -> bool {
+        let map = Interleave::new(width);
+        self.banks.clear();
+        self.banks.resize(width.div_ceil(64), 0);
+        requests.iter().all(|r| {
+            let b = map.bank(r.addr);
+            let (word, bit) = (b / 64, 1u64 << (b % 64));
+            let fresh = self.banks[word] & bit == 0;
+            self.banks[word] |= bit;
+            fresh
+        })
+    }
+
+    /// The general rule: the slot of each request, in request order.
+    ///
+    /// Banked (DMM): within each bank, distinct addresses serialise; the
+    /// `i`-th distinct address of every bank, in first-touch order, is
+    /// served in slot `i`, and requests for an address already scheduled
+    /// join its slot (broadcast read / arbitrary-winner write).
+    /// Coalesced (UMM): one distinct address group per slot, in
+    /// first-touch order. [`SlotScratch::build_into`] gives exactly these
+    /// slots, whichever way it finds them.
+    pub fn assign(
+        &mut self,
+        requests: &[Request],
+        width: usize,
+        policy: ConflictPolicy,
+    ) -> &[usize] {
         self.slot_of.clear();
-        let mut num_slots = 0usize;
         match policy {
-            // DMM rule: within each bank, distinct addresses serialise;
-            // the i-th distinct address of every bank is served in slot
-            // i. Requests for an address already scheduled join its slot
-            // (merge: broadcast read / arbitrary-winner write). Each
-            // request only walks its own bank's distinct addresses, so a
-            // conflict-free warp schedules in O(w).
+            // Each request only walks its own bank's distinct addresses,
+            // so a conflict-free warp assigns in O(w).
             ConflictPolicy::Banked => {
                 if self.bank_head.len() < width {
                     self.bank_head.resize(width, NO_ENTRY);
@@ -178,7 +260,6 @@ impl SlotScratch {
                         distinct_in_bank
                     });
                     self.slot_of.push(s);
-                    num_slots = num_slots.max(s + 1);
                 }
                 for &b in &self.touched {
                     self.bank_head[b] = NO_ENTRY;
@@ -186,8 +267,6 @@ impl SlotScratch {
                 self.touched.clear();
                 self.distinct.clear();
             }
-            // UMM rule: one distinct address group per slot, first-touch
-            // order.
             ConflictPolicy::Coalesced => {
                 self.groups.clear();
                 for r in requests {
@@ -201,47 +280,138 @@ impl SlotScratch {
                             self.groups.len() - 1
                         });
                     self.slot_of.push(s);
-                    num_slots = num_slots.max(s + 1);
                 }
             }
         }
+        &self.slot_of
+    }
 
-        // Scatter the per-request assignments into the CSR layout. A
-        // conflict-free transaction is one slot holding every request.
-        out.ends.clear();
-        out.flat.clear();
-        if num_slots == 1 {
-            out.ends.push(requests.len());
-            out.flat.extend(0..requests.len());
-            return;
-        }
-        self.counts.clear();
-        self.counts.resize(num_slots, 0);
+    /// Assign `requests` by the general rule, then move them stably into
+    /// slot-major order and write the slot ends.
+    fn reorder(
+        &mut self,
+        requests: &mut [Request],
+        width: usize,
+        policy: ConflictPolicy,
+        out: &mut SlotSchedule,
+    ) {
+        self.assign(requests, width, policy);
+        let num_slots = self.slot_of.iter().max().map_or(0, |&s| s + 1);
+        self.cursor.clear();
+        self.cursor.resize(num_slots, 0);
         for &s in &self.slot_of {
-            self.counts[s] += 1;
+            self.cursor[s] += 1;
         }
+        // Turn the counts into each slot's start, and its end into `out`.
         let mut running = 0;
-        for &c in &self.counts {
-            running += c;
+        for c in &mut self.cursor {
+            let start = running;
+            running += *c;
             out.ends.push(running);
+            *c = start;
         }
-        // Reuse `counts` as the next-write cursor per slot.
-        for s in 0..num_slots {
-            self.counts[s] = if s == 0 { 0 } else { out.ends[s - 1] };
-        }
-        out.flat.resize(requests.len(), 0);
-        for (i, &s) in self.slot_of.iter().enumerate() {
-            out.flat[self.counts[s]] = i;
-            self.counts[s] += 1;
+        self.moved.clear();
+        self.moved.extend_from_slice(requests);
+        for (r, &s) in self.moved.iter().zip(&self.slot_of) {
+            requests[self.cursor[s]] = *r;
+            self.cursor[s] += 1;
         }
     }
 }
 
-/// Number of slots a request set occupies, without building the schedule.
+/// The coalesced shape: the requests' address groups change
+/// monotonically (never returning to an earlier group), so each run of
+/// equal groups is one distinct group, and the runs are the slots in
+/// first-touch order. Writes the slot ends and returns whether the
+/// requests had that shape.
+fn coalesced_runs(requests: &[Request], width: usize, out: &mut SlotSchedule) -> bool {
+    let Some(first) = requests.first() else {
+        return true;
+    };
+    let map = Interleave::new(width);
+    let mut prev = map.group(first.addr);
+    let mut rising = None;
+    for (i, r) in requests.iter().enumerate().skip(1) {
+        let g = map.group(r.addr);
+        if g != prev {
+            if *rising.get_or_insert(g > prev) != (g > prev) {
+                return false;
+            }
+            out.ends.push(i);
+            prev = g;
+        }
+    }
+    out.ends.push(requests.len());
+    true
+}
+
+/// The `s` with `addr_i = addr_0 + s·i` for every request `i`, if there
+/// is one (`Some(0)` for a single request).
+fn stride(requests: &[Request]) -> Option<isize> {
+    // Exact in `isize`: no address above `isize::MAX` matches a
+    // non-negative `expect`, so `s` is an exact difference wherever the
+    // second request matches, and a sum that overflows turns negative and
+    // fails.
+    let a0 = requests.first()?.addr as isize;
+    let s = requests
+        .get(1)
+        .map_or(0, |r| (r.addr as isize).wrapping_sub(a0));
+    let mut expect = a0;
+    for r in requests {
+        if expect < 0 || r.addr as isize != expect {
+            return None;
+        }
+        expect = expect.wrapping_add(s);
+    }
+    Some(s)
+}
+
+/// [`bank_of`] and [`group_of`] at one width, by mask and shift when the
+/// width is a power of two: a division per request would cost more than
+/// the rest of the classifying pass.
+#[derive(Clone, Copy)]
+struct Interleave {
+    width: usize,
+    /// `log2(width)` for a power of two.
+    shift: Option<u32>,
+}
+
+impl Interleave {
+    fn new(width: usize) -> Self {
+        Self {
+            width,
+            shift: width.is_power_of_two().then(|| width.trailing_zeros()),
+        }
+    }
+
+    fn bank(self, addr: usize) -> usize {
+        match self.shift {
+            Some(_) => addr & (self.width - 1),
+            None => bank_of(addr, self.width),
+        }
+    }
+
+    fn group(self, addr: usize) -> usize {
+        match self.shift {
+            Some(k) => addr >> k,
+            None => group_of(addr, self.width),
+        }
+    }
+}
+
+/// Greatest common divisor; `gcd(0, b) = b`.
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while a != 0 {
+        (a, b) = (b % a, a);
+    }
+    b
+}
+
+/// Number of slots a request set occupies, without reordering it.
 /// Convenience for tests and analytical cross-checks.
 #[must_use]
 pub fn slot_count(requests: &[Request], width: usize, policy: ConflictPolicy) -> usize {
-    SlotSchedule::build(requests, width, policy).num_slots()
+    SlotSchedule::build(&mut requests.to_vec(), width, policy).num_slots()
 }
 
 #[cfg(test)]
@@ -311,16 +481,18 @@ mod tests {
         assert_eq!(slot_count(&reqs, w, ConflictPolicy::Coalesced), 2);
     }
 
-    /// The schedule partitions the request set: every index exactly once.
+    /// The schedule partitions the request set: every request exactly
+    /// once.
     #[test]
     fn schedule_is_a_partition() {
         let w = 8;
         let reqs: Vec<_> = (0..w).map(|t| read(t, (t * 3) % 16)).collect();
         for policy in [ConflictPolicy::Banked, ConflictPolicy::Coalesced] {
-            let s = SlotSchedule::build(&reqs, w, policy);
+            let mut sorted = reqs.clone();
+            let s = SlotSchedule::build(&mut sorted, w, policy);
             let mut seen = vec![false; reqs.len()];
-            for slot in s.iter() {
-                for &i in slot {
+            for slot in s.slots(&sorted) {
+                for &Request { thread: i, .. } in slot {
                     assert!(!seen[i], "request {i} scheduled twice under {policy:?}");
                     seen[i] = true;
                 }

@@ -3,7 +3,9 @@
 //! times. One kernel loops over global loads; another also crosses
 //! shared memory and both barriers, with a barrier cost, profiling and a
 //! bounded trace on, so the parked releases, the profiler's timelines
-//! and the trace's dropped events are covered too.
+//! and the trace's dropped events are covered too. A third loops over
+//! shared accesses of every schedule shape: a one-slot lane subset, a
+//! strided conflicted warp and an irregular conflicted one.
 //!
 //! A counting global allocator tallies allocations made on the test's
 //! own thread while a flag is set, so the harness's other threads and
@@ -112,6 +114,32 @@ fn observed_loop() -> Program {
     a.finish()
 }
 
+/// Every thread, `arg0` times: the lanes whose id has bit 1 clear store
+/// to `S[LTID]` (one slot), every lane loads `S[LTID·w]` (stride `w`:
+/// `w` slots) and then `S[LTID² mod 64]` (irregular, with repeated
+/// addresses and banks: the general schedule).
+fn shared_shapes_loop() -> Program {
+    let (addr, v, i, more, sel) = (Reg(16), Reg(17), Reg(18), Reg(19), Reg(20));
+    let mut a = Asm::new();
+    a.mov(i, 0);
+    let top = a.here();
+    let skip = a.label();
+    a.and(sel, abi::LTID, 2);
+    a.brnz(sel, skip);
+    a.st_shared(abi::LTID, 0, i);
+    a.bind(skip);
+    a.mul(addr, abi::LTID, abi::W);
+    a.ld_shared(v, addr, 0);
+    a.mul(addr, abi::LTID, abi::LTID);
+    a.and(addr, addr, 63);
+    a.ld_shared(v, addr, 0);
+    a.add(i, i, 1);
+    a.slt(more, i, abi::arg(0));
+    a.brnz(more, top);
+    a.halt();
+    a.finish()
+}
+
 /// Allocations of one launch of `kernel` at each iteration count. A
 /// launch of `n` iterations must make `global_requests(n)` global
 /// requests per thread.
@@ -170,5 +198,13 @@ fn observed_barrier_loop_allocates_nothing_per_iteration() {
     cfg.trace = true;
     cfg.trace_capacity = Some(64);
     let counts = launch_allocations(&cfg, p, observed_loop, |n| n, &[50, 100, 200]);
+    assert_flat(&counts);
+}
+
+#[test]
+fn shared_schedule_shapes_allocate_nothing_per_iteration() {
+    let (d, w, p) = (4, 32, 4 * 64);
+    let cfg = EngineConfig::hmm(d, w, 16, p, 64 * w);
+    let counts = launch_allocations(&cfg, p, shared_shapes_loop, |_| 0, &[50, 100, 200]);
     assert_flat(&counts);
 }

@@ -4,7 +4,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hmm_machine::isa::Reg;
-use hmm_machine::request::{slot_count, AccessKind, ConflictPolicy, Request, SlotSchedule};
+use hmm_machine::request::{
+    slot_count, AccessKind, ConflictPolicy, Request, SlotSchedule, SlotScratch,
+};
 use hmm_machine::{abi, bank_of, group_of, Asm, Engine, EngineConfig, LaunchSpec, Program, Space};
 use hmm_util::Rng;
 
@@ -24,6 +26,14 @@ fn random_requests(rng: &mut Rng, max_addr: usize) -> Vec<Request> {
         .collect()
 }
 
+/// `reqs` reordered slot-major by scheduling, with their schedule. Each
+/// request's `thread` is its index in `reqs`.
+fn scheduled(reqs: &[Request], w: usize, policy: ConflictPolicy) -> (Vec<Request>, SlotSchedule) {
+    let mut sorted = reqs.to_vec();
+    let s = SlotSchedule::build(&mut sorted, w, policy);
+    (sorted, s)
+}
+
 /// Every request lands in exactly one slot, under every policy.
 #[test]
 fn schedule_partitions_requests() {
@@ -32,10 +42,10 @@ fn schedule_partitions_requests() {
         let reqs = random_requests(&mut rng, 256);
         let w = 1 << rng.usize_below(6);
         for policy in [ConflictPolicy::Banked, ConflictPolicy::Coalesced] {
-            let s = SlotSchedule::build(&reqs, w, policy);
+            let (sorted, s) = scheduled(&reqs, w, policy);
             let mut seen = vec![false; reqs.len()];
-            for slot in s.iter() {
-                for &i in slot {
+            for slot in s.slots(&sorted) {
+                for &Request { thread: i, .. } in slot {
                     assert!(!seen[i], "request {i} scheduled twice");
                     seen[i] = true;
                 }
@@ -71,14 +81,14 @@ fn banked_slot_count_matches_definition() {
         }
         let expect = per_bank.values().map(Vec::len).max().unwrap_or(0);
         assert_eq!(slot_count(&reqs, w, ConflictPolicy::Banked), expect);
-        let schedule = SlotSchedule::build(&reqs, w, ConflictPolicy::Banked);
+        let (sorted, schedule) = scheduled(&reqs, w, ConflictPolicy::Banked);
         let mut got_slot = vec![usize::MAX; reqs.len()];
-        for (s, slot) in schedule.iter().enumerate() {
-            for &i in slot {
-                got_slot[i] = s;
+        for (s, slot) in schedule.slots(&sorted).enumerate() {
+            for r in slot {
+                got_slot[r.thread] = s;
             }
             assert!(
-                slot.windows(2).all(|p| p[0] < p[1]),
+                slot.windows(2).all(|p| p[0].thread < p[1].thread),
                 "slot not in request order"
             );
         }
@@ -109,24 +119,116 @@ fn slots_respect_their_conflict_rule() {
     for _ in 0..200 {
         let reqs = random_requests(&mut rng, 128);
         let w = 1 << (1 + rng.usize_below(4));
-        let s = SlotSchedule::build(&reqs, w, ConflictPolicy::Banked);
-        for slot in s.iter() {
+        let (sorted, s) = scheduled(&reqs, w, ConflictPolicy::Banked);
+        for slot in s.slots(&sorted) {
             let mut banks = BTreeMap::new();
-            for &i in slot {
-                let b = bank_of(reqs[i].addr, w);
+            for r in slot {
+                let b = bank_of(r.addr, w);
                 // Same bank twice in a slot only if the address merged.
-                if let Some(prev) = banks.insert(b, reqs[i].addr) {
-                    assert_eq!(prev, reqs[i].addr);
+                if let Some(prev) = banks.insert(b, r.addr) {
+                    assert_eq!(prev, r.addr);
                 }
             }
         }
-        let s = SlotSchedule::build(&reqs, w, ConflictPolicy::Coalesced);
+        let (sorted, s) = scheduled(&reqs, w, ConflictPolicy::Coalesced);
         let mut seen_groups = BTreeSet::new();
-        for slot in s.iter() {
-            let groups: BTreeSet<usize> = slot.iter().map(|&i| group_of(reqs[i].addr, w)).collect();
+        for slot in s.slots(&sorted) {
+            let groups: BTreeSet<usize> = slot.iter().map(|r| group_of(r.addr, w)).collect();
             assert_eq!(groups.len(), 1, "one group per coalesced slot");
             let g = *groups.iter().next().unwrap();
             assert!(seen_groups.insert(g), "group appears in one slot only");
+        }
+    }
+}
+
+/// The slots of the general rule ([`SlotScratch::assign`]): slot `j`
+/// lists the requests assigned to it, in request order.
+fn assigned_slots(reqs: &[Request], w: usize, policy: ConflictPolicy) -> Vec<Vec<Request>> {
+    let slot_of = SlotScratch::default().assign(reqs, w, policy).to_vec();
+    let mut slots = vec![Vec::new(); slot_of.iter().max().map_or(0, |&s| s + 1)];
+    for (r, &s) in reqs.iter().zip(&slot_of) {
+        slots[s].push(*r);
+    }
+    slots
+}
+
+/// A random request set of `k` requests on width `w`, one of five
+/// shapes: affine `base + s·i` with `s` negative, zero or beyond `w`;
+/// such a warp thinned to the lanes whose id has one bit clear (bitonic
+/// sort's guard); distinct banks in random rows (irregular but
+/// conflict-free); a few addresses shared by many requests; and
+/// arbitrary, mostly conflicted addresses.
+fn shaped_requests(rng: &mut Rng, shape: usize, w: usize, k: usize) -> Vec<Request> {
+    let wi = w as i64;
+    let addrs: Vec<usize> = match shape {
+        0 | 1 => {
+            let s = match rng.usize_below(3) {
+                0 => [0, 1, -1, 2, wi / 2, wi - 1, wi, wi + 1, -wi][rng.usize_below(9)],
+                _ => rng.int_in(-3 * wi - 3, 3 * wi + 3),
+            };
+            let base = s.abs() * wi + rng.int_in(0, 4 * wi);
+            let bit = rng.usize_below(8);
+            (0..k as i64)
+                .filter(|&t| shape == 0 || t >> bit & 1 == 0)
+                .map(|t| (base + s * t) as usize)
+                .collect()
+        }
+        2 => {
+            let mut banks: Vec<usize> = (0..w).collect();
+            for i in (1..w).rev() {
+                banks.swap(i, rng.usize_below(i + 1));
+            }
+            banks[..k]
+                .iter()
+                .map(|&b| rng.usize_below(8) * w + b)
+                .collect()
+        }
+        3 => {
+            let pool: Vec<usize> = (0..=rng.usize_below(3))
+                .map(|_| rng.usize_below(4 * w))
+                .collect();
+            (0..k).map(|_| pool[rng.usize_below(pool.len())]).collect()
+        }
+        _ => (0..k).map(|_| rng.usize_below(2 * w + 1)).collect(),
+    };
+    addrs
+        .into_iter()
+        .enumerate()
+        .map(|(t, addr)| Request {
+            thread: t,
+            addr,
+            kind: if rng.coin() {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+            value: t as i64,
+        })
+        .collect()
+}
+
+/// However `SlotScratch::build_into` finds a schedule — the one-slot,
+/// strided and monotone-group shapes or the general rule — it holds
+/// exactly the general rule's slots, each with the same requests in the
+/// same order, on both policies and widths 1 to 128.
+#[test]
+fn classified_schedule_matches_general_assignment() {
+    let mut rng = Rng::new(0x5107_C1A5);
+    let mut scratch = SlotScratch::default();
+    let mut schedule = SlotSchedule::default();
+    for case in 0..4000 {
+        let w = 1 + rng.usize_below(128);
+        let k = 1 + rng.usize_below(w);
+        let reqs = shaped_requests(&mut rng, case % 5, w, k);
+        for policy in [ConflictPolicy::Banked, ConflictPolicy::Coalesced] {
+            let mut sorted = reqs.clone();
+            scratch.build_into(&mut sorted, w, policy, &mut schedule);
+            let got: Vec<Vec<Request>> = schedule.slots(&sorted).map(<[Request]>::to_vec).collect();
+            assert_eq!(
+                got,
+                assigned_slots(&reqs, w, policy),
+                "case {case}: w={w} {policy:?} {reqs:?}"
+            );
         }
     }
 }
