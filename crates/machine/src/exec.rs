@@ -49,13 +49,23 @@
 //!
 //! Each pipeline owns its warp transactions in a table and reuses their
 //! buffers: a transaction's id returns to the pipeline's free list when
-//! its last slot is delivered. A dispatched slot leaves one
-//! `(due, txn, slot)` completion record, and all of the slot's requests
-//! complete together, as in the paper's pipelined MMU. A read keeps its
-//! loaded value in its request until delivery writes it to the lane's
-//! destination register, so delivery is the only step of the memory
-//! path that touches lanes. The per-cycle hot path is allocation-free
-//! in steady state; only kept trace events allocate.
+//! its last slot is delivered. Assembly compacts a warp's posted lanes,
+//! in lane order, straight into one transaction per memory
+//! ([`Shard::post`]). Submitting it schedules it in one classifying
+//! pass ([`SlotScratch::build_into`]), which leaves its requests in
+//! slot-major order: every slot is a contiguous range of requests, still
+//! in lane order, and the schedule is only the slot ends. Dispatch
+//! serves a slot as a loop over its range — the race checker observes
+//! and the reads load each request in turn, then the writes apply in
+//! lane order, so the highest thread wins a same-address write — and
+//! leaves one `(due, txn, slot)` completion record. All of the slot's
+//! requests complete together, as in the paper's pipelined MMU, and
+//! belong to one warp, so delivery wakes them in one pass and updates
+//! the warp's runnable count and due cycle once ([`Shard::complete`]).
+//! A read keeps its loaded value in its request until delivery writes it
+//! to the lane's destination register, so delivery is the only step of
+//! the memory path that touches lanes. The per-cycle hot path is
+//! allocation-free in steady state; only kept trace events allocate.
 //! `tests/alloc_free.rs` checks with a counting allocator that a
 //! launch's allocations do not grow with its length.
 //!
@@ -375,19 +385,15 @@ impl PipeRt {
             let txn = &self.txns[id];
             let served = &txn.requests[txn.schedule.range(slot)];
             trace.push(|| {
-                let thread = |kind| {
-                    served
-                        .iter()
-                        .filter(move |r| r.kind == kind)
-                        .map(|r| r.thread)
-                };
+                let mut threads = Vec::with_capacity(served.len());
+                for kind in [AccessKind::Read, AccessKind::Write] {
+                    threads.extend(served.iter().filter(|r| r.kind == kind).map(|r| r.thread));
+                }
                 TraceEvent::SlotCompleted {
                     cycle: now,
                     memory: self.memory,
                     warp: txn.warp,
-                    threads: thread(AccessKind::Read)
-                        .chain(thread(AccessKind::Write))
-                        .collect(),
+                    threads,
                 }
             });
             wake(served, due - self.latency - txn.first_dispatch);
@@ -756,10 +762,7 @@ impl<'m> Shard<'m> {
     /// register. The warp's runnable count and due cycle are updated
     /// once for the slot.
     fn complete(&mut self, now: u64, slot: &[Request], conflict: u64) {
-        let Some(first) = slot.first() else {
-            return;
-        };
-        let wid = self.thread_warp[first.thread - self.base_tid];
+        let wid = self.thread_warp[slot[0].thread - self.base_tid];
         if let Some(prof) = self.prof.as_mut() {
             let base = self.base_tid;
             prof.on_wake(slot.iter().map(|r| r.thread - base), now, conflict);
