@@ -19,9 +19,9 @@
 //!
 //! Scheduling reorders a transaction's requests in place, stably, so
 //! that every slot is a contiguous range of requests in their original
-//! (lane) order; a schedule is then just the end of each range. A
-//! linear pass over the requests recognises the common shapes and writes
-//! their ranges directly: a conflict-free set is one slot, a strided set on a
+//! (lane) order; a schedule is then just the end of each range. A linear
+//! pass over the requests recognises the common shapes and writes their
+//! ranges directly: a conflict-free set is one slot, a strided set on a
 //! banked memory is slots of `w / gcd(|s|, w)` requests, and a set whose
 //! address groups are monotone on a coalesced memory is one slot per run
 //! of equal groups. Only other sets take the general assignment and a
@@ -150,10 +150,10 @@ impl SlotScratch {
     /// ([`SlotScratch::assign`]): slot `i` holds the requests assigned to
     /// it, in their original order.
     ///
-    /// A linear pass classifies the requests. On a banked memory, requests in
-    /// distinct banks are one slot, and requests at `a + s·i` (`s ≠ 0`)
-    /// fill slots of `w / gcd(|s|, w)` consecutive requests; on a
-    /// coalesced memory, requests whose address groups never return to
+    /// A linear pass classifies the requests. On a banked memory,
+    /// requests in distinct banks are one slot, and requests at `a + s·i`
+    /// (`s ≠ 0`) fill slots of `w / gcd(|s|, w)` consecutive requests; on
+    /// a coalesced memory, requests whose address groups never return to
     /// an earlier group take one slot per run of equal groups. The order
     /// is then already slot-major. Any other set is assigned by the
     /// general rule and reordered (DESIGN.md, "Warp-vector memory path").
