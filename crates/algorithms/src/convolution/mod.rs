@@ -54,7 +54,7 @@ pub(crate) fn shapes(a: &[Word], b: &[Word]) -> Result<(usize, usize), hmm_machi
 /// Stage `a` at `[0, k)` and `b` right after it, the layout every
 /// convolution kernel shares, launch `kernel` with `p` threads and read
 /// `c` back from behind `b`.
-fn run_conv(
+pub(crate) fn run_conv(
     machine: &mut Machine,
     a: &[Word],
     b: &[Word],

@@ -8,6 +8,7 @@
 //!
 //! | Module | Paper result |
 //! |---|---|
+//! | [`pram`] | Lemma 3 / Lemma 4 — sum and direct convolution on the PRAM preset |
 //! | [`contiguous`] | Lemma 1 / Theorem 2 — contiguous access in `O(n/w + nl/p + l)` |
 //! | [`sum`] | Lemma 5 (DMM/UMM), Lemma 6 (HMM, one DMM), Theorem 7 (HMM, all DMMs) |
 //! | [`convolution`] | Theorem 8 (DMM/UMM), Theorem 9 / Corollary 10 (HMM) |
@@ -32,6 +33,7 @@ pub mod convolution;
 pub mod matmul;
 pub mod patterns;
 pub mod permutation;
+pub mod pram;
 pub mod prefix;
 pub mod reduce;
 pub mod reference;
@@ -79,6 +81,14 @@ impl Footprint {
     #[must_use]
     pub fn umm(self, w: usize, l: usize) -> Machine {
         Machine::umm(w, l, self.global)
+    }
+
+    /// A PRAM of `p` processors holding this footprint: a UMM of latency
+    /// 1 whose width, `next_pow2(max(global, p))`, puts every processor in
+    /// one warp and every address in one address group (see [`pram`]).
+    #[must_use]
+    pub fn pram(self, p: usize) -> Machine {
+        Machine::umm(next_pow2(self.global.max(p)), 1, self.global)
     }
 
     /// An HMM with `d` DMMs, width `w` and latency `l` holding this
