@@ -7,7 +7,7 @@
 
 use hmm_machine::abi;
 use hmm_machine::isa::{Inst, Operand, Program, Reg};
-use hmm_machine::vm::REG_COUNT;
+use hmm_machine::REG_COUNT;
 
 use crate::cfg::Cfg;
 use crate::diag::{Code, Diagnostic};

@@ -16,7 +16,7 @@
 
 use hmm_machine::abi;
 use hmm_machine::isa::{BinOp, Inst, Operand, Program};
-use hmm_machine::vm::REG_COUNT;
+use hmm_machine::REG_COUNT;
 
 use crate::affine::{binop, join, AbsVal, Base, Level};
 use crate::cfg::Cfg;

@@ -2,7 +2,7 @@
 //! (Table I, convolution row).
 
 use hmm_algorithms::convolution::{footprint, run_conv_dmm_umm, run_conv_hmm};
-use hmm_pram::algorithms as pram_algos;
+use hmm_algorithms::pram;
 use hmm_util::bench::BenchGroup;
 use hmm_workloads::random_words;
 
@@ -16,7 +16,8 @@ fn main() {
     group.sample_size(10);
 
     group.bench(&format!("pram_lemma4/n{n}k{k}"), || {
-        pram_algos::run_convolution(&a, &b, p).unwrap().0
+        let mut m = pram::conv_footprint(n, k).pram(p);
+        pram::run_convolution(&mut m, &a, &b, p).unwrap().value
     });
 
     group.bench(&format!("umm_theorem8/n{n}k{k}"), || {

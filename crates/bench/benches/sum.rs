@@ -4,10 +4,10 @@
 //! in the `table1` binary (simulated time units) — these benches track the
 //! *simulator's* wall-clock cost so regressions in the engine show up.
 
+use hmm_algorithms::pram;
 use hmm_algorithms::sum::{
     dmm_umm, hmm_all, hmm_single, run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm,
 };
-use hmm_pram::algorithms as pram_algos;
 use hmm_util::bench::BenchGroup;
 use hmm_workloads::random_words;
 
@@ -20,7 +20,8 @@ fn main() {
     group.sample_size(10);
 
     group.bench(&format!("pram_lemma3/{n}"), || {
-        pram_algos::run_sum(&input, p).unwrap().0
+        let mut m = pram::sum_footprint(n, p).pram(p);
+        pram::run_sum(&mut m, &input, p).unwrap().value
     });
 
     group.bench(&format!("umm_lemma5/{n}"), || {

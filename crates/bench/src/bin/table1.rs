@@ -16,12 +16,11 @@
 //! argument.
 
 use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
-use hmm_algorithms::reference;
 use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
+use hmm_algorithms::{pram, reference};
 use hmm_bench::{dump, header, row, summarise, Measurement};
 use hmm_core::BatchRunner;
 use hmm_machine::{LaunchProfile, StallCategory};
-use hmm_pram::algorithms as pram_algos;
 use hmm_theory::{regimes, table1, table2, Params};
 use hmm_workloads::random_words;
 
@@ -34,7 +33,7 @@ fn sum_point(n: usize, p: usize, w: usize, l: usize, d: usize) -> (Vec<String>, 
     let input = random_words(n, n as u64 ^ p as u64, 100);
     let seq = reference::sum(&input);
 
-    let (_, pram_rep) = pram_algos::run_sum(&input, p).expect("pram sum");
+    let pr = pram::run_sum(&mut pram::sum_footprint(n, p).pram(p), &input, p).expect("pram sum");
     let pram_pred = table1::sum_pram(n, p);
 
     let mut umm = dmm_umm::footprint(n).umm(w, l);
@@ -51,7 +50,7 @@ fn sum_point(n: usize, p: usize, w: usize, l: usize, d: usize) -> (Vec<String>, 
         n.to_string(),
         p.to_string(),
         seq.ops.to_string(),
-        pram_rep.time.to_string(),
+        pr.report.time.to_string(),
         format!("{pram_pred:.0}"),
         du.report.time.to_string(),
         format!("{du_pred:.0}"),
@@ -62,7 +61,7 @@ fn sum_point(n: usize, p: usize, w: usize, l: usize, d: usize) -> (Vec<String>, 
         Measurement::new(
             "table1/sum/pram",
             params(n, 1, p, 1, 1, 1),
-            pram_rep.time,
+            pr.report.time,
             pram_pred,
         ),
         Measurement::new(
@@ -94,8 +93,9 @@ fn conv_point(
     let b = random_words(n + k - 1, n as u64, 50);
     let seq = reference::convolution(&a, &b);
 
-    let (pram_c, pram_rep) = pram_algos::run_convolution(&a, &b, p).expect("pram conv");
-    assert_eq!(pram_c, seq.value);
+    let pr = pram::run_convolution(&mut pram::conv_footprint(n, k).pram(p), &a, &b, p)
+        .expect("pram conv");
+    assert_eq!(pr.value, seq.value);
     let pram_pred = table1::conv_pram(n, k, p.min(n));
 
     let mut umm = convolution::footprint(n, k, None, 0).umm(w, l);
@@ -113,7 +113,7 @@ fn conv_point(
         k.to_string(),
         p.to_string(),
         seq.ops.to_string(),
-        pram_rep.time.to_string(),
+        pr.report.time.to_string(),
         format!("{pram_pred:.0}"),
         du.report.time.to_string(),
         format!("{du_pred:.0}"),
@@ -124,7 +124,7 @@ fn conv_point(
         Measurement::new(
             "table1/conv/pram",
             params(n, k, p.min(n), 1, 1, 1),
-            pram_rep.time,
+            pr.report.time,
             pram_pred,
         ),
         Measurement::new(

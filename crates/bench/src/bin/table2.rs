@@ -15,10 +15,10 @@
 //! Run with `cargo run --release -p hmm-bench --bin table2`.
 
 use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::pram;
 use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
 use hmm_bench::{dump, header, row, Measurement};
 use hmm_core::BatchRunner;
-use hmm_pram::algorithms as pram_algos;
 use hmm_theory::table2::LowerBound;
 use hmm_theory::{table2, Params};
 use hmm_workloads::random_words;
@@ -67,7 +67,7 @@ fn print_point(pt: &Point, valid: &mut bool) -> Measurement {
 fn sum_rows(n: usize, p: usize, w: usize, l: usize, d: usize) -> Vec<Point> {
     let input = random_words(n, 1, 100);
 
-    let (_, pram_rep) = pram_algos::run_sum(&input, p).expect("pram");
+    let pr = pram::run_sum(&mut pram::sum_footprint(n, p).pram(p), &input, p).expect("pram");
     let mut umm = dmm_umm::footprint(n).umm(w, l);
     let du = run_sum_dmm_umm(&mut umm, &input, p).expect("umm");
     let mut hmm = hmm_all::footprint(n, p, d).hmm(d, w, l);
@@ -78,7 +78,7 @@ fn sum_rows(n: usize, p: usize, w: usize, l: usize, d: usize) -> Vec<Point> {
             label: "sum/pram",
             pr: params(n, 1, p, 1, 1, 1),
             lb: table2::sum_pram(n, p),
-            measured: pram_rep.time,
+            measured: pr.report.time,
         },
         Point {
             label: "sum/dmm_umm",
@@ -100,7 +100,8 @@ fn conv_rows(n: usize, k: usize, p: usize, w: usize, l: usize, d: usize) -> Vec<
     let a = random_words(k, 2, 50);
     let b = random_words(n + k - 1, 3, 50);
 
-    let (_, pram_rep) = pram_algos::run_convolution(&a, &b, p).expect("pram");
+    let pr =
+        pram::run_convolution(&mut pram::conv_footprint(n, k).pram(p), &a, &b, p).expect("pram");
     let mut umm = convolution::footprint(n, k, None, 0).umm(w, l);
     let du = run_conv_dmm_umm(&mut umm, &a, &b, p).expect("umm");
     let mut hmm = convolution::footprint(n, k, Some(d), 0).hmm(d, w, l);
@@ -111,7 +112,7 @@ fn conv_rows(n: usize, k: usize, p: usize, w: usize, l: usize, d: usize) -> Vec<
             label: "conv/pram",
             pr: params(n, k, p.min(n), 1, 1, 1),
             lb: table2::conv_pram(n, k, p.min(n)),
-            measured: pram_rep.time,
+            measured: pr.report.time,
         },
         Point {
             label: "conv/dmm_umm",

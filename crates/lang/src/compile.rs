@@ -8,7 +8,7 @@
 //! paper's algorithms.
 
 use hmm_machine::isa::{Operand, Reg, Scope, Space};
-use hmm_machine::vm::REG_COUNT;
+use hmm_machine::REG_COUNT;
 use hmm_machine::{abi, Asm, Program};
 
 use crate::ast::{Expr, Special, Stmt, Var};

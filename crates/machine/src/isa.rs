@@ -15,7 +15,7 @@
 
 use crate::word::Word;
 
-/// A register index (valid range `0..REG_COUNT`, see [`crate::vm`]).
+/// A register index (valid range `0..`[`REG_COUNT`](crate::REG_COUNT)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 

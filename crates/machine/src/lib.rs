@@ -14,7 +14,7 @@
 //!    that decides how many pipeline *slots* a transaction occupies: on a
 //!    DMM the maximum number of distinct addresses destined for one bank,
 //!    on a UMM the number of distinct address groups touched.
-//! 3. [`isa`] / [`asm`] / [`vm`] — each thread of the model is a Random
+//! 3. [`isa`] / [`asm`] / `vm` — each thread of the model is a Random
 //!    Access Machine. We give it a small concrete instruction set, a
 //!    label-based assembler, and execution semantics that step a group of
 //!    lanes at one program counter through one instruction at a time.
@@ -43,7 +43,7 @@ pub mod profile;
 pub mod request;
 pub mod stats;
 pub mod trace;
-pub mod vm;
+mod vm;
 pub mod word;
 
 pub use asm::{Asm, Label};
@@ -56,6 +56,7 @@ pub use profile::{CategoryCounts, LaunchProfile, PipelineProfile, StallCategory}
 pub use request::{AccessKind, ConflictPolicy, Request, SlotSchedule};
 pub use stats::SimReport;
 pub use trace::{Trace, TraceEvent};
+pub use vm::REG_COUNT;
 pub use word::Word;
 
 /// Architectural registers preset by the engine before a kernel starts.

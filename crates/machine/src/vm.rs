@@ -1,10 +1,9 @@
 //! Lane-group execution semantics.
 //!
 //! A thread is a RAM with [`REG_COUNT`] word registers and a program
-//! counter. The threads of one DMM (or the PRAM's processors) live in one
-//! [`LaneState`], laid out structure-of-arrays: register `r` of every
-//! thread sits in one contiguous row, so a warp's lanes are adjacent in
-//! each row.
+//! counter. The threads of one DMM live in one [`LaneState`], laid out
+//! structure-of-arrays: register `r` of every thread sits in one
+//! contiguous row, so a warp's lanes are adjacent in each row.
 //!
 //! [`LaneState::step_group`] executes the instruction at one program
 //! counter for a *group* of lanes that all sit at that counter: the
@@ -12,15 +11,15 @@
 //! The returned [`GroupEffect`] tells the engine what the group wants from
 //! the outside world: nothing (pure local work), a memory access (each
 //! lane's request is left in its lane-indexed [`LaneReq`] slot), a
-//! barrier, or termination. The DMM/UMM/HMM engine and the PRAM baseline
-//! both drive threads through this function; only the *cost* of memory
-//! effects differs between them.
+//! barrier, or termination. The engine drives every thread of every
+//! model through this function, the PRAM preset's processors included;
+//! the models differ only in the *cost* of memory effects.
 //!
 //! Lanes never interact within a step, so applying an instruction to a
 //! group gives each lane exactly the result it would get alone. Errors
-//! are reported for the lowest erring lane of the group. Both engines
-//! group lanes by program counter with [`partition`], and of several
-//! groups' errors keep the lowest lane's ([`lowest_fault`]).
+//! are reported for the lowest erring lane of the group. The engine
+//! groups lanes by program counter with [`partition`], and of several
+//! groups' errors keeps the lowest lane's ([`lowest_fault`]).
 
 use crate::error::{SimError, SimResult};
 use crate::isa::{BinOp, Inst, Operand, Program, Reg, Scope, Space};
@@ -220,7 +219,7 @@ impl LaneState {
     }
 
     /// Register `r` of thread `t`.
-    #[inline]
+    #[cfg(test)]
     #[must_use]
     pub fn reg(&self, t: usize, r: Reg) -> Word {
         self.regs[r.0 as usize * self.n + t]

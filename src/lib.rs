@@ -9,7 +9,6 @@ pub use hmm_algorithms as algorithms;
 pub use hmm_core as core;
 pub use hmm_lang as lang;
 pub use hmm_machine as machine;
-pub use hmm_pram as pram;
 pub use hmm_prof as prof;
 pub use hmm_theory as theory;
 pub use hmm_tune as tune;

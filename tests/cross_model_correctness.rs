@@ -4,12 +4,11 @@
 //! seeded so every run checks the same cases.
 
 use hmm_algorithms::convolution::{self, run_conv_blocked, run_conv_dmm_umm, run_conv_hmm};
-use hmm_algorithms::reference;
 use hmm_algorithms::sum::{
     dmm_umm, hmm_all, hmm_single, run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm,
 };
+use hmm_algorithms::{pram, reference};
 use hmm_machine::Word;
-use hmm_pram::algorithms as pram_algos;
 use hmm_util::Rng;
 
 fn random_vec(rng: &mut Rng, len: usize) -> Vec<Word> {
@@ -44,8 +43,8 @@ fn sum_agrees_everywhere() {
             expect
         );
 
-        let (pram_val, _) = pram_algos::run_sum(&input, p).unwrap();
-        assert_eq!(pram_val, expect);
+        let mut pm = pram::sum_footprint(n, p).pram(p);
+        assert_eq!(pram::run_sum(&mut pm, &input, p).unwrap().value, expect);
     }
 }
 
@@ -81,7 +80,10 @@ fn convolution_agrees_everywhere() {
             expect
         );
 
-        let (pram_val, _) = pram_algos::run_convolution(&a, &b, p).unwrap();
-        assert_eq!(pram_val, expect);
+        let mut pm = pram::conv_footprint(n, k).pram(p);
+        assert_eq!(
+            pram::run_convolution(&mut pm, &a, &b, p).unwrap().value,
+            expect
+        );
     }
 }

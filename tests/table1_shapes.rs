@@ -7,8 +7,8 @@
 //! criterion for Table I.
 
 use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::pram;
 use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
-use hmm_pram::algorithms as pram_algos;
 use hmm_theory::{envelope, table1, Params};
 use hmm_workloads::random_words;
 
@@ -22,8 +22,9 @@ fn pram_sum_matches_lemma3_shape() {
     for &n in &[256usize, 1024, 4096] {
         for &p in &[8usize, 64, 256] {
             let input = random_words(n, n as u64, 100);
-            let (_, rep) = pram_algos::run_sum(&input, p).unwrap();
-            pairs.push((rep.time as f64, table1::sum_pram(n, p)));
+            let mut m = pram::sum_footprint(n, p).pram(p);
+            let run = pram::run_sum(&mut m, &input, p).unwrap();
+            pairs.push((run.report.time as f64, table1::sum_pram(n, p)));
         }
     }
     let fit = envelope::fit(&pairs);

@@ -7,8 +7,8 @@
 //! right one is the paper's optimality theorem made empirical.
 
 use hmm_algorithms::convolution::{self, run_conv_dmm_umm, run_conv_hmm};
+use hmm_algorithms::pram;
 use hmm_algorithms::sum::{dmm_umm, hmm_all, run_sum_dmm_umm, run_sum_hmm};
-use hmm_pram::algorithms as pram_algos;
 use hmm_theory::{table2, Params};
 use hmm_workloads::random_words;
 
@@ -24,9 +24,10 @@ const C: f64 = 30.0;
 fn pram_sum_within_lower_bound_envelope() {
     for &(n, p) in &[(1024usize, 32usize), (4096, 256), (256, 256)] {
         let input = random_words(n, 9, 50);
-        let (_, rep) = pram_algos::run_sum(&input, p).unwrap();
+        let mut m = pram::sum_footprint(n, p).pram(p);
+        let run = pram::run_sum(&mut m, &input, p).unwrap();
         let lb = table2::sum_pram(n, p);
-        let t = rep.time as f64;
+        let t = run.report.time as f64;
         assert!(t >= lb.max_term(), "n={n} p={p}: {t} < {}", lb.max_term());
         assert!(t <= C * lb.total(), "n={n} p={p}: {t} > C*{}", lb.total());
     }
