@@ -1,41 +1,23 @@
-//! The paper's PRAM algorithms (Section V, Lemmas 3 and 4), the baseline
-//! rows of Tables I and II.
+//! The paper's PRAM algorithms (Section V), the baseline rows of Tables
+//! I and II: the Lemma 3 sum, `O(n/p + log n)` steps (`p` strided
+//! partial sums, then the pairwise tree of Figure 5), and the Lemma 4
+//! direct convolution, `O(nk/p + log k)` steps (processor `i` evaluates
+//! `c[i]`, `c[i + p]`, ...).
 //!
-//! *Sum* (Lemma 3): partition the input into `p` groups, sum each group
-//! with one processor, then combine the partial sums with the pairwise
-//! tree of Figure 5 — `O(n/p + log n)` steps.
-//!
-//! *Direct convolution* (Lemma 4): with `p ≤ n` processors, each processor
-//! evaluates `c[i]` for its strided set of output indices —
-//! `O(nk/p + log k)` steps (the `log k` term appears in the `p > n`
-//! regime; with `p ≤ n` the `nk/p` term dominates, which is the regime the
-//! paper calls the practical one, `k ≪ n`).
-//!
-//! # The PRAM is a machine preset
-//!
-//! The memory machines' cost rules already contain the unit-cost PRAM: a
-//! UMM of latency 1 whose one warp holds every processor and whose one
-//! address group holds every address serves each step's requests in one
-//! slot, so every processor executes one instruction per time unit, reads
-//! see the memory as it was before the step's writes, and of concurrent
-//! writes to one cell the highest processor id's value is kept (a
-//! deterministic CRCW-arbitrary rule). [`Footprint::pram`] builds that
-//! machine, and the runners reject with [`SimError::BadLaunch`] any
-//! machine that is not of that shape: latency 1, one DMM and a width of
-//! at least `max(global, p)`.
-//!
-//! A PRAM run is an ordinary engine launch, with the engine's rules where
-//! the model leaves a choice. None of the paper's kernels meets these:
-//!
-//! * when two processors fail in one step, an instruction error (such as
-//!   a division by zero) is reported before an address error, and only
-//!   then does the lowest processor win;
-//! * `bar.dmm` and `bar.global` are different barriers, so processors
-//!   that wait at both never meet, which ends in [`SimError::Deadlock`];
-//! * the `W` register holds the machine's width, not `p`.
+//! The PRAM is a machine preset, not a simulator of its own:
+//! [`Footprint::pram`] builds a UMM of latency 1 whose one warp holds
+//! every processor and whose one address group holds every address, so
+//! each step's accesses take one slot, reads see memory before the
+//! step's writes, and the highest processor id wins a concurrent write
+//! (CRCW). The runners reject any other machine with
+//! [`SimError::BadLaunch`]. Where the model leaves a choice the engine's
+//! rule holds (no paper kernel meets these): an instruction error of a
+//! step is reported before an address error, `bar.dmm` and `bar.global`
+//! are distinct barriers, and `W` reads the machine width, not `p`.
 
 use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
+use hmm_machine::kbuild::{if_nonzero, strided_loop};
 use hmm_machine::{abi, Asm, Program, SimError, SimResult, Word};
 
 use crate::{convolution, next_pow2, run_staged, Footprint, Run};
@@ -46,41 +28,28 @@ const T0: Reg = Reg(18);
 const T1: Reg = Reg(19);
 const JJ: Reg = Reg(20);
 
-/// Build the Lemma 3 summing kernel for `n` inputs and `p` processors.
-///
-/// Layout: input in `[0, n)`, partial sums in `[n, n + p2)` where
-/// `p2 = next_pow2(p)` (the host zeroes the padding), result at address
-/// `n` when the kernel finishes.
+/// The Lemma 3 kernel for `n` inputs and `p` processors: input at
+/// `[0, n)`, partial sums at `[n, n + next_pow2(p))` (zeroed by the
+/// host), the sum at `n` when it finishes.
 #[must_use]
 pub fn sum_kernel(n: usize, p: usize) -> Program {
-    let p2 = next_pow2(p);
     let mut a = Asm::new();
-    // Phase 1: strided accumulation. acc = sum of A[gid + j*p].
     a.mov(ACC, 0);
-    a.mov(IDX, abi::GID);
-    let top = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n);
-    a.brz(T0, done);
-    a.ld_global(T1, IDX, 0);
-    a.add(ACC, ACC, T1);
-    a.add(IDX, IDX, abi::P);
-    a.jmp(top);
-    a.bind(done);
-    // Phase 2: publish the partial sum.
+    strided_loop(&mut a, IDX, T0, abi::GID, n, abi::P, |a| {
+        a.ld_global(T1, IDX, 0);
+        a.add(ACC, ACC, T1);
+    });
     a.st_global(abi::GID, n, ACC);
     a.bar_global();
-    // Phase 3: pairwise tree over p2 partials (Figure 5), unrolled.
-    let mut h = p2 / 2;
+    let mut h = next_pow2(p) / 2;
     while h >= 1 {
-        let skip = a.label();
         a.slt(T0, abi::GID, h);
-        a.brz(T0, skip);
-        a.ld_global(T0, abi::GID, n);
-        a.ld_global(T1, abi::GID, n + h);
-        a.add(T0, T0, T1);
-        a.st_global(abi::GID, n, T0);
-        a.bind(skip);
+        if_nonzero(&mut a, T0, |a| {
+            a.ld_global(T0, abi::GID, n);
+            a.ld_global(T1, abi::GID, n + h);
+            a.add(T0, T0, T1);
+            a.st_global(abi::GID, n, T0);
+        });
         a.bar_global();
         h /= 2;
     }
@@ -88,83 +57,59 @@ pub fn sum_kernel(n: usize, p: usize) -> Program {
     a.finish()
 }
 
-/// The Lemma 3 footprint for `n` inputs and `p` processors (clamped to
-/// `[1, n]` as [`run_sum`] does): the input and `next_pow2(p)` partial
-/// sums in global memory.
+/// The Lemma 3 footprint: `n` inputs and `next_pow2(p)` partial sums,
+/// with `p` clamped to `[1, n]` as in [`run_sum`].
 #[must_use]
 pub fn sum_footprint(n: usize, p: usize) -> Footprint {
     Footprint::new(n + next_pow2(p.clamp(1, n.max(1))), 0)
 }
 
-/// Build the Lemma 4 direct-convolution kernel.
-///
-/// Layout: `A` (length `k`) at `[0, k)`, `B` (length `n + k - 1`) at
-/// `[k, k + n + k - 1)`, `C` (length `n`) at `[k + n + k - 1, ...)`.
-/// Processor `i` computes `c[j] = Σ_t a[t]·b[j+t]` for `j = i, i+p, ...`.
+/// The Lemma 4 kernel: `a` (length `k`) at `[0, k)`, `b` (length
+/// `n + k - 1`) right after it and `c` (length `n`) after `b`.
 #[must_use]
 pub fn convolution_kernel(n: usize, k: usize) -> Program {
-    let b_base = k;
     let c_base = k + n + k - 1;
     let mut a = Asm::new();
-    a.mov(IDX, abi::GID);
-    let outer = a.here();
-    let done = a.label();
-    a.slt(T0, IDX, n);
-    a.brz(T0, done);
-    a.mov(ACC, 0);
-    a.mov(JJ, 0);
-    let inner = a.here();
-    let inner_done = a.label();
-    a.slt(T0, JJ, k);
-    a.brz(T0, inner_done);
-    a.ld_global(T0, JJ, 0); // a[j]
-    a.add(T1, IDX, JJ);
-    a.ld_global(T1, T1, b_base); // b[i + j]
-    a.mul(T0, T0, T1);
-    a.add(ACC, ACC, T0);
-    a.add(JJ, JJ, 1);
-    a.jmp(inner);
-    a.bind(inner_done);
-    a.st_global(IDX, c_base, ACC);
-    a.add(IDX, IDX, abi::P);
-    a.jmp(outer);
-    a.bind(done);
+    strided_loop(&mut a, IDX, T0, abi::GID, n, abi::P, |a| {
+        a.mov(ACC, 0);
+        strided_loop(a, JJ, T0, 0, k, 1, |a| {
+            a.ld_global(T0, JJ, 0); // a[j]
+            a.add(T1, IDX, JJ);
+            a.ld_global(T1, T1, k); // b[i + j]
+            a.mul(T0, T0, T1);
+            a.add(ACC, ACC, T0);
+        });
+        a.st_global(IDX, c_base, ACC);
+    });
     a.halt();
     a.finish()
 }
 
-/// The Lemma 4 footprint for output length `n` and kernel length `k`:
-/// `a`, `b` and `c` in `2n + 2k − 1` global words.
+/// The Lemma 4 footprint: `a`, `b` and `c` in `2n + 2k − 1` words.
 #[must_use]
 pub fn conv_footprint(n: usize, k: usize) -> Footprint {
     convolution::footprint(n, k, None, 0)
 }
 
-/// Reject `machine` unless it is a PRAM of `p` processors for `need`:
-/// latency 1, one DMM, and a width that puts every processor in one warp
-/// and every address in one address group.
+/// Reject `machine` unless it is a PRAM of `p` processors for `need`.
 fn check_pram(machine: &Machine, need: Footprint, p: usize) -> SimResult<()> {
-    let width = need.global.max(p);
-    if machine.latency() != 1 || machine.dmms() != 1 || machine.width() < width {
-        return Err(SimError::BadLaunch(format!(
-            "a PRAM run of {p} processors over {} words needs latency 1, one DMM and width >= {width}; \
-             the machine has l = {}, d = {}, w = {}",
-            need.global,
-            machine.latency(),
-            machine.dmms(),
-            machine.width()
-        )));
+    let (l, d, w) = (machine.latency(), machine.dmms(), machine.width());
+    if l == 1 && d == 1 && w >= need.global.max(p) {
+        return Ok(());
     }
-    Ok(())
+    Err(SimError::BadLaunch(format!(
+        "a PRAM of {p} processors over {} words needs l = 1, d = 1, w >= {}; \
+         the machine has l = {l}, d = {d}, w = {w}",
+        need.global,
+        need.global.max(p)
+    )))
 }
 
-/// Run the Lemma 3 sum of `input` with `p` processors on `machine`, a
-/// PRAM built by [`Footprint::pram`] from [`sum_footprint`]. `p` is
-/// clamped to `[1, n]`.
+/// Run the Lemma 3 sum of `input` with `p` processors, clamped to
+/// `[1, n]`, on a PRAM from [`sum_footprint`].
 ///
 /// # Errors
-/// [`SimError::BadLaunch`] for a machine that is not such a PRAM;
-/// otherwise propagates simulation errors.
+/// [`SimError::BadLaunch`] for any other machine; simulation errors.
 pub fn run_sum(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run<Word>> {
     let n = input.len();
     let p = p.clamp(1, n.max(1));
@@ -181,14 +126,13 @@ pub fn run_sum(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Run
     )
 }
 
-/// Run the Lemma 4 direct convolution of `a` (length `k`) and `b`
-/// (length `n + k - 1`) with `p` processors on `machine`, a PRAM built by
-/// [`Footprint::pram`] from [`conv_footprint`]; returns `c` of length
-/// `n`. `p` is clamped to `[1, n]`.
+/// Run the Lemma 4 convolution of `a` (length `k`) and `b` (length
+/// `n + k - 1`) with `p` processors, clamped to `[1, n]`, on a PRAM from
+/// [`conv_footprint`]; returns `c` of length `n`.
 ///
 /// # Errors
-/// [`SimError::BadLaunch`] for mismatched input lengths or a machine that
-/// is not such a PRAM; otherwise propagates simulation errors.
+/// [`SimError::BadLaunch`] for mismatched inputs or any other machine;
+/// simulation errors.
 pub fn run_convolution(
     machine: &mut Machine,
     a: &[Word],
