@@ -13,10 +13,9 @@
 //! [`copy_kernel`] (read one array, write another) is the two-array case
 //! every multi-step HMM algorithm leans on.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, SimReport, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, SimReport, SimResult, Word};
 
 use crate::{check_fit, run_staged, Footprint};
 
@@ -107,7 +106,7 @@ pub fn run_copy(machine: &mut Machine, input: &[Word], p: usize) -> SimResult<Si
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
 
     #[test]
     fn copy_moves_the_data() {

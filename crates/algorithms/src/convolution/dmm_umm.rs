@@ -13,10 +13,9 @@
 //!   partials are combined by `log q` contiguous tree rounds costing
 //!   `O(l)` each: the paper's `l·log k` term.
 
-use hmm_core::{Kernel, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, Machine, Program, SimResult, Word};
 
 use super::{footprint, run_conv, shapes};
 use crate::{div_ceil, next_pow2, Run};
@@ -204,7 +203,7 @@ pub fn run_conv_blocked(
 mod tests {
     use super::*;
     use crate::reference;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::{impulse, random_words};
 
     #[test]

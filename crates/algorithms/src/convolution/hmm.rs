@@ -21,10 +21,9 @@
 //! memories concurrently, which is where the `d`-fold speed-up over
 //! Theorem 8 comes from.
 
-use hmm_core::{Kernel, Machine};
 use hmm_machine::isa::{Reg, Space};
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, Machine, Program, SimResult, Word};
 
 use super::{footprint, run_conv, shapes};
 use crate::{div_ceil, Run};
@@ -135,7 +134,7 @@ mod tests {
     use super::*;
     use crate::convolution::run_conv_dmm_umm;
     use crate::reference;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     fn hmm_for(n: usize, k: usize, d: usize) -> Machine {

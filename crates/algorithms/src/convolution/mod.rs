@@ -19,8 +19,7 @@
 pub mod dmm_umm;
 pub mod hmm;
 
-use hmm_core::{Kernel, LaunchShape, Machine};
-use hmm_machine::{SimResult, Word};
+use hmm_machine::{Kernel, LaunchShape, Machine, SimResult, Word};
 
 use crate::{div_ceil, next_pow2, run_staged, Footprint, Run};
 

@@ -1,10 +1,10 @@
 //! # hmm-algorithms — the paper's algorithms as executable kernels
 //!
 //! Each module implements one algorithm family from Nakano's HMM paper,
-//! as real ISA programs launched on the simulated machines of
-//! [`hmm_core`]. Every run returns both the *numerical result* (validated
-//! against the sequential references in [`mod@reference`]) and the *measured
-//! time units* (validated against the closed forms in `hmm-theory`).
+//! as real ISA programs launched on a simulated [`hmm_machine::Machine`].
+//! Every run returns both the *numerical result* (validated against the
+//! sequential references in [`mod@reference`]) and the *measured time
+//! units* (validated against the closed forms in `hmm-theory`).
 //!
 //! | Module | Paper result |
 //! |---|---|
@@ -25,8 +25,7 @@
 
 #![warn(missing_docs)]
 
-use hmm_core::{Kernel, LaunchShape, Machine};
-use hmm_machine::{SimError, SimReport, SimResult, Word};
+use hmm_machine::{Kernel, LaunchShape, Machine, SimError, SimReport, SimResult, Word};
 
 pub mod contiguous;
 pub mod convolution;

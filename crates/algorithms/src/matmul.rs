@@ -11,10 +11,9 @@
 //! [`run_matmul_hmm`] implements that; [`run_matmul_umm`] is the baseline
 //! that reads every operand from global memory.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimResult, Word};
 
 use crate::{div_ceil, run_staged, Footprint, Run};
 
@@ -258,7 +257,7 @@ pub fn run_matmul_umm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     #[test]

@@ -18,9 +18,8 @@
 //! `tests/static_vs_dynamic.rs`: the analyzer must predict each cell of
 //! the table, and the simulator must measure it.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Program, SimReport, SimResult};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimReport, SimResult};
 
 use crate::{check_fit, Footprint};
 

@@ -18,10 +18,9 @@
 //! [`run_permutation_naive`] is the baseline that just writes
 //! `out[π(i)] = in[i]` and eats the bank conflicts.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimResult, Word};
 
 use crate::{run_staged, Footprint, Run};
 

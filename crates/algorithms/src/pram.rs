@@ -15,10 +15,9 @@
 //! step is reported before an address error, `bar.dmm` and `bar.global`
 //! are distinct barriers, and `W` reads the machine width, not `p`.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::{if_nonzero, strided_loop};
-use hmm_machine::{abi, Asm, Program, SimError, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimError, SimResult, Word};
 
 use crate::{convolution, next_pow2, run_staged, Footprint, Run};
 

@@ -19,10 +19,9 @@
 //!   totals cross the global pipeline:
 //!   `O(n/w + nl/p + l + n/p + log p + d)`.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimResult, Word};
 
 use crate::{div_ceil, next_pow2, run_staged, Footprint, Run};
 
@@ -356,7 +355,7 @@ pub fn run_prefix_hmm(
 mod tests {
     use super::*;
     use crate::reference;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     #[test]

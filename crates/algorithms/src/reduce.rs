@@ -64,7 +64,7 @@ impl ReduceOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     #[test]

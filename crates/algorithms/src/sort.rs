@@ -18,10 +18,9 @@
 //!
 //! The `sort` rows of `ext_tables` measure the separation.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::{Reg, Space};
 use hmm_machine::kbuild::{if_nonzero, strided_loop};
-use hmm_machine::{abi, Asm, Program, SimError, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimError, SimResult, Word};
 
 use crate::{next_pow2, run_staged, Footprint, Run};
 
@@ -251,7 +250,7 @@ pub fn run_sort_hmm(machine: &mut Machine, input: &[Word], p: usize) -> SimResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     fn sorted(mut v: Vec<Word>) -> Vec<Word> {

@@ -22,9 +22,8 @@
 //! `O(nm/w + nml/p + (n+m)·l)` on the DMM/UMM — the `(n+m)·l` term being
 //! the per-diagonal synchronisation, the price of the dependency chain.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimResult, Word};
 
 use crate::{run_staged, Footprint, Run};
 
@@ -230,7 +229,7 @@ pub fn run_match_dmm_umm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     fn str_to_words(s: &str) -> Vec<Word> {

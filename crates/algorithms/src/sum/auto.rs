@@ -16,8 +16,7 @@
 //! [`run_sum_hmm_auto`] clamps a requested thread budget accordingly and
 //! falls back to the single-DMM algorithm for degenerate machines.
 
-use hmm_core::Machine;
-use hmm_machine::{SimResult, Word};
+use hmm_machine::{Machine, SimResult, Word};
 
 use super::{run_sum_hmm, run_sum_hmm_single_dmm};
 use crate::{next_pow2, Run};
@@ -72,7 +71,7 @@ pub fn run_sum_hmm_auto(
 mod tests {
     use super::*;
     use crate::reference;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     #[test]

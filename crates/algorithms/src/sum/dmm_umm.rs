@@ -14,10 +14,9 @@
 //! The `l·log n` term — the full latency paid at every tree level — is
 //! exactly what the HMM algorithm of Theorem 7 eliminates.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimResult, Word};
 
 use crate::reduce::ReduceOp;
 use crate::{next_pow2, run_staged, Footprint, Run};
@@ -107,7 +106,7 @@ pub fn run_reduce_dmm_umm(
 mod tests {
     use super::*;
     use crate::reference;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     #[test]

@@ -23,10 +23,9 @@
 //! `O(1)` times. This module's `latency_additive_not_multiplicative` test
 //! measures exactly that separation.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimResult, Word};
 
 use crate::reduce::ReduceOp;
 use crate::{next_pow2, run_staged, Footprint, Run};
@@ -203,7 +202,7 @@ mod tests {
     use super::*;
     use crate::reference;
     use crate::sum::run_sum_dmm_umm;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::{ramp, random_words};
 
     #[test]

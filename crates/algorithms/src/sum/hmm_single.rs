@@ -14,10 +14,9 @@
 //! `n/w`, but the final tree still pays `l` per level — the reason
 //! Theorem 7 moves the tree into shared memory.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_machine::isa::Reg;
 use hmm_machine::kbuild::strided_loop;
-use hmm_machine::{abi, Asm, Program, SimResult, Word};
+use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine, Program, SimResult, Word};
 
 use crate::{next_pow2, run_staged, Footprint, Run};
 
@@ -94,7 +93,7 @@ pub fn run_sum_hmm_single_dmm(
 mod tests {
     use super::*;
     use crate::reference;
-    use hmm_core::Machine;
+    use hmm_machine::Machine;
     use hmm_workloads::random_words;
 
     #[test]

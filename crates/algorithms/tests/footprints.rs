@@ -17,8 +17,7 @@ use hmm_algorithms::sort::{self, run_sort_hmm, run_sort_umm};
 use hmm_algorithms::string_match::{self, match_reference, run_match_dmm_umm};
 use hmm_algorithms::sum::{dmm_umm, hmm_all, hmm_single, run_sum_hmm_single_dmm};
 use hmm_algorithms::{reference, Footprint};
-use hmm_core::Machine;
-use hmm_machine::{SimError, SimResult, Word};
+use hmm_machine::{Machine, SimError, SimResult, Word};
 use hmm_workloads::random_words;
 
 const W: usize = 4;

@@ -42,7 +42,7 @@ pub use cost::{inflation, predict, CostEstimate, ThetaTerms};
 pub use diag::{Code, Diagnostic, Severity};
 
 /// The machine shape the analysis assumes. Mirrors
-/// `hmm_machine::engine::EngineConfig`, but the thread count `p` is
+/// `hmm_machine::EngineConfig`, but the thread count `p` is
 /// optional, and the latency `l` and the argument registers are always
 /// unknown: unknown parameters make predictions ranges instead of exact
 /// values.

@@ -3,8 +3,7 @@
 //! non-pipelined ablation.
 
 use hmm_algorithms::contiguous::{footprint, run_access, AccessMode};
-use hmm_core::{Machine, ModelKind};
-use hmm_machine::EngineConfig;
+use hmm_machine::{EngineConfig, Machine};
 use hmm_util::bench::BenchGroup;
 
 fn main() {
@@ -23,7 +22,7 @@ fn main() {
     group.bench("umm_read_nopipeline/512", || {
         let mut cfg = EngineConfig::umm(w, l, footprint(n, 1).global);
         cfg.pipelined = false;
-        let mut m = Machine::from_config(ModelKind::Umm, cfg).unwrap();
+        let mut m = Machine::new(cfg);
         run_access(&mut m, n, 512, AccessMode::Read).unwrap().time
     });
 }

@@ -26,9 +26,8 @@
 use hmm_algorithms::convolution::{self, run_conv_hmm};
 use hmm_algorithms::sort::{self, run_sort_hmm};
 use hmm_algorithms::sum::{hmm_all, run_sum_hmm};
-use hmm_core::{LaunchShape, Machine};
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchSpec, SimReport};
+use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchShape, Machine, SimReport};
 use hmm_tune::{tunable, TuneSpace};
 use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
@@ -95,9 +94,12 @@ fn alu_loop_report(iters: i64, p: usize, ff: bool) -> SimReport {
     a.halt();
     let mut cfg = EngineConfig::hmm(D, W, 64, p, 0);
     cfg.fast_forward = ff;
-    let mut engine = Engine::new(cfg).unwrap();
+    let mut engine = Machine::new(cfg);
     engine
-        .run(&LaunchSpec::even(a.finish(), p, D, vec![]))
+        .launch(
+            &Kernel::new("engine-bench", a.finish()),
+            LaunchShape::Even(p),
+        )
         .unwrap()
 }
 
@@ -127,9 +129,12 @@ fn shared_loop_report(stride: usize, iters: i64, p: usize, ff: bool) -> SimRepor
     a.halt();
     let mut cfg = EngineConfig::hmm(D, W, 64, p, stride * p / D);
     cfg.fast_forward = ff;
-    let mut engine = Engine::new(cfg).unwrap();
+    let mut engine = Machine::new(cfg);
     engine
-        .run(&LaunchSpec::even(a.finish(), p, D, vec![]))
+        .launch(
+            &Kernel::new("engine-bench", a.finish()),
+            LaunchShape::Even(p),
+        )
         .unwrap()
 }
 

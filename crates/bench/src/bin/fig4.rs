@@ -7,16 +7,15 @@
 //!
 //! Run with `cargo run --release -p hmm-bench --bin fig4`.
 
-use hmm_core::{Kernel, LaunchShape, Machine, ModelKind};
 use hmm_machine::isa::Reg;
 use hmm_machine::trace::MemoryId;
-use hmm_machine::{abi, Asm, EngineConfig, TraceEvent};
+use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchShape, Machine, TraceEvent};
 
 fn main() {
     let (w, l) = (4usize, 5usize);
     let mut cfg = EngineConfig::umm(w, l, 16);
     cfg.trace = true;
-    let mut m = Machine::from_config(ModelKind::Umm, cfg).expect("config");
+    let mut m = Machine::new(cfg);
 
     // Addresses per the figure: W(0) -> {0, 2, 6, 15}, W(1) -> {8..11}.
     let (t0, t1, t2) = (Reg(16), Reg(17), Reg(18));

@@ -23,8 +23,8 @@ use hmm_algorithms::sum::{
     dmm_umm, hmm_all, hmm_single, run_sum_dmm_umm, run_sum_hmm, run_sum_hmm_single_dmm,
 };
 use hmm_bench::{dump, header, row, Measurement};
-use hmm_core::{BatchRunner, Keyed, Machine, ModelKind};
-use hmm_machine::EngineConfig;
+use hmm_core::{BatchRunner, Keyed};
+use hmm_machine::{EngineConfig, Machine};
 use hmm_theory::{table1, Params};
 use hmm_workloads::random_words;
 
@@ -123,7 +123,7 @@ fn main() {
         let need = hmm_all::footprint(n, 2048, 16);
         let mut cfg = EngineConfig::hmm(16, w, 256, need.global, need.shared);
         cfg.pipelined = pipelined;
-        let mut m = Machine::from_config(ModelKind::Hmm, cfg).unwrap();
+        let mut m = Machine::new(cfg);
         let t = run_sum_hmm(&mut m, &input, 2048).unwrap().report.time;
         row(&[pipelined.to_string(), t.to_string()]);
         let pr = Params {

@@ -82,12 +82,14 @@ pub fn experiments_dir() -> PathBuf {
     dir
 }
 
-/// Write a JSON dump of measurements.
+/// Write a JSON dump of measurements to `target/experiments/<name>.json`
+/// under the workspace root, and print that path relative to the root,
+/// so the output of one commit reads the same from any checkout.
 pub fn dump(name: &str, measurements: &[Measurement]) {
-    let path = experiments_dir().join(format!("{name}.json"));
+    let file = format!("{name}.json");
     let doc = Value::Array(measurements.iter().map(Measurement::to_json).collect());
-    fs::write(&path, doc.to_json_pretty()).expect("write experiment dump");
-    println!("\n  [dump] {}", path.display());
+    fs::write(experiments_dir().join(&file), doc.to_json_pretty()).expect("write experiment dump");
+    println!("\n  [dump] target/experiments/{file}");
 }
 
 /// Print a header row for a fixed-width table.

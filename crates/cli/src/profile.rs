@@ -58,7 +58,7 @@ pub(crate) fn execute_profile(a: &Args) -> Result<Outcome, CliError> {
         a.set("machine", kind);
     }
     let spec = machine_spec(&a)?;
-    let buckets = a.get_num("buckets", hmm_machine::engine::DEFAULT_PROFILE_BUCKETS)?;
+    let buckets = a.get_num("buckets", hmm_machine::machine::DEFAULT_PROFILE_BUCKETS)?;
     let top = a.get_num("top", 10)?;
     let profile_out = a.get_str("profile-out", "");
     let perfetto_out = a.get_str("perfetto-out", "");

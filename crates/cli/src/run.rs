@@ -6,8 +6,8 @@ use hmm_algorithms::reduce::{run_reduce_dmm_umm, run_reduce_hmm, ReduceOp};
 use hmm_algorithms::sort::{self, run_sort_hmm, run_sort_umm};
 use hmm_algorithms::sum::{dmm_umm, hmm_all};
 use hmm_algorithms::Footprint;
-use hmm_core::{presets, BatchRunner, Keyed, Machine};
-use hmm_machine::SimReport;
+use hmm_core::{presets, BatchRunner, Keyed};
+use hmm_machine::{Machine, SimReport};
 use hmm_workloads::random_words;
 
 use crate::args::{Args, ParseError};

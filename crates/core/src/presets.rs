@@ -1,7 +1,7 @@
 //! Machine parameterisations, including the GTX580 configuration the
 //! paper uses to justify its parameter ranges (Section III).
 
-use crate::machine::Machine;
+use hmm_machine::Machine;
 
 /// The `(d, w, l)` triple that parameterises an HMM, plus memory sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

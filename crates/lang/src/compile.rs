@@ -8,8 +8,7 @@
 //! paper's algorithms.
 
 use hmm_machine::isa::{Operand, Reg, Scope, Space};
-use hmm_machine::REG_COUNT;
-use hmm_machine::{abi, Asm, Program};
+use hmm_machine::{abi, Asm, Program, REG_COUNT};
 
 use crate::ast::{Expr, Special, Stmt, Var};
 
@@ -336,7 +335,7 @@ impl Codegen {
 mod tests {
     use super::*;
     use crate::ast::helpers::*;
-    use hmm_core::{Kernel, LaunchShape, Machine};
+    use hmm_machine::{Kernel, LaunchShape, Machine};
 
     fn run(k: &KernelBuilder, machine: &mut Machine, p: usize) -> hmm_machine::SimReport {
         let program = k.compile().unwrap();

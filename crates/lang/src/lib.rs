@@ -8,7 +8,7 @@
 //!
 //! ```
 //! use hmm_lang::prelude::*;
-//! use hmm_core::{Machine, Kernel, LaunchShape};
+//! use hmm_machine::{Kernel, LaunchShape, Machine};
 //!
 //! // for i = gid; i < 24; i += p { G[i] = i * i }
 //! let mut k = KernelBuilder::new();

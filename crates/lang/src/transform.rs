@@ -358,7 +358,7 @@ mod tests {
     use super::*;
     use crate::ast::helpers::{gid, imm, immu, ld_global, ld_shared, ltid, p};
     use crate::compile::KernelBuilder;
-    use hmm_core::{Kernel, LaunchShape, Machine};
+    use hmm_machine::{Kernel, LaunchShape, Machine};
 
     /// Run `body` (appended to a fresh builder with `vars` variables
     /// declared) on a small HMM and return the first `take` global words.

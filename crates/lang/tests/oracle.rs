@@ -2,11 +2,10 @@
 //! host-side evaluator computes, for random expression trees and thread
 //! counts, with a seeded generator so every run checks the same trees.
 
-use hmm_core::{Kernel, LaunchShape, Machine};
 use hmm_lang::ast::helpers as h;
 use hmm_lang::{Expr, KernelBuilder, Special};
 use hmm_machine::isa::{BinOp, Space};
-use hmm_machine::Word;
+use hmm_machine::{Kernel, LaunchShape, Machine, Word};
 use hmm_util::Rng;
 
 /// Host-side evaluation of the pure (load-free) expression subset.

@@ -9,8 +9,6 @@
 //! one address *group* per time unit. Figure 3 of the paper draws both
 //! partitions for `w = 4`; the unit tests below reproduce that figure.
 
-use crate::word::Word;
-
 /// The bank holding address `addr` on a machine of width `width`.
 #[inline]
 #[must_use]
@@ -25,76 +23,6 @@ pub fn bank_of(addr: usize, width: usize) -> usize {
 pub fn group_of(addr: usize, width: usize) -> usize {
     debug_assert!(width > 0);
     addr / width
-}
-
-/// A flat word-addressable memory annotated with its bank structure.
-///
-/// The backing store is a plain `Vec<Word>`; the bank decomposition only
-/// affects *timing* (computed in [`crate::request`]), never values.
-#[derive(Debug, Clone)]
-pub struct BankedMemory {
-    width: usize,
-    cells: Vec<Word>,
-}
-
-impl BankedMemory {
-    /// A zero-initialised memory of `size` words arranged in `width` banks.
-    #[must_use]
-    pub fn new(width: usize, size: usize) -> Self {
-        assert!(width > 0, "memory width must be positive");
-        Self {
-            width,
-            cells: vec![0; size],
-        }
-    }
-
-    /// Number of banks `w`.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Capacity in words.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the memory has zero capacity.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Read the word at `addr` as a simulated access.
-    ///
-    /// Returns `None` when the address is out of bounds (the engine turns
-    /// this into a [`crate::SimError::OutOfBounds`]).
-    #[must_use]
-    pub fn read(&self, addr: usize) -> Option<Word> {
-        self.cells.get(addr).copied()
-    }
-
-    /// Write `value` at `addr` as a simulated access.
-    pub fn write(&mut self, addr: usize, value: Word) -> Option<()> {
-        *self.cells.get_mut(addr)? = value;
-        Some(())
-    }
-
-    /// Host-side view of the raw cells.
-    #[must_use]
-    pub fn cells(&self) -> &[Word] {
-        &self.cells
-    }
-
-    /// Host-side mutable view of the raw cells.
-    ///
-    /// Used to stage kernel inputs before a launch and to read results
-    /// afterwards; host accesses are free, exactly as the paper assumes the
-    /// input "is stored in the global memory" before the algorithm starts.
-    pub fn cells_mut(&mut self) -> &mut [Word] {
-        &mut self.cells
-    }
 }
 
 #[cfg(test)]
@@ -118,22 +46,6 @@ mod tests {
                 assert_eq!(group_of(g * w + c, w), g);
             }
         }
-    }
-
-    #[test]
-    fn read_write_roundtrip_and_stats() {
-        let mut m = BankedMemory::new(4, 16);
-        m.write(5, 42).unwrap();
-        assert_eq!(m.read(5), Some(42));
-        assert_eq!(m.read(16), None);
-        assert_eq!(m.write(16, 1), None);
-    }
-
-    #[test]
-    fn host_staging_bypasses_stats() {
-        let mut m = BankedMemory::new(4, 8);
-        m.cells_mut()[3] = 7;
-        assert_eq!(m.cells()[3], 7);
     }
 
     #[test]

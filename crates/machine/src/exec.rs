@@ -95,10 +95,9 @@
 use std::collections::VecDeque;
 
 use crate::abi;
-use crate::bank::BankedMemory;
-use crate::engine::{DynamicRace, EngineConfig, LaunchSpec, MAX_LOGGED_RACES};
 use crate::error::{SimError, SimResult};
 use crate::isa::{Program, Scope, Space};
+use crate::machine::{DynamicRace, EngineConfig, MAX_LOGGED_RACES};
 use crate::profile::{CategoryCounts, LaunchProfile, PipeAcc, StallCategory};
 use crate::request::{AccessKind, ConflictPolicy, Request, SlotSchedule, SlotScratch};
 use crate::stats::{MemoryStats, SimReport};
@@ -308,7 +307,7 @@ impl PipeRt {
     fn dispatch(
         &mut self,
         now: u64,
-        store: &mut BankedMemory,
+        cells: &mut [Word],
         trace: &mut TraceBuf,
         mut pre: impl FnMut(usize, &Request),
     ) {
@@ -331,7 +330,6 @@ impl PipeRt {
         let (total_slots, requests) = (txn.schedule.num_slots(), txn.requests.len());
         let served = &mut txn.requests[txn.schedule.range(slot_index)];
         // Addresses were bounds-checked at assembly.
-        let cells = store.cells_mut();
         for req in served.iter_mut() {
             pre(txn.warp, req);
             if req.kind == AccessKind::Read {
@@ -636,7 +634,7 @@ struct Shard<'m> {
     /// takes it out of the shard to wake the shard's lanes, moves a
     /// pointer rather than the whole pipeline.
     pipe: Option<Box<PipeRt>>,
-    store: &'m mut BankedMemory,
+    store: &'m mut [Word],
     race_ck: RaceCk,
     /// Reusable schedule-building scratch.
     slot_scratch: SlotScratch,
@@ -666,7 +664,7 @@ impl<'m> Shard<'m> {
         cfg: &EngineConfig,
         args: &[Word],
         runs: &[u64],
-        store: &'m mut BankedMemory,
+        store: &'m mut [Word],
     ) -> Self {
         let w = cfg.width;
         let mut lanes = LaneState::new(pd, base_tid);
@@ -1247,7 +1245,7 @@ impl<'m> Shard<'m> {
 /// every step appends to as it happens.
 struct Coord<'m> {
     pipe: PipeRt,
-    store: &'m mut BankedMemory,
+    store: &'m mut [Word],
     /// global thread id -> DMM (for completion routing).
     thread_dmm: Vec<usize>,
     trace: TraceBuf,
@@ -1399,39 +1397,33 @@ fn drive(
 
 // ---- entry point ---------------------------------------------------------
 
-/// Simulate one validated launch to completion. `cfg` and `spec` are
-/// assumed consistent (the engine validates before calling).
+/// Simulate one validated launch to completion: `threads_per_dmm` names
+/// every DMM of `cfg` and at least one thread, and `args` fits the
+/// argument registers (the machine checks before calling).
 pub(crate) fn run(
     cfg: &EngineConfig,
-    spec: &LaunchSpec,
-    global: &mut BankedMemory,
-    shared: &mut [BankedMemory],
+    program: &Program,
+    threads_per_dmm: &[usize],
+    args: &[Word],
+    global: &mut [Word],
+    shared: &mut [Vec<Word>],
 ) -> SimResult<RunOutput> {
-    let p = spec.total_threads();
+    let p = threads_per_dmm.iter().sum();
     let w = cfg.width;
 
     let mut shards: Vec<Shard<'_>> = Vec::with_capacity(cfg.dmms);
     let mut thread_dmm: Vec<usize> = Vec::with_capacity(p);
     let mut base_tid = 0usize;
     let mut base_warp = 0usize;
-    let runs = local_runs(&spec.program);
-    for ((d, &pd), store) in spec
-        .threads_per_dmm
-        .iter()
-        .enumerate()
-        .zip(shared.iter_mut())
-    {
+    let runs = local_runs(program);
+    for ((d, &pd), store) in threads_per_dmm.iter().enumerate().zip(shared.iter_mut()) {
         thread_dmm.extend(std::iter::repeat_n(d, pd));
         shards.push(Shard::new(
-            d, base_tid, base_warp, pd, p, cfg, &spec.args, &runs, store,
+            d, base_tid, base_warp, pd, p, cfg, args, &runs, store,
         ));
         if cfg.profile {
             let s = shards.last_mut().expect("just pushed");
-            s.prof = Some(ShardProf::new(
-                &s.thread_warp,
-                s.warps.len(),
-                spec.program.len(),
-            ));
+            s.prof = Some(ShardProf::new(&s.thread_warp, s.warps.len(), program.len()));
         }
         base_tid += pd;
         base_warp += pd.div_ceil(w);
@@ -1445,7 +1437,7 @@ pub(crate) fn run(
         races: RaceLog::default(),
         barriers: 0,
     };
-    let skipped = drive(cfg, &spec.program, &mut coord, &mut shards)?;
+    let skipped = drive(cfg, program, &mut coord, &mut shards)?;
 
     // ---- merge (always in DMM order) ------------------------------------
     let mut report = SimReport {
@@ -1475,7 +1467,7 @@ pub(crate) fn run(
         let mut total = CategoryCounts::default();
         let mut per_warp: Vec<CategoryCounts> = Vec::new();
         let mut per_dmm: Vec<CategoryCounts> = Vec::new();
-        let mut per_pc: Vec<CategoryCounts> = vec![CategoryCounts::default(); spec.program.len()];
+        let mut per_pc: Vec<CategoryCounts> = vec![CategoryCounts::default(); program.len()];
         let mut shared_accs: Vec<PipeAcc> = Vec::new();
         for s in &mut shards {
             let mut prof = s.prof.take().expect("profiling enabled");
@@ -1519,7 +1511,7 @@ pub(crate) fn run(
             bucket_width: bw,
             global_pipe: gacc.finish(time),
             shared_pipes,
-            program: spec.program.clone(),
+            program: program.clone(),
         })
     } else {
         None

@@ -4,7 +4,7 @@
 //! execute fundamental operations in a time unit". We make that concrete:
 //! a thread owns a file of 64 word registers and executes one instruction
 //! per time unit. Every memory access goes through the warp / pipeline
-//! machinery in [`crate::engine`]; everything else (ALU, moves, branches)
+//! machinery in [`crate::machine`]; everything else (ALU, moves, branches)
 //! is local to the thread.
 //!
 //! The instruction set is deliberately small but complete enough to write

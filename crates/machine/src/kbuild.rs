@@ -45,7 +45,7 @@ pub fn if_nonzero(a: &mut Asm, cond: impl Into<Operand>, body: impl FnOnce(&mut 
 mod tests {
     use super::*;
     use crate::abi;
-    use crate::engine::{Engine, EngineConfig, LaunchSpec};
+    use crate::machine::{Kernel, LaunchShape, Machine};
 
     const IDX: Reg = Reg(16);
     const C: Reg = Reg(17);
@@ -59,12 +59,12 @@ mod tests {
             a.st_global(IDX, 0, IDX);
         });
         a.halt();
-        let mut eng = Engine::new(EngineConfig::umm(4, 1, 32)).unwrap();
-        eng.run(&LaunchSpec::even(a.finish(), 8, 1, vec![]))
+        let mut eng = Machine::umm(4, 1, 32);
+        eng.launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
             .unwrap();
         let expect: Vec<i64> = (0..20).collect();
-        assert_eq!(&eng.global().cells()[..20], &expect[..]);
-        assert!(eng.global().cells()[20..].iter().all(|&v| v == 0));
+        assert_eq!(&eng.global()[..20], &expect[..]);
+        assert!(eng.global()[20..].iter().all(|&v| v == 0));
     }
 
     #[test]
@@ -75,9 +75,9 @@ mod tests {
             a.st_global(abi::GID, 0, 1); // odd threads
         });
         a.halt();
-        let mut eng = Engine::new(EngineConfig::umm(4, 1, 16)).unwrap();
-        eng.run(&LaunchSpec::even(a.finish(), 8, 1, vec![]))
+        let mut eng = Machine::umm(4, 1, 16);
+        eng.launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
             .unwrap();
-        assert_eq!(&eng.global().cells()[..8], &[0, 1, 0, 1, 0, 1, 0, 1]);
+        assert_eq!(&eng.global()[..8], &[0, 1, 0, 1, 0, 1, 0, 1]);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! 1. [`bank`] — the interleaved mapping of a flat address space onto `w`
 //!    memory banks (`bank(a) = a mod w`) and `w`-wide address groups
-//!    (`group(a) = a div w`), plus the banked backing store.
+//!    (`group(a) = a div w`).
 //! 2. [`request`] — per-warp memory transactions and the conflict analysis
 //!    that decides how many pipeline *slots* a transaction occupies: on a
 //!    DMM the maximum number of distinct addresses destined for one bank,
@@ -18,10 +18,30 @@
 //!    Access Machine. We give it a small concrete instruction set, a
 //!    label-based assembler, and execution semantics that step a group of
 //!    lanes at one program counter through one instruction at a time.
-//! 4. [`engine`] — the machine proper: SIMD warps of `w` threads,
+//! 4. [`machine`] — the machine proper: its memories and the kernel
+//!    launch, simulated by an engine of SIMD warps of `w` threads,
 //!    round-robin warp dispatch, an `l`-stage pipelined memory management
 //!    unit per memory, barrier synchronisation, and the global time-unit
 //!    clock whose final value is the quantity the paper's theorems bound.
+//!
+//! [`Machine`] is the one machine type: [`Machine::dmm`], [`Machine::umm`]
+//! and [`Machine::hmm`] build the paper's three models, and
+//! [`Machine::launch`] runs a [`Kernel`] on them.
+//!
+//! ```
+//! use hmm_machine::{abi, Asm, Kernel, LaunchShape, Machine};
+//!
+//! // A kernel: every thread writes its global id to G[gid].
+//! let mut a = Asm::new();
+//! a.st_global(abi::GID, 0, abi::GID);
+//! a.halt();
+//! let kernel = Kernel::new("store-gid", a.finish());
+//!
+//! let mut m = Machine::hmm(2, 4, 10, 64, 32); // d=2, w=4, l=10
+//! let report = m.launch(&kernel, LaunchShape::Even(8)).unwrap();
+//! assert_eq!(m.global()[..8], [0, 1, 2, 3, 4, 5, 6, 7]);
+//! assert!(report.time > 0);
+//! ```
 //!
 //! The same engine simulates all three models because — exactly as the
 //! paper observes in its Figure 1 — the DMM and the UMM differ *only* in
@@ -34,11 +54,11 @@
 pub mod asm;
 pub mod bank;
 pub mod disasm;
-pub mod engine;
 pub mod error;
 mod exec;
 pub mod isa;
 pub mod kbuild;
+pub mod machine;
 pub mod profile;
 pub mod request;
 pub mod stats;
@@ -47,11 +67,13 @@ mod vm;
 pub mod word;
 
 pub use asm::{Asm, Label};
-pub use bank::{bank_of, group_of, BankedMemory};
+pub use bank::{bank_of, group_of};
 pub use disasm::disassemble;
-pub use engine::{DynamicRace, Engine, EngineConfig, LaunchSpec};
 pub use error::{SimError, SimResult};
 pub use isa::{Inst, Operand, Program, Reg, Scope, Space};
+#[doc(hidden)]
+pub use machine::Parallelism;
+pub use machine::{DynamicRace, EngineConfig, Kernel, LaunchShape, Machine};
 pub use profile::{CategoryCounts, LaunchProfile, PipelineProfile, StallCategory};
 pub use request::{AccessKind, ConflictPolicy, Request, SlotSchedule};
 pub use stats::SimReport;

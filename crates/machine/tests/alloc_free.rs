@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchSpec, Program};
+use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchShape, Machine, Program};
 
 struct Counting;
 
@@ -153,9 +153,12 @@ fn launch_allocations(
     iterations
         .iter()
         .map(|&n| {
-            let mut engine = Engine::new(cfg.clone()).unwrap();
-            let spec = LaunchSpec::even(kernel(), p, engine.config().dmms, vec![n]);
-            let (count, report) = allocations_during(|| engine.run(&spec));
+            let mut engine = Machine::new(cfg.clone());
+            let spec = Kernel {
+                args: vec![n],
+                ..Kernel::new("", kernel())
+            };
+            let (count, report) = allocations_during(|| engine.launch(&spec, LaunchShape::Even(p)));
             let report = report.unwrap();
             assert_eq!(report.global.requests, p as u64 * global_requests(n as u64));
             count

@@ -1,10 +1,9 @@
 //! Cycle-level semantics of the engine, pinned against the cost rules in
 //! Section II–III of the paper.
 
-use hmm_machine::abi;
 use hmm_machine::isa::{Reg, Space};
 use hmm_machine::trace::MemoryId;
-use hmm_machine::{Asm, Engine, EngineConfig, LaunchSpec, SimError, TraceEvent};
+use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchShape, Machine, SimError, TraceEvent};
 
 const T0: Reg = Reg(16);
 const T1: Reg = Reg(17);
@@ -19,10 +18,10 @@ fn store_gid_program() -> hmm_machine::Program {
 
 #[test]
 fn store_results_land_in_memory() {
-    let mut eng = Engine::new(EngineConfig::dmm(4, 2, 16)).unwrap();
-    let spec = LaunchSpec::even(store_gid_program(), 8, 1, vec![]);
-    let rep = eng.run(&spec).unwrap();
-    assert_eq!(&eng.global().cells()[..8], &[0, 1, 2, 3, 4, 5, 6, 7]);
+    let mut eng = Machine::dmm(4, 2, 16);
+    let kernel = Kernel::new("test", store_gid_program());
+    let rep = eng.launch(&kernel, LaunchShape::Even(8)).unwrap();
+    assert_eq!(&eng.global()[..8], &[0, 1, 2, 3, 4, 5, 6, 7]);
     assert_eq!(rep.threads, 8);
     assert_eq!(rep.global.transactions, 2); // two warps of 4
     assert_eq!(rep.global.slots, 2);
@@ -34,12 +33,12 @@ fn store_results_land_in_memory() {
 #[test]
 fn single_access_costs_latency() {
     for l in [1usize, 4, 32, 100] {
-        let mut eng = Engine::new(EngineConfig::dmm(4, l, 16)).unwrap();
+        let mut eng = Machine::dmm(4, l, 16);
         let mut a = Asm::new();
         a.st_global(0, 0, 7);
         a.halt();
-        let spec = LaunchSpec::even(a.finish(), 1, 1, vec![]);
-        let rep = eng.run(&spec).unwrap();
+        let kernel = Kernel::new("test", a.finish());
+        let rep = eng.launch(&kernel, LaunchShape::Even(1)).unwrap();
         // Cycle 0: issue + dispatch; data completes at end of cycle l-1;
         // the thread resumes at cycle l and halts there.
         assert_eq!(rep.time, l as u64 + 1, "latency {l}");
@@ -52,14 +51,14 @@ fn single_access_costs_latency() {
 fn bank_conflicts_serialise_on_dmm() {
     let w = 4;
     let l = 5;
-    let mut eng = Engine::new(EngineConfig::dmm(w, l, 64)).unwrap();
+    let mut eng = Machine::dmm(w, l, 64);
     // Thread t stores to address t*w: all four hit bank 0.
     let mut a = Asm::new();
     a.mul(T0, abi::GID, w);
     a.st_global(T0, 0, 1);
     a.halt();
-    let spec = LaunchSpec::even(a.finish(), w, 1, vec![]);
-    let rep = eng.run(&spec).unwrap();
+    let kernel = Kernel::new("test", a.finish());
+    let rep = eng.launch(&kernel, LaunchShape::Even(w)).unwrap();
     assert_eq!(rep.global.slots, w as u64);
     assert_eq!(rep.global.max_slots_per_transaction, w as u64);
     // mul at cycle 0; store issued & first slot dispatched at cycle 1;
@@ -83,13 +82,13 @@ fn diagonal_pattern_separates_models() {
         a.halt();
         a.finish()
     };
-    let mut dmm = Engine::new(EngineConfig::dmm(w, l, 64)).unwrap();
+    let mut dmm = Machine::dmm(w, l, 64);
     let rep_d = dmm
-        .run(&LaunchSpec::even(build("dmm"), w, 1, vec![]))
+        .launch(&Kernel::new("test", build("dmm")), LaunchShape::Even(w))
         .unwrap();
-    let mut umm = Engine::new(EngineConfig::umm(w, l, 64)).unwrap();
+    let mut umm = Machine::umm(w, l, 64);
     let rep_u = umm
-        .run(&LaunchSpec::even(build("umm"), w, 1, vec![]))
+        .launch(&Kernel::new("test", build("umm")), LaunchShape::Even(w))
         .unwrap();
     assert_eq!(rep_d.global.slots, 1);
     assert_eq!(rep_u.global.slots, w as u64);
@@ -100,33 +99,33 @@ fn diagonal_pattern_separates_models() {
 /// highest thread id, since writes apply in thread order).
 #[test]
 fn concurrent_writes_pick_one_winner() {
-    let mut eng = Engine::new(EngineConfig::dmm(4, 1, 8)).unwrap();
+    let mut eng = Machine::dmm(4, 1, 8);
     let mut a = Asm::new();
     a.st_global(3, 0, abi::GID);
     a.halt();
     let rep = eng
-        .run(&LaunchSpec::even(a.finish(), 4, 1, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(4))
         .unwrap();
     assert_eq!(rep.global.slots, 1, "same-address writes merge");
-    assert_eq!(eng.global().cells()[3], 3);
+    assert_eq!(eng.global()[3], 3);
 }
 
 /// Broadcast read: all threads read the same address in one slot and all
 /// receive the value.
 #[test]
 fn broadcast_read_merges() {
-    let mut eng = Engine::new(EngineConfig::dmm(4, 2, 8)).unwrap();
-    eng.global_mut().cells_mut()[5] = 99;
+    let mut eng = Machine::dmm(4, 2, 8);
+    eng.global_mut()[5] = 99;
     let mut a = Asm::new();
     a.ld_global(T0, 5, 0);
     a.st_global(abi::GID, 8 / 2, T0); // G[gid+4] = loaded
     a.halt();
     let rep = eng
-        .run(&LaunchSpec::even(a.finish(), 4, 1, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(4))
         .unwrap();
     assert_eq!(rep.global.transactions, 2);
     assert_eq!(rep.global.slots, 2);
-    assert_eq!(&eng.global().cells()[4..8], &[99, 99, 99, 99]);
+    assert_eq!(&eng.global()[4..8], &[99, 99, 99, 99]);
 }
 
 /// Latency hiding (the heart of every HMM bound): with many warps, reading
@@ -137,12 +136,12 @@ fn pipelining_hides_latency_across_warps() {
     let l = 16;
     let p = 64; // 16 warps
     let n = 64; // one row: each thread loads exactly once
-    let mut eng = Engine::new(EngineConfig::umm(w, l, 128)).unwrap();
+    let mut eng = Machine::umm(w, l, 128);
     let mut a = Asm::new();
     a.ld_global(T0, abi::GID, 0);
     a.halt();
     let rep = eng
-        .run(&LaunchSpec::even(a.finish(), p, 1, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(p))
         .unwrap();
     assert_eq!(rep.global.slots, (n / w) as u64);
     // All 16 slots dispatch back-to-back; last completes ~ cycle 16+l.
@@ -151,12 +150,12 @@ fn pipelining_hides_latency_across_warps() {
     // The non-pipelined ablation must be ~slots*l instead.
     let mut cfg = EngineConfig::umm(w, l, 128);
     cfg.pipelined = false;
-    let mut eng2 = Engine::new(cfg).unwrap();
+    let mut eng2 = Machine::new(cfg);
     let mut a = Asm::new();
     a.ld_global(T0, abi::GID, 0);
     a.halt();
     let rep2 = eng2
-        .run(&LaunchSpec::even(a.finish(), p, 1, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(p))
         .unwrap();
     assert!(
         rep2.time >= (n / w * l) as u64,
@@ -171,7 +170,7 @@ fn pipelining_hides_latency_across_warps() {
 fn barriers_order_phases() {
     let d = 2;
     let w = 4;
-    let mut eng = Engine::new(EngineConfig::hmm(d, w, 4, 64, 32)).unwrap();
+    let mut eng = Machine::hmm(d, w, 4, 64, 32);
     // Each thread: S[ltid] = ltid+1; barrier(dmm); ltid 0 sums its DMM's
     // shared values and stores to G[dmm]; barrier(global); thread 0 of
     // dmm 0 adds G[0]+G[1] into G[2].
@@ -199,12 +198,12 @@ fn barriers_order_phases() {
     a.bind(done);
     a.halt();
     let rep = eng
-        .run(&LaunchSpec::even(a.finish(), d * w, d, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(d * w))
         .unwrap();
     // Each DMM's partial sum is 1+2+3+4 = 10; the total is 20.
-    assert_eq!(eng.global().cells()[0], 10);
-    assert_eq!(eng.global().cells()[1], 10);
-    assert_eq!(eng.global().cells()[2], 20);
+    assert_eq!(eng.global()[0], 10);
+    assert_eq!(eng.global()[1], 10);
+    assert_eq!(eng.global()[2], 20);
     assert!(rep.barriers >= 3);
 }
 
@@ -229,13 +228,19 @@ fn shared_memory_is_low_latency() {
         a.halt();
         a.finish()
     };
-    let mut eng = Engine::new(EngineConfig::hmm(1, w, l, 64, 64)).unwrap();
+    let mut eng = Machine::hmm(1, w, l, 64, 64);
     let shared_t = eng
-        .run(&LaunchSpec::even(kernel(Space::Shared), w, 1, vec![]))
+        .launch(
+            &Kernel::new("test", kernel(Space::Shared)),
+            LaunchShape::Even(w),
+        )
         .unwrap()
         .time;
     let global_t = eng
-        .run(&LaunchSpec::even(kernel(Space::Global), w, 1, vec![]))
+        .launch(
+            &Kernel::new("test", kernel(Space::Global)),
+            LaunchShape::Even(w),
+        )
         .unwrap()
         .time;
     assert!(
@@ -253,7 +258,7 @@ fn figure4_pipeline_replay() {
     let l = 5;
     let mut cfg = EngineConfig::umm(w, l, 16);
     cfg.trace = true;
-    let mut eng = Engine::new(cfg).unwrap();
+    let mut eng = Machine::new(cfg);
     // W(0) (threads 0-3) -> addrs 0,2,6,15 ; W(1) (threads 4-7) -> 8..11.
     // Table lookup via arithmetic: precompute addresses in global memory
     // would itself cost accesses, so derive them from gid with Sel chains.
@@ -271,7 +276,7 @@ fn figure4_pipeline_replay() {
     a.ld_global(Reg(19), T1, 0);
     a.halt();
     let rep = eng
-        .run(&LaunchSpec::even(a.finish(), 8, 1, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
         .unwrap();
     assert_eq!(rep.global.slots, 4); // 3 + 1
     let trace = eng.take_trace().unwrap();
@@ -303,12 +308,12 @@ fn figure4_pipeline_replay() {
 
 #[test]
 fn out_of_bounds_is_reported_with_context() {
-    let mut eng = Engine::new(EngineConfig::dmm(4, 1, 8)).unwrap();
+    let mut eng = Machine::dmm(4, 1, 8);
     let mut a = Asm::new();
     a.st_global(100, 0, 1);
     a.halt();
     let err = eng
-        .run(&LaunchSpec::even(a.finish(), 1, 1, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(1))
         .unwrap_err();
     assert_eq!(
         err,
@@ -323,19 +328,19 @@ fn out_of_bounds_is_reported_with_context() {
 
 #[test]
 fn shared_space_invalid_on_standalone_machines() {
-    let mut eng = Engine::new(EngineConfig::umm(4, 1, 8)).unwrap();
+    let mut eng = Machine::umm(4, 1, 8);
     let mut a = Asm::new();
     a.st_shared(0, 0, 1);
     a.halt();
     let err = eng
-        .run(&LaunchSpec::even(a.finish(), 1, 1, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(1))
         .unwrap_err();
     assert_eq!(err, SimError::NoSharedMemory);
 }
 
 #[test]
 fn barrier_deadlock_detected() {
-    let mut eng = Engine::new(EngineConfig::hmm(2, 4, 1, 16, 16)).unwrap();
+    let mut eng = Machine::hmm(2, 4, 1, 16, 16);
     // DMM 0's threads wait at a global barrier; DMM 1's threads halt
     // immediately... then the barrier CAN release (halted threads are
     // excluded). To force a deadlock, make dmm 0 wait at a *global*
@@ -363,9 +368,9 @@ fn barrier_deadlock_detected() {
     a.jmp(top);
     let mut cfg_limited = EngineConfig::hmm(2, 4, 1, 16, 16);
     cfg_limited.max_cycles = 10_000;
-    let mut eng2 = Engine::new(cfg_limited).unwrap();
+    let mut eng2 = Machine::new(cfg_limited);
     let err2 = eng2
-        .run(&LaunchSpec::even(a.finish(), 8, 2, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
         .unwrap_err();
     assert_eq!(err2, SimError::CycleLimit { limit: 10_000 });
     // And an actual deadlock: a single warp where one thread halts before
@@ -382,7 +387,7 @@ fn barrier_deadlock_detected() {
     a.bar_dmm(); // odd threads: dmm barrier
     a.halt();
     let err3 = eng
-        .run(&LaunchSpec::even(a.finish(), 8, 2, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
         .unwrap_err();
     assert!(matches!(err3, SimError::Deadlock { .. }), "got {err3:?}");
 }
@@ -390,41 +395,108 @@ fn barrier_deadlock_detected() {
 /// Multiple sequential launches compose over persistent memory.
 #[test]
 fn memory_persists_across_launches() {
-    let mut eng = Engine::new(EngineConfig::dmm(4, 1, 16)).unwrap();
-    let spec = LaunchSpec::even(store_gid_program(), 8, 1, vec![]);
-    eng.run(&spec).unwrap();
+    let mut eng = Machine::dmm(4, 1, 16);
+    let kernel = Kernel::new("test", store_gid_program());
+    eng.launch(&kernel, LaunchShape::Even(8)).unwrap();
     // Second kernel doubles every cell it owns.
     let mut a = Asm::new();
     a.ld_global(T0, abi::GID, 0);
     a.add(T0, T0, T0);
     a.st_global(abi::GID, 0, T0);
     a.halt();
-    eng.run(&LaunchSpec::even(a.finish(), 8, 1, vec![]))
+    eng.launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
         .unwrap();
-    assert_eq!(&eng.global().cells()[..8], &[0, 2, 4, 6, 8, 10, 12, 14]);
+    assert_eq!(&eng.global()[..8], &[0, 2, 4, 6, 8, 10, 12, 14]);
+}
+
+/// A degenerate machine (no DMM, width 0 or latency 0) builds, and its
+/// launch is a typed `BadLaunch` under every launch shape, never a
+/// panic; the cycle-limit setter keeps the memory staged before it.
+#[test]
+fn degenerate_machines_are_typed_errors() {
+    let machines = [
+        ("dmm w=0", Machine::dmm(0, 2, 16)),
+        ("dmm l=0", Machine::dmm(4, 0, 16)),
+        ("umm w=0", Machine::umm(0, 2, 16)),
+        ("umm l=0", Machine::umm(4, 0, 16)),
+        ("hmm d=0", Machine::hmm(0, 4, 2, 16, 16)),
+        ("hmm w=0", Machine::hmm(2, 0, 2, 16, 16)),
+        ("hmm l=0", Machine::hmm(2, 4, 0, 16, 16)),
+        (
+            "new d=0",
+            Machine::new(EngineConfig {
+                dmms: 0,
+                ..EngineConfig::hmm(2, 4, 2, 16, 16)
+            }),
+        ),
+        (
+            "new w=0",
+            Machine::new(EngineConfig {
+                width: 0,
+                ..EngineConfig::umm(4, 2, 16)
+            }),
+        ),
+        (
+            "new l=0",
+            Machine::new(EngineConfig {
+                global_latency: 0,
+                ..EngineConfig::dmm(4, 2, 16)
+            }),
+        ),
+    ];
+    let kernel = Kernel::new("store-gid", store_gid_program());
+    for (name, mut m) in machines {
+        for shape in [
+            LaunchShape::Even(4),
+            LaunchShape::OnDmm0(4),
+            LaunchShape::PerDmm(vec![4; m.dmms()]),
+        ] {
+            let err = m.launch(&kernel, shape.clone()).unwrap_err();
+            assert!(
+                matches!(err, SimError::BadLaunch(_)),
+                "{name} {shape:?}: {err:?}"
+            );
+        }
+    }
+
+    let mut m = Machine::dmm(4, 2, 16);
+    m.load_global(3, &[7, 8, 9]);
+    let mut m = m.with_cycle_limit(100);
+    assert_eq!(&m.global()[3..6], &[7, 8, 9]);
+    m.launch(&kernel, LaunchShape::Even(2)).unwrap();
+    assert_eq!(&m.global()[..6], &[0, 1, 0, 7, 8, 9]);
 }
 
 /// Launch argument words reach every thread's argument registers.
 #[test]
 fn launch_args_are_visible() {
-    let mut eng = Engine::new(EngineConfig::dmm(4, 1, 8)).unwrap();
+    let mut eng = Machine::dmm(4, 1, 8);
     let mut a = Asm::new();
     a.st_global(abi::GID, 0, abi::arg(0));
     a.halt();
-    eng.run(&LaunchSpec::even(a.finish(), 4, 1, vec![42]))
-        .unwrap();
-    assert_eq!(&eng.global().cells()[..4], &[42; 4]);
+    eng.launch(
+        &Kernel {
+            args: vec![42],
+            ..Kernel::new("test", a.finish())
+        },
+        LaunchShape::Even(4),
+    )
+    .unwrap();
+    assert_eq!(&eng.global()[..4], &[42; 4]);
 }
 
 /// Partial warps (p not a multiple of w) work and are billed correctly.
 #[test]
 fn partial_warps_are_legal() {
-    let mut eng = Engine::new(EngineConfig::dmm(4, 2, 16)).unwrap();
+    let mut eng = Machine::dmm(4, 2, 16);
     let rep = eng
-        .run(&LaunchSpec::even(store_gid_program(), 6, 1, vec![]))
+        .launch(
+            &Kernel::new("test", store_gid_program()),
+            LaunchShape::Even(6),
+        )
         .unwrap();
     assert_eq!(rep.global.transactions, 2);
-    assert_eq!(&eng.global().cells()[..6], &[0, 1, 2, 3, 4, 5]);
+    assert_eq!(&eng.global()[..6], &[0, 1, 2, 3, 4, 5]);
 }
 
 /// The barrier-cost ablation (paper ref \[20\]): charging s units per
@@ -435,14 +507,14 @@ fn barrier_cost_charges_per_release() {
     let time_with_cost = |cost: u64| {
         let mut cfg = EngineConfig::hmm(2, 4, 2, 64, 32);
         cfg.barrier_cost = cost;
-        let mut eng = Engine::new(cfg).unwrap();
+        let mut eng = Machine::new(cfg);
         let mut a = Asm::new();
         for _ in 0..phases {
             a.bar_global();
         }
         a.halt();
-        let spec = LaunchSpec::even(a.finish(), 8, 2, vec![]);
-        eng.run(&spec).unwrap().time
+        let kernel = Kernel::new("test", a.finish());
+        eng.launch(&kernel, LaunchShape::Even(8)).unwrap().time
     };
     let t0 = time_with_cost(0);
     let t5 = time_with_cost(5);
@@ -465,10 +537,7 @@ fn times_past_the_clock_end_in_the_cycle_limit() {
         a.finish()
     };
     let run = |cfg: EngineConfig, program, p| {
-        let d = cfg.dmms;
-        Engine::new(cfg)
-            .unwrap()
-            .run(&LaunchSpec::even(program, p, d, vec![]))
+        Machine::new(cfg).launch(&Kernel::new("test", program), LaunchShape::Even(p))
     };
     let limit = Err(SimError::CycleLimit { limit: u64::MAX });
     for latency in [1usize << 63, usize::MAX] {
@@ -505,14 +574,14 @@ fn times_past_the_clock_end_in_the_cycle_limit() {
 /// Per-DMM statistics decompose the merged shared counters.
 #[test]
 fn per_dmm_stats_sum_to_the_merge() {
-    let mut eng = Engine::new(EngineConfig::hmm(4, 4, 2, 64, 32)).unwrap();
+    let mut eng = Machine::hmm(4, 4, 2, 64, 32);
     let mut a = Asm::new();
     // Each thread writes twice to its own shared memory.
     a.st_shared(abi::LTID, 0, 1);
     a.st_shared(abi::LTID, 8, 2);
     a.halt();
     let rep = eng
-        .run(&LaunchSpec::even(a.finish(), 16, 4, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(16))
         .unwrap();
     assert_eq!(rep.shared_per_dmm.len(), 4);
     let merged_txn: u64 = rep.shared_per_dmm.iter().map(|s| s.transactions).sum();
@@ -548,9 +617,9 @@ fn first_error_follows_phase_dmm_and_thread_order() {
     a.bind(x);
     a.div(t4, 1, T1); // pc 8: lanes {0, 3}
     a.halt();
-    let mut eng = Engine::new(EngineConfig::dmm(4, 1, 8)).unwrap();
+    let mut eng = Machine::dmm(4, 1, 8);
     let err = eng
-        .run(&LaunchSpec::even(a.finish(), 4, 1, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(4))
         .unwrap_err();
     assert_eq!(err, SimError::DivisionByZero { thread: 2, pc: 6 });
 
@@ -565,9 +634,9 @@ fn first_error_follows_phase_dmm_and_thread_order() {
     a.bind(one);
     a.div(T0, 1, 0); // pc 3
     a.halt();
-    let mut eng = Engine::new(EngineConfig::hmm(2, 4, 2, 16, 16)).unwrap();
+    let mut eng = Machine::hmm(2, 4, 2, 16, 16);
     let err = eng
-        .run(&LaunchSpec::even(a.finish(), 8, 2, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
         .unwrap_err();
     assert_eq!(err, SimError::DivisionByZero { thread: 4, pc: 3 });
 
@@ -583,7 +652,7 @@ fn first_error_follows_phase_dmm_and_thread_order() {
     a.ld_global(T0, -5, abi::LTID);
     a.halt();
     let err = eng
-        .run(&LaunchSpec::even(a.finish(), 8, 2, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
         .unwrap_err();
     assert_eq!(
         err,
@@ -607,19 +676,19 @@ fn first_error_follows_phase_dmm_and_thread_order() {
     a.bind(one);
     a.st_shared(abi::LTID, 0, abi::GID);
     a.halt();
-    let mut eng = Engine::new(EngineConfig::hmm(2, 4, 2, 16, 16)).unwrap();
+    let mut eng = Machine::hmm(2, 4, 2, 16, 16);
     let err = eng
-        .run(&LaunchSpec::even(a.finish(), 8, 2, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(8))
         .unwrap_err();
     assert!(
         matches!(err, SimError::OutOfBounds { thread: 0, .. }),
         "{err:?}"
     );
-    assert_eq!(&eng.shared(1).cells()[..4], &[4, 5, 6, 7]);
-    assert!(eng.global().cells().iter().all(|&v| v == 0));
+    assert_eq!(&eng.shared(1)[..4], &[4, 5, 6, 7]);
+    assert!(eng.global().iter().all(|&v| v == 0));
 }
 
-/// The race log keeps the first [`hmm_machine::engine::MAX_LOGGED_RACES`]
+/// The race log keeps the first [`hmm_machine::machine::MAX_LOGGED_RACES`]
 /// entries in dispatch order across every DMM, while `shared_races`
 /// counts them all. Each DMM's warps 1–4 in turn collide with its warp 0
 /// on shared address 0, one slot per DMM per cycle, so the DMMs
@@ -633,9 +702,9 @@ fn race_log_keeps_the_first_entries_across_dmms() {
     a.bar_dmm();
     a.st_shared(1, 0, abi::GID);
     a.halt();
-    let mut eng = Engine::new(EngineConfig::hmm(4, 4, 3, 64, 256)).unwrap();
+    let mut eng = Machine::hmm(4, 4, 3, 64, 256);
     let rep = eng
-        .run(&LaunchSpec::even(a.finish(), 384, 4, vec![]))
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(384))
         .unwrap();
     let races: Vec<_> = eng
         .take_races()
@@ -652,6 +721,6 @@ fn race_log_keeps_the_first_entries_across_dmms() {
             }
         }
     }
-    assert_eq!(expected.len(), hmm_machine::engine::MAX_LOGGED_RACES);
+    assert_eq!(expected.len(), hmm_machine::machine::MAX_LOGGED_RACES);
     assert_eq!(races, expected);
 }

@@ -6,9 +6,8 @@
 //! The first error, the cycle limit and the report must follow
 //! simulated time exactly.
 
-use hmm_machine::abi;
 use hmm_machine::isa::Reg;
-use hmm_machine::{Asm, Engine, EngineConfig, LaunchSpec, SimError, SimReport};
+use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchShape, Machine, SimError, SimReport};
 
 /// Warp width, also the stride of the conflicted access.
 const W: usize = 8;
@@ -20,15 +19,20 @@ const T0: Reg = Reg(20);
 const T1: Reg = Reg(21);
 
 /// Two DMMs of one warp each: lane `t` of DMM `d` is thread `8d + t`.
-fn engine(max_cycles: u64, fast_forward: bool) -> Engine {
+fn engine(max_cycles: u64, fast_forward: bool) -> Machine {
     let mut cfg = EngineConfig::hmm(2, W, 4, 64, 64);
     cfg.max_cycles = max_cycles;
     cfg.fast_forward = fast_forward;
-    Engine::new(cfg).unwrap()
+    Machine::new(cfg)
 }
 
-fn launch(program: hmm_machine::Program) -> LaunchSpec {
-    LaunchSpec::even(program, 2 * W, 2, vec![])
+fn kernel(program: hmm_machine::Program) -> Kernel {
+    Kernel::new("local-runs", program)
+}
+
+/// Both DMMs' warps.
+fn shape() -> LaunchShape {
+    LaunchShape::Even(2 * W)
 }
 
 /// Every lane stores its `LTID` to `S[8·LTID]` and loads it back into
@@ -68,9 +72,11 @@ fn division_by_a_lane_dependent_zero_follows_time_order() {
     let div_pc = a.pc();
     a.div(T1, ACC, T0);
     a.halt();
-    let spec = launch(a.finish());
+    let kernel = kernel(a.finish());
     for fast_forward in [true, false] {
-        let err = engine(u64::MAX, fast_forward).run(&spec).unwrap_err();
+        let err = engine(u64::MAX, fast_forward)
+            .launch(&kernel, shape())
+            .unwrap_err();
         assert_eq!(
             err,
             SimError::DivisionByZero {
@@ -97,9 +103,11 @@ fn a_branch_past_the_end_follows_time_order() {
     a.bind(end);
     let program = a.finish();
     let len = program.len();
-    let spec = launch(program);
+    let kernel = kernel(program);
     for fast_forward in [true, false] {
-        let err = engine(u64::MAX, fast_forward).run(&spec).unwrap_err();
+        let err = engine(u64::MAX, fast_forward)
+            .launch(&kernel, shape())
+            .unwrap_err();
         assert_eq!(
             err,
             SimError::PcOutOfRange {
@@ -115,7 +123,7 @@ fn a_branch_past_the_end_follows_time_order() {
 
 /// The countdown followed by a 300-iteration, five-instruction ALU loop
 /// on every lane, then `tail` and a halt.
-fn long_alu_loop(tail: impl FnOnce(&mut Asm)) -> LaunchSpec {
+fn long_alu_loop(tail: impl FnOnce(&mut Asm)) -> Kernel {
     let mut a = Asm::new();
     conflicted_countdown(&mut a);
     a.mov(COUNT, 300);
@@ -129,7 +137,7 @@ fn long_alu_loop(tail: impl FnOnce(&mut Asm)) -> LaunchSpec {
     a.bind(done);
     tail(&mut a);
     a.halt();
-    launch(a.finish())
+    kernel(a.finish())
 }
 
 /// The launch's exact report, with both clock modes, when each lane
@@ -142,8 +150,12 @@ fn long_alu_loop(tail: impl FnOnce(&mut Asm)) -> LaunchSpec {
 /// instructions.
 #[test]
 fn staggered_wakes_report_is_pinned() {
-    let spec = long_alu_loop(|a| a.ld_global(T0, abi::GID, 0));
-    let run = |fast_forward| engine(u64::MAX, fast_forward).run(&spec).unwrap();
+    let kernel = long_alu_loop(|a| a.ld_global(T0, abi::GID, 0));
+    let run = |fast_forward| {
+        engine(u64::MAX, fast_forward)
+            .launch(&kernel, shape())
+            .unwrap()
+    };
     let on = run(true);
     let off = run(false);
     assert_eq!(
@@ -165,14 +177,19 @@ fn staggered_wakes_report_is_pinned() {
 /// `time` and fails with `time − 1`, with the clock jumping or walking.
 #[test]
 fn cycle_limit_inside_a_long_alu_loop() {
-    let spec = long_alu_loop(|_| {});
+    let kernel = long_alu_loop(|_| {});
     for fast_forward in [true, false] {
-        let time = engine(u64::MAX, fast_forward).run(&spec).unwrap().time;
+        let time = engine(u64::MAX, fast_forward)
+            .launch(&kernel, shape())
+            .unwrap()
+            .time;
         assert_eq!(time, 1581);
-        assert!(engine(time, fast_forward).run(&spec).is_ok());
+        assert!(engine(time, fast_forward).launch(&kernel, shape()).is_ok());
         for limit in [time - 1, time / 2, 40] {
             assert_eq!(
-                engine(limit, fast_forward).run(&spec).unwrap_err(),
+                engine(limit, fast_forward)
+                    .launch(&kernel, shape())
+                    .unwrap_err(),
                 SimError::CycleLimit { limit },
                 "limit {limit} fast_forward {fast_forward}"
             );
@@ -186,15 +203,19 @@ fn cycle_limit_inside_a_long_alu_loop() {
 /// lets the division fail.
 #[test]
 fn cycle_limit_comes_before_a_later_division_by_zero() {
-    let spec = long_alu_loop(|a| a.div(T0, 1, 0));
-    let div_pc = spec.program.len() - 2;
+    let kernel = long_alu_loop(|a| a.div(T0, 1, 0));
+    let div_pc = kernel.program.len() - 2;
     for fast_forward in [true, false] {
         assert_eq!(
-            engine(1523, fast_forward).run(&spec).unwrap_err(),
+            engine(1523, fast_forward)
+                .launch(&kernel, shape())
+                .unwrap_err(),
             SimError::CycleLimit { limit: 1523 }
         );
         assert_eq!(
-            engine(1524, fast_forward).run(&spec).unwrap_err(),
+            engine(1524, fast_forward)
+                .launch(&kernel, shape())
+                .unwrap_err(),
             SimError::DivisionByZero {
                 thread: 15,
                 pc: div_pc
@@ -245,10 +266,12 @@ fn division_by_zero_in_split_runs_names_the_lowest_lane() {
         a.sub(T1, 1, T0);
         a.div(T1, 1, T1);
     }) + 1;
-    let spec = launch(a.finish());
+    let kernel = kernel(a.finish());
     for fast_forward in [true, false] {
         assert_eq!(
-            engine(u64::MAX, fast_forward).run(&spec).unwrap_err(),
+            engine(u64::MAX, fast_forward)
+                .launch(&kernel, shape())
+                .unwrap_err(),
             SimError::DivisionByZero {
                 thread: 1,
                 pc: div_pc
@@ -267,10 +290,12 @@ fn negative_address_in_split_runs_names_the_lowest_lane() {
         a.sub(T1, 0, T0);
         a.ld_global(T1, T1, 0);
     });
-    let spec = launch(a.finish());
+    let kernel = kernel(a.finish());
     for fast_forward in [true, false] {
         assert_eq!(
-            engine(u64::MAX, fast_forward).run(&spec).unwrap_err(),
+            engine(u64::MAX, fast_forward)
+                .launch(&kernel, shape())
+                .unwrap_err(),
             SimError::OutOfBounds {
                 thread: 1,
                 space: hmm_machine::isa::Space::Global,

@@ -6,7 +6,9 @@
 //! `warp_threads × time`.
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, CategoryCounts, Engine, EngineConfig, LaunchSpec, StallCategory};
+use hmm_machine::{
+    abi, Asm, CategoryCounts, EngineConfig, Kernel, LaunchShape, Machine, StallCategory,
+};
 use hmm_util::Rng;
 
 /// A random straight-line SPMD program touching registers, global and
@@ -55,12 +57,13 @@ fn random_program(rng: &mut Rng, global_size: usize, shared_size: usize) -> hmm_
 
 fn profiled_run(
     cfg: &EngineConfig,
-    spec: &LaunchSpec,
+    kernel: &Kernel,
+    p: usize,
 ) -> (hmm_machine::SimReport, hmm_machine::LaunchProfile) {
     let mut cfg = cfg.clone();
     cfg.profile = true;
-    let mut engine = Engine::new(cfg).unwrap();
-    let report = engine.run(spec).unwrap();
+    let mut engine = Machine::new(cfg);
+    let report = engine.launch(kernel, LaunchShape::Even(p)).unwrap();
     let mut profiles = engine.take_profiles();
     assert_eq!(profiles.len(), 1, "one profile per launch");
     (report, profiles.pop().unwrap())
@@ -78,11 +81,11 @@ fn random_programs_conserve_thread_cycles() {
         let l = 1 + rng.usize_below(31);
         let p = (1 + rng.usize_below(4 * w)) * d;
         let program = random_program(&mut rng, global_size, shared_size);
-        let spec = LaunchSpec::even(program, p, d, vec![]);
+        let kernel = Kernel::new("", program);
         let cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
         let ctx = format!("case {case}: d={d} w={w} l={l} p={p}");
 
-        let (report, profile) = profiled_run(&cfg, &spec);
+        let (report, profile) = profiled_run(&cfg, &kernel, p);
         let want = p as u64 * report.time;
         assert_eq!(profile.time, report.time, "{ctx}");
         assert_eq!(profile.threads, p, "{ctx}");
@@ -95,7 +98,7 @@ fn random_programs_conserve_thread_cycles() {
         // Per warp: exactly warp_threads × time each. Threads spread
         // evenly, so warp sizes follow from the per-DMM counts.
         let mut warp = 0;
-        for &pd in &spec.threads_per_dmm {
+        for pd in (0..d).map(|j| p / d + usize::from(j < p % d)) {
             let mut left = pd;
             while left > 0 {
                 let wt = left.min(w);
@@ -143,11 +146,11 @@ fn bank_conflict_attribution_is_exact() {
     asm.mul(Reg(16), abi::LTID, w as i64);
     asm.st_shared(Reg(16), 0, abi::GID);
     asm.halt();
-    let spec = LaunchSpec::even(asm.finish(), w, d, vec![]);
+    let kernel = Kernel::new("", asm.finish());
     let mut cfg = EngineConfig::hmm(d, w, l, 64, w * w);
     cfg.profile = true;
-    let mut engine = Engine::new(cfg).unwrap();
-    let report = engine.run(&spec).unwrap();
+    let mut engine = Machine::new(cfg);
+    let report = engine.launch(&kernel, LaunchShape::Even(w)).unwrap();
     let profile = engine.take_profiles().pop().unwrap();
 
     assert!(profile.is_conserved());

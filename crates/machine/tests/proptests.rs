@@ -7,7 +7,9 @@ use hmm_machine::isa::Reg;
 use hmm_machine::request::{
     slot_count, AccessKind, ConflictPolicy, Request, SlotSchedule, SlotScratch,
 };
-use hmm_machine::{abi, bank_of, group_of, Asm, Engine, EngineConfig, LaunchSpec, Program, Space};
+use hmm_machine::{
+    abi, bank_of, group_of, Asm, EngineConfig, Kernel, LaunchShape, Machine, Program, Space,
+};
 use hmm_util::Rng;
 
 fn random_requests(rng: &mut Rng, max_addr: usize) -> Vec<Request> {
@@ -233,7 +235,7 @@ fn classified_schedule_matches_general_assignment() {
     }
 }
 
-/// Engine determinism and correctness: an affine kernel
+/// Machine determinism and correctness: an affine kernel
 /// `G[gid] = a·gid + b` computes exactly that for every thread, and
 /// two identical launches give identical reports.
 #[test]
@@ -253,17 +255,17 @@ fn engine_affine_kernel_is_deterministic() {
         asm.st_global(abi::GID, 64, t);
         asm.halt();
         let program = asm.finish();
-        let spec = LaunchSpec::even(program, p, 1, vec![]);
+        let kernel = Kernel::new("", program);
 
-        let mut e1 = Engine::new(EngineConfig::umm(w, l, 64 + p)).unwrap();
-        let r1 = e1.run(&spec).unwrap();
-        let mut e2 = Engine::new(EngineConfig::umm(w, l, 64 + p)).unwrap();
-        let r2 = e2.run(&spec).unwrap();
+        let mut e1 = Machine::umm(w, l, 64 + p);
+        let r1 = e1.launch(&kernel, LaunchShape::Even(p)).unwrap();
+        let mut e2 = Machine::umm(w, l, 64 + p);
+        let r2 = e2.launch(&kernel, LaunchShape::Even(p)).unwrap();
         assert_eq!(r1, r2);
-        assert_eq!(e1.global().cells(), e2.global().cells());
+        assert_eq!(e1.global(), e2.global());
         for gid in 0..p {
             assert_eq!(
-                e1.global().cells()[64 + gid],
+                e1.global()[64 + gid],
                 a_coef.wrapping_mul(gid as i64).wrapping_add(b_coef)
             );
         }
@@ -434,17 +436,17 @@ fn random_programs_are_deterministic() {
         let l = 1 + rng.usize_below(31);
         let p = (1 + rng.usize_below(4 * w)) * d;
         let program = random_program(&mut rng, global_size, shared_size, Shape::Straight);
-        let spec = LaunchSpec::even(program, p, d, vec![]);
+        let kernel = Kernel::new("", program);
 
         let run = || {
             let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
             cfg.trace = true;
-            let mut engine = Engine::new(cfg).unwrap();
-            let report = engine.run(&spec).unwrap();
+            let mut engine = Machine::new(cfg);
+            let report = engine.launch(&kernel, LaunchShape::Even(p)).unwrap();
             Observed {
                 report,
-                global: engine.global().cells().to_vec(),
-                shared: (0..d).map(|i| engine.shared(i).cells().to_vec()).collect(),
+                global: engine.global().to_vec(),
+                shared: (0..d).map(|i| engine.shared(i).to_vec()).collect(),
                 races: engine.take_races(),
                 trace: engine
                     .take_trace()
@@ -472,9 +474,9 @@ fn single_round_contiguous_time_envelope() {
         let mut asm = Asm::new();
         asm.st_global(abi::GID, 0, 1);
         asm.halt();
-        let spec = LaunchSpec::even(asm.finish(), p, 1, vec![]);
-        let mut e = Engine::new(EngineConfig::umm(w, l, p)).unwrap();
-        let r = e.run(&spec).unwrap();
+        let kernel = Kernel::new("", asm.finish());
+        let mut e = Machine::umm(w, l, p);
+        let r = e.launch(&kernel, LaunchShape::Even(p)).unwrap();
         // Exactly p/w slots; the batch spans p/w + l - 1 units, plus the
         // store-issue unit and the halt unit.
         assert_eq!(r.global.slots, (p / w) as u64);
@@ -521,32 +523,32 @@ fn programs_match_golden(
         let l = 1 + rng.usize_below(31);
         let p = (1 + rng.usize_below(3 * w)) * d;
         let program = random_program(&mut rng, global_size, shared_size, shape);
-        let spec = LaunchSpec::even(program, p, d, vec![]);
+        let kernel = Kernel::new("", program);
         let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
         tweak(case, &mut cfg);
         lines.push(format!(
             "case {case} d={d} w={w} l={l} p={p} {}",
-            observe_digests(cfg, &spec)
+            observe_digests(cfg, &kernel, p)
         ));
     }
     assert_golden(&lines, golden);
 }
 
-/// Run `spec` on a fresh engine of `cfg` with trace and profile on and
-/// render its outputs as one golden-file field list: time, instruction
-/// and skipped-unit counts, then digests of the report, the memories,
-/// the trace, the profile and the race log.
-fn observe_digests(mut cfg: EngineConfig, spec: &LaunchSpec) -> String {
+/// Run `kernel` on `p` threads of a fresh machine of `cfg` with trace and
+/// profile on and render its outputs as one golden-file field list: time,
+/// instruction and skipped-unit counts, then digests of the report, the
+/// memories, the trace, the profile and the race log.
+fn observe_digests(mut cfg: EngineConfig, kernel: &Kernel, p: usize) -> String {
     cfg.trace = true;
     cfg.profile = true;
     let d = cfg.dmms;
-    let mut engine = Engine::new(cfg).unwrap();
-    let mut report = engine.run(spec).unwrap();
+    let mut engine = Machine::new(cfg);
+    let mut report = engine.launch(kernel, LaunchShape::Even(p)).unwrap();
     let races = engine.take_races();
     let shared_races = std::mem::take(&mut report.shared_races);
     let trace = engine.take_trace().expect("trace enabled");
     let profile = engine.take_profiles().pop().expect("profile enabled");
-    let shared: Vec<_> = (0..d).map(|i| engine.shared(i).cells().to_vec()).collect();
+    let shared: Vec<_> = (0..d).map(|i| engine.shared(i).to_vec()).collect();
     format!(
         "time={} instructions={} skipped={} \
          report={} global={} shared={} trace={} profile={} races={shared_races}:{}",
@@ -554,7 +556,7 @@ fn observe_digests(mut cfg: EngineConfig, spec: &LaunchSpec) -> String {
         report.instructions,
         report.skipped_units,
         digest(&report),
-        digest(&engine.global().cells()),
+        digest(&engine.global()),
         digest(&shared),
         digest(&trace.events()),
         digest(&profile),
@@ -733,10 +735,10 @@ fn affine_programs_match_golden() {
                     _ => (EngineConfig::umm(w, 3, size), Space::Global),
                 };
                 let program = affine_program(space, s, base, bit, x, out);
-                let spec = LaunchSpec::even(program, p, d, vec![]);
+                let kernel = Kernel::new("", program);
                 lines.push(format!(
                     "w={w} {machine} s={s} bit={bit} p={p} {}",
-                    observe_digests(cfg, &spec)
+                    observe_digests(cfg, &kernel, p)
                 ));
             }
         }
@@ -756,13 +758,13 @@ fn bounded_trace_is_a_prefix_of_the_full_trace() {
         let l = 1 + rng.usize_below(15);
         let p = (1 + rng.usize_below(2 * w)) * d;
         let program = random_program(&mut rng, global_size, shared_size, Shape::Forward);
-        let spec = LaunchSpec::even(program, p, d, vec![]);
+        let kernel = Kernel::new("", program);
         let run = |cap: Option<usize>| {
             let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
             cfg.trace = true;
             cfg.trace_capacity = cap;
-            let mut engine = Engine::new(cfg).unwrap();
-            let report = engine.run(&spec).unwrap();
+            let mut engine = Machine::new(cfg);
+            let report = engine.launch(&kernel, LaunchShape::Even(p)).unwrap();
             let trace = engine.take_trace().expect("trace enabled");
             (report, trace.events().to_vec(), trace.dropped_events())
         };

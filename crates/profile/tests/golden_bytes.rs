@@ -4,7 +4,7 @@
 //! output — one byte reordered, one space added — fails here.
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchProfile, LaunchSpec, Trace};
+use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchProfile, LaunchShape, Machine, Trace};
 use hmm_prof::{profile_to_json, trace_to_perfetto};
 
 /// 64-bit FNV-1a.
@@ -19,12 +19,12 @@ fn pin(text: &str) -> (usize, u64) {
     (text.len(), fnv1a(text.as_bytes()))
 }
 
-fn observe(cfg: EngineConfig, spec: &LaunchSpec) -> (LaunchProfile, Trace) {
+fn observe(cfg: EngineConfig, kernel: &Kernel, p: usize) -> (LaunchProfile, Trace) {
     let mut cfg = cfg;
     cfg.profile = true;
     cfg.trace = true;
-    let mut engine = Engine::new(cfg).unwrap();
-    engine.run(spec).unwrap();
+    let mut engine = Machine::new(cfg);
+    engine.launch(kernel, LaunchShape::Even(p)).unwrap();
     let profile = engine.take_profiles().pop().expect("one profile");
     let trace = engine.take_trace().expect("trace enabled");
     (profile, trace)
@@ -43,8 +43,8 @@ fn demo() -> (LaunchProfile, Trace) {
     asm.st_global(abi::GID, 0, Reg(18));
     asm.halt();
     let p = 2 * d * w;
-    let spec = LaunchSpec::even(asm.finish(), p, d, vec![]);
-    observe(EngineConfig::hmm(d, w, l, 64, (p / d) * w), &spec)
+    let kernel = Kernel::new("", asm.finish());
+    observe(EngineConfig::hmm(d, w, l, 64, (p / d) * w), &kernel, p)
 }
 
 /// Six rounds of a `w`-way conflicting shared store, a DMM barrier, a
@@ -70,10 +70,10 @@ fn conflicted_barriers() -> (LaunchProfile, Trace) {
     asm.brnz(more, top);
     asm.st_global(abi::GID, 0, acc);
     asm.halt();
-    let spec = LaunchSpec::even(asm.finish(), p, d, vec![]);
+    let kernel = Kernel::new("", asm.finish());
     let mut cfg = EngineConfig::hmm(d, w, l, p, (p / d) * w + 8);
     cfg.trace_capacity = Some(300);
-    let (profile, trace) = observe(cfg, &spec);
+    let (profile, trace) = observe(cfg, &kernel, p);
     assert!(trace.dropped_events() > 0, "the trace bound must bite");
     (profile, trace)
 }

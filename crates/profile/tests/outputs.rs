@@ -2,7 +2,7 @@
 //! schema shape, and disassembled hotspot text.
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchProfile, LaunchSpec, Trace};
+use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchProfile, LaunchShape, Machine, Trace};
 use hmm_prof::{profile_to_json, render_report, trace_to_perfetto};
 
 /// A small mixed kernel: global loads/stores, a bank-conflicting shared
@@ -18,12 +18,12 @@ fn demo() -> (LaunchProfile, Trace) {
     asm.st_global(abi::GID, 0, Reg(18));
     asm.halt();
     let p = 2 * d * w;
-    let spec = LaunchSpec::even(asm.finish(), p, d, vec![]);
+    let kernel = Kernel::new("", asm.finish());
     let mut cfg = EngineConfig::hmm(d, w, l, 64, (p / d) * w);
     cfg.profile = true;
     cfg.trace = true;
-    let mut engine = Engine::new(cfg).unwrap();
-    engine.run(&spec).unwrap();
+    let mut engine = Machine::new(cfg);
+    engine.launch(&kernel, LaunchShape::Even(p)).unwrap();
     let profile = engine.take_profiles().pop().expect("one profile");
     let trace = engine.take_trace().expect("trace enabled");
     (profile, trace)

@@ -20,13 +20,13 @@
 //!   there and the wins come from launch width and unrolling.
 
 use hmm_analysis::ThetaTerms;
-use hmm_core::{Kernel, Word};
 use hmm_lang::ast::helpers::{
     add, dmm, imm, immu, ld_global, ld_shared, lt, ltid, max_, min_, mul, pd, select, sub, v,
 };
 use hmm_lang::ast::Stmt;
 use hmm_lang::{apply_all, required_shared_all, KernelBuilder, Transform};
 use hmm_machine::isa::Space;
+use hmm_machine::{Kernel, Word};
 use hmm_workloads::random_words;
 
 use crate::space::Candidate;
@@ -151,7 +151,7 @@ fn compile_transformed(
     vars: usize,
     body: &[Stmt],
     transforms: &[Transform],
-) -> Result<hmm_core::Program, BuildError> {
+) -> Result<hmm_machine::Program, BuildError> {
     let body = apply_all(body, transforms).map_err(BuildError::Transform)?;
     let mut k = KernelBuilder::new();
     for _ in 0..vars {
@@ -495,7 +495,7 @@ impl Tunable for ConvTunable {
 mod tests {
     use super::*;
     use crate::space::TuneSpace;
-    use hmm_core::{LaunchShape, Machine};
+    use hmm_machine::{LaunchShape, Machine};
 
     fn run(t: &dyn Tunable, c: &Candidate, n: usize, seed: u64) -> (Vec<Word>, u64) {
         let tk = t.build(c, n).unwrap();

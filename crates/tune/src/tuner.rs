@@ -30,8 +30,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hmm_analysis::{analyze, AnalysisConfig};
-use hmm_core::{BatchRunner, LaunchShape, Machine, Word};
+use hmm_core::BatchRunner;
 use hmm_machine::profile::{LaunchProfile, StallCategory};
+use hmm_machine::{LaunchShape, Machine, Word};
 
 use crate::kernels::{tunable, tunable_names, Tunable, TunedKernel};
 use crate::report::{EntryStatus, ExplainRow, TuneEntry, TuneReport};

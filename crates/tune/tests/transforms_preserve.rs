@@ -6,7 +6,7 @@
 //! must all agree. This is the safety net under the whole search: the
 //! tuner may only ever trade *time*, never *answers*.
 
-use hmm_core::{LaunchShape, Machine, Word};
+use hmm_machine::{LaunchShape, Machine, Word};
 use hmm_tune::{tunable, Candidate, Tunable};
 use hmm_util::Rng;
 

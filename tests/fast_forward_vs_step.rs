@@ -42,13 +42,13 @@ struct Observed {
 /// Returns the skipped-unit count alongside the normalised observation.
 fn observe(mut m: Machine, run: impl FnOnce(&mut Machine) -> SimReport) -> (u64, Observed) {
     m.set_trace(true);
-    m.engine_mut().set_trace_capacity(Some(TRACE_CAP));
+    m.set_trace_capacity(Some(TRACE_CAP));
     m.set_profiling(true);
     let mut report = run(&mut m);
     let skipped = report.skipped_units;
     report.skipped_units = 0;
     let obs = Observed {
-        races: m.engine_mut().take_races(),
+        races: m.take_races(),
         global: m.global().to_vec(),
         trace: m.take_trace().expect("trace was enabled").events().to_vec(),
         profiles: m.take_profiles(),
@@ -171,7 +171,7 @@ fn sort_is_clock_invariant() {
 /// and its completion, and the report says so.
 #[test]
 fn latency_bound_kernel_skips_and_reports_it() {
-    use hmm_machine::{abi, isa::Reg, Asm, Engine, EngineConfig, LaunchSpec};
+    use hmm_machine::{abi, isa::Reg, Asm, EngineConfig, Kernel, LaunchShape};
 
     let mut a = Asm::new();
     a.ld_global(Reg(16), abi::GID, 0);
@@ -184,9 +184,9 @@ fn latency_bound_kernel_skips_and_reports_it() {
     let run = |ff: bool| {
         let mut cfg = EngineConfig::hmm(1, 4, 64, 256, 16);
         cfg.fast_forward = ff;
-        let mut engine = Engine::new(cfg).unwrap();
-        let spec = LaunchSpec::even(program.clone(), 4, 1, Vec::new());
-        engine.run(&spec).unwrap()
+        let mut engine = Machine::new(cfg);
+        let kernel = Kernel::new("latency-bound", program.clone());
+        engine.launch(&kernel, LaunchShape::Even(4)).unwrap()
     };
     let fast = run(true);
     let slow = run(false);

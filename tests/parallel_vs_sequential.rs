@@ -36,7 +36,7 @@ struct Observed {
 fn observe(mut m: Machine, run: impl FnOnce(&mut Machine) -> SimReport) -> Observed {
     let report = run(&mut m);
     Observed {
-        races: m.engine_mut().take_races(),
+        races: m.take_races(),
         global: m.global().to_vec(),
         report,
     }
@@ -136,7 +136,7 @@ fn sort_is_engine_invariant() {
 /// completions and barrier releases in identical sequence.
 #[test]
 fn traces_are_identical_across_engines() {
-    use hmm_machine::{abi, Asm, Engine, EngineConfig, LaunchSpec};
+    use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchShape};
 
     // Shared staging, a DMM barrier, a global round-trip, a global
     // barrier — every trace-event kind fires.
@@ -153,9 +153,9 @@ fn traces_are_identical_across_engines() {
     assert_engines_agree("trace", |d| {
         let mut cfg = EngineConfig::hmm(d, 4, 8, 256, 64);
         cfg.trace = true;
-        let mut engine = Engine::new(cfg).unwrap();
-        let spec = LaunchSpec::even(program.clone(), 8 * d, d, Vec::new());
-        let report = engine.run(&spec).unwrap();
+        let mut engine = Machine::new(cfg);
+        let kernel = Kernel::new("every-event", program.clone());
+        let report = engine.launch(&kernel, LaunchShape::Even(8 * d)).unwrap();
         let trace = engine.take_trace().expect("trace was enabled");
         (report, trace.events().to_vec())
     });
