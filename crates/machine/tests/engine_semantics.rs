@@ -686,6 +686,40 @@ fn first_error_follows_phase_dmm_and_thread_order() {
     );
     assert_eq!(&eng.shared(1)[..4], &[4, 5, 6, 7]);
     assert!(eng.global().iter().all(|&v| v == 0));
+
+    // The erring DMM dispatches nothing that cycle: DMM 0's warp 0 queues
+    // a shared store in the cycle its warp 1 stores out of bounds, and
+    // that store never lands, while DMM 1's earlier shared stores have.
+    let mut a = Asm::new();
+    let (one, high) = (a.label(), a.label());
+    a.brnz(abi::DMM, one);
+    a.slt(T0, abi::LTID, 4);
+    a.brz(T0, high);
+    a.st_shared(abi::LTID, 0, 1); // DMM 0, warp 0
+    a.halt();
+    a.bind(high);
+    a.st_global(1000, 0, 1); // DMM 0, warp 1
+    a.halt();
+    a.bind(one);
+    a.st_shared(abi::LTID, 0, abi::GID); // DMM 1
+    a.halt();
+    let mut eng = Machine::hmm(2, 4, 2, 16, 16);
+    let err = eng
+        .launch(&Kernel::new("test", a.finish()), LaunchShape::Even(16))
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SimError::OutOfBounds {
+                thread: 4,
+                space: Space::Global,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(eng.shared(0).iter().all(|&v| v == 0));
+    assert_eq!(&eng.shared(1)[..8], &[8, 9, 10, 11, 12, 13, 14, 15]);
 }
 
 /// The race log keeps the first [`hmm_machine::machine::MAX_LOGGED_RACES`]

@@ -501,16 +501,18 @@ fn digest(value: &impl std::fmt::Debug) -> String {
     format!("{h:016x}")
 }
 
-/// Run `cases` random programs of `shape` drawn from `seed`, each with
-/// its config adjusted by `tweak(case, &mut cfg)`, and compare one line
-/// per case — report, memories, trace, race log and profile digests —
-/// against the golden file at `golden` (relative to the crate root).
-/// `HMM_BLESS=1` rewrites the file instead; use it only for a deliberate
-/// change to the simulated machine.
+/// Run `cases` random programs of `shape` drawn from `seed`, each
+/// launched on the threads `threads(case, &mut rng, d, w)` draws for its
+/// machine and with its config adjusted by `tweak(case, &mut cfg)`, and
+/// compare one line per case — report, memories, trace, race log and
+/// profile digests — against the golden file at `golden` (relative to
+/// the crate root). `HMM_BLESS=1` rewrites the file instead; use it only
+/// for a deliberate change to the simulated machine.
 fn programs_match_golden(
     seed: u64,
     shape: Shape,
     cases: usize,
+    threads: impl Fn(usize, &mut Rng, usize, usize) -> LaunchShape,
     tweak: impl Fn(usize, &mut EngineConfig),
     golden: &str,
 ) {
@@ -521,29 +523,39 @@ fn programs_match_golden(
         let d = [1usize, 2, 4][rng.usize_below(3)];
         let w = [2usize, 4, 8, 16][rng.usize_below(4)];
         let l = 1 + rng.usize_below(31);
-        let p = (1 + rng.usize_below(3 * w)) * d;
+        let launch = threads(case, &mut rng, d, w);
         let program = random_program(&mut rng, global_size, shared_size, shape);
         let kernel = Kernel::new("", program);
         let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
         tweak(case, &mut cfg);
+        let threads = match &launch {
+            LaunchShape::Even(p) => format!("p={p}"),
+            other => format!("{other:?}"),
+        };
         lines.push(format!(
-            "case {case} d={d} w={w} l={l} p={p} {}",
-            observe_digests(cfg, &kernel, p)
+            "case {case} d={d} w={w} l={l} {threads} {}",
+            observe_digests(cfg, &kernel, launch)
         ));
     }
     assert_golden(&lines, golden);
 }
 
-/// Run `kernel` on `p` threads of a fresh machine of `cfg` with trace and
-/// profile on and render its outputs as one golden-file field list: time,
-/// instruction and skipped-unit counts, then digests of the report, the
-/// memories, the trace, the profile and the race log.
-fn observe_digests(mut cfg: EngineConfig, kernel: &Kernel, p: usize) -> String {
+/// The launch of every digest golden but the uneven one: `p`, a multiple
+/// of `d` up to `3w` threads per DMM, spread evenly.
+fn even_threads(_case: usize, rng: &mut Rng, d: usize, w: usize) -> LaunchShape {
+    LaunchShape::Even((1 + rng.usize_below(3 * w)) * d)
+}
+
+/// Run `kernel` launched as `launch` on a fresh machine of `cfg` with
+/// trace and profile on and render its outputs as one golden-file field
+/// list: time, instruction and skipped-unit counts, then digests of the
+/// report, the memories, the trace, the profile and the race log.
+fn observe_digests(mut cfg: EngineConfig, kernel: &Kernel, launch: LaunchShape) -> String {
     cfg.trace = true;
     cfg.profile = true;
     let d = cfg.dmms;
     let mut engine = Machine::new(cfg);
-    let mut report = engine.launch(kernel, LaunchShape::Even(p)).unwrap();
+    let mut report = engine.launch(kernel, launch).unwrap();
     let races = engine.take_races();
     let shared_races = std::mem::take(&mut report.shared_races);
     let trace = engine.take_trace().expect("trace enabled");
@@ -591,6 +603,7 @@ fn divergent_programs_match_golden() {
         0xD1FE_46E7,
         Shape::Forward,
         16,
+        even_threads,
         |_, _| {},
         "tests/golden/divergent_programs.txt",
     );
@@ -605,6 +618,7 @@ fn ablation_programs_match_golden() {
         0xAB1A_7105,
         Shape::Forward,
         24,
+        even_threads,
         |case, cfg| {
             cfg.pipelined = case % 2 == 0;
             cfg.barrier_cost = [0, 3, 17][case % 3];
@@ -624,11 +638,48 @@ fn looping_programs_match_golden() {
         0x100B_5EED,
         Shape::Looping,
         16,
+        even_threads,
         |case, cfg| {
             cfg.pipelined = case % 4 != 3;
             cfg.barrier_cost = if case % 3 == 2 { 3 } else { 0 };
         },
         "tests/golden/looping_programs.txt",
+    );
+}
+
+/// Random programs on DMMs of different thread counts produce exactly
+/// the pinned outputs. Each case gives every DMM its own count, from 0
+/// up to `3w`, so global thread and warp numbers do not step evenly from
+/// DMM to DMM; on a machine of several DMMs one DMM is empty and another
+/// ends in a partial warp. Every fourth case puts all its threads on
+/// DMM 0.
+#[test]
+fn uneven_programs_match_golden() {
+    programs_match_golden(
+        0x0E7E_D177,
+        Shape::Looping,
+        24,
+        |case, rng, d, w| {
+            if case % 4 == 3 {
+                return LaunchShape::OnDmm0(1 + rng.usize_below(3 * w));
+            }
+            let mut counts: Vec<usize> = (0..d).map(|_| rng.usize_below(3 * w + 1)).collect();
+            if d > 1 {
+                // One DMM empty, one ending in a partial warp.
+                let empty = rng.usize_below(d);
+                counts[empty] = 0;
+                let partial = (empty + 1 + rng.usize_below(d - 1)) % d;
+                counts[partial] = rng.usize_below(3) * w + 1 + rng.usize_below(w - 1);
+            } else if counts[0] == 0 {
+                counts[0] = 1;
+            }
+            LaunchShape::PerDmm(counts)
+        },
+        |case, cfg| {
+            cfg.pipelined = case % 5 != 4;
+            cfg.barrier_cost = if case % 3 == 1 { 3 } else { 0 };
+        },
+        "tests/golden/uneven_programs.txt",
     );
 }
 
@@ -738,7 +789,7 @@ fn affine_programs_match_golden() {
                 let kernel = Kernel::new("", program);
                 lines.push(format!(
                     "w={w} {machine} s={s} bit={bit} p={p} {}",
-                    observe_digests(cfg, &kernel, p)
+                    observe_digests(cfg, &kernel, LaunchShape::Even(p))
                 ));
             }
         }
