@@ -244,7 +244,5 @@ fn main() {
         ),
         ("workloads", Value::Array(rows)),
     ]);
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
-    std::fs::write(&path, doc.to_json_pretty()).expect("write BENCH_engine.json");
-    println!("\n  [dump] {}", path.display());
+    hmm_bench::dump_bench("engine", &doc);
 }

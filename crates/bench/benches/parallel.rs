@@ -77,8 +77,5 @@ fn main() {
         ),
         ("workloads", Value::Array(rows)),
     ]);
-    let path =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_parallel.json");
-    std::fs::write(&path, doc.to_json_pretty()).expect("write BENCH_parallel.json");
-    println!("\n  [dump] {}", path.display());
+    hmm_bench::dump_bench("parallel", &doc);
 }

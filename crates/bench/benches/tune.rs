@@ -107,7 +107,5 @@ fn main() {
         ),
         ("workloads", Value::Array(rows)),
     ]);
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_tune.json");
-    std::fs::write(&path, doc.to_json_pretty()).expect("write BENCH_tune.json");
-    println!("\n  [dump] {}", path.display());
+    hmm_bench::dump_bench("tune", &doc);
 }

@@ -74,10 +74,15 @@ impl Measurement {
     }
 }
 
+/// The workspace root.
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// Where experiment dumps land.
 #[must_use]
 pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+    let dir = workspace_root().join("target/experiments");
     fs::create_dir_all(&dir).expect("create experiments dir");
     dir
 }
@@ -90,6 +95,16 @@ pub fn dump(name: &str, measurements: &[Measurement]) {
     let doc = Value::Array(measurements.iter().map(Measurement::to_json).collect());
     fs::write(experiments_dir().join(&file), doc.to_json_pretty()).expect("write experiment dump");
     println!("\n  [dump] target/experiments/{file}");
+}
+
+/// Write a bench target's results to `BENCH_<name>.json` at the
+/// workspace root, and print that path relative to the root, as [`dump`]
+/// does.
+pub fn dump_bench(name: &str, doc: &Value) {
+    let file = format!("BENCH_{name}.json");
+    fs::write(workspace_root().join(&file), doc.to_json_pretty())
+        .unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("\n  [dump] {file}");
 }
 
 /// Print a header row for a fixed-width table.

@@ -52,6 +52,10 @@ impl LowerBound {
 }
 
 /// Sum on the PRAM: `Ω(n/p) + Ω(log n)`.
+///
+/// The reduction term charges at least one addition (`lg` floors its
+/// argument at 2), which only a sum of two or more values needs, so the
+/// bound holds for `n >= 2`.
 #[must_use]
 pub fn sum_pram(n: usize, p: usize) -> LowerBound {
     LowerBound {
@@ -63,6 +67,11 @@ pub fn sum_pram(n: usize, p: usize) -> LowerBound {
 }
 
 /// Sum on the DMM/UMM: `Ω(n/p) + Ω(n/w) + Ω(nl/p + l) + Ω(l·log n)`.
+///
+/// The latency term charges at least one read and the reduction term at
+/// least one addition, so the bound holds for `n >= 2`: a sum of one
+/// value needs neither (`hmm-cli sum --machine umm --n 1 --l 32` takes 1
+/// time unit).
 #[must_use]
 pub fn sum_dmm_umm(pr: Params) -> LowerBound {
     let Params { n, p, w, l, .. } = pr;
@@ -76,6 +85,9 @@ pub fn sum_dmm_umm(pr: Params) -> LowerBound {
 }
 
 /// Sum on the HMM: `Ω(n/p) + Ω(n/w) + Ω(nl/p + l) + Ω(log n)`.
+///
+/// As for [`sum_dmm_umm`], the latency and reduction terms assume at
+/// least one read and one addition, so the bound holds for `n >= 2`.
 #[must_use]
 pub fn sum_hmm(pr: Params) -> LowerBound {
     let Params { n, p, w, l, .. } = pr;
