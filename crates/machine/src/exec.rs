@@ -1,49 +1,51 @@
-//! Shard-based execution core: one driver loop, on the calling thread.
+//! Execution core: one launch state and one driver loop, on the calling
+//! thread.
 //!
-//! The HMM's DMMs interact only through the global (UMM) memory, so the
-//! simulator splits a launch into one [`Shard`] per DMM — threads, warps,
-//! the DMM's shared-memory pipeline, its barrier counters and its slice of
-//! the statistics — plus one [`Coord`] owning the global pipeline, the
-//! global backing store, the trace and the race log. Each simulated cycle
-//! runs these steps in order (see [`drive`]):
+//! A launch is one table of its `p` threads and their warps, numbered
+//! DMM-major by global id, so a DMM is a range of threads and warps plus
+//! what the model gives each DMM alone: its shared memory and pipeline,
+//! its barrier counters, its race checker and its parked barrier release
+//! ([`DmmRt`]). The global (UMM) pipeline, its backing store, the trace
+//! and the race log belong to the launch ([`Launch`]). Each simulated
+//! cycle runs these steps in order (see [`Launch::drive`]):
 //!
-//! 1. **Global completions** due this cycle are delivered straight to
-//!    their threads.
-//! 2. **Phase A** (each shard in DMM order): deliver parked barrier
-//!    releases and shared-memory completions due this cycle, then step
-//!    every warp with a lane due this cycle: its runnable lanes run ahead
-//!    in groups by PC, and the lanes of each group whose next instruction
-//!    is at this cycle issue it (see below).
+//! 1. **Global completions** due this cycle are delivered to their
+//!    threads.
+//! 2. **Phase A** (each DMM in order): deliver its parked barrier release
+//!    and shared-memory completions due this cycle, then step every warp
+//!    of its range with a lane due this cycle: its runnable lanes run
+//!    ahead in groups by PC, and the lanes of each group whose next
+//!    instruction is at this cycle issue it (see below).
 //! 3. **Barrier releases**: each DMM's barrier in DMM order, then the
-//!    machine-wide one, which releases when the shards' global-barrier
-//!    arrivals add up to their live threads ([`global_release`]).
-//! 4. **Assembly** (each shard in DMM order): each warp transaction is
-//!    opened in the pipeline that will serve it — the shard's own for
-//!    shared memory, the global one otherwise — so the global queue
-//!    receives its transactions **in DMM order**. Warps are numbered
-//!    DMM-major, so this is warp-id arrival order.
+//!    machine-wide one, which releases when its arrivals add up to the
+//!    live threads of every DMM.
+//! 4. **Assembly** (each DMM in order): each warp transaction is opened
+//!    in the pipeline that will serve it — the DMM's own for shared
+//!    memory, the global one otherwise — so the global queue receives its
+//!    transactions in warp-id order.
 //! 5. **Dispatch**: one global pipeline slot, then one shared-memory slot
-//!    on each shard in DMM order.
+//!    on each DMM in order.
 //!
 //! That is the trace's canonical order within a cycle — completions
 //! (global, then shared by DMM), barrier releases (DMMs ascending, then
 //! machine-wide), dispatches (global, then shared by DMM) — so every
 //! trace event and race-log entry is appended as it is produced, and the
-//! capacity bounds keep the first ones. Statistics and profiles are kept
-//! per shard and folded in DMM order at the end of the run.
+//! capacity bounds keep the first ones. Statistics and profiles are
+//! counted into the one table as they happen; only the shared pipelines'
+//! statistics and timelines stay per DMM.
 //!
 //! ## The event-driven clock
 //!
 //! Between cycles the driver computes the **next interesting time** —
 //! the earliest cycle at which a warp is due, future pipeline
 //! completion, dispatch opportunity or parked barrier release (see
-//! [`next_time`]). With `EngineConfig::fast_forward` on, the clock jumps
-//! straight to that target; with it off, the clock walks there one unit
-//! at a time. Nothing can happen in between (DESIGN.md proves the target
-//! exact), so every other output is bit-identical either way. A jump
-//! counts in `SimReport::skipped_units` only when no thread was
-//! runnable: units in which only run-ahead threads are busy are not
-//! counted.
+//! [`Launch::next_time`]). With `EngineConfig::fast_forward` on, the
+//! clock jumps straight to that target; with it off, the clock walks
+//! there one unit at a time. Nothing can happen in between (DESIGN.md
+//! proves the target exact), so every other output is bit-identical
+//! either way. A jump counts in `SimReport::skipped_units` only when no
+//! thread was runnable: units in which only run-ahead threads are busy
+//! are not counted.
 //!
 //! ## Memory transactions
 //!
@@ -51,7 +53,7 @@
 //! buffers: a transaction's id returns to the pipeline's free list when
 //! its last slot is delivered. Assembly compacts a warp's posted lanes,
 //! in lane order, straight into one transaction per memory
-//! ([`Shard::post`]). Submitting it schedules it in one classifying
+//! ([`Launch::post`]). Submitting it schedules it in one classifying
 //! pass ([`SlotScratch::build_into`]), which leaves its requests in
 //! slot-major order: every slot is a contiguous range of requests, still
 //! in lane order, and the schedule is only the slot ends. Dispatch
@@ -61,7 +63,7 @@
 //! leaves one `(due, txn, slot)` completion record. All of the slot's
 //! requests complete together, as in the paper's pipelined MMU, and
 //! belong to one warp, so delivery wakes them in one pass and updates
-//! the warp's runnable count and due cycle once ([`Shard::complete`]).
+//! the warp's runnable count and due cycle once ([`Threads::complete`]).
 //! A read keeps its loaded value in its request until delivery writes it
 //! to the lane's destination register, so delivery is the only step of
 //! the memory path that touches lanes. The per-cycle hot path is
@@ -71,16 +73,16 @@
 //!
 //! ## The warp-granular interpreter
 //!
-//! A shard keeps its threads' registers, PCs and memory-request slots
+//! The launch keeps its threads' registers, PCs and memory-request slots
 //! structure-of-arrays in one [`LaneState`], so a warp is a contiguous
 //! block of lanes. Local instructions do not wait for their cycle: each
 //! lane keeps the cycle of its next instruction in `ready`, and a warp is
 //! stepped only when one of its lanes may reach an instruction that must
 //! issue at its own cycle ([`local_runs`]). Every warp step takes one
-//! path ([`Shard::step_warp`]). The warp's runnable lanes run ahead
+//! path ([`Threads::step_warp`]). The warp's runnable lanes run ahead
 //! through local instructions in groups by PC, even when their cycles
 //! differ; a branch that diverges a group splits it in place with
-//! [`partition`] ([`Shard::run_ahead`]). Each group stops before an
+//! [`partition`] ([`Threads::run_ahead`]). Each group stops before an
 //! instruction that must issue at its own cycle, and the lanes of the
 //! group whose cycle has come issue it as one lane group, which fetches
 //! and decodes it once ([`LaneState::step_group`]). A load or store
@@ -93,6 +95,7 @@
 //! (DESIGN.md, "Warp-granular interpreter").
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::abi;
 use crate::error::{SimError, SimResult};
@@ -168,9 +171,9 @@ enum Status {
     Halted,
 }
 
-/// One warp: a contiguous block of the shard's local threads.
+/// One warp: a contiguous block of one DMM's threads.
 struct WarpRt {
-    /// Local thread index of lane 0.
+    /// Thread id of lane 0.
     first: usize,
     /// Number of lanes (the last warp of a DMM may be partial).
     lanes: usize,
@@ -180,8 +183,8 @@ struct WarpRt {
     posted_mask: Vec<u64>,
 }
 
-/// [`Shard::step_warp`]'s scratch, shared by the shards' phase A: a
-/// warp's runnable lanes, split into runs, each a contiguous range.
+/// [`Threads::step_warp`]'s scratch: a warp's runnable lanes, split into
+/// runs, each a contiguous range.
 #[derive(Default)]
 struct RunAhead {
     lanes: Vec<usize>,
@@ -204,8 +207,8 @@ struct Run {
     latest: u64,
 }
 
-/// A warp transaction; `warp` is the global warp id. A read's request
-/// holds its loaded value from dispatch to delivery.
+/// A warp transaction of warp `warp`. A read's request holds its loaded
+/// value from dispatch to delivery.
 #[derive(Default)]
 struct Txn {
     warp: usize,
@@ -273,8 +276,8 @@ impl PipeRt {
         self.completions.front().map(|c| c.0)
     }
 
-    /// Open an empty transaction for global warp `warp`, reusing a
-    /// finished one's buffers when there is one.
+    /// Open an empty transaction for warp `warp`, reusing a finished
+    /// one's buffers when there is one.
     fn open(&mut self, warp: usize) -> usize {
         let id = self.free.pop().unwrap_or_else(|| {
             self.txns.push(Txn::default());
@@ -450,7 +453,7 @@ impl RaceCk {
     }
 }
 
-// ---- per-shard cycle accounting ------------------------------------------
+// ---- cycle accounting -----------------------------------------------------
 
 /// What a thread waits on (profiler view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -464,8 +467,6 @@ enum Wait {
 /// wakes — nothing is touched while it waits, or while it issues back
 /// to back.
 struct ThreadProf {
-    /// Local warp index (for per-warp attribution).
-    warp: usize,
     /// What the current wait is on (meaningful while the thread waits).
     wait: Wait,
     /// Cycle of the issue that started the current wait.
@@ -477,22 +478,19 @@ struct ThreadProf {
     halt_pc: usize,
 }
 
-/// One shard's slice of the launch profile: per-warp and per-pc counts.
-/// Merged in DMM order at the end of the run, like every other shard
-/// product.
-struct ShardProf {
+/// The launch profile's counts, kept as they happen: per-thread wait
+/// records, per-warp and per-pc counts.
+struct Profiler {
     threads: Vec<ThreadProf>,
     warps: Vec<CategoryCounts>,
     per_pc: Vec<CategoryCounts>,
 }
 
-impl ShardProf {
-    fn new(thread_warp: &[usize], warps: usize, program_len: usize) -> Self {
+impl Profiler {
+    fn new(threads: usize, warps: usize, program_len: usize) -> Self {
         Self {
-            threads: thread_warp
-                .iter()
-                .map(|&w| ThreadProf {
-                    warp: w,
+            threads: (0..threads)
+                .map(|_| ThreadProf {
                     wait: Wait::Barrier,
                     wait_since: 0,
                     wait_pc: 0,
@@ -517,50 +515,55 @@ impl ShardProf {
 
     /// The instruction issued at `pc` at `now` left the lanes waiting.
     fn on_wait(&mut self, lanes: &[usize], wait: Wait, now: u64, pc: usize) {
-        for &lt in lanes {
-            let t = &mut self.threads[lt];
-            t.wait = wait;
-            t.wait_since = now;
-            t.wait_pc = pc;
+        for &t in lanes {
+            let p = &mut self.threads[t];
+            p.wait = wait;
+            p.wait_since = now;
+            p.wait_pc = pc;
         }
     }
 
-    /// Waiting threads `lts` woke and issue next at `issue_at`: charge
-    /// each the cycles strictly between the issue that started its wait
-    /// and `issue_at`. A memory wait splits into conflict serialisation
-    /// (the `conflict` cycles its slot dispatched behind its
-    /// transaction's first) and the rest; a barrier wait is all barrier.
-    /// Issue cycles are charged at issue, so exactly one category
-    /// receives every cycle of a thread's life — which is what makes the
-    /// accounting conserve `threads × time`. Charges add, so consecutive
-    /// threads whose waits match are charged once for all of them.
-    fn on_wake(&mut self, lts: impl IntoIterator<Item = usize>, issue_at: u64, conflict: u64) {
-        let mut lts = lts.into_iter();
-        let Some(mut head) = lts.next() else {
+    /// Waiting threads `ts` of warp `warp` woke and issue next at
+    /// `issue_at`: charge each the cycles strictly between the issue that
+    /// started its wait and `issue_at`. A memory wait splits into conflict
+    /// serialisation (the `conflict` cycles its slot dispatched behind
+    /// its transaction's first) and the rest; a barrier wait is all
+    /// barrier. Issue cycles are charged at issue, so exactly one
+    /// category receives every cycle of a thread's life — which is what
+    /// makes the accounting conserve `threads × time`. Charges add, so
+    /// consecutive threads whose waits match are charged once for all of
+    /// them.
+    fn on_wake(
+        &mut self,
+        warp: usize,
+        ts: impl IntoIterator<Item = usize>,
+        issue_at: u64,
+        conflict: u64,
+    ) {
+        let mut ts = ts.into_iter();
+        let Some(mut head) = ts.next() else {
             return;
         };
         let mut n = 1;
-        for lt in lts {
-            let (a, b) = (&self.threads[head], &self.threads[lt]);
-            if (a.warp, a.wait, a.wait_since, a.wait_pc)
-                == (b.warp, b.wait, b.wait_since, b.wait_pc)
-            {
+        for t in ts {
+            let (a, b) = (&self.threads[head], &self.threads[t]);
+            if (a.wait, a.wait_since, a.wait_pc) == (b.wait, b.wait_since, b.wait_pc) {
                 n += 1;
             } else {
-                self.charge_wait(head, issue_at, conflict, n);
-                (head, n) = (lt, 1);
+                self.charge_wait(warp, head, issue_at, conflict, n);
+                (head, n) = (t, 1);
             }
         }
-        self.charge_wait(head, issue_at, conflict, n);
+        self.charge_wait(warp, head, issue_at, conflict, n);
     }
 
-    /// Charge `n` threads whose wait matches thread `lt`'s (see
-    /// [`ShardProf::on_wake`]).
-    fn charge_wait(&mut self, lt: usize, issue_at: u64, conflict: u64, n: u64) {
-        let t = &self.threads[lt];
-        let (warp, pc) = (t.warp, t.wait_pc);
-        let waited = issue_at - t.wait_since - 1;
-        match t.wait {
+    /// Charge `n` threads of warp `warp` whose wait matches thread `t`'s
+    /// (see [`Profiler::on_wake`]).
+    fn charge_wait(&mut self, warp: usize, t: usize, issue_at: u64, conflict: u64, n: u64) {
+        let p = &self.threads[t];
+        let pc = p.wait_pc;
+        let waited = issue_at - p.wait_since - 1;
+        match p.wait {
             Wait::Mem(space) => {
                 let conflict = conflict.min(waited);
                 let (mem, conf) = match space {
@@ -575,178 +578,69 @@ impl ShardProf {
     }
 
     fn on_halt(&mut self, lanes: &[usize], now: u64, pc: usize) {
-        for &lt in lanes {
-            let t = &mut self.threads[lt];
-            t.halted_at = now;
-            t.halt_pc = pc;
+        for &t in lanes {
+            let p = &mut self.threads[t];
+            p.halted_at = now;
+            p.halt_pc = pc;
         }
     }
 
     /// Charge every thread's retired tail `(halted_at, time)` once the
-    /// launch-wide finish time is known (merge time).
-    fn close(&mut self, time: u64) {
-        for i in 0..self.threads.len() {
-            let t = &self.threads[i];
-            let (warp, pc, halted_at) = (t.warp, t.halt_pc, t.halted_at);
+    /// launch's finish time is known.
+    fn close(&mut self, thread_warp: &[usize], time: u64) {
+        for (t, &warp) in thread_warp.iter().enumerate() {
+            let p = &self.threads[t];
+            let (pc, halted_at) = (p.halt_pc, p.halted_at);
             self.charge(warp, pc, StallCategory::Retired, time - halted_at - 1);
         }
     }
 }
 
-// ---- the shard -----------------------------------------------------------
+// ---- the thread and warp table ---------------------------------------------
 
-/// One DMM's slice of the simulation: its threads and warps, its shared
-/// memory and pipeline, barrier counters, race checker and statistics.
-/// Shards share no mutable state with each other.
-struct Shard<'m> {
-    dmm: usize,
-    base_tid: usize,
-    base_warp: usize,
-    /// Registers, PCs and request slots of the local threads,
-    /// structure-of-arrays; warp `i` is local threads
-    /// `warps[i].first..warps[i].first + warps[i].lanes`.
+/// Every thread and warp of the launch, by global id; warps are numbered
+/// DMM-major, so a DMM's threads and warps are ranges of the table.
+struct Threads {
+    /// Registers, PCs and request slots, structure-of-arrays; warp `i`
+    /// is threads `warps[i].first..warps[i].first + warps[i].lanes`.
     lanes: LaneState,
-    /// Per local thread.
     status: Vec<Status>,
-    /// Per local thread: the cycle at which a runnable lane executes its
-    /// next instruction. A lane at a local instruction may fall behind
-    /// the clock until [`Shard::run_ahead`] catches it up.
+    /// The cycle at which a runnable lane executes its next instruction.
+    /// A lane at a local instruction may fall behind the clock until
+    /// [`Threads::run_ahead`] catches it up.
     ready: Vec<u64>,
     /// Per pc, from [`local_runs`].
     runs: Vec<u64>,
     warps: Vec<WarpRt>,
-    /// local thread index -> local warp index
+    /// thread id -> warp id
     thread_warp: Vec<usize>,
     /// Per warp: the earliest cycle by which one of its runnable lanes
     /// must be stepped — the least `ready + runs[pc]` — or `u64::MAX`
     /// when it has none.
     warp_due: Vec<u64>,
-    /// Live threads on this DMM (the DMM-barrier release threshold).
-    alive: usize,
-    bar_dmm: usize,
+    /// Arrivals at the machine-wide barrier.
     bar_global: usize,
-    /// The cycle a barrier release parked by the synchronisation-cost
-    /// ablation resumes its threads. A release takes every live thread
-    /// of the shard, so at most one is parked at a time.
-    parked_until: Option<u64>,
-    /// The DMM's shared-memory pipeline; `None` on machines without
-    /// shared memory (standalone DMM/UMM). Boxed so that delivery, which
-    /// takes it out of the shard to wake the shard's lanes, moves a
-    /// pointer rather than the whole pipeline.
-    pipe: Option<Box<PipeRt>>,
-    store: &'m mut [Word],
-    race_ck: RaceCk,
-    /// Reusable schedule-building scratch.
-    slot_scratch: SlotScratch,
+    /// The cycle limit: a lane that reaches it stops there.
+    max_cycles: u64,
     instructions: u64,
-    barriers: u64,
     finish_time: u64,
     /// Cycle accounting (present when the config enables profiling).
-    prof: Option<ShardProf>,
-    /// The error this shard hit assembling its warps' transactions; the
-    /// driver stops at the end of the cycle with the lowest DMM's (see
-    /// [`first_error`]).
-    err: Option<SimError>,
-    width: usize,
-    global_size: usize,
-    barrier_cost: u64,
-    max_cycles: u64,
+    prof: Option<Profiler>,
 }
 
-impl<'m> Shard<'m> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        dmm: usize,
-        base_tid: usize,
-        base_warp: usize,
-        pd: usize,
-        p: usize,
-        cfg: &EngineConfig,
-        args: &[Word],
-        runs: &[u64],
-        store: &'m mut [Word],
-    ) -> Self {
-        let w = cfg.width;
-        let mut lanes = LaneState::new(pd, base_tid);
-        for lt in 0..pd {
-            let gid = base_tid + lt;
-            lanes.set_reg(lt, abi::GID, gid as Word);
-            lanes.set_reg(lt, abi::DMM, dmm as Word);
-            lanes.set_reg(lt, abi::LTID, lt as Word);
-            lanes.set_reg(lt, abi::P, p as Word);
-            lanes.set_reg(lt, abi::PD, pd as Word);
-            lanes.set_reg(lt, abi::W, w as Word);
-            lanes.set_reg(lt, abi::D, cfg.dmms as Word);
-            lanes.set_reg(lt, abi::L, cfg.global_latency as Word);
-            for (i, &a) in args.iter().enumerate() {
-                lanes.set_reg(lt, abi::arg(i), a);
-            }
-        }
-        let warps: Vec<WarpRt> = (0..pd)
-            .step_by(w)
-            .map(|first| {
-                let n = w.min(pd - first);
-                WarpRt {
-                    first,
-                    lanes: n,
-                    runnable: n,
-                    posted_mask: vec![0; n.div_ceil(64)],
-                }
-            })
-            .collect();
-        let pipe = (cfg.shared_size > 0).then(|| {
-            // Every shared memory of the paper is latency-1 and banked.
-            Box::new(PipeRt::new(
-                MemoryId::Shared(dmm),
-                1,
-                ConflictPolicy::Banked,
-                cfg,
-            ))
-        });
-        Self {
-            dmm,
-            base_tid,
-            base_warp,
-            lanes,
-            status: vec![Status::Runnable; pd],
-            ready: vec![0; pd],
-            runs: runs.to_vec(),
-            warp_due: vec![runs.first().copied().unwrap_or(0); warps.len()],
-            warps,
-            thread_warp: (0..pd).map(|lt| lt / w).collect(),
-            alive: pd,
-            bar_dmm: 0,
-            bar_global: 0,
-            parked_until: None,
-            pipe,
-            store,
-            race_ck: RaceCk::new(dmm, cfg.shared_size),
-            slot_scratch: SlotScratch::default(),
-            instructions: 0,
-            barriers: 0,
-            finish_time: 0,
-            prof: None,
-            err: None,
-            width: cfg.width,
-            global_size: cfg.global_size,
-            barrier_cost: cfg.barrier_cost,
-            max_cycles: cfg.max_cycles,
-        }
-    }
-
-    /// Wake local thread `lt`, which issues next at `issue_at` (this
-    /// cycle's phase A for completions and parked releases, the next
-    /// cycle's for barrier releases); `conflict` is a memory wait's
-    /// conflict share.
-    fn make_runnable(&mut self, lt: usize, issue_at: u64, conflict: u64) {
+impl Threads {
+    /// Wake thread `t`, which issues next at `issue_at` (this cycle's
+    /// phase A for completions and parked releases, the next cycle's for
+    /// barrier releases); `conflict` is a memory wait's conflict share.
+    fn make_runnable(&mut self, t: usize, issue_at: u64, conflict: u64) {
+        let wid = self.thread_warp[t];
         if let Some(prof) = self.prof.as_mut() {
-            prof.on_wake([lt], issue_at, conflict);
+            prof.on_wake(wid, [t], issue_at, conflict);
         }
-        self.status[lt] = Status::Runnable;
-        self.ready[lt] = issue_at;
-        let wid = self.thread_warp[lt];
+        self.status[t] = Status::Runnable;
+        self.ready[t] = issue_at;
         self.warps[wid].runnable += 1;
-        let due = issue_at.saturating_add(self.run_at(self.lanes.pc(lt)));
+        let due = issue_at.saturating_add(self.run_at(self.lanes.pc(t)));
         self.warp_due[wid] = self.warp_due[wid].min(due);
     }
 
@@ -760,71 +654,31 @@ impl<'m> Shard<'m> {
     /// register. The warp's runnable count and due cycle are updated
     /// once for the slot.
     fn complete(&mut self, now: u64, slot: &[Request], conflict: u64) {
-        let wid = self.thread_warp[slot[0].thread - self.base_tid];
+        let wid = self.thread_warp[slot[0].thread];
         if let Some(prof) = self.prof.as_mut() {
-            let base = self.base_tid;
-            prof.on_wake(slot.iter().map(|r| r.thread - base), now, conflict);
+            prof.on_wake(wid, slot.iter().map(|r| r.thread), now, conflict);
         }
         let mut run = u64::MAX;
         for req in slot {
-            let lt = req.thread - self.base_tid;
+            let t = req.thread;
             if req.kind == AccessKind::Read {
-                let dst = self.lanes.req(lt).dst;
-                self.lanes.set_reg(lt, dst, req.value);
+                let dst = self.lanes.req(t).dst;
+                self.lanes.set_reg(t, dst, req.value);
             }
-            debug_assert_eq!(self.status[lt], Status::InFlight);
-            self.status[lt] = Status::Runnable;
-            self.ready[lt] = now;
-            run = run.min(self.run_at(self.lanes.pc(lt)));
+            debug_assert_eq!(self.status[t], Status::InFlight);
+            self.status[t] = Status::Runnable;
+            self.ready[t] = now;
+            run = run.min(self.run_at(self.lanes.pc(t)));
         }
         self.warps[wid].runnable += slot.len();
         self.warp_due[wid] = self.warp_due[wid].min(now.saturating_add(run));
     }
 
-    /// Phase A: deliver the parked barrier release and shared-memory
-    /// completions due this cycle, then step every lane that issues this
-    /// cycle. Global completions were delivered before it.
-    fn phase_a(
-        &mut self,
-        now: u64,
-        program: &Program,
-        trace: &mut TraceBuf,
-        ra: &mut RunAhead,
-    ) -> SimResult<()> {
-        if self.parked_until.is_some_and(|t| t <= now) {
-            self.parked_until = None;
-            self.wake_barrier(now);
-        }
-        let due = |p: &mut Box<PipeRt>| p.next_due().is_some_and(|t| t <= now);
-        if let Some(mut pipe) = self.pipe.take_if(due) {
-            pipe.deliver(now, trace, |slot, conflict| {
-                self.complete(now, slot, conflict);
-            });
-            self.pipe = Some(pipe);
-        }
-
-        self.step_warps(now, program, ra)
-    }
-
-    /// Step every warp with a lane due at `now` ([`Shard::step_warp`]),
-    /// in warp order. Fails with the error of the lowest-numbered erring
-    /// thread: lanes never interact within a step, so that is the error
-    /// lane-by-lane execution would meet first.
-    fn step_warps(&mut self, now: u64, program: &Program, ra: &mut RunAhead) -> SimResult<()> {
-        for wid in 0..self.warps.len() {
-            if self.warp_due[wid] <= now {
-                if let Some((_, e)) = self.step_warp(now, program, wid, ra) {
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Step warp `wid` at `now`: its runnable lanes run ahead through
-    /// local instructions, and in each group that stops, the lanes whose
-    /// next instruction is at `now` issue it ([`Shard::run_ahead`]).
-    /// Returns the lowest erring lane over all groups and its error.
+    /// Step warp `wid` of `dmm` at `now`: its runnable lanes run ahead
+    /// through local instructions, and in each group that stops, the
+    /// lanes whose next instruction is at `now` issue it
+    /// ([`Threads::run_ahead`]). Returns the lowest erring lane over all
+    /// groups and its error.
     ///
     /// Kept out of line: inlined into the driver loop, it made the
     /// latency-bound perfbench workload (`sum_latency`) about 4% slower
@@ -836,6 +690,7 @@ impl<'m> Shard<'m> {
         program: &Program,
         wid: usize,
         ra: &mut RunAhead,
+        dmm: &mut DmmRt<'_>,
     ) -> Option<(usize, SimError)> {
         let (first, n) = (self.warps[wid].first, self.warps[wid].lanes);
         let lanes = first..first + n;
@@ -847,40 +702,42 @@ impl<'m> Shard<'m> {
         let (latest, diverged) = if self.warps[wid].runnable == n
             && lanes
                 .clone()
-                .all(|lt| self.lanes.pc(lt) == pc && self.ready[lt] == at)
+                .all(|t| self.lanes.pc(t) == pc && self.ready[t] == at)
         {
             ra.lanes.extend(lanes.clone());
             (at, false)
         } else {
             let (status, ready) = (&self.status, &self.ready);
             ra.lanes
-                .extend(lanes.clone().filter(|&lt| status[lt] == Status::Runnable));
-            let latest = ra.lanes.iter().map(|&lt| ready[lt]).max().unwrap_or(0);
+                .extend(lanes.clone().filter(|&t| status[t] == Status::Runnable));
+            let latest = ra.lanes.iter().map(|&t| ready[t]).max().unwrap_or(0);
             (latest, true)
         };
-        let fault = self.run_ahead(now, program, wid, ra, latest, diverged);
+        let fault = self.run_ahead(now, program, wid, ra, dmm, latest, diverged);
         self.warp_due[wid] = if self.warps[wid].runnable == 0 {
             u64::MAX
         } else {
             lanes
-                .filter(|&lt| self.status[lt] == Status::Runnable)
-                .map(|lt| self.ready[lt].saturating_add(self.run_at(self.lanes.pc(lt))))
+                .filter(|&t| self.status[t] == Status::Runnable)
+                .map(|t| self.ready[t].saturating_add(self.run_at(self.lanes.pc(t))))
                 .min()
                 .unwrap_or(u64::MAX)
         };
         fault
     }
 
-    /// Issue the instruction at `pc` for `lanes` of warp `wid` at `now`,
-    /// then apply its effect: after local work (a division that did not
-    /// fault) the lanes execute their next instruction at `now + 1`,
-    /// memory requests are posted in the warp's lane mask (their slots
-    /// already hold them), barrier arrivals and halts are counted.
+    /// Issue the instruction at `pc` for `lanes` of warp `wid` of `dmm`
+    /// at `now`, then apply its effect: after local work (a division that
+    /// did not fault) the lanes execute their next instruction at
+    /// `now + 1`, memory requests are posted in the warp's lane mask
+    /// (their slots already hold them), barrier arrivals and halts are
+    /// counted.
     fn issue(
         &mut self,
         now: u64,
         program: &Program,
         wid: usize,
+        dmm: &mut DmmRt<'_>,
         pc: usize,
         lanes: &[usize],
     ) -> Result<(), (usize, SimError)> {
@@ -892,40 +749,37 @@ impl<'m> Shard<'m> {
         self.instructions += n as u64;
         let wait = match effect {
             GroupEffect::Local => {
-                for &lt in lanes {
-                    self.ready[lt] = now + 1;
+                for &t in lanes {
+                    self.ready[t] = now + 1;
                 }
                 return Ok(());
             }
             GroupEffect::Mem(space) => {
                 let warp = &mut self.warps[wid];
-                for &lt in lanes {
-                    self.lanes
-                        .req(lt)
-                        .resolve(self.base_tid + lt)
-                        .map_err(|e| (lt, e))?;
-                    self.status[lt] = Status::InFlight;
-                    let lane = lt - warp.first;
+                for &t in lanes {
+                    self.lanes.req(t).resolve(t).map_err(|e| (t, e))?;
+                    self.status[t] = Status::InFlight;
+                    let lane = t - warp.first;
                     warp.posted_mask[lane / 64] |= 1 << (lane % 64);
                 }
                 Wait::Mem(space)
             }
             GroupEffect::Barrier(scope) => {
-                for &lt in lanes {
-                    self.status[lt] = Status::BarrierWait;
+                for &t in lanes {
+                    self.status[t] = Status::BarrierWait;
                 }
                 match scope {
                     Scope::Global => self.bar_global += n,
-                    Scope::Dmm => self.bar_dmm += n,
+                    Scope::Dmm => dmm.bar_dmm += n,
                 }
                 Wait::Barrier
             }
             GroupEffect::Halt => {
-                for &lt in lanes {
-                    self.status[lt] = Status::Halted;
+                for &t in lanes {
+                    self.status[t] = Status::Halted;
                 }
                 self.warps[wid].runnable -= n;
-                self.alive -= n;
+                dmm.alive -= n;
                 self.finish_time = now + 1;
                 if let Some(prof) = self.prof.as_mut() {
                     prof.on_halt(lanes, now, pc);
@@ -949,7 +803,7 @@ impl<'m> Shard<'m> {
     /// [`LaneState::step_local`] refuses — a memory access, barrier or
     /// halt, a division by zero, a pc outside the program — and `ready`
     /// holds the cycle of that instruction. The group's lanes whose cycle
-    /// is `now` then issue it as one lane group ([`Shard::issue`]); the
+    /// is `now` then issue it as one lane group ([`Threads::issue`]); the
     /// others wait at it. A lane that reaches `max_cycles` stops there.
     /// Returns the lowest erring lane over all groups and its error.
     ///
@@ -959,12 +813,14 @@ impl<'m> Shard<'m> {
     /// cycle `ready + runs[pc]`, before which it cannot reach an
     /// instruction that stops it, so every stop lies at or after `now`
     /// (DESIGN.md, "Warp-granular interpreter").
+    #[allow(clippy::too_many_arguments)]
     fn run_ahead(
         &mut self,
         now: u64,
         program: &Program,
         wid: usize,
         ra: &mut RunAhead,
+        dmm: &mut DmmRt<'_>,
         latest: u64,
         diverged: bool,
     ) -> Option<(usize, SimError)> {
@@ -988,8 +844,8 @@ impl<'m> Shard<'m> {
                     let pcs = &self.lanes;
                     let pc = pcs.pc(ra.lanes[start]);
                     let mid = start
-                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |lt| {
-                            pcs.pc(lt) == pc
+                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |t| {
+                            pcs.pc(t) == pc
                         });
                     if mid < end {
                         ra.pending.push(Run {
@@ -1006,11 +862,11 @@ impl<'m> Shard<'m> {
                     // Lanes that reached the cycle limit stop there.
                     let ready = &mut self.ready;
                     let mid = start
-                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |lt| {
-                            ready[lt] + ran < limit
+                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |t| {
+                            ready[t] + ran < limit
                         });
-                    for &lt in &ra.lanes[mid..end] {
-                        ready[lt] += ran;
+                    for &t in &ra.lanes[mid..end] {
+                        ready[t] += ran;
                     }
                     end = mid;
                     if start == end {
@@ -1018,7 +874,7 @@ impl<'m> Shard<'m> {
                     }
                     latest = ra.lanes[start..end]
                         .iter()
-                        .map(|&lt| ready[lt])
+                        .map(|&t| ready[t])
                         .max()
                         .unwrap_or(0);
                 }
@@ -1032,12 +888,12 @@ impl<'m> Shard<'m> {
                 }
                 let ready = &mut self.ready;
                 if ran > 0 {
-                    for &lt in group {
-                        ready[lt] += ran;
+                    for &t in group {
+                        ready[t] += ran;
                     }
                 }
                 debug_assert!(
-                    group.iter().all(|&lt| ready[lt] >= now),
+                    group.iter().all(|&t| ready[t] >= now),
                     "a lane at a stop fell behind the clock"
                 );
                 // Every lane's `ready` lies in `now..=latest + ran`.
@@ -1045,13 +901,13 @@ impl<'m> Shard<'m> {
                     end
                 } else {
                     start
-                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |lt| {
-                            ready[lt] == now
+                        + partition(&mut ra.lanes[start..end], &mut ra.moved, |t| {
+                            ready[t] == now
                         })
                 };
                 if start < due {
                     let group = &ra.lanes[start..due];
-                    if let Err(e) = self.issue(now, program, wid, pc, group) {
+                    if let Err(e) = self.issue(now, program, wid, dmm, pc, group) {
                         fault = lowest_fault(fault, Some(e));
                     }
                 }
@@ -1072,151 +928,84 @@ impl<'m> Shard<'m> {
         self.instructions += n as u64;
     }
 
-    /// Release the threads waiting at a barrier — every live thread of
-    /// this shard — or park them when the synchronisation-cost ablation
-    /// is active. A free release lets the threads run at `now + 1`, so
-    /// resuming at `now + cost + 1` charges exactly `cost` extra units.
-    fn release(&mut self, now: u64) {
-        if self.barrier_cost > 0 {
-            self.parked_until = Some(now.saturating_add(self.barrier_cost).saturating_add(1));
-        } else {
-            self.wake_barrier(now + 1);
-        }
-    }
-
-    /// Wake every thread waiting at a barrier; it issues at `issue_at`.
-    fn wake_barrier(&mut self, issue_at: u64) {
-        for lt in 0..self.status.len() {
-            if self.status[lt] == Status::BarrierWait {
-                self.make_runnable(lt, issue_at, 0);
+    /// Wake every thread of `threads` waiting at a barrier; it issues at
+    /// `issue_at`.
+    fn wake_barrier(&mut self, threads: Range<usize>, issue_at: u64) {
+        for t in threads {
+            if self.status[t] == Status::BarrierWait {
+                self.make_runnable(t, issue_at, 0);
             }
         }
-    }
-
-    /// Release the DMM-scope barrier once every live thread arrived.
-    fn release_dmm(&mut self, now: u64, trace: &mut TraceBuf) {
-        if self.bar_dmm > 0 && self.bar_dmm == self.alive {
-            let n = self.bar_dmm;
-            self.release(now);
-            self.barriers += 1;
-            trace.push(|| TraceEvent::BarrierReleased {
-                cycle: now,
-                dmm: Some(self.dmm),
-                threads: n,
-            });
-            self.bar_dmm = 0;
-            self.race_ck.interval += 1;
-        }
-    }
-
-    /// Apply the machine-wide barrier release the driver decided (its
-    /// trace event and `barriers` count are the coordinator's).
-    fn release_global(&mut self, now: u64) {
-        self.release(now);
-        self.bar_global = 0;
-        self.race_ck.interval += 1;
-    }
-
-    /// Assemble warp transactions (SIMD lockstep: a warp's requests go to
-    /// memory once none of its threads can advance without one): the
-    /// posted requests of each memory, first that of the warp's lowest
-    /// posted lane, become one transaction ([`Shard::post`]). An address
-    /// error stops assembly and is kept in `err`.
-    fn assemble(&mut self, global: &mut PipeRt) {
-        for wid in 0..self.warps.len() {
-            let warp = &self.warps[wid];
-            if warp.runnable > 0 {
-                continue;
-            }
-            let Some(k) = warp.posted_mask.iter().position(|&m| m != 0) else {
-                continue;
-            };
-            let lowest = warp.first + 64 * k + warp.posted_mask[k].trailing_zeros() as usize;
-            let space = self.lanes.req(lowest).space;
-            let other = match space {
-                Space::Global => Space::Shared,
-                Space::Shared => Space::Global,
-            };
-            let posted = match self.post(wid, space, global) {
-                Some(true) => self.post(wid, other, global),
-                done => done,
-            };
-            if posted.is_none() {
-                self.err = Some(self.first_fault(wid));
-                return;
-            }
-            self.warps[wid].posted_mask.fill(0);
-        }
-    }
-
-    /// Compact warp `wid`'s posted requests to `space`, in lane order,
-    /// straight into a transaction opened in the pipeline that serves
-    /// it — the shard's own for shared memory, `global` otherwise — and
-    /// submit it. Returns whether a posted request targets the other
-    /// memory, or `None` when a request fails its address check.
-    fn post(&mut self, wid: usize, space: Space, global: &mut PipeRt) -> Option<bool> {
-        let (pipe, size) = match space {
-            Space::Global => (global, self.global_size),
-            Space::Shared => (self.pipe.as_deref_mut()?, self.store.len()),
-        };
-        let warp = &self.warps[wid];
-        let id = pipe.open(self.base_warp + wid);
-        let mut requests = std::mem::take(&mut pipe.txns[id].requests);
-        let (mut fits, mut other) = (true, false);
-        for (k, &word) in warp.posted_mask.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let lt = warp.first + 64 * k + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let req = self.lanes.req(lt);
-                if req.space != space {
-                    other = true;
-                    continue;
-                }
-                // Non-negative: a negative address already failed at issue.
-                let addr = req.addr as usize;
-                fits &= addr < size;
-                requests.push(Request {
-                    thread: self.base_tid + lt,
-                    addr,
-                    kind: req.kind,
-                    value: req.value,
-                });
-            }
-        }
-        pipe.txns[id].requests = requests;
-        if !fits {
-            return None;
-        }
-        pipe.submit(id, &mut self.slot_scratch, self.width);
-        Some(other)
     }
 
     /// The error of warp `wid`'s lowest posted lane whose address fails
-    /// its memory's check: the error lane-by-lane posting meets first.
-    fn first_fault(&self, wid: usize) -> SimError {
+    /// its memory's check (`shared` is the size of the warp's DMM's
+    /// shared memory, if it has one): the error lane-by-lane posting
+    /// meets first.
+    fn first_fault(&self, wid: usize, global: usize, shared: Option<usize>) -> SimError {
         let warp = &self.warps[wid];
         (warp.first..warp.first + warp.lanes)
-            .filter(|&lt| {
-                let lane = lt - warp.first;
+            .filter(|&t| {
+                let lane = t - warp.first;
                 warp.posted_mask[lane / 64] >> (lane % 64) & 1 == 1
             })
-            .find_map(|lt| {
-                let req = self.lanes.req(lt);
-                let size = match req.space {
-                    Space::Global => self.global_size,
-                    Space::Shared if self.pipe.is_some() => self.store.len(),
-                    Space::Shared => return Some(SimError::NoSharedMemory),
+            .find_map(|t| {
+                let req = self.lanes.req(t);
+                let size = match (req.space, shared) {
+                    (Space::Global, _) => global,
+                    (Space::Shared, Some(size)) => size,
+                    (Space::Shared, None) => return Some(SimError::NoSharedMemory),
                 };
                 let addr = req.addr as usize;
                 (addr >= size).then_some(SimError::OutOfBounds {
-                    thread: self.base_tid + lt,
+                    thread: t,
                     space: req.space,
                     addr,
                     size,
                 })
             })
             .expect("a posted request failed its address check")
+    }
+}
+
+// ---- the per-DMM record ----------------------------------------------------
+
+/// What the model gives one DMM alone: its range of the thread and warp
+/// table, its shared memory and pipeline, its barrier counters and its
+/// race checker.
+struct DmmRt<'m> {
+    threads: Range<usize>,
+    warps: Range<usize>,
+    /// Live threads (the DMM-barrier release threshold).
+    alive: usize,
+    bar_dmm: usize,
+    /// The cycle a barrier release parked by the synchronisation-cost
+    /// ablation resumes its threads. A release takes every live thread
+    /// of the DMM, so at most one is parked at a time.
+    parked_until: Option<u64>,
+    /// The shared-memory pipeline; `None` on machines without shared
+    /// memory (standalone DMM/UMM).
+    pipe: Option<PipeRt>,
+    store: &'m mut [Word],
+    race_ck: RaceCk,
+    /// The error this DMM hit assembling its warps' transactions; the
+    /// driver stops at the end of the cycle with the lowest DMM's.
+    err: Option<SimError>,
+}
+
+impl DmmRt<'_> {
+    /// Release the threads waiting at a barrier — every live thread of
+    /// this DMM — or park them when the synchronisation-cost ablation is
+    /// active, and open a new race-checking interval. A free release lets
+    /// the threads run at `now + 1`, so resuming at `now + cost + 1`
+    /// charges exactly `cost` extra units.
+    fn release(&mut self, now: u64, cost: u64, threads: &mut Threads) {
+        if cost > 0 {
+            self.parked_until = Some(now.saturating_add(cost).saturating_add(1));
+        } else {
+            threads.wake_barrier(self.threads.clone(), now + 1);
+        }
+        self.race_ck.interval += 1;
     }
 
     /// Dispatch one shared-memory pipeline slot.
@@ -1229,7 +1018,7 @@ impl<'m> Shard<'m> {
         }
     }
 
-    /// Earliest future event of this shard: a shared-pipeline dispatch
+    /// Earliest future event of this DMM: a shared-pipeline dispatch
     /// opportunity or completion, or the parked barrier release.
     fn next_event(&self, now: u64) -> Option<u64> {
         let pipe = self.pipe.as_ref().and_then(|p| p.next_event(now));
@@ -1237,160 +1026,328 @@ impl<'m> Shard<'m> {
     }
 }
 
-// ---- the coordinator -----------------------------------------------------
+// ---- the launch ------------------------------------------------------------
 
-/// The machine-wide side of the launch: the single UMM pipeline shared
-/// by every DMM's warps, the routing table that sends its completions
-/// back to the owning shard, and the run's trace and race log, which
-/// every step appends to as it happens.
-struct Coord<'m> {
-    pipe: PipeRt,
+/// One launch in flight: the thread and warp table, the DMMs, the global
+/// pipeline shared by every DMM's warps with its backing store, and the
+/// run's trace and race log, which every step appends to as it happens.
+struct Launch<'m> {
+    cfg: &'m EngineConfig,
+    program: &'m Program,
+    threads: Threads,
+    dmms: Vec<DmmRt<'m>>,
+    global: PipeRt,
     store: &'m mut [Word],
-    /// global thread id -> DMM (for completion routing).
-    thread_dmm: Vec<usize>,
+    /// Reusable schedule-building scratch.
+    slot_scratch: SlotScratch,
+    ahead: RunAhead,
     trace: TraceBuf,
     races: RaceLog,
     barriers: u64,
 }
 
-impl Coord<'_> {
-    /// Deliver the global completions due at `now` straight to their
-    /// threads; a slot is one warp's, so all on one shard.
-    fn deliver(&mut self, now: u64, shards: &mut [Shard<'_>]) {
-        let thread_dmm = &self.thread_dmm;
-        self.pipe.deliver(now, &mut self.trace, |slot, conflict| {
-            shards[thread_dmm[slot[0].thread]].complete(now, slot, conflict);
-        });
+impl Launch<'_> {
+    /// The driver. Every cycle runs, in order: global completions,
+    /// delivered straight to their threads; phase A on each DMM in order;
+    /// each DMM's barrier release, then the machine-wide one; transaction
+    /// assembly on each DMM; one global pipeline slot; one shared slot on
+    /// each DMM. That is the trace's canonical order, so events and
+    /// race-log entries are appended as they are produced.
+    ///
+    /// Phase A writes no memory, so its first error (the lowest DMM's)
+    /// returns at once. An assembly error skips the cycle's global slot,
+    /// every other DMM still dispatches its shared slot, and then the
+    /// lowest DMM's error is returned: warps are numbered DMM-major, so
+    /// that is the one thread-by-thread execution would meet first.
+    /// Returns the number of time units the event-driven clock skipped
+    /// with no lane runnable.
+    fn drive(&mut self) -> SimResult<u64> {
+        let max_cycles = self.cfg.max_cycles;
+        let mut now: u64 = 0;
+        let mut skipped: u64 = 0;
+        loop {
+            if now >= max_cycles {
+                return Err(SimError::CycleLimit { limit: max_cycles });
+            }
+            let threads = &mut self.threads;
+            self.global.deliver(now, &mut self.trace, |slot, conflict| {
+                threads.complete(now, slot, conflict);
+            });
+            for d in 0..self.dmms.len() {
+                self.phase_a(d, now)?;
+            }
+            for d in 0..self.dmms.len() {
+                self.release_dmm(d, now);
+            }
+            self.release_global(now);
+            for d in 0..self.dmms.len() {
+                self.assemble(d);
+            }
+            if self.dmms.iter().all(|m| m.err.is_none()) {
+                self.global
+                    .dispatch(now, self.store, &mut self.trace, |_, _| {});
+            }
+            for m in self.dmms.iter_mut().filter(|m| m.err.is_none()) {
+                m.dispatch_shared(now, &mut self.trace, &mut self.races);
+            }
+            if let Some(e) = self.dmms.iter_mut().find_map(|m| m.err.take()) {
+                return Err(e);
+            }
+            if self.dmms.iter().all(|m| m.alive == 0) {
+                return Ok(skipped);
+            }
+            let (target, runnable) = self.next_time(now)?;
+            if self.cfg.fast_forward {
+                if !runnable {
+                    skipped += target - (now + 1);
+                }
+                now = target;
+            } else {
+                now += 1;
+            }
+        }
     }
 
-    /// Record a machine-wide barrier release (the shards apply it).
-    fn note_global_release(&mut self, now: u64, waiting: usize) {
+    /// Phase A of DMM `d`: deliver its parked barrier release and the
+    /// shared-memory completions due this cycle, then step every warp of
+    /// its range with a lane due at `now` ([`Threads::step_warp`]), in
+    /// warp order. Fails with the error of the lowest-numbered erring
+    /// thread: lanes never interact within a step, so that is the error
+    /// lane-by-lane execution would meet first. Global completions were
+    /// delivered before it.
+    fn phase_a(&mut self, d: usize, now: u64) -> SimResult<()> {
+        let dmm = &mut self.dmms[d];
+        let threads = &mut self.threads;
+        if dmm.parked_until.is_some_and(|t| t <= now) {
+            dmm.parked_until = None;
+            threads.wake_barrier(dmm.threads.clone(), now);
+        }
+        if let Some(pipe) = dmm.pipe.as_mut() {
+            pipe.deliver(now, &mut self.trace, |slot, conflict| {
+                threads.complete(now, slot, conflict);
+            });
+        }
+        for wid in dmm.warps.clone() {
+            if threads.warp_due[wid] <= now {
+                if let Some((_, e)) =
+                    threads.step_warp(now, self.program, wid, &mut self.ahead, dmm)
+                {
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Release DMM `d`'s barrier once every live thread of it arrived.
+    fn release_dmm(&mut self, d: usize, now: u64) {
+        let dmm = &mut self.dmms[d];
+        if dmm.bar_dmm > 0 && dmm.bar_dmm == dmm.alive {
+            let n = dmm.bar_dmm;
+            dmm.release(now, self.cfg.barrier_cost, &mut self.threads);
+            dmm.bar_dmm = 0;
+            self.barriers += 1;
+            self.trace.push(|| TraceEvent::BarrierReleased {
+                cycle: now,
+                dmm: Some(d),
+                threads: n,
+            });
+        }
+    }
+
+    /// Release the machine-wide barrier once its arrivals add up to the
+    /// live threads of every DMM; each DMM releases its own threads.
+    fn release_global(&mut self, now: u64) {
+        let waiting = self.threads.bar_global;
+        let alive: usize = self.dmms.iter().map(|m| m.alive).sum();
+        if waiting == 0 || waiting != alive {
+            return;
+        }
         self.barriers += 1;
         self.trace.push(|| TraceEvent::BarrierReleased {
             cycle: now,
             dmm: None,
             threads: waiting,
         });
-    }
-}
-
-/// The machine-wide barrier release decision, made once every shard
-/// finished phase A: `Some(waiting)` when every live thread has arrived.
-fn global_release(shards: &[Shard<'_>]) -> Option<usize> {
-    let alive: usize = shards.iter().map(|s| s.alive).sum();
-    let waiting: usize = shards.iter().map(|s| s.bar_global).sum();
-    (waiting > 0 && waiting == alive).then_some(waiting)
-}
-
-/// The next interesting time, computed at the end of every cycle: the
-/// earliest cycle at which a warp is due, pipeline completion, dispatch
-/// opportunity or parked barrier release. When no such event exists the
-/// machine can never make progress again and the deadlock is reported.
-/// Also returns whether any lane is runnable: the units the clock jumps
-/// over then are busy with run-ahead work, so they are not skipped.
-///
-/// The `fast_forward` knob only decides whether the driver jumps to the
-/// returned target or walks to it one unit at a time; the target itself —
-/// and therefore every simulated output — is the same either way
-/// (exactness argument in DESIGN.md).
-fn next_time(now: u64, coord: &Coord<'_>, shards: &[Shard<'_>]) -> SimResult<(u64, bool)> {
-    let due = shards
-        .iter()
-        .flat_map(|s| s.warp_due.iter().copied())
-        .min()
-        .unwrap_or(u64::MAX);
-    let runnable = due != u64::MAX;
-    if due <= now + 1 {
-        return Ok((now + 1, true));
-    }
-    let next = coord
-        .pipe
-        .next_event(now)
-        .into_iter()
-        .chain(shards.iter().filter_map(|s| s.next_event(now)))
-        .chain(runnable.then_some(due))
-        .min();
-    match next {
-        Some(t) => Ok((t.max(now + 1), runnable)),
-        None => Err(SimError::Deadlock {
-            cycle: now,
-            waiting: shards.iter().map(|s| s.bar_dmm + s.bar_global).sum(),
-        }),
-    }
-}
-
-/// The first assembly error of a cycle: the lowest DMM's, which is the
-/// one thread-by-thread execution would have hit first, since warps are
-/// numbered DMM-major.
-fn first_error(shards: &mut [Shard<'_>]) -> Option<SimError> {
-    shards.iter_mut().find_map(|s| s.err.take())
-}
-
-/// The driver. Every cycle runs, in order: global completions, delivered
-/// straight to their threads; phase A on each shard in DMM order; each
-/// DMM's barrier release, then the machine-wide one; transaction assembly
-/// on each shard; one global pipeline slot; one shared slot on each
-/// shard. That is the trace's canonical order, so events and race-log
-/// entries are appended as they are produced.
-///
-/// Phase A writes no memory, so its first error (the lowest DMM's)
-/// returns at once. An assembly error skips the cycle's global slot,
-/// every other shard still dispatches its shared slot, and then the
-/// lowest DMM's error is returned. Returns the number of time units the
-/// event-driven clock skipped with no lane runnable.
-fn drive(
-    cfg: &EngineConfig,
-    program: &Program,
-    coord: &mut Coord<'_>,
-    shards: &mut [Shard<'_>],
-) -> SimResult<u64> {
-    let mut now: u64 = 0;
-    let mut skipped: u64 = 0;
-    let mut ahead = RunAhead::default();
-    loop {
-        if now >= cfg.max_cycles {
-            return Err(SimError::CycleLimit {
-                limit: cfg.max_cycles,
-            });
+        for dmm in &mut self.dmms {
+            dmm.release(now, self.cfg.barrier_cost, &mut self.threads);
         }
-        coord.deliver(now, shards);
-        for s in shards.iter_mut() {
-            s.phase_a(now, program, &mut coord.trace, &mut ahead)?;
+        self.threads.bar_global = 0;
+    }
+
+    /// Assemble DMM `d`'s warp transactions (SIMD lockstep: a warp's
+    /// requests go to memory once none of its threads can advance without
+    /// one): the posted requests of each memory, first that of the warp's
+    /// lowest posted lane, become one transaction ([`Launch::post`]). An
+    /// address error stops the DMM's assembly and is kept in its `err`.
+    fn assemble(&mut self, d: usize) {
+        for wid in self.dmms[d].warps.clone() {
+            let warp = &self.threads.warps[wid];
+            if warp.runnable > 0 {
+                continue;
+            }
+            let Some(k) = warp.posted_mask.iter().position(|&m| m != 0) else {
+                continue;
+            };
+            let lowest = warp.first + 64 * k + warp.posted_mask[k].trailing_zeros() as usize;
+            let space = self.threads.lanes.req(lowest).space;
+            let other = match space {
+                Space::Global => Space::Shared,
+                Space::Shared => Space::Global,
+            };
+            let posted = match self.post(d, wid, space) {
+                Some(true) => self.post(d, wid, other),
+                done => done,
+            };
+            if posted.is_none() {
+                let dmm = &self.dmms[d];
+                let shared = dmm.pipe.as_ref().map(|_| dmm.store.len());
+                let err = self.threads.first_fault(wid, self.cfg.global_size, shared);
+                self.dmms[d].err = Some(err);
+                return;
+            }
+            self.threads.warps[wid].posted_mask.fill(0);
         }
-        for s in shards.iter_mut() {
-            s.release_dmm(now, &mut coord.trace);
-        }
-        if let Some(waiting) = global_release(shards) {
-            coord.note_global_release(now, waiting);
-            for s in shards.iter_mut() {
-                s.release_global(now);
+    }
+
+    /// Compact warp `wid`'s posted requests to `space`, in lane order,
+    /// straight into a transaction opened in the pipeline that serves
+    /// it — DMM `d`'s own for shared memory, the global one otherwise —
+    /// and submit it. Returns whether a posted request targets the other
+    /// memory, or `None` when a request fails its address check.
+    fn post(&mut self, d: usize, wid: usize, space: Space) -> Option<bool> {
+        let dmm = &mut self.dmms[d];
+        let (pipe, size) = match space {
+            Space::Global => (&mut self.global, self.cfg.global_size),
+            Space::Shared => (dmm.pipe.as_mut()?, dmm.store.len()),
+        };
+        let (lanes, warp) = (&self.threads.lanes, &self.threads.warps[wid]);
+        let id = pipe.open(wid);
+        let mut requests = std::mem::take(&mut pipe.txns[id].requests);
+        let (mut fits, mut other) = (true, false);
+        for (k, &word) in warp.posted_mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let t = warp.first + 64 * k + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let req = lanes.req(t);
+                if req.space != space {
+                    other = true;
+                    continue;
+                }
+                // Non-negative: a negative address already failed at issue.
+                let addr = req.addr as usize;
+                fits &= addr < size;
+                requests.push(Request {
+                    thread: t,
+                    addr,
+                    kind: req.kind,
+                    value: req.value,
+                });
             }
         }
-        for s in shards.iter_mut() {
-            s.assemble(&mut coord.pipe);
+        pipe.txns[id].requests = requests;
+        if !fits {
+            return None;
         }
-        if shards.iter().all(|s| s.err.is_none()) {
-            coord
-                .pipe
-                .dispatch(now, coord.store, &mut coord.trace, |_, _| {});
+        pipe.submit(id, &mut self.slot_scratch, self.cfg.width);
+        Some(other)
+    }
+
+    /// The next interesting time, computed at the end of every cycle: the
+    /// earliest cycle at which a warp is due, pipeline completion,
+    /// dispatch opportunity or parked barrier release. When no such event
+    /// exists the machine can never make progress again and the deadlock
+    /// is reported. Also returns whether any lane is runnable: the units
+    /// the clock jumps over then are busy with run-ahead work, so they
+    /// are not skipped.
+    ///
+    /// The `fast_forward` knob only decides whether the driver jumps to
+    /// the returned target or walks to it one unit at a time; the target
+    /// itself — and therefore every simulated output — is the same either
+    /// way (exactness argument in DESIGN.md).
+    fn next_time(&self, now: u64) -> SimResult<(u64, bool)> {
+        let due = self
+            .threads
+            .warp_due
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(u64::MAX);
+        let runnable = due != u64::MAX;
+        if due <= now + 1 {
+            return Ok((now + 1, true));
         }
-        for s in shards.iter_mut().filter(|s| s.err.is_none()) {
-            s.dispatch_shared(now, &mut coord.trace, &mut coord.races);
+        let next = self
+            .global
+            .next_event(now)
+            .into_iter()
+            .chain(self.dmms.iter().filter_map(|m| m.next_event(now)))
+            .chain(runnable.then_some(due))
+            .min();
+        match next {
+            Some(t) => Ok((t.max(now + 1), runnable)),
+            None => Err(SimError::Deadlock {
+                cycle: now,
+                waiting: self.threads.bar_global
+                    + self.dmms.iter().map(|m| m.bar_dmm).sum::<usize>(),
+            }),
         }
-        if let Some(e) = first_error(shards) {
-            return Err(e);
+    }
+
+    /// The launch profile, once the run finished at `time`: per-warp and
+    /// per-pc counts straight from the table, per-DMM counts summed over
+    /// each DMM's warps, and the pipeline timelines rescaled to the
+    /// widest bucket.
+    fn profile(&mut self, time: u64) -> LaunchProfile {
+        let mut prof = self.threads.prof.take().expect("profiling enabled");
+        prof.close(&self.threads.thread_warp, time);
+        let per_dmm: Vec<CategoryCounts> = self
+            .dmms
+            .iter()
+            .map(|m| {
+                let mut counts = CategoryCounts::default();
+                for c in &prof.warps[m.warps.clone()] {
+                    counts.merge(c);
+                }
+                counts
+            })
+            .collect();
+        let mut total = CategoryCounts::default();
+        for c in &per_dmm {
+            total.merge(c);
         }
-        if shards.iter().all(|s| s.alive == 0) {
-            return Ok(skipped);
-        }
-        let (target, runnable) = next_time(now, coord, shards)?;
-        if cfg.fast_forward {
-            if !runnable {
-                skipped += target - (now + 1);
-            }
-            now = target;
-        } else {
-            now += 1;
+        let shared_accs: Vec<PipeAcc> = self
+            .dmms
+            .iter_mut()
+            .filter_map(|m| m.pipe.as_mut().and_then(|p| p.acc.take()))
+            .collect();
+        let mut gacc = self.global.acc.take().expect("profiling enabled");
+        let bw = shared_accs
+            .iter()
+            .map(PipeAcc::width)
+            .fold(gacc.width(), u64::max);
+        gacc.rescale_to(bw);
+        let shared_pipes = shared_accs
+            .into_iter()
+            .map(|mut a| {
+                a.rescale_to(bw);
+                a.finish(time)
+            })
+            .collect();
+        LaunchProfile {
+            label: String::new(),
+            time,
+            threads: self.threads.status.len(),
+            width: self.cfg.width,
+            total,
+            per_warp: prof.warps,
+            per_dmm,
+            per_pc: prof.per_pc,
+            bucket_width: bw,
+            global_pipe: gacc.finish(time),
+            shared_pipes,
+            program: self.program.clone(),
         }
     }
 }
@@ -1408,124 +1365,113 @@ pub(crate) fn run(
     global: &mut [Word],
     shared: &mut [Vec<Word>],
 ) -> SimResult<RunOutput> {
-    let p = threads_per_dmm.iter().sum();
+    let p: usize = threads_per_dmm.iter().sum();
     let w = cfg.width;
-
-    let mut shards: Vec<Shard<'_>> = Vec::with_capacity(cfg.dmms);
-    let mut thread_dmm: Vec<usize> = Vec::with_capacity(p);
-    let mut base_tid = 0usize;
-    let mut base_warp = 0usize;
     let runs = local_runs(program);
-    for ((d, &pd), store) in threads_per_dmm.iter().enumerate().zip(shared.iter_mut()) {
-        thread_dmm.extend(std::iter::repeat_n(d, pd));
-        shards.push(Shard::new(
-            d, base_tid, base_warp, pd, p, cfg, args, &runs, store,
-        ));
-        if cfg.profile {
-            let s = shards.last_mut().expect("just pushed");
-            s.prof = Some(ShardProf::new(&s.thread_warp, s.warps.len(), program.len()));
-        }
-        base_tid += pd;
-        base_warp += pd.div_ceil(w);
-    }
 
-    let mut coord = Coord {
-        pipe: PipeRt::new(MemoryId::Global, cfg.global_latency, cfg.global_policy, cfg),
+    let mut lanes = LaneState::new(p);
+    let mut warps: Vec<WarpRt> = Vec::new();
+    let mut dmms: Vec<DmmRt<'_>> = Vec::with_capacity(cfg.dmms);
+    let mut first = 0;
+    for ((d, &pd), store) in threads_per_dmm.iter().enumerate().zip(shared.iter_mut()) {
+        let threads = first..first + pd;
+        for (lt, t) in threads.clone().enumerate() {
+            lanes.set_reg(t, abi::GID, t as Word);
+            lanes.set_reg(t, abi::DMM, d as Word);
+            lanes.set_reg(t, abi::LTID, lt as Word);
+            lanes.set_reg(t, abi::P, p as Word);
+            lanes.set_reg(t, abi::PD, pd as Word);
+            lanes.set_reg(t, abi::W, w as Word);
+            lanes.set_reg(t, abi::D, cfg.dmms as Word);
+            lanes.set_reg(t, abi::L, cfg.global_latency as Word);
+            for (i, &a) in args.iter().enumerate() {
+                lanes.set_reg(t, abi::arg(i), a);
+            }
+        }
+        let dmm_warps = warps.len();
+        warps.extend(threads.clone().step_by(w).map(|first| {
+            let n = w.min(threads.end - first);
+            WarpRt {
+                first,
+                lanes: n,
+                runnable: n,
+                posted_mask: vec![0; n.div_ceil(64)],
+            }
+        }));
+        dmms.push(DmmRt {
+            threads: threads.clone(),
+            warps: dmm_warps..warps.len(),
+            alive: pd,
+            bar_dmm: 0,
+            parked_until: None,
+            // Every shared memory of the paper is latency-1 and banked.
+            pipe: (cfg.shared_size > 0)
+                .then(|| PipeRt::new(MemoryId::Shared(d), 1, ConflictPolicy::Banked, cfg)),
+            store,
+            race_ck: RaceCk::new(d, cfg.shared_size),
+            err: None,
+        });
+        first = threads.end;
+    }
+    let thread_warp = warps
+        .iter()
+        .enumerate()
+        .flat_map(|(wid, warp)| std::iter::repeat_n(wid, warp.lanes))
+        .collect();
+    let mut launch = Launch {
+        cfg,
+        program,
+        threads: Threads {
+            lanes,
+            status: vec![Status::Runnable; p],
+            ready: vec![0; p],
+            warp_due: vec![runs.first().copied().unwrap_or(0); warps.len()],
+            runs,
+            prof: cfg
+                .profile
+                .then(|| Profiler::new(p, warps.len(), program.len())),
+            warps,
+            thread_warp,
+            bar_global: 0,
+            max_cycles: cfg.max_cycles,
+            instructions: 0,
+            finish_time: 0,
+        },
+        dmms,
+        global: PipeRt::new(MemoryId::Global, cfg.global_latency, cfg.global_policy, cfg),
         store: global,
-        thread_dmm,
+        slot_scratch: SlotScratch::default(),
+        ahead: RunAhead::default(),
         trace: TraceBuf::new(cfg),
         races: RaceLog::default(),
         barriers: 0,
     };
-    let skipped = drive(cfg, program, &mut coord, &mut shards)?;
+    let skipped = launch.drive()?;
 
-    // ---- merge (always in DMM order) ------------------------------------
     let mut report = SimReport {
         threads: p,
-        global: coord.pipe.stats,
-        barriers: coord.barriers,
-        shared_races: coord.races.count,
+        time: launch.threads.finish_time,
+        instructions: launch.threads.instructions,
+        barriers: launch.barriers,
+        global: launch.global.stats.clone(),
+        shared_races: launch.races.count,
         skipped_units: skipped,
         ..SimReport::default()
     };
-    for s in &shards {
-        report.instructions += s.instructions;
-        report.barriers += s.barriers;
-        report.time = report.time.max(s.finish_time);
-        if let Some(pipe) = &s.pipe {
-            report.shared.merge(&pipe.stats);
-            report.shared_per_dmm.push(pipe.stats.clone());
-        }
+    for pipe in launch.dmms.iter().filter_map(|m| m.pipe.as_ref()) {
+        report.shared.merge(&pipe.stats);
+        report.shared_per_dmm.push(pipe.stats.clone());
     }
-
-    // Cycle-accounting profile, merged in DMM order like the statistics:
-    // warps are numbered DMM-major, so concatenating per-shard warp rows
-    // reproduces the global warp table; pipeline timelines rescale to the
-    // widest bucket before folding.
-    let profile = if cfg.profile {
-        let time = report.time;
-        let mut total = CategoryCounts::default();
-        let mut per_warp: Vec<CategoryCounts> = Vec::new();
-        let mut per_dmm: Vec<CategoryCounts> = Vec::new();
-        let mut per_pc: Vec<CategoryCounts> = vec![CategoryCounts::default(); program.len()];
-        let mut shared_accs: Vec<PipeAcc> = Vec::new();
-        for s in &mut shards {
-            let mut prof = s.prof.take().expect("profiling enabled");
-            prof.close(time);
-            let mut dmm_counts = CategoryCounts::default();
-            for counts in &prof.warps {
-                dmm_counts.merge(counts);
-                per_warp.push(*counts);
-            }
-            total.merge(&dmm_counts);
-            per_dmm.push(dmm_counts);
-            for (acc, c) in per_pc.iter_mut().zip(prof.per_pc.iter()) {
-                acc.merge(c);
-            }
-            if let Some(acc) = s.pipe.as_mut().and_then(|p| p.acc.take()) {
-                shared_accs.push(acc);
-            }
-        }
-        let mut gacc = coord.pipe.acc.take().expect("profiling enabled");
-        let bw = shared_accs
-            .iter()
-            .map(PipeAcc::width)
-            .fold(gacc.width(), u64::max);
-        gacc.rescale_to(bw);
-        let shared_pipes = shared_accs
-            .into_iter()
-            .map(|mut a| {
-                a.rescale_to(bw);
-                a.finish(time)
-            })
-            .collect();
-        Some(LaunchProfile {
-            label: String::new(),
-            time,
-            threads: p,
-            width: w,
-            total,
-            per_warp,
-            per_dmm,
-            per_pc,
-            bucket_width: bw,
-            global_pipe: gacc.finish(time),
-            shared_pipes,
-            program: program.clone(),
-        })
-    } else {
-        None
-    };
-
+    let profile = cfg.profile.then(|| launch.profile(report.time));
     let trace = cfg.trace.then(|| {
-        report.trace_dropped_events = coord.trace.trace.dropped_events();
-        coord.trace.trace
+        report.trace_dropped_events = launch.trace.trace.dropped_events();
+        launch.trace.trace
     });
 
     Ok(RunOutput {
         report,
         trace,
-        races: coord.races.entries,
+        races: launch.races.entries,
         profile,
     })
 }

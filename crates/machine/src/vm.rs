@@ -1,7 +1,7 @@
 //! Lane-group execution semantics.
 //!
 //! A thread is a RAM with [`REG_COUNT`] word registers and a program
-//! counter. The threads of one DMM live in one [`LaneState`], laid out
+//! counter. The threads of one launch live in one [`LaneState`], laid out
 //! structure-of-arrays: register `r` of every thread sits in one
 //! contiguous row, so a warp's lanes are adjacent in each row.
 //!
@@ -186,12 +186,11 @@ pub(crate) fn local_runs(program: &Program) -> Vec<u64> {
 
 /// Architectural state of a block of threads, structure-of-arrays:
 /// register `r` of thread `t` is `regs[r * n + t]`, next to the same
-/// register of threads `t - 1` and `t + 1`.
+/// register of threads `t - 1` and `t + 1`. Errors name a thread by its
+/// lane index.
 #[derive(Debug, Clone)]
 pub struct LaneState {
     n: usize,
-    /// Thread id of lane 0 (for error reporting).
-    base_id: usize,
     regs: Vec<Word>,
     pcs: Vec<usize>,
     reqs: Vec<LaneReq>,
@@ -205,13 +204,12 @@ enum Src {
 }
 
 impl LaneState {
-    /// `n` threads with ids `base_id..base_id + n`, zeroed registers,
-    /// all about to execute `pc = 0`.
+    /// `n` threads with ids `0..n`, zeroed registers, all about to
+    /// execute `pc = 0`.
     #[must_use]
-    pub fn new(n: usize, base_id: usize) -> Self {
+    pub fn new(n: usize) -> Self {
         Self {
             n,
-            base_id,
             regs: vec![0; REG_COUNT * n],
             pcs: vec![0; n],
             reqs: vec![LaneReq::new(Space::Global, AccessKind::Read, Reg(0)); n],
@@ -286,8 +284,7 @@ impl LaneState {
         for &t in lanes {
             let bv = self.val(b, t);
             if bv == 0 {
-                let thread = self.base_id + t;
-                return Err((t, SimError::DivisionByZero { thread, pc }));
+                return Err((t, SimError::DivisionByZero { thread: t, pc }));
             }
             self.regs[row + t] = f(self.val(a, t), bv);
         }
@@ -371,8 +368,7 @@ impl LaneState {
         let Some(&inst) = program.get(pc) else {
             let t = lanes[0];
             let len = program.len();
-            let thread = self.base_id + t;
-            return Err((t, SimError::PcOutOfRange { thread, pc, len }));
+            return Err((t, SimError::PcOutOfRange { thread: t, pc, len }));
         };
         self.exec(inst, pc, lanes)
     }
@@ -529,7 +525,7 @@ mod tests {
     /// the groups in order of their lowest lane.
     #[test]
     fn groups_follow_lowest_lane_order() {
-        let mut s = LaneState::new(6, 0);
+        let mut s = LaneState::new(6);
         s.pcs = vec![4, 2, 4, 7, 2, 4];
         let (groups, _) = step_by_pc(&mut s, &mut [0, 1, 2, 4, 5], |_, _, _| Ok(()));
         assert_eq!(groups, [(4, vec![0, 2, 5]), (2, vec![1, 4])]);
@@ -546,7 +542,7 @@ mod tests {
         a.div(Reg(1), 1, Reg(0));
         a.halt();
         let p = a.finish();
-        let mut s = LaneState::new(6, 10);
+        let mut s = LaneState::new(6);
         s.pcs = vec![0, 1, 0, 1, 2, 2];
         for t in 0..6 {
             s.set_reg(t, Reg(0), [1, 0, 0, 1, 1, 1][t]);
@@ -556,15 +552,15 @@ mod tests {
         });
         assert_eq!(groups.len(), 3);
         let err = |thread, pc| SimError::DivisionByZero { thread, pc };
-        assert_eq!(fault, Some((1, err(11, 1))));
-        let (a, b) = (Some((2, err(12, 0))), Some((1, err(11, 1))));
+        assert_eq!(fault, Some((1, err(1, 1))));
+        let (a, b) = (Some((2, err(2, 0))), Some((1, err(1, 1))));
         assert_eq!(lowest_fault(a.clone(), b.clone()), b);
         assert_eq!(lowest_fault(b.clone(), a), b);
         assert_eq!(lowest_fault(None, b.clone()), b);
     }
 
     fn one_lane(program: &Program, init: &[(Reg, Word)]) -> LaneState {
-        let mut s = LaneState::new(1, 0);
+        let mut s = LaneState::new(1);
         for &(r, v) in init {
             s.set_reg(0, r, v);
         }
@@ -623,7 +619,7 @@ mod tests {
         a.bind(done);
         a.halt();
         let p = a.finish();
-        let mut s = LaneState::new(5, 0);
+        let mut s = LaneState::new(5);
         for t in 0..5 {
             s.set_reg(t, Reg(0), [3, 0, 7, 1, 3][t]);
         }
@@ -638,12 +634,12 @@ mod tests {
         a.div(Reg(1), 1, Reg(0));
         a.halt();
         let p = a.finish();
-        let mut s = LaneState::new(4, 7);
+        let mut s = LaneState::new(4);
         for t in 0..4 {
             s.set_reg(t, Reg(0), [1, 2, 0, 0][t]);
         }
         let err = s.step_group(&p, 0, &[0, 1, 2, 3]).unwrap_err();
-        assert_eq!(err, (2, SimError::DivisionByZero { thread: 9, pc: 0 }));
+        assert_eq!(err, (2, SimError::DivisionByZero { thread: 2, pc: 0 }));
     }
 
     #[test]
@@ -652,7 +648,7 @@ mod tests {
         a.ld_global(Reg(1), -5, 0);
         a.halt();
         let p = a.finish();
-        let mut s = LaneState::new(1, 3);
+        let mut s = LaneState::new(1);
         assert_eq!(
             s.step_group(&p, 0, &[0]).unwrap(),
             GroupEffect::Mem(Space::Global)
@@ -675,7 +671,7 @@ mod tests {
         a.st_global(Reg(0), 1, 42);
         a.halt();
         let p = a.finish();
-        let mut s = LaneState::new(2, 0);
+        let mut s = LaneState::new(2);
         s.set_reg(0, Reg(0), 10);
         s.set_reg(1, Reg(0), 20);
         assert_eq!(
@@ -743,7 +739,7 @@ mod tests {
         let mut a = Asm::new();
         a.halt();
         let p = a.finish();
-        let mut s = LaneState::new(1, 0);
+        let mut s = LaneState::new(1);
         assert_eq!(s.step_group(&p, 0, &[0]).unwrap(), GroupEffect::Halt);
         assert_eq!(s.pc(0), 0);
         assert_eq!(s.step_group(&p, 0, &[0]).unwrap(), GroupEffect::Halt);
@@ -752,7 +748,7 @@ mod tests {
     #[test]
     fn pc_escape_is_an_error() {
         let p = Program::from_insts(vec![Inst::Nop]);
-        let mut s = LaneState::new(2, 0);
+        let mut s = LaneState::new(2);
         assert_eq!(s.step_group(&p, 0, &[0, 1]).unwrap(), GroupEffect::Local);
         assert!(matches!(
             s.step_group(&p, 1, &[0, 1]),
