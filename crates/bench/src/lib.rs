@@ -4,7 +4,8 @@
 //! `fig4`, `sweep_sum`, `sweep_conv`) and the bench targets. The
 //! binaries print the paper's tables with *measured* simulated time units
 //! next to the closed-form predictions, and dump machine-readable JSON to
-//! `target/experiments/` for `EXPERIMENTS.md`.
+//! `target/experiments/` for `EXPERIMENTS.md`; the bench targets write
+//! their `BENCH_*.json` at the workspace root.
 
 #![warn(missing_docs)]
 
@@ -102,8 +103,7 @@ pub fn dump(name: &str, measurements: &[Measurement]) {
 /// does.
 pub fn dump_bench(name: &str, doc: &Value) {
     let file = format!("BENCH_{name}.json");
-    fs::write(workspace_root().join(&file), doc.to_json_pretty())
-        .unwrap_or_else(|e| panic!("write {file}: {e}"));
+    fs::write(workspace_root().join(&file), doc.to_json_pretty()).expect("write bench dump");
     println!("\n  [dump] {file}");
 }
 

@@ -20,8 +20,8 @@
 //! Accounting is interval-based: nothing is recorded while a thread
 //! waits, so the fast-forward path of the clock stays cheap; each
 //! category interval is closed at the step (or halt) that ends it.
-//! Accumulation is per-shard and merged in canonical DMM order, like the
-//! engine's statistics.
+//! Counts go straight into one per-warp and one per-pc table; per-DMM
+//! counts are sums over each DMM's warps.
 
 use crate::isa::Program;
 
@@ -162,8 +162,7 @@ pub struct PipelineProfile {
 /// The run length is unknown up front, so the width starts at 1 and
 /// doubles (pairwise-merging the buckets) whenever the clock outgrows
 /// `max_buckets` buckets. Every transition depends only on recorded
-/// cycle numbers, never on sharding, so the final timeline is
-/// deterministic.
+/// cycle numbers, so the final timeline is deterministic.
 #[derive(Debug, Clone)]
 pub(crate) struct PipeAcc {
     width: u64,

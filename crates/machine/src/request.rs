@@ -115,8 +115,8 @@ impl SlotSchedule {
 /// Reusable working memory for building [`SlotSchedule`]s.
 ///
 /// The engine assembles one schedule per warp transaction; routing every
-/// build through one per-shard scratch keeps the hot loop free of heap
-/// allocation once the buffers have grown to the warp width.
+/// build through the launch's one scratch keeps the hot loop free of
+/// heap allocation once the buffers have grown to the warp width.
 #[derive(Debug, Default)]
 pub struct SlotScratch {
     /// Banked: one bit per bank touched so far (the one-slot check).
