@@ -30,9 +30,20 @@
 //! (global, then shared by DMM), barrier releases (DMMs ascending, then
 //! machine-wide), dispatches (global, then shared by DMM) — so every
 //! trace event and race-log entry is appended as it is produced, and the
-//! capacity bounds keep the first ones. Statistics and profiles are
-//! counted into the one table as they happen; only the shared pipelines'
-//! statistics and timelines stay per DMM.
+//! capacity bounds keep the first ones: the trace applies its own
+//! ([`Trace::record`] builds an event only when it is kept). Statistics
+//! and profiles are counted into the one table as they happen; only the
+//! shared pipelines' statistics and timelines stay per DMM.
+//!
+//! The profiler keeps no record per thread. A thread has at most one wait
+//! at a time, and while it waits its `ready` is the cycle of the issue
+//! that started the wait and its pc sits just past the load, store or
+//! barrier that caused it ([`Status`]). So a wake charges the wait from
+//! the table before it overwrites `ready`, and the waker names the wait's
+//! kind: the delivering pipeline's memory, or the barrier. A barrier
+//! release wakes its DMM warp by warp, as a completion wakes its slot's
+//! warp, so each warp's runnable count and due cycle change once
+//! ([`Threads::wake_barrier`]).
 //!
 //! ## The event-driven clock
 //!
@@ -69,7 +80,8 @@
 //! the memory path that touches lanes. The per-cycle hot path is
 //! allocation-free in steady state; only kept trace events allocate.
 //! `tests/alloc_free.rs` checks with a counting allocator that a
-//! launch's allocations do not grow with its length.
+//! launch's allocations do not grow with its length, nor its set-up's
+//! with its thread count.
 //!
 //! ## The warp-granular interpreter
 //!
@@ -86,12 +98,12 @@
 //! instruction that must issue at its own cycle, and the lanes of the
 //! group whose cycle has come issue it as one lane group, which fetches
 //! and decodes it once ([`LaneState::step_group`]). A load or store
-//! leaves each lane's request in its slot and sets the lane's bit in the
-//! warp's posted mask; assembly compacts the posted slots in lane order
-//! into the warp's transactions. Lanes never interact within a step, so
-//! this reproduces thread-by-thread execution exactly: the same request
-//! order, the same write winners, the same first error (the lowest
-//! erring thread over all groups) and the same per-PC profile
+//! leaves each lane's request in its slot and sets the lane's bit in its
+//! warp's row of the posted-mask table; assembly compacts the posted
+//! slots in lane order into the warp's transactions. Lanes never interact
+//! within a step, so this reproduces thread-by-thread execution exactly:
+//! the same request order, the same write winners, the same first error
+//! (the lowest erring thread over all groups) and the same per-PC profile
 //! (DESIGN.md, "Warp-granular interpreter").
 
 use std::collections::VecDeque;
@@ -116,39 +128,7 @@ pub(crate) struct RunOutput {
     pub profile: Option<LaunchProfile>,
 }
 
-// ---- trace and race log ----------------------------------------------------
-
-/// The run's trace under its capacity bound. Events arrive in canonical
-/// order, so the first `cap` pushed are the ones kept. An event is only
-/// built when it will be kept; a dropped one is just counted.
-struct TraceBuf {
-    on: bool,
-    cap: usize,
-    trace: Trace,
-}
-
-impl TraceBuf {
-    fn new(cfg: &EngineConfig) -> Self {
-        Self {
-            on: cfg.trace,
-            cap: cfg.trace_capacity.unwrap_or(usize::MAX),
-            trace: Trace::new(),
-        }
-    }
-
-    /// Whether the next event would be kept (so is worth building).
-    fn room(&self) -> bool {
-        self.on && self.trace.events().len() < self.cap
-    }
-
-    fn push(&mut self, ev: impl FnOnce() -> TraceEvent) {
-        if self.room() {
-            self.trace.push(ev());
-        } else if self.on {
-            self.trace.note_dropped(1);
-        }
-    }
-}
+// ---- race log ----------------------------------------------------------------
 
 /// The run's race log: the first [`MAX_LOGGED_RACES`] entries in
 /// dispatch order, plus the uncapped count.
@@ -164,10 +144,16 @@ struct RaceLog {
 enum Status {
     Runnable,
     /// Issued a memory request: posted in its warp's mask until the warp
-    /// is assembled, then in flight until the completion arrives.
+    /// is assembled, then in flight until the completion arrives. A
+    /// waiting thread's `ready` stays the cycle of that issue and its pc
+    /// sits just past the load or store, so the wait's start and cause
+    /// are read from the table when it wakes.
     InFlight,
-    /// Arrived at a barrier; stays so through a parked release.
+    /// Arrived at a barrier, with `ready` and pc as for `InFlight`; stays
+    /// so through a parked release.
     BarrierWait,
+    /// Issued its `halt`: `ready` is that issue's cycle and the pc stays
+    /// on the `halt`.
     Halted,
 }
 
@@ -178,9 +164,6 @@ struct WarpRt {
     /// Number of lanes (the last warp of a DMM may be partial).
     lanes: usize,
     runnable: usize,
-    /// Lanes whose request sits in their slot awaiting assembly, as a
-    /// lane bitmask (64 lanes per word).
-    posted_mask: Vec<u64>,
 }
 
 /// [`Threads::step_warp`]'s scratch: a warp's runnable lanes, split into
@@ -311,7 +294,7 @@ impl PipeRt {
         &mut self,
         now: u64,
         cells: &mut [Word],
-        trace: &mut TraceBuf,
+        trace: &mut Trace,
         mut pre: impl FnMut(usize, &Request),
     ) {
         if now < self.busy_until {
@@ -362,7 +345,7 @@ impl PipeRt {
                 acc.on_txn_done(total_slots as u64);
             }
         }
-        trace.push(|| TraceEvent::SlotDispatched {
+        trace.record(|| TraceEvent::SlotDispatched {
             cycle: now,
             memory: self.memory,
             warp: txn.warp,
@@ -373,11 +356,16 @@ impl PipeRt {
     }
 
     /// Deliver every slot due by `now`: trace its completion (loads,
-    /// then stores, each in request order) and hand the slot's requests,
-    /// all of one warp, to `wake` with the slot's conflict share, the
-    /// cycles it dispatched after its transaction's first slot. A
+    /// then stores, each in request order) and hand the memory's space,
+    /// the slot's warp, its requests and its conflict share — the cycles
+    /// it dispatched after its transaction's first slot — to `wake`. A
     /// transaction's id returns to `free` with its last slot.
-    fn deliver(&mut self, now: u64, trace: &mut TraceBuf, mut wake: impl FnMut(&[Request], u64)) {
+    fn deliver(
+        &mut self,
+        now: u64,
+        trace: &mut Trace,
+        mut wake: impl FnMut(Space, usize, &[Request], u64),
+    ) {
         while let Some(&(due, id, slot)) = self.completions.front() {
             if due > now {
                 break;
@@ -385,7 +373,7 @@ impl PipeRt {
             self.completions.pop_front();
             let txn = &self.txns[id];
             let served = &txn.requests[txn.schedule.range(slot)];
-            trace.push(|| {
+            trace.record(|| {
                 let mut threads = Vec::with_capacity(served.len());
                 for kind in [AccessKind::Read, AccessKind::Write] {
                     threads.extend(served.iter().filter(|r| r.kind == kind).map(|r| r.thread));
@@ -397,7 +385,8 @@ impl PipeRt {
                     threads,
                 }
             });
-            wake(served, due - self.latency - txn.first_dispatch);
+            let conflict = due - self.latency - txn.first_dispatch;
+            wake(self.memory.space(), txn.warp, served, conflict);
             if slot + 1 == txn.schedule.num_slots() {
                 self.free.push(id);
             }
@@ -462,42 +451,19 @@ enum Wait {
     Barrier,
 }
 
-/// Profiler state of one thread: accounting is interval-based, so the
-/// record only carries enough to charge the current wait when the thread
-/// wakes — nothing is touched while it waits, or while it issues back
-/// to back.
-struct ThreadProf {
-    /// What the current wait is on (meaningful while the thread waits).
-    wait: Wait,
-    /// Cycle of the issue that started the current wait.
-    wait_since: u64,
-    /// PC of the instruction that caused the current wait.
-    wait_pc: usize,
-    /// Cycle the thread issued its `halt`.
-    halted_at: u64,
-    halt_pc: usize,
-}
-
-/// The launch profile's counts, kept as they happen: per-thread wait
-/// records, per-warp and per-pc counts.
+/// The launch profile's counts, kept as they happen: per-warp and per-pc
+/// counts. Accounting is interval-based and a thread has at most one wait
+/// at a time, whose start and cause the thread table already holds (see
+/// [`Status`]), so nothing is recorded when a wait starts, while it
+/// lasts, or while a thread issues back to back.
 struct Profiler {
-    threads: Vec<ThreadProf>,
     warps: Vec<CategoryCounts>,
     per_pc: Vec<CategoryCounts>,
 }
 
 impl Profiler {
-    fn new(threads: usize, warps: usize, program_len: usize) -> Self {
+    fn new(warps: usize, program_len: usize) -> Self {
         Self {
-            threads: (0..threads)
-                .map(|_| ThreadProf {
-                    wait: Wait::Barrier,
-                    wait_since: 0,
-                    wait_pc: 0,
-                    halted_at: 0,
-                    halt_pc: 0,
-                })
-                .collect(),
             warps: vec![CategoryCounts::default(); warps],
             per_pc: vec![CategoryCounts::default(); program_len],
         }
@@ -513,57 +479,55 @@ impl Profiler {
         }
     }
 
-    /// The instruction issued at `pc` at `now` left the lanes waiting.
-    fn on_wait(&mut self, lanes: &[usize], wait: Wait, now: u64, pc: usize) {
-        for &t in lanes {
-            let p = &mut self.threads[t];
-            p.wait = wait;
-            p.wait_since = now;
-            p.wait_pc = pc;
-        }
-    }
-
-    /// Waiting threads `ts` of warp `warp` woke and issue next at
-    /// `issue_at`: charge each the cycles strictly between the issue that
-    /// started its wait and `issue_at`. A memory wait splits into conflict
-    /// serialisation (the `conflict` cycles its slot dispatched behind
-    /// its transaction's first) and the rest; a barrier wait is all
-    /// barrier. Issue cycles are charged at issue, so exactly one
-    /// category receives every cycle of a thread's life — which is what
-    /// makes the accounting conserve `threads × time`. Charges add, so
-    /// consecutive threads whose waits match are charged once for all of
-    /// them.
+    /// Threads of warp `warp` waiting on `wait` woke and issue next at
+    /// `issue_at`; `waits` holds each one's `(since, pc)` — the cycle of
+    /// the issue that started its wait and the pc of the instruction
+    /// that caused it, read from the table before the wake. Charge each
+    /// the cycles strictly between `since` and `issue_at`. A memory wait
+    /// splits into conflict serialisation (the `conflict` cycles its slot
+    /// dispatched behind its transaction's first) and the rest; a barrier
+    /// wait is all barrier. Issue cycles are charged at issue, so exactly
+    /// one category receives every cycle of a thread's life — which is
+    /// what makes the accounting conserve `threads × time`. Charges add,
+    /// so consecutive threads whose waits match are charged once for all
+    /// of them.
     fn on_wake(
         &mut self,
         warp: usize,
-        ts: impl IntoIterator<Item = usize>,
+        wait: Wait,
+        waits: impl IntoIterator<Item = (u64, usize)>,
         issue_at: u64,
         conflict: u64,
     ) {
-        let mut ts = ts.into_iter();
-        let Some(mut head) = ts.next() else {
+        let mut waits = waits.into_iter();
+        let Some(mut head) = waits.next() else {
             return;
         };
         let mut n = 1;
-        for t in ts {
-            let (a, b) = (&self.threads[head], &self.threads[t]);
-            if (a.wait, a.wait_since, a.wait_pc) == (b.wait, b.wait_since, b.wait_pc) {
+        for w in waits {
+            if w == head {
                 n += 1;
             } else {
-                self.charge_wait(warp, head, issue_at, conflict, n);
-                (head, n) = (t, 1);
+                self.charge_wait(warp, wait, head, issue_at, conflict, n);
+                (head, n) = (w, 1);
             }
         }
-        self.charge_wait(warp, head, issue_at, conflict, n);
+        self.charge_wait(warp, wait, head, issue_at, conflict, n);
     }
 
-    /// Charge `n` threads of warp `warp` whose wait matches thread `t`'s
-    /// (see [`Profiler::on_wake`]).
-    fn charge_wait(&mut self, warp: usize, t: usize, issue_at: u64, conflict: u64, n: u64) {
-        let p = &self.threads[t];
-        let pc = p.wait_pc;
-        let waited = issue_at - p.wait_since - 1;
-        match p.wait {
+    /// Charge `n` threads of warp `warp` whose wait on `wait` started at
+    /// `since` at `pc` (see [`Profiler::on_wake`]).
+    fn charge_wait(
+        &mut self,
+        warp: usize,
+        wait: Wait,
+        (since, pc): (u64, usize),
+        issue_at: u64,
+        conflict: u64,
+        n: u64,
+    ) {
+        let waited = issue_at - since - 1;
+        match wait {
             Wait::Mem(space) => {
                 let conflict = conflict.min(waited);
                 let (mem, conf) = match space {
@@ -577,21 +541,15 @@ impl Profiler {
         }
     }
 
-    fn on_halt(&mut self, lanes: &[usize], now: u64, pc: usize) {
-        for &t in lanes {
-            let p = &mut self.threads[t];
-            p.halted_at = now;
-            p.halt_pc = pc;
-        }
-    }
-
-    /// Charge every thread's retired tail `(halted_at, time)` once the
-    /// launch's finish time is known.
-    fn close(&mut self, thread_warp: &[usize], time: u64) {
-        for (t, &warp) in thread_warp.iter().enumerate() {
-            let p = &self.threads[t];
-            let (pc, halted_at) = (p.halt_pc, p.halted_at);
-            self.charge(warp, pc, StallCategory::Retired, time - halted_at - 1);
+    /// Once the launch finished at `time`, with every thread halted,
+    /// charge each its retired tail: the cycles strictly between its
+    /// `halt`'s issue (its `ready`, at its pc) and `time`.
+    fn close(&mut self, threads: &Threads, time: u64) {
+        for (wid, warp) in threads.warps.iter().enumerate() {
+            for t in warp.first..warp.first + warp.lanes {
+                let pc = threads.lanes.pc(t);
+                self.charge(wid, pc, StallCategory::Retired, time - threads.ready[t] - 1);
+            }
         }
     }
 }
@@ -612,8 +570,11 @@ struct Threads {
     /// Per pc, from [`local_runs`].
     runs: Vec<u64>,
     warps: Vec<WarpRt>,
-    /// thread id -> warp id
-    thread_warp: Vec<usize>,
+    /// Per warp, `mask_words` words: the lanes whose request sits in
+    /// their slot awaiting assembly, as a lane bitmask (64 lanes per
+    /// word).
+    posted: Vec<u64>,
+    mask_words: usize,
     /// Per warp: the earliest cycle by which one of its runnable lanes
     /// must be stepped — the least `ready + runs[pc]` — or `u64::MAX`
     /// when it has none.
@@ -629,34 +590,28 @@ struct Threads {
 }
 
 impl Threads {
-    /// Wake thread `t`, which issues next at `issue_at` (this cycle's
-    /// phase A for completions and parked releases, the next cycle's for
-    /// barrier releases); `conflict` is a memory wait's conflict share.
-    fn make_runnable(&mut self, t: usize, issue_at: u64, conflict: u64) {
-        let wid = self.thread_warp[t];
-        if let Some(prof) = self.prof.as_mut() {
-            prof.on_wake(wid, [t], issue_at, conflict);
-        }
-        self.status[t] = Status::Runnable;
-        self.ready[t] = issue_at;
-        self.warps[wid].runnable += 1;
-        let due = issue_at.saturating_add(self.run_at(self.lanes.pc(t)));
-        self.warp_due[wid] = self.warp_due[wid].min(due);
-    }
-
     /// `runs[pc]`; 0 outside the program.
     fn run_at(&self, pc: usize) -> u64 {
         self.runs.get(pc).copied().unwrap_or(0)
     }
 
-    /// Deliver a served slot — requests of one warp — to their threads,
-    /// which issue at `now`: a load's value goes to its destination
-    /// register. The warp's runnable count and due cycle are updated
-    /// once for the slot.
-    fn complete(&mut self, now: u64, slot: &[Request], conflict: u64) {
-        let wid = self.thread_warp[slot[0].thread];
+    /// Warp `wid`'s posted mask.
+    fn posted(&self, wid: usize) -> &[u64] {
+        &self.posted[wid * self.mask_words..][..self.mask_words]
+    }
+
+    /// Deliver a served slot of `space` — requests of warp `wid` — to
+    /// their threads, which issue at `now`: a load's value goes to its
+    /// destination register. The warp's runnable count and due cycle are
+    /// updated once for the slot, and the profiler charges the slot's
+    /// waits before their `ready` is overwritten.
+    fn complete(&mut self, now: u64, space: Space, wid: usize, slot: &[Request], conflict: u64) {
         if let Some(prof) = self.prof.as_mut() {
-            prof.on_wake(wid, slot.iter().map(|r| r.thread), now, conflict);
+            let (ready, lanes) = (&self.ready, &self.lanes);
+            let waits = slot
+                .iter()
+                .map(|r| (ready[r.thread], lanes.pc(r.thread) - 1));
+            prof.on_wake(wid, Wait::Mem(space), waits, now, conflict);
         }
         let mut run = u64::MAX;
         for req in slot {
@@ -747,22 +702,22 @@ impl Threads {
         }
         let effect = self.lanes.step_group(program, pc, lanes)?;
         self.instructions += n as u64;
-        let wait = match effect {
+        match effect {
             GroupEffect::Local => {
                 for &t in lanes {
                     self.ready[t] = now + 1;
                 }
                 return Ok(());
             }
-            GroupEffect::Mem(space) => {
-                let warp = &mut self.warps[wid];
+            GroupEffect::Mem(_) => {
+                let first = self.warps[wid].first;
+                let mask = &mut self.posted[wid * self.mask_words..][..self.mask_words];
                 for &t in lanes {
                     self.lanes.req(t).resolve(t).map_err(|e| (t, e))?;
                     self.status[t] = Status::InFlight;
-                    let lane = t - warp.first;
-                    warp.posted_mask[lane / 64] |= 1 << (lane % 64);
+                    let lane = t - first;
+                    mask[lane / 64] |= 1 << (lane % 64);
                 }
-                Wait::Mem(space)
             }
             GroupEffect::Barrier(scope) => {
                 for &t in lanes {
@@ -772,25 +727,16 @@ impl Threads {
                     Scope::Global => self.bar_global += n,
                     Scope::Dmm => dmm.bar_dmm += n,
                 }
-                Wait::Barrier
             }
             GroupEffect::Halt => {
                 for &t in lanes {
                     self.status[t] = Status::Halted;
                 }
-                self.warps[wid].runnable -= n;
                 dmm.alive -= n;
                 self.finish_time = now + 1;
-                if let Some(prof) = self.prof.as_mut() {
-                    prof.on_halt(lanes, now, pc);
-                }
-                return Ok(());
             }
-        };
-        self.warps[wid].runnable -= n;
-        if let Some(prof) = self.prof.as_mut() {
-            prof.on_wait(lanes, wait, now, pc);
         }
+        self.warps[wid].runnable -= n;
         Ok(())
     }
 
@@ -928,13 +874,32 @@ impl Threads {
         self.instructions += n as u64;
     }
 
-    /// Wake every thread of `threads` waiting at a barrier; it issues at
-    /// `issue_at`.
-    fn wake_barrier(&mut self, threads: Range<usize>, issue_at: u64) {
-        for t in threads {
-            if self.status[t] == Status::BarrierWait {
-                self.make_runnable(t, issue_at, 0);
+    /// Wake every thread of `warps` waiting at a barrier; it issues at
+    /// `issue_at` (this cycle's phase A for a parked release, the next
+    /// cycle's otherwise). Warp by warp, the profiler charges the waits
+    /// before their `ready` is overwritten, and the warp's runnable count
+    /// and due cycle are updated once.
+    fn wake_barrier(&mut self, warps: Range<usize>, issue_at: u64) {
+        for wid in warps {
+            let (first, n) = (self.warps[wid].first, self.warps[wid].lanes);
+            if let Some(prof) = self.prof.as_mut() {
+                let (status, ready, lanes) = (&self.status, &self.ready, &self.lanes);
+                let waits = (first..first + n)
+                    .filter(|&t| status[t] == Status::BarrierWait)
+                    .map(|t| (ready[t], lanes.pc(t) - 1));
+                prof.on_wake(wid, Wait::Barrier, waits, issue_at, 0);
             }
+            let (mut woken, mut run) = (0, u64::MAX);
+            for t in first..first + n {
+                if self.status[t] == Status::BarrierWait {
+                    self.status[t] = Status::Runnable;
+                    self.ready[t] = issue_at;
+                    woken += 1;
+                    run = run.min(self.run_at(self.lanes.pc(t)));
+                }
+            }
+            self.warps[wid].runnable += woken;
+            self.warp_due[wid] = self.warp_due[wid].min(issue_at.saturating_add(run));
         }
     }
 
@@ -943,11 +908,11 @@ impl Threads {
     /// shared memory, if it has one): the error lane-by-lane posting
     /// meets first.
     fn first_fault(&self, wid: usize, global: usize, shared: Option<usize>) -> SimError {
-        let warp = &self.warps[wid];
+        let (warp, mask) = (&self.warps[wid], self.posted(wid));
         (warp.first..warp.first + warp.lanes)
             .filter(|&t| {
                 let lane = t - warp.first;
-                warp.posted_mask[lane / 64] >> (lane % 64) & 1 == 1
+                mask[lane / 64] >> (lane % 64) & 1 == 1
             })
             .find_map(|t| {
                 let req = self.lanes.req(t);
@@ -970,11 +935,9 @@ impl Threads {
 
 // ---- the per-DMM record ----------------------------------------------------
 
-/// What the model gives one DMM alone: its range of the thread and warp
-/// table, its shared memory and pipeline, its barrier counters and its
-/// race checker.
+/// What the model gives one DMM alone: its range of the warp table, its
+/// shared memory and pipeline, its barrier counters and its race checker.
 struct DmmRt<'m> {
-    threads: Range<usize>,
     warps: Range<usize>,
     /// Live threads (the DMM-barrier release threshold).
     alive: usize,
@@ -1003,13 +966,13 @@ impl DmmRt<'_> {
         if cost > 0 {
             self.parked_until = Some(now.saturating_add(cost).saturating_add(1));
         } else {
-            threads.wake_barrier(self.threads.clone(), now + 1);
+            threads.wake_barrier(self.warps.clone(), now + 1);
         }
         self.race_ck.interval += 1;
     }
 
     /// Dispatch one shared-memory pipeline slot.
-    fn dispatch_shared(&mut self, now: u64, trace: &mut TraceBuf, races: &mut RaceLog) {
+    fn dispatch_shared(&mut self, now: u64, trace: &mut Trace, races: &mut RaceLog) {
         if let Some(pipe) = self.pipe.as_mut() {
             let rck = &mut self.race_ck;
             pipe.dispatch(now, self.store, trace, |warp, req| {
@@ -1041,7 +1004,7 @@ struct Launch<'m> {
     /// Reusable schedule-building scratch.
     slot_scratch: SlotScratch,
     ahead: RunAhead,
-    trace: TraceBuf,
+    trace: Trace,
     races: RaceLog,
     barriers: u64,
 }
@@ -1070,9 +1033,10 @@ impl Launch<'_> {
                 return Err(SimError::CycleLimit { limit: max_cycles });
             }
             let threads = &mut self.threads;
-            self.global.deliver(now, &mut self.trace, |slot, conflict| {
-                threads.complete(now, slot, conflict);
-            });
+            self.global
+                .deliver(now, &mut self.trace, |space, wid, slot, conflict| {
+                    threads.complete(now, space, wid, slot, conflict);
+                });
             for d in 0..self.dmms.len() {
                 self.phase_a(d, now)?;
             }
@@ -1120,11 +1084,11 @@ impl Launch<'_> {
         let threads = &mut self.threads;
         if dmm.parked_until.is_some_and(|t| t <= now) {
             dmm.parked_until = None;
-            threads.wake_barrier(dmm.threads.clone(), now);
+            threads.wake_barrier(dmm.warps.clone(), now);
         }
         if let Some(pipe) = dmm.pipe.as_mut() {
-            pipe.deliver(now, &mut self.trace, |slot, conflict| {
-                threads.complete(now, slot, conflict);
+            pipe.deliver(now, &mut self.trace, |space, wid, slot, conflict| {
+                threads.complete(now, space, wid, slot, conflict);
             });
         }
         for wid in dmm.warps.clone() {
@@ -1147,7 +1111,7 @@ impl Launch<'_> {
             dmm.release(now, self.cfg.barrier_cost, &mut self.threads);
             dmm.bar_dmm = 0;
             self.barriers += 1;
-            self.trace.push(|| TraceEvent::BarrierReleased {
+            self.trace.record(|| TraceEvent::BarrierReleased {
                 cycle: now,
                 dmm: Some(d),
                 threads: n,
@@ -1164,7 +1128,7 @@ impl Launch<'_> {
             return;
         }
         self.barriers += 1;
-        self.trace.push(|| TraceEvent::BarrierReleased {
+        self.trace.record(|| TraceEvent::BarrierReleased {
             cycle: now,
             dmm: None,
             threads: waiting,
@@ -1186,10 +1150,11 @@ impl Launch<'_> {
             if warp.runnable > 0 {
                 continue;
             }
-            let Some(k) = warp.posted_mask.iter().position(|&m| m != 0) else {
+            let mask = self.threads.posted(wid);
+            let Some(k) = mask.iter().position(|&m| m != 0) else {
                 continue;
             };
-            let lowest = warp.first + 64 * k + warp.posted_mask[k].trailing_zeros() as usize;
+            let lowest = warp.first + 64 * k + mask[k].trailing_zeros() as usize;
             let space = self.threads.lanes.req(lowest).space;
             let other = match space {
                 Space::Global => Space::Shared,
@@ -1206,7 +1171,8 @@ impl Launch<'_> {
                 self.dmms[d].err = Some(err);
                 return;
             }
-            self.threads.warps[wid].posted_mask.fill(0);
+            let words = self.threads.mask_words;
+            self.threads.posted[wid * words..][..words].fill(0);
         }
     }
 
@@ -1221,14 +1187,14 @@ impl Launch<'_> {
             Space::Global => (&mut self.global, self.cfg.global_size),
             Space::Shared => (dmm.pipe.as_mut()?, dmm.store.len()),
         };
-        let (lanes, warp) = (&self.threads.lanes, &self.threads.warps[wid]);
+        let (lanes, first) = (&self.threads.lanes, self.threads.warps[wid].first);
         let id = pipe.open(wid);
         let mut requests = std::mem::take(&mut pipe.txns[id].requests);
         let (mut fits, mut other) = (true, false);
-        for (k, &word) in warp.posted_mask.iter().enumerate() {
+        for (k, &word) in self.threads.posted(wid).iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
-                let t = warp.first + 64 * k + bits.trailing_zeros() as usize;
+                let t = first + 64 * k + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let req = lanes.req(t);
                 if req.space != space {
@@ -1301,7 +1267,7 @@ impl Launch<'_> {
     /// widest bucket.
     fn profile(&mut self, time: u64) -> LaunchProfile {
         let mut prof = self.threads.prof.take().expect("profiling enabled");
-        prof.close(&self.threads.thread_warp, time);
+        prof.close(&self.threads, time);
         let per_dmm: Vec<CategoryCounts> = self
             .dmms
             .iter()
@@ -1370,7 +1336,8 @@ pub(crate) fn run(
     let runs = local_runs(program);
 
     let mut lanes = LaneState::new(p);
-    let mut warps: Vec<WarpRt> = Vec::new();
+    let num_warps = threads_per_dmm.iter().map(|pd| pd.div_ceil(w)).sum();
+    let mut warps: Vec<WarpRt> = Vec::with_capacity(num_warps);
     let mut dmms: Vec<DmmRt<'_>> = Vec::with_capacity(cfg.dmms);
     let mut first = 0;
     for ((d, &pd), store) in threads_per_dmm.iter().enumerate().zip(shared.iter_mut()) {
@@ -1395,11 +1362,9 @@ pub(crate) fn run(
                 first,
                 lanes: n,
                 runnable: n,
-                posted_mask: vec![0; n.div_ceil(64)],
             }
         }));
         dmms.push(DmmRt {
-            threads: threads.clone(),
             warps: dmm_warps..warps.len(),
             alive: pd,
             bar_dmm: 0,
@@ -1413,11 +1378,6 @@ pub(crate) fn run(
         });
         first = threads.end;
     }
-    let thread_warp = warps
-        .iter()
-        .enumerate()
-        .flat_map(|(wid, warp)| std::iter::repeat_n(wid, warp.lanes))
-        .collect();
     let mut launch = Launch {
         cfg,
         program,
@@ -1425,13 +1385,12 @@ pub(crate) fn run(
             lanes,
             status: vec![Status::Runnable; p],
             ready: vec![0; p],
-            warp_due: vec![runs.first().copied().unwrap_or(0); warps.len()],
+            warp_due: vec![runs.first().copied().unwrap_or(0); num_warps],
             runs,
-            prof: cfg
-                .profile
-                .then(|| Profiler::new(p, warps.len(), program.len())),
+            prof: cfg.profile.then(|| Profiler::new(num_warps, program.len())),
             warps,
-            thread_warp,
+            posted: vec![0; num_warps * w.div_ceil(64)],
+            mask_words: w.div_ceil(64),
             bar_global: 0,
             max_cycles: cfg.max_cycles,
             instructions: 0,
@@ -1442,7 +1401,12 @@ pub(crate) fn run(
         store: global,
         slot_scratch: SlotScratch::default(),
         ahead: RunAhead::default(),
-        trace: TraceBuf::new(cfg),
+        // An untraced launch keeps no event.
+        trace: Trace::bounded(if cfg.trace {
+            cfg.trace_capacity.unwrap_or(usize::MAX)
+        } else {
+            0
+        }),
         races: RaceLog::default(),
         barriers: 0,
     };
@@ -1464,8 +1428,8 @@ pub(crate) fn run(
     }
     let profile = cfg.profile.then(|| launch.profile(report.time));
     let trace = cfg.trace.then(|| {
-        report.trace_dropped_events = launch.trace.trace.dropped_events();
-        launch.trace.trace
+        report.trace_dropped_events = launch.trace.dropped_events();
+        launch.trace
     });
 
     Ok(RunOutput {

@@ -19,7 +19,12 @@
 //!
 //! Accounting is interval-based: nothing is recorded while a thread
 //! waits, so the fast-forward path of the clock stays cheap; each
-//! category interval is closed at the step (or halt) that ends it.
+//! category interval is closed at the step (or halt) that ends it. An
+//! interval's start lives in the engine's thread table, not in the
+//! profiler: a waiting or halted thread's next-issue cycle is still the
+//! cycle of the issue that opened the interval, and its pc names the
+//! instruction that did (one past a load, store or barrier; on a
+//! `halt`).
 //! Counts go straight into one per-warp and one per-pc table; per-DMM
 //! counts are sums over each DMM's warps.
 
@@ -251,7 +256,8 @@ impl PipeAcc {
 /// The complete cycle-accounting profile of one kernel launch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchProfile {
-    /// Kernel name when launched through `hmm-core` (empty otherwise).
+    /// Name of the launched kernel (`Kernel::name`); `Machine::launch`
+    /// labels every profile with it.
     pub label: String,
     /// Simulated time units of the launch.
     pub time: u64,
@@ -350,8 +356,9 @@ mod tests {
 
     #[test]
     fn pipe_acc_rescale_matches_direct() {
-        // Recording at width 1 then rescaling equals recording after the
-        // width already grew — the merge path the parallel engine takes.
+        // A pipe that kept a narrower width, rescaled to the width another
+        // grew to while recording, has that one's buckets: a launch's
+        // profile widens every pipe to its widest bucket this way.
         let mut a = PipeAcc::new(2);
         let mut b = PipeAcc::new(8);
         for cycle in [0u64, 1, 2, 5, 7] {

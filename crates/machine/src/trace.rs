@@ -69,35 +69,39 @@ pub enum TraceEvent {
     },
 }
 
-/// A recorded sequence of events.
+/// A recorded sequence of events, under a capacity bound.
 ///
-/// When the engine runs with a [`crate::EngineConfig::trace_capacity`]
-/// bound, only the first `capacity` events (in canonical order) are
-/// kept and [`Trace::dropped_events`] counts the rest — long sweeps
-/// with tracing enabled cannot grow without limit. The default is
-/// unbounded.
+/// A trace keeps the first events recorded into it, up to its capacity,
+/// and [`Trace::dropped_events`] counts the rest. The engine records in
+/// canonical order with the capacity
+/// [`crate::EngineConfig::trace_capacity`] (unbounded when `None`), so
+/// long sweeps with tracing enabled cannot grow without limit. The
+/// [`Default`] trace is empty.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     dropped: u64,
+    /// Events kept at most.
+    cap: usize,
 }
 
 impl Trace {
-    /// An empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty trace that keeps at most `cap` events.
+    pub(crate) fn bounded(cap: usize) -> Self {
+        Self {
+            cap,
+            ..Self::default()
+        }
     }
 
-    /// Append an event.
-    pub fn push(&mut self, e: TraceEvent) {
-        self.events.push(e);
-    }
-
-    /// Record that `n` events were produced but not retained (used by
-    /// the engine when a capacity bound truncates the log).
-    pub fn note_dropped(&mut self, n: u64) {
-        self.dropped += n;
+    /// Keep the event `ev` builds if the trace has room, and build it
+    /// only then; otherwise count it as dropped.
+    pub(crate) fn record(&mut self, ev: impl FnOnce() -> TraceEvent) {
+        if self.events.len() < self.cap {
+            self.events.push(ev());
+        } else {
+            self.dropped += 1;
+        }
     }
 
     /// Events produced by the run but not retained under the capacity
@@ -125,25 +129,22 @@ impl Trace {
 mod tests {
     use super::*;
 
+    fn dispatch(cycle: u64, memory: MemoryId, addr: usize) -> TraceEvent {
+        TraceEvent::SlotDispatched {
+            cycle,
+            memory,
+            warp: 0,
+            slot_index: 0,
+            total_slots: 1,
+            addrs: vec![addr],
+        }
+    }
+
     #[test]
     fn filtering_by_memory() {
-        let mut t = Trace::new();
-        t.push(TraceEvent::SlotDispatched {
-            cycle: 1,
-            memory: MemoryId::Global,
-            warp: 0,
-            slot_index: 0,
-            total_slots: 1,
-            addrs: vec![0],
-        });
-        t.push(TraceEvent::SlotDispatched {
-            cycle: 2,
-            memory: MemoryId::Shared(1),
-            warp: 0,
-            slot_index: 0,
-            total_slots: 1,
-            addrs: vec![4],
-        });
+        let mut t = Trace::bounded(usize::MAX);
+        t.record(|| dispatch(1, MemoryId::Global, 0));
+        t.record(|| dispatch(2, MemoryId::Shared(1), 4));
         assert_eq!(t.dispatches(MemoryId::Global).count(), 1);
         assert_eq!(t.dispatches(MemoryId::Shared(1)).count(), 1);
         assert_eq!(t.dispatches(MemoryId::Shared(0)).count(), 0);
@@ -152,10 +153,17 @@ mod tests {
 
     #[test]
     fn dropped_events_mark_truncation() {
-        let mut t = Trace::new();
-        assert_eq!(t.dropped_events(), 0);
-        t.note_dropped(3);
-        t.note_dropped(2);
-        assert_eq!(t.dropped_events(), 5);
+        assert!(Trace::default().events().is_empty());
+        let mut t = Trace::bounded(2);
+        let mut built = 0;
+        for cycle in 0..5 {
+            t.record(|| {
+                built += 1;
+                dispatch(cycle, MemoryId::Global, 0)
+            });
+        }
+        assert_eq!(built, 2, "a dropped event is never built");
+        assert_eq!(t.events(), [0, 1].map(|c| dispatch(c, MemoryId::Global, 0)));
+        assert_eq!(t.dropped_events(), 3);
     }
 }

@@ -5,7 +5,9 @@
 //! bounded trace on, so the parked releases, the profiler's timelines
 //! and the trace's dropped events are covered too. A third loops over
 //! shared accesses of every schedule shape: a one-slot lane subset, a
-//! strided conflicted warp and an irregular conflicted one.
+//! strided conflicted warp and an irregular conflicted one. Nor does a
+//! launch's set-up grow with its thread count: an ALU-only kernel makes
+//! as many allocations on 64 threads as on 16384, profiled or not.
 //!
 //! A counting global allocator tallies allocations made on the test's
 //! own thread while a flag is set, so the harness's other threads and
@@ -140,6 +142,17 @@ fn shared_shapes_loop() -> Program {
     a.finish()
 }
 
+/// Every thread adds its id to a constant and halts: no memory access,
+/// no barrier, so a launch allocates only its set-up.
+fn alu_only() -> Program {
+    let v = Reg(16);
+    let mut a = Asm::new();
+    a.mov(v, 1);
+    a.add(v, v, abi::GID);
+    a.halt();
+    a.finish()
+}
+
 /// Allocations of one launch of `kernel` at each iteration count. A
 /// launch of `n` iterations must make `global_requests(n)` global
 /// requests per thread.
@@ -210,4 +223,28 @@ fn shared_schedule_shapes_allocate_nothing_per_iteration() {
     let cfg = EngineConfig::hmm(d, w, 16, p, 64 * w);
     let counts = launch_allocations(&cfg, p, shared_shapes_loop, |_| 0, &[50, 100, 200]);
     assert_flat(&counts);
+}
+
+#[test]
+fn launch_setup_allocations_do_not_grow_with_threads() {
+    for profile in [false, true] {
+        let counts: Vec<u64> = [64, 1024, 16384]
+            .into_iter()
+            .map(|p| {
+                let mut cfg = EngineConfig::hmm(4, 32, 16, 16, 64);
+                cfg.profile = profile;
+                let mut engine = Machine::new(cfg);
+                let spec = Kernel::new("", alu_only());
+                let (count, report) =
+                    allocations_during(|| engine.launch(&spec, LaunchShape::Even(p)));
+                assert_eq!(report.unwrap().threads, p);
+                count
+            })
+            .collect();
+        assert!(counts[0] > 0, "the counting allocator saw nothing");
+        assert!(
+            counts.windows(2).all(|c| c[0] == c[1]),
+            "set-up allocations grew with the thread count (profile {profile}): {counts:?}"
+        );
+    }
 }

@@ -4,7 +4,8 @@
 //! categories in [`StallCategory::ALL`] order, arrays are indexed by
 //! warp/DMM/pc, and floats go through `hmm-util`'s deterministic float
 //! writer — so two bit-identical profiles serialise to byte-identical
-//! JSON (a property the crate's tests pin across engine worker counts).
+//! JSON. The crate's tests pin the bytes of fixed launches, so a render
+//! is identical from run to run and between debug and release builds.
 
 use hmm_machine::disasm::render_inst;
 use hmm_machine::profile::{CategoryCounts, LaunchProfile, PipelineProfile, StallCategory};

@@ -20,8 +20,9 @@
 //!   hotspot table.
 //!
 //! Everything here is a pure function of the profile/trace, so the
-//! engine's bit-identical-across-worker-counts guarantee carries through
-//! to every rendered artifact.
+//! engine's determinism — one launch gives bit-identical profiles and
+//! traces from run to run, and in debug and release builds — carries
+//! through to every rendered artifact.
 
 #![warn(missing_docs)]
 
