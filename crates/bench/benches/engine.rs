@@ -13,11 +13,16 @@
 //! memory path: the bitonic sort of perfbench's `sort_profiled` (without
 //! its profile and trace), and a shared-memory loop at stride 1
 //! (one-slot transactions) and at stride `w` (every lane in one bank,
-//! `w` slots per transaction).
+//! `w` slots per transaction). Two shapes run at the paper's GTX580
+//! scale (`d = 16`, `w = 32`, `l = 400`, `p = 24576`, 768 warps): the
+//! sum of `n = 2^20` and the convolution of `n = 65536`, `k = 64`, the
+//! launches of `hmm-cli sum` and `conv` with those flags.
 //!
-//! Each time is the minimum of [`SAMPLES`] runs after a warm-up run;
-//! on a shared host a minimum of a handful of runs moves by a third
-//! between batches, which hides a change of a few percent.
+//! Each time is the minimum of [`SAMPLES`] runs after a warm-up run
+//! ([`PAPER_SAMPLES`] at the paper's scale, where one launch takes
+//! about 0.1–0.25 s); on a shared host a minimum of a handful of runs
+//! moves by a third between batches, which hides a change of a few
+//! percent.
 //!
 //! Run with `cargo bench -p hmm-bench --bench engine`. Results — with
 //! the host core count and per-workload simulated and skipped units —
@@ -37,16 +42,28 @@ const D: usize = 4;
 const W: usize = 32;
 /// Timed runs per shape and clock mode.
 const SAMPLES: usize = 30;
+/// Timed runs per paper-scale shape and clock mode.
+const PAPER_SAMPLES: usize = 10;
+/// The GTX580 shape: DMMs, latency and threads (768 warps of `W`).
+const GTX: (usize, usize, usize) = (16, 400, 24576);
 
-fn sum_report(l: usize, n: usize, p: usize, input: &[hmm_machine::Word], ff: bool) -> SimReport {
-    let mut m = hmm_all::footprint(n, p, D)
-        .hmm(D, W, l)
+fn sum_report(
+    d: usize,
+    l: usize,
+    n: usize,
+    p: usize,
+    input: &[hmm_machine::Word],
+    ff: bool,
+) -> SimReport {
+    let mut m = hmm_all::footprint(n, p, d)
+        .hmm(d, W, l)
         .with_fast_forward(ff);
     run_sum_hmm(&mut m, input, p).unwrap().report
 }
 
+/// The convolution on an HMM of `d` DMMs with latency `l`.
 fn conv_report(
-    l: usize,
+    (d, l): (usize, usize),
     n: usize,
     k: usize,
     p: usize,
@@ -54,8 +71,8 @@ fn conv_report(
     b: &[hmm_machine::Word],
     ff: bool,
 ) -> SimReport {
-    let mut m = convolution::footprint(n, k, Some(D), 0)
-        .hmm(D, W, l)
+    let mut m = convolution::footprint(n, k, Some(d), 0)
+        .hmm(d, W, l)
         .with_fast_forward(ff);
     run_conv_hmm(&mut m, a, b, p).unwrap().report
 }
@@ -171,7 +188,9 @@ fn measure(g: &mut BenchGroup, name: &str, run: impl Fn(bool) -> SimReport) -> V
 fn main() {
     let samples = SAMPLES;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("event-driven clock bench: d = {D}, w = {W}, host cores = {cores}");
+    println!(
+        "event-driven clock bench: d = {D} (16 at GTX580 scale), w = {W}, host cores = {cores}"
+    );
     let mut g = BenchGroup::new("engine");
     g.sample_size(samples);
     let mut rows = Vec::new();
@@ -181,7 +200,7 @@ fn main() {
     let lat_input = random_words(lat_n, 42, 100);
     for l in [64, 1024, 8192] {
         rows.push(measure(&mut g, &format!("sum/l{l}_p64"), |ff| {
-            sum_report(l, lat_n, 64, &lat_input, ff)
+            sum_report(D, l, lat_n, 64, &lat_input, ff)
         }));
     }
 
@@ -190,7 +209,7 @@ fn main() {
     let ca = random_words(ck, 7, 50);
     let cb = random_words(cn + ck - 1, 8, 50);
     rows.push(measure(&mut g, "conv/l8192_p64", |ff| {
-        conv_report(8192, cn, ck, 64, &ca, &cb, ff)
+        conv_report((D, 8192), cn, ck, 64, &ca, &cb, ff)
     }));
 
     // Busy shapes: enough warps to keep the pipes occupied nearly every
@@ -198,13 +217,13 @@ fn main() {
     let busy_n = 1 << 13;
     let busy_input = random_words(busy_n, 43, 100);
     rows.push(measure(&mut g, "sum/l64_p1024", |ff| {
-        sum_report(64, busy_n, 1024, &busy_input, ff)
+        sum_report(D, 64, busy_n, 1024, &busy_input, ff)
     }));
     let (bn, bk, bp) = (4096, 32, 2048);
     let ba = random_words(bk, 9, 50);
     let bb = random_words(bn + bk - 1, 10, 50);
     rows.push(measure(&mut g, "conv/l64_p2048", |ff| {
-        conv_report(64, bn, bk, bp, &ba, &bb, ff)
+        conv_report((D, 64), bn, bk, bp, &ba, &bb, ff)
     }));
 
     // Lane-group stepping: staggered wakes after conflicted shared
@@ -230,6 +249,20 @@ fn main() {
         shared_loop_report(W, 64, 1024, ff)
     }));
 
+    // The paper's GTX580 scale: 768 warps over 16 DMMs.
+    g.sample_size(PAPER_SAMPLES);
+    let (gd, gl, gp) = GTX;
+    let gtx_sum = random_words(1 << 20, 1, 1000);
+    rows.push(measure(&mut g, "gtx580/sum_n1048576", |ff| {
+        sum_report(gd, gl, 1 << 20, gp, &gtx_sum, ff)
+    }));
+    let (gn, gk) = (65536, 64);
+    let ga = random_words(gk, 1, 50);
+    let gb = random_words(gn + gk - 1, 2, 50);
+    rows.push(measure(&mut g, "gtx580/conv_n65536_k64", |ff| {
+        conv_report((gd, gl), gn, gk, gp, &ga, &gb, ff)
+    }));
+
     let doc = Value::object(vec![
         ("bench", "engine".into()),
         ("host_cores", cores.into()),
@@ -239,7 +272,8 @@ fn main() {
             "min-of-samples wall-clock; fast-forward vs \
              unit-stepped clock with reports asserted identical up to \
              skipped_units. Latency-bound shapes (p=64) are where the \
-             event-driven clock pays; busy shapes guard against regression."
+             event-driven clock pays; busy shapes guard against regression. \
+             The gtx580 shapes take 10 samples per point."
                 .into(),
         ),
         ("workloads", Value::Array(rows)),

@@ -7,7 +7,9 @@
 //! simulated time exactly.
 
 use hmm_machine::isa::Reg;
-use hmm_machine::{abi, Asm, EngineConfig, Kernel, LaunchShape, Machine, SimError, SimReport};
+use hmm_machine::{
+    abi, Asm, EngineConfig, Kernel, LaunchShape, Machine, SimError, SimReport, StallCategory,
+};
 
 /// Warp width, also the stride of the conflicted access.
 const W: usize = 8;
@@ -302,6 +304,80 @@ fn negative_address_in_split_runs_names_the_lowest_lane() {
                 addr: usize::MAX,
                 size: 0
             },
+            "fast_forward {fast_forward}"
+        );
+    }
+}
+
+/// Odd lanes skip one instruction at a lane-dependent branch and every
+/// lane stores its accumulator to global memory. Once the store
+/// completes, lane `t` runs a four-instruction `jmp` loop `t + 3` times
+/// and then a straight line of 24 adds into its `halt`, so the lanes
+/// halt on different cycles. Everything but the store and the `halt` is
+/// local work that lanes run ahead through. Returns the kernel and the
+/// `halt`'s pc.
+fn loop_then_straight_line() -> (Kernel, usize) {
+    let mut a = Asm::new();
+    let (odd, top, done) = (a.label(), a.label(), a.label());
+    a.and(T0, abi::LTID, 1);
+    a.brnz(T0, odd);
+    a.add(ACC, ACC, 5);
+    a.bind(odd);
+    a.st_global(abi::GID, 0, ACC);
+    a.add(COUNT, abi::LTID, 3);
+    a.bind(top);
+    a.brz(COUNT, done);
+    a.sub(COUNT, COUNT, 1);
+    a.add(ACC, ACC, COUNT);
+    a.jmp(top);
+    a.bind(done);
+    for i in 0..24 {
+        a.add(ACC, ACC, i);
+    }
+    let halt = a.pc();
+    a.halt();
+    (kernel(a.finish()), halt)
+}
+
+/// The profile reads lane pcs after run-ahead: `Issued` per pc, the
+/// store's wait (charged at the pc before each waiting lane's) and the
+/// retired tail at each lane's `halt`. Lane `t` issues its `halt` at
+/// cycle `45 + 4t`, one later on DMM 1 (its warp's store slot
+/// dispatches one cycle later), and the launch ends at 75, so the tail
+/// is `Σ(29 − 4t) + Σ(28 − 4t) = 232` lane-cycles. A cycle limit inside the
+/// straight line stops the launch there, with the clock jumping or
+/// walking.
+#[test]
+fn profiled_run_ahead_reads_every_lane_pc() {
+    let (kernel, halt) = loop_then_straight_line();
+    for fast_forward in [true, false] {
+        let mut m = engine(u64::MAX, fast_forward);
+        m.set_profiling(true);
+        let report = m.launch(&kernel, shape()).unwrap();
+        let profile = m.take_profiles().pop().unwrap();
+        assert!(profile.is_conserved());
+        assert_eq!(
+            (report.time, report.instructions, report.global.requests),
+            (75, 904, 16)
+        );
+        assert_eq!(report.skipped_units, if fast_forward { 2 } else { 0 });
+        let per_pc = |cat| -> Vec<u64> { profile.per_pc.iter().map(|c| c.get(cat)).collect() };
+        let mut issued = vec![16, 16, 8, 16, 16, 120, 104, 104, 104];
+        issued.resize(kernel.program.len(), 16);
+        assert_eq!(per_pc(StallCategory::Issued), issued);
+        let mut waits = vec![0; kernel.program.len()];
+        waits[3] = 64;
+        assert_eq!(per_pc(StallCategory::MemGlobal), waits);
+        assert_eq!(halt, 33);
+        assert_eq!(profile.per_pc[halt].get(StallCategory::Retired), 232);
+        assert_eq!(profile.total.get(StallCategory::Retired), 232);
+
+        let limit = report.time - 10;
+        assert_eq!(
+            engine(limit, fast_forward)
+                .launch(&kernel, shape())
+                .unwrap_err(),
+            SimError::CycleLimit { limit },
             "fast_forward {fast_forward}"
         );
     }
