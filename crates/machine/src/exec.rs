@@ -26,6 +26,9 @@
 //! 5. **Dispatch**: one global pipeline slot, then one shared-memory slot
 //!    on each DMM in order.
 //!
+//! In debug builds, [`Launch::audit`] then checks the counts, due cycles
+//! and masks derived from the thread table against it.
+//!
 //! That is the trace's canonical order within a cycle — completions
 //! (global, then shared by DMM), barrier releases (DMMs ascending, then
 //! machine-wide), dispatches (global, then shared by DMM) — so every
@@ -111,7 +114,7 @@ use std::ops::Range;
 
 use crate::abi;
 use crate::error::{SimError, SimResult};
-use crate::isa::{Program, Scope, Space};
+use crate::isa::{Inst, Program, Scope, Space};
 use crate::machine::{DynamicRace, EngineConfig, MAX_LOGGED_RACES};
 use crate::profile::{CategoryCounts, LaunchProfile, PipeAcc, StallCategory};
 use crate::request::{AccessKind, ConflictPolicy, Request, SlotSchedule, SlotScratch};
@@ -391,6 +394,26 @@ impl PipeRt {
                 self.free.push(id);
             }
         }
+    }
+
+    /// Every request queued or in flight, with its transaction's warp:
+    /// the undispatched slots of the queued and current transactions,
+    /// then each dispatched slot not yet delivered.
+    fn pending(&self) -> impl Iterator<Item = (usize, &Request)> {
+        let undispatched = self.queue.iter().chain(&self.current).map(|&id| {
+            let txn = &self.txns[id];
+            (
+                txn,
+                txn.schedule.range(txn.next_slot).start..txn.requests.len(),
+            )
+        });
+        let in_flight = self.completions.iter().map(|&(_, id, slot)| {
+            let txn = &self.txns[id];
+            (txn, txn.schedule.range(slot))
+        });
+        undispatched
+            .chain(in_flight)
+            .flat_map(|(txn, range)| txn.requests[range].iter().map(|req| (txn.warp, req)))
     }
 }
 
@@ -1057,6 +1080,9 @@ impl Launch<'_> {
             if let Some(e) = self.dmms.iter_mut().find_map(|m| m.err.take()) {
                 return Err(e);
             }
+            if cfg!(debug_assertions) {
+                self.audit();
+            }
             if self.dmms.iter().all(|m| m.alive == 0) {
                 return Ok(skipped);
             }
@@ -1258,6 +1284,64 @@ impl Launch<'_> {
                 waiting: self.threads.bar_global
                     + self.dmms.iter().map(|m| m.bar_dmm).sum::<usize>(),
             }),
+        }
+    }
+
+    /// Check, at the end of a visited cycle in debug builds, that the
+    /// state derived from the thread table agrees with it: each warp's
+    /// runnable count and due cycle, and no posted lane left in a warp
+    /// that assembly had to take; each DMM's live threads and, unless
+    /// its release is parked, its barrier arrivals (a waiting lane's pc
+    /// sits just past its `bar`), with the machine-wide arrivals summed
+    /// over those DMMs; and every queued or in-flight request naming an
+    /// in-flight lane of its transaction's warp.
+    fn audit(&self) {
+        let t = &self.threads;
+        let mut bar_global = 0;
+        for (d, dmm) in self.dmms.iter().enumerate() {
+            let (mut alive, mut bar_dmm) = (0, 0);
+            for wid in dmm.warps.clone() {
+                let warp = &t.warps[wid];
+                let (mut runnable, mut due) = (0, u64::MAX);
+                for l in warp.first..warp.first + warp.lanes {
+                    match t.status[l] {
+                        Status::Runnable => {
+                            runnable += 1;
+                            due = due.min(t.ready[l].saturating_add(t.run_at(t.lanes.pc(l))));
+                        }
+                        Status::BarrierWait if dmm.parked_until.is_none() => {
+                            match self.program.get(t.lanes.pc(l) - 1) {
+                                Some(Inst::Bar(Scope::Dmm)) => bar_dmm += 1,
+                                Some(Inst::Bar(Scope::Global)) => bar_global += 1,
+                                _ => panic!("audit: thread {l} waits past a non-barrier"),
+                            }
+                        }
+                        _ => {}
+                    }
+                    alive += usize::from(t.status[l] != Status::Halted);
+                }
+                assert_eq!(warp.runnable, runnable, "audit: warp {wid} runnable");
+                assert_eq!(t.warp_due[wid], due, "audit: warp {wid} due cycle");
+                assert!(
+                    runnable > 0 || t.posted(wid).iter().all(|&m| m == 0),
+                    "audit: warp {wid} kept a posted lane after assembly"
+                );
+            }
+            assert_eq!(dmm.alive, alive, "audit: DMM {d} live threads");
+            if dmm.parked_until.is_none() {
+                assert_eq!(dmm.bar_dmm, bar_dmm, "audit: DMM {d} barrier arrivals");
+            }
+        }
+        assert_eq!(t.bar_global, bar_global, "audit: machine-wide arrivals");
+        let pipes = self.dmms.iter().filter_map(|m| m.pipe.as_ref());
+        for (wid, req) in pipes.chain([&self.global]).flat_map(PipeRt::pending) {
+            let warp = &t.warps[wid];
+            assert!(
+                (warp.first..warp.first + warp.lanes).contains(&req.thread)
+                    && t.status[req.thread] == Status::InFlight,
+                "audit: a request of warp {wid} names thread {}, not an in-flight lane of it",
+                req.thread
+            );
         }
     }
 
