@@ -97,7 +97,9 @@
 //! path ([`Threads::step_warp`]). The warp's runnable lanes run ahead
 //! through local instructions in groups by PC, even when their cycles
 //! differ; a branch that diverges a group splits it in place with
-//! [`partition`] ([`Threads::run_ahead`]). Each group stops before an
+//! [`partition`] ([`Threads::run_ahead`]). A run carries its group's PC
+//! and writes each lane's PC once, where the lane stops, so PCs are
+//! current whenever a warp step ends. Each group stops before an
 //! instruction that must issue at its own cycle, and the lanes of the
 //! group whose cycle has come issue it as one lane group, which fetches
 //! and decodes it once ([`LaneState::step_group`]). A load or store
@@ -672,26 +674,26 @@ impl Threads {
     ) -> Option<(usize, SimError)> {
         let (first, n) = (self.warps[wid].first, self.warps[wid].lanes);
         let lanes = first..first + n;
-        // The runnable lanes, their latest `ready` cycle, and whether they
-        // may sit at different pcs: not when every lane shares one pc and
-        // one cycle, which one pass checks.
+        // The runnable lanes, their latest `ready` cycle, and their one pc
+        // when every lane shares one pc and one cycle, which one pass
+        // checks.
         let (pc, at) = (self.lanes.pc(first), self.ready[first]);
         ra.lanes.clear();
-        let (latest, diverged) = if self.warps[wid].runnable == n
+        let (latest, pc) = if self.warps[wid].runnable == n
             && lanes
                 .clone()
                 .all(|t| self.lanes.pc(t) == pc && self.ready[t] == at)
         {
             ra.lanes.extend(lanes.clone());
-            (at, false)
+            (at, Some(pc))
         } else {
             let (status, ready) = (&self.status, &self.ready);
             ra.lanes
                 .extend(lanes.clone().filter(|&t| status[t] == Status::Runnable));
             let latest = ra.lanes.iter().map(|&t| ready[t]).max().unwrap_or(0);
-            (latest, true)
+            (latest, None)
         };
-        let fault = self.run_ahead(now, program, wid, ra, dmm, latest, diverged);
+        let fault = self.run_ahead(now, program, wid, ra, dmm, latest, pc);
         self.warp_due[wid] = if self.warps[wid].runnable == 0 {
             u64::MAX
         } else {
@@ -764,17 +766,23 @@ impl Threads {
     }
 
     /// Run-ahead, then issue: `ra.lanes` (runnable lanes of warp `wid`,
-    /// whose latest `ready` cycle is `latest`, and which may sit at
-    /// different pcs if `diverged`) execute local instructions, each lane
-    /// one per cycle of its own time from its `ready` cycle, in groups by
-    /// pc however far apart those cycles are; a branch that diverges a
-    /// group splits it by pc. A group stops before an instruction
-    /// [`LaneState::step_local`] refuses — a memory access, barrier or
-    /// halt, a division by zero, a pc outside the program — and `ready`
-    /// holds the cycle of that instruction. The group's lanes whose cycle
-    /// is `now` then issue it as one lane group ([`Threads::issue`]); the
-    /// others wait at it. A lane that reaches `max_cycles` stops there.
-    /// Returns the lowest erring lane over all groups and its error.
+    /// whose latest `ready` cycle is `latest`, all at `pc` if it is
+    /// given) execute local instructions, each lane one per cycle of its
+    /// own time from its `ready` cycle, in groups by pc however far apart
+    /// those cycles are; a branch that diverges a group splits it by pc.
+    /// A group stops before an instruction [`LaneState::step_local`]
+    /// refuses — a memory access, barrier or halt, a division by zero, a
+    /// pc outside the program — and `ready` holds the cycle of that
+    /// instruction. The group's lanes whose cycle is `now` then issue it
+    /// as one lane group ([`Threads::issue`]); the others wait at it. A
+    /// lane that reaches `max_cycles` stops there. Returns the lowest
+    /// erring lane over all groups and its error.
+    ///
+    /// A run carries its group's pc and the instructions it ran, and
+    /// writes each lane's pc and `ready` once, where the lane stops; only
+    /// a conditional branch writes lane pcs on the way, to split the
+    /// group. So every lane's pc is current again when the warp's step
+    /// returns.
     ///
     /// Local instructions touch only their own lane's registers and pc,
     /// and the lanes stay runnable throughout, so executing them early or
@@ -791,7 +799,7 @@ impl Threads {
         ra: &mut RunAhead,
         dmm: &mut DmmRt<'_>,
         latest: u64,
-        diverged: bool,
+        mut pc: Option<usize>,
     ) -> Option<(usize, SimError)> {
         let mut next = Some(Run {
             start: 0,
@@ -799,7 +807,6 @@ impl Threads {
             ran: 0,
             latest,
         });
-        let mut may_diverge = diverged;
         let mut fault = None;
         while let Some(Run {
             start,
@@ -809,12 +816,16 @@ impl Threads {
         }) = next
         {
             loop {
-                if may_diverge {
+                // The group's pc; without one, the lanes' own pcs are
+                // current and may differ.
+                let at = if let Some(pc) = pc {
+                    pc
+                } else {
                     let pcs = &self.lanes;
-                    let pc = pcs.pc(ra.lanes[start]);
+                    let at = pcs.pc(ra.lanes[start]);
                     let mid = start
                         + partition(&mut ra.lanes[start..end], &mut ra.moved, |t| {
-                            pcs.pc(t) == pc
+                            pcs.pc(t) == at
                         });
                     if mid < end {
                         ra.pending.push(Run {
@@ -825,7 +836,8 @@ impl Threads {
                         });
                         end = mid;
                     }
-                }
+                    at
+                };
                 let limit = self.max_cycles;
                 if latest.saturating_add(ran) >= limit {
                     // Lanes that reached the cycle limit stop there.
@@ -836,6 +848,7 @@ impl Threads {
                         });
                     for &t in &ra.lanes[mid..end] {
                         ready[t] += ran;
+                        self.lanes.set_pc(t, at);
                     }
                     end = mid;
                     if start == end {
@@ -848,10 +861,9 @@ impl Threads {
                         .unwrap_or(0);
                 }
                 let group = &ra.lanes[start..end];
-                let pc = self.lanes.pc(group[0]);
-                if let Some(branch) = self.lanes.step_local(program, pc, group) {
-                    self.ran_ahead(wid, pc, group.len());
-                    may_diverge = branch;
+                if let Some(next_pc) = self.lanes.step_local(program, at, group) {
+                    self.ran_ahead(wid, at, group.len());
+                    pc = next_pc;
                     ran += 1;
                     continue;
                 }
@@ -859,6 +871,7 @@ impl Threads {
                 if ran > 0 {
                     for &t in group {
                         ready[t] += ran;
+                        self.lanes.set_pc(t, at);
                     }
                 }
                 debug_assert!(
@@ -876,14 +889,14 @@ impl Threads {
                 };
                 if start < due {
                     let group = &ra.lanes[start..due];
-                    if let Err(e) = self.issue(now, program, wid, dmm, pc, group) {
+                    if let Err(e) = self.issue(now, program, wid, dmm, at, group) {
                         fault = lowest_fault(fault, Some(e));
                     }
                 }
                 break;
             }
             next = ra.pending.pop();
-            may_diverge = true;
+            pc = None;
         }
         fault
     }

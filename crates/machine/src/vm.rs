@@ -15,6 +15,13 @@
 //! model through this function, the PRAM preset's processors included;
 //! the models differ only in the *cost* of memory effects.
 //!
+//! Run-ahead executes local work through `LaneState::step_local`, for a
+//! group whose lanes share one pc that the engine carries: a local
+//! instruction or a `jmp` returns the group's next pc and writes no
+//! lane's, and only a conditional branch writes each lane's, so that the
+//! engine can split a group it diverges. The engine writes each lane's pc
+//! where its group stops.
+//!
 //! Lanes never interact within a step, so applying an instruction to a
 //! group gives each lane exactly the result it would get alone. Errors
 //! are reported for the lowest erring lane of the group. The engine
@@ -236,6 +243,12 @@ impl LaneState {
         self.pcs[t]
     }
 
+    /// Set the program counter of thread `t`.
+    #[inline]
+    pub fn set_pc(&mut self, t: usize, pc: usize) {
+        self.pcs[t] = pc;
+    }
+
     /// The request slot of thread `t`: meaningful after it executed a
     /// load or store.
     #[inline]
@@ -313,22 +326,27 @@ impl LaneState {
         }
     }
 
-    /// Execute the instruction at `pc` for `lanes`, all sitting at `pc`,
+    /// Execute the instruction at `pc` for `lanes`, which all sit at `pc`,
     /// if it is local work that cannot fault on any of them: inside the
     /// program, not a load, store, barrier or halt, and not a division or
     /// remainder by zero in any lane. Such an instruction touches only the
     /// lanes' own registers and program counters, so the engine may
     /// execute it before or after its cycle comes (run-ahead).
     ///
+    /// The lanes' pcs may be stale: a run carries its group's pc, and
+    /// only a conditional branch, which may split the group, writes them.
     /// Returns `None`, having executed nothing, for any other
-    /// instruction; otherwise whether it was a conditional branch, which
-    /// may leave the lanes at different program counters.
+    /// instruction. Otherwise returns `Some(Some(next))`, the group's next
+    /// pc, written to no lane, or `Some(None)` after a `brz`/`brnz`, which
+    /// wrote each lane's own: the inner option is the pc run-ahead
+    /// carries.
+    #[allow(clippy::option_option)]
     pub(crate) fn step_local(
         &mut self,
         program: &Program,
         pc: usize,
         lanes: &[usize],
-    ) -> Option<bool> {
+    ) -> Option<Option<usize>> {
         let inst = *program.get(pc)?;
         match inst {
             Inst::Ld(..) | Inst::St(..) | Inst::Bar(_) | Inst::Halt => return None,
@@ -340,9 +358,9 @@ impl LaneState {
             }
             _ => {}
         }
-        let effect = self.exec(inst, pc, lanes);
-        debug_assert_eq!(effect, Ok(GroupEffect::Local));
-        Some(matches!(inst, Inst::Brz(..) | Inst::Brnz(..)))
+        let (effect, next) = self.exec(inst, pc, lanes).ok()?;
+        debug_assert_eq!(effect, GroupEffect::Local);
+        Some(next)
     }
 
     /// Execute the instruction at `pc` for every lane in `lanes`, which
@@ -370,18 +388,26 @@ impl LaneState {
             let len = program.len();
             return Err((t, SimError::PcOutOfRange { thread: t, pc, len }));
         };
-        self.exec(inst, pc, lanes)
+        let (effect, next) = self.exec(inst, pc, lanes)?;
+        if let Some(next) = next {
+            for &t in lanes {
+                self.pcs[t] = next;
+            }
+        }
+        Ok(effect)
     }
 
     /// [`LaneState::step_group`] for the decoded instruction `inst` at
-    /// `pc`.
+    /// `pc`, except for the program counters: a `brz`/`brnz` sets each
+    /// lane's, and any other instruction writes none and returns the
+    /// group's next pc (a `halt`'s own) beside its effect.
     #[inline]
     fn exec(
         &mut self,
         inst: Inst,
         pc: usize,
         lanes: &[usize],
-    ) -> Result<GroupEffect, (usize, SimError)> {
+    ) -> Result<(GroupEffect, Option<usize>), (usize, SimError)> {
         let effect = match inst {
             Inst::Mov(dst, src) => {
                 let s = self.src(src);
@@ -434,29 +460,23 @@ impl LaneState {
                 self.mem(lanes, proto, base, off, src);
                 GroupEffect::Mem(space)
             }
-            Inst::Jmp(target) => {
-                self.branch(lanes, pc, target, Src::Imm(0), true);
-                return Ok(GroupEffect::Local);
-            }
+            Inst::Jmp(target) => return Ok((GroupEffect::Local, Some(target))),
             Inst::Brz(cond, target) => {
                 let c = self.src(cond);
                 self.branch(lanes, pc, target, c, true);
-                return Ok(GroupEffect::Local);
+                return Ok((GroupEffect::Local, None));
             }
             Inst::Brnz(cond, target) => {
                 let c = self.src(cond);
                 self.branch(lanes, pc, target, c, false);
-                return Ok(GroupEffect::Local);
+                return Ok((GroupEffect::Local, None));
             }
             Inst::Bar(scope) => GroupEffect::Barrier(scope),
             Inst::Nop => GroupEffect::Local,
             // Stay on the halt; the engine never steps the lanes again.
-            Inst::Halt => return Ok(GroupEffect::Halt),
+            Inst::Halt => return Ok((GroupEffect::Halt, Some(pc))),
         };
-        for &t in lanes {
-            self.pcs[t] = pc + 1;
-        }
-        Ok(effect)
+        Ok((effect, Some(pc + 1)))
     }
 }
 
@@ -732,6 +752,45 @@ mod tests {
         a.add(Reg(1), Reg(1), 1);
         a.jmp(top);
         assert_eq!(local_runs(&a.finish()), [RUN_CAP, RUN_CAP]);
+    }
+
+    /// A run carries its group's pc: a non-branch local instruction and a
+    /// `jmp` report the next pc and write no lane's, while a diverging
+    /// `brz` writes each lane's own.
+    #[test]
+    fn step_local_writes_lane_pcs_only_at_conditional_branches() {
+        let mut a = Asm::new();
+        let (target, skip) = (a.label(), a.label());
+        a.add(Reg(1), Reg(0), 1); // 0
+        a.jmp(target); // 1
+        a.nop(); // 2
+        a.bind(target);
+        a.brz(Reg(0), skip); // 3
+        a.nop(); // 4
+        a.bind(skip);
+        a.ld_global(Reg(2), 0, 0); // 5
+        let p = a.finish();
+        let mut s = LaneState::new(3);
+        for t in 0..3 {
+            s.set_reg(t, Reg(0), [0, 7, 0][t]);
+        }
+        let lanes = [0, 1, 2];
+        let pcs = |s: &LaneState| [s.pc(0), s.pc(1), s.pc(2)];
+        assert_eq!(s.step_local(&p, 0, &lanes), Some(Some(1)));
+        assert_eq!(pcs(&s), [0, 0, 0]);
+        assert_eq!((s.reg(0, Reg(1)), s.reg(1, Reg(1))), (1, 8));
+        assert_eq!(s.step_local(&p, 1, &lanes), Some(Some(3)));
+        assert_eq!(pcs(&s), [0, 0, 0]);
+        assert_eq!(s.step_local(&p, 3, &lanes), Some(None));
+        assert_eq!(pcs(&s), [5, 4, 5]);
+        // A load is refused before anything is written.
+        assert_eq!(s.step_local(&p, 5, &lanes), None);
+        assert_eq!((s.req(0).dst, pcs(&s)), (Reg(0), [5, 4, 5]));
+        assert_eq!(
+            s.step_group(&p, 5, &[0, 2]),
+            Ok(GroupEffect::Mem(Space::Global))
+        );
+        assert_eq!(pcs(&s), [6, 4, 6]);
     }
 
     #[test]
