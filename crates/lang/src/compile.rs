@@ -11,6 +11,7 @@ use hmm_machine::isa::{Operand, Reg, Scope, Space};
 use hmm_machine::{abi, Asm, Program, REG_COUNT};
 
 use crate::ast::{Expr, Special, Stmt, Var};
+use crate::transform::{apply_all, Transform, TransformError};
 
 /// Compilation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +33,9 @@ pub enum CompileError {
     },
     /// An argument index outside [`abi::NUM_ARGS`].
     BadArgIndex(usize),
+    /// A layout or schedule transform rejected the kernel or its
+    /// parameters.
+    Transform(TransformError),
 }
 
 impl std::fmt::Display for CompileError {
@@ -50,6 +54,7 @@ impl std::fmt::Display for CompileError {
                 )
             }
             CompileError::BadArgIndex(i) => write!(f, "argument index {i} out of range"),
+            CompileError::Transform(e) => write!(f, "{e}"),
         }
     }
 }
@@ -169,6 +174,21 @@ impl KernelBuilder {
 
     fn take_body(&mut self) -> Vec<Stmt> {
         std::mem::take(&mut self.body)
+    }
+
+    /// Compile with the layout and schedule `transforms` applied, in
+    /// list order (see [`crate::transform`]).
+    ///
+    /// # Errors
+    /// [`CompileError::Transform`] when a transform rejects its
+    /// parameters or the kernel; it wins over any other compile error.
+    pub fn compile_with(&self, transforms: &[Transform]) -> Result<Program, CompileError> {
+        let body = apply_all(&self.body, transforms).map_err(CompileError::Transform)?;
+        KernelBuilder {
+            vars: self.vars,
+            body,
+        }
+        .compile()
     }
 
     /// Compile to an executable [`Program`].

@@ -210,6 +210,81 @@ fn predict_stage_outputs_are_pinned() {
     );
 }
 
+/// The built programs of every candidate of `space` for `algo` at each
+/// `n`: `(builds, rejected, disassembly bytes, FNV-1a)`. The digest runs
+/// over the candidates in enumeration order, `n` slowest; a candidate
+/// that does not build contributes its error text.
+fn program_digest(algo: &str, ns: &[usize], space: &str) -> (usize, usize, usize, u64) {
+    let alg = hmm_tune::tunable(algo).unwrap();
+    let candidates = TuneSpace::parse(space).unwrap().enumerate().unwrap();
+    let (mut builds, mut rejected, mut bytes, mut h) = (0, 0, 0, FNV_OFFSET);
+    for &n in ns {
+        for c in &candidates {
+            builds += 1;
+            let text = match alg.build(c, n) {
+                Ok(tk) => {
+                    let asm = hmm_machine::disassemble(&tk.kernel.program);
+                    bytes += asm.len();
+                    asm
+                }
+                Err(e) => {
+                    rejected += 1;
+                    e.to_string()
+                }
+            };
+            h = fnv1a(h, text.as_bytes());
+        }
+    }
+    (builds, rejected, bytes, h)
+}
+
+/// Every knob at several widths and DMM counts: pad 0–3, swizzle,
+/// transpose and unroll 1–4.
+const WIDE_SPACE: &str =
+    "d=1,4;w=4,8,16;warps=1,2;pad=0,1,2,3;swizzle=0,1;transpose=0,1;unroll=1,2,3,4";
+
+/// A non-power-of-two width: every swizzle is rejected, and the sum
+/// tree rejects the width before any transform runs.
+const W6_SPACE: &str = "d=2;w=6;warps=1,2;pad=0,2;swizzle=0,1;transpose=0,1;unroll=1,3";
+
+/// The instruction streams the tuner prices and launches, pinned for
+/// the stock space and wider ones: a change to how the layout
+/// transforms are compiled must leave every program, and the text of
+/// every rejection, exactly as it was.
+#[test]
+fn built_programs_are_pinned() {
+    let ns = [1, 7, 96, 1024];
+    let stock = TuneSpace::default().render();
+    let cases = [
+        (
+            "sum",
+            stock.as_str(),
+            (192, 0, 2_034_920, 0xaf2e_a695_d4ad_1555),
+        ),
+        (
+            "conv",
+            stock.as_str(),
+            (192, 0, 942_768, 0xa814_b1d0_45c7_c325),
+        ),
+        (
+            "sum",
+            WIDE_SPACE,
+            (1_536, 0, 21_034_756, 0xc1ed_c55f_f713_6239),
+        ),
+        (
+            "conv",
+            WIDE_SPACE,
+            (1_536, 0, 20_006_536, 0x0cfc_36ef_51f8_c4f5),
+        ),
+        ("sum", W6_SPACE, (128, 128, 0, 0x340b_ff77_7a65_eba5)),
+        ("conv", W6_SPACE, (128, 64, 386_288, 0xa6b5_d5da_e201_39b5)),
+    ];
+    for (algo, space, want) in cases {
+        let ns: &[usize] = if space == WIDE_SPACE { &[7, 96] } else { &ns };
+        assert_eq!(program_digest(algo, ns, space), want, "{algo} over {space}");
+    }
+}
+
 /// The report document of a golden run: `(bytes, FNV-1a)` of its
 /// pretty-printed JSON.
 fn report_digest(algo: &str, n: usize, space: &str) -> (usize, u64) {
