@@ -62,58 +62,78 @@ pub struct AccessReport {
     pub slots: Option<Degree>,
 }
 
-/// Classify every reachable memory instruction; conflict findings go to
-/// `out` (I201/I202, plus E004 for shared accesses on shared-less
-/// machines).
-pub fn analyze(
+/// The reachable `Ld`/`St` instructions in pc order:
+/// `(pc, space, kind, base, offset)`.
+fn memory_accesses<'a>(
+    program: &'a Program,
+    cfg: &'a Cfg,
+) -> impl Iterator<Item = (usize, Space, AccessKind, Operand, Operand)> + 'a {
+    cfg.blocks
+        .iter()
+        .zip(&cfg.reachable)
+        .filter(|(_, &reachable)| reachable)
+        .flat_map(|(blk, _)| blk.start..blk.end)
+        .filter_map(|pc| match program.get(pc)? {
+            Inst::Ld(_, space, base, off) => Some((pc, *space, AccessKind::Read, *base, *off)),
+            Inst::St(space, base, off, _) => Some((pc, *space, AccessKind::Write, *base, *off)),
+            _ => None,
+        })
+}
+
+/// Classify every reachable memory instruction. Shared accesses on a
+/// machine without shared memory get no report; [`lint`] flags them.
+#[must_use]
+pub fn classify(
     program: &Program,
     cfg: &Cfg,
     interp: &Interp,
     config: &AnalysisConfig,
-    out: &mut Vec<Diagnostic>,
 ) -> Vec<AccessReport> {
-    let mut reports = Vec::new();
-    let mut e004 = false;
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        for pc in blk.start..blk.end {
-            let (space, kind, base, off) = match program.get(pc) {
-                Some(Inst::Ld(_, space, base, off)) => (*space, AccessKind::Read, *base, *off),
-                Some(Inst::St(space, base, off, _)) => (*space, AccessKind::Write, *base, *off),
-                _ => continue,
-            };
-            if space == Space::Shared && !config.has_shared {
-                if !e004 {
-                    out.push(Diagnostic::new(
-                        Code::NoSharedMemory,
-                        pc,
-                        "kernel accesses shared memory but the analysed machine has none",
-                    ));
-                    e004 = true;
-                }
-                continue;
-            }
+    memory_accesses(program, cfg)
+        .filter(|&(_, space, ..)| space == Space::Global || config.has_shared)
+        .map(|(pc, space, kind, base, off)| {
             let policy = match space {
                 Space::Shared => ConflictPolicy::Banked,
                 Space::Global => config.global_policy,
             };
             let addr = address_at(interp, pc, base, off, config.width as i64);
-            let slots = addr.and_then(|a| predict(a, policy, pc, interp, config));
-            if let Some(d) = slots {
-                emit_info(policy, d, pc, config.width, out);
-            }
-            reports.push(AccessReport {
+            AccessReport {
                 pc,
                 space,
                 kind,
                 policy,
-                slots,
-            });
+                slots: addr.and_then(|a| predict(a, policy, pc, interp, config)),
+            }
+        })
+        .collect()
+}
+
+/// Conflict findings: I201/I202 for every classified access that takes
+/// more than one slot, and E004 at the first shared access on a machine
+/// without shared memory.
+pub fn lint(
+    program: &Program,
+    cfg: &Cfg,
+    reports: &[AccessReport],
+    config: &AnalysisConfig,
+    out: &mut Vec<Diagnostic>,
+) {
+    if !config.has_shared {
+        if let Some((pc, ..)) =
+            memory_accesses(program, cfg).find(|&(_, space, ..)| space == Space::Shared)
+        {
+            out.push(Diagnostic::new(
+                Code::NoSharedMemory,
+                pc,
+                "kernel accesses shared memory but the analysed machine has none",
+            ));
         }
     }
-    reports
+    for r in reports {
+        if let Some(d) = r.slots {
+            emit_info(r.policy, d, r.pc, config.width, out);
+        }
+    }
 }
 
 /// Abstract `base + off` at `pc`; `None` when unreachable or `Top`.
@@ -239,8 +259,9 @@ mod tests {
     fn reports(p: &Program, config: &AnalysisConfig) -> (Vec<AccessReport>, Vec<Diagnostic>) {
         let cfg = Cfg::build(p);
         let interp = crate::interp::run(p, &cfg, config);
+        let r = classify(p, &cfg, &interp, config);
         let mut out = Vec::new();
-        let r = analyze(p, &cfg, &interp, config, &mut out);
+        lint(p, &cfg, &r, config, &mut out);
         (r, out)
     }
 

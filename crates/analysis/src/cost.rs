@@ -25,8 +25,7 @@
 
 use hmm_machine::isa::Space;
 
-use crate::conflict::Degree;
-use crate::Analysis;
+use crate::conflict::{AccessReport, Degree};
 
 /// A Θ-shape split into the parts the conflict inflations scale.
 /// All three terms are in (unit-constant) time units.
@@ -73,28 +72,36 @@ fn midpoint(d: Degree) -> f64 {
 /// Mean predicted slots-per-transaction over the analysable accesses to
 /// `space`, floored at 1.0. Accesses outside the affine domain (no
 /// prediction) are skipped; a kernel with no analysable access to
-/// `space` scores the conflict-free 1.0.
+/// `space` scores the conflict-free 1.0. `accesses` is a kernel's
+/// access reports ([`crate::classify_accesses`]) or its
+/// [`crate::Analysis`].
 #[must_use]
-pub fn inflation(analysis: &Analysis, space: Space) -> f64 {
-    let degrees: Vec<f64> = analysis
-        .accesses
+pub fn inflation(accesses: &(impl AsRef<[AccessReport]> + ?Sized), space: Space) -> f64 {
+    let (sum, count) = accesses
+        .as_ref()
         .iter()
         .filter(|a| a.space == space)
         .filter_map(|a| a.slots)
         .filter(|d| d.max > 0)
-        .map(midpoint)
-        .collect();
-    if degrees.is_empty() {
+        .fold((0.0, 0usize), |(sum, count), d| {
+            (sum + midpoint(d), count + 1)
+        });
+    if count == 0 {
         return 1.0;
     }
-    (degrees.iter().sum::<f64>() / degrees.len() as f64).max(1.0)
+    (sum / count as f64).max(1.0)
 }
 
-/// Predict the time of a kernel from its analysis and its Θ-shape.
+/// Predict the time of a kernel from its access reports (or its
+/// [`crate::Analysis`]) and its Θ-shape.
 #[must_use]
-pub fn predict(analysis: &Analysis, terms: &ThetaTerms) -> CostEstimate {
-    let global_inflation = inflation(analysis, Space::Global);
-    let shared_inflation = inflation(analysis, Space::Shared);
+pub fn predict(
+    accesses: &(impl AsRef<[AccessReport]> + ?Sized),
+    terms: &ThetaTerms,
+) -> CostEstimate {
+    let accesses = accesses.as_ref();
+    let global_inflation = inflation(accesses, Space::Global);
+    let shared_inflation = inflation(accesses, Space::Shared);
     CostEstimate {
         time_units: terms.global * global_inflation + terms.shared * shared_inflation + terms.fixed,
         global_inflation,

@@ -16,8 +16,9 @@
 //! * barrier-divergence checking and shared-memory race detection
 //!   ([`barrier`], [`race`]).
 //!
-//! The entry point is [`analyze`]; `hmm-cli lint` and the tuner's
-//! predict stage call it.
+//! The entry point is [`analyze`], which `hmm-cli lint` calls. The
+//! tuner's predict stage calls [`classify_accesses`], the passes the
+//! cost model ([`predict`]) reads, without the lint passes.
 //! `tests/static_vs_dynamic.rs` (repository root) validates the
 //! predictions against measured [`hmm_machine::stats::SimReport`]s.
 
@@ -115,6 +116,12 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Per-memory-instruction conflict classification.
     pub accesses: Vec<AccessReport>,
+}
+
+impl AsRef<[AccessReport]> for Analysis {
+    fn as_ref(&self) -> &[AccessReport] {
+        &self.accesses
+    }
 }
 
 impl Analysis {
@@ -225,14 +232,46 @@ impl Analysis {
     }
 }
 
-/// Run every analysis pass over `program` under `config`.
+/// The passes the cost model reads, with the state the lint passes
+/// reuse.
+struct Classified {
+    graph: cfg::Cfg,
+    interp: interp::Interp,
+    accesses: Vec<AccessReport>,
+}
+
+fn classify(program: &Program, config: &AnalysisConfig) -> Classified {
+    let graph = cfg::Cfg::build(program);
+    let interp = interp::run(program, &graph, config);
+    let accesses = conflict::classify(program, &graph, &interp, config);
+    Classified {
+        graph,
+        interp,
+        accesses,
+    }
+}
+
+/// Classify every reachable memory access of `program` under `config`:
+/// the control-flow graph, the abstract interpretation and the conflict
+/// pass, without the lint passes. The reports equal
+/// [`analyze`]'s `accesses`; [`predict`] reads nothing else.
+#[must_use]
+pub fn classify_accesses(program: &Program, config: &AnalysisConfig) -> Vec<AccessReport> {
+    classify(program, config).accesses
+}
+
+/// Run every analysis pass over `program` under `config`: the access
+/// classification of [`classify_accesses`], then the lint passes.
 #[must_use]
 pub fn analyze(program: &Program, config: &AnalysisConfig) -> Analysis {
-    let graph = cfg::Cfg::build(program);
+    let Classified {
+        graph,
+        interp,
+        accesses,
+    } = classify(program, config);
     let mut diagnostics = Vec::new();
     dataflow::lint(program, &graph, &mut diagnostics);
-    let interp = interp::run(program, &graph, config);
-    let accesses = conflict::analyze(program, &graph, &interp, config, &mut diagnostics);
+    conflict::lint(program, &graph, &accesses, config, &mut diagnostics);
     barrier::analyze(program, &graph, &interp, &mut diagnostics);
     race::analyze(program, &graph, &interp, config, &mut diagnostics);
     diagnostics.sort_by(|a, b| {
@@ -260,6 +299,33 @@ mod tests {
         );
         let j = a.to_json();
         assert_eq!(j["errors"].as_u64(), Some(0));
+    }
+
+    #[test]
+    fn classify_accesses_equals_the_full_analysis() {
+        for program in [
+            examples::racy_kernel(),
+            examples::racy_kernel_fixed(),
+            examples::divergent_barrier_kernel(),
+            examples::uninit_kernel(),
+            examples::clean_kernel(),
+        ] {
+            for cfg in [
+                AnalysisConfig::umm(32),
+                AnalysisConfig::dmm(8),
+                AnalysisConfig::hmm(32, 1).with_launch(64, 1),
+            ] {
+                let full = analyze(&program, &cfg);
+                let accesses = classify_accesses(&program, &cfg);
+                assert_eq!(accesses, full.accesses);
+                let terms = ThetaTerms {
+                    global: 10.0,
+                    shared: 3.0,
+                    fixed: 1.0,
+                };
+                assert_eq!(predict(&accesses, &terms), predict(&full, &terms));
+            }
+        }
     }
 
     #[test]

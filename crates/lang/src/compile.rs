@@ -7,11 +7,11 @@
 //! scratch registers per thread that has never been a limitation for the
 //! paper's algorithms.
 
-use hmm_machine::isa::{Operand, Reg, Scope, Space};
-use hmm_machine::{abi, Asm, Program, REG_COUNT};
+use hmm_machine::isa::{BinOp, Inst, Operand, Reg, Scope, Space};
+use hmm_machine::{abi, Asm, Program, Word, REG_COUNT};
 
 use crate::ast::{Expr, Special, Stmt, Var};
-use crate::transform::{apply_all, Transform, TransformError};
+use crate::transform::{self, Template, Transform, TransformError};
 
 /// Compilation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,12 +166,6 @@ impl KernelBuilder {
         self.body.push(s);
     }
 
-    /// The statement list built so far (the input to [`crate::transform`]).
-    #[must_use]
-    pub fn body(&self) -> &[Stmt] {
-        &self.body
-    }
-
     fn take_body(&mut self) -> Vec<Stmt> {
         std::mem::take(&mut self.body)
     }
@@ -183,20 +177,7 @@ impl KernelBuilder {
     /// [`CompileError::Transform`] when a transform rejects its
     /// parameters or the kernel; it wins over any other compile error.
     pub fn compile_with(&self, transforms: &[Transform]) -> Result<Program, CompileError> {
-        let body = apply_all(&self.body, transforms).map_err(CompileError::Transform)?;
-        KernelBuilder {
-            vars: self.vars,
-            body,
-        }
-        .compile()
-    }
-
-    /// Compile to an executable [`Program`].
-    ///
-    /// # Errors
-    /// Returns a [`CompileError`] if the kernel exceeds the register file
-    /// or names an invalid argument register.
-    pub fn compile(&self) -> Result<Program, CompileError> {
+        let unroll = transform::check(&self.body, transforms).map_err(CompileError::Transform)?;
         let var_base = abi::SCRATCH0.0 as usize;
         let available = REG_COUNT - var_base;
         if self.vars >= available {
@@ -209,20 +190,35 @@ impl KernelBuilder {
             asm: Asm::new(),
             var_base,
             temp_base: var_base + self.vars,
+            remaps: transforms,
+            unroll,
         };
         cg.stmts(&self.body)?;
         cg.asm.halt();
         Ok(cg.asm.finish())
     }
+
+    /// Compile to an executable [`Program`].
+    ///
+    /// # Errors
+    /// Returns a [`CompileError`] if the kernel exceeds the register file
+    /// or names an invalid argument register.
+    pub fn compile(&self) -> Result<Program, CompileError> {
+        self.compile_with(&[])
+    }
 }
 
-struct Codegen {
+struct Codegen<'t> {
     asm: Asm,
     var_base: usize,
     temp_base: usize,
+    /// The transform list: its active remaps wrap every shared address.
+    remaps: &'t [Transform],
+    /// Copies of each canonical strided loop body per trip (1 = off).
+    unroll: usize,
 }
 
-impl Codegen {
+impl Codegen<'_> {
     fn var_reg(&self, v: Var) -> Reg {
         Reg((self.var_base + v.0) as u8)
     }
@@ -265,29 +261,110 @@ impl Codegen {
             Expr::Var(v) => Ok(Operand::Reg(self.var_reg(*v))),
             Expr::Special(s) => Self::special_operand(*s),
             Expr::Bin(op, a, b) => {
-                let dst = self.temp(depth)?;
-                let av = self.eval(a, depth)?;
-                // `a`'s value may live in temp(depth); keep it and evaluate
-                // `b` one level higher.
-                let bv = self.eval(b, depth + 1)?;
-                self.asm.push(hmm_machine::isa::Inst::Bin(*op, dst, av, bv));
-                Ok(Operand::Reg(dst))
+                self.bin(*op, depth, |cg, d| cg.eval(a, d), |cg, d| cg.eval(b, d))
             }
-            Expr::Select(c, a, b) => {
-                let dst = self.temp(depth)?;
-                let cv = self.eval(c, depth)?;
-                let av = self.eval(a, depth + 1)?;
-                let bv = self.eval(b, depth + 2)?;
-                self.asm.push(hmm_machine::isa::Inst::Sel(dst, cv, av, bv));
-                Ok(Operand::Reg(dst))
-            }
+            Expr::Select(c, a, b) => self.select(
+                depth,
+                |cg, d| cg.eval(c, d),
+                |cg, d| cg.eval(a, d),
+                |cg, d| cg.eval(b, d),
+            ),
             Expr::Load(space, addr) => {
                 let dst = self.temp(depth)?;
-                let av = self.eval(addr, depth)?;
+                let av = self.addr(*space, addr, depth)?;
                 self.asm.ld(dst, *space, av, 0);
                 Ok(Operand::Reg(dst))
             }
         }
+    }
+
+    /// `op(a, b)` into `temp(depth)`. `a`'s value may live in
+    /// `temp(depth)`; keep it and evaluate `b` one level higher.
+    fn bin(
+        &mut self,
+        op: BinOp,
+        depth: usize,
+        a: impl FnOnce(&mut Self, usize) -> Result<Operand, CompileError>,
+        b: impl FnOnce(&mut Self, usize) -> Result<Operand, CompileError>,
+    ) -> Result<Operand, CompileError> {
+        let dst = self.temp(depth)?;
+        let av = a(self, depth)?;
+        let bv = b(self, depth + 1)?;
+        self.asm.push(Inst::Bin(op, dst, av, bv));
+        Ok(Operand::Reg(dst))
+    }
+
+    /// `c != 0 ? a : b` into `temp(depth)`.
+    fn select(
+        &mut self,
+        depth: usize,
+        c: impl FnOnce(&mut Self, usize) -> Result<Operand, CompileError>,
+        a: impl FnOnce(&mut Self, usize) -> Result<Operand, CompileError>,
+        b: impl FnOnce(&mut Self, usize) -> Result<Operand, CompileError>,
+    ) -> Result<Operand, CompileError> {
+        let dst = self.temp(depth)?;
+        let cv = c(self, depth)?;
+        let av = a(self, depth + 1)?;
+        let bv = b(self, depth + 2)?;
+        self.asm.push(Inst::Sel(dst, cv, av, bv));
+        Ok(Operand::Reg(dst))
+    }
+
+    /// Evaluate a memory address; a shared one goes through every
+    /// active remap of the transform list.
+    fn addr(&mut self, space: Space, addr: &Expr, depth: usize) -> Result<Operand, CompileError> {
+        match space {
+            Space::Shared => self.remapped(addr, self.remaps, depth),
+            Space::Global => self.eval(addr, depth),
+        }
+    }
+
+    /// `addr` under the active remaps of `remaps`, the last one
+    /// outermost.
+    fn remapped(
+        &mut self,
+        addr: &Expr,
+        remaps: &[Transform],
+        depth: usize,
+    ) -> Result<Operand, CompileError> {
+        let Some((last, inner)) = remaps.split_last() else {
+            return self.eval(addr, depth);
+        };
+        match last.remap() {
+            Some((template, params)) => self.template(template, &params, addr, inner, depth),
+            None => self.remapped(addr, inner, depth),
+        }
+    }
+
+    /// Evaluate a remap's `template` around `addr`, which goes through
+    /// the `inner` remaps at each of its uses.
+    #[allow(clippy::cast_possible_wrap)]
+    fn template(
+        &mut self,
+        template: &Template,
+        params: &[usize; 3],
+        addr: &Expr,
+        inner: &[Transform],
+        depth: usize,
+    ) -> Result<Operand, CompileError> {
+        let go =
+            |t: &'static Template| move |cg: &mut Self, d| cg.template(t, params, addr, inner, d);
+        match *template {
+            Template::Addr => self.remapped(addr, inner, depth),
+            Template::Param(i) => Ok(Operand::Imm(params[i] as Word)),
+            Template::Bin(op, a, b) => self.bin(op, depth, go(a), go(b)),
+            Template::Select(c, a, b) => self.select(depth, go(c), go(a), go(b)),
+        }
+    }
+
+    /// `if cond { body }`.
+    fn if_then(&mut self, cond: &Expr, body: &[Stmt]) -> Result<(), CompileError> {
+        let c = self.eval(cond, 0)?;
+        let end = self.asm.label();
+        self.asm.brz(c, end);
+        self.stmts(body)?;
+        self.asm.bind(end);
+        Ok(())
     }
 
     fn stmts(&mut self, body: &[Stmt]) -> Result<(), CompileError> {
@@ -305,28 +382,24 @@ impl Codegen {
                 Ok(())
             }
             Stmt::Store(space, addr, value) => {
-                let a = self.eval(addr, 0)?;
+                let a = self.addr(*space, addr, 0)?;
                 let v = self.eval(value, 1)?;
                 self.asm.st(*space, a, 0, v);
                 Ok(())
             }
+            Stmt::If(cond, then_body, else_body) if else_body.is_empty() => {
+                self.if_then(cond, then_body)
+            }
             Stmt::If(cond, then_body, else_body) => {
                 let c = self.eval(cond, 0)?;
-                if else_body.is_empty() {
-                    let end = self.asm.label();
-                    self.asm.brz(c, end);
-                    self.stmts(then_body)?;
-                    self.asm.bind(end);
-                } else {
-                    let els = self.asm.label();
-                    let end = self.asm.label();
-                    self.asm.brz(c, els);
-                    self.stmts(then_body)?;
-                    self.asm.jmp(end);
-                    self.asm.bind(els);
-                    self.stmts(else_body)?;
-                    self.asm.bind(end);
-                }
+                let els = self.asm.label();
+                let end = self.asm.label();
+                self.asm.brz(c, els);
+                self.stmts(then_body)?;
+                self.asm.jmp(end);
+                self.asm.bind(els);
+                self.stmts(else_body)?;
+                self.asm.bind(end);
                 Ok(())
             }
             Stmt::While(cond, body) => {
@@ -335,12 +408,19 @@ impl Codegen {
                 let c = self.eval(cond, 0)?;
                 self.asm.brz(c, end);
                 self.stmts(body)?;
+                // An unrolled loop runs up to `unroll` iterations per
+                // trip, each further one under `if cond`.
+                if self.unroll > 1 && transform::unrolls(cond, body) {
+                    for _ in 1..self.unroll {
+                        self.if_then(cond, body)?;
+                    }
+                }
                 self.asm.jmp(top);
                 self.asm.bind(end);
                 Ok(())
             }
             Stmt::Barrier(scope) => {
-                self.asm.push(hmm_machine::isa::Inst::Bar(*scope));
+                self.asm.push(Inst::Bar(*scope));
                 Ok(())
             }
             Stmt::Nop => {

@@ -37,7 +37,7 @@ pub mod transform;
 
 pub use ast::{Expr, Special, Stmt, Var};
 pub use compile::{CompileError, KernelBuilder};
-pub use transform::{apply_all, required_shared_all, Transform, TransformError};
+pub use transform::{required_shared_all, Transform, TransformError};
 
 /// Everything needed to write kernels, in one import.
 pub mod prelude {

@@ -1,11 +1,12 @@
-//! Semantics-preserving layout and schedule transforms over kernel ASTs.
+//! Semantics-preserving layout and schedule transforms, applied when a
+//! kernel is compiled.
 //!
-//! The autotuner (`hmm-tune`) explores kernel variants by rewriting the
-//! statement list of a [`crate::compile::KernelBuilder`] before
-//! compilation. Every transform here preserves the *values* a kernel
-//! computes — only the memory layout of the scratch (shared) space or the
-//! instruction schedule changes, which is exactly what the machine model
-//! prices:
+//! The autotuner (`hmm-tune`) explores kernel variants by compiling one
+//! [`crate::compile::KernelBuilder`] under different transform lists
+//! ([`KernelBuilder::compile_with`]). Every transform here preserves
+//! the *values* a kernel computes — only the memory layout of the
+//! scratch (shared) space or the instruction schedule changes, which is
+//! exactly what the machine model prices:
 //!
 //! * [`Transform::PadShared`] — bank-offset padding: shared address `a`
 //!   becomes `a + (a / period) · pad`, staggering rows across banks (the
@@ -20,23 +21,31 @@
 //!   [`KernelBuilder::for_strided`]-shaped loops by a factor, trading code
 //!   size for loop-overhead (`jmp`) instructions.
 //!
+//! The kernel's statements are never copied or rewritten. The code
+//! generator compiles every shared address through the active remaps in
+//! list order, each a fixed template around the address it wraps, and
+//! compiles the wrapped address again at each of its uses in the
+//! template — the instruction stream the model prices is that of the
+//! remap written out as an expression tree. An unrolled loop's guarded
+//! copies are the same body compiled again.
+//!
 //! The address transforms are **injective remappings of the shared
 //! address space**: two distinct addresses never collide, so a kernel
 //! that never reads uninitialised shared cells computes exactly the same
 //! global-memory result. `crates/tune/tests/transforms_preserve.rs`
-//! property-tests this against the sequential references. Address
-//! expressions are *duplicated* by the remap, so transforms reject
-//! kernels whose shared address expressions themselves contain memory
-//! loads (duplicating a load would change the priced request stream).
+//! property-tests this against the sequential references. Because the
+//! remapped address is evaluated more than once, an active remap rejects
+//! kernels whose shared addresses themselves contain memory loads
+//! (repeating a load would change the priced request stream).
 //!
+//! [`KernelBuilder::compile_with`]: crate::compile::KernelBuilder::compile_with
 //! [`KernelBuilder::for_strided`]: crate::compile::KernelBuilder::for_strided
 
 use hmm_machine::isa::{BinOp, Space};
 
-use crate::ast::helpers::{add, div, immu, lt, mul, rem, select, xor};
 use crate::ast::{Expr, Stmt};
 
-/// One rewrite pass over a kernel body. See the module docs.
+/// One layout or schedule pass. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transform {
     /// Bank-offset padding of shared addresses:
@@ -64,7 +73,8 @@ pub enum Transform {
     },
     /// Unroll canonical strided loops (`for i = a; i < b; i += s`) by
     /// `factor`, guarding every replicated iteration, so any trip count
-    /// stays correct. Loops containing barriers are left untouched.
+    /// stays correct. Loops containing barriers are left untouched, and
+    /// only the first unroll by 2 or more in a list has an effect.
     UnrollStrided {
         /// Iterations per loop trip after unrolling (≥ 2 to change
         /// anything).
@@ -137,79 +147,106 @@ impl Transform {
         }
     }
 
-    /// Apply the pass to a kernel body, returning the rewritten body.
-    ///
-    /// # Errors
-    /// [`TransformError::BadParams`] for degenerate parameters,
-    /// [`TransformError::AddressContainsLoad`] when a shared address
-    /// expression contains a memory load (the remap would duplicate it).
-    pub fn apply(&self, body: &[Stmt]) -> Result<Vec<Stmt>, TransformError> {
+    /// Reject degenerate parameters.
+    fn check_params(&self) -> Result<(), TransformError> {
+        let bad = |msg: &str| Err(TransformError::BadParams(msg.into()));
         match *self {
-            Transform::PadShared { period, pad } => {
-                if period == 0 {
-                    return Err(TransformError::BadParams("pad period must be ≥ 1".into()));
-                }
-                if pad == 0 {
-                    return Ok(body.to_vec());
-                }
-                map_shared_addrs(body, &|a| {
-                    add(a.clone(), mul(div(a, immu(period)), immu(pad)))
-                })
+            Transform::PadShared { period: 0, .. } => bad("pad period must be ≥ 1"),
+            Transform::SwizzleShared { width } if width < 2 || !width.is_power_of_two() => {
+                Err(TransformError::BadParams(format!(
+                    "swizzle width {width} must be a power of two ≥ 2"
+                )))
             }
-            Transform::SwizzleShared { width } => {
-                if width < 2 || !width.is_power_of_two() {
-                    return Err(TransformError::BadParams(format!(
-                        "swizzle width {width} must be a power of two ≥ 2"
-                    )));
-                }
-                map_shared_addrs(body, &|a| {
-                    xor(a.clone(), rem(div(a, immu(width)), immu(width)))
-                })
+            Transform::TransposeShared { rows, cols } if rows == 0 || cols == 0 => {
+                bad("transpose region must be non-empty")
             }
+            Transform::UnrollStrided { factor: 0 } => bad("unroll factor must be ≥ 1"),
+            _ => Ok(()),
+        }
+    }
+
+    /// The address template of an active remap and its parameters;
+    /// `None` for an unroll and for padding by 0 words, which leave
+    /// every address alone.
+    pub(crate) fn remap(&self) -> Option<(&'static Template, [usize; 3])> {
+        match *self {
+            Transform::PadShared { pad: 0, .. } | Transform::UnrollStrided { .. } => None,
+            Transform::PadShared { period, pad } => Some((&PAD, [period, pad, 0])),
+            Transform::SwizzleShared { width } => Some((&SWIZZLE, [width, 0, 0])),
             Transform::TransposeShared { rows, cols } => {
-                if rows == 0 || cols == 0 {
-                    return Err(TransformError::BadParams(
-                        "transpose region must be non-empty".into(),
-                    ));
-                }
-                let region = rows * cols;
-                map_shared_addrs(body, &|a| {
-                    select(
-                        lt(a.clone(), immu(region)),
-                        add(
-                            mul(rem(a.clone(), immu(cols)), immu(rows)),
-                            div(a.clone(), immu(cols)),
-                        ),
-                        a,
-                    )
-                })
-            }
-            Transform::UnrollStrided { factor } => {
-                if factor == 0 {
-                    return Err(TransformError::BadParams(
-                        "unroll factor must be ≥ 1".into(),
-                    ));
-                }
-                if factor == 1 {
-                    return Ok(body.to_vec());
-                }
-                Ok(unroll_stmts(body, factor))
+                Some((&TRANSPOSE, [rows * cols, cols, rows]))
             }
         }
     }
 }
 
-/// Apply `transforms` left to right (the tuner's canonical composition
-/// order: schedule first, then address remaps).
+/// A remapped shared address, as a tree around the original address
+/// `a`. Each [`Template::Addr`] leaf compiles the address again, so the
+/// instructions are those of the tree with `a` written out at each leaf.
+#[derive(Debug)]
+pub(crate) enum Template {
+    /// The address being remapped.
+    Addr,
+    /// The remap's `i`-th parameter, as an immediate.
+    Param(usize),
+    /// A binary ALU operation.
+    Bin(BinOp, &'static Template, &'static Template),
+    /// `cond != 0 ? a : b`.
+    Select(&'static Template, &'static Template, &'static Template),
+}
+
+use Template::{Addr, Bin, Param};
+
+/// `a + (a / period) · pad`, parameters `[period, pad]`.
+static PAD: Template = Bin(
+    BinOp::Add,
+    &Addr,
+    &Bin(BinOp::Mul, &Bin(BinOp::Div, &Addr, &Param(0)), &Param(1)),
+);
+
+/// `a ^ ((a / width) mod width)`, parameters `[width]`.
+static SWIZZLE: Template = Bin(
+    BinOp::Xor,
+    &Addr,
+    &Bin(BinOp::Rem, &Bin(BinOp::Div, &Addr, &Param(0)), &Param(0)),
+);
+
+/// `a < rows·cols ? (a mod cols)·rows + a / cols : a`, parameters
+/// `[rows·cols, cols, rows]`.
+static TRANSPOSE: Template = Template::Select(
+    &Bin(BinOp::Slt, &Addr, &Param(0)),
+    &Bin(
+        BinOp::Add,
+        &Bin(BinOp::Mul, &Bin(BinOp::Rem, &Addr, &Param(1)), &Param(2)),
+        &Bin(BinOp::Div, &Addr, &Param(1)),
+    ),
+    &Addr,
+);
+
+/// Check `transforms` against `body` in list order: each one's
+/// parameters, then, for an active remap, that no shared address
+/// contains a load. Returns the unroll factor in effect — that of the
+/// first unroll by 2 or more; after it no loop is canonical any more,
+/// so a later unroll has nothing to do.
 ///
 /// # Errors
-/// Propagates the first failing pass.
-pub fn apply_all(body: &[Stmt], transforms: &[Transform]) -> Result<Vec<Stmt>, TransformError> {
-    let mut cur = body.to_vec();
+/// The first failing check.
+pub(crate) fn check(body: &[Stmt], transforms: &[Transform]) -> Result<usize, TransformError> {
+    let mut load_in_address = None;
+    let mut unroll = 1;
     for t in transforms {
-        cur = t.apply(&cur)?;
+        t.check_params()?;
+        if t.remap().is_some() && *load_in_address.get_or_insert_with(|| any_load_in_address(body))
+        {
+            return Err(TransformError::AddressContainsLoad);
+        }
+        if let Transform::UnrollStrided { factor } = *t {
+            if unroll == 1 {
+                unroll = factor;
+            }
+        }
     }
-    Ok(cur)
+    Ok(unroll)
 }
 
 /// Shared-memory words required after `transforms`, starting from a
@@ -231,69 +268,33 @@ fn contains_load(e: &Expr) -> bool {
     }
 }
 
-/// Rewrite every shared-memory address in `body` with `remap`, recursing
-/// through nested expressions and statements.
-fn map_shared_addrs(
-    body: &[Stmt],
-    remap: &dyn Fn(Expr) -> Expr,
-) -> Result<Vec<Stmt>, TransformError> {
-    body.iter().map(|s| map_stmt(s, remap)).collect()
+/// Whether a load appears inside some shared address of `e`.
+fn load_in_address(e: &Expr) -> bool {
+    match e {
+        Expr::Imm(_) | Expr::Var(_) | Expr::Special(_) => false,
+        Expr::Bin(_, a, b) => load_in_address(a) || load_in_address(b),
+        Expr::Select(c, a, b) => load_in_address(c) || load_in_address(a) || load_in_address(b),
+        Expr::Load(Space::Shared, addr) => contains_load(addr),
+        Expr::Load(Space::Global, addr) => load_in_address(addr),
+    }
 }
 
-fn map_stmt(s: &Stmt, remap: &dyn Fn(Expr) -> Expr) -> Result<Stmt, TransformError> {
-    Ok(match s {
-        Stmt::Set(var, e) => Stmt::Set(*var, map_expr(e, remap)?),
+/// Whether a load appears inside some shared address of `body`, the
+/// one kernel shape a remap rejects: the remapped address is evaluated
+/// more than once, which would repeat the load's memory request.
+fn any_load_in_address(body: &[Stmt]) -> bool {
+    body.iter().any(|s| match s {
+        Stmt::Set(_, e) => load_in_address(e),
         Stmt::Store(space, addr, value) => {
-            let value = map_expr(value, remap)?;
-            let addr = map_expr(addr, remap)?;
-            let addr = match space {
-                Space::Shared => {
-                    if contains_load(&addr) {
-                        return Err(TransformError::AddressContainsLoad);
-                    }
-                    remap(addr)
+            load_in_address(value)
+                || match space {
+                    Space::Shared => contains_load(addr),
+                    Space::Global => load_in_address(addr),
                 }
-                Space::Global => addr,
-            };
-            Stmt::Store(*space, addr, value)
         }
-        Stmt::If(c, t, e) => Stmt::If(
-            map_expr(c, remap)?,
-            map_shared_addrs(t, remap)?,
-            map_shared_addrs(e, remap)?,
-        ),
-        Stmt::While(c, b) => Stmt::While(map_expr(c, remap)?, map_shared_addrs(b, remap)?),
-        Stmt::Barrier(scope) => Stmt::Barrier(*scope),
-        Stmt::Nop => Stmt::Nop,
-    })
-}
-
-fn map_expr(e: &Expr, remap: &dyn Fn(Expr) -> Expr) -> Result<Expr, TransformError> {
-    Ok(match e {
-        Expr::Imm(_) | Expr::Var(_) | Expr::Special(_) => e.clone(),
-        Expr::Bin(op, a, b) => Expr::Bin(
-            *op,
-            Box::new(map_expr(a, remap)?),
-            Box::new(map_expr(b, remap)?),
-        ),
-        Expr::Select(c, a, b) => Expr::Select(
-            Box::new(map_expr(c, remap)?),
-            Box::new(map_expr(a, remap)?),
-            Box::new(map_expr(b, remap)?),
-        ),
-        Expr::Load(space, addr) => {
-            let addr = map_expr(addr, remap)?;
-            let addr = match space {
-                Space::Shared => {
-                    if contains_load(&addr) {
-                        return Err(TransformError::AddressContainsLoad);
-                    }
-                    remap(addr)
-                }
-                Space::Global => addr,
-            };
-            Expr::Load(*space, Box::new(addr))
-        }
+        Stmt::If(c, t, e) => load_in_address(c) || any_load_in_address(t) || any_load_in_address(e),
+        Stmt::While(c, b) => load_in_address(c) || any_load_in_address(b),
+        Stmt::Barrier(_) | Stmt::Nop => false,
     })
 }
 
@@ -306,71 +307,33 @@ fn contains_barrier(body: &[Stmt]) -> bool {
     })
 }
 
-/// Whether a `While` matches the canonical strided shape: condition
-/// `var < to`, body ending in `var = var + step`.
-fn strided_shape(cond: &Expr, body: &[Stmt]) -> Option<crate::ast::Var> {
+/// Whether an unroll replicates the `while cond { body }` loop: it has
+/// the canonical strided shape — condition `var < to`, body ending in
+/// `var = var + step` — and no barrier. Replicating a barrier under a
+/// guard could not change a correct kernel either, but there is nothing
+/// to win: the loop overhead is not barrier-bound.
+pub(crate) fn unrolls(cond: &Expr, body: &[Stmt]) -> bool {
     let Expr::Bin(BinOp::Slt, lhs, _) = cond else {
-        return None;
+        return false;
     };
-    let Expr::Var(var) = **lhs else { return None };
+    let Expr::Var(var) = **lhs else { return false };
     let Some(Stmt::Set(inc_var, Expr::Bin(BinOp::Add, inc_lhs, _))) = body.last() else {
-        return None;
+        return false;
     };
-    if *inc_var != var {
-        return None;
-    }
-    let Expr::Var(inc_src) = **inc_lhs else {
-        return None;
-    };
-    (inc_src == var).then_some(var)
-}
-
-/// Recursively unroll canonical strided loops. Every replicated
-/// iteration re-checks the loop condition, so the rewritten loop executes
-/// exactly the same iteration sequence for any trip count; loops whose
-/// bodies contain barriers are left untouched (replicating a barrier
-/// under a guard could not change a correct kernel either, but there is
-/// nothing to win — the loop overhead is not barrier-bound).
-fn unroll_stmts(body: &[Stmt], factor: usize) -> Vec<Stmt> {
-    body.iter()
-        .map(|s| match s {
-            Stmt::If(c, t, e) => {
-                Stmt::If(c.clone(), unroll_stmts(t, factor), unroll_stmts(e, factor))
-            }
-            Stmt::While(cond, b) => {
-                let inner = unroll_stmts(b, factor);
-                if strided_shape(cond, &inner).is_none() || contains_barrier(&inner) {
-                    return Stmt::While(cond.clone(), inner);
-                }
-                let mut unrolled = inner.clone();
-                for _ in 1..factor {
-                    unrolled.push(Stmt::If(cond.clone(), inner.clone(), Vec::new()));
-                }
-                Stmt::While(cond.clone(), unrolled)
-            }
-            other => other.clone(),
-        })
-        .collect()
+    *inc_var == var && **inc_lhs == Expr::Var(var) && !contains_barrier(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::helpers::{gid, imm, immu, ld_global, ld_shared, ltid, p};
-    use crate::compile::KernelBuilder;
+    use crate::ast::helpers::{gid, imm, immu, ld_global, ld_shared, ltid, mul, p, v};
+    use crate::compile::{CompileError, KernelBuilder};
     use hmm_machine::{Kernel, LaunchShape, Machine};
 
-    /// Run `body` (appended to a fresh builder with `vars` variables
-    /// declared) on a small HMM and return the first `take` global words.
-    fn run_body(body: Vec<Stmt>, vars: usize, shared: usize, take: usize) -> Vec<i64> {
-        let mut k = KernelBuilder::new();
-        for _ in 0..vars {
-            let _ = k.var();
-        }
-        for s in body {
-            k.stmt(s);
-        }
-        let program = k.compile().unwrap();
+    /// Compile `k` under `transforms`, run it on a small HMM with
+    /// `shared` words per DMM and return the first `take` global words.
+    fn run(k: &KernelBuilder, transforms: &[Transform], shared: usize, take: usize) -> Vec<i64> {
+        let program = k.compile_with(transforms).unwrap();
         let mut m = Machine::hmm(2, 4, 4, 64, shared);
         m.launch(&Kernel::new("t", program), LaunchShape::Even(8))
             .unwrap();
@@ -379,59 +342,46 @@ mod tests {
 
     /// A kernel that round-trips ltid through shared memory:
     /// `S[f(ltid)] = gid; G[gid] = S[f(ltid)]` under any injective `f`.
-    fn shared_roundtrip() -> (Vec<Stmt>, usize) {
+    fn shared_roundtrip() -> KernelBuilder {
         let mut k = KernelBuilder::new();
         k.store(Space::Shared, ltid(), gid());
         k.bar_dmm();
         k.store(Space::Global, gid(), ld_shared(ltid()));
-        (k.body().to_vec(), 0)
+        k
     }
 
     #[test]
-    fn pad_preserves_values_and_remaps_addresses() {
-        let (body, vars) = shared_roundtrip();
-        let t = Transform::PadShared { period: 2, pad: 1 };
-        let padded = t.apply(&body).unwrap();
-        assert_ne!(padded, body);
-        let base = run_body(body, vars, 16, 8);
-        let got = run_body(padded, vars, t.required_shared(16), 8);
-        assert_eq!(base, got);
-    }
-
-    #[test]
-    fn swizzle_and_transpose_preserve_values() {
+    fn remaps_preserve_values_and_change_the_program() {
         for t in [
+            Transform::PadShared { period: 2, pad: 1 },
             Transform::SwizzleShared { width: 4 },
             Transform::TransposeShared { rows: 2, cols: 2 },
         ] {
-            let (body, vars) = shared_roundtrip();
-            let mapped = t.apply(&body).unwrap();
-            assert_ne!(mapped, body, "{}", t.name());
-            let base = run_body(body, vars, 16, 8);
-            let got = run_body(mapped, vars, t.required_shared(16), 8);
-            assert_eq!(base, got, "{}", t.name());
+            let k = shared_roundtrip();
+            assert_ne!(k.compile_with(&[t]), k.compile(), "{}", t.name());
+            let base = run(&k, &[], 16, 8);
+            assert_eq!(
+                run(&k, &[t], t.required_shared(16), 8),
+                base,
+                "{}",
+                t.name()
+            );
         }
     }
 
     #[test]
     fn unroll_preserves_any_trip_count() {
+        let mut k = KernelBuilder::new();
+        let i = k.var();
+        // Trip counts differ per thread and are not multiples of the
+        // factor: for i = gid; i < 13; i += p { G[i] = i * 3 }.
+        k.for_strided(i, gid(), imm(13), p(), |k| {
+            k.store(Space::Global, v(i), mul(v(i), imm(3)));
+        });
         for factor in [2, 3, 4] {
-            let mut k = KernelBuilder::new();
-            let i = k.var();
-            // Trip counts differ per thread and are not multiples of the
-            // factor: for i = gid; i < 13; i += p { G[i] = i * 3 }.
-            k.for_strided(i, gid(), imm(13), p(), |k| {
-                k.store(
-                    Space::Global,
-                    crate::ast::helpers::v(i),
-                    crate::ast::helpers::mul(crate::ast::helpers::v(i), imm(3)),
-                );
-            });
-            let body = k.body().to_vec();
             let t = Transform::UnrollStrided { factor };
-            let unrolled = t.apply(&body).unwrap();
-            assert_ne!(unrolled, body);
-            assert_eq!(run_body(body, 1, 8, 13), run_body(unrolled, 1, 8, 13));
+            assert_ne!(k.compile_with(&[t]), k.compile());
+            assert_eq!(run(&k, &[t], 8, 13), run(&k, &[], 8, 13));
         }
     }
 
@@ -442,46 +392,45 @@ mod tests {
         k.for_strided(i, imm(0), imm(4), imm(1), |k| {
             k.bar_dmm();
         });
-        let body = k.body().to_vec();
-        let unrolled = Transform::UnrollStrided { factor: 2 }.apply(&body).unwrap();
-        assert_eq!(unrolled, body);
+        assert_eq!(
+            k.compile_with(&[Transform::UnrollStrided { factor: 2 }]),
+            k.compile()
+        );
     }
 
     #[test]
     fn loads_in_shared_addresses_are_rejected() {
+        let pad = [Transform::PadShared { period: 4, pad: 1 }];
         let mut k = KernelBuilder::new();
         k.store(Space::Shared, ld_global(imm(0)), imm(1));
-        let err = Transform::PadShared { period: 4, pad: 1 }
-            .apply(k.body())
-            .unwrap_err();
-        assert_eq!(err, TransformError::AddressContainsLoad);
+        assert_eq!(
+            k.compile_with(&pad),
+            Err(CompileError::Transform(TransformError::AddressContainsLoad))
+        );
         // Loads in *global* addresses and in stored values are fine.
         let mut k = KernelBuilder::new();
         k.store(Space::Global, ld_global(imm(0)), ld_shared(immu(1)));
-        assert!(Transform::PadShared { period: 4, pad: 1 }
-            .apply(k.body())
-            .is_ok());
+        assert!(k.compile_with(&pad).is_ok());
     }
 
     #[test]
     fn bad_params_are_rejected() {
-        let body = Vec::new();
-        assert!(matches!(
-            Transform::PadShared { period: 0, pad: 1 }.apply(&body),
-            Err(TransformError::BadParams(_))
-        ));
-        assert!(matches!(
-            Transform::SwizzleShared { width: 6 }.apply(&body),
-            Err(TransformError::BadParams(_))
-        ));
-        assert!(matches!(
-            Transform::TransposeShared { rows: 0, cols: 4 }.apply(&body),
-            Err(TransformError::BadParams(_))
-        ));
-        assert!(matches!(
-            Transform::UnrollStrided { factor: 0 }.apply(&body),
-            Err(TransformError::BadParams(_))
-        ));
+        let k = KernelBuilder::new();
+        for t in [
+            Transform::PadShared { period: 0, pad: 1 },
+            Transform::SwizzleShared { width: 6 },
+            Transform::TransposeShared { rows: 0, cols: 4 },
+            Transform::UnrollStrided { factor: 0 },
+        ] {
+            assert!(
+                matches!(
+                    k.compile_with(&[t]),
+                    Err(CompileError::Transform(TransformError::BadParams(_)))
+                ),
+                "{}",
+                t.name()
+            );
+        }
         assert!(TransformError::AddressContainsLoad
             .to_string()
             .contains("load"));

@@ -3,7 +3,7 @@
 //!
 //! A [`Tunable`] owns the *semantics* (input generation, sequential
 //! reference, output location) and translates the candidate's abstract
-//! layout knobs into concrete [`Transform`] rewrites — only the kernel
+//! layout knobs into concrete [`Transform`] lists — only the kernel
 //! knows its shared-memory geometry, so only it can choose pad periods
 //! and transpose shapes. Two families ship:
 //!
@@ -23,8 +23,7 @@ use hmm_analysis::ThetaTerms;
 use hmm_lang::ast::helpers::{
     add, dmm, imm, immu, ld_global, ld_shared, lt, ltid, max_, min_, mul, pd, select, sub, v,
 };
-use hmm_lang::ast::Stmt;
-use hmm_lang::{apply_all, required_shared_all, KernelBuilder, Transform};
+use hmm_lang::{required_shared_all, CompileError, KernelBuilder, Transform};
 use hmm_machine::isa::Space;
 use hmm_machine::{Kernel, Word};
 use hmm_workloads::random_words;
@@ -49,8 +48,17 @@ pub enum BuildError {
     Infeasible(String),
     /// A layout transform rejected the kernel or its parameters.
     Transform(hmm_lang::TransformError),
-    /// The rewritten kernel no longer compiles.
-    Compile(hmm_lang::CompileError),
+    /// The transformed kernel does not compile.
+    Compile(CompileError),
+}
+
+impl From<CompileError> for BuildError {
+    fn from(e: CompileError) -> Self {
+        match e {
+            CompileError::Transform(t) => BuildError::Transform(t),
+            e => BuildError::Compile(e),
+        }
+    }
 }
 
 impl std::fmt::Display for BuildError {
@@ -101,7 +109,7 @@ pub trait Tunable: Sync {
     ///
     /// # Errors
     /// [`BuildError`] when the candidate is structurally infeasible,
-    /// a transform rejects it, or the rewrite no longer compiles.
+    /// a transform rejects it, or the transformed kernel does not compile.
     fn build(&self, candidate: &Candidate, n: usize) -> Result<TunedKernel, BuildError>;
 }
 
@@ -145,24 +153,6 @@ fn knob_transforms(c: &Candidate, rows: usize, cols: usize) -> Vec<Transform> {
     ts
 }
 
-/// Apply `transforms` to `body` and compile with `vars` declared
-/// variables.
-fn compile_transformed(
-    vars: usize,
-    body: &[Stmt],
-    transforms: &[Transform],
-) -> Result<hmm_machine::Program, BuildError> {
-    let body = apply_all(body, transforms).map_err(BuildError::Transform)?;
-    let mut k = KernelBuilder::new();
-    for _ in 0..vars {
-        let _ = k.var();
-    }
-    for s in body {
-        k.stmt(s);
-    }
-    k.compile().map_err(BuildError::Compile)
-}
-
 fn check_caps(shared: usize, global: usize) -> Result<(), BuildError> {
     if shared > SHARED_CAP {
         return Err(BuildError::Infeasible(format!(
@@ -201,7 +191,7 @@ pub const SUM_TILE_COLS: usize = 8;
 struct SumTunable;
 
 impl SumTunable {
-    fn body(n: usize, c: &Candidate) -> (usize, Vec<Stmt>) {
+    fn kernel(n: usize, c: &Candidate) -> KernelBuilder {
         let pdv = c.pd();
         let tile = pdv * SUM_TILE_COLS;
         let mut k = KernelBuilder::new();
@@ -276,7 +266,7 @@ impl SumTunable {
                 k.store(Space::Global, immu(n), v(acc));
             });
         });
-        (6, k.body().to_vec())
+        k
     }
 }
 
@@ -317,8 +307,7 @@ impl Tunable for SumTunable {
         let global_size = n + 1 + c.d;
         check_caps(shared_size, global_size)?;
 
-        let (vars, body) = Self::body(n, c);
-        let program = compile_transformed(vars, &body, &transforms)?;
+        let program = Self::kernel(n, c).compile_with(&transforms)?;
 
         let (nf, pf, wf, lf, df) = (n as f64, c.p() as f64, c.w as f64, c.l as f64, c.d as f64);
         let theta = ThetaTerms {
@@ -361,7 +350,7 @@ struct ConvTunable;
 
 impl ConvTunable {
     #[allow(clippy::many_single_char_names)]
-    fn body(n: usize, c: &Candidate) -> (usize, Vec<Stmt>) {
+    fn kernel(n: usize, c: &Candidate) -> KernelBuilder {
         let k_taps = CONV_TAPS;
         let m = n.div_ceil(c.d);
         let c_base = k_taps + n + k_taps - 1;
@@ -415,7 +404,7 @@ impl ConvTunable {
                 v(acc),
             );
         });
-        (5, k.body().to_vec())
+        k
     }
 }
 
@@ -451,8 +440,7 @@ impl Tunable for ConvTunable {
         let global_size = out_base + n;
         check_caps(shared_size, global_size)?;
 
-        let (vars, body) = Self::body(n, c);
-        let program = compile_transformed(vars, &body, &transforms)?;
+        let program = Self::kernel(n, c).compile_with(&transforms)?;
 
         let (nf, pf, wf, lf, kf, mf) = (
             n as f64,

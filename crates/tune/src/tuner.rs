@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hmm_analysis::{analyze, AnalysisConfig};
+use hmm_analysis::{classify_accesses, predict, AnalysisConfig};
 use hmm_core::BatchRunner;
 use hmm_machine::profile::{LaunchProfile, StallCategory};
 use hmm_machine::{LaunchShape, Machine, Word};
@@ -143,8 +143,7 @@ struct Measurement {
 fn predict_one(alg: &dyn Tunable, c: &Candidate, n: usize) -> Result<Prediction, String> {
     let tk = alg.build(c, n).map_err(|e| e.to_string())?;
     let cfg = AnalysisConfig::hmm(c.w, c.d).with_launch(tk.threads as i64, c.d);
-    let analysis = analyze(&tk.kernel.program, &cfg);
-    let est = hmm_analysis::predict(&analysis, &tk.theta);
+    let est = predict(&classify_accesses(&tk.kernel.program, &cfg), &tk.theta);
     Ok(Prediction {
         raw: est.time_units,
         global_inflation: est.global_inflation,
