@@ -9,13 +9,15 @@
 //! Those simulated fields are deterministic and diffable.
 //!
 //! Next to them go two wall-clock minima: `tune_ms`, the whole `tune`
-//! call, and `predict_ms`, a replay of its predict stage that calls
-//! `Tunable::build`, `analyze` and `predict` for every candidate. The
-//! file is written to `BENCH_tune.json` at the repository root.
+//! call, and `predict_ms`, a replay of its predict stage that makes the
+//! calls `tune` makes for every candidate: `Tunable::build`,
+//! `classify_accesses` and `predict`. Outside the timing, the full
+//! `analyze` must reproduce every prediction in the report bit for bit.
+//! The file is written to `BENCH_tune.json` at the repository root.
 //!
 //! Run with `cargo bench -p hmm-bench --bench tune`.
 
-use hmm_analysis::{analyze, predict, AnalysisConfig};
+use hmm_analysis::{analyze, classify_accesses, predict, AnalysisConfig};
 use hmm_tune::{tunable, tune, EntryStatus, TuneConfig, TuneSpace};
 use hmm_util::bench::BenchGroup;
 use hmm_util::Value;
@@ -45,14 +47,23 @@ fn main() {
         );
 
         let alg = tunable(algo).expect("tunable family");
-        let candidates = cfg.space.enumerate().expect("bench space enumerates");
+        // The candidates in report order: the baseline is appended when
+        // the space does not contain it.
+        let mut candidates = cfg.space.enumerate().expect("bench space enumerates");
+        let baseline = cfg.space.baseline();
+        if !candidates.contains(&baseline) {
+            candidates.push(baseline);
+        }
+        let acfg = |c: &hmm_tune::Candidate, threads: usize| {
+            AnalysisConfig::hmm(c.w, c.d).with_launch(threads as i64, c.d)
+        };
         let (predict_ms, predicted) = g.bench(&format!("{algo}/predict"), || {
             candidates
                 .iter()
                 .filter_map(|c| {
                     let tk = alg.build(c, n).ok()?;
-                    let acfg = AnalysisConfig::hmm(c.w, c.d).with_launch(tk.threads as i64, c.d);
-                    Some(predict(&analyze(&tk.kernel.program, &acfg), &tk.theta).time_units)
+                    let accesses = classify_accesses(&tk.kernel.program, &acfg(c, tk.threads));
+                    Some(predict(&accesses, &tk.theta).time_units)
                 })
                 .count()
         });
@@ -62,6 +73,18 @@ fn main() {
             feasible.count(),
             "{algo}: replay predicts what tune did"
         );
+        for (c, e) in candidates.iter().zip(&report.entries) {
+            let full = alg.build(c, n).ok().map(|tk| {
+                let analysis = analyze(&tk.kernel.program, &acfg(c, tk.threads));
+                predict(&analysis, &tk.theta).time_units
+            });
+            assert_eq!(
+                full.map(f64::to_bits),
+                e.predicted_raw.map(f64::to_bits),
+                "{algo}: full analysis reproduces the prediction of {}",
+                e.id
+            );
+        }
 
         println!(
             "  {algo}: baseline {} ({}) -> tuned {} ({}), {:.2}x, mean |err| {:.1}%",
@@ -100,7 +123,8 @@ fn main() {
              untuned default per algorithm family, with the static cost model's \
              mean absolute prediction error over all measured candidates. \
              tune_ms (the tune call, one worker thread) and predict_ms (its \
-             predict stage replayed: build + analyze + predict per candidate) \
+             predict stage replayed: build + classify_accesses + predict per \
+             candidate) \
              are host wall-clock minima in milliseconds; only they and \
              host_cores vary between hosts."
                 .into(),

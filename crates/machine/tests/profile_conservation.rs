@@ -55,6 +55,17 @@ fn random_program(rng: &mut Rng, global_size: usize, shared_size: usize) -> hmm_
     asm.finish()
 }
 
+/// The cycle limit of the random-program launches. The longest takes 363
+/// time units, so a sound engine never gets near the limit, and an
+/// engine defect that re-runs instructions stops with `CycleLimit`
+/// instead of spinning for minutes.
+const CYCLE_LIMIT: u64 = 1 << 13;
+
+/// Every run must finish within `1 / MARGIN` of [`CYCLE_LIMIT`], so a
+/// generator change that lengthens the runs shows up here before the
+/// limit could cut a sound run short.
+const MARGIN: u64 = 16;
+
 fn profiled_run(
     cfg: &EngineConfig,
     kernel: &Kernel,
@@ -62,8 +73,14 @@ fn profiled_run(
 ) -> (hmm_machine::SimReport, hmm_machine::LaunchProfile) {
     let mut cfg = cfg.clone();
     cfg.profile = true;
+    cfg.max_cycles = CYCLE_LIMIT;
     let mut engine = Machine::new(cfg);
     let report = engine.launch(kernel, LaunchShape::Even(p)).unwrap();
+    assert!(
+        report.time * MARGIN <= CYCLE_LIMIT,
+        "a random run took {} time units, within 1/{MARGIN} of the cycle limit {CYCLE_LIMIT}",
+        report.time
+    );
     let mut profiles = engine.take_profiles();
     assert_eq!(profiles.len(), 1, "one profile per launch");
     (report, profiles.pop().unwrap())

@@ -8,7 +8,8 @@ use hmm_machine::request::{
     slot_count, AccessKind, ConflictPolicy, Request, SlotSchedule, SlotScratch,
 };
 use hmm_machine::{
-    abi, bank_of, group_of, Asm, EngineConfig, Kernel, LaunchShape, Machine, Program, Space,
+    abi, bank_of, group_of, Asm, EngineConfig, Kernel, LaunchShape, Machine, Program, SimReport,
+    Space,
 };
 use hmm_util::Rng;
 
@@ -284,6 +285,36 @@ enum Shape {
     Looping,
 }
 
+/// The cycle limit of the random-program and affine-program launches
+/// here. The longest run takes 9,010 time units (an affine program at
+/// `w = 128`; the longest random program takes 4,356), so a sound
+/// engine never gets near the limit, and an engine defect that re-runs
+/// instructions stops with `CycleLimit` instead of spinning for minutes.
+const CYCLE_LIMIT: u64 = 1 << 18;
+
+/// Every random run must finish within `1 / MARGIN` of [`CYCLE_LIMIT`],
+/// so a generator change that lengthens the runs shows up here before
+/// the limit could cut a sound run short.
+const MARGIN: u64 = 16;
+
+/// Launch `kernel` on a fresh machine of `cfg` under [`CYCLE_LIMIT`]
+/// and check the run's margin below it.
+fn launch_limited(
+    mut cfg: EngineConfig,
+    kernel: &Kernel,
+    launch: LaunchShape,
+) -> (Machine, SimReport) {
+    cfg.max_cycles = CYCLE_LIMIT;
+    let mut engine = Machine::new(cfg);
+    let report = engine.launch(kernel, launch).unwrap();
+    assert!(
+        report.time * MARGIN <= CYCLE_LIMIT,
+        "a random run took {} time units, within 1/{MARGIN} of the cycle limit {CYCLE_LIMIT}",
+        report.time
+    );
+    (engine, report)
+}
+
 /// A random SPMD program touching registers, global and shared memory
 /// (addresses masked in-bounds) and both barrier scopes. Shared stores
 /// from different threads may race, exercising the dynamic race log.
@@ -441,8 +472,7 @@ fn random_programs_are_deterministic() {
         let run = || {
             let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
             cfg.trace = true;
-            let mut engine = Machine::new(cfg);
-            let report = engine.launch(&kernel, LaunchShape::Even(p)).unwrap();
+            let (mut engine, report) = launch_limited(cfg, &kernel, LaunchShape::Even(p));
             Observed {
                 report,
                 global: engine.global().to_vec(),
@@ -554,8 +584,7 @@ fn observe_digests(mut cfg: EngineConfig, kernel: &Kernel, launch: LaunchShape) 
     cfg.trace = true;
     cfg.profile = true;
     let d = cfg.dmms;
-    let mut engine = Machine::new(cfg);
-    let mut report = engine.launch(kernel, launch).unwrap();
+    let (mut engine, mut report) = launch_limited(cfg, kernel, launch);
     let races = engine.take_races();
     let shared_races = std::mem::take(&mut report.shared_races);
     let trace = engine.take_trace().expect("trace enabled");
@@ -814,8 +843,7 @@ fn bounded_trace_is_a_prefix_of_the_full_trace() {
             let mut cfg = EngineConfig::hmm(d, w, l, global_size, shared_size);
             cfg.trace = true;
             cfg.trace_capacity = cap;
-            let mut engine = Machine::new(cfg);
-            let report = engine.launch(&kernel, LaunchShape::Even(p)).unwrap();
+            let (mut engine, report) = launch_limited(cfg, &kernel, LaunchShape::Even(p));
             let trace = engine.take_trace().expect("trace enabled");
             (report, trace.events().to_vec(), trace.dropped_events())
         };
