@@ -3,9 +3,9 @@
 //! Given an algorithm family (`sum`, `conv`) and a declared
 //! configuration space — machine shape `d`/`w`/`l`, launch width, and
 //! kernel-layout transforms (bank-offset padding, xor swizzle, shared
-//! transpose, loop unrolling, all expressed as semantics-preserving
-//! `hmm-lang` rewrites) — find the configuration with the smallest
-//! simulated time, reproducibly:
+//! transpose, loop unrolling, all semantics-preserving `hmm-lang`
+//! transforms applied as the kernel is compiled) — find the
+//! configuration with the smallest simulated time, reproducibly:
 //!
 //! 1. the `hmm-analysis` conflict/coalescing predictor scores every
 //!    candidate statically and prunes the dominated ones;

@@ -3,7 +3,7 @@
 //! A [`TuneSpace`] is eight axes — four machine/launch parameters
 //! (`d`, `w`, `l`, `warps`) and four kernel-layout knobs (`pad`,
 //! `swizzle`, `transpose`, `unroll`) that the tunable kernels turn into
-//! [`hmm_lang::Transform`] rewrites. The cross product of the axes is
+//! [`hmm_lang::Transform`] lists. The cross product of the axes is
 //! the candidate set; enumeration order is a **mixed-radix counter**
 //! (first axis slowest, last fastest), which gives every candidate a
 //! stable index and is the order the tuner measures in, so a budget

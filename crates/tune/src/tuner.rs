@@ -1,9 +1,13 @@
 //! The tuning pipeline: **predict → prune → measure → explain**.
 //!
-//! 1. *Predict*: every enumerated candidate is built once and scored by
-//!    the static cost model ([`hmm_analysis::predict`]) — compile +
-//!    abstract interpretation, no simulation, so thousands of candidates
-//!    cost milliseconds each. The built kernel stays with its prediction.
+//! 1. *Predict*: every enumerated candidate is built once — its layout
+//!    transforms are applied as its kernel is compiled, with no copy of
+//!    the kernel's AST — and scored by the static cost model
+//!    ([`hmm_analysis::predict`]) over its access reports
+//!    ([`hmm_analysis::classify_accesses`]: the CFG, the abstract
+//!    interpretation and the conflict pass, without the lint passes).
+//!    No simulation, so a candidate costs well under a millisecond.
+//!    The built kernel stays with its prediction.
 //! 2. *Prune*: candidates predicted worse than `PRUNE_FACTOR` (8) × the
 //!    best prediction are statically dominated and never simulated (the
 //!    baseline is always kept as the calibration anchor); their kernels
