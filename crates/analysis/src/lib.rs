@@ -232,23 +232,16 @@ impl Analysis {
     }
 }
 
-/// The passes the cost model reads, with the state the lint passes
-/// reuse.
-struct Classified {
-    graph: cfg::Cfg,
-    interp: interp::Interp,
-    accesses: Vec<AccessReport>,
-}
-
-fn classify(program: &Program, config: &AnalysisConfig) -> Classified {
+/// The passes the cost model reads: the access reports, with the graph
+/// and the interpretation the lint passes reuse.
+fn classify(
+    program: &Program,
+    config: &AnalysisConfig,
+) -> (cfg::Cfg, interp::Interp, Vec<AccessReport>) {
     let graph = cfg::Cfg::build(program);
     let interp = interp::run(program, &graph, config);
     let accesses = conflict::classify(program, &graph, &interp, config);
-    Classified {
-        graph,
-        interp,
-        accesses,
-    }
+    (graph, interp, accesses)
 }
 
 /// Classify every reachable memory access of `program` under `config`:
@@ -257,18 +250,14 @@ fn classify(program: &Program, config: &AnalysisConfig) -> Classified {
 /// [`analyze`]'s `accesses`; [`predict`] reads nothing else.
 #[must_use]
 pub fn classify_accesses(program: &Program, config: &AnalysisConfig) -> Vec<AccessReport> {
-    classify(program, config).accesses
+    classify(program, config).2
 }
 
 /// Run every analysis pass over `program` under `config`: the access
 /// classification of [`classify_accesses`], then the lint passes.
 #[must_use]
 pub fn analyze(program: &Program, config: &AnalysisConfig) -> Analysis {
-    let Classified {
-        graph,
-        interp,
-        accesses,
-    } = classify(program, config);
+    let (graph, interp, accesses) = classify(program, config);
     let mut diagnostics = Vec::new();
     dataflow::lint(program, &graph, &mut diagnostics);
     conflict::lint(program, &graph, &accesses, config, &mut diagnostics);

@@ -259,23 +259,14 @@ pub fn required_shared_all(base: usize, transforms: &[Transform]) -> usize {
         .fold(base, |acc, t| t.required_shared(acc))
 }
 
-fn contains_load(e: &Expr) -> bool {
+/// Whether a load appears inside some shared address of `e` — or
+/// anywhere in `e` when `e` is itself part of a shared address.
+fn load_in_address(e: &Expr, in_address: bool) -> bool {
     match e {
         Expr::Imm(_) | Expr::Var(_) | Expr::Special(_) => false,
-        Expr::Bin(_, a, b) => contains_load(a) || contains_load(b),
-        Expr::Select(c, a, b) => contains_load(c) || contains_load(a) || contains_load(b),
-        Expr::Load(..) => true,
-    }
-}
-
-/// Whether a load appears inside some shared address of `e`.
-fn load_in_address(e: &Expr) -> bool {
-    match e {
-        Expr::Imm(_) | Expr::Var(_) | Expr::Special(_) => false,
-        Expr::Bin(_, a, b) => load_in_address(a) || load_in_address(b),
-        Expr::Select(c, a, b) => load_in_address(c) || load_in_address(a) || load_in_address(b),
-        Expr::Load(Space::Shared, addr) => contains_load(addr),
-        Expr::Load(Space::Global, addr) => load_in_address(addr),
+        Expr::Bin(_, a, b) => load_in_address(a, in_address) || load_in_address(b, in_address),
+        Expr::Select(c, a, b) => [c, a, b].iter().any(|x| load_in_address(x, in_address)),
+        Expr::Load(space, addr) => in_address || load_in_address(addr, *space == Space::Shared),
     }
 }
 
@@ -284,16 +275,14 @@ fn load_in_address(e: &Expr) -> bool {
 /// more than once, which would repeat the load's memory request.
 fn any_load_in_address(body: &[Stmt]) -> bool {
     body.iter().any(|s| match s {
-        Stmt::Set(_, e) => load_in_address(e),
+        Stmt::Set(_, e) => load_in_address(e, false),
         Stmt::Store(space, addr, value) => {
-            load_in_address(value)
-                || match space {
-                    Space::Shared => contains_load(addr),
-                    Space::Global => load_in_address(addr),
-                }
+            load_in_address(value, false) || load_in_address(addr, *space == Space::Shared)
         }
-        Stmt::If(c, t, e) => load_in_address(c) || any_load_in_address(t) || any_load_in_address(e),
-        Stmt::While(c, b) => load_in_address(c) || any_load_in_address(b),
+        Stmt::If(c, t, e) => {
+            load_in_address(c, false) || any_load_in_address(t) || any_load_in_address(e)
+        }
+        Stmt::While(c, b) => load_in_address(c, false) || any_load_in_address(b),
         Stmt::Barrier(_) | Stmt::Nop => false,
     })
 }
