@@ -26,8 +26,8 @@
 //! 5. **Dispatch**: one global pipeline slot, then one shared-memory slot
 //!    on each DMM in order.
 //!
-//! In debug builds, [`Launch::audit`] then checks the counts, due cycles
-//! and masks derived from the thread table against it.
+//! In debug builds, [`Launch::audit`] then checks the counts, due cycles,
+//! masks and flags derived from the thread table against it.
 //!
 //! That is the trace's canonical order within a cycle — completions
 //! (global, then shared by DMM), barrier releases (DMMs ascending, then
@@ -47,6 +47,36 @@
 //! release wakes its DMM warp by warp, as a completion wakes its slot's
 //! warp, so each warp's runnable count and due cycle change once
 //! ([`Threads::wake_barrier`]).
+//!
+//! ## Per-cycle work on the DMMs that act
+//!
+//! The steps above visit a DMM only where it can act, through counts and
+//! flags kept where their state changes, so a visited cycle in which few
+//! DMMs act costs little more than those DMMs' work. Each skip is exact:
+//!
+//! - **Live threads.** [`Threads::live`] falls with each DMM's own
+//!   `alive` at a `halt`; the machine-wide barrier and the end of the
+//!   launch read it instead of summing the DMMs.
+//! - **Barrier releases** run only in a cycle in which a `bar` arrived or
+//!   a `halt` issued ([`Threads::synced`]): a barrier's arrivals rise
+//!   only by arrival, its live threads fall only by halt, and a release
+//!   zeroes its arrivals in the same cycle, so its condition can first
+//!   hold only then.
+//! - **Assembly** skips a DMM whose posted flag ([`DmmRt::posted`]) is
+//!   clear: a warp posts only in its own step, which sets the flag, and
+//!   assembly clears it unless a still-runnable warp holds posted lanes.
+//! - **Errors.** Assembly sets [`Launch::failed`] where it stores a DMM's
+//!   error; the global slot and the error return read the flag, and the
+//!   launch ends in that cycle.
+//! - **Busy DMMs.** A DMM is busy while its shared pipeline holds a
+//!   queued, current or in-flight slot or a barrier release is parked
+//!   ([`DmmRt::busy`]); assembly and a parked release set the flag, and
+//!   phase A clears it once delivery leaves the DMM idle. Phase A's
+//!   parked-release and shared-delivery checks, shared dispatch and the
+//!   DMMs' next events visit only busy DMMs, in DMM order, and none when
+//!   [`Launch::busy`] is 0: an idle DMM delivers and dispatches nothing
+//!   and has no next event, so the trace, the race log and the profile
+//!   are unchanged.
 //!
 //! ## The event-driven clock
 //!
@@ -262,6 +292,12 @@ impl PipeRt {
 
     fn next_due(&self) -> Option<u64> {
         self.completions.front().map(|c| c.0)
+    }
+
+    /// No transaction queued or in progress and no slot in flight: the
+    /// pipeline has nothing to dispatch or deliver and no next event.
+    fn is_idle(&self) -> bool {
+        self.current.is_none() && self.queue.is_empty() && self.completions.is_empty()
     }
 
     /// Open an empty transaction for warp `warp`, reusing a finished
@@ -606,6 +642,12 @@ struct Threads {
     warp_due: Vec<u64>,
     /// Arrivals at the machine-wide barrier.
     bar_global: usize,
+    /// Live threads machine-wide (the machine-wide barrier's release
+    /// threshold; the launch ends when it reaches 0).
+    live: usize,
+    /// A `bar` arrival or a `halt` issued this cycle: only such an event
+    /// can first make a barrier's arrivals equal its live threads.
+    synced: bool,
     /// The cycle limit: a lane that reaches it stops there.
     max_cycles: u64,
     instructions: u64,
@@ -735,6 +777,7 @@ impl Threads {
                 return Ok(());
             }
             GroupEffect::Mem(_) => {
+                dmm.posted = true;
                 let first = self.warps[wid].first;
                 let mask = &mut self.posted[wid * self.mask_words..][..self.mask_words];
                 for &t in lanes {
@@ -752,12 +795,15 @@ impl Threads {
                     Scope::Global => self.bar_global += n,
                     Scope::Dmm => dmm.bar_dmm += n,
                 }
+                self.synced = true;
             }
             GroupEffect::Halt => {
                 for &t in lanes {
                     self.status[t] = Status::Halted;
                 }
                 dmm.alive -= n;
+                self.live -= n;
+                self.synced = true;
                 self.finish_time = now + 1;
             }
         }
@@ -990,6 +1036,13 @@ struct DmmRt<'m> {
     /// The error this DMM hit assembling its warps' transactions; the
     /// driver stops at the end of the cycle with the lowest DMM's.
     err: Option<SimError>,
+    /// Set when a warp of this DMM posts a memory request; after
+    /// assembly, still set only if a runnable warp holds posted lanes.
+    /// Assembly skips the DMM while it is clear.
+    posted: bool,
+    /// Not idle ([`DmmRt::is_idle`]): the driver delivers, dispatches and
+    /// asks for next events only on busy DMMs.
+    busy: bool,
 }
 
 impl DmmRt<'_> {
@@ -998,9 +1051,11 @@ impl DmmRt<'_> {
     /// active, and open a new race-checking interval. A free release lets
     /// the threads run at `now + 1`, so resuming at `now + cost + 1`
     /// charges exactly `cost` extra units.
-    fn release(&mut self, now: u64, cost: u64, threads: &mut Threads) {
+    /// A parked release makes the DMM busy, counted in `busy`.
+    fn release(&mut self, now: u64, cost: u64, threads: &mut Threads, busy: &mut usize) {
         if cost > 0 {
             self.parked_until = Some(now.saturating_add(cost).saturating_add(1));
+            self.set_busy(busy);
         } else {
             threads.wake_barrier(self.warps.clone(), now + 1);
         }
@@ -1023,6 +1078,20 @@ impl DmmRt<'_> {
         let pipe = self.pipe.as_ref().and_then(|p| p.next_event(now));
         pipe.into_iter().chain(self.parked_until).min()
     }
+
+    /// No barrier release parked and the shared pipeline, if any, idle:
+    /// such a DMM delivers and dispatches nothing and has no next event.
+    fn is_idle(&self) -> bool {
+        self.parked_until.is_none() && self.pipe.as_ref().is_none_or(PipeRt::is_idle)
+    }
+
+    /// Mark the DMM busy, counting it in `busy` if it was idle.
+    fn set_busy(&mut self, busy: &mut usize) {
+        if !self.busy {
+            self.busy = true;
+            *busy += 1;
+        }
+    }
 }
 
 // ---- the launch ------------------------------------------------------------
@@ -1043,6 +1112,11 @@ struct Launch<'m> {
     trace: Trace,
     races: RaceLog,
     barriers: u64,
+    /// Busy DMMs ([`DmmRt::busy`]).
+    busy: usize,
+    /// Some DMM's assembly stored an error this cycle; the launch ends
+    /// with it at the cycle's end.
+    failed: bool,
 }
 
 impl Launch<'_> {
@@ -1052,6 +1126,9 @@ impl Launch<'_> {
     /// assembly on each DMM; one global pipeline slot; one shared slot on
     /// each DMM. That is the trace's canonical order, so events and
     /// race-log entries are appended as they are produced.
+    ///
+    /// Only the DMMs that can act are visited (see the module doc, "Per-cycle
+    /// work on the DMMs that act").
     ///
     /// Phase A writes no memory, so its first error (the lowest DMM's)
     /// returns at once. An assembly error skips the cycle's global slot,
@@ -1076,27 +1153,34 @@ impl Launch<'_> {
             for d in 0..self.dmms.len() {
                 self.phase_a(d, now)?;
             }
-            for d in 0..self.dmms.len() {
-                self.release_dmm(d, now);
+            if std::mem::take(&mut self.threads.synced) {
+                for d in 0..self.dmms.len() {
+                    self.release_dmm(d, now);
+                }
+                self.release_global(now);
             }
-            self.release_global(now);
             for d in 0..self.dmms.len() {
-                self.assemble(d);
+                if self.dmms[d].posted {
+                    self.assemble(d);
+                }
             }
-            if self.dmms.iter().all(|m| m.err.is_none()) {
+            if !self.failed {
                 self.global
                     .dispatch(now, self.store, &mut self.trace, |_, _| {});
             }
-            for m in self.dmms.iter_mut().filter(|m| m.err.is_none()) {
-                m.dispatch_shared(now, &mut self.trace, &mut self.races);
-            }
-            if let Some(e) = self.dmms.iter_mut().find_map(|m| m.err.take()) {
-                return Err(e);
+            if self.busy > 0 {
+                for m in self.dmms.iter_mut().filter(|m| m.busy && m.err.is_none()) {
+                    m.dispatch_shared(now, &mut self.trace, &mut self.races);
+                }
             }
             if cfg!(debug_assertions) {
                 self.audit();
             }
-            if self.dmms.iter().all(|m| m.alive == 0) {
+            if self.failed {
+                let err = self.dmms.iter_mut().find_map(|m| m.err.take());
+                return Err(err.expect("a failed assembly stored its error"));
+            }
+            if self.threads.live == 0 {
                 return Ok(skipped);
             }
             let (target, runnable) = self.next_time(now)?;
@@ -1121,14 +1205,20 @@ impl Launch<'_> {
     fn phase_a(&mut self, d: usize, now: u64) -> SimResult<()> {
         let dmm = &mut self.dmms[d];
         let threads = &mut self.threads;
-        if dmm.parked_until.is_some_and(|t| t <= now) {
-            dmm.parked_until = None;
-            threads.wake_barrier(dmm.warps.clone(), now);
-        }
-        if let Some(pipe) = dmm.pipe.as_mut() {
-            pipe.deliver(now, &mut self.trace, |space, wid, slot, conflict| {
-                threads.complete(now, space, wid, slot, conflict);
-            });
+        if dmm.busy {
+            if dmm.parked_until.is_some_and(|t| t <= now) {
+                dmm.parked_until = None;
+                threads.wake_barrier(dmm.warps.clone(), now);
+            }
+            if let Some(pipe) = dmm.pipe.as_mut() {
+                pipe.deliver(now, &mut self.trace, |space, wid, slot, conflict| {
+                    threads.complete(now, space, wid, slot, conflict);
+                });
+            }
+            if dmm.is_idle() {
+                dmm.busy = false;
+                self.busy -= 1;
+            }
         }
         for wid in dmm.warps.clone() {
             if threads.warp_due[wid] <= now {
@@ -1147,7 +1237,12 @@ impl Launch<'_> {
         let dmm = &mut self.dmms[d];
         if dmm.bar_dmm > 0 && dmm.bar_dmm == dmm.alive {
             let n = dmm.bar_dmm;
-            dmm.release(now, self.cfg.barrier_cost, &mut self.threads);
+            dmm.release(
+                now,
+                self.cfg.barrier_cost,
+                &mut self.threads,
+                &mut self.busy,
+            );
             dmm.bar_dmm = 0;
             self.barriers += 1;
             self.trace.record(|| TraceEvent::BarrierReleased {
@@ -1162,8 +1257,7 @@ impl Launch<'_> {
     /// live threads of every DMM; each DMM releases its own threads.
     fn release_global(&mut self, now: u64) {
         let waiting = self.threads.bar_global;
-        let alive: usize = self.dmms.iter().map(|m| m.alive).sum();
-        if waiting == 0 || waiting != alive {
+        if waiting == 0 || waiting != self.threads.live {
             return;
         }
         self.barriers += 1;
@@ -1173,7 +1267,12 @@ impl Launch<'_> {
             threads: waiting,
         });
         for dmm in &mut self.dmms {
-            dmm.release(now, self.cfg.barrier_cost, &mut self.threads);
+            dmm.release(
+                now,
+                self.cfg.barrier_cost,
+                &mut self.threads,
+                &mut self.busy,
+            );
         }
         self.threads.bar_global = 0;
     }
@@ -1184,15 +1283,17 @@ impl Launch<'_> {
     /// lowest posted lane, become one transaction ([`Launch::post`]). An
     /// address error stops the DMM's assembly and is kept in its `err`.
     fn assemble(&mut self, d: usize) {
+        let mut held = false;
         for wid in self.dmms[d].warps.clone() {
             let warp = &self.threads.warps[wid];
-            if warp.runnable > 0 {
-                continue;
-            }
             let mask = self.threads.posted(wid);
             let Some(k) = mask.iter().position(|&m| m != 0) else {
                 continue;
             };
+            if warp.runnable > 0 {
+                held = true;
+                continue;
+            }
             let lowest = warp.first + 64 * k + mask[k].trailing_zeros() as usize;
             let space = self.threads.lanes.req(lowest).space;
             let other = match space {
@@ -1208,11 +1309,13 @@ impl Launch<'_> {
                 let shared = dmm.pipe.as_ref().map(|_| dmm.store.len());
                 let err = self.threads.first_fault(wid, self.cfg.global_size, shared);
                 self.dmms[d].err = Some(err);
+                self.failed = true;
                 return;
             }
             let words = self.threads.mask_words;
             self.threads.posted[wid * words..][..words].fill(0);
         }
+        self.dmms[d].posted = held;
     }
 
     /// Compact warp `wid`'s posted requests to `space`, in lane order,
@@ -1256,6 +1359,9 @@ impl Launch<'_> {
             return None;
         }
         pipe.submit(id, &mut self.slot_scratch, self.cfg.width);
+        if space == Space::Shared {
+            dmm.set_busy(&mut self.busy);
+        }
         Some(other)
     }
 
@@ -1283,11 +1389,16 @@ impl Launch<'_> {
         if due <= now + 1 {
             return Ok((now + 1, true));
         }
+        let busy = if self.busy > 0 { &self.dmms[..] } else { &[] };
         let next = self
             .global
             .next_event(now)
             .into_iter()
-            .chain(self.dmms.iter().filter_map(|m| m.next_event(now)))
+            .chain(
+                busy.iter()
+                    .filter(|m| m.busy)
+                    .filter_map(|m| m.next_event(now)),
+            )
             .chain(runnable.then_some(due))
             .min();
         match next {
@@ -1303,14 +1414,17 @@ impl Launch<'_> {
     /// Check, at the end of a visited cycle in debug builds, that the
     /// state derived from the thread table agrees with it: each warp's
     /// runnable count and due cycle, and no posted lane left in a warp
-    /// that assembly had to take; each DMM's live threads and, unless
-    /// its release is parked, its barrier arrivals (a waiting lane's pc
-    /// sits just past its `bar`), with the machine-wide arrivals summed
-    /// over those DMMs; and every queued or in-flight request naming an
-    /// in-flight lane of its transaction's warp.
+    /// that assembly had to take (unless its DMM's assembly failed), nor
+    /// in any warp of a DMM whose posted flag is clear; each DMM's live
+    /// threads and, unless its release is parked, its barrier arrivals
+    /// (a waiting lane's pc sits just past its `bar`), with the
+    /// machine-wide arrivals and live threads summed over those DMMs;
+    /// each DMM's busy flag, and their count; the error flag; and every
+    /// queued or in-flight request naming an in-flight lane of its
+    /// transaction's warp.
     fn audit(&self) {
         let t = &self.threads;
-        let mut bar_global = 0;
+        let (mut bar_global, mut live, mut busy) = (0, 0, 0);
         for (d, dmm) in self.dmms.iter().enumerate() {
             let (mut alive, mut bar_dmm) = (0, 0);
             for wid in dmm.warps.clone() {
@@ -1335,17 +1449,32 @@ impl Launch<'_> {
                 }
                 assert_eq!(warp.runnable, runnable, "audit: warp {wid} runnable");
                 assert_eq!(t.warp_due[wid], due, "audit: warp {wid} due cycle");
+                let clear = t.posted(wid).iter().all(|&m| m == 0);
                 assert!(
-                    runnable > 0 || t.posted(wid).iter().all(|&m| m == 0),
+                    runnable > 0 || clear || dmm.err.is_some(),
                     "audit: warp {wid} kept a posted lane after assembly"
+                );
+                assert!(
+                    dmm.posted || clear,
+                    "audit: warp {wid} holds a posted lane, but DMM {d}'s posted flag is clear"
                 );
             }
             assert_eq!(dmm.alive, alive, "audit: DMM {d} live threads");
             if dmm.parked_until.is_none() {
                 assert_eq!(dmm.bar_dmm, bar_dmm, "audit: DMM {d} barrier arrivals");
             }
+            assert_eq!(dmm.busy, !dmm.is_idle(), "audit: DMM {d} busy flag");
+            live += dmm.alive;
+            busy += usize::from(dmm.busy);
         }
         assert_eq!(t.bar_global, bar_global, "audit: machine-wide arrivals");
+        assert_eq!(t.live, live, "audit: machine-wide live threads");
+        assert_eq!(self.busy, busy, "audit: busy DMMs");
+        assert_eq!(
+            self.failed,
+            self.dmms.iter().any(|m| m.err.is_some()),
+            "audit: error flag"
+        );
         let pipes = self.dmms.iter().filter_map(|m| m.pipe.as_ref());
         for (wid, req) in pipes.chain([&self.global]).flat_map(PipeRt::pending) {
             let warp = &t.warps[wid];
@@ -1472,6 +1601,8 @@ pub(crate) fn run(
             store,
             race_ck: RaceCk::new(d, cfg.shared_size),
             err: None,
+            posted: false,
+            busy: false,
         });
         first = threads.end;
     }
@@ -1489,6 +1620,8 @@ pub(crate) fn run(
             posted: vec![0; num_warps * w.div_ceil(64)],
             mask_words: w.div_ceil(64),
             bar_global: 0,
+            live: p,
+            synced: false,
             max_cycles: cfg.max_cycles,
             instructions: 0,
             finish_time: 0,
@@ -1506,6 +1639,8 @@ pub(crate) fn run(
         }),
         races: RaceLog::default(),
         barriers: 0,
+        busy: 0,
+        failed: false,
     };
     let skipped = launch.drive()?;
 
