@@ -12,8 +12,9 @@
 //!    best prediction are statically dominated and never simulated (the
 //!    baseline is always kept as the calibration anchor); their kernels
 //!    are dropped.
-//! 3. *Measure*: the baseline is measured first, outside the budget, so
-//!    the winner can never be slower than the untuned default. Then one
+//! 3. *Measure*: the baseline is measured first, outside the budget and
+//!    with the cycle-accounting profiler on, so the winner can never be
+//!    slower than the untuned default. Then one
 //!    wave — the first `budget` survivors other than the baseline, in
 //!    enumeration order — is simulated exactly, in parallel via the
 //!    keyed batch runner, one launch per worker, each launching the
@@ -22,9 +23,10 @@
 //!    calibration against the baseline turns raw scores into predicted
 //!    time units, and every measured candidate gets a
 //!    predicted-vs-measured error — the model audits itself.
-//! 4. *Explain*: the winner and the baseline are re-run with the
-//!    cycle-accounting profiler on, and the report shows where the
-//!    saved thread-cycles came from (bank conflicts, latency, barriers).
+//! 4. *Explain*: the winner is re-run with the profiler on (unless it is
+//!    the baseline, whose profile stage 3 kept), and the report shows
+//!    where the saved thread-cycles came from (bank conflicts, latency,
+//!    barriers).
 //!
 //! Determinism: which candidates are measured depends only on the space
 //! and the budget, and wave results are order-stable
@@ -141,6 +143,8 @@ struct Measurement {
     time: u64,
     valid: bool,
     error: Option<String>,
+    /// The launch profile of a profiled measurement: the baseline's in
+    /// stage 3, the winner's in stage 4.
     profile: Option<LaunchProfile>,
 }
 
@@ -287,7 +291,7 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
             .map(|k| (k.config, k.result))
     };
 
-    let mut results: BTreeMap<usize, Measurement> = measure(vec![baseline_idx], false).collect();
+    let mut results: BTreeMap<usize, Measurement> = measure(vec![baseline_idx], true).collect();
     let b = &results[&baseline_idx];
     if let Some(e) = &b.error {
         return Err(TuneError::Baseline(format!("simulation error: {e}")));
@@ -322,9 +326,19 @@ pub fn tune(cfg: &TuneConfig) -> Result<TuneReport, TuneError> {
         .ok_or(TuneError::NoValidCandidate)?;
     let winner_time = results[&winner_idx].time;
 
-    // Stage 4: explain the winner against the baseline.
-    let profiled: Vec<_> = measure(vec![baseline_idx, winner_idx], true).collect();
-    let explain = match (&profiled[0].1.profile, &profiled[1].1.profile) {
+    // Stage 4: explain the winner against the baseline's stage-3
+    // profile.
+    let baseline_profile = results[&baseline_idx].profile.as_ref();
+    let rerun;
+    let winner_profile = if winner_idx == baseline_idx {
+        baseline_profile
+    } else {
+        rerun = measure(vec![winner_idx], true)
+            .next()
+            .and_then(|(_, m)| m.profile);
+        rerun.as_ref()
+    };
+    let explain = match (baseline_profile, winner_profile) {
         (Some(b), Some(w)) => explain_rows(b, w),
         _ => Vec::new(),
     };
