@@ -139,6 +139,26 @@ pub enum Inst {
     Halt,
 }
 
+impl Inst {
+    /// Every register the instruction names: its destination, then its
+    /// register operands in order.
+    pub fn regs(&self) -> impl Iterator<Item = Reg> {
+        let (dst, ops) = match *self {
+            Inst::Mov(d, a) => (Some(d), [Some(a), None, None]),
+            Inst::Bin(_, d, a, b) | Inst::Ld(d, _, a, b) => (Some(d), [Some(a), Some(b), None]),
+            Inst::Sel(d, c, a, b) => (Some(d), [Some(c), Some(a), Some(b)]),
+            Inst::St(_, a, b, c) => (None, [Some(a), Some(b), Some(c)]),
+            Inst::Brz(c, _) | Inst::Brnz(c, _) => (None, [Some(c), None, None]),
+            Inst::Jmp(_) | Inst::Bar(_) | Inst::Nop | Inst::Halt => (None, [None; 3]),
+        };
+        dst.into_iter()
+            .chain(ops.into_iter().flatten().filter_map(|o| match o {
+                Operand::Reg(r) => Some(r),
+                Operand::Imm(_) => None,
+            }))
+    }
+}
+
 /// A finished, branch-resolved program (shared by every thread of a launch,
 /// exactly like a CUDA kernel: same code, different thread ids).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -42,6 +42,7 @@ use crate::profile::LaunchProfile;
 use crate::request::ConflictPolicy;
 use crate::stats::SimReport;
 use crate::trace::Trace;
+use crate::vm::REG_COUNT;
 use crate::word::Word;
 
 /// Static description of a machine.
@@ -449,12 +450,29 @@ impl Machine {
     ///
     /// # Errors
     /// [`SimError::BadLaunch`] for a degenerate machine (no DMM, width 0
-    /// or latency 0) or launch (no thread, a `PerDmm` shape naming
-    /// another DMM count, too many argument words); otherwise any
+    /// or latency 0), program (a register at or past [`REG_COUNT`]) or
+    /// launch (no thread, a `PerDmm` shape naming another DMM count, too
+    /// many argument words); otherwise any
     /// [`SimError`] raised during simulation (bad address, deadlock,
     /// cycle limit, ...).
     pub fn launch(&mut self, kernel: &Kernel, shape: LaunchShape) -> SimResult<SimReport> {
         self.cfg.validate()?;
+        let bad_reg = kernel
+            .program
+            .insts()
+            .iter()
+            .enumerate()
+            .find_map(|(pc, inst)| {
+                inst.regs()
+                    .find(|r| usize::from(r.0) >= REG_COUNT)
+                    .map(|r| (pc, r))
+            });
+        if let Some((pc, r)) = bad_reg {
+            return Err(SimError::BadLaunch(format!(
+                "instruction {pc} names register r{}, past the {REG_COUNT} registers",
+                r.0
+            )));
+        }
         let threads_per_dmm = shape.into_threads_per_dmm(self.cfg.dmms)?;
         if threads_per_dmm.iter().sum::<usize>() == 0 {
             return Err(SimError::BadLaunch("launch with zero threads".into()));

@@ -758,3 +758,28 @@ fn race_log_keeps_the_first_entries_across_dmms() {
     assert_eq!(expected.len(), hmm_machine::machine::MAX_LOGGED_RACES);
     assert_eq!(races, expected);
 }
+
+/// A register at or past `REG_COUNT` is a typed launch error, found
+/// before the launch allocates its thread table.
+#[test]
+fn register_past_the_file_is_a_bad_launch() {
+    use hmm_machine::isa::{Inst, Operand};
+    let program =
+        hmm_machine::Program::from_insts(vec![Inst::Mov(Reg(64), Operand::Imm(1)), Inst::Halt]);
+    let mut eng = Machine::umm(32, 4, 64);
+    let err = eng
+        .launch(&Kernel::new("test", program), LaunchShape::Even(32))
+        .unwrap_err();
+    assert!(
+        matches!(&err, SimError::BadLaunch(m) if m.contains("r64")),
+        "{err:?}"
+    );
+    // The last register is still in range.
+    let mut a = Asm::new();
+    a.mov(Reg(63), 1);
+    a.st_global(abi::GID, 0, Reg(63));
+    a.halt();
+    let rep = eng.launch(&Kernel::new("test", a.finish()), LaunchShape::Even(32));
+    assert!(rep.is_ok());
+    assert!(eng.global()[..32].iter().all(|&v| v == 1));
+}
