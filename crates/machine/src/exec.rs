@@ -1195,8 +1195,9 @@ impl Launch<'_> {
         }
     }
 
-    /// Phase A of DMM `d`: deliver its parked barrier release and the
-    /// shared-memory completions due this cycle, then step every warp of
+    /// Phase A of DMM `d`: if it is busy, deliver its parked barrier
+    /// release and the shared-memory completions due this cycle, and
+    /// count it idle once nothing is left; then step every warp of
     /// its range with a lane due at `now` ([`Threads::step_warp`]), in
     /// warp order. Fails with the error of the lowest-numbered erring
     /// thread: lanes never interact within a step, so that is the error
@@ -1287,13 +1288,13 @@ impl Launch<'_> {
         for wid in self.dmms[d].warps.clone() {
             let warp = &self.threads.warps[wid];
             let mask = self.threads.posted(wid);
+            if warp.runnable > 0 {
+                held = held || mask.iter().any(|&m| m != 0);
+                continue;
+            }
             let Some(k) = mask.iter().position(|&m| m != 0) else {
                 continue;
             };
-            if warp.runnable > 0 {
-                held = true;
-                continue;
-            }
             let lowest = warp.first + 64 * k + mask[k].trailing_zeros() as usize;
             let space = self.threads.lanes.req(lowest).space;
             let other = match space {

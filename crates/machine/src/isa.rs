@@ -142,7 +142,7 @@ pub enum Inst {
 impl Inst {
     /// Every register the instruction names: its destination, then its
     /// register operands in order.
-    pub fn regs(&self) -> impl Iterator<Item = Reg> {
+    pub(crate) fn regs(&self) -> impl Iterator<Item = Reg> {
         let (dst, ops) = match *self {
             Inst::Mov(d, a) => (Some(d), [Some(a), None, None]),
             Inst::Bin(_, d, a, b) | Inst::Ld(d, _, a, b) => (Some(d), [Some(a), Some(b), None]),
