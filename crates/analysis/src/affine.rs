@@ -219,10 +219,10 @@ fn scale(v: AbsVal, k: i64, w: i64) -> AbsVal {
 #[must_use]
 #[allow(clippy::similar_names)]
 pub fn binop(op: BinOp, a: AbsVal, b: AbsVal, w: i64) -> AbsVal {
-    // Fully known operands evaluate concretely (mirrors vm semantics for
-    // the total ops; Div/Rem by zero is a runtime error, so Any is fine).
+    // Fully known operands evaluate as the ALU does (Div/Rem by zero is
+    // a runtime error, so Any is fine).
     if let (Some(x), Some(y)) = (a.as_known(), b.as_known()) {
-        if let Some(v) = eval_known(op, x, y) {
+        if let Some(v) = op.eval(x, y) {
             return AbsVal::known(v);
         }
     }
@@ -311,38 +311,6 @@ fn neg_base(b: Base, w: i64) -> Base {
         Base::ModW(r) => Base::ModW((-r).rem_euclid(w)),
         Base::Any => Base::Any,
     }
-}
-
-/// Concrete evaluation matching `hmm_machine::vm` semantics.
-fn eval_known(op: BinOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::Shr => a.wrapping_shr(b as u32),
-        BinOp::Slt => i64::from(a < b),
-        BinOp::Sle => i64::from(a <= b),
-        BinOp::Seq => i64::from(a == b),
-        BinOp::Sne => i64::from(a != b),
-    })
 }
 
 #[cfg(test)]

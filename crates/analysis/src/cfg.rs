@@ -258,7 +258,7 @@ mod tests {
     use hmm_machine::isa::{Operand, Reg};
 
     fn prog(insts: Vec<Inst>) -> Program {
-        Program::from_insts(insts)
+        Program::new(insts).unwrap()
     }
 
     #[test]

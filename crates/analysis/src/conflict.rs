@@ -24,7 +24,7 @@ use hmm_machine::request::{slot_count, AccessKind, ConflictPolicy, Request};
 use crate::affine::{binop, AbsVal, Base};
 use crate::cfg::Cfg;
 use crate::diag::{Code, Diagnostic};
-use crate::interp::Interp;
+use crate::interp::{operand_at, Interp};
 use crate::AnalysisConfig;
 use hmm_machine::isa::BinOp;
 
@@ -138,12 +138,8 @@ pub fn lint(
 
 /// Abstract `base + off` at `pc`; `None` when unreachable or `Top`.
 fn address_at(interp: &Interp, pc: usize, base: Operand, off: Operand, w: i64) -> Option<AbsVal> {
-    let st = interp.state.get(pc)?;
-    let get = |op: Operand| match op {
-        Operand::Reg(r) => st[r.0 as usize],
-        Operand::Imm(v) => AbsVal::known(v),
-    };
-    let a = binop(BinOp::Add, get(base), get(off), w);
+    let at = |op| operand_at(interp, pc, op);
+    let a = binop(BinOp::Add, at(base)?, at(off)?, w);
     (a != AbsVal::Top).then_some(a)
 }
 

@@ -6,7 +6,7 @@
 //! are plain word-at-a-time fixpoints over the block graph.
 
 use hmm_machine::abi;
-use hmm_machine::isa::{Inst, Operand, Program, Reg};
+use hmm_machine::isa::{Inst, Program, Reg};
 use hmm_machine::REG_COUNT;
 
 use crate::cfg::Cfg;
@@ -14,28 +14,15 @@ use crate::diag::{Code, Diagnostic};
 
 const _: () = assert!(REG_COUNT == 64, "register bitsets assume 64 registers");
 
+/// A register's bit; a [`Program`] names only registers below 64.
 fn bit(r: Reg) -> u64 {
-    1u64 << (u64::from(r.0) % 64)
-}
-
-fn op_bit(op: Operand) -> u64 {
-    match op {
-        Operand::Reg(r) => bit(r),
-        Operand::Imm(_) => 0,
-    }
+    1u64 << r.0
 }
 
 /// (used registers, defined register) of one instruction.
 fn uses_defs(inst: &Inst) -> (u64, u64) {
-    match *inst {
-        Inst::Mov(d, s) => (op_bit(s), bit(d)),
-        Inst::Bin(_, d, a, b) => (op_bit(a) | op_bit(b), bit(d)),
-        Inst::Sel(d, c, a, b) => (op_bit(c) | op_bit(a) | op_bit(b), bit(d)),
-        Inst::Ld(d, _, base, off) => (op_bit(base) | op_bit(off), bit(d)),
-        Inst::St(_, base, off, src) => (op_bit(base) | op_bit(off) | op_bit(src), 0),
-        Inst::Brz(c, _) | Inst::Brnz(c, _) => (op_bit(c), 0),
-        Inst::Jmp(_) | Inst::Bar(_) | Inst::Nop | Inst::Halt => (0, 0),
-    }
+    let uses = inst.srcs().fold(0, |m, r| m | bit(r));
+    (uses, inst.dst().map_or(0, bit))
 }
 
 /// Registers the launch ABI initialises before the kernel runs: the
@@ -316,11 +303,12 @@ mod tests {
 
     #[test]
     fn unreachable_and_missing_halt() {
-        let p = Program::from_insts(vec![
+        let p = Program::new(vec![
             Inst::Jmp(2),
             Inst::Nop, // unreachable
             Inst::Nop, // falls off the end
-        ]);
+        ])
+        .unwrap();
         let d = {
             let cfg = Cfg::build(&p);
             let mut out = Vec::new();
@@ -329,5 +317,16 @@ mod tests {
         };
         assert!(d.iter().any(|d| d.code == Code::Unreachable && d.pc == 1));
         assert!(d.iter().any(|d| d.code == Code::MissingHalt && d.pc == 2));
+    }
+
+    /// A branch target past the end is legal in a program; running it is
+    /// the runtime `PcOutOfRange`, so the lint reports it as falling off.
+    #[test]
+    fn branch_past_the_end_is_a_missing_halt() {
+        let p = Program::new(vec![Inst::Nop, Inst::Jmp(5), Inst::Halt]).unwrap();
+        let cfg = Cfg::build(&p);
+        let mut out = Vec::new();
+        lint(&p, &cfg, &mut out);
+        assert!(out.iter().any(|d| d.code == Code::MissingHalt && d.pc == 1));
     }
 }

@@ -139,36 +139,26 @@ fn operand(st: &State, op: Operand) -> AbsVal {
 
 /// One instruction's effect on the abstract register file.
 fn transfer(st: &mut State, inst: &Inst, w: i64) {
-    match *inst {
-        Inst::Mov(dst, src) => st[dst.0 as usize] = operand(st, src),
-        Inst::Bin(op, dst, a, b) => {
-            st[dst.0 as usize] = binop(op, operand(st, a), operand(st, b), w);
-        }
-        Inst::Sel(dst, cond, a, b) => {
+    let Some(dst) = inst.dst() else {
+        return;
+    };
+    st[dst.0 as usize] = match *inst {
+        Inst::Mov(_, src) => operand(st, src),
+        Inst::Bin(op, _, a, b) => binop(op, operand(st, a), operand(st, b), w),
+        Inst::Sel(_, cond, a, b) => {
             let c = operand(st, cond);
             let av = operand(st, a);
             let bv = operand(st, b);
-            st[dst.0 as usize] = match c.as_known() {
+            match c.as_known() {
                 Some(0) => bv,
                 Some(_) => av,
-                None => {
-                    if c.varies_in_warp() && av != bv {
-                        AbsVal::Top
-                    } else {
-                        join(av, bv, w)
-                    }
-                }
-            };
+                None if c.varies_in_warp() && av != bv => AbsVal::Top,
+                None => join(av, bv, w),
+            }
         }
-        Inst::Ld(dst, ..) => st[dst.0 as usize] = AbsVal::Top,
-        Inst::St(..)
-        | Inst::Jmp(_)
-        | Inst::Brz(..)
-        | Inst::Brnz(..)
-        | Inst::Bar(_)
-        | Inst::Nop
-        | Inst::Halt => {}
-    }
+        // A load: its value is not tracked.
+        _ => AbsVal::Top,
+    };
 }
 
 /// Join `src` into `entry` in place (an unreached entry takes `src`);
@@ -273,11 +263,9 @@ fn guard_limits(program: &Program, cfg_graph: &Cfg, state: &States) -> Vec<Optio
         }
         // Otherwise look at the in-block comparison defining the condition.
         if let Operand::Reg(cr) = cond {
-            let def_pc = (blk.start..term).rev().find(|&pc| {
-                matches!(program.get(pc),
-                    Some(Inst::Bin(_, d, _, _) | Inst::Mov(d, _) | Inst::Sel(d, ..) | Inst::Ld(d, ..))
-                        if *d == cr)
-            });
+            let def_pc = (blk.start..term)
+                .rev()
+                .find(|&pc| program.get(pc).and_then(Inst::dst) == Some(cr));
             if let Some(def_pc) = def_pc {
                 if let (
                     Some(Inst::Bin(

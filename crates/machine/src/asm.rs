@@ -273,7 +273,9 @@ impl Asm {
     /// Resolve labels and produce the final [`Program`].
     ///
     /// # Panics
-    /// Panics if any referenced label was never bound.
+    /// Panics if any referenced label was never bound, or if an
+    /// instruction names a register at or past
+    /// [`crate::REG_COUNT`] (the [`crate::isa::ProgramError`]).
     #[must_use]
     pub fn finish(self) -> Program {
         let resolve = |l: Label| -> usize {
@@ -289,7 +291,7 @@ impl Asm {
                 Draft::Brnz(c, l) => Inst::Brnz(c, resolve(l)),
             })
             .collect();
-        Program::from_insts(insts)
+        Program::new(insts).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -318,6 +320,15 @@ mod tests {
         let mut a = Asm::new();
         let l = a.label();
         a.jmp(l);
+        let _ = a.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction 1 names register r64, past the 64 registers")]
+    fn register_past_the_file_panics() {
+        let mut a = Asm::new();
+        a.nop();
+        a.mov(Reg(64), 1);
         let _ = a.finish();
     }
 

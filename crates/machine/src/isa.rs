@@ -12,10 +12,24 @@
 //! comparisons producing 0/1, loads and stores with a base+offset address
 //! mode (so the common `a[j + h]` pattern is a single instruction), and
 //! barrier synchronisation at DMM or machine scope.
+//!
+//! What every reader of a program relies on is written here once. A
+//! [`Program`] is checked where it is built: [`Program::new`] refuses a
+//! register at or past [`REG_COUNT`], so the engine and the analyzer
+//! need no register check of their own. [`BinOp::eval`]
+//! is the ALU's semantics, for the engine's lanes and the analyzer's
+//! constant folding alike, and [`Inst::dst`] and [`Inst::srcs`] are the
+//! operand layout. A branch target past the end is not refused: running
+//! it is the same runtime error as falling off the end.
+
+use std::fmt;
 
 use crate::word::Word;
 
-/// A register index (valid range `0..`[`REG_COUNT`](crate::REG_COUNT)).
+/// Number of registers per thread.
+pub const REG_COUNT: usize = 64;
+
+/// A register index (valid range `0..`[`REG_COUNT`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
@@ -139,39 +153,106 @@ pub enum Inst {
     Halt,
 }
 
-impl Inst {
-    /// Every register the instruction names: its destination, then its
-    /// register operands in order.
-    pub(crate) fn regs(&self) -> impl Iterator<Item = Reg> {
-        let (dst, ops) = match *self {
-            Inst::Mov(d, a) => (Some(d), [Some(a), None, None]),
-            Inst::Bin(_, d, a, b) | Inst::Ld(d, _, a, b) => (Some(d), [Some(a), Some(b), None]),
-            Inst::Sel(d, c, a, b) => (Some(d), [Some(c), Some(a), Some(b)]),
-            Inst::St(_, a, b, c) => (None, [Some(a), Some(b), Some(c)]),
-            Inst::Brz(c, _) | Inst::Brnz(c, _) => (None, [Some(c), None, None]),
-            Inst::Jmp(_) | Inst::Bar(_) | Inst::Nop | Inst::Halt => (None, [None; 3]),
-        };
-        dst.into_iter()
-            .chain(ops.into_iter().flatten().filter_map(|o| match o {
-                Operand::Reg(r) => Some(r),
-                Operand::Imm(_) => None,
-            }))
+impl BinOp {
+    /// `a <op> b`, as every thread's ALU computes it: `None` only for
+    /// `Div` or `Rem` by 0.
+    #[inline]
+    #[must_use]
+    pub fn eval(self, a: Word, b: Word) -> Option<Word> {
+        Some(match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div | BinOp::Rem if b == 0 => return None,
+            BinOp::Div => a.wrapping_div(b),
+            BinOp::Rem => a.wrapping_rem(b),
+            BinOp::Min => a.min(b),
+            BinOp::Max => a.max(b),
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Shl => a.wrapping_shl(b as u32),
+            BinOp::Shr => a.wrapping_shr(b as u32),
+            BinOp::Slt => Word::from(a < b),
+            BinOp::Sle => Word::from(a <= b),
+            BinOp::Seq => Word::from(a == b),
+            BinOp::Sne => Word::from(a != b),
+        })
     }
 }
 
+impl Inst {
+    /// The register the instruction writes, if any.
+    #[must_use]
+    pub fn dst(&self) -> Option<Reg> {
+        match *self {
+            Inst::Mov(d, _) | Inst::Bin(_, d, ..) | Inst::Sel(d, ..) | Inst::Ld(d, ..) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// The registers the instruction reads, in operand order.
+    pub fn srcs(&self) -> impl Iterator<Item = Reg> {
+        let ops = match *self {
+            Inst::Mov(_, a) | Inst::Brz(a, _) | Inst::Brnz(a, _) => [Some(a), None, None],
+            Inst::Bin(_, _, a, b) | Inst::Ld(_, _, a, b) => [Some(a), Some(b), None],
+            Inst::Sel(_, a, b, c) | Inst::St(_, a, b, c) => [Some(a), Some(b), Some(c)],
+            Inst::Jmp(_) | Inst::Bar(_) | Inst::Nop | Inst::Halt => [None; 3],
+        };
+        ops.into_iter().flatten().filter_map(|o| match o {
+            Operand::Reg(r) => Some(r),
+            Operand::Imm(_) => None,
+        })
+    }
+}
+
+/// Why [`Program::new`] refused an instruction vector: the instruction at
+/// `pc` names `reg`, a register at or past [`REG_COUNT`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProgramError {
+    /// The lowest pc that names a register past the file.
+    pub pc: usize,
+    /// The first such register it names (destination first).
+    pub reg: Reg,
+}
+
+impl fmt::Display for ProgramError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "instruction {} names register r{}, past the {REG_COUNT} registers",
+            self.pc, self.reg.0
+        )
+    }
+}
+
+impl std::error::Error for ProgramError {}
+
 /// A finished, branch-resolved program (shared by every thread of a launch,
-/// exactly like a CUDA kernel: same code, different thread ids).
+/// exactly like a CUDA kernel: same code, different thread ids). Every
+/// register it names is below [`REG_COUNT`]; a branch target may lie
+/// past the end, which is the runtime [`PcOutOfRange`](crate::SimError::PcOutOfRange)
+/// of falling off it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     insts: Vec<Inst>,
 }
 
 impl Program {
-    /// Wrap a raw instruction vector. Prefer [`crate::asm::Asm`], which
-    /// resolves labels and validates branch targets.
-    #[must_use]
-    pub fn from_insts(insts: Vec<Inst>) -> Self {
-        Self { insts }
+    /// Check a raw instruction vector and wrap it. [`crate::asm::Asm`]
+    /// builds programs with labels.
+    ///
+    /// # Errors
+    /// [`ProgramError`] for the lowest pc that names a register at or
+    /// past [`REG_COUNT`].
+    pub fn new(insts: Vec<Inst>) -> Result<Self, ProgramError> {
+        for (pc, inst) in insts.iter().enumerate() {
+            let mut regs = inst.dst().into_iter().chain(inst.srcs());
+            if let Some(reg) = regs.find(|r| usize::from(r.0) >= REG_COUNT) {
+                return Err(ProgramError { pc, reg });
+            }
+        }
+        Ok(Self { insts })
     }
 
     /// The instruction at `pc`, if any.
@@ -276,7 +357,7 @@ mod tests {
 
     #[test]
     fn program_accessors() {
-        let p = Program::from_insts(vec![Inst::Nop, Inst::Halt]);
+        let p = Program::new(vec![Inst::Nop, Inst::Halt]).unwrap();
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
         assert_eq!(p.get(1), Some(&Inst::Halt));
@@ -284,14 +365,64 @@ mod tests {
     }
 
     #[test]
+    fn registers_past_the_file_are_refused_at_the_lowest_pc() {
+        let err = Program::new(vec![Inst::Mov(Reg(64), Operand::Imm(1)), Inst::Halt]);
+        assert_eq!(
+            err,
+            Err(ProgramError {
+                pc: 0,
+                reg: Reg(64)
+            })
+        );
+        let insts = vec![
+            Inst::Mov(Reg(63), Operand::Reg(Reg(0))),
+            Inst::St(
+                Space::Global,
+                Operand::Imm(0),
+                Reg(1).into(),
+                Reg(200).into(),
+            ),
+            Inst::Bin(BinOp::Add, Reg(70), Reg(65).into(), Operand::Imm(1)),
+        ];
+        let err = Program::new(insts).unwrap_err();
+        assert_eq!(
+            err,
+            ProgramError {
+                pc: 1,
+                reg: Reg(200)
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "instruction 1 names register r200, past the 64 registers"
+        );
+    }
+
+    #[test]
+    fn dst_and_srcs_follow_operand_order() {
+        let sel = Inst::Sel(Reg(1), Reg(2).into(), Operand::Imm(3), Reg(4).into());
+        assert_eq!(sel.dst(), Some(Reg(1)));
+        assert_eq!(sel.srcs().collect::<Vec<_>>(), [Reg(2), Reg(4)]);
+        let st = Inst::St(Space::Shared, Reg(5).into(), Reg(6).into(), Reg(7).into());
+        assert_eq!(st.dst(), None);
+        assert_eq!(st.srcs().collect::<Vec<_>>(), [Reg(5), Reg(6), Reg(7)]);
+        assert_eq!(
+            Inst::Brnz(Reg(8).into(), 0).srcs().collect::<Vec<_>>(),
+            [Reg(8)]
+        );
+        assert_eq!(Inst::Halt.srcs().count(), 0);
+    }
+
+    #[test]
     fn cfg_accessors() {
         // 0: brz r0 -> 3 ; 1: nop ; 2: jmp 0 ; 3: halt
-        let p = Program::from_insts(vec![
+        let p = Program::new(vec![
             Inst::Brz(Operand::Reg(Reg(0)), 3),
             Inst::Nop,
             Inst::Jmp(0),
             Inst::Halt,
-        ]);
+        ])
+        .unwrap();
         assert_eq!(p.successors(0), vec![3, 1]);
         assert_eq!(p.successors(1), vec![2]);
         assert_eq!(p.successors(2), vec![0]);
@@ -307,7 +438,7 @@ mod tests {
 
     #[test]
     fn branch_to_fallthrough_has_one_successor() {
-        let p = Program::from_insts(vec![Inst::Brz(Operand::Imm(0), 1), Inst::Halt]);
+        let p = Program::new(vec![Inst::Brz(Operand::Imm(0), 1), Inst::Halt]).unwrap();
         assert_eq!(p.successors(0), vec![1]);
     }
 }

@@ -70,7 +70,7 @@ pub use asm::{Asm, Label};
 pub use bank::{bank_of, group_of};
 pub use disasm::disassemble;
 pub use error::{SimError, SimResult};
-pub use isa::{Inst, Operand, Program, Reg, Scope, Space};
+pub use isa::{Inst, Operand, Program, ProgramError, Reg, Scope, Space, REG_COUNT};
 #[doc(hidden)]
 pub use machine::Parallelism;
 pub use machine::{DynamicRace, EngineConfig, Kernel, LaunchShape, Machine};
@@ -78,7 +78,6 @@ pub use profile::{CategoryCounts, LaunchProfile, PipelineProfile, StallCategory}
 pub use request::{AccessKind, ConflictPolicy, Request, SlotSchedule};
 pub use stats::SimReport;
 pub use trace::{Trace, TraceEvent};
-pub use vm::REG_COUNT;
 pub use word::Word;
 
 /// Architectural registers preset by the engine before a kernel starts.
@@ -124,7 +123,7 @@ pub mod abi {
     pub fn scratch(i: usize) -> Reg {
         let r = SCRATCH0.0 as usize + i;
         assert!(
-            r < crate::vm::REG_COUNT,
+            r < crate::REG_COUNT,
             "scratch register index {i} out of range"
         );
         Reg(r as u8)

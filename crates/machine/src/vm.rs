@@ -22,6 +22,12 @@
 //! engine can split a group it diverges. The engine writes each lane's pc
 //! where its group stops.
 //!
+//! An ALU instruction computes through [`BinOp::eval`], in one lane loop
+//! per operation with the operation constant; its `None` (a zero divisor)
+//! is the lane's [`SimError::DivisionByZero`]. A [`Program`] names only
+//! registers below [`REG_COUNT`], so every register row it names lies
+//! inside the register file.
+//!
 //! Lanes never interact within a step, so applying an instruction to a
 //! group gives each lane exactly the result it would get alone. Errors
 //! are reported for the lowest erring lane of the group. The engine
@@ -29,12 +35,9 @@
 //! groups' errors keeps the lowest lane's ([`lowest_fault`]).
 
 use crate::error::{SimError, SimResult};
-use crate::isa::{BinOp, Inst, Operand, Program, Reg, Scope, Space};
+use crate::isa::{BinOp, Inst, Operand, Program, Reg, Scope, Space, REG_COUNT};
 use crate::request::AccessKind;
-use crate::word::{wadd, wmul, wsub, Word};
-
-/// Number of registers per thread.
-pub const REG_COUNT: usize = 64;
+use crate::word::Word;
 
 /// What one instruction asks of the engine, for every lane of the group
 /// that executed it.
@@ -272,34 +275,24 @@ impl LaneState {
         }
     }
 
-    /// `dst <- f(a, b)` on every lane.
+    /// `dst <- f(a, b)` on every lane, where `None` from `f` (a zero
+    /// divisor) is the lane's [`SimError::DivisionByZero`].
     #[inline]
-    fn bin(&mut self, lanes: &[usize], dst: Reg, a: Src, b: Src, f: impl Fn(Word, Word) -> Word) {
-        let row = dst.0 as usize * self.n;
-        for &t in lanes {
-            let v = f(self.val(a, t), self.val(b, t));
-            self.regs[row + t] = v;
-        }
-    }
-
-    /// `dst <- f(a, b)` on every lane, where a zero divisor `b` is the
-    /// lane's [`SimError::DivisionByZero`].
-    fn div(
+    fn bin(
         &mut self,
         lanes: &[usize],
         pc: usize,
         dst: Reg,
         a: Src,
         b: Src,
-        f: impl Fn(Word, Word) -> Word,
+        f: impl Fn(Word, Word) -> Option<Word>,
     ) -> Result<(), (usize, SimError)> {
         let row = dst.0 as usize * self.n;
         for &t in lanes {
-            let bv = self.val(b, t);
-            if bv == 0 {
+            let Some(v) = f(self.val(a, t), self.val(b, t)) else {
                 return Err((t, SimError::DivisionByZero { thread: t, pc }));
-            }
-            self.regs[row + t] = f(self.val(a, t), bv);
+            };
+            self.regs[row + t] = v;
         }
         Ok(())
     }
@@ -319,7 +312,7 @@ impl LaneState {
     fn mem(&mut self, lanes: &[usize], proto: LaneReq, base: Src, off: Src, value: Src) {
         for &t in lanes {
             self.reqs[t] = LaneReq {
-                addr: wadd(self.val(base, t), self.val(off, t)),
+                addr: self.val(base, t).wrapping_add(self.val(off, t)),
                 value: self.val(value, t),
                 ..proto
             };
@@ -411,29 +404,30 @@ impl LaneState {
         let effect = match inst {
             Inst::Mov(dst, src) => {
                 let s = self.src(src);
-                self.bin(lanes, dst, s, s, |v, _| v);
+                self.bin(lanes, pc, dst, s, s, |v, _| Some(v))?;
                 GroupEffect::Local
             }
             Inst::Bin(op, dst, a, b) => {
                 let (a, b) = (self.src(a), self.src(b));
+                // One lane loop per op, each with its op constant.
                 match op {
-                    BinOp::Add => self.bin(lanes, dst, a, b, wadd),
-                    BinOp::Sub => self.bin(lanes, dst, a, b, wsub),
-                    BinOp::Mul => self.bin(lanes, dst, a, b, wmul),
-                    BinOp::Div => self.div(lanes, pc, dst, a, b, Word::wrapping_div)?,
-                    BinOp::Rem => self.div(lanes, pc, dst, a, b, Word::wrapping_rem)?,
-                    BinOp::Min => self.bin(lanes, dst, a, b, Word::min),
-                    BinOp::Max => self.bin(lanes, dst, a, b, Word::max),
-                    BinOp::And => self.bin(lanes, dst, a, b, |x, y| x & y),
-                    BinOp::Or => self.bin(lanes, dst, a, b, |x, y| x | y),
-                    BinOp::Xor => self.bin(lanes, dst, a, b, |x, y| x ^ y),
-                    BinOp::Shl => self.bin(lanes, dst, a, b, |x, y| x.wrapping_shl(y as u32)),
-                    BinOp::Shr => self.bin(lanes, dst, a, b, |x, y| x.wrapping_shr(y as u32)),
-                    BinOp::Slt => self.bin(lanes, dst, a, b, |x, y| Word::from(x < y)),
-                    BinOp::Sle => self.bin(lanes, dst, a, b, |x, y| Word::from(x <= y)),
-                    BinOp::Seq => self.bin(lanes, dst, a, b, |x, y| Word::from(x == y)),
-                    BinOp::Sne => self.bin(lanes, dst, a, b, |x, y| Word::from(x != y)),
-                }
+                    BinOp::Add => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Add.eval(x, y)),
+                    BinOp::Sub => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Sub.eval(x, y)),
+                    BinOp::Mul => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Mul.eval(x, y)),
+                    BinOp::Div => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Div.eval(x, y)),
+                    BinOp::Rem => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Rem.eval(x, y)),
+                    BinOp::Min => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Min.eval(x, y)),
+                    BinOp::Max => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Max.eval(x, y)),
+                    BinOp::And => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::And.eval(x, y)),
+                    BinOp::Or => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Or.eval(x, y)),
+                    BinOp::Xor => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Xor.eval(x, y)),
+                    BinOp::Shl => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Shl.eval(x, y)),
+                    BinOp::Shr => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Shr.eval(x, y)),
+                    BinOp::Slt => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Slt.eval(x, y)),
+                    BinOp::Sle => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Sle.eval(x, y)),
+                    BinOp::Seq => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Seq.eval(x, y)),
+                    BinOp::Sne => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Sne.eval(x, y)),
+                }?;
                 GroupEffect::Local
             }
             Inst::Sel(dst, cond, a, b) => {
@@ -806,7 +800,7 @@ mod tests {
 
     #[test]
     fn pc_escape_is_an_error() {
-        let p = Program::from_insts(vec![Inst::Nop]);
+        let p = Program::new(vec![Inst::Nop]).unwrap();
         let mut s = LaneState::new(2);
         assert_eq!(s.step_group(&p, 0, &[0, 1]).unwrap(), GroupEffect::Local);
         assert!(matches!(

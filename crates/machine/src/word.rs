@@ -8,43 +8,3 @@
 
 /// A machine word: the contents of one memory cell or register.
 pub type Word = i64;
-
-/// Wrapping addition used by the ALU (`Add`).
-#[inline]
-#[must_use]
-pub fn wadd(a: Word, b: Word) -> Word {
-    a.wrapping_add(b)
-}
-
-/// Wrapping subtraction used by the ALU (`Sub`).
-#[inline]
-#[must_use]
-pub fn wsub(a: Word, b: Word) -> Word {
-    a.wrapping_sub(b)
-}
-
-/// Wrapping multiplication used by the ALU (`Mul`).
-#[inline]
-#[must_use]
-pub fn wmul(a: Word, b: Word) -> Word {
-    a.wrapping_mul(b)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wrapping_semantics() {
-        assert_eq!(wadd(Word::MAX, 1), Word::MIN);
-        assert_eq!(wsub(Word::MIN, 1), Word::MAX);
-        assert_eq!(wmul(Word::MAX, 2), -2);
-    }
-
-    #[test]
-    fn ordinary_arithmetic_is_exact() {
-        assert_eq!(wadd(3, 4), 7);
-        assert_eq!(wsub(10, 4), 6);
-        assert_eq!(wmul(6, 7), 42);
-    }
-}

@@ -759,21 +759,20 @@ fn race_log_keeps_the_first_entries_across_dmms() {
     assert_eq!(races, expected);
 }
 
-/// A register at or past `REG_COUNT` is a typed launch error, found
-/// before the launch allocates its thread table.
+/// A register at or past `REG_COUNT` is refused where the program is
+/// built, so no launch can receive one; the last register launches.
 #[test]
-fn register_past_the_file_is_a_bad_launch() {
-    use hmm_machine::isa::{Inst, Operand};
-    let program =
-        hmm_machine::Program::from_insts(vec![Inst::Mov(Reg(64), Operand::Imm(1)), Inst::Halt]);
-    let mut eng = Machine::umm(32, 4, 64);
-    let err = eng
-        .launch(&Kernel::new("test", program), LaunchShape::Even(32))
-        .unwrap_err();
-    assert!(
-        matches!(&err, SimError::BadLaunch(m) if m.contains("r64")),
-        "{err:?}"
+fn register_past_the_file_is_a_program_error() {
+    use hmm_machine::isa::{Inst, Operand, ProgramError};
+    let err = hmm_machine::Program::new(vec![Inst::Mov(Reg(64), Operand::Imm(1)), Inst::Halt]);
+    assert_eq!(
+        err,
+        Err(ProgramError {
+            pc: 0,
+            reg: Reg(64)
+        })
     );
+    let mut eng = Machine::umm(32, 4, 64);
     // The last register is still in range.
     let mut a = Asm::new();
     a.mov(Reg(63), 1);
