@@ -23,8 +23,8 @@
 //! where its group stops.
 //!
 //! An ALU instruction computes through [`BinOp::eval`], in one lane loop
-//! per operation with the operation constant; its `None` (a zero divisor)
-//! is the lane's [`SimError::DivisionByZero`]. A [`Program`] names only
+//! per operation with the operation constant; for `div` and `rem` its
+//! `None` (a zero divisor) is the lane's [`SimError::DivisionByZero`]. A [`Program`] names only
 //! registers below [`REG_COUNT`], so every register row it names lies
 //! inside the register file.
 //!
@@ -156,6 +156,13 @@ fn may_stop(inst: &Inst) -> bool {
     )
 }
 
+/// [`BinOp::eval`] of an op that cannot fail (all but `Div` and `Rem`),
+/// for an infallible lane loop.
+#[inline]
+fn total(op: BinOp, a: Word, b: Word) -> Word {
+    op.eval(a, b).unwrap_or_default()
+}
+
 /// Cap of [`local_runs`]: a run that never reaches an instruction that
 /// may stop it (an endless loop of local work) still runs ahead within
 /// this many cycles of its lane.
@@ -275,10 +282,19 @@ impl LaneState {
         }
     }
 
+    /// `dst <- f(a, b)` on every lane, for an `f` that cannot fail.
+    #[inline]
+    fn bin(&mut self, lanes: &[usize], dst: Reg, a: Src, b: Src, f: impl Fn(Word, Word) -> Word) {
+        let row = dst.0 as usize * self.n;
+        for &t in lanes {
+            let v = f(self.val(a, t), self.val(b, t));
+            self.regs[row + t] = v;
+        }
+    }
+
     /// `dst <- f(a, b)` on every lane, where `None` from `f` (a zero
     /// divisor) is the lane's [`SimError::DivisionByZero`].
-    #[inline]
-    fn bin(
+    fn div(
         &mut self,
         lanes: &[usize],
         pc: usize,
@@ -289,7 +305,8 @@ impl LaneState {
     ) -> Result<(), (usize, SimError)> {
         let row = dst.0 as usize * self.n;
         for &t in lanes {
-            let Some(v) = f(self.val(a, t), self.val(b, t)) else {
+            let bv = self.val(b, t);
+            let Some(v) = f(self.val(a, t), bv) else {
                 return Err((t, SimError::DivisionByZero { thread: t, pc }));
             };
             self.regs[row + t] = v;
@@ -404,30 +421,31 @@ impl LaneState {
         let effect = match inst {
             Inst::Mov(dst, src) => {
                 let s = self.src(src);
-                self.bin(lanes, pc, dst, s, s, |v, _| Some(v))?;
+                self.bin(lanes, dst, s, s, |v, _| v);
                 GroupEffect::Local
             }
             Inst::Bin(op, dst, a, b) => {
                 let (a, b) = (self.src(a), self.src(b));
-                // One lane loop per op, each with its op constant.
+                // One lane loop per op, each with its op constant; only
+                // `div` and `rem` carry an error path.
                 match op {
-                    BinOp::Add => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Add.eval(x, y)),
-                    BinOp::Sub => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Sub.eval(x, y)),
-                    BinOp::Mul => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Mul.eval(x, y)),
-                    BinOp::Div => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Div.eval(x, y)),
-                    BinOp::Rem => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Rem.eval(x, y)),
-                    BinOp::Min => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Min.eval(x, y)),
-                    BinOp::Max => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Max.eval(x, y)),
-                    BinOp::And => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::And.eval(x, y)),
-                    BinOp::Or => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Or.eval(x, y)),
-                    BinOp::Xor => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Xor.eval(x, y)),
-                    BinOp::Shl => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Shl.eval(x, y)),
-                    BinOp::Shr => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Shr.eval(x, y)),
-                    BinOp::Slt => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Slt.eval(x, y)),
-                    BinOp::Sle => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Sle.eval(x, y)),
-                    BinOp::Seq => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Seq.eval(x, y)),
-                    BinOp::Sne => self.bin(lanes, pc, dst, a, b, |x, y| BinOp::Sne.eval(x, y)),
-                }?;
+                    BinOp::Add => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Add, x, y)),
+                    BinOp::Sub => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Sub, x, y)),
+                    BinOp::Mul => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Mul, x, y)),
+                    BinOp::Div => self.div(lanes, pc, dst, a, b, |x, y| BinOp::Div.eval(x, y))?,
+                    BinOp::Rem => self.div(lanes, pc, dst, a, b, |x, y| BinOp::Rem.eval(x, y))?,
+                    BinOp::Min => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Min, x, y)),
+                    BinOp::Max => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Max, x, y)),
+                    BinOp::And => self.bin(lanes, dst, a, b, |x, y| total(BinOp::And, x, y)),
+                    BinOp::Or => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Or, x, y)),
+                    BinOp::Xor => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Xor, x, y)),
+                    BinOp::Shl => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Shl, x, y)),
+                    BinOp::Shr => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Shr, x, y)),
+                    BinOp::Slt => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Slt, x, y)),
+                    BinOp::Sle => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Sle, x, y)),
+                    BinOp::Seq => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Seq, x, y)),
+                    BinOp::Sne => self.bin(lanes, dst, a, b, |x, y| total(BinOp::Sne, x, y)),
+                }
                 GroupEffect::Local
             }
             Inst::Sel(dst, cond, a, b) => {
