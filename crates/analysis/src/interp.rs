@@ -156,7 +156,7 @@ fn transfer(st: &mut State, inst: &Inst, w: i64) {
                 None => join(av, bv, w),
             }
         }
-        // A load: its value is not tracked.
+        // Only a load is left with a destination; its value is not tracked.
         _ => AbsVal::Top,
     };
 }

@@ -16,11 +16,11 @@
 //! What every reader of a program relies on is written here once. A
 //! [`Program`] is checked where it is built: [`Program::new`] refuses a
 //! register at or past [`REG_COUNT`], so the engine and the analyzer
-//! need no register check of their own. [`BinOp::eval`]
-//! is the ALU's semantics, for the engine's lanes and the analyzer's
-//! constant folding alike, and [`Inst::dst`] and [`Inst::srcs`] are the
-//! operand layout. A branch target past the end is not refused: running
-//! it is the same runtime error as falling off the end.
+//! need no register check of their own. [`BinOp::eval`] is the ALU's
+//! semantics, for the engine's lanes and the analyzer's constant folding
+//! alike, and [`Inst::dst`] and [`Inst::srcs`] are the operand layout.
+//! A branch target past the end is not refused: running it is the same
+//! runtime error as falling off the end.
 
 use std::fmt;
 
@@ -187,7 +187,13 @@ impl Inst {
     pub fn dst(&self) -> Option<Reg> {
         match *self {
             Inst::Mov(d, _) | Inst::Bin(_, d, ..) | Inst::Sel(d, ..) | Inst::Ld(d, ..) => Some(d),
-            _ => None,
+            Inst::St(..)
+            | Inst::Jmp(_)
+            | Inst::Brz(..)
+            | Inst::Brnz(..)
+            | Inst::Bar(_)
+            | Inst::Nop
+            | Inst::Halt => None,
         }
     }
 
@@ -230,9 +236,9 @@ impl std::error::Error for ProgramError {}
 
 /// A finished, branch-resolved program (shared by every thread of a launch,
 /// exactly like a CUDA kernel: same code, different thread ids). Every
-/// register it names is below [`REG_COUNT`]; a branch target may lie
-/// past the end, which is the runtime [`PcOutOfRange`](crate::SimError::PcOutOfRange)
-/// of falling off it.
+/// register it names is below [`REG_COUNT`]. A branch target may lie past
+/// the end; running it is [`crate::SimError::PcOutOfRange`], as falling
+/// off the end is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     insts: Vec<Inst>,
