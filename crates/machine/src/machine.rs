@@ -453,8 +453,7 @@ impl Machine {
     /// DMM count, too many argument words); otherwise any [`SimError`]
     /// raised during simulation (bad address, division by zero, a pc
     /// past the end, deadlock, cycle limit, ...). A [`Program`] names only
-    /// registers below [`crate::REG_COUNT`], so no launch
-    /// checks them.
+    /// registers below [`crate::REG_COUNT`], so no launch checks them.
     pub fn launch(&mut self, kernel: &Kernel, shape: LaunchShape) -> SimResult<SimReport> {
         self.cfg.validate()?;
         let threads_per_dmm = shape.into_threads_per_dmm(self.cfg.dmms)?;

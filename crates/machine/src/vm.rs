@@ -24,9 +24,9 @@
 //!
 //! An ALU instruction computes through [`BinOp::eval`], in one lane loop
 //! per operation with the operation constant; for `div` and `rem` its
-//! `None` (a zero divisor) is the lane's [`SimError::DivisionByZero`]. A [`Program`] names only
-//! registers below [`REG_COUNT`], so every register row it names lies
-//! inside the register file.
+//! `None` (a zero divisor) is the lane's [`SimError::DivisionByZero`].
+//! A [`Program`] names only registers below [`REG_COUNT`], so every
+//! register row it names lies inside the register file.
 //!
 //! Lanes never interact within a step, so applying an instruction to a
 //! group gives each lane exactly the result it would get alone. Errors
